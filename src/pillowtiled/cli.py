@@ -40,7 +40,7 @@ from .formats import (
     parse_pillow_line,
     parse_surface_line,
 )
-from .lyapunov import certify_degenerate, run_monte_carlo
+from .lyapunov import _run_seeds, certify_degenerate
 from .orbit import OrbitCapExceeded, enumerate_orbit, enumerate_state_orbit
 from .permsurf import orientation_double_cover
 
@@ -144,9 +144,7 @@ def _cmd_ekz(line: str, cfg: RunConfig):
 def _cmd_lyapunov(line: str, cfg: RunConfig):
     target = parse_surface_line(line)
     cover = cyclic_to_pillow(target) if isinstance(target, CyclicCoverSpec) else target
-    estimates = [
-        run_monte_carlo(cover, cfg.steps, seed) for seed in cfg.seeds
-    ]
+    estimates = list(_run_seeds(cover, cfg.steps, cfg.seeds))
     record = {"input": line, "estimates": json_ready(estimates)}
     return record, EXIT_OK
 

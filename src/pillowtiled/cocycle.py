@@ -121,8 +121,7 @@ class StateData:
         validate_involution(self.origami, iota)
         self.basis: HomologyBasis = homology_basis(self.origami)
         self.splitting: InvolutionSplitting = involution_splitting(self.basis, iota)
-        d1, d2 = boundary_matrices(self.origami)
-        self._d2 = d2
+        self._d1, self._d2 = boundary_matrices(self.origami)
 
     @property
     def rank(self) -> int:
@@ -134,12 +133,9 @@ class Transition:
     """One cached move between canonical states."""
 
     gen: str
-    source: tuple[Perm, Perm, Perm]
     target: tuple[Perm, Perm, Perm]
-    full: tuple[tuple[int, ...], ...]      # rank x rank on H_1
     plus: tuple[tuple[int, ...], ...]      # restriction to the + lattices
     minus: tuple[tuple[int, ...], ...]
-    derivative: tuple[tuple[int, int], tuple[int, int]]
 
 
 class StateCache:
@@ -190,12 +186,9 @@ class StateCache:
         assert lattice.mat_eq(MB, BX), "move does not preserve the anti-invariant lattice"
         tr = Transition(
             gen=gen,
-            source=key,
             target=best,
-            full=tuple(tuple(r) for r in M),
             plus=tuple(tuple(r) for r in plus),
             minus=tuple(tuple(r) for r in minus),
-            derivative=_ELEMENTARY[gen],
         )
         self.transitions[memo] = tr
         return tr
@@ -205,9 +198,8 @@ def _check_cocycle(src: StateData, tgt: StateData, F, M) -> None:
     """Exact structural checks: well-defined on homology, symplectic,
     deck-equivariant, and splitting-preserving."""
     # F maps cycles to cycles and boundaries to boundaries
-    d1t, _ = boundary_matrices(tgt.origami)
     FB = lattice.matmul(F, [list(r) for r in src.basis.cycles])
-    z = lattice.matmul(d1t, FB)
+    z = lattice.matmul(tgt._d1, FB)
     assert all(all(x == 0 for x in row) for row in z), "move does not map cycles to cycles"
     Cn = [list(r) for r in tgt.basis.functionals]
     z2 = lattice.matmul(Cn, lattice.matmul(F, src._d2))
@@ -240,8 +232,6 @@ def induced_cocycle(o: Origami, word, iota: Perm | None = None):
     cur_iota = iota
     hb = homology_basis(cur_o)
     M = lattice.eye(hb.rank)
-    B0 = [list(r) for r in hb.cycles]
-    d1, d2 = boundary_matrices(cur_o)
     for gen in word:
         F = chain_map(cur_o, gen)
         if cur_iota is not None:

@@ -7,6 +7,10 @@ frames are handed to floating point.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+from operator import mul
+
 
 def eye(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -21,11 +25,13 @@ def shape(a: list[list[int]]) -> tuple[int, int]:
 
 
 def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    if not a:  # no rows: the inner dimension cannot be read off, nor matters
+        return []
     m, k = shape(a)
     k2, n = shape(b)
     assert k == k2, f"shape mismatch {shape(a)} @ {shape(b)}"
     bt = list(zip(*b)) if n else []
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def transpose(a: list[list[int]]) -> list[list[int]]:
@@ -34,6 +40,68 @@ def transpose(a: list[list[int]]) -> list[list[int]]:
 
 def mat_eq(a, b) -> bool:
     return shape(a) == shape(b) and all(ra == rb for ra, rb in zip(a, b))
+
+
+class NotQuasiUnipotentError(ArithmeticError):
+    """No power of the matrix is unipotent with (C^k - I)^2 == 0."""
+
+
+@lru_cache(maxsize=None)
+def max_finite_order(n: int) -> int:
+    """Largest order of a finite-order element of GL(n, Z).
+
+    Such an element is rationally a block sum of companion matrices of
+    cyclotomic polynomials Phi_d with sum(phi(d)) == n, and its order is
+    the lcm of the d; every such block sum is integral.  So this is the
+    largest lcm over multisets of d with sum(phi(d)) <= n (padding with
+    d = 1): 2, 6, 6, 12, 12, 30, 30, 60, 60, 120 for n = 1..10.
+    """
+    # phi(d) >= sqrt(d / 2), so d <= 2 n^2 covers every admissible degree
+    phi = list(range(2 * n * n + 1))
+    for p in range(2, len(phi)):
+        if phi[p] == p:
+            for j in range(p, len(phi), p):
+                phi[j] -= phi[j] // p
+    best = {1: 0}  # lcm -> least total degree reaching it
+    for d in range(2, len(phi)):
+        if phi[d] > n:
+            continue
+        for lcm, cost in list(best.items()):
+            c = cost + phi[d]
+            if c <= n:
+                new = lcm * d // math.gcd(lcm, d)
+                if c < best.get(new, n + 1):
+                    best[new] = c
+    return max(best)
+
+
+def quasi_unipotent_powers(c: list[list[int]]):
+    """Closed form of the powers of a square integer matrix C.
+
+    Finds the least k with (C^k - I)^2 == 0 and returns (powers, nil) with
+    powers == [C^0, ..., C^(k-1)] and nil == C^k - I.  As nil @ nil == 0
+    and nil commutes with C, the binomial expansion of (I + nil)^(q div k)
+    stops after two terms:
+
+        C^q == C^(q mod k) @ (I + (q div k) * nil)    for every q >= 0.
+
+    The eigenvalues of such a C are roots of unity, so k is the order of
+    its semisimple part, at most max_finite_order(n); past that bound no
+    power qualifies and NotQuasiUnipotentError is raised.
+    """
+    cap = max_finite_order(len(c))
+    one = eye(len(c))
+    powers = [one]
+    cur = c
+    for _ in range(cap):
+        nil = [[x - y for x, y in zip(rc, ri)] for rc, ri in zip(cur, one)]
+        if not any(any(row) for row in matmul(nil, nil)):
+            return powers, nil
+        powers.append(cur)
+        cur = matmul(c, cur)
+    raise NotQuasiUnipotentError(
+        f"no power C^k with k <= {cap} satisfies (C^k - I)^2 == 0"
+    )
 
 
 def smith_normal_form(a: list[list[int]]):

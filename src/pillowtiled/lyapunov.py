@@ -11,8 +11,13 @@ Benettin; everything is normalized by the log-growth of the tautological
 
 Large digits are cheap: each generator permutes the finite set of
 canonical states along a cycle, so gen^a factors as (partial walk) x
-(full-cycle product)^q, and the full-cycle power is computed by exact
-integer binary powering before any float touches it.
+(full-cycle product)^q.  A full-cycle product C is a parabolic affine
+map, some power of which is a multitwist, so (C^k - I)^2 == 0 for a
+small k found exactly when the cycle is built; then C^q == C^(q mod k)
+(I + (q div k)(C^k - I)) and a digit costs one exact integer
+multiply-add per entry, with no matrix product, before any float
+touches it.  One walker serves every seed of a cover, so states,
+transitions, cycles and digits are built once per cover.
 
 Runs are bitwise reproducible for a fixed seed (single PCG64 stream for
 the dynamics, a second derived stream for the bootstrap).
@@ -47,53 +52,76 @@ _REFRESH_DIGITS = 25  # float continued-fraction digits stay honest this long
 _BOOTSTRAP_RESAMPLES = 200
 
 
-def _matpow(M: list[list[int]], q: int) -> list[list[int]]:
-    n = len(M)
-    R = lattice.eye(n)
-    base = M
-    while q:
-        if q & 1:
-            R = lattice.matmul(base, R)
-        q >>= 1
-        if q:
-            base = lattice.matmul(base, base)
-    return R
+class _CyclePowers:
+    """Exact products of the per-move matrices around a cycle, on one lattice.
+
+    ``cum[j]`` is the product of the first j moves and C = cum[-1] the
+    full-cycle product; ``powers`` holds C^0..C^(k-1) and ``nil`` is
+    C^k - I, with nil @ nil == 0.  For q full cycles, m, s = divmod(q, k)
+    and P = cum[r] @ C^s, the product is cum[r] @ C^q == P + m (P @ nil);
+    the pair (P, P @ nil) is cached per (r, s).
+    """
+
+    __slots__ = ("cum", "powers", "nil", "_pairs")
+
+    def __init__(self, cum: list[list[list[int]]]):
+        self.cum = cum
+        self.powers, self.nil = lattice.quasi_unipotent_powers(cum[-1])
+        self._pairs: dict[tuple[int, int], tuple] = {}
+
+    def product(self, r: int, q: int) -> list[list[int]]:
+        """cum[r] @ C^q, exactly."""
+        m, s = divmod(q, len(self.powers))
+        pair = self._pairs.get((r, s))
+        if pair is None:
+            P = lattice.matmul(self.cum[r], self.powers[s])
+            pair = self._pairs[r, s] = (P, lattice.matmul(P, self.nil))
+        P, PN = pair
+        if not m:
+            return P
+        return [[x + m * y for x, y in zip(rp, rn)] for rp, rn in zip(P, PN)]
 
 
 class _GenCycle:
-    """States visited by repeating one generator, with cumulative products.
+    """States visited by repeating one generator, with closed-form products.
 
     ``states[j]`` is the state after j moves (states[0] is the anchor, and
-    the move from states[-1] returns to it); ``cum_plus[j]``/``cum_minus[j]``
-    are the exact products of the first j per-move matrices.
+    the move from states[-1] returns to it); ``plus``/``minus`` give the
+    exact products of any number of moves on the two eigenlattices.
     """
 
-    __slots__ = ("states", "cum_plus", "cum_minus")
+    __slots__ = ("states", "plus", "minus")
 
     def __init__(self, cache: StateCache, key, gen: str):
         st = cache.state(key)
-        kp, km = st.splitting.dim_plus, st.splitting.dim_minus
+        cum_plus = [lattice.eye(st.splitting.dim_plus)]
+        cum_minus = [lattice.eye(st.splitting.dim_minus)]
         self.states = [key]
-        self.cum_plus = [lattice.eye(kp)]
-        self.cum_minus = [lattice.eye(km)]
         cur = key
         while True:
             tr = cache.transition(cur, gen)
-            self.cum_plus.append(lattice.matmul([list(r) for r in tr.plus], self.cum_plus[-1]))
-            self.cum_minus.append(lattice.matmul([list(r) for r in tr.minus], self.cum_minus[-1]))
+            cum_plus.append(lattice.matmul([list(r) for r in tr.plus], cum_plus[-1]))
+            cum_minus.append(lattice.matmul([list(r) for r in tr.minus], cum_minus[-1]))
             cur = tr.target
             if cur == key:
                 break
             self.states.append(cur)
+        self.plus = _CyclePowers(cum_plus)
+        self.minus = _CyclePowers(cum_minus)
 
 
 class _Walker:
-    """Digit-level driver over the canonical state graph."""
+    """Digit-level driver over the canonical state graph.
+
+    Everything it builds depends on the cover alone, so one walker can
+    serve several runs on that cover, each starting at ``anchor``.
+    """
 
     def __init__(self, cover: PillowCover):
         o, iota = orientation_double_cover(cover)
+        self.cover = cover
         self.cache = StateCache()
-        self.key = self.cache.canonical_key(o, iota)
+        self.anchor = self.key = self.cache.canonical_key(o, iota)
         st = self.cache.state(self.key)
         self.dim_plus = st.splitting.dim_plus
         self.dim_minus = st.splitting.dim_minus
@@ -109,15 +137,10 @@ class _Walker:
             cyc = self._cycles.get(ck)
             if cyc is None:
                 cyc = self._cycles[ck] = _GenCycle(self.cache, self.key, gen)
-            L = len(cyc.states)
-            q, r = divmod(a, L)
-            Mp, Mm = cyc.cum_plus[r], cyc.cum_minus[r]
-            if q:
-                Mp = lattice.matmul(Mp, _matpow(cyc.cum_plus[L], q))
-                Mm = lattice.matmul(Mm, _matpow(cyc.cum_minus[L], q))
+            q, r = divmod(a, len(cyc.states))
             hit = (
-                np.array(Mp, dtype=float).reshape(self.dim_plus, self.dim_plus),
-                np.array(Mm, dtype=float).reshape(self.dim_minus, self.dim_minus),
+                np.array(cyc.plus.product(r, q), dtype=float).reshape(self.dim_plus, self.dim_plus),
+                np.array(cyc.minus.product(r, q), dtype=float).reshape(self.dim_minus, self.dim_minus),
                 cyc.states[r],
             )
             self._memo[memo_key] = hit
@@ -171,12 +194,14 @@ def run_monte_carlo(
     *,
     block: int = 20,
     renorm: int = 20,
+    _walker: _Walker | None = None,
 ) -> LyapunovEstimate:
     """Estimate the non-negative exponent spectrum of one cover.
 
     ``steps`` counts continued-fraction digits, ``block`` the number of
     equal segments used for the bootstrap error bars, ``renorm`` the
-    re-orthonormalization cadence in elementary moves.
+    re-orthonormalization cadence in elementary moves.  ``_walker`` is
+    internal: a walker over ``cover`` shared by the runs of ``_run_seeds``.
     """
     if steps < block:
         raise ValueError("steps must be at least the number of blocks")
@@ -184,7 +209,13 @@ def run_monte_carlo(
         raise ValueError("need at least two blocks for error bars")
     if renorm < 1:
         raise ValueError("renorm must be positive")
-    walker = _Walker(cover)
+    if _walker is None:
+        walker = _Walker(cover)
+    elif _walker.cover != cover:
+        raise ValueError("the shared walker was built for another cover")
+    else:
+        walker = _walker
+        walker.key = walker.anchor
     mp, mm = walker.dim_plus // 2, walker.dim_minus // 2
     rng = np.random.Generator(np.random.PCG64(seed))
 
@@ -296,6 +327,17 @@ def run_monte_carlo(
     )
 
 
+def _run_seeds(cover: PillowCover, steps: int, seeds) -> tuple[LyapunovEstimate, ...]:
+    """One run_monte_carlo per seed, all on one walker.
+
+    The walker's states, transitions, cycles and digit memo depend on the
+    cover only, and the seed drives only the random stream, so the
+    estimates equal those of independent runs.
+    """
+    walker = _Walker(cover)
+    return tuple(run_monte_carlo(cover, steps, s, _walker=walker) for s in seeds)
+
+
 @dataclass(frozen=True)
 class DegeneracyCertificate:
     """Joint verdict of the sampled and exact degeneracy channels."""
@@ -348,7 +390,7 @@ def certify_degenerate(
         criterion = bool(is_determinant_locus(target))
         description = f"cyclic cover N={target.N} a={target.a}"
 
-    estimates = tuple(run_monte_carlo(cover, steps, s) for s in seeds)
+    estimates = _run_seeds(cover, steps, seeds)
     maxes = [max(e.lambda_plus) for e in estimates if e.lambda_plus]
     max_lp = max(maxes, default=0.0)
     measured = max_lp < epsilon

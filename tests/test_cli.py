@@ -189,6 +189,19 @@ class TestSubcommands:
         data = json.loads(capsys.readouterr().out)
         assert data[0]["dim"] == 2 and data[0]["n"] == 3
 
+    def test_genus_zero_quotients_certify_and_estimate(self, tmp_path, capsys):
+        # the invariant lattice is empty, so the plus spectrum is empty
+        path = write(tmp_path, "in.txt", "2 2 2 1 1\n8 1 7 8 8\n")
+        rc = cli.run(RunConfig("certify", path, steps=200, seeds=(1, 2, 3)))
+        assert rc == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [rec["verdict"] for rec in data] == ["PASS", "PASS"]
+        assert all(exps == [] for rec in data for exps in rec["exponents"])
+        rc = cli.run(RunConfig("lyapunov", path, steps=200, seeds=(1, 2)))
+        assert rc == 0
+        data = json.loads(capsys.readouterr().out)
+        assert all(est["lambda_plus"] == [] for rec in data for est in rec["estimates"])
+
     def test_lyapunov_trace_and_out(self, tmp_path):
         path = write(tmp_path, "in.txt", FAMILY + "\n")
         out = tmp_path / "report.json"

@@ -1,6 +1,12 @@
 """Exact integer linear algebra checks, mostly randomized invariants."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from pillowtiled import lattice
 
@@ -86,3 +92,58 @@ def test_quotient_basis_for_cylinder_lattice():
     # functional kills the image
     for c in img:
         assert sum(C[0][i] * c[i] for i in range(3)) == 0
+
+
+def test_matmul_with_no_rows():
+    # a 0 x 2 factor prints as [] and carries no inner dimension
+    assert lattice.matmul([], [[1, 2], [3, 4]]) == []
+    assert lattice.matmul([], []) == []
+
+
+def test_max_finite_order():
+    assert [lattice.max_finite_order(n) for n in range(1, 11)] == [
+        2, 6, 6, 12, 12, 30, 30, 60, 60, 120,
+    ]
+
+
+def test_quasi_unipotent_powers_give_every_power():
+    cases = [
+        [[1, 3], [0, 1]],                                     # twist, k = 1
+        [[0, -1], [1, 1]],                                    # order 6
+        [[-1, -2], [0, -1]],                                  # -twist, k = 2
+        [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],  # twist + quarter turn
+        [],
+    ]
+    for c in cases:
+        powers, nil = lattice.quasi_unipotent_powers(c)
+        k = len(powers)
+        assert not any(any(row) for row in lattice.matmul(nil, nil))
+        acc = lattice.eye(len(c))
+        for q in range(3 * k + 3):
+            m, s = divmod(q, k)
+            step = [[x + m * y for x, y in zip(rp, rn)]
+                    for rp, rn in zip(lattice.eye(len(c)), nil)]
+            assert lattice.matmul(powers[s], step) == acc
+            acc = lattice.matmul(c, acc)
+    assert len(lattice.quasi_unipotent_powers(cases[1])[0]) == 6
+    assert len(lattice.quasi_unipotent_powers(cases[3])[0]) == 4
+
+
+def test_not_quasi_unipotent_raises_named_error():
+    with pytest.raises(lattice.NotQuasiUnipotentError):
+        lattice.quasi_unipotent_powers([[2, 1], [1, 1]])
+    with pytest.raises(lattice.NotQuasiUnipotentError):
+        lattice.quasi_unipotent_powers([[1, 1, 0], [0, 1, 1], [0, 0, 1]])  # Jordan block of size 3
+
+
+def test_not_quasi_unipotent_raises_without_assertions():
+    code = (
+        "from pillowtiled import lattice\n"
+        "try:\n"
+        "    lattice.quasi_unipotent_powers([[2, 1], [1, 1]])\n"
+        "except lattice.NotQuasiUnipotentError:\n"
+        "    raise SystemExit(7)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lattice.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
+    assert proc.returncode == 7, proc.stderr

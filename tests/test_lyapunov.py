@@ -12,7 +12,7 @@ from pillowtiled.lyapunov import (
     induced_cocycle,
     run_monte_carlo,
 )
-from pillowtiled.lyapunov import _matpow
+from pillowtiled.lyapunov import _GenCycle, _run_seeds, _Walker
 from pillowtiled.orbit import apply_generator
 from pillowtiled.permsurf import (
     Origami,
@@ -142,12 +142,29 @@ class TestStateCache:
         assert len(tr.plus) == st.splitting.dim_plus
         assert len(tr.minus) == st.splitting.dim_minus
 
-    def test_matpow_matches_repeated_multiplication(self):
-        M = [[1, 2], [0, 1]]
-        acc = lattice.eye(2)
-        for q in range(7):
-            assert lattice.mat_eq(_matpow(M, q), acc)
-            acc = lattice.matmul(M, acc)
+    @pytest.mark.parametrize(
+        "N, a",
+        [(5, (1, 2, 2, 5)), (6, (1, 1, 5, 5)), (8, (1, 3, 5, 7))],
+        ids=["5-1-2-2-5", "6-1-1-5-5", "8-1-3-5-7"],
+    )
+    def test_closed_form_cycle_powers_match_repeated_multiplication(self, N, a):
+        walker = _Walker(cyclic_pillow(N, a))
+        seen, todo = {walker.anchor}, [walker.anchor]
+        while todo:
+            key = todo.pop()
+            for gen in ["T", "L"]:
+                cyc = _GenCycle(walker.cache, key, gen)
+                for st in cyc.states:
+                    if st not in seen:
+                        seen.add(st)
+                        todo.append(st)
+                for part in (cyc.plus, cyc.minus):
+                    k = len(part.powers)
+                    for r in range(len(cyc.states)):
+                        acc = part.cum[r]
+                        for q in range(3 * k + 3):
+                            assert lattice.mat_eq(part.product(r, q), acc)
+                            acc = lattice.matmul(acc, part.cum[-1])
 
 
 class TestMonteCarlo:
@@ -187,6 +204,20 @@ class TestMonteCarlo:
         assert est.blocks == 10
         assert len(est.block_slopes) == 10
         assert all(s > 0 for s in est.block_slopes)
+
+    def test_shared_walker_matches_independent_runs(self):
+        cover = cyclic_pillow(5, (1, 2, 2, 5))
+        seeds = (3, 1, 2, 3)
+        independent = tuple(run_monte_carlo(cover, 2000, s) for s in seeds)
+        assert _run_seeds(cover, 2000, seeds) == independent
+        walker = _Walker(cover)
+        shared = tuple(run_monte_carlo(cover, 2000, s, _walker=walker) for s in seeds)
+        assert shared == independent
+
+    def test_shared_walker_must_match_the_cover(self):
+        walker = _Walker(cyclic_pillow(5, (1, 2, 2, 5)))
+        with pytest.raises(ValueError):
+            run_monte_carlo(cyclic_pillow(3, (1, 1, 1, 3)), 100, 1, _walker=walker)
 
     def test_parameter_validation(self):
         cover = cyclic_pillow(3, (1, 1, 1, 3))
