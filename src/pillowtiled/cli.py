@@ -106,6 +106,7 @@ def _cmd_certify(line: str, cfg: RunConfig):
         "exponents": [list(e.lambda_plus) for e in cert.estimates],
         "stderr": [list(e.stderr_plus) for e in cert.estimates],
         "exact_sum": json_ready(cert.exact_sum),
+        "warnings": [list(e.warnings) for e in cert.estimates],
         "verdict": cert.verdict,
         "contradiction": cert.contradiction,
         "epsilon": cert.epsilon,

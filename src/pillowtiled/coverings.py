@@ -94,7 +94,6 @@ class CoverReport:
     stratum: Stratum
     n: int
     branch_count: int
-    galois: bool = True
 
 
 def cover_report(s: CyclicCoverSpec) -> CoverReport:
@@ -151,8 +150,8 @@ def check_bounds(r: CoverReport, degenerate: bool) -> list[BoundVerdict]:
     """Pole-count, degree, and unbranched-pole bounds for degenerate covers.
 
     The degree bound applies only to covers branched at all four corners;
-    the unbranched-pole bound only to Galois covers.  Non-degenerate input
-    skips everything.
+    the unbranched-pole bound applies to every degenerate cover, as cyclic
+    covers are Galois.  Non-degenerate input skips everything.
     """
     out = []
     if degenerate and r.genus >= 1:
@@ -167,7 +166,7 @@ def check_bounds(r: CoverReport, degenerate: bool) -> list[BoundVerdict]:
             "degree", "pass" if r.degree >= need else "fail", r.degree, need))
     else:
         out.append(BoundVerdict("degree", "skipped"))
-    if degenerate and r.galois:
+    if degenerate:
         free = 4 - r.branch_count
         out.append(BoundVerdict(
             "unbranched-pole", "pass" if free >= 1 else "fail", free, 1))

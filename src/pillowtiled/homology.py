@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import lattice
 from .permutations import Perm, inverse
@@ -34,7 +35,8 @@ __all__ = [
 
 def standard_symplectic(r: int) -> list[list[int]]:
     """Block diagonal [[0,1],[-1,0]] pairs; r must be even."""
-    assert r % 2 == 0
+    if r % 2:
+        raise ValueError(f"a symplectic form needs even rank, not {r}")
     J = lattice.zeros(r, r)
     for i in range(0, r, 2):
         J[i][i + 1] = 1
@@ -100,17 +102,19 @@ def symplectic_basis_transform(G: list[list[int]]) -> list[list[int]]:
     project the rest onto the symplectic complement, repeat.
     """
     r = len(G)
+    Gt = lattice.transpose(G)
 
-    def pair(x, y) -> int:
-        return sum(x[i] * G[i][j] * y[j] for i in range(r) for j in range(r))
+    def dot(x, y) -> int:
+        return sum(map(mul, x, y))
 
     def peel(basis: list[list[int]]) -> list[list[int]]:
         if not basis:
             return []
         u = basis[0]
+        uG = [dot(u, col) for col in Gt]  # <u, c> == dot(uG, c)
         g, w = 0, [0] * r
         for c in basis:
-            p = pair(u, c)
+            p = dot(uG, c)
             if p == 0:
                 continue
             gg, x, y = _xgcd(g, p)
@@ -120,21 +124,25 @@ def symplectic_basis_transform(G: list[list[int]]) -> list[list[int]]:
             raise ValueError("form is degenerate or not unimodular on the lattice")
         if g == -1:
             w = [-x for x in w]
+        Gw = [dot(row, w) for row in G]  # <c, w> == dot(c, Gw)
+        Gu = [dot(row, u) for row in G]
         rest = []
         for c in basis:
-            a, b = pair(c, w), pair(c, u)
+            a, b = dot(c, Gw), dot(c, Gu)
             rest.append([ci - a * ui + b * wi for ci, ui, wi in zip(c, u, w)])
         span = lattice.column_lattice_basis(
             [[rest[j][i] for j in range(len(rest))] for i in range(r)]
         )
-        assert len(span) == len(basis) - 2
+        if len(span) != len(basis) - 2:
+            raise ArithmeticError("symplectic complement lost rank")
         return [u, w] + peel(span)
 
     start = [[1 if i == j else 0 for i in range(r)] for j in range(r)]
     got = peel(start)
     Q = [[got[j][i] for j in range(r)] for i in range(r)]
     JQ = lattice.matmul(lattice.matmul(lattice.transpose(Q), G), Q)
-    assert lattice.mat_eq(JQ, standard_symplectic(r)), "symplectic reduction failed"
+    if not lattice.mat_eq(JQ, standard_symplectic(r)):
+        raise ArithmeticError("symplectic reduction failed")
     return Q
 
 
@@ -164,22 +172,25 @@ def homology_basis(o: Origami) -> HomologyBasis:
     r = len(B[0]) if B else 0
     # intersection matrix of the dual functionals via the cup product
     Jd = [[_cup(o, C[i], C[j]) for j in range(r)] for i in range(r)]
-    for i in range(r):
-        for j in range(r):
-            assert Jd[i][j] == -Jd[j][i], "cup pairing is not antisymmetric"
+    if any(Jd[i][j] != -Jd[j][i] for i in range(r) for j in range(i, r)):
+        raise ArithmeticError("cup pairing is not antisymmetric")
     Jd_inv = lattice.unimodular_inverse(Jd)
     G = [[-x for x in row] for row in Jd_inv]  # pairing of the basis cycles
     Q = symplectic_basis_transform(G)
-    Qinv = lattice.unimodular_inverse(Q)
+    # Q^T G Q == J and J^-1 == -J, so Q^-1 == -J Q^T G
+    J = standard_symplectic(r)
+    minus_J = [[-x for x in row] for row in J]
+    Qinv = lattice.matmul(lattice.matmul(minus_J, lattice.transpose(Q)), G)
     B = lattice.matmul(B, Q)
     C = lattice.matmul(Qinv, C)
-    assert lattice.mat_eq(lattice.matmul(C, B), lattice.eye(r))
+    if not lattice.mat_eq(lattice.matmul(C, B), lattice.eye(r)):
+        raise ArithmeticError("functionals are not dual to the cycles: C @ B != I")
     return HomologyBasis(
         origami=o,
         rank=r,
         cycles=tuple(tuple(row) for row in B),
         functionals=tuple(tuple(row) for row in C),
-        intersection=tuple(tuple(row) for row in standard_symplectic(r)),
+        intersection=tuple(tuple(row) for row in J),
     )
 
 
@@ -205,7 +216,8 @@ def involution_on_homology(basis: HomologyBasis, iota: Perm) -> list[list[int]]:
     B = [list(r_) for r_ in basis.cycles]
     C = [list(r_) for r_ in basis.functionals]
     I = lattice.matmul(C, lattice.matmul(M, B))
-    assert lattice.mat_eq(lattice.matmul(I, I), lattice.eye(basis.rank))
+    if not lattice.mat_eq(lattice.matmul(I, I), lattice.eye(basis.rank)):
+        raise ValueError("the deck map does not act as an involution on H_1")
     return I
 
 
@@ -264,7 +276,8 @@ def involution_splitting(basis: HomologyBasis, iota: Perm) -> InvolutionSplittin
     plus_id = [[I[i][j] + ident[i][j] for j in range(r)] for i in range(r)]
     plus = lattice.kernel_basis(minus_id)   # I x = x
     minus = lattice.kernel_basis(plus_id)   # I x = -x
-    assert len(plus) + len(minus) == r, "eigenlattices do not fill H_1"
+    if len(plus) + len(minus) != r:
+        raise ArithmeticError("eigenlattices do not fill H_1")
 
     def cols_to_matrix(cols):
         return [[c[i] for c in cols] for i in range(r)] if cols else [[] for _ in range(r)]

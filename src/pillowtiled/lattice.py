@@ -1,4 +1,10 @@
-"""Exact integer matrix utilities: Smith normal form and friends.
+"""Exact integer matrix utilities built on one column Hermite routine.
+
+``hermite`` brings a matrix to column Hermite normal form by unimodular
+column operations, reducing each pivot row as it goes so entries stay
+small; kernels, lattice bases, left inverses and unimodular inverses are
+read off its output.  A Smith normal form remains for the one caller that
+needs invariant factors: the torsion check of ``quotient_basis``.
 
 Everything here works on small dense matrices of Python ints (lists of
 lists), which keeps the homology pipeline exact; numpy only enters once
@@ -29,7 +35,8 @@ def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
         return []
     m, k = shape(a)
     k2, n = shape(b)
-    assert k == k2, f"shape mismatch {shape(a)} @ {shape(b)}"
+    if k != k2:
+        raise ValueError(f"shape mismatch {shape(a)} @ {shape(b)}")
     bt = list(zip(*b)) if n else []
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
@@ -104,16 +111,72 @@ def quasi_unipotent_powers(c: list[list[int]]):
     )
 
 
+def hermite(a: list[list[int]]):
+    """Column Hermite normal form: (pivot_rows, H, V) with a @ V == H.
+
+    V is unimodular.  H is lower echelon: its column j < len(pivot_rows)
+    is zero above row pivot_rows[j] and positive there, and the remaining
+    columns are zero, so those columns of V span ker(a).  Every entry of a
+    pivot row left of its pivot is reduced into [0, pivot).  The reduction
+    is done as each pivot is found (Kannan-Bachem; Cohen, GTM 138, 2.4):
+    it keeps the entries of H and V small, and it makes H exactly the
+    identity when a is unimodular.
+    """
+    m, n = shape(a)
+    A = [list(c) for c in zip(*a)] if n else []   # columns of H
+    V = [[int(i == j) for i in range(n)] for j in range(n)]  # columns of V
+    pivots: list[int] = []
+    k = 0
+    for i in range(m):
+        if k == n:
+            break
+        # Euclid across the trailing columns; they are zero above row i
+        while True:
+            best = None
+            for c in range(k, n):
+                x = A[c][i]
+                if x and (best is None or abs(x) < abs(A[best][i])):
+                    best = c
+            if best is None:
+                break
+            A[k], A[best] = A[best], A[k]
+            V[k], V[best] = V[best], V[k]
+            p, hk, vk = A[k][i], A[k], V[k]
+            left = False
+            for c in range(k + 1, n):
+                q = A[c][i] // p
+                if q:
+                    A[c] = [x - q * y for x, y in zip(A[c], hk)]
+                    V[c] = [x - q * y for x, y in zip(V[c], vk)]
+                left = left or A[c][i] != 0
+            if not left:
+                break
+        if best is None:
+            continue
+        if A[k][i] < 0:
+            A[k] = [-x for x in A[k]]
+            V[k] = [-x for x in V[k]]
+        p, hk, vk = A[k][i], A[k], V[k]
+        for j in range(k):
+            q = A[j][i] // p
+            if q:
+                A[j] = [x - q * y for x, y in zip(A[j], hk)]
+                V[j] = [x - q * y for x, y in zip(V[j], vk)]
+        pivots.append(i)
+        k += 1
+    H = [list(r) for r in zip(*A)] if n else [[] for _ in range(m)]
+    return pivots, H, transpose(V)
+
+
 def smith_normal_form(a: list[list[int]]):
     """U @ a @ V == S with S diagonal, d_i | d_{i+1}, U and V unimodular.
 
-    Returns (S, U, V, Uinv, Vinv, rank).  Transform inverses are maintained
-    alongside, so callers get exact unimodular inverses for free.
+    Returns (S, U, Uinv): the row transform is kept with its inverse, the
+    column transform V is not recorded.
     """
     m, n = shape(a)
     S = [list(r) for r in a]
     U, Uinv = eye(m), eye(m)
-    V, Vinv = eye(n), eye(n)
 
     def swap_rows(i, j):
         if i == j:
@@ -128,9 +191,6 @@ def smith_normal_form(a: list[list[int]]):
             return
         for r in S:
             r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def add_row(dst, src, c):  # row_dst += c * row_src
         if c == 0:
@@ -145,9 +205,6 @@ def smith_normal_form(a: list[list[int]]):
             return
         for r in S:
             r[dst] += c * r[src]
-        for r in V:
-            r[dst] += c * r[src]
-        Vinv[src] = [x - c * y for x, y in zip(Vinv[src], Vinv[dst])]
 
     def negate_row(i):
         S[i] = [-x for x in S[i]]
@@ -203,49 +260,57 @@ def smith_normal_form(a: list[list[int]]):
         if S[t][t] < 0:
             negate_row(t)
         t += 1
+    return S, U, Uinv
 
-    rank = sum(1 for i in range(min(m, n)) if S[i][i])
-    return S, U, V, Uinv, Vinv, rank
+
+def _leading_columns(a: list[list[int]], k: int) -> list[list[int]]:
+    return [[row[j] for row in a] for j in range(k)]
 
 
 def kernel_basis(a: list[list[int]]) -> list[list[int]]:
     """Columns spanning ker(a) over Z (a saturated sublattice).
 
-    Returned as a list of column vectors.
+    Returned as a list of column vectors, in Hermite normal form, so the
+    basis depends on the kernel alone.
     """
-    m, n = shape(a)
-    if n == 0:
-        return []
-    S, U, V, Uinv, Vinv, rank = smith_normal_form(a)
-    return [[V[i][j] for i in range(n)] for j in range(rank, n)]
+    pivots, _, V = hermite(a)
+    _, H, _ = hermite([row[len(pivots):] for row in V])
+    return _leading_columns(H, shape(a)[1] - len(pivots))
 
 
 def column_lattice_basis(a: list[list[int]]) -> list[list[int]]:
     """Basis (list of column vectors) of the lattice spanned by a's columns."""
-    m, n = shape(a)
-    S, U, V, Uinv, Vinv, rank = smith_normal_form(a)
-    return [[S[i][i] * Uinv[r][i] for r in range(m)] for i in range(rank)]
+    pivots, H, _ = hermite(a)
+    return _leading_columns(H, len(pivots))
 
 
 def left_inverse(k: list[list[int]]) -> list[list[int]]:
-    """Integer L with L @ k == I, for k with saturated full-rank column span."""
-    m, n = shape(k)
-    S, U, V, Uinv, Vinv, rank = smith_normal_form(k)
-    if rank != n or any(S[i][i] not in (1, -1) for i in range(n)):
+    """Integer L with L @ k == I, for k with saturated full-rank column span.
+
+    With k^T @ V == H in Hermite form, the columns of k span a saturated
+    rank-n sublattice exactly when H's leading n x n block is unitriangular;
+    reduced, that block is I, and L is the transpose of V's first n columns.
+    """
+    n = shape(k)[1]
+    pivots, H, V = hermite(transpose(k))
+    if pivots != list(range(n)) or any(H[i][i] != 1 for i in range(n)):
         raise ValueError("column span is not a saturated rank-n sublattice")
-    D = [[(1 if S[i][i] == 1 else -1) if i == j else 0 for j in range(n)] for i in range(n)]
-    return matmul(matmul(V, D), U[:n])
+    return _leading_columns(V, n)
 
 
 def unimodular_inverse(a: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
+    """Exact inverse of a unimodular integer matrix.
+
+    a @ V == H with H unitriangular exactly when a is unimodular; reduced,
+    H is I, so the inverse is V.
+    """
     n, n2 = shape(a)
-    assert n == n2
-    S, U, V, Uinv, Vinv, rank = smith_normal_form(a)
-    if rank != n or any(S[i][i] not in (1, -1) for i in range(n)):
+    if n != n2:
+        raise ValueError(f"not a square matrix: {shape(a)}")
+    pivots, H, V = hermite(a)
+    if pivots != list(range(n)) or any(H[i][i] != 1 for i in range(n)):
         raise ValueError("matrix is not unimodular")
-    D = [[(S[i][i]) if i == j else 0 for j in range(n)] for i in range(n)]
-    return matmul(matmul(V, D), U)
+    return V
 
 
 def quotient_basis(ambient_dim: int, ker: list[list[int]], img: list[list[int]]):
@@ -259,12 +324,14 @@ def quotient_basis(ambient_dim: int, ker: list[list[int]], img: list[list[int]])
     nK = len(ker)
     K = [[ker[j][i] for j in range(nK)] for i in range(ambient_dim)]  # cols
     L = left_inverse(K)
-    # image vectors in K-coordinates
-    D = matmul(L, [[img[j][i] for j in range(len(img))] for i in range(ambient_dim)]) if img else [[0] * 0 for _ in range(nK)]
     if img:
-        S, U, V, Uinv, Vinv, rank = smith_normal_form(D)
-        if any(S[i][i] not in (0, 1) for i in range(min(len(S), len(S[0] if S else [])))):
+        # image vectors in K-coordinates; their invariant factors must be 0 or 1
+        D = matmul(L, [[img[j][i] for j in range(len(img))] for i in range(ambient_dim)])
+        S, U, Uinv = smith_normal_form(D)
+        diag = [S[i][i] for i in range(min(shape(S)))]
+        if any(x not in (0, 1) for x in diag):
             raise ValueError("quotient has torsion")
+        rank = sum(1 for x in diag if x)
     else:
         U, Uinv, rank = eye(nK), eye(nK), 0
     B = matmul(K, [[Uinv[i][j] for j in range(rank, nK)] for i in range(nK)])

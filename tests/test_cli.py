@@ -202,6 +202,15 @@ class TestSubcommands:
         data = json.loads(capsys.readouterr().out)
         assert all(est["lambda_plus"] == [] for rec in data for est in rec["estimates"])
 
+    def test_prime_family_beyond_five_certifies(self, tmp_path, capsys):
+        path = write(tmp_path, "in.txt", "7 1 3 3 7\n11 1 5 5 11\n")
+        rc = cli.run(RunConfig("certify", path, steps=300, seeds=(1, 2, 3)))
+        assert rc == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [rec["verdict"] for rec in data] == ["PASS", "PASS"]
+        assert [rec["exact_sum"] for rec in data] == ["0/1", "0/1"]
+        assert all(len(rec["warnings"]) == 3 for rec in data)
+
     def test_lyapunov_trace_and_out(self, tmp_path):
         path = write(tmp_path, "in.txt", FAMILY + "\n")
         out = tmp_path / "report.json"

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,18 +16,77 @@ def random_matrix(rng, m, n, lo=-6, hi=6):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
 
 
-def is_unimodular(a):
-    s, *_ , rank = lattice.smith_normal_form(a)
-    n = len(a)
-    return rank == n and all(s[i][i] == 1 for i in range(n))
+def random_cases(rng, count):
+    """Seeded integer matrices: full rank, rank-deficient and 0-column ones."""
+    for t in range(count):
+        m, n = rng.randint(1, 6), rng.randint(0, 6)
+        if t % 3 == 1 and n:
+            r = rng.randint(0, min(m, n) - 1)
+            yield (lattice.matmul(random_matrix(rng, m, r, -3, 3), random_matrix(rng, r, n, -3, 3))
+                   if r else lattice.zeros(m, n))
+        else:
+            yield random_matrix(rng, m, n)
+
+
+def random_unimodular(rng, n, moves=15):
+    a = lattice.eye(n)
+    for _ in range(moves if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    return a
+
+
+def _rref(rows):
+    """Reduced row echelon form over Q (reference): (rows, pivot columns)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        i = next((i for i in range(len(pivots), len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        t = len(pivots)
+        rows[t], rows[i] = rows[i], rows[t]
+        rows[t] = [x / rows[t][col] for x in rows[t]]
+        for k in range(len(rows)):
+            if k != t and rows[k][col]:
+                rows[k] = [x - rows[k][col] * y for x, y in zip(rows[k], rows[t])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def _rank(a):
+    return len(_rref(a)[1])
+
+
+def _det(a):
+    n, det, rows = len(a), Fraction(1), [[Fraction(x) for x in r] for r in a]
+    for col in range(n):
+        i = next((i for i in range(col, n) if rows[i][col]), None)
+        if i is None:
+            return 0
+        if i != col:
+            rows[col], rows[i], det = rows[i], rows[col], -det
+        det *= rows[col][col]
+        for k in range(col + 1, n):
+            f = rows[k][col] / rows[col][col]
+            rows[k] = [x - f * y for x, y in zip(rows[k], rows[col])]
+    return det
+
+
+def _in_lattice(v, cols):
+    """Whether v is an integer combination of the independent columns."""
+    rows, pivots = _rref([[c[i] for c in cols] + [v[i]] for i in range(len(v))])
+    if len(cols) in pivots:
+        return False
+    return all(rows[t][-1].denominator == 1 for t in range(len(pivots)))
 
 
 def test_snf_fixed_case():
     a = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    S, U, V, Uinv, Vinv, rank = lattice.smith_normal_form(a)
+    S, U, Uinv = lattice.smith_normal_form(a)
     # classic example: invariant factors 2, 2, 156
     assert [S[i][i] for i in range(3)] == [2, 2, 156]
-    assert rank == 3
 
 
 def test_snf_randomized_invariants():
@@ -34,10 +94,11 @@ def test_snf_randomized_invariants():
     for _ in range(60):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         a = random_matrix(rng, m, n)
-        S, U, V, Uinv, Vinv, rank = lattice.smith_normal_form(a)
-        assert lattice.mat_eq(lattice.matmul(lattice.matmul(U, a), V), S)
+        S, U, Uinv = lattice.smith_normal_form(a)
         assert lattice.mat_eq(lattice.matmul(U, Uinv), lattice.eye(m))
-        assert lattice.mat_eq(lattice.matmul(V, Vinv), lattice.eye(n))
+        # a unimodular column transform takes U a to S: same column lattice
+        ua = lattice.matmul(U, a)
+        assert lattice.column_lattice_basis(ua) == lattice.column_lattice_basis(S)
         # diagonal, nonnegative, divisibility chain
         for i in range(m):
             for j in range(n):
@@ -48,7 +109,6 @@ def test_snf_randomized_invariants():
         for x, y in zip(diag, diag[1:]):
             if y:
                 assert x and y % x == 0
-        assert rank == sum(1 for x in diag if x)
 
 
 def test_kernel_basis():
@@ -59,14 +119,70 @@ def test_kernel_basis():
         ker = lattice.kernel_basis(a)
         for c in ker:
             assert all(sum(a[i][j] * c[j] for j in range(n)) == 0 for i in range(m))
-        S, *_, rank = lattice.smith_normal_form(a)
-        assert len(ker) == n - rank
+        S, U, Uinv = lattice.smith_normal_form(a)
+        assert len(ker) == n - sum(1 for i in range(min(m, n)) if S[i][i])
+
+
+def test_hermite_form_properties():
+    rng = random.Random(11)
+    for a in random_cases(rng, 90):
+        m, n = lattice.shape(a)
+        pivots, H, V = lattice.hermite(a)
+        assert lattice.matmul(a, V) == H
+        assert abs(_det(V)) == 1
+        r = len(pivots)
+        assert r == _rank(a)
+        assert pivots == sorted(set(pivots))
+        for j, i in enumerate(pivots):
+            assert all(H[x][j] == 0 for x in range(i))
+            assert H[i][j] > 0
+            assert all(0 <= H[i][c] < H[i][j] for c in range(j))
+        assert all(H[x][j] == 0 for x in range(m) for j in range(r, n))
+
+
+def test_kernel_basis_is_saturated_and_complete():
+    rng = random.Random(12)
+    for a in random_cases(rng, 90):
+        m, n = lattice.shape(a)
+        ker = lattice.kernel_basis(a)
+        assert len(ker) == n - _rank(a)
+        if not ker:
+            continue
+        K = [[c[i] for c in ker] for i in range(n)]
+        assert not any(any(row) for row in lattice.matmul(a, K))
+        assert lattice.matmul(lattice.left_inverse(K), K) == lattice.eye(len(ker))
+
+
+def test_column_lattice_basis_spans_the_smith_lattice():
+    rng = random.Random(13)
+    for a in random_cases(rng, 90):
+        m, n = lattice.shape(a)
+        basis = lattice.column_lattice_basis(a)
+        S, U, Uinv = lattice.smith_normal_form(a)
+        rank = sum(1 for i in range(min(m, n)) if S[i][i])
+        smith = [[S[i][i] * Uinv[r][i] for r in range(m)] for i in range(rank)]
+        assert len(basis) == rank
+        assert all(_in_lattice(v, smith) for v in basis)
+        assert all(_in_lattice(v, basis) for v in smith)
 
 
 def test_left_inverse():
     k = [[1, 0], [2, 1], [3, 5]]
     L = lattice.left_inverse(k)
     assert lattice.mat_eq(lattice.matmul(L, k), lattice.eye(2))
+    rng = random.Random(14)
+    for _ in range(40):
+        m = rng.randint(1, 6)
+        n = rng.randint(0, m)
+        u = random_unimodular(rng, m)
+        k = [row[:n] for row in u]  # saturated: part of a basis of Z^m
+        assert lattice.matmul(lattice.left_inverse(k), k) == lattice.eye(n)
+        if n:
+            doubled = [[2 * x if j == 0 else x for j, x in enumerate(row)] for row in k]
+            with pytest.raises(ValueError):
+                lattice.left_inverse(doubled)
+    with pytest.raises(ValueError):
+        lattice.left_inverse([[1, 2], [2, 4], [3, 6]])  # rank 1
 
 
 def test_unimodular_inverse():
@@ -79,6 +195,37 @@ def test_unimodular_inverse():
         pass
     else:
         raise AssertionError("accepted a non-unimodular matrix")
+    rng = random.Random(15)
+    for _ in range(40):
+        n = rng.randint(0, 6)
+        u = random_unimodular(rng, n)
+        uinv = lattice.unimodular_inverse(u)
+        assert lattice.matmul(u, uinv) == lattice.eye(n)
+        assert lattice.matmul(uinv, u) == lattice.eye(n)
+    for a in random_cases(rng, 60):
+        if len(a) == len(a[0]) and abs(_det(a)) != 1:
+            with pytest.raises(ValueError):
+                lattice.unimodular_inverse(a)
+    with pytest.raises(ValueError):
+        lattice.unimodular_inverse([[1, 0, 0], [0, 1, 0]])
+
+
+def test_inverses_reject_bad_input_without_assertions():
+    code = (
+        "from pillowtiled import lattice\n"
+        "for f, a in ((lattice.unimodular_inverse, [[2, 0], [0, 1]]),\n"
+        "             (lattice.left_inverse, [[2, 0], [0, 1], [0, 0]]),\n"
+        "             (lattice.matmul, [[1, 2]])):\n"
+        "    try:\n"
+        "        f(a, [[1]]) if f is lattice.matmul else f(a)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'{f.__name__} accepted {a}')\n"
+        "raise SystemExit(7)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lattice.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
+    assert proc.returncode == 7, proc.stderr
 
 
 def test_quotient_basis_for_cylinder_lattice():

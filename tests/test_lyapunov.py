@@ -1,5 +1,7 @@
 """Chain-level transport and the Monte-Carlo exponent estimator."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,30 @@ class TestStateCache:
                         for q in range(3 * k + 3):
                             assert lattice.mat_eq(part.product(r, q), acc)
                             acc = lattice.matmul(acc, part.cum[-1])
+
+    @pytest.mark.parametrize(
+        "N, a",
+        [(7, (1, 3, 3, 7)), (7, (4, 1, 3, 6)), (7, (6, 5, 3, 7)), (9, (4, 7, 5, 2)),
+         (11, (1, 5, 5, 11))],
+        ids=["7-1-3-3-7", "7-4-1-3-6", "7-6-5-3-7", "9-4-7-5-2", "11-1-5-5-11"],
+    )
+    def test_degree_seven_to_eleven_setup_is_fast_and_small(self, N, a):
+        # these covers once ran for minutes in Smith-form transforms whose
+        # entries reached millions of bits
+        start = time.perf_counter()
+        walker = _Walker(cyclic_pillow(N, a))
+        for gen in ["T", "L"]:
+            _GenCycle(walker.cache, walker.anchor, gen)
+        assert time.perf_counter() - start < 5.0
+
+        def bits(rows):
+            return max((abs(x).bit_length() for row in rows for x in row), default=0)
+
+        for st in walker.cache.states.values():
+            sp = st.splitting
+            for m in (st.basis.cycles, st.basis.functionals, sp.plus_basis, sp.plus_coords,
+                      sp.minus_basis, sp.minus_coords):
+                assert bits(m) <= 16
 
 
 class TestMonteCarlo:
