@@ -2,10 +2,8 @@
 
 Each subcommand reads one input file (one datum per line, ``#`` comments
 allowed), runs the corresponding pipeline per line, and writes a JSON
-array (or CSV) of reports.  Lines are processed independently — fan-out
-across threads is controlled by the PILLOWTILED_THREADS variable — and
-reports keep input order, so output is deterministic for a given (input,
-seed).
+array (or CSV) of reports.  Lines are processed independently and in
+order, so output is deterministic for a given (input, seed).
 
 Exit codes: 0 all lines complete and no verdict failed; 2 parse error;
 3 a resource cap was hit; 4 a certificate contradiction or failed check.
@@ -17,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -265,23 +262,10 @@ def run(config: RunConfig) -> int:
         return EXIT_PARSE
 
     handler = _HANDLERS[config.command]
-    lines = list(iter_input_lines(text))
-
-    def work(item):
-        lineno, line = item
-        return lineno, line, handler(line, config)
-
-    threads = int(os.environ.get("PILLOWTILED_THREADS", "1"))
     records: list[dict] = []
     worst = EXIT_OK
     try:
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(work, lines))
-        else:
-            results = [work(item) for item in lines]
+        results = [handler(line, config) for _, line in iter_input_lines(text)]
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -292,7 +276,7 @@ def run(config: RunConfig) -> int:
         print(f"bad arguments: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    for _, _, (record, status) in results:
+    for record, status in results:
         records.append(record)
         if status == EXIT_CONTRADICTION:
             worst = EXIT_CONTRADICTION

@@ -15,10 +15,12 @@ square: it sends the bottom side of a square to its reversed left side
 and the left side to the top side, which is the bottom of the square
 above, i.e. of the new square h^-1(i).)
 
-On top of the raw chain maps this module keeps a cache of canonicalized
-double-cover states with their homology bases and involution splittings,
-and computes exact integer cocycle matrices between them, checked to be
-symplectic and deck-equivariant on the nose.
+On top of the raw chain maps this module holds the one move step,
+``_move_matrix``, which turns a chain map between two surfaces into an
+exact integer matrix on H_1, checked on the nose to be well defined,
+symplectic and deck-equivariant.  ``StateCache`` applies it between
+canonicalized double-cover states (and restricts it to their involution
+eigenlattices), and ``induced_cocycle`` folds it along a word of moves.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .homology import (
     homology_basis,
     involution_splitting,
 )
-from .orbit import _bfs_labels, _relabel, apply_generator, apply_state_generator, canonical_perms
+from .orbit import apply_generator, apply_state_generator, canonical_labelling, canonical_perms
 from .permsurf import Origami, validate_involution
 from .permutations import Perm, inverse
 
@@ -105,27 +107,58 @@ class CocycleMatrix:
     matrix: tuple[tuple[int, ...], ...]
     word: tuple[str, ...]
 
-    @property
-    def rank(self) -> int:
-        return len(self.matrix)
-
 
 class StateData:
-    """Homology package of one canonical double-cover state."""
+    """Homology package of one surface: its H_1 basis, its boundary maps
+    and, when it carries a deck involution, the splitting of H_1 (else
+    ``splitting`` is None)."""
 
-    def __init__(self, key: tuple[Perm, Perm, Perm]):
-        h, v, iota = key
-        self.key = key
-        self.origami = Origami(len(h), h, v, allow_disconnected=True)
+    def __init__(self, origami: Origami, iota: Perm | None = None):
+        self.origami = origami
         self.iota = iota
-        validate_involution(self.origami, iota)
-        self.basis: HomologyBasis = homology_basis(self.origami)
-        self.splitting: InvolutionSplitting = involution_splitting(self.basis, iota)
-        self._d1, self._d2 = boundary_matrices(self.origami)
+        self.basis: HomologyBasis = homology_basis(origami)
+        self.d1, self.d2 = boundary_matrices(origami)
+        self.splitting: InvolutionSplitting | None = None
+        if iota is not None:
+            validate_involution(origami, iota)
+            self.splitting = involution_splitting(self.basis, iota)
 
-    @property
-    def rank(self) -> int:
-        return self.basis.rank
+
+def _move_matrix(src: StateData, tgt: StateData, F) -> list[list[int]]:
+    """Matrix C_tgt F B_src of the chain map F on H_1, exactly checked.
+
+    Raises ArithmeticError unless F maps cycles to cycles and boundaries
+    into boundaries, and the matrix is symplectic and, when the surfaces
+    carry a deck involution, commutes with it.
+    """
+    FB = lattice.matmul(F, [list(r) for r in src.basis.cycles])
+    if any(any(row) for row in lattice.matmul(tgt.d1, FB)):
+        raise ArithmeticError("move does not map cycles to cycles")
+    C = [list(r) for r in tgt.basis.functionals]
+    if any(any(row) for row in lattice.matmul(C, lattice.matmul(F, src.d2))):
+        raise ArithmeticError("move does not respect boundaries")
+    M = lattice.matmul(C, FB)
+    # symplectic: M^T J M = J (both bases carry the standard form)
+    J_src = [list(r) for r in src.basis.intersection]
+    J_tgt = [list(r) for r in tgt.basis.intersection]
+    if not lattice.mat_eq(lattice.matmul(lattice.transpose(M), lattice.matmul(J_tgt, M)), J_src):
+        raise ArithmeticError("cocycle matrix is not symplectic")
+    if src.splitting is not None:
+        I_s = [list(r) for r in src.splitting.action]
+        I_t = [list(r) for r in tgt.splitting.action]
+        if not lattice.mat_eq(lattice.matmul(I_t, M), lattice.matmul(M, I_s)):
+            raise ArithmeticError("cocycle matrix does not commute with the deck involution")
+    return M
+
+
+def _restrict(M, src_basis, tgt_basis, tgt_coords, name: str) -> tuple[tuple[int, ...], ...]:
+    """Coordinates X = C_tgt (M B_src) of M on one eigenlattice; raises
+    ArithmeticError unless they reconstruct it, M B_src == B_tgt X."""
+    MB = lattice.matmul(M, [list(r) for r in src_basis])
+    X = lattice.matmul([list(r) for r in tgt_coords], MB)
+    if not lattice.mat_eq(MB, lattice.matmul([list(r) for r in tgt_basis], X)):
+        raise ArithmeticError(f"move does not preserve the {name} lattice")
+    return tuple(tuple(r) for r in X)
 
 
 @dataclass(frozen=True)
@@ -147,7 +180,8 @@ class StateCache:
 
     def state(self, key: tuple[Perm, Perm, Perm]) -> StateData:
         if key not in self.states:
-            self.states[key] = StateData(key)
+            h, v, iota = key
+            self.states[key] = StateData(Origami(len(h), h, v, allow_disconnected=True), iota)
         return self.states[key]
 
     def canonical_key(self, o: Origami, iota: Perm) -> tuple[Perm, Perm, Perm]:
@@ -160,60 +194,20 @@ class StateCache:
             return self.transitions[memo]
         src = self.state(key)
         o2, i2 = apply_state_generator(src.origami, src.iota, gen)
-        # canonicalize and remember the relabeling that got us there
-        best = None
-        best_label = None
-        for start in range(o2.d):
-            label = _bfs_labels((o2.h, o2.v, i2), o2.d, start)
-            cand = _relabel((o2.h, o2.v, i2), label)
-            if best is None or cand < best:
-                best, best_label = cand, label
-        tgt = self.state(best)
-        F = lattice.matmul(relabel_chain_map(best_label, o2.d), chain_map(src.origami, gen))
-        M = lattice.matmul(
-            [list(r) for r in tgt.basis.functionals],
-            lattice.matmul(F, [list(r) for r in src.basis.cycles]),
-        )
-        _check_cocycle(src, tgt, F, M)
-        plus = src.splitting.restrict_plus(M, tgt.splitting)
-        minus = src.splitting.restrict_minus(M, tgt.splitting)
-        # the coordinate restrictions must reconstruct M on each eigenlattice
-        MB = lattice.matmul(M, [list(r) for r in src.splitting.plus_basis])
-        BX = lattice.matmul([list(r) for r in tgt.splitting.plus_basis], plus)
-        assert lattice.mat_eq(MB, BX), "move does not preserve the invariant lattice"
-        MB = lattice.matmul(M, [list(r) for r in src.splitting.minus_basis])
-        BX = lattice.matmul([list(r) for r in tgt.splitting.minus_basis], minus)
-        assert lattice.mat_eq(MB, BX), "move does not preserve the anti-invariant lattice"
+        # canonicalize and keep the relabeling that got us there
+        target, label = canonical_labelling((o2.h, o2.v, i2), o2.d)
+        tgt = self.state(target)
+        F = lattice.matmul(relabel_chain_map(label, o2.d), chain_map(src.origami, gen))
+        M = _move_matrix(src, tgt, F)
+        sp, tp = src.splitting, tgt.splitting
         tr = Transition(
             gen=gen,
-            target=best,
-            plus=tuple(tuple(r) for r in plus),
-            minus=tuple(tuple(r) for r in minus),
+            target=target,
+            plus=_restrict(M, sp.plus_basis, tp.plus_basis, tp.plus_coords, "invariant"),
+            minus=_restrict(M, sp.minus_basis, tp.minus_basis, tp.minus_coords, "anti-invariant"),
         )
         self.transitions[memo] = tr
         return tr
-
-
-def _check_cocycle(src: StateData, tgt: StateData, F, M) -> None:
-    """Exact structural checks: well-defined on homology, symplectic,
-    deck-equivariant, and splitting-preserving."""
-    # F maps cycles to cycles and boundaries to boundaries
-    FB = lattice.matmul(F, [list(r) for r in src.basis.cycles])
-    z = lattice.matmul(tgt._d1, FB)
-    assert all(all(x == 0 for x in row) for row in z), "move does not map cycles to cycles"
-    Cn = [list(r) for r in tgt.basis.functionals]
-    z2 = lattice.matmul(Cn, lattice.matmul(F, src._d2))
-    assert all(all(x == 0 for x in row) for row in z2), "move does not respect boundaries"
-    # symplectic: M^T J M = J (both bases carry the standard form)
-    J_src = [list(r) for r in src.basis.intersection]
-    J_tgt = [list(r) for r in tgt.basis.intersection]
-    MJM = lattice.matmul(lattice.transpose(M), lattice.matmul(J_tgt, M))
-    assert lattice.mat_eq(MJM, J_src), "cocycle matrix is not symplectic"
-    # deck-equivariance: I_tgt M = M I_src
-    I_s = [list(r) for r in src.splitting.action]
-    I_t = [list(r) for r in tgt.splitting.action]
-    assert lattice.mat_eq(lattice.matmul(I_t, M), lattice.matmul(M, I_s)), \
-        "cocycle matrix does not commute with the deck involution"
 
 
 def induced_cocycle(o: Origami, word, iota: Perm | None = None):
@@ -221,42 +215,23 @@ def induced_cocycle(o: Origami, word, iota: Perm | None = None):
 
     Returns ``(CocycleMatrix, final_origami)`` for a bare origami, or
     ``(CocycleMatrix, final_origami, final_iota)`` when an involution is
-    supplied (then the matrix is also checked for deck-equivariance).
+    supplied (then every step is also checked for deck-equivariance).
     The matrix is expressed from the basis of ``o`` to the basis of the
     final surface, with no canonical relabeling in between.
     """
     word = tuple(word)
     if not word:
         raise ValueError("word must be nonempty")
-    cur_o = o
-    cur_iota = iota
-    hb = homology_basis(cur_o)
-    M = lattice.eye(hb.rank)
+    cur = StateData(o, iota)
+    M = lattice.eye(cur.basis.rank)
     for gen in word:
-        F = chain_map(cur_o, gen)
-        if cur_iota is not None:
-            nxt_o, nxt_iota = apply_state_generator(cur_o, cur_iota, gen)
+        if iota is None:
+            nxt = StateData(apply_generator(cur.origami, gen))
         else:
-            nxt_o, nxt_iota = apply_generator(cur_o, gen), None
-        hb_next = homology_basis(nxt_o)
-        step = lattice.matmul(
-            [list(r) for r in hb_next.functionals],
-            lattice.matmul(F, [list(r) for r in hb.cycles]),
-        )
-        # exact invariants per step
-        J_a = [list(r) for r in hb.intersection]
-        J_b = [list(r) for r in hb_next.intersection]
-        SJS = lattice.matmul(lattice.transpose(step), lattice.matmul(J_b, step))
-        assert lattice.mat_eq(SJS, J_a), "cocycle step is not symplectic"
-        if cur_iota is not None:
-            I_a = involution_splitting(hb, cur_iota).action
-            I_b = involution_splitting(hb_next, nxt_iota).action
-            lhs = lattice.matmul([list(r) for r in I_b], step)
-            rhs = lattice.matmul(step, [list(r) for r in I_a])
-            assert lattice.mat_eq(lhs, rhs), "step is not deck-equivariant"
-        M = lattice.matmul(step, M)
-        cur_o, cur_iota, hb = nxt_o, nxt_iota, hb_next
+            nxt = StateData(*apply_state_generator(cur.origami, cur.iota, gen))
+        M = lattice.matmul(_move_matrix(cur, nxt, chain_map(cur.origami, gen)), M)
+        cur = nxt
     cm = CocycleMatrix(matrix=tuple(tuple(r) for r in M), word=word)
     if iota is None:
-        return cm, cur_o
-    return cm, cur_o, cur_iota
+        return cm, cur.origami
+    return cm, cur.origami, cur.iota

@@ -129,7 +129,8 @@ def is_determinant_locus(s: CyclicCoverSpec) -> DeterminantVerdict:
     trivial = [i for i, ai in enumerate(s.a) if ai == s.N]
     flag = bool(trivial)
     branch = sum(1 for r in _ram_table(s) if r.length > 1)
-    assert flag == (branch <= 3), "determinant-locus criteria disagree"
+    if flag != (branch <= 3):
+        raise ArithmeticError("determinant-locus criteria disagree")
     if flag:
         which = ", ".join(str(i + 1) for i in trivial)
         reason = f"corner(s) {which} unbranched (a_i = N)"
@@ -336,6 +337,7 @@ def sample_base_differential(m, k: int, zeros=(), poles=()) -> BaseDifferential:
         zero_orders=tuple(zip(zeros, m)),
         finite_poles=(0, 1, *poles),
     )
-    assert q.order_at_infinity == -1
-    assert q.total_order() == -4
+    if q.order_at_infinity != -1 or q.total_order() != -4:
+        raise ArithmeticError("the base differential needs a simple pole at infinity "
+                              "and total order -4")
     return q

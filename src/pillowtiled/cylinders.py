@@ -75,7 +75,8 @@ def horizontal_cylinders(o: Origami) -> CylinderDecomposition:
     """
     cyls = tuple(sorted(((len(c), 1) for c in cycles(o.h)), reverse=True))
     dec = CylinderDecomposition(cyls)
-    assert dec.area() == o.d
+    if dec.area() != o.d:
+        raise ArithmeticError("the horizontal cylinders do not fill the surface")
     return dec
 
 
@@ -180,11 +181,13 @@ def ekz_sum(stratum: Stratum, n: int, sv: Fraction) -> EKZReport:
     partial = sum((Fraction(m, m + 2) for m in zeros), Fraction(0))
     residual = Fraction(n) - (2 * g - 2) - partial
     decomposition = (Fraction(2 * g - 2), partial, residual)
-    assert decomposition[0] + decomposition[1] + decomposition[2] == n
+    if sum(decomposition) != n:
+        raise ArithmeticError("the pole count decomposition does not sum to n")
     bound_chain = None
     if lyap_sum == 0:
         bound_chain = (Fraction(2 * g - 2), Fraction(2 * g - 2) + partial, Fraction(n))
-        assert bound_chain[0] <= bound_chain[1] <= bound_chain[2]
+        if not bound_chain[0] <= bound_chain[1] <= bound_chain[2]:
+            raise ArithmeticError("the bound chain is not increasing")
     return EKZReport(
         stratum=stratum,
         n=n,

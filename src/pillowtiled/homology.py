@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import lattice
-from .permutations import Perm, inverse
+from .permutations import Perm
 from .permsurf import Origami, _vertex_classes
 
 __all__ = [
@@ -253,19 +253,6 @@ class InvolutionSplitting:
         Pm = [[half * ((1 if i == j else 0) - self.action[i][j]) for j in range(r)]
               for i in range(r)]
         return Pp, Pm
-
-    def restrict_plus(self, M: list[list[int]], target: "InvolutionSplitting"):
-        """Coordinates of M restricted to the + summands (target_+ <- this_+)."""
-        return _restrict(M, self.plus_basis, target.plus_coords)
-
-    def restrict_minus(self, M: list[list[int]], target: "InvolutionSplitting"):
-        return _restrict(M, self.minus_basis, target.minus_coords)
-
-
-def _restrict(M, basis_cols, target_coords):
-    B = [list(r_) for r_ in basis_cols]
-    C = [list(r_) for r_ in target_coords]
-    return lattice.matmul(C, lattice.matmul(M, B))
 
 
 def involution_splitting(basis: HomologyBasis, iota: Perm) -> InvolutionSplitting:

@@ -32,9 +32,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import lattice
-from .cocycle import StateCache, induced_cocycle  # noqa: F401  (re-export)
+from .cocycle import StateCache
 from .cylinders import ekz_for_cover
-from .homology import homology_basis  # noqa: F401  (re-export)
 from .orbit import DEFAULT_ORBIT_CAP, OrbitCapExceeded
 from .permsurf import PillowCover, orientation_double_cover
 
@@ -43,8 +42,6 @@ __all__ = [
     "DegeneracyCertificate",
     "run_monte_carlo",
     "certify_degenerate",
-    "homology_basis",
-    "induced_cocycle",
 ]
 
 _DIGIT_CAP = 10**12

@@ -25,6 +25,7 @@ neighbor order, keeping the lexicographically smallest result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .permutations import Perm, compose, inverse
 from .permsurf import Origami, origami_stratum, validate_involution
@@ -122,14 +123,19 @@ def _relabel(perms: tuple[Perm, ...], label: list[int]) -> tuple[Perm, ...]:
     return tuple(out)
 
 
+def canonical_labelling(perms: tuple[Perm, ...], d: int) -> tuple[tuple[Perm, ...], list[int]]:
+    """Least BFS relabeling of the permutations and the label giving it.
+
+    On a tie (an automorphism) the first start square wins: the perms are
+    the same either way, but the label, and so the relabeling chain map,
+    is not.
+    """
+    labels = (_bfs_labels(perms, d, start) for start in range(d))
+    return min(((_relabel(perms, label), label) for label in labels), key=itemgetter(0))
+
+
 def canonical_perms(perms: tuple[Perm, ...], d: int) -> tuple[Perm, ...]:
-    best = None
-    for start in range(d):
-        cand = _relabel(perms, _bfs_labels(perms, d, start))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+    return canonical_labelling(perms, d)[0]
 
 
 def canonical_form(o: Origami) -> Origami:
@@ -213,7 +219,8 @@ def enumerate_orbit(o: Origami, cap: int = DEFAULT_ORBIT_CAP) -> OrbitGraph:
     def step(w: tuple[Perm, ...], gen: str) -> tuple[Perm, ...]:
         surf = Origami(o.d, w[0], w[1])
         img = canonical_form(apply_generator(surf, gen))
-        assert origami_stratum(img) == stratum, "stratum changed along a move"
+        if origami_stratum(img) != stratum:
+            raise ArithmeticError("stratum changed along a move")
         return (img.h, img.v)
 
     seed = canonical_form(o)

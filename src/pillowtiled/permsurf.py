@@ -225,7 +225,8 @@ def pillow_stratum(p: PillowCover) -> Stratum:
         raise RuntimeError("odd Euler characteristic in pillow stratum")
     g = (2 - chi) // 2
     orders = _sorted_orders(l - 2 for l in lens)
-    assert sum(orders) == 4 * g - 4
+    if sum(orders) != 4 * g - 4:
+        raise ArithmeticError("the stratum orders do not sum to 4g - 4")
     return Stratum("quadratic", orders, g)
 
 
@@ -413,7 +414,8 @@ def _block_parities(o: Origami, iota: Perm) -> list[tuple[int, int]]:
                 stack.append(t)
             elif par[t] != want:
                 raise ValueError("no consistent half-square parity; not a double cover")
-    assert all(q is not None for q in par)
+    if None in par:
+        raise ValueError("h, v and iota do not connect the squares; not a double cover")
     return par  # type: ignore[return-value]
 
 

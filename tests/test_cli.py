@@ -267,11 +267,3 @@ class TestSubcommands:
             ) == 0
             outs.append(out.read_text())
         assert outs[0] == outs[1]
-
-    def test_threaded_matches_sequential(self, tmp_path, monkeypatch):
-        path = write(tmp_path, "in.txt", "3 1 1 1 3\n5 1 2 2 5\n7 1 3 3 7\n")
-        out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["construct", path, "--out", str(out_a)]) == 0
-        monkeypatch.setenv("PILLOWTILED_THREADS", "3")
-        assert main(["construct", path, "--out", str(out_b)]) == 0
-        assert out_a.read_text() == out_b.read_text()

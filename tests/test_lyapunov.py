@@ -1,19 +1,18 @@
 """Chain-level transport and the Monte-Carlo exponent estimator."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pillowtiled import lattice
-from pillowtiled.cocycle import StateCache, chain_map, elementary_matrix
+from pillowtiled.cocycle import StateCache, chain_map, elementary_matrix, induced_cocycle
 from pillowtiled.homology import boundary_matrices, homology_basis, involution_splitting
-from pillowtiled.lyapunov import (
-    LyapunovEstimate,
-    certify_degenerate,
-    induced_cocycle,
-    run_monte_carlo,
-)
+from pillowtiled.lyapunov import LyapunovEstimate, certify_degenerate, run_monte_carlo
 from pillowtiled.lyapunov import _GenCycle, _run_seeds, _Walker
 from pillowtiled.orbit import apply_generator
 from pillowtiled.permsurf import (
@@ -120,6 +119,40 @@ class TestChainMaps:
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
             induced_cocycle(TORUS, [])
+
+    def test_corrupted_chain_map_raises_under_dash_o(self):
+        # twice the true chain map still sends cycles to cycles and
+        # boundaries to boundaries, but scales the intersection form by 4;
+        # both transport paths must reject it with asserts stripped
+        code = (
+            "import sys\n"
+            "from pillowtiled import cocycle\n"
+            "from pillowtiled.permsurf import Origami, PillowCover, orientation_double_cover\n"
+            "if not sys.flags.optimize:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "true_map = cocycle.chain_map\n"
+            "cocycle.chain_map = lambda o, gen: [[2 * x for x in row] for row in true_map(o, gen)]\n"
+            "perms = [tuple((x + a) % 5 for x in range(5)) for a in (1, 2, 2, 5)]\n"
+            "o, iota = orientation_double_cover(PillowCover(5, *perms))\n"
+            "cache = cocycle.StateCache()\n"
+            "cases = {\n"
+            "    'transition': lambda: cache.transition(cache.canonical_key(o, iota), 'T'),\n"
+            "    'torus word': lambda: cocycle.induced_cocycle(Origami(1, (0,), (0,)), ['T']),\n"
+            "    'double cover word': lambda: cocycle.induced_cocycle(o, ['T'], iota),\n"
+            "}\n"
+            "for name, case in cases.items():\n"
+            "    try:\n"
+            "        case()\n"
+            "    except ArithmeticError as exc:\n"
+            "        if 'not symplectic' not in str(exc):\n"
+            "            raise SystemExit(f'{name}: {exc}')\n"
+            "    else:\n"
+            "        raise SystemExit(f'{name} accepted a doubled chain map')\n"
+            "raise SystemExit(7)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(lattice.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
+        assert proc.returncode == 7, proc.stderr
 
 
 class TestStateCache:

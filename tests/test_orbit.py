@@ -7,9 +7,13 @@ import pytest
 
 from pillowtiled.orbit import (
     OrbitCapExceeded,
+    _bfs_labels,
+    _relabel,
     apply_generator,
     apply_state_generator,
     canonical_form,
+    canonical_labelling,
+    canonical_perms,
     canonical_state,
     enumerate_orbit,
     enumerate_state_orbit,
@@ -112,6 +116,35 @@ def test_canonical_form_idempotent_and_invariant():
         s = random_permutation(o.d, rng)
         relabeled = Origami(o.d, conjugate(o.h, s), conjugate(o.v, s))
         assert canonical_form(relabeled) == c
+
+
+def test_canonical_labelling_relabels_to_the_canonical_perms():
+    rng = np.random.default_rng(53)
+    cases = [(o.h, o.v) for o in (random_origami(int(rng.integers(2, 8)), rng) for _ in range(20))]
+    o, iota = orientation_double_cover(FIVE)
+    cases.append((o.h, o.v, iota))
+    for perms in cases:
+        d = len(perms[0])
+        best, label = canonical_labelling(perms, d)
+        assert best == canonical_perms(perms, d)
+        assert _relabel(perms, label) == best
+
+
+@pytest.mark.parametrize(
+    "perms, ties",
+    [(((1, 0), (0, 1)), (0, 1)),
+     (((1, 0, 2, 3), (2, 3, 1, 0)), (2, 3))],
+    ids=["two-square-cylinder", "four-squares"],
+)
+def test_canonical_labelling_keeps_the_first_minimal_start(perms, ties):
+    # an automorphism gives several starts the same least perms with
+    # different labels, hence different relabeling chain maps; the first
+    # such start must win (in the second case it is not the least label)
+    d = len(perms[0])
+    labels = [_bfs_labels(perms, d, s) for s in ties]
+    assert len({_relabel(perms, lab) for lab in labels}) == 1
+    assert labels[0] != labels[1]
+    assert canonical_labelling(perms, d) == (_relabel(perms, labels[0]), labels[0])
 
 
 def test_orbit_seed_independent():
