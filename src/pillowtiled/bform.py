@@ -20,7 +20,17 @@ partition of unity: disks around each singular point with Gauss-Jacobi
 radial rule matched to gamma and a trapezoid angular rule, the chart swap
 z -> 1/z for the neighborhood of infinity, and tensor Gauss-Legendre
 panels on the smooth remainder.  Refinement levels double every node
-count; the error estimate is the last inter-level delta.
+count; the error estimate is the last inter-level delta, so only the
+last two levels are computed.
+
+The panel part of all entries is evaluated in one blocked pass per level
+over the live (nonzero-weight) panel nodes: each block evaluates P, the
+phase of q and every basis form once, and the entries sharing a weight
+(B entries with the same m, H entries with the same character b) come
+out of one product (F_I * W) @ F_J^T, or F_b^H on the right for H.
+Blocks bound the working set whatever the level.  Disk and infinity sums
+stay per entry, since their Gauss-Jacobi nodes depend on the entry's
+exponents.
 """
 
 from __future__ import annotations
@@ -28,10 +38,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
+
+# nodes per block of the plane pass; bounds its working set at any level
+_BLOCK_NODES = 16384
 
 __all__ = [
     "SuperellipticCurve",
@@ -116,11 +130,24 @@ class EigenForm:
         return self.power + sum(self.shifts)
 
 
-def _form_poly(curve: SuperellipticCurve, form: EigenForm, z):
-    out = np.asarray(z, dtype=complex) ** form.power
-    for zi, t in zip(curve.branch, form.shifts):
-        if t:
-            out = out * (z - zi) ** t
+def _form_values(curve: SuperellipticCurve, forms, z):
+    """The polynomial part of each form at z, one row per form; every power
+    (z - z_i)^t is computed once and shared by the forms that use it."""
+    z = np.asarray(z, dtype=complex)
+    powers = {}
+
+    def power(s, t):
+        if (s, t) not in powers:
+            powers[s, t] = (z - s) ** t
+        return powers[s, t]
+
+    out = np.empty((len(forms),) + z.shape, dtype=complex)
+    for k, form in enumerate(forms):
+        row = power(0.0, form.power)
+        for zi, t in zip(curve.branch, form.shifts):
+            if t:
+                row = row * power(zi, t)
+        out[k] = row
     return out
 
 
@@ -222,9 +249,7 @@ def _pullback_has_simple_pole(curve: SuperellipticCurve, q) -> bool:
         bo = base_order.get(z, 0)
         ai = exponent.get(z)
         if ai is None:
-            up = bo - 0  # unbranched: order copies, w is a unit
-            e = 1
-            w_ord = 0
+            up = bo  # unbranched: order copies, w is a unit
         else:
             d = math.gcd(N, ai)
             e = N // d
@@ -236,7 +261,7 @@ def _pullback_has_simple_pole(curve: SuperellipticCurve, q) -> bool:
     d = math.gcd(N, curve.a_inf)
     e = curve.N // d
     base_inf = _q_order_at_infinity(q) - 4
-    w_ord_inf = -curve.total_exponent // d if d else 0
+    w_ord_inf = -curve.total_exponent // d
     up = e * base_inf + 2 * (e - 1) - wpow * w_ord_inf
     return up == -1
 
@@ -275,15 +300,15 @@ def _chi_profile(rho, radius):
 
 
 class _Region:
-    """Node/weight layout for one (curve, q) geometry at one refinement level.
+    """Node/weight layout for one (curve, q) geometry.
 
     The smooth background region is tiled by a graded quadtree whose
     cells shrink toward the singular centers, so the partition-of-unity
-    transition annuli are resolved; refinement raises the Gauss-Legendre
-    order on that fixed mesh, and doubles the polar node counts.
+    transition annuli are resolved; each refinement level doubles the
+    Gauss-Legendre order on that fixed mesh, and the polar node counts.
     """
 
-    def __init__(self, centers: list[complex], level: int):
+    def __init__(self, centers: list[complex]):
         self.centers = centers
         if centers:
             rad = []
@@ -300,10 +325,7 @@ class _Region:
             far = 1.0
         self.r_out = 2.0 * max(far, 1.0)
         self.u_rad = 1.0 / self.r_out
-        self.n_rad = 14 * (2 ** level)
-        self.n_ang = 18 * (2 ** level)
-        self.n_gl = 5 * (2 ** level)
-        self._panel_cache = None
+        self.cells = self._cells()
 
     def _cells(self):
         """Graded quadtree leaves (center, half-width) covering the support
@@ -340,10 +362,11 @@ class _Region:
                 out.append((c, h))
         return out
 
-    def disk_sum(self, g, center, radius, gamma):
-        x, wj = roots_jacobi(self.n_rad, 0.0, gamma + 1.0)
+    def disk_sum(self, g, center, radius, gamma, level):
+        n_ang = 18 * (2 ** level)
+        x, wj = _jacobi_rule(14 * (2 ** level), gamma)
         rho = radius * (x + 1.0) / 2.0
-        ang = 2.0 * np.pi * np.arange(self.n_ang) / self.n_ang
+        ang = 2.0 * np.pi * np.arange(n_ang) / n_ang
         z = center + rho[:, None] * np.exp(1j * ang)[None, :]
         vals = g(z)
         w2 = (
@@ -351,51 +374,71 @@ class _Region:
             * _chi_profile(rho, radius)
             * rho ** (-gamma)
             * (radius / 2.0) ** (gamma + 2.0)
-            * (2.0 * np.pi / self.n_ang)
+            * (2.0 * np.pi / n_ang)
         )
         return complex(np.sum(vals * w2[:, None]))
 
-    def infinity_sum(self, g, gamma_inf):
+    def infinity_sum(self, g, gamma_inf, level):
         def g_u(u):
             return g(1.0 / u) * np.abs(u) ** (-4.0)
 
-        return self.disk_sum(g_u, 0.0, self.u_rad, gamma_inf)
+        return self.disk_sum(g_u, 0.0, self.u_rad, gamma_inf, level)
 
-    def _panel_nodes(self):
-        if self._panel_cache is None:
-            xg, wg = leggauss(self.n_gl)
-            cells = self._cells()
-            cc = np.array([c for c, _ in cells])
-            hh = np.array([h for _, h in cells])
-            offs = xg[:, None] + 1j * xg[None, :]
-            zz = cc[:, None, None] + hh[:, None, None] * offs[None, :, :]
-            w2 = wg[:, None] * wg[None, :]
-            ww = (hh ** 2)[:, None, None] * w2[None, :, :]
-            zz = zz.ravel()
-            ww = ww.ravel()
-            mask = np.ones_like(ww)
-            for c, r in zip(self.centers, self.radii):
-                mask *= 1.0 - _chi_profile(np.abs(zz - c), r)
-            with np.errstate(divide="ignore"):
-                u = np.where(np.abs(zz) > 0, 1.0 / np.abs(zz), np.inf)
-            mask *= 1.0 - _chi_profile(u, self.u_rad)
-            self._panel_cache = (zz, ww * mask)
-        return self._panel_cache
-
-    def plane_sum(self, g):
-        zz, ww = self._panel_nodes()
-        live = ww != 0.0
-        vals = np.zeros_like(zz)
-        vals[live] = g(zz[live])
-        return complex(np.sum(vals * ww))
-
-    def integrate(self, g, gammas: dict, gamma_inf: float):
+    def polar_sum(self, g, gammas: dict, gamma_inf: float, level: int):
+        """The disk and infinity parts of the integral of g."""
         total = 0.0 + 0.0j
         for c, r in zip(self.centers, self.radii):
-            total += self.disk_sum(g, c, r, float(gammas.get(c, 0.0)))
-        total += self.infinity_sum(g, float(gamma_inf))
-        total += self.plane_sum(g)
+            total += self.disk_sum(g, c, r, float(gammas.get(c, 0.0)), level)
+        total += self.infinity_sum(g, float(gamma_inf), level)
         return total
+
+    def _panel_nodes(self, level):
+        """Yield (z, weight) for the live smooth-panel nodes, a run of
+        whole cells at a time, each block at most ``_BLOCK_NODES`` nodes
+        (or one cell).
+
+        The weight is the tensor Gauss-Legendre weight times the
+        background mask.  Each mask factor is evaluated only where it is
+        not exactly 1 (inside its center's disk, or beyond ``r_out`` for
+        the factor at infinity), and nodes of weight 0 are dropped.
+        """
+        xg, wg = leggauss(5 * (2 ** level))
+        offs = (xg[:, None] + 1j * xg[None, :]).ravel()
+        w2 = (wg[:, None] * wg[None, :]).ravel()
+        cells = self.cells
+        step = max(1, _BLOCK_NODES // offs.size)
+        for k in range(0, len(cells), step):
+            cc = np.array([c for c, _ in cells[k:k + step]])
+            hh = np.array([h for _, h in cells[k:k + step]])
+            zz = (cc[:, None] + hh[:, None] * offs[None, :]).ravel()
+            ww = ((hh ** 2)[:, None] * w2[None, :]).ravel()
+            mask = np.ones_like(ww)
+            for c, r in zip(self.centers, self.radii):
+                _mask_inside(mask, np.abs(zz - c), r)
+            with np.errstate(divide="ignore"):
+                u = np.where(np.abs(zz) > 0, 1.0 / np.abs(zz), np.inf)
+            _mask_inside(mask, u, self.u_rad)
+            ww = ww * mask
+            live = ww != 0.0
+            yield zz[live], ww[live]
+
+
+@lru_cache(maxsize=256)
+def _jacobi_rule(n: int, gamma: float):
+    """Gauss-Jacobi nodes and weights on [-1, 1] for the weight
+    (1 + x)^(gamma + 1), cached per (n, gamma); read-only, as every disk
+    with that exponent shares them."""
+    x, w = roots_jacobi(n, 0.0, gamma + 1.0)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _mask_inside(mask, rho, radius):
+    """mask *= 1 - chi(rho), touching only the nodes where chi(rho) != 0,
+    which lie inside the radius."""
+    near = rho < radius
+    mask[near] *= 1.0 - _chi_profile(rho[near], radius)
 
 
 def _entry_exponents(curve, f1, f2, q_centers, weight_at, weight_inf):
@@ -425,9 +468,11 @@ def pairing_matrices(curve: SuperellipticCurve, q, basis=None, *, levels: int = 
 
     ``q`` is a base differential (pullback) or a CurveDifferential with a
     w-power.  Entries killed by the deck character are exact zeros; the
-    rest are quadratures at ``levels`` refinement levels, with the error
-    estimate taken from the last two levels.
+    rest are quadratures at the last two of ``levels`` refinement levels,
+    with the error estimate taken from their difference.
     """
+    if levels < 1:
+        raise ValueError("levels must be at least 1")
     if basis is None:
         basis = holomorphic_basis(curve)
     g_count = len(basis)
@@ -449,67 +494,105 @@ def pairing_matrices(curve: SuperellipticCurve, q, basis=None, *, levels: int = 
         mag = np.abs(r)
         return np.where(mag == 0, 1.0 + 0.0j, np.conj(r) / np.maximum(mag, 1e-300))
 
+    # B and H integrands are f1 * f2 (or f1 * conj f2) times a weight that
+    # depends only on m (or on the character b)
+    def b_weight(P, absP, ph, m):
+        w = N * ph
+        if m:
+            w = w * P ** (-m)
+        if wpow:
+            w = w * absP ** (-wpow / N)
+        return w
+
+    def h_weight(absP, b):
+        return N * absP ** (-2.0 * b / N)
+
     def b_entry_fn(f1, f2, m):
         def g(z):
             P = _poly_eval(curve, z)
-            val = N * _form_poly(curve, f1, z) * _form_poly(curve, f2, z)
-            if m:
-                val = val * P ** (-m)
-            if wpow:
-                val = val * np.abs(P) ** (-wpow / N)
-            return val * phase(z)
+            F = _form_values(curve, (f1, f2), z)
+            return F[0] * F[1] * b_weight(P, np.abs(P), phase(z), m)
 
         return g
 
     def h_entry_fn(f1, f2, b):
         def g(z):
-            P = _poly_eval(curve, z)
-            return (
-                N
-                * _form_poly(curve, f1, z)
-                * np.conj(_form_poly(curve, f2, z))
-                * np.abs(P) ** (-2.0 * b / N)
-            )
+            F = _form_values(curve, (f1, f2), z)
+            return F[0] * np.conj(F[1]) * h_weight(np.abs(_poly_eval(curve, z)), b)
 
         return g
 
-    values: list[tuple[np.ndarray, np.ndarray]] = []
-    for level in range(levels):
-        region = _Region(centers, level)
-        B = np.zeros((g_count, g_count), dtype=complex)
-        H = np.zeros((g_count, g_count), dtype=complex)
-        for i, f1 in enumerate(basis):
-            for j in range(i, g_count):
-                f2 = basis[j]
-                if (f1.b + f2.b - wpow) % N == 0:
-                    m = (f1.b + f2.b - wpow) // N
-                    gammas, ginf = _entry_exponents(
-                        curve, f1, f2, centers,
-                        lambda s: -(m + wpow / N) * exponent.get(s, 0),
-                        (m + wpow / N) * A - 4,
-                    )
-                    val = region.integrate(b_entry_fn(f1, f2, m), gammas, ginf)
-                    B[i, j] = B[j, i] = val
-                if f1.b == f2.b:
-                    b = f1.b
-                    gammas, ginf = _entry_exponents(
-                        curve, f1, f2, centers,
-                        lambda s: -2.0 * b * exponent.get(s, 0) / N,
-                        2.0 * b * A / N - 4,
-                    )
-                    val = region.integrate(h_entry_fn(f1, f2, b), gammas, ginf)
-                    H[i, j] = val
-                    if i != j:
-                        H[j, i] = np.conj(val)
-        values.append((B, H))
+    # upper-triangle entries that survive the character sum, with their
+    # radial exponents; grouped by m (B) and by character b (H)
+    b_entries, h_entries = [], []
+    b_groups: dict[int, list[tuple[int, int]]] = {}
+    h_index: dict[int, list[int]] = {}
+    for i, f1 in enumerate(basis):
+        for j in range(i, g_count):
+            f2 = basis[j]
+            if (f1.b + f2.b - wpow) % N == 0:
+                m = (f1.b + f2.b - wpow) // N
+                gammas, ginf = _entry_exponents(
+                    curve, f1, f2, centers,
+                    lambda s: -(m + wpow / N) * exponent.get(s, 0),
+                    (m + wpow / N) * A - 4,
+                )
+                b_entries.append((i, j, m, b_entry_fn(f1, f2, m), gammas, ginf))
+                b_groups.setdefault(m, []).append((i, j))
+            if f1.b == f2.b:
+                b = f1.b
+                gammas, ginf = _entry_exponents(
+                    curve, f1, f2, centers,
+                    lambda s: -2.0 * b * exponent.get(s, 0) / N,
+                    2.0 * b * A / N - 4,
+                )
+                h_entries.append((i, j, h_entry_fn(f1, f2, b), gammas, ginf))
+                if i == j:
+                    h_index.setdefault(b, []).append(i)
+    b_index = {
+        m: (sorted({i for i, _ in ij}), sorted({j for _, j in ij}))
+        for m, ij in b_groups.items()
+    }
 
-    B, H = values[-1]
-    if len(values) >= 2:
-        Bp, Hp = values[-2]
-        quad_error = float(max(np.max(np.abs(B - Bp)), np.max(np.abs(H - Hp)), 0.0)) \
-            if g_count else 0.0
-    else:
-        quad_error = 0.0
+    def plane_sums(region, level):
+        """Smooth-panel parts of every B entry (one matrix per m) and H
+        entry, in one pass over the nodes: per block, P, the phase and
+        each basis form are evaluated once, and each entry group is a
+        weighted matrix product."""
+        Bp = {m: np.zeros((g_count, g_count), dtype=complex) for m in b_index}
+        Hp = np.zeros((g_count, g_count), dtype=complex)
+        for z, w in region._panel_nodes(level):
+            P = _poly_eval(curve, z)
+            absP = np.abs(P)
+            F = _form_values(curve, basis, z)
+            ph = phase(z) if b_index else None
+            for m, (rows, cols) in b_index.items():
+                W = w * b_weight(P, absP, ph, m)
+                Bp[m][np.ix_(rows, cols)] += (F[rows] * W) @ F[cols].T
+            for b, idx in h_index.items():
+                Fb = F[idx]
+                Hp[np.ix_(idx, idx)] += (Fb * (w * h_weight(absP, b))) @ Fb.conj().T
+        return Bp, Hp
+
+    # only the last two levels are read: the answer and the error estimate;
+    # with no entry to integrate no geometry is built
+    B = H = np.zeros((g_count, g_count), dtype=complex)
+    quad_error = 0.0
+    region = _Region(centers) if b_entries or h_entries else None
+    for k, level in enumerate(range(max(levels - 2, 0), levels) if region else ()):
+        Bp, Hp = plane_sums(region, level)
+        Bl = np.zeros((g_count, g_count), dtype=complex)
+        Hl = np.zeros((g_count, g_count), dtype=complex)
+        for i, j, m, g, gammas, ginf in b_entries:
+            Bl[i, j] = Bl[j, i] = region.polar_sum(g, gammas, ginf, level) + Bp[m][i, j]
+        for i, j, g, gammas, ginf in h_entries:
+            val = region.polar_sum(g, gammas, ginf, level) + Hp[i, j]
+            Hl[i, j] = val
+            if i != j:
+                Hl[j, i] = np.conj(val)
+        if k:
+            quad_error = float(max(np.max(np.abs(Bl - B)), np.max(np.abs(Hl - H))))
+        B, H = Bl, Hl
 
     if g_count:
         try:

@@ -1,0 +1,134 @@
+"""The blocked pairing quadrature against values recorded before it.
+
+``GOLDEN`` holds B, H, theta and quad_error as computed by the per-entry
+quadrature that evaluated every integrand separately at every node.  The
+blocked evaluation sums the same terms in another order, so the entries
+agree to round-off, and every entry the deck character kills stays an
+exact zero.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from pillowtiled import bform, cli
+from pillowtiled.bform import CurveDifferential, SuperellipticCurve, pairing_matrices
+from pillowtiled.cli import RunConfig
+from pillowtiled.coverings import sample_base_differential
+
+T = 0.2 + 0.7j
+
+
+def golden_cases():
+    return {
+        # the bform line "8 1 3 5 7" at the second disc point
+        "pullback": (
+            SuperellipticCurve(8, (0.0, 1.0, T), (1, 3, 5)),
+            sample_base_differential((), 4, zeros=(), poles=(T,)),
+        ),
+        # a w-power with an extra zero: phase and non-branch centers
+        "wpow1": (
+            SuperellipticCurve(4, (0.0, 1.0, 0.3 + 0.4j, -0.5 + 0.2j), (1, 1, 1, 1)),
+            CurveDifferential(
+                wpow=1, zero_orders=((0.4 - 0.6j, 1),), finite_poles=(0.0, 1.0)
+            ),
+        ),
+    }
+
+
+GOLDEN = {
+    "pullback": {
+        "B": [
+            [0j, 0j, 0j, 0j, 0j, 0j, (153.4075902339569-4.3712250769352586e-17j)],
+            [0j, 0j, 0j, 0j, 0j, (153.4075902339569-9.074062321200203e-17j), 0j],
+            [0j, 0j, 0j, 0j, (153.4075902339569-1.759113624853355e-16j), 0j, 0j],
+            [0j, 0j, 0j, (153.4075902339569-1.0371300118825256e-16j), 0j, 0j, 0j],
+            [0j, 0j, (153.4075902339569-1.759113624853355e-16j), 0j, 0j, 0j, 0j],
+            [0j, (153.4075902339569-9.074062321200203e-17j), 0j, 0j, 0j, 0j, 0j],
+            [(153.4075902339569-4.3712250769352586e-17j), 0j, 0j, 0j, 0j, 0j, 0j],
+        ],
+        "H": [
+            [(280.9083966337289+0j), 0j, 0j, 0j, 0j, 0j, 0j],
+            [0j, (209.61302284348943+2.036648208393098e-17j), 0j, 0j, 0j, 0j, 0j],
+            [0j, 0j, (329.2272340285993+1.0697875269412562e-16j), 0j, 0j, 0j, 0j],
+            [0j, 0j, 0j, (153.4075902339569-4.473246549287605e-18j), 0j, 0j, 0j],
+            [0j, 0j, 0j, 0j, (280.90839652772297-4.873530696637352e-17j), 0j, 0j],
+            [0j, 0j, 0j, 0j, 0j, (287.92563025651737-8.204518386990536e-18j), 0j],
+            [0j, 0j, 0j, 0j, 0j, 0j, (329.22723408772765-1.6429783893865517e-16j)],
+        ],
+        "theta": (0.9999999999999999, 0.6244498338565944, 0.6244498338565944, 0.5044482397811666, 0.5044482397811666, 0.5044482396406865, 0.5044482396406865),
+        "quad_error": 0.0007136261522759924,
+    },
+    "wpow1": {
+        "B": [
+            [0j, (121.42129592279733+42.323922878413626j), (14.919167775828512-4.22618309033093j)],
+            [(121.42129592279733+42.323922878413626j), 0j, 0j],
+            [(14.919167775828512-4.22618309033093j), 0j, 0j],
+        ],
+        "H": [
+            [(107.80929758063873+0j), 0j, 0j],
+            [0j, (494.75510415281593+0j), (53.58990812776476-82.2369553903033j)],
+            [0j, (53.58990812776476+82.2369553903033j), (109.75992241760352-3.199654484177077e-17j)],
+        ],
+        "theta": (0.6358501625230324, 0.6358501625230324, 1.8155253405433692e-17),
+        "quad_error": 0.0013730023485436504,
+    },
+}
+
+
+def assert_matches(rep, want):
+    for key in ("B", "H"):
+        got = np.array(getattr(rep, key))
+        ref = np.array(want[key])
+        assert got.shape == ref.shape
+        # character-killed entries are never integrated
+        assert np.array_equal(got == 0, ref == 0), key
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale, key
+    assert len(rep.theta) == len(want["theta"])
+    assert np.max(np.abs(np.array(rep.theta) - np.array(want["theta"]))) <= 1e-12
+    assert rep.quad_error == pytest.approx(want["quad_error"], rel=1e-6)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_matches_the_recorded_values(name):
+    curve, q = golden_cases()[name]
+    assert_matches(pairing_matrices(curve, q), GOLDEN[name])
+
+
+@pytest.mark.parametrize("block", [997, 1 << 40], ids=["997", "one-block"])
+def test_block_size_changes_only_round_off(monkeypatch, block):
+    # 997 splits every level into many ragged blocks; 1 << 40 is one block
+    curve, q = golden_cases()["pullback"]
+    ref = pairing_matrices(curve, q)
+    monkeypatch.setattr(bform, "_BLOCK_NODES", block)
+    want = {"B": ref.B, "H": ref.H, "theta": ref.theta, "quad_error": ref.quad_error}
+    assert_matches(pairing_matrices(curve, q), want)
+
+
+def test_peak_memory_stays_bounded():
+    curve, q = golden_cases()["pullback"]
+    tracemalloc.start()
+    try:
+        pairing_matrices(curve, q, levels=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_empty_basis_builds_no_panel_nodes(monkeypatch, tmp_path, capsys):
+    def forbidden(self, *args):
+        raise AssertionError("panel nodes built for an empty basis")
+
+    monkeypatch.setattr(bform._Region, "_panel_nodes", forbidden)
+    path = tmp_path / "in.txt"
+    path.write_text("1 1 1 1 1\n")
+    assert cli.run(RunConfig("bform", str(path))) == cli.EXIT_OK
+    reports = json.loads(capsys.readouterr().out)[0]["reports"]
+    assert len(reports) == 2
+    for rep in reports:
+        assert rep["B"] == [] and rep["H"] == [] and rep["theta"] == []
+        assert rep["quad_error"] == 0.0 and rep["gap"] is None

@@ -1,6 +1,7 @@
 """Guards on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pillowtiled"
@@ -20,3 +21,26 @@ def test_no_assert_statements_in_src():
         )
     ]
     assert not found, "assert statements in src/pillowtiled: " + ", ".join(found)
+
+
+def test_src_imports_only_stdlib_numpy_scipy():
+    # the package depends on numpy, scipy and the standard library alone
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy"}
+    files = sorted(SRC.glob("*.py"))
+    assert files, f"no sources under {SRC}"
+    found = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in allowed
+            ]
+    assert not found, "imports beyond stdlib, numpy and scipy: " + ", ".join(found)
