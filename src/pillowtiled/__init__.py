@@ -35,7 +35,6 @@ from .bform import (  # noqa: F401
     SuperellipticCurve,
     holomorphic_basis,
     pairing_matrices,
-    theta_spectrum,
 )
 from .lyapunov import (  # noqa: F401
     certify_degenerate,

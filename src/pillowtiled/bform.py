@@ -16,12 +16,13 @@ integrals of
 with P = prod (z - z_i)^{a_i}.  The Hodge products reduce the same way
 (nonzero only for b1 = b2).  Integrands have known power-law behavior
 |z - s|^{gamma} at finitely many points, so the quadrature uses a smooth
-partition of unity: disks around each singular point with Gauss-Jacobi
-radial rule matched to gamma and a trapezoid angular rule, the chart swap
-z -> 1/z for the neighborhood of infinity, and tensor Gauss-Legendre
-panels on the smooth remainder.  Refinement levels double every node
-count; the error estimate is the last inter-level delta, so only the
-last two levels are computed.
+partition of unity: disks around each singular point with a Gauss-Jacobi
+radial rule matched to gamma (the Golub-Welsch rule: nodes and weights
+from the eigenvectors of the Jacobi matrix) and a trapezoid angular rule,
+the chart swap z -> 1/z for the neighborhood of infinity, and tensor
+Gauss-Legendre panels on the smooth remainder.  Refinement levels double
+every node count; the error estimate is the last inter-level delta, so
+only the last two levels are computed.
 
 The panel part of all entries is evaluated in one blocked pass per level
 over the live (nonzero-weight) panel nodes: each block evaluates P, the
@@ -42,7 +43,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 # nodes per block of the plane pass; bounds its working set at any level
 _BLOCK_NODES = 16384
@@ -54,7 +54,6 @@ __all__ = [
     "BFormReport",
     "holomorphic_basis",
     "pairing_matrices",
-    "theta_spectrum",
 ]
 
 
@@ -85,10 +84,6 @@ class SuperellipticCurve:
     @property
     def total_exponent(self) -> int:
         return sum(self.a)
-
-    @property
-    def dk(self) -> tuple[int, ...]:
-        return tuple(math.gcd(self.N, ai) for ai in self.a)
 
     @property
     def a_inf(self) -> int:
@@ -278,10 +273,6 @@ class BFormReport:
     gap: float | None
 
 
-def theta_spectrum(report: BFormReport) -> tuple[float, ...]:
-    return report.theta
-
-
 # ---------------------------------------------------------------- quadrature
 
 
@@ -427,8 +418,23 @@ class _Region:
 def _jacobi_rule(n: int, gamma: float):
     """Gauss-Jacobi nodes and weights on [-1, 1] for the weight
     (1 + x)^(gamma + 1), cached per (n, gamma); read-only, as every disk
-    with that exponent shares them."""
-    x, w = roots_jacobi(n, 0.0, gamma + 1.0)
+    with that exponent shares them.
+
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the symmetric tridiagonal Jacobi matrix of (alpha, beta) = (0, b),
+    b = gamma + 1, and the weights are mu_0 v_0^2, with v_0 the first
+    entry of each unit eigenvector and mu_0 = 2^(b+1) / (b+1) the
+    integral of the weight.
+    """
+    b = gamma + 1.0
+    k = np.arange(1.0, n)
+    s = 2.0 * k + b
+    diag = np.empty(n)
+    diag[0] = b / (b + 2.0)  # the general term is 0/0 at b = 0
+    diag[1:] = b * b / (s * (s + 2.0))
+    off = 2.0 * k * (k + b) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 ** (b + 1.0) / (b + 1.0) * v[0] ** 2
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

@@ -90,15 +90,6 @@ def chain_map(o: Origami, gen: str) -> list[list[int]]:
     return M
 
 
-def relabel_chain_map(label: list[int], d: int) -> list[list[int]]:
-    """Edge-chain matrix of a square relabeling (no orientation change)."""
-    M = lattice.zeros(2 * d, 2 * d)
-    for i in range(d):
-        M[label[i]][i] = 1
-        M[d + label[i]][d + i] = 1
-    return M
-
-
 @dataclass(frozen=True)
 class CocycleMatrix:
     """Integer matrix of a move word on H_1, from the basis at the start
@@ -197,7 +188,11 @@ class StateCache:
         # canonicalize and keep the relabeling that got us there
         target, label = canonical_labelling((o2.h, o2.v, i2), o2.d)
         tgt = self.state(target)
-        F = lattice.matmul(relabel_chain_map(label, o2.d), chain_map(src.origami, gen))
+        # relabel the new squares: edge rows i and d + i move to label[i]
+        d, C = o2.d, chain_map(src.origami, gen)
+        F = [None] * (2 * d)
+        for i, j in enumerate(label):
+            F[j], F[d + j] = C[i], C[d + i]
         M = _move_matrix(src, tgt, F)
         sp, tp = src.splitting, tgt.splitting
         tr = Transition(

@@ -67,7 +67,7 @@ class Ramification:
     length: int
 
 
-def _ram_table(s: CyclicCoverSpec) -> tuple[Ramification, ...]:
+def ramification_table(s: CyclicCoverSpec) -> tuple[Ramification, ...]:
     out = []
     for i, ai in enumerate(s.a):
         g = math.gcd(s.N, ai)
@@ -79,10 +79,6 @@ def cyclic_to_pillow(s: CyclicCoverSpec) -> PillowCover:
     """The cover itself: each corner loop acts by translation on Z/N."""
     perms = [tuple((x + ai) % s.N for x in range(s.N)) for ai in s.a]
     return PillowCover(s.N, *perms)
-
-
-def ramification_table(s: CyclicCoverSpec) -> tuple[Ramification, ...]:
-    return _ram_table(s)
 
 
 @dataclass(frozen=True)
@@ -98,7 +94,7 @@ class CoverReport:
 
 def cover_report(s: CyclicCoverSpec) -> CoverReport:
     stratum = pillow_stratum(cyclic_to_pillow(s))
-    branch = sum(1 for r in _ram_table(s) if r.length > 1)
+    branch = sum(1 for r in ramification_table(s) if r.length > 1)
     return CoverReport(
         degree=s.N,
         genus=stratum.genus,
@@ -128,7 +124,7 @@ def is_determinant_locus(s: CyclicCoverSpec) -> DeterminantVerdict:
     """
     trivial = [i for i, ai in enumerate(s.a) if ai == s.N]
     flag = bool(trivial)
-    branch = sum(1 for r in _ram_table(s) if r.length > 1)
+    branch = sum(1 for r in ramification_table(s) if r.length > 1)
     if flag != (branch <= 3):
         raise ArithmeticError("determinant-locus criteria disagree")
     if flag:

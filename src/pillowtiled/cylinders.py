@@ -57,7 +57,6 @@ class CylinderDecomposition:
     """Horizontal cylinders as (width, height) pairs; widths sum the area."""
 
     cylinders: tuple[tuple[int, int], ...]
-    direction: str = "horizontal"
 
     def area(self) -> int:
         return sum(w * h for w, h in self.cylinders)

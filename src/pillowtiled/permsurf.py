@@ -176,9 +176,6 @@ class Stratum:
     def zeros(self) -> tuple[int, ...]:
         return tuple(m for m in self.orders if m >= 1)
 
-    def without_marked_points(self) -> "Stratum":
-        return Stratum(self.kind, tuple(m for m in self.orders if m != 0), self.genus)
-
     def label(self) -> str:
         sym = "H" if self.kind == "abelian" else "Q"
         seen: dict[int, int] = {}

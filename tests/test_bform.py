@@ -8,7 +8,6 @@ from pillowtiled.bform import (
     SuperellipticCurve,
     holomorphic_basis,
     pairing_matrices,
-    theta_spectrum,
 )
 from pillowtiled.coverings import sample_base_differential
 
@@ -148,7 +147,7 @@ class TestPairing:
         rep = pairing_matrices(c, pillowcase_q(0.5))
         assert rep.B == () and rep.H == () and rep.theta == ()
         assert rep.gap is None
-        assert theta_spectrum(rep) == ()
+        assert rep.theta == ()
 
 
 class TestInvariants:

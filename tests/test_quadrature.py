@@ -5,6 +5,9 @@ quadrature that evaluated every integrand separately at every node.  The
 blocked evaluation sums the same terms in another order, so the entries
 agree to round-off, and every entry the deck character kills stays an
 exact zero.
+
+The radial Gauss-Jacobi rule is checked against the exact moments of its
+weight, an oracle that shares nothing with the rule's construction.
 """
 
 import json
@@ -132,3 +135,20 @@ def test_empty_basis_builds_no_panel_nodes(monkeypatch, tmp_path, capsys):
     for rep in reports:
         assert rep["B"] == [] and rep["H"] == [] and rep["theta"] == []
         assert rep["quad_error"] == 0.0 and rep["gap"] is None
+
+
+@pytest.mark.parametrize("gamma", [-1.875, -1.0, -0.5, 0.0, 2.5])
+@pytest.mark.parametrize("n", [14, 28, 56])
+def test_jacobi_rule_integrates_its_moments(n, gamma):
+    # an n-point Gauss rule is exact on polynomials of degree < 2n; against
+    # the weight (1 + x)^(gamma + 1) the monomials (1 + x)^j integrate to
+    # 2^(gamma + 2 + j) / (gamma + 2 + j)
+    x, w = bform._jacobi_rule(n, gamma)
+    assert x.shape == w.shape == (n,)
+    assert not x.flags.writeable and not w.flags.writeable
+    assert np.all(np.diff(x) > 0) and -1.0 < x[0] and x[-1] < 1.0
+    assert np.all(w > 0)
+    j = np.arange(2 * n)
+    moments = (1.0 + x)[None, :] ** j[:, None] @ w
+    p = gamma + 2.0 + j
+    assert np.max(np.abs(moments / (2.0 ** p / p) - 1.0)) <= 1e-12
