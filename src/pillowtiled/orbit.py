@@ -19,13 +19,16 @@ Orbits are finite; closure under S and T alone suffices (on a finite
 orbit every generator acts bijectively, so inverses are reachable).
 Isomorphic surfaces are identified by a canonical relabeling: breadth
 first search from every possible start square with a fixed deterministic
-neighbor order, keeping the lexicographically smallest result.
+neighbor order, keeping the lexicographically smallest result.  A start
+is pruned at the first entry of its relabeled h that exceeds the best
+one so far; the tuples compare h first, so it could not have won.  A
+start that an automorphism found on a tie maps from an earlier start is
+skipped, since it gives the same result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .permutations import Perm, compose, inverse
 from .permsurf import Origami, origami_stratum, validate_involution
@@ -87,51 +90,101 @@ def apply_state_generator(o: Origami, iota: Perm, gen: str) -> tuple[Origami, Pe
     return new, iota2
 
 
-def _bfs_labels(perms: tuple[Perm, ...], d: int, start: int) -> list[int]:
-    """New label of each square, BFS from start, deterministic edge order."""
-    steps = []
-    for p in perms:
-        steps.append(p)
-        steps.append(inverse(p))
-    label = [-1] * d
-    label[start] = 0
-    queue = [start]
-    head = 0
-    nxt = 1
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for p in steps:
-            y = p[x]
-            if label[y] < 0:
-                label[y] = nxt
-                nxt += 1
-                queue.append(y)
-    if nxt != d:
-        raise ValueError("BFS did not reach every square; data is disconnected")
-    return label
+def _relabel_perm(p: Perm, label: list[int]) -> Perm:
+    q = [0] * len(label)
+    for x, y in enumerate(p):
+        q[label[x]] = label[y]
+    return tuple(q)
 
 
-def _relabel(perms: tuple[Perm, ...], label: list[int]) -> tuple[Perm, ...]:
-    d = len(label)
-    out = []
-    for p in perms:
-        q = [0] * d
-        for x in range(d):
-            q[label[x]] = label[p[x]]
-        out.append(tuple(q))
-    return tuple(out)
+def _least(root: list[int], x: int) -> int:
+    while root[x] != x:
+        x = root[x]
+    return x
 
 
 def canonical_labelling(perms: tuple[Perm, ...], d: int) -> tuple[tuple[Perm, ...], list[int]]:
     """Least BFS relabeling of the permutations and the label giving it.
 
+    Every start square is tried in turn.  Squares are dequeued in label
+    order and h = perms[0] is the first neighbor looked at, so entry j of
+    the relabeled h is known when the square labeled j is dequeued.  It is
+    compared with the best relabeled h so far, and the start is pruned at
+    its first larger entry: the relabeled tuples compare h first, so such
+    a start is larger than the best and cannot be the least.  Once an entry
+    is smaller the start beats the best and its BFS just runs to the end.
+    Only a start that completes relabels the other permutations.
+
     On a tie (an automorphism) the first start square wins: the perms are
     the same either way, but the label, and so the relabeling chain map,
-    is not.
+    is not.  A pruned start is strictly larger and a later equal start
+    does not replace the best, so this is the same labelling and the same
+    tie rule as taking the least over full relabelings from every start.
+
+    A tie also gives an automorphism sigma of the data, sending each
+    square to the square with the same best label: it commutes with every
+    permutation.  The BFS from sigma(x) is the image of the BFS from x, so
+    it gives the same perms; a start that the automorphisms found so far
+    map from an earlier start cannot win and is skipped (McKay-Piperno,
+    "Practical graph isomorphism II", J. Symb. Comp. 2014).
     """
-    labels = (_bfs_labels(perms, d, start) for start in range(d))
-    return min(((_relabel(perms, label), label) for label in labels), key=itemgetter(0))
+    if d < 1:
+        raise ValueError(f"need at least one square, got d = {d}")
+    if not perms:
+        raise ValueError("need at least one permutation")
+    if any(len(p) != d for p in perms):
+        raise ValueError(f"permutation lengths {[len(p) for p in perms]} differ from d = {d}")
+    h = perms[0]
+    # the BFS neighbor order: each permutation, then its inverse; a repeat
+    # (an involution is its own inverse) never labels a new square
+    steps = list(dict.fromkeys(q for p in perms for q in (p, inverse(p))))[1:]
+    best = best_label = best_queue = None
+    # union-find over squares; each root is the least square of its class,
+    # so a start that is not a root has an earlier automorphic image
+    root = list(range(d))
+    for start in range(d):
+        if root[start] != start:
+            continue
+        label = [-1] * d
+        label[start] = 0
+        queue = [start]
+        nxt = 1
+        q0 = []
+        smaller = best is None
+        for x in queue:
+            # x is dequeued in label order and h is its first neighbor, so
+            # the next entry of the relabeled h is known right here
+            y = h[x]
+            j = label[y]
+            if j < 0:
+                j = label[y] = nxt
+                nxt += 1
+                queue.append(y)
+            if not smaller:
+                b = best[0][len(q0)]
+                if j > b:
+                    break
+                smaller = j < b
+            q0.append(j)
+            for p in steps:
+                y = p[x]
+                if label[y] < 0:
+                    label[y] = nxt
+                    nxt += 1
+                    queue.append(y)
+        else:
+            if nxt != d:
+                raise ValueError("BFS did not reach every square; data is disconnected")
+            cand = (tuple(q0), *(_relabel_perm(p, label) for p in perms[1:]))
+            if smaller or cand < best:
+                best, best_label, best_queue = cand, label, queue
+            elif cand == best:
+                # queues list the squares in label order
+                for x, y in zip(queue, best_queue):
+                    a, b = _least(root, x), _least(root, y)
+                    if a != b:
+                        root[max(a, b)] = min(a, b)
+    return best, best_label
 
 
 def canonical_perms(perms: tuple[Perm, ...], d: int) -> tuple[Perm, ...]:

@@ -1,14 +1,22 @@
 """Orbit enumeration, canonical forms, and involution transport."""
 
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
+import time
+from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pillowtiled import cli, orbit
+from pillowtiled.cli import RunConfig
+from pillowtiled.coverings import CyclicCoverSpec, cyclic_to_pillow, iter_specs
 from pillowtiled.orbit import (
     OrbitCapExceeded,
-    _bfs_labels,
-    _relabel,
     apply_generator,
     apply_state_generator,
     canonical_form,
@@ -25,18 +33,21 @@ from pillowtiled.permsurf import (
     origami_stratum,
     pillow_stratum,
     random_origami,
+    random_pillow_cover,
     reconstruct_pillow_cover,
 )
 from pillowtiled.permutations import (
     all_permutations,
     compose,
     conjugate,
+    format_cycles,
     identity,
     inverse,
     is_transitive,
     order,
     parse_cycles,
     power,
+    random_permutation,
 )
 from tests.test_permsurf import FIVE, TORUS_COVER, cyclic_pillow
 
@@ -118,6 +129,41 @@ def test_canonical_form_idempotent_and_invariant():
         assert canonical_form(relabeled) == c
 
 
+# ------------------------------------------------- canonical labelling oracle
+# The brute-force labelling: a full BFS and a full relabel from every start
+# square, then the least relabeled perms, the first such start winning.
+
+
+def _bfs_labels(perms, d, start):
+    steps = [q for p in perms for q in (p, inverse(p))]
+    label = [-1] * d
+    label[start] = 0
+    queue = [start]
+    for x in queue:
+        for p in steps:
+            if label[p[x]] < 0:
+                label[p[x]] = len(queue)
+                queue.append(p[x])
+    if len(queue) != d:
+        raise ValueError("BFS did not reach every square; data is disconnected")
+    return label
+
+
+def _relabel(perms, label):
+    out = []
+    for p in perms:
+        q = [0] * len(label)
+        for x, y in enumerate(p):
+            q[label[x]] = label[y]
+        out.append(tuple(q))
+    return tuple(out)
+
+
+def reference_labelling(perms, d):
+    labels = (_bfs_labels(perms, d, start) for start in range(d))
+    return min(((_relabel(perms, label), label) for label in labels), key=itemgetter(0))
+
+
 def test_canonical_labelling_relabels_to_the_canonical_perms():
     rng = np.random.default_rng(53)
     cases = [(o.h, o.v) for o in (random_origami(int(rng.integers(2, 8)), rng) for _ in range(20))]
@@ -128,6 +174,7 @@ def test_canonical_labelling_relabels_to_the_canonical_perms():
         best, label = canonical_labelling(perms, d)
         assert best == canonical_perms(perms, d)
         assert _relabel(perms, label) == best
+        assert (best, label) == reference_labelling(perms, d)
 
 
 @pytest.mark.parametrize(
@@ -144,7 +191,171 @@ def test_canonical_labelling_keeps_the_first_minimal_start(perms, ties):
     labels = [_bfs_labels(perms, d, s) for s in ties]
     assert len({_relabel(perms, lab) for lab in labels}) == 1
     assert labels[0] != labels[1]
+    assert reference_labelling(perms, d) == (_relabel(perms, labels[0]), labels[0])
     assert canonical_labelling(perms, d) == (_relabel(perms, labels[0]), labels[0])
+
+
+def _random_transitive(rng, k):
+    while True:
+        d = int(rng.integers(1, 17))
+        perms = tuple(random_permutation(d, rng) for _ in range(k))
+        if is_transitive(list(perms), d):
+            return perms
+
+
+def _regular_representation(gens):
+    """Right multiplications by gens on the group they generate.
+
+    Left multiplications commute with them, so every start square ties.
+    """
+    n = len(gens[0])
+    elements = [identity(n)]
+    for g in elements:
+        for s in gens:
+            gs = compose(g, s)
+            if gs not in elements:
+                elements.append(gs)
+    index = {g: i for i, g in enumerate(elements)}
+    return tuple(tuple(index[compose(g, s)] for g in elements) for s in gens)
+
+
+def _tie_cases():
+    cases = [((0,), (0,)), ((0,), (0,), (0,))]
+    for d in (2, 3, 6, 9):
+        c = tuple((x + 1) % d for x in range(d))
+        cases += [(c, identity(d)), (c, power(c, 2)), (power(c, -1), c, identity(d)), (identity(d), c)]
+    for gens in ("(1 2 3)", "(1 2)"), ("(1 2)", "(3 4)"), ("(1 2 3 4)", "(1 3)"), ("(1 2 3 4 5)", "(2 5)(3 4)"):
+        cases.append(_regular_representation([parse_cycles(g, 5) for g in gens]))
+    return cases
+
+
+def _double_cover_states():
+    """States (h, v, iota) of three covers under seeded relabelings."""
+    rng = np.random.default_rng(59)
+    states = []
+    for N, a in ((5, (1, 2, 2, 5)), (7, (1, 3, 3, 7)), (2, (1, 1, 1, 1))):
+        o, iota = orientation_double_cover(cyclic_to_pillow(CyclicCoverSpec(N, a)))
+        walk = [(o, iota)]
+        for gen in ("S", "T", "Tinv", "L", "T", "S"):
+            walk.append(apply_state_generator(*walk[-1], gen))
+        for surf, i in walk:
+            for _ in range(4):
+                s = random_permutation(surf.d, rng)
+                states.append((conjugate(surf.h, s), conjugate(surf.v, s), conjugate(i, s)))
+    return states
+
+
+def test_orientable_state_meets_only_through_iota():
+    o, iota = orientation_double_cover(cyclic_to_pillow(CyclicCoverSpec(2, (1, 1, 1, 1))))
+    assert not is_transitive([o.h, o.v], o.d)
+    assert is_transitive([o.h, o.v, iota], o.d)
+
+
+def test_canonical_labelling_matches_the_reference():
+    rng = np.random.default_rng(61)
+    cases = [_random_transitive(rng, k) for k in (2, 3) for _ in range(300)]
+    cases += _tie_cases() + _double_cover_states()
+    ties = 0
+    for perms in cases:
+        d = len(perms[0])
+        assert canonical_labelling(perms, d) == reference_labelling(perms, d), perms
+        ties += sum(_relabel(perms, _bfs_labels(perms, d, s)) == canonical_perms(perms, d)
+                    for s in range(d)) > 1
+    assert ties >= len(_tie_cases())
+
+
+@pytest.mark.parametrize(
+    "perms, d, message",
+    [(((0,), (0,)), 0, "at least one square"),
+     (((0,), (0,)), -1, "at least one square"),
+     ((), 3, "at least one permutation"),
+     (((1, 2, 0), (0, 1)), 3, "length"),
+     (((1, 0), (1, 0, 2)), 2, "length"),
+     (((1, 0, 3, 2), (0, 1, 2, 3)), 4, "disconnected")],
+    ids=["zero-squares", "negative", "no-perms", "short-perm", "long-perm", "disconnected"],
+)
+def test_canonical_labelling_rejects_bad_input(perms, d, message):
+    with pytest.raises(ValueError, match=message):
+        canonical_labelling(perms, d)
+
+
+class _ReadLog(tuple):
+    """A permutation that records each square looked up in it."""
+
+    def __new__(cls, p, log):
+        self = super().__new__(cls, p)
+        self.log = log
+        return self
+
+    def __getitem__(self, x):
+        self.log.append(x)
+        return super().__getitem__(x)
+
+
+def test_disconnected_data_raises_from_the_first_start():
+    perms = ((1, 0, 3, 2), (0, 1, 2, 3))
+    with pytest.raises(ValueError) as ref:
+        _bfs_labels(perms, 4, 0)
+    read = []
+    with pytest.raises(ValueError) as new:
+        canonical_labelling(tuple(_ReadLog(p, read) for p in perms), 4)
+    assert str(new.value) == str(ref.value)
+    # only the component of square 0 was searched
+    assert set(read) == {0, 1}
+
+
+def test_starts_mapped_by_a_found_automorphism_are_skipped():
+    # every shift of a 9-cycle is an automorphism: the tie between starts
+    # 0 and 1 finds the shift by one, which maps start 0 onto all others
+    d = 9
+    c = tuple((x + 1) % d for x in range(d))
+    read = []
+    perms = (_ReadLog(c, read), identity(d))
+    assert canonical_labelling(perms, d) == reference_labelling((c, identity(d)), d)
+    assert len(read) == 2 * d
+
+
+def test_bad_input_raises_without_assertions():
+    code = (
+        "from pillowtiled.orbit import canonical_labelling\n"
+        "for perms, d in ((((0,),), 0), ((), 2), (((1, 0), (0,)), 2),\n"
+        "                 (((1, 0, 3, 2), (0, 1, 2, 3)), 4)):\n"
+        "    try:\n"
+        "        canonical_labelling(perms, d)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'accepted {perms} on {d} squares')\n"
+        "raise SystemExit(7)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(orbit.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
+    assert proc.returncode == 7, proc.stderr
+
+
+# sha256 of the ekz and orbit JSON below, recorded before early abort was
+# added to canonical_labelling; any change to a canonical form, an orbit
+# or its vertex order changes it
+EXACT_CHANNEL_SHA256 = "80364d806cf89e7b96750942a2d7efff68b0bed93b3b7d0882263164d7e26122"
+
+
+def _orbit_line(d, perms):
+    return "; ".join([str(d), *map(format_cycles, perms)])
+
+
+def test_exact_channel_output_is_unchanged(tmp_path):
+    start = time.perf_counter()
+    ekz = [" ".join(map(str, (s.N, *s.a))) for N in range(1, 6) for s in iter_specs(N)]
+    rng = np.random.default_rng(2014)
+    lines = [_orbit_line(6, (o.h, o.v)) for o in (random_origami(6, rng) for _ in range(10))]
+    lines += [_orbit_line(4, random_pillow_cover(4, rng).corner_perms()) for _ in range(5)]
+    digest = hashlib.sha256()
+    for command, batch in (("ekz", ekz), ("orbit", lines)):
+        src, out = tmp_path / f"{command}.txt", tmp_path / f"{command}.json"
+        src.write_text("\n".join(batch) + "\n")
+        assert cli.run(RunConfig(command, str(src), out=str(out))) == 0
+        digest.update(out.read_bytes())
+    assert digest.hexdigest() == EXACT_CHANNEL_SHA256
+    assert time.perf_counter() - start < 3.0
 
 
 def test_orbit_seed_independent():
