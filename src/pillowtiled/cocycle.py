@@ -122,21 +122,21 @@ def _move_matrix(src: StateData, tgt: StateData, F) -> list[list[int]]:
     into boundaries, and the matrix is symplectic and, when the surfaces
     carry a deck involution, commutes with it.
     """
-    FB = lattice.matmul(F, [list(r) for r in src.basis.cycles])
+    FB = lattice.matmul(F, src.basis.cycles)
     if any(any(row) for row in lattice.matmul(tgt.d1, FB)):
         raise ArithmeticError("move does not map cycles to cycles")
-    C = [list(r) for r in tgt.basis.functionals]
+    C = tgt.basis.functionals
     if any(any(row) for row in lattice.matmul(C, lattice.matmul(F, src.d2))):
         raise ArithmeticError("move does not respect boundaries")
     M = lattice.matmul(C, FB)
-    # symplectic: M^T J M = J (both bases carry the standard form)
+    # symplectic: M^T J M = J (both bases carry the standard form); J_src
+    # is copied to list rows, as mat_eq compares rows with ==
     J_src = [list(r) for r in src.basis.intersection]
-    J_tgt = [list(r) for r in tgt.basis.intersection]
+    J_tgt = tgt.basis.intersection
     if not lattice.mat_eq(lattice.matmul(lattice.transpose(M), lattice.matmul(J_tgt, M)), J_src):
         raise ArithmeticError("cocycle matrix is not symplectic")
     if src.splitting is not None:
-        I_s = [list(r) for r in src.splitting.action]
-        I_t = [list(r) for r in tgt.splitting.action]
+        I_s, I_t = src.splitting.action, tgt.splitting.action
         if not lattice.mat_eq(lattice.matmul(I_t, M), lattice.matmul(M, I_s)):
             raise ArithmeticError("cocycle matrix does not commute with the deck involution")
     return M
@@ -145,9 +145,9 @@ def _move_matrix(src: StateData, tgt: StateData, F) -> list[list[int]]:
 def _restrict(M, src_basis, tgt_basis, tgt_coords, name: str) -> tuple[tuple[int, ...], ...]:
     """Coordinates X = C_tgt (M B_src) of M on one eigenlattice; raises
     ArithmeticError unless they reconstruct it, M B_src == B_tgt X."""
-    MB = lattice.matmul(M, [list(r) for r in src_basis])
-    X = lattice.matmul([list(r) for r in tgt_coords], MB)
-    if not lattice.mat_eq(MB, lattice.matmul([list(r) for r in tgt_basis], X)):
+    MB = lattice.matmul(M, src_basis)
+    X = lattice.matmul(tgt_coords, MB)
+    if not lattice.mat_eq(MB, lattice.matmul(tgt_basis, X)):
         raise ArithmeticError(f"move does not preserve the {name} lattice")
     return tuple(tuple(r) for r in X)
 

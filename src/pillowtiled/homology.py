@@ -213,9 +213,7 @@ def involution_on_homology(basis: HomologyBasis, iota: Perm) -> list[list[int]]:
     """r x r integral matrix of the involution on H_1; squares to identity."""
     o = basis.origami
     M = involution_chain_map(o, iota)
-    B = [list(r_) for r_ in basis.cycles]
-    C = [list(r_) for r_ in basis.functionals]
-    I = lattice.matmul(C, lattice.matmul(M, B))
+    I = lattice.matmul(basis.functionals, lattice.matmul(M, basis.cycles))
     if not lattice.mat_eq(lattice.matmul(I, I), lattice.eye(basis.rank)):
         raise ValueError("the deck map does not act as an involution on H_1")
     return I

@@ -7,15 +7,25 @@ read off its output.  A Smith normal form remains for the one caller that
 needs invariant factors: the torsion check of ``quotient_basis``.
 
 Everything here works on small dense matrices of Python ints (lists of
-lists), which keeps the homology pipeline exact; numpy only enters once
-frames are handed to floating point.
+lists), which keeps the homology pipeline exact.  The one exception is
+inside ``matmul``: when k * max|a| * max|b| < 2**62, k the inner
+dimension, every partial sum of every entry is at most that bound in
+absolute value, so the product runs on int64 in numpy and cannot wrap;
+past the bound it runs on Python ints.  Either way the result is Python
+ints, and this is the only module where exact integers meet a fixed
+width.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
 from operator import mul
+
+import numpy as np
+
+_INT64_SAFE = 1 << 62  # k * max|a| * max|b| below this cannot leave int64
 
 
 def eye(n: int) -> list[list[int]]:
@@ -30,14 +40,33 @@ def shape(a: list[list[int]]) -> tuple[int, int]:
     return len(a), len(a[0]) if a else 0
 
 
-def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Exact product of integer matrices given as sequences of rows.
+
+    Rows may be lists or tuples; the result is a list of lists of Python
+    ints, computed on int64 below the guard of the module docstring and
+    on Python ints past it.  Mismatched shapes and ragged rows raise
+    ValueError.
+    """
     if not a:  # no rows: the inner dimension cannot be read off, nor matters
         return []
-    m, k = shape(a)
-    k2, n = shape(b)
-    if k != k2:
+    k, n = len(a[0]), len(b[0]) if b else 0
+    if len(b) != k:
         raise ValueError(f"shape mismatch {shape(a)} @ {shape(b)}")
-    bt = list(zip(*b)) if n else []
+    if set(map(len, a)) != {k} or (b and set(map(len, b)) != {n}):
+        raise ValueError("ragged rows in a matrix product")
+    if not n:  # k == 0 makes b == [], so this covers it too
+        return [[] for _ in a]
+    try:
+        A, B = np.array(a, np.int64), np.array(b, np.int64)
+    except OverflowError:  # an entry past int64: no fixed-width product
+        pass
+    else:
+        ma = max(int(A.max()), -int(A.min()))
+        mb = max(int(B.max()), -int(B.min()))
+        if k * ma * mb < _INT64_SAFE:
+            return (A @ B).tolist()
+    bt = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 

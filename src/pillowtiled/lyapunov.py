@@ -97,8 +97,8 @@ class _GenCycle:
         cur = key
         while True:
             tr = cache.transition(cur, gen)
-            cum_plus.append(lattice.matmul([list(r) for r in tr.plus], cum_plus[-1]))
-            cum_minus.append(lattice.matmul([list(r) for r in tr.minus], cum_minus[-1]))
+            cum_plus.append(lattice.matmul(tr.plus, cum_plus[-1]))
+            cum_minus.append(lattice.matmul(tr.minus, cum_minus[-1]))
             cur = tr.target
             if cur == key:
                 break
@@ -225,7 +225,7 @@ def run_monte_carlo(
     Fp = frame(walker.dim_plus, mp)
     Fm = frame(walker.dim_minus, mm)
     vec = rng.standard_normal(2)
-    u = vec / np.hypot(*vec)
+    u0, u1 = (vec / np.hypot(*vec)).tolist()  # tautological 2-vector
 
     logs_p = np.zeros(mp)
     logs_m = np.zeros(mm)
@@ -256,12 +256,13 @@ def run_monte_carlo(
         if Fm is not None:
             Fm = Mm @ Fm
         if gen == "T":
-            w = (u[0] + a * u[1], u[1])
+            u0 += a * u1
         else:
-            w = (u[0], u[1] + a * u[0])
-        nrm = math.hypot(*w)
+            u1 += a * u0
+        nrm = math.hypot(u0, u1)
         taut += math.log(nrm)
-        u = np.array(w) / nrm
+        u0 /= nrm
+        u1 /= nrm
         digits_since_refresh += 1
         moves_since_renorm += a
         at_boundary = step + 1 == boundaries[bi]

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pillowtiled import lattice
@@ -213,11 +214,15 @@ def test_unimodular_inverse():
 def test_inverses_reject_bad_input_without_assertions():
     code = (
         "from pillowtiled import lattice\n"
-        "for f, a in ((lattice.unimodular_inverse, [[2, 0], [0, 1]]),\n"
-        "             (lattice.left_inverse, [[2, 0], [0, 1], [0, 0]]),\n"
-        "             (lattice.matmul, [[1, 2]])):\n"
+        "for f, *a in ((lattice.unimodular_inverse, [[2, 0], [0, 1]]),\n"
+        "              (lattice.left_inverse, [[2, 0], [0, 1], [0, 0]]),\n"
+        "              (lattice.matmul, [[1, 2]], [[1]]),\n"
+        "              (lattice.matmul, [[1, 2], [3]], [[1], [1]]),\n"
+        "              (lattice.matmul, [[1, 2]], [[1, 2], [3]]),\n"
+        "              (lattice.matmul, [[2**70, 2], [3]], [[1], [1]]),\n"
+        "              (lattice.matmul, [[], [1]], [])):\n"
         "    try:\n"
-        "        f(a, [[1]]) if f is lattice.matmul else f(a)\n"
+        "        f(*a)\n"
         "    except ValueError:\n"
         "        continue\n"
         "    raise SystemExit(f'{f.__name__} accepted {a}')\n"
@@ -245,6 +250,102 @@ def test_matmul_with_no_rows():
     # a 0 x 2 factor prints as [] and carries no inner dimension
     assert lattice.matmul([], [[1, 2], [3, 4]]) == []
     assert lattice.matmul([], []) == []
+
+
+def _matmul_reference(a, b):
+    """The pure Python-int product, the reference for the int64 path."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _guarded_operands(rng, m, k, n, mode):
+    """Random m x k and k x n factors; ``mode`` sets their size against
+    the int64 guard k * max|a| * max|b| < 2**62."""
+    if mode == "small":
+        ma, mb = rng.randint(0, 9), rng.randint(0, 9)
+    elif mode in ("below", "above"):
+        mb = rng.randint(1, 2**20)
+        ma = (2**62 - 1) // (k * mb)  # largest ma below the bound
+        if mode == "above":
+            ma += 1
+    else:  # "huge": entries past int64 itself
+        ma, mb = 2**63 + rng.randint(0, 2**40), rng.randint(1, 2**70)
+    a = [[rng.choice((-ma, ma)) if rng.random() < 0.5 else rng.randint(-ma, ma)
+          for _ in range(k)] for _ in range(m)]
+    b = [[rng.choice((-mb, mb)) if rng.random() < 0.5 else rng.randint(-mb, mb)
+          for _ in range(n)] for _ in range(k)]
+    if k and n:  # make max|a| and max|b| exactly ma and mb
+        a[rng.randrange(m)][rng.randrange(k)] = rng.choice((-ma, ma))
+        b[rng.randrange(k)][rng.randrange(n)] = rng.choice((-mb, mb))
+    return a, b
+
+
+def test_matmul_matches_the_python_int_product():
+    rng = random.Random(20261018)
+    modes = ("small", "below", "above", "huge")
+    for t in range(1200):
+        m, k, n = (rng.randint(1, 40) for _ in range(3))
+        if t % 50 == 7:
+            k = 0  # m x 0 times 0 x 0: the 0 x n factor prints as []
+        elif t % 50 == 11:
+            n = 0  # m x k times k x 0
+        a, b = _guarded_operands(rng, m, k, n, modes[t % 4] if k else "small")
+        if k == 0:
+            b = []
+        if t % 3 == 0:
+            a, b = tuple(map(tuple, a)), tuple(map(tuple, b))
+        got = lattice.matmul(a, b)
+        assert got == _matmul_reference(a, b), (t, m, k, n)
+        assert isinstance(got, list) and all(isinstance(row, list) for row in got)
+        assert all(type(x) is int for row in got for x in row)
+
+
+def test_matmul_stays_exact_past_int64():
+    # a product of int64-sized entries that would wrap on int64
+    a, b = [[2**62, 2**62]], [[2], [2]]
+    assert lattice.matmul(a, b) == [[2**64]]
+    # k * x * x = 2 * x * x passes the guard up to x = 2**30 + 1; at x = 2**31
+    # the product itself, 2**63, would wrap
+    for x in (2**30, 2**30 + 1, 2**31):
+        a, b = [[x, x]], [[x], [x]]
+        assert lattice.matmul(a, b) == [[2 * x * x]]
+    assert lattice.matmul([[-(2**63)]], [[-(2**63)]]) == [[2**126]]
+    # entries past int64 against a zero factor
+    assert lattice.matmul([[2**70, 1]], [[0], [0]]) == [[0]]
+    assert lattice.matmul([[0, 0]], [[-(2**80)], [2**64]]) == [[0]]
+
+
+def test_matmul_below_the_guard_runs_on_int64(monkeypatch):
+    products = []
+
+    class Spy(np.ndarray):
+        def __matmul__(self, other):
+            products.append((self.dtype, other.dtype))
+            return np.matmul(self.view(np.ndarray), other.view(np.ndarray))
+
+    real = np.array
+    monkeypatch.setattr(lattice.np, "array", lambda obj, *args: real(obj, *args).view(Spy))
+    k, mb = 3, 5
+    ma = (2**62 - 1) // (k * mb)
+    a, b = [[ma, -ma, ma]], [[mb], [mb], [-mb]]
+    assert lattice.matmul(a, b) == [[-ma * mb]]
+    assert products == [(np.int64, np.int64)]
+    assert lattice.matmul([[ma + 1, 0, 0]], b) == [[(ma + 1) * mb]]
+    assert len(products) == 1  # at the guard the Python-int product runs
+
+
+def test_matmul_rejects_ragged_rows():
+    cases = [
+        ([[1, 2], [3]], [[1], [1]]),               # ragged left factor
+        ([[1, 2]], [[1, 2], [3]]),                 # ragged right factor
+        ([[2**70, 2], [3]], [[1], [1]]),           # past the guard
+        ([[1, 2]], [[2**70, 2], [3]]),
+        (((1, 2), (3,)), ((1,), (1,))),
+        ([[], [1]], []),                           # first row is empty
+        ([[1, 2]], [[], [1]]),
+    ]
+    for a, b in cases:
+        with pytest.raises(ValueError):
+            lattice.matmul(a, b)
 
 
 def test_max_finite_order():

@@ -45,3 +45,12 @@ def test_src_imports_only_stdlib_numpy():
                 if name.partition(".")[0] not in allowed
             ]
     assert not found, "imports beyond stdlib and numpy: " + ", ".join(found)
+
+
+def test_int64_only_in_lattice():
+    # the guarded product in lattice.matmul is the one place where exact
+    # integers meet a fixed width
+    files = sorted(SRC.glob("*.py"))
+    assert files, f"no sources under {SRC}"
+    found = [path.name for path in files if "int64" in path.read_text()]
+    assert found == ["lattice.py"], found
