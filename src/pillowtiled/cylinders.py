@@ -31,7 +31,7 @@ from .permsurf import (
     orientation_double_cover,
     pillow_stratum,
 )
-from .permutations import cycles
+from .permutations import Perm, cycles
 
 __all__ = [
     "KAPPA_SV",
@@ -72,9 +72,13 @@ def horizontal_cylinders(o: Origami) -> CylinderDecomposition:
     Marked points are retained, so every row boundary is singular and all
     cylinders have height 1 and width = row length.
     """
-    cyls = tuple(sorted(((len(c), 1) for c in cycles(o.h)), reverse=True))
+    return _row_cylinders(o.h, o.d)
+
+
+def _row_cylinders(h: Perm, d: int) -> CylinderDecomposition:
+    cyls = tuple(sorted(((len(c), 1) for c in cycles(h)), reverse=True))
     dec = CylinderDecomposition(cyls)
-    if dec.area() != o.d:
+    if dec.area() != d:
         raise ArithmeticError("the horizontal cylinders do not fill the surface")
     return dec
 
@@ -82,8 +86,8 @@ def horizontal_cylinders(o: Origami) -> CylinderDecomposition:
 def sv_raw(G: OrbitGraph) -> Fraction:
     """Orbit average of sum(h/w), before normalization."""
     total = Fraction(0)
-    for o in G.origamis():
-        total += horizontal_cylinders(o).modulus_sum()
+    for w in G.vertices:
+        total += _row_cylinders(w[0], G.d).modulus_sum()
     return total / G.size
 
 

@@ -75,7 +75,8 @@ def transpose(a: list[list[int]]) -> list[list[int]]:
 
 
 def mat_eq(a, b) -> bool:
-    return shape(a) == shape(b) and all(ra == rb for ra, rb in zip(a, b))
+    """Entrywise equality; list and tuple rows compare alike."""
+    return shape(a) == shape(b) and all(list(ra) == list(rb) for ra, rb in zip(a, b))
 
 
 class NotQuasiUnipotentError(ArithmeticError):

@@ -12,8 +12,8 @@ When the surface is an orientation double cover, the deck involution is
 transported along: a shear re-cuts the surface, so iota picks up the
 permutation that moves the new cut back onto the old one (T: iota' =
 h . iota, T^-1: iota' = h^-1 . iota, L: iota' = v . iota), while the
-quarter turn needs no re-cut (S: iota' = iota).  Each move re-validates
-the involution, so a transported state is always a legal double cover.
+quarter turn needs no re-cut (S: iota' = iota).  A single move checked
+through :func:`apply_state_generator` re-validates the involution.
 
 Orbits are finite; closure under S and T alone suffices (on a finite
 orbit every generator acts bijectively, so inverses are reachable).
@@ -24,6 +24,14 @@ is pruned at the first entry of its relabeled h that exceeds the best
 one so far; the tuples compare h first, so it could not have won.  A
 start that an automorphism found on a tie maps from an earlier start is
 skipped, since it gives the same result.
+
+The closure steps on canonical permutation tuples and validates each new
+vertex once, when it is first seen: the permutation and connectivity
+checks of :class:`Origami`, the involution and, for origamis, the
+stratum.  That equals checking every move.  Each check is invariant under
+relabeling, so checking the canonical image is checking the raw one, and
+a move onto a vertex seen before lands on a tuple that was checked when
+it was first seen.
 """
 
 from __future__ import annotations
@@ -73,19 +81,23 @@ def apply_generator(o: Origami, gen: str) -> Origami:
     return Origami(o.d, h, v, allow_disconnected=o.allow_disconnected)
 
 
+def _transport(h: Perm, v: Perm, iota: Perm, gen: str) -> Perm:
+    """The deck involution carried along the move gen of (h, v)."""
+    if gen == "T":
+        return compose(h, iota)
+    if gen == "S":
+        return iota
+    if gen == "Tinv":
+        return compose(inverse(h), iota)
+    if gen == "L":
+        return compose(v, iota)
+    raise ValueError(f"unknown generator {gen!r}")
+
+
 def apply_state_generator(o: Origami, iota: Perm, gen: str) -> tuple[Origami, Perm]:
     """Act on a double cover, transporting the deck involution."""
     new = apply_generator(o, gen)
-    if gen == "T":
-        iota2 = compose(o.h, iota)
-    elif gen == "S":
-        iota2 = iota
-    elif gen == "Tinv":
-        iota2 = compose(inverse(o.h), iota)
-    elif gen == "L":
-        iota2 = compose(o.v, iota)
-    else:  # pragma: no cover - _move already rejected it
-        raise ValueError(f"unknown generator {gen!r}")
+    iota2 = _transport(o.h, o.v, iota, gen)
     validate_involution(new, iota2)
     return new, iota2
 
@@ -237,7 +249,10 @@ class OrbitGraph:
         return "\n".join(lines) + "\n"
 
 
-def _close_orbit(seed: tuple[Perm, ...], d: int, step, cap: int) -> OrbitGraph:
+def _close_orbit(seed: tuple[Perm, ...], d: int, step, check, cap: int) -> OrbitGraph:
+    """S,T-closure from a canonical seed; ``step(w, gen)`` is the canonical
+    image of vertex w and ``check(w)`` validates a vertex when first seen."""
+    check(seed)
     seen = {seed}
     order = [seed]
     frontier = [seed]
@@ -248,6 +263,7 @@ def _close_orbit(seed: tuple[Perm, ...], d: int, step, cap: int) -> OrbitGraph:
             for gen in ("S", "T"):
                 img = step(w, gen)
                 if img not in seen:
+                    check(img)
                     if len(seen) >= cap:
                         raise OrbitCapExceeded(cap)
                     seen.add(img)
@@ -267,29 +283,30 @@ def _close_orbit(seed: tuple[Perm, ...], d: int, step, cap: int) -> OrbitGraph:
 
 def enumerate_orbit(o: Origami, cap: int = DEFAULT_ORBIT_CAP) -> OrbitGraph:
     """Breadth-first closure of the S,T action on canonical forms."""
+    d = o.d
     stratum = origami_stratum(o)
 
     def step(w: tuple[Perm, ...], gen: str) -> tuple[Perm, ...]:
-        surf = Origami(o.d, w[0], w[1])
-        img = canonical_form(apply_generator(surf, gen))
-        if origami_stratum(img) != stratum:
-            raise ArithmeticError("stratum changed along a move")
-        return (img.h, img.v)
+        return canonical_perms(_move(w[0], w[1], gen), d)
 
-    seed = canonical_form(o)
-    return _close_orbit((seed.h, seed.v), o.d, step, cap)
+    def check(w: tuple[Perm, ...]) -> None:
+        if origami_stratum(Origami(d, w[0], w[1])) != stratum:
+            raise ArithmeticError("stratum changed along a move")
+
+    return _close_orbit(canonical_perms((o.h, o.v), d), d, step, check, cap)
 
 
 def enumerate_state_orbit(o: Origami, iota: Perm,
                           cap: int = DEFAULT_ORBIT_CAP) -> OrbitGraph:
     """Orbit of a double-cover state (h, v, iota) under S and T."""
+    d = o.d
     validate_involution(o, iota)
 
     def step(w: tuple[Perm, ...], gen: str) -> tuple[Perm, ...]:
-        surf = Origami(o.d, w[0], w[1], allow_disconnected=True)
-        img, i2 = apply_state_generator(surf, w[2], gen)
-        img, i2 = canonical_state(img, i2)
-        return (img.h, img.v, i2)
+        h, v, i = w
+        return canonical_perms((*_move(h, v, gen), _transport(h, v, i, gen)), d)
 
-    surf0, iota0 = canonical_state(o, iota)
-    return _close_orbit((surf0.h, surf0.v, iota0), o.d, step, cap)
+    def check(w: tuple[Perm, ...]) -> None:
+        validate_involution(Origami(d, w[0], w[1], allow_disconnected=True), w[2])
+
+    return _close_orbit(canonical_perms((o.h, o.v, iota), d), d, step, check, cap)

@@ -20,7 +20,7 @@ def identity(n: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """p after q: (compose(p, q))(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(q)))
+    return tuple([p[x] for x in q])
 
 
 def compose_all(*perms: Perm) -> Perm:

@@ -348,6 +348,28 @@ def test_matmul_rejects_ragged_rows():
             lattice.matmul(a, b)
 
 
+def test_mat_eq_compares_entries_not_row_types():
+    equal = [
+        ([[1]], ((1,),)),
+        (((1, -2), (0, 3)), [[1, -2], [0, 3]]),
+        ([(1, 2), [3, 4]], ([1, 2], (3, 4))),
+        ([], ()),
+        ([[]], ((),)),
+    ]
+    for a, b in equal:
+        assert lattice.mat_eq(a, b) and lattice.mat_eq(b, a)
+    unequal = [
+        ([[1]], ((2,),)),
+        (((1, 2), (3, 4)), [[1, 2], [3, 5]]),
+        ([[1, 2]], ((1,), (2,))),                  # shape mismatch
+        ([[1, 2]], ((1, 2), (1, 2))),
+        ([[1]], ()),
+        ([[1, 2], [3]], ((1, 2), (3, 4))),         # ragged against full
+    ]
+    for a, b in unequal:
+        assert not lattice.mat_eq(a, b) and not lattice.mat_eq(b, a)
+
+
 def test_max_finite_order():
     assert [lattice.max_finite_order(n) for n in range(1, 11)] == [
         2, 6, 6, 12, 12, 30, 30, 60, 60, 120,

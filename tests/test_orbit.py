@@ -35,6 +35,7 @@ from pillowtiled.permsurf import (
     random_origami,
     random_pillow_cover,
     reconstruct_pillow_cover,
+    validate_involution,
 )
 from pillowtiled.permutations import (
     all_permutations,
@@ -456,3 +457,160 @@ def test_to_text_stable():
     g = enumerate_orbit(L3)
     assert g.to_text() == enumerate_orbit(L3).to_text()
     assert g.to_text().startswith("d 3\nsize ")
+
+
+# ---------------------------------------------------- orbit closure reference
+# The closure as it stood before it stepped on canonical tuples: every step
+# builds an Origami from the vertex, moves it, canonicalises the image
+# through canonical_form or canonical_state and checks it, on every edge.
+
+
+def _reference_close(seed, d, step, cap):
+    seen = {seed}
+    order = [seed]
+    frontier = [seed]
+    edges = set()
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for gen in ("S", "T"):
+                img = step(w, gen)
+                if img not in seen:
+                    if len(seen) >= cap:
+                        raise OrbitCapExceeded(cap)
+                    seen.add(img)
+                    order.append(img)
+                    nxt.append(img)
+                edges.add((w, gen, img))
+        frontier = nxt
+    vertices = tuple(sorted(order))
+    index = {w: i for i, w in enumerate(vertices)}
+    return orbit.OrbitGraph(d=d, base=seed, vertices=vertices,
+                            edges=tuple(sorted((index[a], g, index[b]) for a, g, b in edges)))
+
+
+def reference_orbit(o, cap=orbit.DEFAULT_ORBIT_CAP):
+    stratum = origami_stratum(o)
+
+    def step(w, gen):
+        img = canonical_form(apply_generator(Origami(o.d, w[0], w[1]), gen))
+        if origami_stratum(img) != stratum:
+            raise ArithmeticError("stratum changed along a move")
+        return (img.h, img.v)
+
+    seed = canonical_form(o)
+    return _reference_close((seed.h, seed.v), o.d, step, cap)
+
+
+def reference_state_orbit(o, iota, cap=orbit.DEFAULT_ORBIT_CAP):
+    validate_involution(o, iota)
+
+    def step(w, gen):
+        surf = Origami(o.d, w[0], w[1], allow_disconnected=True)
+        img, i2 = canonical_state(*apply_state_generator(surf, w[2], gen))
+        return (img.h, img.v, i2)
+
+    surf0, iota0 = canonical_state(o, iota)
+    return _reference_close((surf0.h, surf0.v, iota0), o.d, step, cap)
+
+
+def test_orbit_closure_matches_the_reference():
+    rng = np.random.default_rng(67)
+    origamis = [random_origami(int(rng.integers(2, 8)), rng) for _ in range(60)]
+    assert {o.d for o in origamis} == set(range(2, 8))
+    for o in origamis:
+        assert enumerate_orbit(o) == reference_orbit(o), str(o)
+    covers = [random_pillow_cover(int(rng.integers(2, 6)), rng) for _ in range(40)]
+    covers += [cyclic_to_pillow(s) for N in range(1, 7) for s in iter_specs(N)]
+    assert {p.d for p in covers[:40]} == set(range(2, 6))
+    for p in covers:
+        state = orientation_double_cover(p)
+        assert enumerate_state_orbit(*state) == reference_state_orbit(*state), str(p)
+
+
+def test_orbit_cap_matches_the_reference():
+    o = random_origami(7, np.random.default_rng(71))
+    size = enumerate_orbit(o).size
+    assert size > 2
+    assert enumerate_orbit(o, cap=size) == reference_orbit(o, cap=size)
+    for cap in (1, size - 1):
+        for enumerate_ in (enumerate_orbit, reference_orbit):
+            with pytest.raises(OrbitCapExceeded):
+                enumerate_(o, cap=cap)
+
+
+SEVEN = Origami(7, parse_cycles("(1 2 3)(4 5 6 7)", 7), parse_cycles("(3 4)", 7))
+
+
+def test_a_stratum_change_along_a_move_raises(monkeypatch):
+    move = orbit._move
+    calls = []
+
+    def move_off_the_stratum(h, v, gen):
+        calls.append(gen)
+        if len(calls) == 3:
+            # one horizontal cylinder with no vertical twist: only marked points
+            return tuple((x + 1) % len(h) for x in range(len(h))), identity(len(h))
+        return move(h, v, gen)
+
+    monkeypatch.setattr(orbit, "_move", move_off_the_stratum)
+    with pytest.raises(ArithmeticError, match="stratum changed along a move"):
+        enumerate_orbit(SEVEN)
+    assert len(calls) == 3
+
+
+def test_a_broken_transported_involution_raises(monkeypatch):
+    # iota is not re-cut along the shears, so it stops reversing v
+    monkeypatch.setattr(orbit, "_transport", lambda h, v, iota, gen: iota)
+    o, iota = orientation_double_cover(FIVE)
+    with pytest.raises(ValueError, match="involution does not reverse"):
+        enumerate_state_orbit(o, iota)
+
+
+def test_orbit_checks_raise_without_assertions():
+    code = (
+        "from pillowtiled import orbit\n"
+        "from pillowtiled.coverings import CyclicCoverSpec, cyclic_to_pillow\n"
+        "from pillowtiled.permsurf import orientation_double_cover\n"
+        "state = orientation_double_cover(cyclic_to_pillow(CyclicCoverSpec(5, (1, 2, 2, 5))))\n"
+        "orbit._transport = lambda h, v, iota, gen: iota\n"
+        "try:\n"
+        "    orbit.enumerate_state_orbit(*state)\n"
+        "except ValueError:\n"
+        "    raise SystemExit(7)\n"
+        "raise SystemExit('a broken involution was accepted')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(orbit.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
+    assert proc.returncode == 7, proc.stderr
+
+
+def _count_checks(monkeypatch):
+    counts = {"Origami.__post_init__": 0, "validate_involution": 0}
+    post_init = Origami.__post_init__
+
+    def counted_post_init(self):
+        counts["Origami.__post_init__"] += 1
+        post_init(self)
+
+    def counted_validate_involution(o, iota):
+        counts["validate_involution"] += 1
+        validate_involution(o, iota)
+
+    monkeypatch.setattr(Origami, "__post_init__", counted_post_init)
+    monkeypatch.setattr(orbit, "validate_involution", counted_validate_involution)
+    return counts
+
+
+@pytest.mark.parametrize("case", ["origami", "state"])
+def test_each_vertex_is_checked_at_most_twice(monkeypatch, case):
+    state = orientation_double_cover(FIVE)
+    counts = _count_checks(monkeypatch)
+    g = enumerate_orbit(SEVEN) if case == "origami" else enumerate_state_orbit(*state)
+    assert (g.size, len(g.edges)) == ((144, 288) if case == "origami" else (3, 6))
+    # every new vertex is checked once, and no edge checks it again
+    assert g.size <= counts["Origami.__post_init__"] <= 2 * g.size
+    if case == "state":
+        assert g.size <= counts["validate_involution"] <= 2 * g.size
+    else:
+        assert counts["validate_involution"] == 0
