@@ -24,14 +24,17 @@ Gauss-Legendre panels on the smooth remainder.  Refinement levels double
 every node count; the error estimate is the last inter-level delta, so
 only the last two levels are computed.
 
-The panel part of all entries is evaluated in one blocked pass per level
-over the live (nonzero-weight) panel nodes: each block evaluates P, the
-phase of q and every basis form once, and the entries sharing a weight
-(B entries with the same m, H entries with the same character b) come
-out of one product (F_I * W) @ F_J^T, or F_b^H on the right for H.
-Blocks bound the working set whatever the level.  Disk and infinity sums
-stay per entry, since their Gauss-Jacobi nodes depend on the entry's
-exponents.
+Every part of the integral is a weighted node set (z, w): the live
+(nonzero-weight) panel nodes, a disk around a center for one radial
+exponent gamma (its cutoff folded into w), or the chart at infinity
+(z = 1/u, with |u|^-4 folded into w).  One blocked evaluator integrates
+any node set: each block evaluates P, the phase of q and every basis
+form once, and the entries sharing a weight (B entries with the same m,
+H entries with the same character b) come out of one product
+(F_I * W) @ F_J^T, or F_b^H on the right for H.  Blocks bound the
+working set whatever the level.  Per level the panel nodes are evaluated
+once and each distinct (center, gamma) disk once; an entry is its panel
+part plus the disks of its own exponents.
 """
 
 from __future__ import annotations
@@ -222,23 +225,12 @@ class CurveDifferential:
         return num
 
 
-def _q_parts(q):
-    """(wpow, rational part R, its zero orders, poles) for either q type."""
-    wpow = getattr(q, "wpow", 0)
-    return wpow, q, tuple(q.zero_orders), tuple(q.finite_poles)
-
-
-def _q_order_at_infinity(q) -> int:
-    num = sum(m for _, m in q.zero_orders)
-    return -num + len(q.finite_poles)
-
-
 def _pullback_has_simple_pole(curve: SuperellipticCurve, q) -> bool:
-    wpow, _, zero_orders, poles = _q_parts(q)
+    wpow = getattr(q, "wpow", 0)
     N = curve.N
     exponent = {z: a for z, a in zip(curve.branch, curve.a)}
-    base_order = {z: -1 for z in poles}
-    for z, m in zero_orders:
+    base_order = {z: -1 for z in q.finite_poles}
+    for z, m in q.zero_orders:
         base_order[z] = m
     for z in set(curve.branch) | set(base_order):
         bo = base_order.get(z, 0)
@@ -255,7 +247,7 @@ def _pullback_has_simple_pole(curve: SuperellipticCurve, q) -> bool:
     # infinity
     d = math.gcd(N, curve.a_inf)
     e = curve.N // d
-    base_inf = _q_order_at_infinity(q) - 4
+    base_inf = len(q.finite_poles) - sum(m for _, m in q.zero_orders) - 4
     w_ord_inf = -curve.total_exponent // d
     up = e * base_inf + 2 * (e - 1) - wpow * w_ord_inf
     return up == -1
@@ -291,29 +283,23 @@ def _chi_profile(rho, radius):
 
 
 class _Region:
-    """Node/weight layout for one (curve, q) geometry.
+    """Weighted node sets (z, w) for one (curve, q) geometry.
 
     The smooth background region is tiled by a graded quadtree whose
     cells shrink toward the singular centers, so the partition-of-unity
     transition annuli are resolved; each refinement level doubles the
-    Gauss-Legendre order on that fixed mesh, and the polar node counts.
+    Gauss-Legendre order on that fixed mesh, and the disk node counts.
     """
 
     def __init__(self, centers: list[complex]):
-        self.centers = centers
-        if centers:
-            rad = []
-            for i, c in enumerate(centers):
-                dmin = min(
-                    (abs(c - o) for j, o in enumerate(centers) if j != i),
-                    default=2.0,
-                )
-                rad.append(min(0.35 * dmin, 1.5))
-            self.radii = rad
-            far = max(abs(c) + r for c, r in zip(centers, rad))
-        else:
-            self.radii = []
-            far = 1.0
+        self.radii: dict[complex, float] = {}
+        for i, c in enumerate(centers):
+            dmin = min(
+                (abs(c - o) for j, o in enumerate(centers) if j != i),
+                default=2.0,
+            )
+            self.radii[c] = min(0.35 * dmin, 1.5)
+        far = max((abs(c) + r for c, r in self.radii.items()), default=1.0)
         self.r_out = 2.0 * max(far, 1.0)
         self.u_rad = 1.0 / self.r_out
         self.cells = self._cells()
@@ -331,7 +317,7 @@ class _Region:
                 continue
             split = False
             dead = False
-            for s, r in zip(self.centers, self.radii):
+            for s, r in self.radii.items():
                 d = abs(c - s)
                 if d + diag <= 0.5 * r:
                     dead = True
@@ -353,35 +339,32 @@ class _Region:
                 out.append((c, h))
         return out
 
-    def disk_sum(self, g, center, radius, gamma, level):
+    def _disk_nodes(self, center, gamma, level):
+        """(z, weight) on the disk around ``center`` (None: the chart at
+        infinity) for the radial exponent ``gamma``.
+
+        The rule is the Gauss-Jacobi radial rule matched to gamma times
+        the trapezoid angular rule, with the cutoff folded into the
+        weight.  At infinity it runs in u = 1/z around u = 0, and the
+        Jacobian |u|^-4 is folded into the weight as well.
+        """
+        radius = self.u_rad if center is None else self.radii[center]
         n_ang = 18 * (2 ** level)
         x, wj = _jacobi_rule(14 * (2 ** level), gamma)
         rho = radius * (x + 1.0) / 2.0
         ang = 2.0 * np.pi * np.arange(n_ang) / n_ang
-        z = center + rho[:, None] * np.exp(1j * ang)[None, :]
-        vals = g(z)
-        w2 = (
+        z = (rho[:, None] * np.exp(1j * ang)[None, :]).ravel()
+        w = np.repeat(
             wj
             * _chi_profile(rho, radius)
             * rho ** (-gamma)
             * (radius / 2.0) ** (gamma + 2.0)
-            * (2.0 * np.pi / n_ang)
+            * (2.0 * np.pi / n_ang),
+            n_ang,
         )
-        return complex(np.sum(vals * w2[:, None]))
-
-    def infinity_sum(self, g, gamma_inf, level):
-        def g_u(u):
-            return g(1.0 / u) * np.abs(u) ** (-4.0)
-
-        return self.disk_sum(g_u, 0.0, self.u_rad, gamma_inf, level)
-
-    def polar_sum(self, g, gammas: dict, gamma_inf: float, level: int):
-        """The disk and infinity parts of the integral of g."""
-        total = 0.0 + 0.0j
-        for c, r in zip(self.centers, self.radii):
-            total += self.disk_sum(g, c, r, float(gammas.get(c, 0.0)), level)
-        total += self.infinity_sum(g, float(gamma_inf), level)
-        return total
+        if center is None:
+            return 1.0 / z, w * np.abs(z) ** (-4.0)
+        return center + z, w
 
     def _panel_nodes(self, level):
         """Yield (z, weight) for the live smooth-panel nodes, a run of
@@ -404,7 +387,7 @@ class _Region:
             zz = (cc[:, None] + hh[:, None] * offs[None, :]).ravel()
             ww = ((hh ** 2)[:, None] * w2[None, :]).ravel()
             mask = np.ones_like(ww)
-            for c, r in zip(self.centers, self.radii):
+            for c, r in self.radii.items():
                 _mask_inside(mask, np.abs(zz - c), r)
             with np.errstate(divide="ignore"):
                 u = np.where(np.abs(zz) > 0, 1.0 / np.abs(zz), np.inf)
@@ -447,19 +430,22 @@ def _mask_inside(mask, rho, radius):
     mask[near] *= 1.0 - _chi_profile(rho[near], radius)
 
 
-def _entry_exponents(curve, f1, f2, q_centers, weight_at, weight_inf):
-    """Radial exponents of one matrix entry at every singular center."""
-    gammas = {}
-    for s in q_centers:
-        g = _form_order_at(curve, f1, s) + _form_order_at(curve, f2, s)
-        gammas[s] = g + weight_at(s)
-    gamma_inf = -(f1.degree + f2.degree) + weight_inf
-    for s, gm in gammas.items():
-        if gm <= -2:
-            raise RuntimeError(f"non-integrable exponent {gm} at {s}")
-    if gamma_inf <= -2:
-        raise RuntimeError(f"non-integrable exponent {gamma_inf} at infinity")
-    return gammas, gamma_inf
+def _entry_disks(curve, f1, f2, centers, e):
+    """The disk node sets (center, gamma) of one matrix entry, the last
+    one at infinity (center None), for an integrand f1 f2 times a weight
+    of modulus |P|^-e; the exponents are exact."""
+    exponent = dict(zip(curve.branch, curve.a))
+    disks = [
+        (s, _form_order_at(curve, f1, s) + _form_order_at(curve, f2, s)
+         - e * exponent.get(s, 0))
+        for s in centers
+    ]
+    disks.append((None, e * curve.total_exponent - f1.degree - f2.degree - 4))
+    for s, gamma in disks:
+        if gamma <= -2:
+            where = "infinity" if s is None else s
+            raise RuntimeError(f"non-integrable exponent {gamma} at {where}")
+    return disks
 
 
 def _poly_eval(curve, z):
@@ -469,7 +455,7 @@ def _poly_eval(curve, z):
     return P
 
 
-def pairing_matrices(curve: SuperellipticCurve, q, basis=None, *, levels: int = 3) -> BFormReport:
+def pairing_matrices(curve: SuperellipticCurve, q, *, levels: int = 3) -> BFormReport:
     """Contraction pairing B, Hodge Gram H, and the normalized spectrum.
 
     ``q`` is a base differential (pullback) or a CurveDifferential with a
@@ -479,24 +465,18 @@ def pairing_matrices(curve: SuperellipticCurve, q, basis=None, *, levels: int = 
     """
     if levels < 1:
         raise ValueError("levels must be at least 1")
-    if basis is None:
-        basis = holomorphic_basis(curve)
+    basis = holomorphic_basis(curve)
     g_count = len(basis)
-    wpow, R, zero_orders, poles = _q_parts(q)
+    wpow = getattr(q, "wpow", 0)
     N = curve.N
-    A = curve.total_exponent
 
     centers = list(curve.branch)
-    for z, _ in zero_orders:
+    for z in [z for z, _ in q.zero_orders] + list(q.finite_poles):
         if z not in centers:
             centers.append(z)
-    for z in poles:
-        if z not in centers:
-            centers.append(z)
-    exponent = {z: a for z, a in zip(curve.branch, curve.a)}
 
     def phase(z):
-        r = R(z)
+        r = q(z)
         mag = np.abs(r)
         return np.where(mag == 0, 1.0 + 0.0j, np.conj(r) / np.maximum(mag, 1e-300))
 
@@ -513,72 +493,53 @@ def pairing_matrices(curve: SuperellipticCurve, q, basis=None, *, levels: int = 
     def h_weight(absP, b):
         return N * absP ** (-2.0 * b / N)
 
-    def b_entry_fn(f1, f2, m):
-        def g(z):
-            P = _poly_eval(curve, z)
-            F = _form_values(curve, (f1, f2), z)
-            return F[0] * F[1] * b_weight(P, np.abs(P), phase(z), m)
-
-        return g
-
-    def h_entry_fn(f1, f2, b):
-        def g(z):
-            F = _form_values(curve, (f1, f2), z)
-            return F[0] * np.conj(F[1]) * h_weight(np.abs(_poly_eval(curve, z)), b)
-
-        return g
-
-    # upper-triangle entries that survive the character sum, with their
-    # radial exponents; grouped by m (B) and by character b (H)
+    # upper-triangle entries that survive the character sum; each distinct
+    # disk node set lists the entries that use it
     b_entries, h_entries = [], []
-    b_groups: dict[int, list[tuple[int, int]]] = {}
-    h_index: dict[int, list[int]] = {}
+    disks: dict[tuple, tuple[list, list]] = {}
     for i, f1 in enumerate(basis):
         for j in range(i, g_count):
             f2 = basis[j]
             if (f1.b + f2.b - wpow) % N == 0:
                 m = (f1.b + f2.b - wpow) // N
-                gammas, ginf = _entry_exponents(
-                    curve, f1, f2, centers,
-                    lambda s: -(m + wpow / N) * exponent.get(s, 0),
-                    (m + wpow / N) * A - 4,
-                )
-                b_entries.append((i, j, m, b_entry_fn(f1, f2, m), gammas, ginf))
-                b_groups.setdefault(m, []).append((i, j))
+                b_entries.append((i, j, m))
+                for key in _entry_disks(curve, f1, f2, centers, m + Fraction(wpow, N)):
+                    disks.setdefault(key, ([], []))[0].append((i, j, m))
             if f1.b == f2.b:
-                b = f1.b
-                gammas, ginf = _entry_exponents(
-                    curve, f1, f2, centers,
-                    lambda s: -2.0 * b * exponent.get(s, 0) / N,
-                    2.0 * b * A / N - 4,
-                )
-                h_entries.append((i, j, h_entry_fn(f1, f2, b), gammas, ginf))
-                if i == j:
-                    h_index.setdefault(b, []).append(i)
-    b_index = {
-        m: (sorted({i for i, _ in ij}), sorted({j for _, j in ij}))
-        for m, ij in b_groups.items()
-    }
+                h_entries.append((i, j))
+                for key in _entry_disks(curve, f1, f2, centers, Fraction(2 * f1.b, N)):
+                    disks.setdefault(key, ([], []))[1].append((i, j))
 
-    def plane_sums(region, level):
-        """Smooth-panel parts of every B entry (one matrix per m) and H
-        entry, in one pass over the nodes: per block, P, the phase and
-        each basis form are evaluated once, and each entry group is a
-        weighted matrix product."""
-        Bp = {m: np.zeros((g_count, g_count), dtype=complex) for m in b_index}
-        Hp = np.zeros((g_count, g_count), dtype=complex)
-        for z, w in region._panel_nodes(level):
+    def node_sums(node_sets, b_list, h_list):
+        """The entries b_list (B) and h_list (H) integrated over the node
+        sets, as one matrix per m for B and one matrix for H.  The entries
+        sharing a weight (same m, or same character) are one product over
+        their rows and columns; per block, P, the phase and each basis
+        form are evaluated once."""
+        b_index: dict[int, tuple[set, set]] = {}
+        for i, j, m in b_list:
+            rows, cols = b_index.setdefault(m, (set(), set()))
+            rows.add(i)
+            cols.add(j)
+        b_index = {m: (sorted(r), sorted(c)) for m, (r, c) in b_index.items()}
+        h_index: dict[int, set] = {}
+        for i, j in h_list:
+            h_index.setdefault(basis[i].b, set()).update((i, j))
+        h_index = {b: sorted(idx) for b, idx in h_index.items()}
+        Bs = {m: np.zeros((g_count, g_count), dtype=complex) for m in b_index}
+        Hs = np.zeros((g_count, g_count), dtype=complex)
+        for z, w in node_sets:
             P = _poly_eval(curve, z)
             absP = np.abs(P)
             F = _form_values(curve, basis, z)
             ph = phase(z) if b_index else None
             for m, (rows, cols) in b_index.items():
                 W = w * b_weight(P, absP, ph, m)
-                Bp[m][np.ix_(rows, cols)] += (F[rows] * W) @ F[cols].T
+                Bs[m][np.ix_(rows, cols)] += (F[rows] * W) @ F[cols].T
             for b, idx in h_index.items():
                 Fb = F[idx]
-                Hp[np.ix_(idx, idx)] += (Fb * (w * h_weight(absP, b))) @ Fb.conj().T
-        return Bp, Hp
+                Hs[np.ix_(idx, idx)] += (Fb * (w * h_weight(absP, b))) @ Fb.conj().T
+        return Bs, Hs
 
     # only the last two levels are read: the answer and the error estimate;
     # with no entry to integrate no geometry is built
@@ -586,16 +547,22 @@ def pairing_matrices(curve: SuperellipticCurve, q, basis=None, *, levels: int = 
     quad_error = 0.0
     region = _Region(centers) if b_entries or h_entries else None
     for k, level in enumerate(range(max(levels - 2, 0), levels) if region else ()):
-        Bp, Hp = plane_sums(region, level)
+        Bs, Hs = node_sums(region._panel_nodes(level), b_entries, h_entries)
+        for (c, gamma), (b_users, h_users) in disks.items():
+            disk = region._disk_nodes(c, float(gamma), level)
+            Bd, Hd = node_sums([disk], b_users, h_users)
+            for i, j, m in b_users:
+                Bs[m][i, j] += Bd[m][i, j]
+            for i, j in h_users:
+                Hs[i, j] += Hd[i, j]
         Bl = np.zeros((g_count, g_count), dtype=complex)
         Hl = np.zeros((g_count, g_count), dtype=complex)
-        for i, j, m, g, gammas, ginf in b_entries:
-            Bl[i, j] = Bl[j, i] = region.polar_sum(g, gammas, ginf, level) + Bp[m][i, j]
-        for i, j, g, gammas, ginf in h_entries:
-            val = region.polar_sum(g, gammas, ginf, level) + Hp[i, j]
-            Hl[i, j] = val
+        for i, j, m in b_entries:
+            Bl[i, j] = Bl[j, i] = Bs[m][i, j]
+        for i, j in h_entries:
+            Hl[i, j] = Hs[i, j]
             if i != j:
-                Hl[j, i] = np.conj(val)
+                Hl[j, i] = np.conj(Hs[i, j])
         if k:
             quad_error = float(max(np.max(np.abs(Bl - B)), np.max(np.abs(Hl - H))))
         B, H = Bl, Hl

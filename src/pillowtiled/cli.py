@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from .bform import SuperellipticCurve, pairing_matrices
 from .coverings import (
     CyclicCoverSpec,
     check_bounds,
@@ -26,19 +27,21 @@ from .coverings import (
     cyclic_to_pillow,
     is_determinant_locus,
     locus_metadata,
+    sample_base_differential,
 )
 from .cylinders import ekz_for_cover
 from .formats import (
     ParseError,
     iter_input_lines,
     json_ready,
+    parse_cyclic_line,
     parse_locus_line,
     parse_origami_line,
     parse_pillow_line,
     parse_surface_line,
 )
 from .lyapunov import _run_seeds, certify_degenerate
-from .orbit import OrbitCapExceeded, enumerate_orbit, enumerate_state_orbit
+from .orbit import DEFAULT_ORBIT_CAP, OrbitCapExceeded, enumerate_orbit, enumerate_state_orbit
 from .permsurf import orientation_double_cover
 
 __all__ = ["RunConfig", "run", "main"]
@@ -58,7 +61,7 @@ class RunConfig:
     steps: int = 100_000
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
     epsilon: float = 0.02
-    orbit_cap: int = 10_000
+    orbit_cap: int = DEFAULT_ORBIT_CAP
     out: str | None = None
     format: str = "json"
     trace: str | None = None
@@ -81,8 +84,6 @@ def _spec_key(s: CyclicCoverSpec) -> list[int]:
 
 
 def _cmd_construct(line: str, cfg: RunConfig):
-    from .formats import parse_cyclic_line
-
     s = parse_cyclic_line(line)
     rep = cover_report(s)
     return {"spec": _spec_key(s), **json_ready(rep)}, EXIT_OK
@@ -132,8 +133,6 @@ def _cmd_orbit(line: str, cfg: RunConfig):
 
 
 def _cmd_ekz(line: str, cfg: RunConfig):
-    from .formats import parse_cyclic_line
-
     s = parse_cyclic_line(line)
     rep = ekz_for_cover(cyclic_to_pillow(s), orbit_cap=cfg.orbit_cap)
     return {"spec": _spec_key(s), **json_ready(rep)}, EXIT_OK
@@ -148,10 +147,6 @@ def _cmd_lyapunov(line: str, cfg: RunConfig):
 
 
 def _cmd_bform(line: str, cfg: RunConfig):
-    from .bform import SuperellipticCurve, pairing_matrices
-    from .coverings import sample_base_differential
-    from .formats import parse_cyclic_line
-
     s = parse_cyclic_line(line)
     reports = []
     for t in DISC_POINTS:
@@ -177,8 +172,6 @@ def _cmd_bform(line: str, cfg: RunConfig):
 
 
 def _cmd_bounds(line: str, cfg: RunConfig):
-    from .formats import parse_cyclic_line
-
     s = parse_cyclic_line(line)
     rep = cover_report(s)
     verdicts = check_bounds(rep, degenerate=bool(is_determinant_locus(s)))
@@ -262,8 +255,6 @@ def run(config: RunConfig) -> int:
         return EXIT_PARSE
 
     handler = _HANDLERS[config.command]
-    records: list[dict] = []
-    worst = EXIT_OK
     try:
         results = [handler(line, config) for _, line in iter_input_lines(text)]
     except ParseError as exc:
@@ -276,12 +267,8 @@ def run(config: RunConfig) -> int:
         print(f"bad arguments: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    for record, status in results:
-        records.append(record)
-        if status == EXIT_CONTRADICTION:
-            worst = EXIT_CONTRADICTION
-        elif status == EXIT_RESOURCE and worst != EXIT_CONTRADICTION:
-            worst = EXIT_RESOURCE
+    records = [record for record, _ in results]
+    contradiction = any(status == EXIT_CONTRADICTION for _, status in results)
 
     if config.format == "csv":
         buf = io.StringIO()
@@ -298,7 +285,7 @@ def run(config: RunConfig) -> int:
     if config.trace and config.command == "lyapunov":
         _write_trace(records, config.trace)
 
-    return worst
+    return EXIT_CONTRADICTION if contradiction else EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -319,14 +306,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("input", help="input file, one datum per line")
-        p.add_argument("--steps", type=int, default=100_000)
-        p.add_argument("--seeds", default="1,2,3,4,5",
+        p.add_argument("--steps", type=int, default=RunConfig.steps)
+        p.add_argument("--seeds", default=",".join(map(str, RunConfig.seeds)),
                        help="comma-separated seed list")
-        p.add_argument("--epsilon", type=float, default=0.02)
-        p.add_argument("--orbit-cap", type=int, default=10_000)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--trace", default=None,
+        p.add_argument("--epsilon", type=float, default=RunConfig.epsilon)
+        p.add_argument("--orbit-cap", type=int, default=RunConfig.orbit_cap)
+        p.add_argument("--out", default=RunConfig.out)
+        p.add_argument("--format", choices=("json", "csv"), default=RunConfig.format)
+        p.add_argument("--trace", default=RunConfig.trace,
                        help="CSV of per-block slopes (lyapunov only)")
     return parser
 

@@ -154,7 +154,6 @@ def _restrict(M, src_basis, tgt_basis, tgt_coords, name: str) -> tuple[tuple[int
 class Transition:
     """One cached move between canonical states."""
 
-    gen: str
     target: tuple[Perm, Perm, Perm]
     plus: tuple[tuple[int, ...], ...]      # restriction to the + lattices
     minus: tuple[tuple[int, ...], ...]
@@ -194,7 +193,6 @@ class StateCache:
         M = _move_matrix(src, tgt, F)
         sp, tp = src.splitting, tgt.splitting
         tr = Transition(
-            gen=gen,
             target=target,
             plus=_restrict(M, sp.plus_basis, tp.plus_basis, tp.plus_coords, "invariant"),
             minus=_restrict(M, sp.minus_basis, tp.minus_basis, tp.minus_coords, "anti-invariant"),

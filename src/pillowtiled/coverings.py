@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .permsurf import PillowCover, Stratum, pillow_stratum
-from .permutations import Perm, compose_all, cycles, identity, is_permutation
+from .permutations import Perm, compose_all, cycles, identity, is_permutation, is_transitive
 
 __all__ = [
     "CyclicCoverSpec",
@@ -205,20 +205,14 @@ class LocusSpec:
             raise ValueError("orders minus pole count must equal -4")
         h0, h1, hinf = self.cover
         d = len(h0)
+        if d < 1:
+            raise ValueError("cover degree must be positive")
         for p in (h0, h1, hinf):
             if not is_permutation(p) or len(p) != d:
                 raise ValueError("cover monodromy must be same-degree permutations")
         if compose_all(hinf, h1, h0) != identity(d):
             raise ValueError("monodromy product around 0, 1, infinity must be trivial")
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for p in (h0, h1, hinf):
-                if p[x] not in seen:
-                    seen.add(p[x])
-                    frontier.append(p[x])
-        if len(seen) != d:
+        if not is_transitive([h0, h1, hinf], d):
             raise ValueError("cover monodromy must be transitive")
 
     @property

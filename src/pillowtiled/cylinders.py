@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .orbit import OrbitGraph, enumerate_state_orbit
+from .coverings import CyclicCoverSpec, cyclic_to_pillow
+from .orbit import DEFAULT_ORBIT_CAP, OrbitGraph, enumerate_state_orbit
 from .permsurf import (
     Origami,
     PillowCover,
@@ -96,16 +97,7 @@ def sv_term(G: OrbitGraph, kappa: Fraction = KAPPA_SV) -> Fraction:
     return kappa * sv_raw(G)
 
 
-def _cyclic_cover(N: int, a: tuple[int, ...]) -> PillowCover:
-    return PillowCover(N, *[tuple((x + ai) % N for x in range(N)) for ai in a])
-
-
-def _family_member(p: int) -> PillowCover:
-    k = (p - 1) // 2
-    return _cyclic_cover(p, (1, k, k, p))
-
-
-def calibrate(orbit_cap: int = 10_000) -> Fraction:
+def calibrate(orbit_cap: int = DEFAULT_ORBIT_CAP) -> Fraction:
     """Re-derive KAPPA_SV from scratch and cross-validate it.
 
     The p=3 member fixes the constant; p=5, p=7 and the orientable degree-2
@@ -113,25 +105,25 @@ def calibrate(orbit_cap: int = 10_000) -> Fraction:
     single normalization exists and we fail loudly.
     """
 
-    def raw(cover: PillowCover) -> Fraction:
-        o, iota = orientation_double_cover(cover)
+    def raw(s: CyclicCoverSpec) -> Fraction:
+        o, iota = orientation_double_cover(cyclic_to_pillow(s))
         return sv_raw(enumerate_state_orbit(o, iota, cap=orbit_cap))
 
-    kappa = Fraction(1, 6) / raw(_family_member(3))
+    # the family member at p is (p; 1, k, k, p) with k = (p - 1) / 2
+    kappa = Fraction(1, 6) / raw(CyclicCoverSpec(3, (1, 1, 1, 3)))
     checks = [
-        (_family_member(5), Fraction(1, 10)),
-        (_family_member(7), Fraction(1, 14)),
+        (CyclicCoverSpec(5, (1, 2, 2, 5)), Fraction(1, 10)),
+        (CyclicCoverSpec(7, (1, 3, 3, 7)), Fraction(1, 14)),
     ]
-    for cover, want in checks:
-        got = kappa * raw(cover)
+    for spec, want in checks:
+        got = kappa * raw(spec)
         if got != want:
             raise CalibrationError(
                 f"kappa={kappa} gives sv_term={got}, expected {want}"
             )
     # orientable control: Lyapunov sum is exactly 1 and the formula gives
     # sv_term = 1 - kappa_term + pole_term = 1 for the degree-2 cover
-    control = _cyclic_cover(2, (1, 1, 1, 1))
-    got = kappa * raw(control)
+    got = kappa * raw(CyclicCoverSpec(2, (1, 1, 1, 1)))
     if got != 1:
         raise CalibrationError(f"control cover: sv_term={got}, expected 1")
     if kappa != KAPPA_SV:
@@ -204,7 +196,7 @@ def ekz_sum(stratum: Stratum, n: int, sv: Fraction) -> EKZReport:
     )
 
 
-def ekz_for_cover(p: PillowCover, orbit_cap: int = 10_000) -> EKZReport:
+def ekz_for_cover(p: PillowCover, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EKZReport:
     """Convenience: orbit, Siegel-Veech term and sum rule for one cover."""
     o, iota = orientation_double_cover(p)
     G = enumerate_state_orbit(o, iota, cap=orbit_cap)

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import lattice
 from .cocycle import StateCache
+from .coverings import CyclicCoverSpec, cyclic_to_pillow, is_determinant_locus
 from .cylinders import ekz_for_cover
 from .orbit import DEFAULT_ORBIT_CAP, OrbitCapExceeded
 from .permsurf import PillowCover, orientation_double_cover
@@ -340,7 +341,6 @@ def _run_seeds(cover: PillowCover, steps: int, seeds) -> tuple[LyapunovEstimate,
 class DegeneracyCertificate:
     """Joint verdict of the sampled and exact degeneracy channels."""
 
-    description: str
     epsilon: float
     steps: int
     seeds: tuple[int, ...]
@@ -378,15 +378,11 @@ def certify_degenerate(
     criterion: bool | None = None
     if isinstance(target, PillowCover):
         cover = target
-        description = str(cover)
-    else:
-        from .coverings import CyclicCoverSpec, cyclic_to_pillow, is_determinant_locus
-
-        if not isinstance(target, CyclicCoverSpec):
-            raise TypeError("target must be a PillowCover or CyclicCoverSpec")
+    elif isinstance(target, CyclicCoverSpec):
         cover = cyclic_to_pillow(target)
         criterion = bool(is_determinant_locus(target))
-        description = f"cyclic cover N={target.N} a={target.a}"
+    else:
+        raise TypeError("target must be a PillowCover or CyclicCoverSpec")
 
     estimates = _run_seeds(cover, steps, seeds)
     maxes = [max(e.lambda_plus) for e in estimates if e.lambda_plus]
@@ -428,7 +424,6 @@ def certify_degenerate(
             + (f", exact sum = {exact_sum}" if exact_sum is not None else "")
         )
     return DegeneracyCertificate(
-        description=description,
         epsilon=epsilon,
         steps=steps,
         seeds=seeds,

@@ -42,6 +42,7 @@ from .permutations import (
     is_permutation,
     is_transitive,
     orbits,
+    random_permutation,
 )
 
 __all__ = [
@@ -196,9 +197,10 @@ def origami_stratum(o: Origami) -> Stratum:
 
     Every cycle of the vertex permutation is a lattice point of the tiling;
     a cycle of length l is a cone point of angle 2*pi*l, i.e. a zero of
-    order l-1 (0 = marked regular point, retained).
+    order l-1 (0 = marked regular point, retained).  An origami built
+    without ``allow_disconnected`` was proved connected when it was built.
     """
-    if not o.is_connected():
+    if o.allow_disconnected and not o.is_connected():
         raise ConnectivityError("stratum is defined for connected origamis")
     lens = [len(c) for c in cycles(o.vertex_permutation())]
     total = sum(l - 1 for l in lens)
@@ -458,8 +460,6 @@ def reconstruct_pillow_cover(o: Origami, iota: Perm) -> PillowCover:
 
 
 def random_origami(d: int, rng) -> Origami:
-    from .permutations import random_permutation
-
     while True:
         h = random_permutation(d, rng)
         v = random_permutation(d, rng)
@@ -468,8 +468,6 @@ def random_origami(d: int, rng) -> Origami:
 
 
 def random_pillow_cover(d: int, rng) -> PillowCover:
-    from .permutations import random_permutation
-
     while True:
         g0 = random_permutation(d, rng)
         g1 = random_permutation(d, rng)

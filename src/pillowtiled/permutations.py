@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from itertools import permutations as _all_perms
+from math import lcm
 
 Perm = tuple[int, ...]
 
@@ -90,8 +91,6 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
 
 
 def order(p: Perm) -> int:
-    from math import lcm
-
     return lcm(*(len(c) for c in cycles(p))) if p else 1
 
 

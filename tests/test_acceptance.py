@@ -159,7 +159,7 @@ class TestBFormNumerics:
         curve = SuperellipticCurve(4, (0.0, 1.0, 0.3), (1, 1, 1))
         basis = holomorphic_basis(curve)
         q = sample_base_differential((), 4, zeros=(), poles=(0.3,))
-        rep = pairing_matrices(curve, q, basis=basis)
+        rep = pairing_matrices(curve, q)
         B = np.array(rep.B)
         for i, fi in enumerate(basis):
             for j, fj in enumerate(basis):

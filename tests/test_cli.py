@@ -104,6 +104,13 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig("certify", "x", format="xml")
 
+    @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+    def test_parser_defaults_are_the_config_defaults(self, monkeypatch, command):
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
+        assert main([command, "in.txt"]) == 0
+        assert seen == [RunConfig(command, "in.txt")]
+
 
 class TestSubcommands:
     def test_construct_family(self, tmp_path, capsys):
@@ -140,7 +147,6 @@ class TestSubcommands:
 
     def test_contradiction_exits_four(self, tmp_path, capsys, monkeypatch):
         fake = DegeneracyCertificate(
-            description="stub",
             epsilon=0.02,
             steps=10,
             seeds=(1, 2, 3),

@@ -174,6 +174,8 @@ class TestLocus:
             LocusSpec(m=(), k=4, cover=((1, 0), (1, 0), (1, 0)))  # product not id
         with pytest.raises(ValueError):
             LocusSpec(m=(), k=4, cover=((0, 1), (0, 1), (0, 1)))  # intransitive
+        with pytest.raises(ValueError):
+            LocusSpec(m=(), k=4, cover=((), (), ()))  # no sheets
 
 
 class TestBaseDifferential:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pillowtiled import cli, orbit
+from pillowtiled import cli, orbit, permsurf
 from pillowtiled.cli import RunConfig
 from pillowtiled.coverings import CyclicCoverSpec, cyclic_to_pillow, iter_specs
 from pillowtiled.orbit import (
@@ -614,3 +614,20 @@ def test_each_vertex_is_checked_at_most_twice(monkeypatch, case):
         assert g.size <= counts["validate_involution"] <= 2 * g.size
     else:
         assert counts["validate_involution"] == 0
+
+
+def test_transitivity_runs_once_per_vertex(monkeypatch):
+    # the Origami check of each new vertex proves it connected, and the
+    # stratum of a connected origami does not test it again
+    calls = []
+
+    def counted(perms, n):
+        calls.append(n)
+        return is_transitive(perms, n)
+
+    monkeypatch.setattr(permsurf, "is_transitive", counted)
+    seed = Origami(SEVEN.d, SEVEN.h, SEVEN.v)
+    g = enumerate_orbit(seed)
+    assert g.size == 144
+    assert 0 < len(calls) <= g.size + 1
+

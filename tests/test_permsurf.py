@@ -52,6 +52,11 @@ def test_origami_rejects_disconnected():
         Origami(2, (0, 1), (0, 1))
 
 
+def test_stratum_rejects_a_disconnected_origami():
+    with pytest.raises(ConnectivityError):
+        origami_stratum(Origami(2, (0, 1), (0, 1), allow_disconnected=True))
+
+
 # --- pillow covers --------------------------------------------------------
 
 def test_identity_pillow_cover_is_the_pillowcase():

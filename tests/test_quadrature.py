@@ -1,10 +1,12 @@
 """The blocked pairing quadrature against values recorded before it.
 
-``GOLDEN`` holds B, H, theta and quad_error as computed by the per-entry
-quadrature that evaluated every integrand separately at every node.  The
-blocked evaluation sums the same terms in another order, so the entries
-agree to round-off, and every entry the deck character kills stays an
-exact zero.
+``GOLDEN`` holds B, H, theta and quad_error as computed by earlier forms
+of the quadrature: "pullback" and "wpow1" by the per-entry quadrature
+that evaluated every integrand separately at every node, "characters" by
+a blocked panel pass with per-entry disk sums.  The one blocked evaluator
+over panel and shared disk node sets sums the same terms in another
+order, so the entries agree to round-off, and every entry the deck
+character kills stays an exact zero.
 
 The radial Gauss-Jacobi rule is checked against the exact moments of its
 weight, an oracle that shares nothing with the rule's construction.
@@ -12,6 +14,7 @@ weight, an oracle that shares nothing with the rule's construction.
 
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +40,12 @@ def golden_cases():
             CurveDifferential(
                 wpow=1, zero_orders=((0.4 - 0.6j, 1),), finite_poles=(0.0, 1.0)
             ),
+        ),
+        # the bform line "6 1 1 5 5" at the first disc point: five H
+        # characters and disks at three branch centers
+        "characters": (
+            SuperellipticCurve(6, (0.0, 1.0, 0.3), (1, 1, 5)),
+            sample_base_differential((), 4, zeros=(), poles=(0.3,)),
         ),
     }
 
@@ -77,6 +86,23 @@ GOLDEN = {
         ],
         "theta": (0.6358501625230324, 0.6358501625230324, 1.8155253405433692e-17),
         "quad_error": 0.0013730023485436504,
+    },    "characters": {
+        "B": [
+            [0j, 0j, 0j, 0j, (170.73326075183445+8.391350564859404e-17j)],
+            [0j, 0j, 0j, (170.73326075183445+9.441000381545762e-17j), 0j],
+            [0j, 0j, (170.73326075183445+6.575857013678409e-17j), 0j, 0j],
+            [0j, (170.73326075183445+9.441000381545762e-17j), 0j, 0j, 0j],
+            [(170.73326075183445+8.391350564859404e-17j), 0j, 0j, 0j, 0j],
+        ],
+        "H": [
+            [(291.87301025935557+0j), 0j, 0j, 0j, 0j],
+            [0j, (189.70435357109636-9.189559708432402e-17j), 0j, 0j, 0j],
+            [0j, 0j, (170.73326075183442+1.9134809983589543e-16j), 0j, 0j],
+            [0j, 0j, 0j, (189.70435349075942+2.163139963453439e-16j), 0j],
+            [0j, 0j, 0j, 0j, (291.87301009038026+4.208578593522095e-16j)],
+        ],
+        "theta": (1.0, 0.8999965344706728, 0.8999965344706728, 0.5849573437761312, 0.5849573437761312),
+        "quad_error": 0.0005138980203014398,
     },
 }
 
@@ -135,6 +161,48 @@ def test_empty_basis_builds_no_panel_nodes(monkeypatch, tmp_path, capsys):
     for rep in reports:
         assert rep["B"] == [] and rep["H"] == [] and rep["theta"] == []
         assert rep["quad_error"] == 0.0 and rep["gap"] is None
+
+
+def test_each_disk_node_set_is_built_once_per_level(monkeypatch):
+    # an entry's radial exponent at a branch point s is the order of f1 f2
+    # there minus e a_s, and at infinity e A - deg f1 - deg f2 - 4, where
+    # the weight has modulus |P|^-e: e = m for B, e = 2b/N for H
+    curve, q = golden_cases()["pullback"]
+    N, A = curve.N, curve.total_exponent
+
+    def order(f, s):
+        shifts = sum(t for zi, t in zip(curve.branch, f.shifts) if zi == s)
+        return shifts + (f.power if s == 0 else 0)
+
+    want = set()
+    basis = bform.holomorphic_basis(curve)
+    for f1 in basis:
+        for f2 in basis:
+            weights = []
+            if (f1.b + f2.b) % N == 0:
+                weights.append(Fraction(f1.b + f2.b, N))
+            if f1.b == f2.b:
+                weights.append(Fraction(2 * f1.b, N))
+            for e in weights:
+                for s, a in zip(curve.branch, curve.a):
+                    want.add((s, float(order(f1, s) + order(f2, s) - e * a)))
+                want.add((None, float(e * A - f1.degree - f2.degree - 4)))
+    # one disk per entry and center would be 44 per level on this curve
+    assert len(want) == 28
+
+    built = []
+    real = bform._Region._disk_nodes
+
+    def spy(self, center, gamma, level):
+        built.append((center, gamma, level))
+        return real(self, center, gamma, level)
+
+    monkeypatch.setattr(bform._Region, "_disk_nodes", spy)
+    pairing_matrices(curve, q)
+    assert sorted({level for *_, level in built}) == [1, 2]
+    for level in (1, 2):
+        sets = [(c, g) for c, g, lv in built if lv == level]
+        assert len(sets) == len(set(sets)) and set(sets) == want
 
 
 @pytest.mark.parametrize("gamma", [-1.875, -1.0, -0.5, 0.0, 2.5])

@@ -54,3 +54,22 @@ def test_int64_only_in_lattice():
     assert files, f"no sources under {SRC}"
     found = [path.name for path in files if "int64" in path.read_text()]
     assert found == ["lattice.py"], found
+
+
+def test_no_function_level_imports_in_src():
+    # every import sits at module level, where a reader sees the module's
+    # dependencies at once and the import runs once
+    files = sorted(SRC.glob("*.py"))
+    assert files, f"no sources under {SRC}"
+    found = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            found += [
+                f"{path.name}:{node.lineno} in {func.name}"
+                for node in ast.walk(func)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+            ]
+    assert not found, "function-level imports in src/pillowtiled: " + ", ".join(found)
