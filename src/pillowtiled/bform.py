@@ -14,13 +14,29 @@ integrals of
     N * f1 f2 * P^{-m} * |P|^{-c/N} * conj(R)/|R|,      m = (b1+b2-c)/N,
 
 with P = prod (z - z_i)^{a_i}.  The Hodge products reduce the same way
-(nonzero only for b1 = b2).  Integrands have known power-law behavior
-|z - s|^{gamma} at finitely many points, so the quadrature uses a smooth
-partition of unity: disks around each singular point with a Gauss-Jacobi
-radial rule matched to gamma (the Golub-Welsch rule: nodes and weights
-from the eigenvectors of the Jacobi matrix) and a trapezoid angular rule,
-the chart swap z -> 1/z for the neighborhood of infinity, and tensor
-Gauss-Legendre panels on the smooth remainder.  Refinement levels double
+(nonzero only for b1 = b2).
+
+``pairing_matrices`` takes one of two paths, chosen from the input alone.
+A curve with exactly three finite branch points, paired with
+q = c dz^2 / prod (z - z_i) over exactly those points (no w-power, no
+zeros) -- every curve the ``bform`` subcommand builds -- takes the period
+path: each entry is a twisted integral of u phi conj(u psi), which the
+twisted period relations write as a 2x2 form in the periods of u phi and
+u psi over two segments that join the branch points, each period a
+Gauss-Jacobi sum.  Its ``quad_error`` is the largest change of an entry
+from n to 2n nodes per segment, near round-off.  Every other curve (more
+branch points, a w-power, zeros or extra poles of q) takes the plane
+quadrature below; its ``quad_error`` is the change between its last two
+mesh levels, which on the genus-1 curve overstates the true error
+120-160 fold.
+
+Integrands have known power-law behavior |z - s|^{gamma} at finitely
+many points, so the quadrature uses a smooth partition of unity: disks
+around each singular point with a Gauss-Jacobi radial rule matched to
+gamma (the Golub-Welsch rule: nodes and weights from the eigenvectors of
+the Jacobi matrix) and a trapezoid angular rule, the chart swap
+z -> 1/z for the neighborhood of infinity, and tensor Gauss-Legendre
+panels on the smooth remainder.  Refinement levels double
 every node count; the error estimate is the last inter-level delta, so
 only the last two levels are computed.
 
@@ -350,7 +366,7 @@ class _Region:
         """
         radius = self.u_rad if center is None else self.radii[center]
         n_ang = 18 * (2 ** level)
-        x, wj = _jacobi_rule(14 * (2 ** level), gamma)
+        x, wj = _jacobi_rule(14 * (2 ** level), 0.0, gamma + 1.0)
         rho = radius * (x + 1.0) / 2.0
         ang = 2.0 * np.pi * np.arange(n_ang) / n_ang
         z = (rho[:, None] * np.exp(1j * ang)[None, :]).ravel()
@@ -397,27 +413,38 @@ class _Region:
             yield zz[live], ww[live]
 
 
-@lru_cache(maxsize=256)
-def _jacobi_rule(n: int, gamma: float):
+@lru_cache(maxsize=1024)
+def _jacobi_rule(n: int, alpha: float, beta: float):
     """Gauss-Jacobi nodes and weights on [-1, 1] for the weight
-    (1 + x)^(gamma + 1), cached per (n, gamma); read-only, as every disk
-    with that exponent shares them.
+    (1 - x)^alpha (1 + x)^beta, alpha, beta > -1, cached per
+    (n, alpha, beta); read-only, as every disk or segment with those
+    exponents shares them.
 
     Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
-    the symmetric tridiagonal Jacobi matrix of (alpha, beta) = (0, b),
-    b = gamma + 1, and the weights are mu_0 v_0^2, with v_0 the first
-    entry of each unit eigenvector and mu_0 = 2^(b+1) / (b+1) the
-    integral of the weight.
+    the symmetric tridiagonal Jacobi matrix, and the weights are
+    mu_0 v_0^2, with v_0 the first entry of each unit eigenvector and
+    mu_0 = 2^(alpha+beta+1) B(alpha+1, beta+1) the integral of the weight.
+    Two entries are written with their common factor cancelled, since the
+    general term is 0/0 there: the k = 0 diagonal at alpha + beta = 0, and
+    the k = 1 off-diagonal at alpha + beta = -1.
     """
-    b = gamma + 1.0
-    k = np.arange(1.0, n)
-    s = 2.0 * k + b
+    ab = alpha + beta
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + ab
     diag = np.empty(n)
-    diag[0] = b / (b + 2.0)  # the general term is 0/0 at b = 0
-    diag[1:] = b * b / (s * (s + 2.0))
-    off = 2.0 * k * (k + b) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    diag[0] = (beta - alpha) / (ab + 2.0)
+    diag[1:] = (beta * beta - alpha * alpha) / (s[1:] * (s[1:] + 2.0))
+    off2 = np.empty(n - 1)
+    off2[:1] = 4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + ab) ** 2 * (3.0 + ab))
+    k, s = k[2:], s[2:]
+    off2[1:] = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s + 1.0) * (s - 1.0))
+    off = np.sqrt(off2)
     x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    w = 2.0 ** (b + 1.0) / (b + 1.0) * v[0] ** 2
+    mu0 = math.exp(
+        (ab + 1.0) * math.log(2.0)
+        + math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(ab + 2.0)
+    )
+    w = mu0 * v[0] ** 2
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -455,13 +482,244 @@ def _poly_eval(curve, z):
     return P
 
 
-def pairing_matrices(curve: SuperellipticCurve, q, *, levels: int = 3) -> BFormReport:
+def _entries(curve, basis, centers, wpow):
+    """Upper-triangle entries that survive the character sum: B entries
+    (i, j, m) and H entries (i, j), and each distinct disk node set
+    (center, gamma) with the B and H entries that use it.  Building the
+    disk keys checks every entry for integrability."""
+    N = curve.N
+    b_entries, h_entries = [], []
+    disks: dict[tuple, tuple[list, list]] = {}
+    for i, f1 in enumerate(basis):
+        for j in range(i, len(basis)):
+            f2 = basis[j]
+            if (f1.b + f2.b - wpow) % N == 0:
+                m = (f1.b + f2.b - wpow) // N
+                b_entries.append((i, j, m))
+                for key in _entry_disks(curve, f1, f2, centers, m + Fraction(wpow, N)):
+                    disks.setdefault(key, ([], []))[0].append((i, j, m))
+            if f1.b == f2.b:
+                h_entries.append((i, j))
+                for key in _entry_disks(curve, f1, f2, centers, Fraction(2 * f1.b, N)):
+                    disks.setdefault(key, ([], []))[1].append((i, j))
+    return b_entries, h_entries, disks
+
+
+def _fill(g_count, b_entries, h_entries, b_values, h_values):
+    """B symmetric and H Hermitian from their upper-triangle values."""
+    B = np.zeros((g_count, g_count), dtype=complex)
+    H = np.zeros((g_count, g_count), dtype=complex)
+    for (i, j, _), v in zip(b_entries, b_values):
+        B[i, j] = B[j, i] = v
+    for (i, j), v in zip(h_entries, h_values):
+        H[i, j] = v
+        if i != j:
+            H[j, i] = np.conj(v)
+    return B, H
+
+
+def _report(curve, q, B, H, quad_error) -> BFormReport:
+    """The spectrum of the normalized pairing, after the Cholesky check of
+    H and against the contraction bound."""
+    g_count = len(B)
+    if g_count:
+        try:
+            np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            raise RuntimeError("Hodge Gram matrix is not positive definite") from None
+        evals, evecs = np.linalg.eigh(H)
+        Hm = evecs @ np.diag(evals ** -0.5) @ evecs.conj().T
+        Mmat = Hm @ B @ Hm.T
+        theta = tuple(float(s) for s in np.linalg.svd(Mmat, compute_uv=False))
+        if theta and theta[0] > 1.0 + 1e-3:
+            raise RuntimeError(
+                f"spectrum exceeds the contraction bound: {theta[0]}"
+            )
+        gap = 1.0 - theta[0] if theta else None
+    else:
+        theta = ()
+        gap = None
+
+    return BFormReport(
+        B=tuple(tuple(B[i]) for i in range(g_count)),
+        H=tuple(tuple(H[i]) for i in range(g_count)),
+        theta=theta,
+        quad_error=quad_error,
+        q_has_simple_pole=_pullback_has_simple_pole(curve, q),
+        gap=gap,
+    )
+
+
+def pairing_matrices(curve: SuperellipticCurve, q) -> BFormReport:
     """Contraction pairing B, Hodge Gram H, and the normalized spectrum.
 
     ``q`` is a base differential (pullback) or a CurveDifferential with a
-    w-power.  Entries killed by the deck character are exact zeros; the
-    rest are quadratures at the last two of ``levels`` refinement levels,
-    with the error estimate taken from their difference.
+    w-power.  Entries killed by the deck character are exact zeros.  On a
+    three-point curve with q = c dz^2 / prod (z - z_i) over its branch
+    points the rest come from twisted periods, elsewhere from the
+    quadrature; ``quad_error`` is the change of the entries under the
+    path's own refinement.
+    """
+    if _takes_period_path(curve, q):
+        return _period_pairing(curve, q)
+    return _quadrature_pairing(curve, q)
+
+
+# ----------------------------------------------------------- period path
+
+# Gauss-Jacobi nodes per segment; the error estimate is the change from
+# this rule to the one with twice as many nodes
+_PERIOD_NODES = 32
+
+
+def _takes_period_path(curve, q) -> bool:
+    """Three finite branch points, no w-power, no zeros of q, and q's
+    finite poles are the branch points."""
+    poles = [complex(z) for z in q.finite_poles]
+    return (
+        len(curve.branch) == 3
+        and getattr(q, "wpow", 0) == 0
+        and not tuple(q.zero_orders)
+        and len(poles) == 3
+        and set(poles) == set(curve.branch)
+    )
+
+
+def _sin_pi(x: Fraction) -> float:
+    """sin(pi x), exactly 0 at the integers."""
+    r = x % 2
+    return 0.0 if r.denominator == 1 else math.sin(math.pi * float(r))
+
+
+def _twisted_form(e, P, Q):
+    """Integral over the plane of u phi conj(u psi), from the periods
+    P = (P1, P2) of u phi and Q of u psi (Kita-Yoshida, Math. Nachr. 166,
+    1994; Kawai-Lewellen-Tye, Nucl. Phys. B 269, 1986).
+
+    ``e`` = (a, b, c) are the exponents of u at the roles 0, 1, t.  When
+    a + b + c is an integer, infinity is unbranched for u, the two
+    periods are proportional, and the general form is 0/0.
+    """
+    a, b, c = e
+    s = _sin_pi
+    if (a + b + c).denominator == 1:
+        return s(a) * s(c) / s(a + c) * P[0] * np.conj(Q[0])
+    return (
+        s(a) * s(b + c) * P[0] * np.conj(Q[0])
+        + s(a) * s(b) * (P[0] * np.conj(Q[1]) + P[1] * np.conj(Q[0]))
+        + s(b) * s(a + c) * P[1] * np.conj(Q[1])
+    ) / s(a + b + c)
+
+
+def _segment_periods(curve, basis, roles, e, rows, n):
+    """Periods P1 = int_{p0}^{pt} u phi dz and P2 = int_{pt}^{p1} u phi dz
+    on straight segments, one pair per row, as an array (2, len(rows)).
+
+    u = prod (z - p)^{e_p} is taken in the affine coordinate
+    zeta = (z - p0) / (p1 - p0), tau = zeta(pt), as
+    zeta^a (1 - zeta)^b (tau - zeta)^c on the first segment and
+    zeta^a (1 - zeta)^b (zeta - tau)^c on the second: positive for real
+    0 < tau < 1 and continued from there; the factor |p1 - p0|^(2 + 2 sum e)
+    is left to the caller.  A row (forms, r) is
+    phi = prod of the forms times prod (z - z_k)^{r_k}.  Each period is a
+    Gauss-Jacobi sum matched to the exponents at the segment's ends.
+    """
+    p0, p1, pt = (curve.branch[k] for k in roles)
+    a, b, c = (e[k] for k in roles)
+    tau = (pt - p0) / (p1 - p0)
+    x1, w1 = _jacobi_rule(n, float(c), float(a))
+    x2, w2 = _jacobi_rule(n, float(b), float(c))
+    s1, s2 = (x1 + 1.0) / 2.0, (x2 + 1.0) / 2.0
+    z = np.concatenate([p0 + (pt - p0) * s1, pt + (p1 - pt) * s2])
+    k1 = tau ** float(1 + a + c) * 2.0 ** -float(1 + a + c) * w1 * (1.0 - tau * s1) ** float(b)
+    k2 = ((1.0 - tau) ** float(1 + b + c) * 2.0 ** -float(1 + b + c) * w2
+          * (tau + (1.0 - tau) * s2) ** float(a))
+    F = _form_values(curve, basis, z)
+    out = np.empty((2, len(rows)), dtype=complex)
+    for k, (forms, r) in enumerate(rows):
+        phi = np.ones_like(z)
+        for f in forms:
+            phi = phi * F[f]
+        for zi, ri in zip(curve.branch, r):
+            if ri:
+                phi = phi * (z - zi) ** ri
+        out[0, k] = phi[:n] @ k1
+        out[1, k] = phi[n:] @ k2
+    return out
+
+
+def _period_roles(branch) -> tuple[int, int, int]:
+    """Indices (p0, p1, pt) of the roles 0, 1, t: pt is opposite the
+    longest side, so tau = zeta(pt) has |tau|, |1 - tau| <= 1 and is never
+    real outside (0, 1), where the segments would meet the third point."""
+    sides = [(abs(branch[i] - branch[j]), (i, j, 3 - i - j))
+             for i, j in ((0, 1), (0, 2), (1, 2))]
+    return max(sides, key=lambda side: side[0])[1]
+
+
+def _period_pairing(curve: SuperellipticCurve, q) -> BFormReport:
+    """B and H from twisted periods on a three-point curve.
+
+    Each entry is N times the integral of g conj(h), g and h holomorphic
+    up to one common multivalued factor: for H, g = f_i P^{-b/N} and
+    h = f_j P^{-b/N}; for B, with q = c / Q and Q = prod (z - z_k), the
+    phase conj(q)/|q| is conj(c)/|c| Q/|Q|, so g = f_i f_j P^{-m} Q^{1/2}
+    and h = Q^{-1/2}.  Both are u phi and u psi with phi, psi polynomial
+    and u = prod (z - z_k)^{e_k}, e_k > -1, whose plane integral is the
+    period form of ``_twisted_form``.  The entries are computed with n and
+    2n nodes per segment, and ``quad_error`` is the largest change.
+    """
+    basis = holomorphic_basis(curve)
+    g_count = len(basis)
+    N = curve.N
+    # the disk keys are not used here, only their integrability check
+    b_entries, h_entries, _ = _entries(curve, basis, list(curve.branch), 0)
+    branch = curve.branch
+    z0 = 2.0 * max(abs(z) for z in branch) + 1.0
+    c = complex(q(z0)) * complex(np.prod([z0 - zi for zi in branch]))
+    phase = np.conj(c) / abs(c)
+
+    def order(forms, r, k):
+        return sum(_form_order_at(curve, basis[f], branch[k]) for f in forms) + r[k]
+
+    # each entry as (scale, base exponents, g's row, h's row)
+    terms = []
+    for i, j, m in b_entries:
+        base = (Fraction(-1, 2),) * 3
+        terms.append((N * phase, base, ((i, j), tuple(1 - m * a for a in curve.a)),
+                      ((), (0, 0, 0))))
+    for i, j in h_entries:
+        base = tuple(Fraction(-basis[i].b * a, N) for a in curve.a)
+        terms.append((N, base, ((i,), (0, 0, 0)), ((j,), (0, 0, 0))))
+
+    roles = _period_roles(branch)
+    size = abs(branch[roles[1]] - branch[roles[0]])
+    values = np.zeros((2, len(terms)), dtype=complex)
+    for k, (scale, base, (gf, gr), (hf, hr)) in enumerate(terms):
+        # u takes the common integer part of g and h at each point, so that
+        # phi and psi are polynomials
+        shift = [min(order(gf, gr, p), order(hf, hr, p)) for p in range(3)]
+        e = tuple(x + s for x, s in zip(base, shift))
+        rows = [(gf, tuple(r - s for r, s in zip(gr, shift))),
+                (hf, tuple(r - s for r, s in zip(hr, shift)))]
+        for level, n in enumerate((_PERIOD_NODES, 2 * _PERIOD_NODES)):
+            P = _segment_periods(curve, basis, roles, e, rows, n)
+            values[level, k] = scale * size ** float(2 + 2 * sum(e)) * _twisted_form(
+                tuple(e[p] for p in roles), P[:, 0], P[:, 1])
+    quad_error = float(np.max(np.abs(values[1] - values[0]), initial=0.0))
+    nb = len(b_entries)
+    B, H = _fill(g_count, b_entries, h_entries, values[1][:nb], values[1][nb:])
+    return _report(curve, q, B, H, quad_error)
+
+
+# -------------------------------------------------------- quadrature path
+
+
+def _quadrature_pairing(curve: SuperellipticCurve, q, *, levels: int = 3) -> BFormReport:
+    """``pairing_matrices`` by the plane quadrature, for any curve and q.
+
+    Entries are quadratures at the last two of ``levels`` refinement
+    levels, with the error estimate taken from their difference.
     """
     if levels < 1:
         raise ValueError("levels must be at least 1")
@@ -493,22 +751,7 @@ def pairing_matrices(curve: SuperellipticCurve, q, *, levels: int = 3) -> BFormR
     def h_weight(absP, b):
         return N * absP ** (-2.0 * b / N)
 
-    # upper-triangle entries that survive the character sum; each distinct
-    # disk node set lists the entries that use it
-    b_entries, h_entries = [], []
-    disks: dict[tuple, tuple[list, list]] = {}
-    for i, f1 in enumerate(basis):
-        for j in range(i, g_count):
-            f2 = basis[j]
-            if (f1.b + f2.b - wpow) % N == 0:
-                m = (f1.b + f2.b - wpow) // N
-                b_entries.append((i, j, m))
-                for key in _entry_disks(curve, f1, f2, centers, m + Fraction(wpow, N)):
-                    disks.setdefault(key, ([], []))[0].append((i, j, m))
-            if f1.b == f2.b:
-                h_entries.append((i, j))
-                for key in _entry_disks(curve, f1, f2, centers, Fraction(2 * f1.b, N)):
-                    disks.setdefault(key, ([], []))[1].append((i, j))
+    b_entries, h_entries, disks = _entries(curve, basis, centers, wpow)
 
     def node_sums(node_sets, b_list, h_list):
         """The entries b_list (B) and h_list (H) integrated over the node
@@ -555,41 +798,11 @@ def pairing_matrices(curve: SuperellipticCurve, q, *, levels: int = 3) -> BFormR
                 Bs[m][i, j] += Bd[m][i, j]
             for i, j in h_users:
                 Hs[i, j] += Hd[i, j]
-        Bl = np.zeros((g_count, g_count), dtype=complex)
-        Hl = np.zeros((g_count, g_count), dtype=complex)
-        for i, j, m in b_entries:
-            Bl[i, j] = Bl[j, i] = Bs[m][i, j]
-        for i, j in h_entries:
-            Hl[i, j] = Hs[i, j]
-            if i != j:
-                Hl[j, i] = np.conj(Hs[i, j])
+        Bl, Hl = _fill(g_count, b_entries, h_entries,
+                       [Bs[m][i, j] for i, j, m in b_entries],
+                       [Hs[i, j] for i, j in h_entries])
         if k:
             quad_error = float(max(np.max(np.abs(Bl - B)), np.max(np.abs(Hl - H))))
         B, H = Bl, Hl
+    return _report(curve, q, B, H, quad_error)
 
-    if g_count:
-        try:
-            np.linalg.cholesky(H)
-        except np.linalg.LinAlgError:
-            raise RuntimeError("Hodge Gram matrix is not positive definite") from None
-        evals, evecs = np.linalg.eigh(H)
-        Hm = evecs @ np.diag(evals ** -0.5) @ evecs.conj().T
-        Mmat = Hm @ B @ Hm.T
-        theta = tuple(float(s) for s in np.linalg.svd(Mmat, compute_uv=False))
-        if theta and theta[0] > 1.0 + 1e-3:
-            raise RuntimeError(
-                f"spectrum exceeds the contraction bound: {theta[0]}"
-            )
-        gap = 1.0 - theta[0] if theta else None
-    else:
-        theta = ()
-        gap = None
-
-    return BFormReport(
-        B=tuple(tuple(B[i]) for i in range(g_count)),
-        H=tuple(tuple(H[i]) for i in range(g_count)),
-        theta=theta,
-        quad_error=quad_error,
-        q_has_simple_pole=_pullback_has_simple_pole(curve, q),
-        gap=gap,
-    )

@@ -16,6 +16,7 @@ import pytest
 from pillowtiled.bform import (
     CurveDifferential,
     SuperellipticCurve,
+    _quadrature_pairing,
     holomorphic_basis,
     pairing_matrices,
 )
@@ -169,8 +170,8 @@ class TestBFormNumerics:
     def test_mesh_halving_honors_error_estimate(self):
         curve = SuperellipticCurve(2, (0.0, 1.0, 0.3), (1, 1, 1))
         q = sample_base_differential((), 4, zeros=(), poles=(0.3,))
-        rep3 = pairing_matrices(curve, q, levels=3)
-        rep4 = pairing_matrices(curve, q, levels=4)
+        rep3 = _quadrature_pairing(curve, q, levels=3)
+        rep4 = _quadrature_pairing(curve, q, levels=4)
         delta = max(
             np.max(np.abs(np.array(rep4.B) - np.array(rep3.B))),
             np.max(np.abs(np.array(rep4.H) - np.array(rep3.H))),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pillowtiled import bform
 from pillowtiled.bform import (
     CurveDifferential,
     SuperellipticCurve,
@@ -193,8 +194,8 @@ class TestInvariants:
     def test_halving_stays_within_the_error_estimate(self):
         c = SuperellipticCurve(2, (0.0, 1.0, 0.3), (1, 1, 1))
         q = pillowcase_q(0.3)
-        rep3 = pairing_matrices(c, q, levels=3)
-        rep4 = pairing_matrices(c, q, levels=4)
+        rep3 = bform._quadrature_pairing(c, q, levels=3)
+        rep4 = bform._quadrature_pairing(c, q, levels=4)
         delta = max(
             np.max(np.abs(np.array(rep4.B) - np.array(rep3.B))),
             np.max(np.abs(np.array(rep4.H) - np.array(rep3.H))),

@@ -1,5 +1,9 @@
 """The blocked pairing quadrature against values recorded before it.
 
+``bform._quadrature_pairing`` is the quadrature entry; ``pairing_matrices``
+sends three-point curves to the period path instead, so these tests call
+the quadrature directly.
+
 ``GOLDEN`` holds B, H, theta and quad_error as computed by earlier forms
 of the quadrature: "pullback" and "wpow1" by the per-entry quadrature
 that evaluated every integrand separately at every node, "characters" by
@@ -8,11 +12,12 @@ over panel and shared disk node sets sums the same terms in another
 order, so the entries agree to round-off, and every entry the deck
 character kills stays an exact zero.
 
-The radial Gauss-Jacobi rule is checked against the exact moments of its
+The Gauss-Jacobi rule is checked against the exact Beta moments of its
 weight, an oracle that shares nothing with the rule's construction.
 """
 
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -20,7 +25,7 @@ import numpy as np
 import pytest
 
 from pillowtiled import bform, cli
-from pillowtiled.bform import CurveDifferential, SuperellipticCurve, pairing_matrices
+from pillowtiled.bform import CurveDifferential, SuperellipticCurve
 from pillowtiled.cli import RunConfig
 from pillowtiled.coverings import sample_base_differential
 
@@ -124,24 +129,24 @@ def assert_matches(rep, want):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_matches_the_recorded_values(name):
     curve, q = golden_cases()[name]
-    assert_matches(pairing_matrices(curve, q), GOLDEN[name])
+    assert_matches(bform._quadrature_pairing(curve, q), GOLDEN[name])
 
 
 @pytest.mark.parametrize("block", [997, 1 << 40], ids=["997", "one-block"])
 def test_block_size_changes_only_round_off(monkeypatch, block):
     # 997 splits every level into many ragged blocks; 1 << 40 is one block
     curve, q = golden_cases()["pullback"]
-    ref = pairing_matrices(curve, q)
+    ref = bform._quadrature_pairing(curve, q)
     monkeypatch.setattr(bform, "_BLOCK_NODES", block)
     want = {"B": ref.B, "H": ref.H, "theta": ref.theta, "quad_error": ref.quad_error}
-    assert_matches(pairing_matrices(curve, q), want)
+    assert_matches(bform._quadrature_pairing(curve, q), want)
 
 
 def test_peak_memory_stays_bounded():
     curve, q = golden_cases()["pullback"]
     tracemalloc.start()
     try:
-        pairing_matrices(curve, q, levels=3)
+        bform._quadrature_pairing(curve, q, levels=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -198,25 +203,48 @@ def test_each_disk_node_set_is_built_once_per_level(monkeypatch):
         return real(self, center, gamma, level)
 
     monkeypatch.setattr(bform._Region, "_disk_nodes", spy)
-    pairing_matrices(curve, q)
+    bform._quadrature_pairing(curve, q)
     assert sorted({level for *_, level in built}) == [1, 2]
     for level in (1, 2):
         sets = [(c, g) for c, g, lv in built if lv == level]
         assert len(sets) == len(set(sets)) and set(sets) == want
 
 
-@pytest.mark.parametrize("gamma", [-1.875, -1.0, -0.5, 0.0, 2.5])
-@pytest.mark.parametrize("n", [14, 28, 56])
-def test_jacobi_rule_integrates_its_moments(n, gamma):
+def check_jacobi_rule(n, alpha, beta):
     # an n-point Gauss rule is exact on polynomials of degree < 2n; against
-    # the weight (1 + x)^(gamma + 1) the monomials (1 + x)^j integrate to
-    # 2^(gamma + 2 + j) / (gamma + 2 + j)
-    x, w = bform._jacobi_rule(n, gamma)
+    # the weight (1 - x)^alpha (1 + x)^beta the monomials (1 + x)^j
+    # integrate to 2^(alpha + beta + j + 1) B(alpha + 1, beta + j + 1)
+    x, w = bform._jacobi_rule(n, alpha, beta)
     assert x.shape == w.shape == (n,)
     assert not x.flags.writeable and not w.flags.writeable
     assert np.all(np.diff(x) > 0) and -1.0 < x[0] and x[-1] < 1.0
     assert np.all(w > 0)
     j = np.arange(2 * n)
     moments = (1.0 + x)[None, :] ** j[:, None] @ w
-    p = gamma + 2.0 + j
-    assert np.max(np.abs(moments / (2.0 ** p / p) - 1.0)) <= 1e-12
+    exact = np.array([
+        math.exp((alpha + beta + k + 1) * math.log(2.0) + math.lgamma(alpha + 1)
+                 + math.lgamma(beta + k + 1) - math.lgamma(alpha + beta + k + 2))
+        for k in j
+    ])
+    assert np.max(np.abs(moments / exact - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [-1.875, -1.0, -0.5, 0.0, 2.5])
+@pytest.mark.parametrize("n", [14, 28, 56])
+def test_jacobi_rule_integrates_its_moments(n, gamma):
+    # the radial rule of a disk: (alpha, beta) = (0, gamma + 1)
+    check_jacobi_rule(n, 0.0, gamma + 1.0)
+
+
+# alpha + beta = -1 (the general k = 1 off-diagonal is 0/0 there) and
+# alpha + beta = 0 (the general k = 0 diagonal is), besides generic
+# pairs; exponents on the period segments are multiples of 1/(2N)
+TWO_SIDED = [(-0.5, -0.5), (-0.25, -0.75), (-2 / 3, -1 / 3), (-0.9375, -0.0625),
+             (0.5, -0.5), (-0.9375, 0.9375), (0.25, -0.25), (1 / 3, -1 / 3),
+             (-0.875, -0.9375), (2.5, -0.875), (0.5, 1.5)]
+
+
+@pytest.mark.parametrize("alpha, beta", TWO_SIDED)
+@pytest.mark.parametrize("n", [14, 32, 64])
+def test_jacobi_rule_integrates_two_sided_moments(n, alpha, beta):
+    check_jacobi_rule(n, alpha, beta)
