@@ -20,6 +20,7 @@ nose; :func:`calibrate` re-derives the constant and raises
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,10 +63,6 @@ class CylinderDecomposition:
     def area(self) -> int:
         return sum(w * h for w, h in self.cylinders)
 
-    def modulus_sum(self) -> Fraction:
-        """sum of height/width, the quantity the Siegel-Veech term averages."""
-        return sum((Fraction(h, w) for w, h in self.cylinders), Fraction(0))
-
 
 def horizontal_cylinders(o: Origami) -> CylinderDecomposition:
     """Rows of the tiling as cylinders.
@@ -73,23 +70,26 @@ def horizontal_cylinders(o: Origami) -> CylinderDecomposition:
     Marked points are retained, so every row boundary is singular and all
     cylinders have height 1 and width = row length.
     """
-    return _row_cylinders(o.h, o.d)
+    return CylinderDecomposition(tuple(sorted(((w, 1) for w in _row_widths(o.h, o.d)), reverse=True)))
 
 
-def _row_cylinders(h: Perm, d: int) -> CylinderDecomposition:
-    cyls = tuple(sorted(((len(c), 1) for c in cycles(h)), reverse=True))
-    dec = CylinderDecomposition(cyls)
-    if dec.area() != d:
+def _row_widths(h: Perm, d: int) -> list[int]:
+    widths = [len(c) for c in cycles(h)]
+    if sum(widths) != d:
         raise ArithmeticError("the horizontal cylinders do not fill the surface")
-    return dec
+    return widths
 
 
 def sv_raw(G: OrbitGraph) -> Fraction:
-    """Orbit average of sum(h/w), before normalization."""
-    total = Fraction(0)
+    """Orbit average of sum(h/w), before normalization.
+
+    Every cylinder has height 1, so the sum over the orbit is sum(k/w)
+    over the distinct widths w, k the number of cylinders of width w.
+    """
+    widths = Counter()
     for w in G.vertices:
-        total += _row_cylinders(w[0], G.d).modulus_sum()
-    return total / G.size
+        widths.update(_row_widths(w[0], G.d))
+    return sum((Fraction(k, w) for w, k in widths.items()), Fraction(0)) / G.size
 
 
 def sv_term(G: OrbitGraph, kappa: Fraction = KAPPA_SV) -> Fraction:

@@ -32,11 +32,32 @@ stratum.  That equals checking every move.  Each check is invariant under
 relabeling, so checking the canonical image is checking the raw one, and
 a move onto a vertex seen before lands on a tuple that was checked when
 it was first seen.
+
+Every closure that completes is kept in a process-wide memo under each of
+its canonical vertices.  A later seed whose canonical tuple is a key gets
+that orbit back at once, with no move, no further labelling and no check:
+each check is relabeling-invariant and already ran on every vertex of the
+orbit when it was first closed, the stratum included, since every vertex
+of an origami orbit has the stratum of its seed.  The vertices and edges
+are sorted, so only ``base`` depends on the seed, and the graph is the one
+a fresh closure would give.  A hit obeys the cap as the closure does: it
+raises :class:`OrbitCapExceeded` iff the orbit has more vertices than the
+cap.  A closure that raised is not kept.
+
+The memo holds at most ``_MEMO_VERTICES`` vertices over all its orbits;
+past that, whole orbits are dropped, the first closed first, and an orbit
+larger than the budget is not kept.  A vertex is kept as d and its k
+permutations packed into k*d bytes (4*k*d past 256 squares), plus its S
+and T targets: about k*d + 150 bytes in all, so a memo full of the states
+(k = 3) of cyclic covers of degree N = 30 (d = 4N) holds about 8 MB.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 from .permutations import Perm, compose, inverse
 from .permsurf import Origami, origami_stratum, validate_involution
@@ -53,6 +74,9 @@ __all__ = [
 ]
 
 DEFAULT_ORBIT_CAP = 10_000
+
+# at most this many vertices are held by the orbit memo, over all orbits
+_MEMO_VERTICES = 1 << 14
 
 
 class OrbitCapExceeded(RuntimeError):
@@ -249,6 +273,73 @@ class OrbitGraph:
         return "\n".join(lines) + "\n"
 
 
+# the packed canonical vertices of every memoised orbit -> that orbit, kept
+# as (its packed vertices in order, the targets of its edges in order)
+_memo: dict[bytes, tuple[tuple[bytes, ...], array]] = {}
+# the memoised orbits, the first closed first
+_memo_order: deque[tuple[tuple[bytes, ...], array]] = deque()
+
+
+def _clear_memo() -> None:
+    _memo.clear()
+    _memo_order.clear()
+
+
+def _typecode(d: int) -> str:
+    return "B" if d <= 256 else "I"
+
+
+def _packed(w: tuple[Perm, ...], d: int) -> bytes:
+    # d leads, so equal keys have equal d, width and number of permutations
+    return d.to_bytes(4, "little") + array(_typecode(d), chain.from_iterable(w)).tobytes()
+
+
+def _unpacked(key: bytes, d: int) -> tuple[Perm, ...]:
+    flat = array(_typecode(d), key[4:]).tolist()
+    return tuple(tuple(flat[i:i + d]) for i in range(0, len(flat), d))
+
+
+def _remember(vertices: tuple, edges: tuple, d: int) -> None:
+    """Keep a closed orbit, dropping the oldest orbits to stay in budget.
+
+    Each vertex has one S and one T edge, so the sorted edges are fixed by
+    their targets.  The orbit is queued before its keys go in and an
+    evicted orbit's keys go before it leaves the queue, so an interrupted
+    call leaves every key on a complete orbit and reachable for eviction.
+    """
+    if len(vertices) > _MEMO_VERTICES:
+        return
+    while _memo_order and len(_memo) + len(vertices) > _MEMO_VERTICES:
+        for key in _memo_order[0][0]:
+            _memo.pop(key, None)
+        _memo_order.popleft()
+    entry = (tuple(_packed(w, d) for w in vertices), array("I", (b for _, _, b in edges)))
+    _memo_order.append(entry)
+    for key in entry[0]:
+        _memo[key] = entry
+
+
+def _recall(perms: tuple[Perm, ...], d: int, cap: int) -> tuple[tuple[Perm, ...] | None, OrbitGraph | None]:
+    """The canonical seed of perms and its memoised orbit, if any.
+
+    Data that labelling rejects gives no seed; it misses the memo, and the
+    caller's checks then raise as they would without it.
+    """
+    try:
+        seed = canonical_perms(perms, d)
+    except ValueError:
+        return None, None
+    entry = _memo.get(_packed(seed, d))
+    if entry is None:
+        return seed, None
+    keys, targets = entry
+    if len(keys) > cap:
+        raise OrbitCapExceeded(cap)
+    vertices = tuple(_unpacked(key, d) for key in keys)
+    edges = tuple((i >> 1, "ST"[i & 1], b) for i, b in enumerate(targets))
+    return seed, OrbitGraph(d=d, base=seed, vertices=vertices, edges=edges)
+
+
 def _close_orbit(seed: tuple[Perm, ...], d: int, step, check, cap: int) -> OrbitGraph:
     """S,T-closure from a canonical seed; ``step(w, gen)`` is the canonical
     image of vertex w and ``check(w)`` validates a vertex when first seen."""
@@ -273,17 +364,17 @@ def _close_orbit(seed: tuple[Perm, ...], d: int, step, check, cap: int) -> Orbit
         frontier = nxt
     vertices = tuple(sorted(order))
     index = {w: i for i, w in enumerate(vertices)}
-    return OrbitGraph(
-        d=d,
-        base=seed,
-        vertices=vertices,
-        edges=tuple(sorted((index[a], g, index[b]) for a, g, b in edges)),
-    )
+    edges = tuple(sorted((index[a], g, index[b]) for a, g, b in edges))
+    _remember(vertices, edges, d)
+    return OrbitGraph(d=d, base=seed, vertices=vertices, edges=edges)
 
 
 def enumerate_orbit(o: Origami, cap: int = DEFAULT_ORBIT_CAP) -> OrbitGraph:
     """Breadth-first closure of the S,T action on canonical forms."""
     d = o.d
+    seed, graph = _recall((o.h, o.v), d, cap)
+    if graph is not None:
+        return graph
     stratum = origami_stratum(o)
 
     def step(w: tuple[Perm, ...], gen: str) -> tuple[Perm, ...]:
@@ -293,13 +384,16 @@ def enumerate_orbit(o: Origami, cap: int = DEFAULT_ORBIT_CAP) -> OrbitGraph:
         if origami_stratum(Origami(d, w[0], w[1])) != stratum:
             raise ArithmeticError("stratum changed along a move")
 
-    return _close_orbit(canonical_perms((o.h, o.v), d), d, step, check, cap)
+    return _close_orbit(seed or canonical_perms((o.h, o.v), d), d, step, check, cap)
 
 
 def enumerate_state_orbit(o: Origami, iota: Perm,
                           cap: int = DEFAULT_ORBIT_CAP) -> OrbitGraph:
     """Orbit of a double-cover state (h, v, iota) under S and T."""
     d = o.d
+    seed, graph = _recall((o.h, o.v, iota), d, cap)
+    if graph is not None:
+        return graph
     validate_involution(o, iota)
 
     def step(w: tuple[Perm, ...], gen: str) -> tuple[Perm, ...]:
@@ -309,4 +403,4 @@ def enumerate_state_orbit(o: Origami, iota: Perm,
     def check(w: tuple[Perm, ...]) -> None:
         validate_involution(Origami(d, w[0], w[1], allow_disconnected=True), w[2])
 
-    return _close_orbit(canonical_perms((o.h, o.v, iota), d), d, step, check, cap)
+    return _close_orbit(seed or canonical_perms((o.h, o.v, iota), d), d, step, check, cap)

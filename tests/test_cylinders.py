@@ -12,9 +12,11 @@ from pillowtiled.cylinders import (
     ekz_for_cover,
     ekz_sum,
     horizontal_cylinders,
+    sv_raw,
     sv_term,
 )
-from pillowtiled.orbit import enumerate_state_orbit
+from pillowtiled.coverings import cyclic_to_pillow, iter_specs
+from pillowtiled.orbit import OrbitGraph, enumerate_state_orbit
 from pillowtiled.permsurf import (
     Origami,
     Stratum,
@@ -46,6 +48,21 @@ def test_area_invariant_random():
     for _ in range(1000):
         o = random_origami(int(rng.integers(1, 10)), rng)
         assert horizontal_cylinders(o).area() == o.d
+
+
+def test_sv_raw_is_the_orbit_average_of_the_row_moduli():
+    for N in range(1, 7):
+        for s in iter_specs(N):
+            g = enumerate_state_orbit(*orientation_double_cover(cyclic_to_pillow(s)))
+            widths = [w for o in g.origamis() for w, _ in horizontal_cylinders(o).cylinders]
+            assert sv_raw(g) == sum(Fraction(1, w) for w in widths) / g.size
+
+
+def test_sv_raw_checks_that_each_vertex_fills_the_surface():
+    torus = ((0,), (0,), (0,))
+    g = OrbitGraph(d=2, base=torus, vertices=(torus,), edges=((0, "S", 0), (0, "T", 0)))
+    with pytest.raises(ArithmeticError, match="do not fill"):
+        sv_raw(g)
 
 
 def test_calibration():

@@ -343,8 +343,7 @@ def _orbit_line(d, perms):
     return "; ".join([str(d), *map(format_cycles, perms)])
 
 
-def test_exact_channel_output_is_unchanged(tmp_path):
-    start = time.perf_counter()
+def _exact_channel_digest(tmp_path):
     ekz = [" ".join(map(str, (s.N, *s.a))) for N in range(1, 6) for s in iter_specs(N)]
     rng = np.random.default_rng(2014)
     lines = [_orbit_line(6, (o.h, o.v)) for o in (random_origami(6, rng) for _ in range(10))]
@@ -355,7 +354,12 @@ def test_exact_channel_output_is_unchanged(tmp_path):
         src.write_text("\n".join(batch) + "\n")
         assert cli.run(RunConfig(command, str(src), out=str(out))) == 0
         digest.update(out.read_bytes())
-    assert digest.hexdigest() == EXACT_CHANNEL_SHA256
+    return digest.hexdigest()
+
+
+def test_exact_channel_output_is_unchanged(tmp_path):
+    start = time.perf_counter()
+    assert _exact_channel_digest(tmp_path) == EXACT_CHANNEL_SHA256
     assert time.perf_counter() - start < 3.0
 
 
@@ -631,3 +635,147 @@ def test_transitivity_runs_once_per_vertex(monkeypatch):
     assert g.size == 144
     assert 0 < len(calls) <= g.size + 1
 
+
+# ------------------------------------------------------------- the orbit memo
+# Every test starts from an empty memo (tests/conftest.py).
+
+
+def _memo_seeds():
+    """Seeds of the three kinds with a second, relabelled member of each
+    orbit, so that the second seed of a pair hits the memo with a new base."""
+    rng = np.random.default_rng(73)
+    seeds = []
+    origamis = [random_origami(int(rng.integers(2, 8)), rng) for _ in range(40)]
+    assert {o.d for o in origamis} == set(range(2, 8))
+    for o in origamis:
+        moved = apply_generator(o, "T")
+        s = random_permutation(o.d, rng)
+        seeds += [("origami", (o,)),
+                  ("origami", (Origami(o.d, conjugate(moved.h, s), conjugate(moved.v, s)),))]
+    covers = [random_pillow_cover(int(rng.integers(2, 6)), rng) for _ in range(30)]
+    assert {p.d for p in covers} == set(range(2, 6))
+    covers += [cyclic_to_pillow(s) for N in range(1, 7) for s in iter_specs(N)]
+    for p in covers:
+        o, iota = orientation_double_cover(p)
+        seeds += [("state", (o, iota)), ("state", apply_state_generator(o, iota, "S"))]
+    return seeds
+
+
+def _enumerate(kind, args):
+    return (enumerate_orbit if kind == "origami" else enumerate_state_orbit)(*args)
+
+
+def test_a_warm_memo_closes_as_a_cold_one():
+    seeds = _memo_seeds()
+    cold = []
+    for kind, args in seeds:
+        orbit._clear_memo()
+        cold.append(_enumerate(kind, args))
+    orbit._clear_memo()
+    warm = [_enumerate(kind, args) for kind, args in seeds]
+    assert warm == cold
+    # the base is the seed's own canonical tuple, not the first closure's
+    assert any(a.base != b.base and a.vertices == b.vertices for a, b in zip(warm[::2], warm[1::2]))
+    # each pair met one orbit, which was closed once
+    assert len(orbit._memo_order) <= len(seeds) // 2
+
+
+@pytest.mark.parametrize("case", ["origami", "state"])
+def test_a_hit_labels_once_and_checks_nothing(monkeypatch, case):
+    g = enumerate_orbit(SEVEN) if case == "origami" else enumerate_state_orbit(*orientation_double_cover(FIVE))
+    # another vertex of the orbit, relabelled
+    w = next(w for w in g.vertices if w != g.base)
+    s = random_permutation(g.d, np.random.default_rng(79))
+    h, v, *iota = (conjugate(p, s) for p in w)
+    args = (Origami(g.d, h, v, allow_disconnected=True), *iota)
+    counts = _count_checks(monkeypatch)
+    labelling = canonical_labelling
+    labelled = []
+
+    def counted_labelling(perms, d):
+        labelled.append(perms)
+        return labelling(perms, d)
+
+    def no_move(*args):
+        raise AssertionError("a hit moved a vertex")
+
+    monkeypatch.setattr(orbit, "canonical_labelling", counted_labelling)
+    monkeypatch.setattr(orbit, "_move", no_move)
+    monkeypatch.setattr(orbit, "_transport", no_move)
+    hit = _enumerate(case, args)
+    assert (hit.vertices, hit.edges) == (g.vertices, g.edges)
+    assert hit.base == w
+    assert len(labelled) == 1
+    assert counts == {"Origami.__post_init__": 0, "validate_involution": 0}
+
+
+def _memo_state():
+    return dict(orbit._memo), list(orbit._memo_order)
+
+
+def test_a_hit_obeys_the_cap():
+    g = enumerate_orbit(SEVEN)
+    n = g.size
+    assert enumerate_orbit(SEVEN, cap=n) == g
+    for cap in (n - 1, 1):
+        with pytest.raises(OrbitCapExceeded) as exc:
+            enumerate_orbit(SEVEN, cap=cap)
+        assert exc.value.cap == cap
+    # a closure that raised keeps nothing
+    before = _memo_state()
+    with pytest.raises(OrbitCapExceeded):
+        enumerate_orbit(L3, cap=1)
+    with pytest.raises(OrbitCapExceeded):
+        enumerate_state_orbit(*orientation_double_cover(FIVE), cap=2)
+    assert _memo_state() == before
+
+
+def test_a_failed_check_keeps_nothing(monkeypatch):
+    enumerate_orbit(L3)
+    before = _memo_state()
+    monkeypatch.setattr(orbit, "_transport", lambda h, v, iota, gen: iota)
+    with pytest.raises(ValueError, match="involution does not reverse"):
+        enumerate_state_orbit(*orientation_double_cover(FIVE))
+    assert _memo_state() == before
+
+
+def test_the_memo_stays_within_its_budget(monkeypatch):
+    budget = 12
+    monkeypatch.setattr(orbit, "_MEMO_VERTICES", budget)
+    states = [orientation_double_cover(cyclic_to_pillow(s)) for N in range(1, 9) for s in iter_specs(N)]
+    first = []
+    for state in states:
+        first.append(enumerate_state_orbit(*state))
+        assert len(orbit._memo) <= budget
+        assert len(orbit._memo) == sum(len(v) for v, _ in orbit._memo_order)
+    assert len(orbit._memo_order) < len({g.vertices for g in first})
+    # the evicted orbits close again, to the same graphs
+    assert [enumerate_state_orbit(*state) for state in states] == first
+    orbit._clear_memo()
+    assert [enumerate_state_orbit(*state) for state in states] == first
+
+
+def test_a_hit_past_256_squares_unpacks_the_orbit():
+    # a 257-square one-cylinder torus cover: labels past one byte
+    d = 257
+    g = enumerate_orbit(Origami(d, tuple((x + 1) % d for x in range(d)), identity(d)))
+    assert g.size == d + 1 and max(map(max, g.vertices[-1])) == d - 1
+    w = g.vertices[g.size // 2]
+    assert enumerate_orbit(Origami(d, w[0], w[1])) == orbit.OrbitGraph(d, w, g.vertices, g.edges)
+    assert len(orbit._memo_order) == 1
+
+
+def test_an_orbit_larger_than_the_budget_is_not_kept(monkeypatch):
+    monkeypatch.setattr(orbit, "_MEMO_VERTICES", 100)
+    enumerate_orbit(L3)
+    before = _memo_state()
+    assert enumerate_orbit(SEVEN).size > 100
+    assert _memo_state() == before
+
+
+def test_a_second_run_in_one_process_is_byte_identical(tmp_path):
+    # the second run of the same ekz and orbit lines takes every orbit from the memo
+    assert _exact_channel_digest(tmp_path) == EXACT_CHANNEL_SHA256
+    closed = len(orbit._memo_order)
+    assert _exact_channel_digest(tmp_path) == EXACT_CHANNEL_SHA256
+    assert len(orbit._memo_order) == closed
