@@ -5,8 +5,9 @@ allowed), runs the corresponding pipeline per line, and writes a JSON
 array (or CSV) of reports.  Lines are processed independently and in
 order, so output is deterministic for a given (input, seed).
 
-Exit codes: 0 all lines complete and no verdict failed; 2 parse error;
-3 a resource cap was hit; 4 a certificate contradiction or failed check.
+Exit codes: 0 all lines complete and no verdict failed; 2 parse error,
+bad arguments, or an unreadable input or unwritable output file; 3 a
+resource cap was hit; 4 a certificate contradiction or failed check.
 """
 
 from __future__ import annotations
@@ -246,6 +247,11 @@ def _write_trace(estimative_records: list[dict], path: str) -> None:
                     writer.writerow([rec["input"], est["seed"], blk, slope])
 
 
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"cannot write {path}: {exc}", file=sys.stderr)
+    return EXIT_PARSE
+
+
 def run(config: RunConfig) -> int:
     """Process every line of the input file; return the exit status."""
     try:
@@ -278,12 +284,18 @@ def run(config: RunConfig) -> int:
         payload = json.dumps(records, indent=2, sort_keys=True) + "\n"
 
     if config.out:
-        Path(config.out).write_text(payload)
+        try:
+            Path(config.out).write_text(payload)
+        except OSError as exc:
+            return _cannot_write(config.out, exc)
     else:
         sys.stdout.write(payload)
 
     if config.trace and config.command == "lyapunov":
-        _write_trace(records, config.trace)
+        try:
+            _write_trace(records, config.trace)
+        except OSError as exc:
+            return _cannot_write(config.trace, exc)
 
     return EXIT_CONTRADICTION if contradiction else EXIT_OK
 

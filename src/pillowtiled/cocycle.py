@@ -21,6 +21,27 @@ exact integer matrix on H_1, checked on the nose to be well defined,
 symplectic and deck-equivariant.  ``StateCache`` applies it between
 canonicalized double-cover states (and restricts it to their involution
 eigenlattices), and ``induced_cocycle`` folds it along a word of moves.
+
+Every Monte-Carlo walker in the process shares one ``StateCache``, from
+:func:`shared_state_cache`, so a state or move that an earlier walker
+built is not built or checked again.  That needs no re-check: a state is
+a function of its canonical key ``(h, v, iota)`` alone, and a transition
+of its source state and the move, so an entry built for one line is the
+entry any other line would build; unit relabellings x -> u x of a cyclic
+cover give the same canonical states, and their lines share everything.
+Entries are stored only once built, so a build cut short by an exception
+leaves nothing behind.
+
+The shared cache is trimmed to ``_SHARED_ENTRIES`` when a walker is
+created, never during a walk, so no walk rebuilds a state it built itself.
+Trimming drops the oldest states first, each with its outgoing
+transitions; transitions into a dropped state hold only its key and
+matrices and stay valid.  A state weighs the entry count of its matrices
+(``StateData.entries``).  Measured with tracemalloc on the anchor states
+of cyclic covers from N = 5 (d = 20, 3024 entries, 35 KB) to N = 30
+(d = 120, 140,224 entries, 1.2 MB), a state takes 8.4-11.7 bytes per
+entry, and its T and L transitions add under 10% of its entries, so the
+budget of 2^21 entries keeps at most about 27 MB.
 """
 
 from __future__ import annotations
@@ -113,6 +134,12 @@ class StateData:
         if iota is not None:
             validate_involution(origami, iota)
             self.splitting = involution_splitting(self.basis, iota)
+        # the weight of the state in a trimmed cache
+        mats = [self.basis.cycles, self.basis.functionals, self.basis.intersection, self.d1, self.d2]
+        if self.splitting is not None:
+            sp = self.splitting
+            mats += [sp.action, sp.plus_basis, sp.plus_coords, sp.minus_basis, sp.minus_coords]
+        self.entries = sum(len(row) for m in mats for row in m)
 
 
 def _move_matrix(src: StateData, tgt: StateData, F) -> list[list[int]]:
@@ -160,17 +187,35 @@ class Transition:
 
 
 class StateCache:
-    """Canonical states plus memoized transitions between them."""
+    """Canonical states plus memoized transitions between them.
+
+    ``states`` is in build order, the oldest first.
+    """
 
     def __init__(self):
         self.states: dict[tuple[Perm, Perm, Perm], StateData] = {}
         self.transitions: dict[tuple[tuple[Perm, Perm, Perm], str], Transition] = {}
 
     def state(self, key: tuple[Perm, Perm, Perm]) -> StateData:
-        if key not in self.states:
+        st = self.states.get(key)
+        if st is None:
             h, v, iota = key
-            self.states[key] = StateData(Origami(len(h), h, v, allow_disconnected=True), iota)
-        return self.states[key]
+            st = self.states[key] = StateData(Origami(len(h), h, v, allow_disconnected=True), iota)
+        return st
+
+    def weight(self) -> int:
+        """Entry count of the cached states."""
+        return sum(st.entries for st in self.states.values())
+
+    def trim(self, budget: int) -> None:
+        """Drop the oldest states, each with its outgoing transitions, until
+        the states left weigh at most ``budget`` entries."""
+        total = self.weight()
+        while self.states and total > budget:
+            key = next(iter(self.states))
+            for gen in _ELEMENTARY:
+                self.transitions.pop((key, gen), None)
+            total -= self.states.pop(key).entries
 
     def canonical_key(self, o: Origami, iota: Perm) -> tuple[Perm, Perm, Perm]:
         h, v, i2 = canonical_perms((o.h, o.v, iota), o.d)
@@ -199,6 +244,25 @@ class StateCache:
         )
         self.transitions[memo] = tr
         return tr
+
+
+# the entries (see StateData.entries) the shared cache keeps between walkers
+_SHARED_ENTRIES = 1 << 21
+
+# the one cache of every walker in the process
+_shared = StateCache()
+
+
+def _clear_shared_cache() -> None:
+    _shared.states.clear()
+    _shared.transitions.clear()
+
+
+def shared_state_cache() -> StateCache:
+    """The process-wide cache, first trimmed to ``_SHARED_ENTRIES``; call it
+    once per walker, when the walker is created."""
+    _shared.trim(_SHARED_ENTRIES)
+    return _shared
 
 
 def induced_cocycle(o: Origami, word, iota: Perm | None = None):

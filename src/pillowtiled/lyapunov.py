@@ -16,8 +16,12 @@ map, some power of which is a multitwist, so (C^k - I)^2 == 0 for a
 small k found exactly when the cycle is built; then C^q == C^(q mod k)
 (I + (q div k)(C^k - I)) and a digit costs one exact integer
 multiply-add per entry, with no matrix product, before any float
-touches it.  One walker serves every seed of a cover, so states,
-transitions, cycles and digits are built once per cover.
+touches it.  One walker serves every seed of a line, so its cycles and
+digits are built once per line.  Every walker draws its states and
+transitions from the process-wide cache of :mod:`.cocycle`, so those are
+built once per process: a later line on the same cover or on a unit
+relabelling of it reuses them.  The cycles and digits stay per walker;
+sharing them holds more memory and saves no measurable time.
 
 Runs are bitwise reproducible for a fixed seed (single PCG64 stream for
 the dynamics, a second derived stream for the bootstrap).
@@ -32,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import lattice
-from .cocycle import StateCache
+from .cocycle import StateCache, shared_state_cache
 from .coverings import CyclicCoverSpec, cyclic_to_pillow, is_determinant_locus
 from .cylinders import ekz_for_cover
 from .orbit import DEFAULT_ORBIT_CAP, OrbitCapExceeded
@@ -112,13 +116,15 @@ class _Walker:
     """Digit-level driver over the canonical state graph.
 
     Everything it builds depends on the cover alone, so one walker can
-    serve several runs on that cover, each starting at ``anchor``.
+    serve several runs on that cover, each starting at ``anchor``.  Its
+    states and transitions live in the shared cache, which is trimmed
+    here, when the walker is created, and not while it walks.
     """
 
     def __init__(self, cover: PillowCover):
         o, iota = orientation_double_cover(cover)
         self.cover = cover
-        self.cache = StateCache()
+        self.cache = shared_state_cache()
         self.anchor = self.key = self.cache.canonical_key(o, iota)
         st = self.cache.state(self.key)
         self.dim_plus = st.splitting.dim_plus
@@ -373,8 +379,8 @@ def certify_degenerate(
     if not (0.0 < epsilon < 0.1):
         raise ValueError("epsilon must lie strictly between 0 and 0.1")
     seeds = tuple(seeds)
-    if len(seeds) < 3:
-        raise ValueError("need at least three independent seeds")
+    if len(set(seeds)) < 3:
+        raise ValueError("need at least three distinct seeds")
     criterion: bool | None = None
     if isinstance(target, PillowCover):
         cover = target

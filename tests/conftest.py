@@ -5,11 +5,17 @@ would come back from the memo in the next.  Tests that patch the moves,
 the involution transport or the checks, or that count the checks of a
 closure, need the closure to run; every test therefore starts from an
 empty memo.
+
+The walkers' state cache lives for the whole process too, and a state or
+transition built by one test would be reused by the next.  Tests that
+patch the chain maps or the homology, or that count or time the builds of
+a walker, need the builds to run; every test therefore also starts from an
+empty state cache.
 """
 
 import pytest
 
-from pillowtiled import orbit
+from pillowtiled import cocycle, orbit
 
 
 @pytest.fixture(autouse=True)
@@ -17,3 +23,10 @@ def cold_orbit_memo():
     orbit._clear_memo()
     yield
     orbit._clear_memo()
+
+
+@pytest.fixture(autouse=True)
+def cold_state_cache():
+    cocycle._clear_shared_cache()
+    yield
+    cocycle._clear_shared_cache()

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from pillowtiled import cli
+from pillowtiled import cli, cocycle, orbit
 from pillowtiled.cli import RunConfig, main
 from pillowtiled.formats import (
     ParseError,
@@ -255,12 +255,49 @@ class TestSubcommands:
         path = write(tmp_path, "in.txt", FAMILY + "\n")
         assert main(["certify", path, "--epsilon", "0.5"]) == 2
 
+    def test_repeated_certify_seeds_exit_two(self, tmp_path, capsys):
+        path = write(tmp_path, "in.txt", FAMILY + "\n")
+        assert main(["certify", path, "--steps", "200", "--seeds", "7,7,7"]) == 2
+        assert "three distinct seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    @pytest.mark.parametrize("bad", ["missing-dir", "directory"])
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, flag, bad):
+        path = write(tmp_path, "in.txt", FAMILY + "\n")
+        target = tmp_path / "missing" / "x.out" if bad == "missing-dir" else tmp_path
+        rc = main(["lyapunov", path, "--steps", "100", "--seeds", "1", flag, str(target)])
+        assert rc == 2
+        assert f"cannot write {target}:" in capsys.readouterr().err
+
     def test_csv_format(self, tmp_path, capsys):
         path = write(tmp_path, "in.txt", "3 1 1 1 3\n5 1 2 2 5\n")
         assert main(["construct", path, "--format", "csv"]) == 0
         rows = list(csv.reader(capsys.readouterr().out.splitlines()))
         assert rows[0][0] == "spec"
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("command", ["certify", "lyapunov"])
+    def test_warm_caches_give_cold_bytes(self, tmp_path, command):
+        # each cover is followed by a relabelling of it, x -> 2x, which has
+        # the same canonical states; the second run meets them all cached
+        lines = ["5 1 2 2 5", "5 2 4 4 5", "7 1 3 3 7", "7 2 6 6 7"]
+        path = write(tmp_path, "in.txt", "\n".join(lines) + "\n")
+        flags = ["--steps", "200", "--seeds", "1,2,3"]
+
+        def once(path, name):
+            out = tmp_path / name
+            rc = main([command, path, *flags, "--out", str(out)])
+            return rc, out.read_bytes()
+
+        cold = once(path, "cold.json")
+        assert once(path, "warm.json") == cold
+        records = json.loads(cold[1])
+        for i, line in enumerate(lines):
+            cocycle._clear_shared_cache()
+            orbit._clear_memo()
+            rc, alone = once(write(tmp_path, f"{i}.txt", line + "\n"), f"{i}.json")
+            assert rc == 0
+            assert json.loads(alone) == [records[i]]
 
     def test_deterministic_output(self, tmp_path):
         path = write(tmp_path, "in.txt", FAMILY + "\n")

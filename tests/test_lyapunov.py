@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pillowtiled import lattice
+from pillowtiled import cocycle, lattice, lyapunov
 from pillowtiled.cocycle import StateCache, chain_map, elementary_matrix, induced_cocycle
 from pillowtiled.homology import boundary_matrices, homology_basis, involution_splitting
 from pillowtiled.lyapunov import LyapunovEstimate, certify_degenerate, run_monte_carlo
@@ -123,10 +123,11 @@ class TestChainMaps:
     def test_corrupted_chain_map_raises_under_dash_o(self):
         # twice the true chain map still sends cycles to cycles and
         # boundaries to boundaries, but scales the intersection form by 4;
-        # both transport paths must reject it with asserts stripped
+        # both transport paths, and a walker on the shared state cache, must
+        # reject it with asserts stripped
         code = (
             "import sys\n"
-            "from pillowtiled import cocycle\n"
+            "from pillowtiled import cocycle, lyapunov\n"
             "from pillowtiled.permsurf import Origami, PillowCover, orientation_double_cover\n"
             "if not sys.flags.optimize:\n"
             "    raise SystemExit('not running under -O')\n"
@@ -135,8 +136,12 @@ class TestChainMaps:
             "perms = [tuple((x + a) % 5 for x in range(5)) for a in (1, 2, 2, 5)]\n"
             "o, iota = orientation_double_cover(PillowCover(5, *perms))\n"
             "cache = cocycle.StateCache()\n"
+            "def shared_walker():\n"
+            "    walker = lyapunov._Walker(PillowCover(5, *perms))\n"
+            "    lyapunov._GenCycle(walker.cache, walker.anchor, 'T')\n"
             "cases = {\n"
             "    'transition': lambda: cache.transition(cache.canonical_key(o, iota), 'T'),\n"
+            "    'shared walker': shared_walker,\n"
             "    'torus word': lambda: cocycle.induced_cocycle(Origami(1, (0,), (0,)), ['T']),\n"
             "    'double cover word': lambda: cocycle.induced_cocycle(o, ['T'], iota),\n"
             "}\n"
@@ -226,6 +231,124 @@ class TestStateCache:
                 assert bits(m) <= 16
 
 
+class TestSharedStateCache:
+    """The one state cache that every walker in the process draws from."""
+
+    @staticmethod
+    def spy_builds(monkeypatch):
+        """Record the key of every StateData built from now on."""
+        built = []
+        real = cocycle.StateData
+
+        class Spy(real):
+            def __init__(self, origami, iota=None):
+                built.append((origami.h, origami.v, iota))
+                super().__init__(origami, iota)
+
+        monkeypatch.setattr(cocycle, "StateData", Spy)
+        return built
+
+    def test_relabelled_line_builds_no_state(self, monkeypatch):
+        # x -> 2x renumbers the sheets of the same cover
+        built = self.spy_builds(monkeypatch)
+        first = _run_seeds(cyclic_pillow(5, (1, 2, 2, 5)), 600, (1, 2, 3))
+        assert built
+        del built[:]
+        second = _run_seeds(cyclic_pillow(5, (2, 4, 4, 5)), 600, (1, 2, 3))
+        assert built == []
+        assert second == first
+
+    def test_trimmed_to_budget_at_walker_start_only(self, monkeypatch):
+        budget = 12_000  # about three states of degree 5
+        monkeypatch.setattr(cocycle, "_SHARED_ENTRIES", budget)
+        built = self.spy_builds(monkeypatch)
+        real = lyapunov.shared_state_cache
+        at_start = []
+
+        def spy():
+            cache = real()
+            at_start.append(cache.weight())
+            built.append(None)  # a walker starts
+            return cache
+
+        monkeypatch.setattr(lyapunov, "shared_state_cache", spy)
+        after_walk = []
+        for N, a in [(5, (1, 2, 2, 5)), (6, (1, 1, 5, 5)), (5, (1, 2, 2, 5)),
+                     (8, (1, 3, 5, 7)), (6, (1, 1, 5, 5)), (5, (2, 4, 4, 5))]:
+            _run_seeds(cyclic_pillow(N, a), 800, (1, 2))
+            after_walk.append(cocycle._shared.weight())
+        assert len(at_start) == 6
+        assert all(w <= budget for w in at_start), at_start
+        assert max(after_walk) > budget  # some walk outgrew the budget ...
+        walks, cur = [], []
+        for key in built[1:] + [None]:
+            if key is None:
+                walks.append(cur)
+                cur = []
+            else:
+                cur.append(key)
+        # ... yet no walk rebuilt a state that it built itself
+        assert all(len(set(w)) == len(w) for w in walks)
+        # while states dropped between walks were built again
+        keys = [k for w in walks for k in w]
+        assert len(set(keys)) < len(keys)
+
+    def test_trim_drops_the_oldest_states_and_their_moves(self):
+        cache = StateCache()
+        o, iota = orientation_double_cover(cyclic_pillow(8, (1, 3, 5, 7)))
+        cur = cache.canonical_key(o, iota)
+        moves = {}
+        for gen in ["T", "L", "T", "S", "L", "T", "L"]:
+            moves[cur, gen] = cache.transition(cur, gen)
+            cur = moves[cur, gen].target
+        order = list(cache.states)
+        assert len(order) >= 3
+        keep = sum(cache.states[k].entries for k in order[-2:])
+        cache.trim(keep)
+        assert list(cache.states) == order[-2:]
+        assert cache.weight() == keep
+        assert all(src in cache.states for src, _ in cache.transitions)
+        # a move into a dropped state still holds the right matrices, and
+        # moves out of it are rebuilt equal
+        for (src, gen), tr in moves.items():
+            assert cache.transition(src, gen) == tr
+
+    def test_interrupted_builds_leave_no_entry(self, monkeypatch):
+        class Cut(Exception):
+            pass
+
+        def cut(*args):
+            raise Cut
+
+        walker = _Walker(cyclic_pillow(5, (1, 2, 2, 5)))
+        cache, key = walker.cache, walker.anchor
+        # a state build cut off after its homology basis
+        cache.states.pop(key)
+        with monkeypatch.context() as m:
+            m.setattr(cocycle, "involution_splitting", cut)
+            with pytest.raises(Cut):
+                cache.state(key)
+        assert key not in cache.states
+        # a move cut off after its exact check, between its two restrictions
+        real, calls = cocycle._restrict, []
+
+        def second_cut(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise Cut
+            return real(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(cocycle, "_restrict", second_cut)
+            with pytest.raises(Cut):
+                cache.transition(key, "T")
+        assert (key, "T") not in cache.transitions
+        assert all(st.splitting is not None for st in cache.states.values())
+        warm = run_monte_carlo(walker.cover, 600, 1)
+        cocycle._clear_shared_cache()
+        assert run_monte_carlo(walker.cover, 600, 1) == warm
+
+
 class TestMonteCarlo:
     def test_bitwise_reproducible(self):
         cover = cyclic_pillow(4, (1, 1, 1, 1))
@@ -310,5 +433,7 @@ class TestCertify:
                 certify_degenerate(cover, eps)
 
     def test_needs_three_seeds(self):
-        with pytest.raises(ValueError):
-            certify_degenerate(cyclic_pillow(3, (1, 1, 1, 3)), 0.01, seeds=(1, 2))
+        # three runs on one seed are one estimate three times, not three
+        for seeds in [(1, 2), (7, 7, 7), (1, 2, 2)]:
+            with pytest.raises(ValueError, match="three distinct seeds"):
+                certify_degenerate(cyclic_pillow(3, (1, 1, 1, 3)), 0.01, seeds=seeds)

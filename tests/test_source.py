@@ -73,3 +73,26 @@ def test_no_function_level_imports_in_src():
                 if isinstance(node, (ast.Import, ast.ImportFrom))
             ]
     assert not found, "function-level imports in src/pillowtiled: " + ", ".join(found)
+
+
+def test_one_state_cache_in_src():
+    # every walker shares the process cache in cocycle.py; a private cache
+    # per line would build each state again on every line that reaches it
+    files = sorted(SRC.glob("*.py"))
+    assert files, f"no sources under {SRC}"
+    found = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        shared = {
+            id(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["_shared"]
+        }
+        found += [
+            f"{path.name}:{'_shared' if id(node) in shared else node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "StateCache"
+        ]
+    assert found == ["cocycle.py:_shared"], found
