@@ -6,8 +6,9 @@ array (or CSV) of reports.  Lines are processed independently and in
 order, so output is deterministic for a given (input, seed).
 
 Exit codes: 0 all lines complete and no verdict failed; 2 parse error,
-bad arguments, or an unreadable input or unwritable output file; 3 a
-resource cap was hit; 4 a certificate contradiction or failed check.
+bad arguments (a flag the subcommand does not read among them), or an
+unreadable input or unwritable output file; 3 a resource cap was hit; 4 a
+certificate contradiction or failed check.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class RunConfig:
     trace: str | None = None
 
     def __post_init__(self):
-        if self.command not in _HANDLERS:
+        if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
         if self.steps <= 0 or self.orbit_cap <= 0:
             raise ValueError("steps and orbit cap must be positive")
@@ -207,15 +208,19 @@ def _cmd_locus(line: str, cfg: RunConfig):
     return record, EXIT_OK
 
 
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "certify": _cmd_certify,
-    "orbit": _cmd_orbit,
-    "ekz": _cmd_ekz,
-    "lyapunov": _cmd_lyapunov,
-    "bform": _cmd_bform,
-    "bounds": _cmd_bounds,
-    "locus": _cmd_locus,
+# each subcommand: its handler, its help text, and the flags it reads; the
+# parser gives it these flags alone, so any other flag is a usage error
+_COMMANDS = {
+    "construct": (_cmd_construct, "cover reports for cyclic data", ("--out", "--format")),
+    "certify": (_cmd_certify, "two-channel degeneracy certificates",
+                ("--steps", "--seeds", "--epsilon", "--orbit-cap", "--out", "--format")),
+    "orbit": (_cmd_orbit, "dump the S,T orbit graph", ("--orbit-cap", "--out", "--format")),
+    "ekz": (_cmd_ekz, "exact sum-rule reports", ("--orbit-cap", "--out", "--format")),
+    "lyapunov": (_cmd_lyapunov, "Monte-Carlo exponent estimates",
+                 ("--steps", "--seeds", "--trace", "--out", "--format")),
+    "bform": (_cmd_bform, "pairing matrices at the disc sample points", ("--out", "--format")),
+    "bounds": (_cmd_bounds, "pole-count/degree/unbranched-pole checks", ("--out", "--format")),
+    "locus": (_cmd_locus, "metadata for branched-cover loci", ("--out", "--format")),
 }
 
 
@@ -260,7 +265,7 @@ def run(config: RunConfig) -> int:
         print(f"cannot read {config.input_path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    handler = _HANDLERS[config.command]
+    handler = _COMMANDS[config.command][0]
     try:
         results = [handler(line, config) for _, line in iter_input_lines(text)]
     except ParseError as exc:
@@ -301,50 +306,36 @@ def run(config: RunConfig) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    flags = {
+        "--steps": dict(type=int, default=RunConfig.steps),
+        "--seeds": dict(default=",".join(map(str, RunConfig.seeds)),
+                        help="comma-separated seed list"),
+        "--epsilon": dict(type=float, default=RunConfig.epsilon),
+        "--orbit-cap": dict(type=int, default=RunConfig.orbit_cap),
+        "--out": dict(default=RunConfig.out),
+        "--format": dict(choices=("json", "csv"), default=RunConfig.format),
+        "--trace": dict(default=RunConfig.trace, help="CSV of per-block slopes"),
+    }
     parser = argparse.ArgumentParser(
         prog="pillowtiled",
         description="Exact and numerical checks for pillow-tiled covers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("construct", "cover reports for cyclic data"),
-        ("certify", "two-channel degeneracy certificates"),
-        ("orbit", "dump the S,T orbit graph"),
-        ("ekz", "exact sum-rule reports"),
-        ("lyapunov", "Monte-Carlo exponent estimates"),
-        ("bform", "pairing matrices at the disc sample points"),
-        ("bounds", "pole-count/degree/unbranched-pole checks"),
-        ("locus", "metadata for branched-cover loci"),
-    ]:
+    for name, (_, helptext, names) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("input", help="input file, one datum per line")
-        p.add_argument("--steps", type=int, default=RunConfig.steps)
-        p.add_argument("--seeds", default=",".join(map(str, RunConfig.seeds)),
-                       help="comma-separated seed list")
-        p.add_argument("--epsilon", type=float, default=RunConfig.epsilon)
-        p.add_argument("--orbit-cap", type=int, default=RunConfig.orbit_cap)
-        p.add_argument("--out", default=RunConfig.out)
-        p.add_argument("--format", choices=("json", "csv"), default=RunConfig.format)
-        p.add_argument("--trace", default=RunConfig.trace,
-                       help="CSV of per-block slopes (lyapunov only)")
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    args["input_path"] = args.pop("input")
     try:
-        seeds = tuple(int(s) for s in str(args.seeds).split(",") if s.strip())
-        config = RunConfig(
-            command=args.command,
-            input_path=args.input,
-            steps=args.steps,
-            seeds=seeds,
-            epsilon=args.epsilon,
-            orbit_cap=args.orbit_cap,
-            out=args.out,
-            format=args.format,
-            trace=args.trace,
-        )
+        if "seeds" in args:
+            args["seeds"] = tuple(int(s) for s in str(args["seeds"]).split(",") if s.strip())
+        config = RunConfig(**args)
     except ValueError as exc:
         print(f"bad arguments: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -4,7 +4,6 @@ Each generator is realized as an explicit map on 1-chains (new labels on
 the left, so the matrix maps old edge coordinates to new ones):
 
     T      sigma_i -> sigma_i            tau_i -> sigma_i + tau_{h(i)}
-    T^-1   sigma_i -> sigma_i            tau_i -> tau_{h^-1(i)} - sigma_{h^-1(i)}
     S      sigma_i -> -tau_i             tau_i -> sigma_{h^-1(i)}
     L      sigma_i -> tau_i + sigma_{v(i)}   tau_i -> tau_i
 
@@ -34,14 +33,16 @@ leaves nothing behind.
 
 The shared cache is trimmed to ``_SHARED_ENTRIES`` when a walker is
 created, never during a walk, so no walk rebuilds a state it built itself.
-Trimming drops the oldest states first, each with its outgoing
-transitions; transitions into a dropped state hold only its key and
-matrices and stay valid.  A state weighs the entry count of its matrices
-(``StateData.entries``).  Measured with tracemalloc on the anchor states
-of cyclic covers from N = 5 (d = 20, 3024 entries, 35 KB) to N = 30
-(d = 120, 140,224 entries, 1.2 MB), a state takes 8.4-11.7 bytes per
-entry, and its T and L transitions add under 10% of its entries, so the
-budget of 2^21 entries keeps at most about 27 MB.
+Trimming drops the least recently used states first, each with its
+outgoing transitions; a state is used when ``state`` returns it or a
+transition from it is looked up.  Transitions into a dropped state hold
+only its key and matrices and stay valid.  A state weighs the entry
+count of its matrices (``StateData.entries``).  Measured with
+tracemalloc on the anchor states of cyclic covers from N = 5 (d = 20,
+3024 entries, 35 KB) to N = 30 (d = 120, 140,224 entries, 1.2 MB), a
+state takes 8.4-11.7 bytes per entry, and its T and L transitions add
+under 10% of its entries, so the budget of 2^21 entries keeps at most
+about 27 MB.
 """
 
 from __future__ import annotations
@@ -64,21 +65,8 @@ __all__ = [
     "CocycleMatrix",
     "StateCache",
     "chain_map",
-    "elementary_matrix",
     "induced_cocycle",
 ]
-
-# derivative of each move on holonomy (column) vectors
-_ELEMENTARY = {
-    "T": ((1, 1), (0, 1)),
-    "Tinv": ((1, -1), (0, 1)),
-    "S": ((0, 1), (-1, 0)),
-    "L": ((1, 0), (1, 1)),
-}
-
-
-def elementary_matrix(gen: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    return _ELEMENTARY[gen]
 
 
 def chain_map(o: Origami, gen: str) -> list[list[int]]:
@@ -90,12 +78,6 @@ def chain_map(o: Origami, gen: str) -> list[list[int]]:
             M[i][i] = 1
             M[i][d + i] += 1
             M[d + o.h[i]][d + i] += 1
-    elif gen == "Tinv":
-        hinv = inverse(o.h)
-        for i in range(d):
-            M[i][i] = 1
-            M[d + hinv[i]][d + i] += 1
-            M[hinv[i]][d + i] -= 1
     elif gen == "S":
         hinv = inverse(o.h)
         for i in range(d):
@@ -189,7 +171,7 @@ class Transition:
 class StateCache:
     """Canonical states plus memoized transitions between them.
 
-    ``states`` is in build order, the oldest first.
+    ``states`` is in order of use, the least recently used first.
     """
 
     def __init__(self):
@@ -197,10 +179,11 @@ class StateCache:
         self.transitions: dict[tuple[tuple[Perm, Perm, Perm], str], Transition] = {}
 
     def state(self, key: tuple[Perm, Perm, Perm]) -> StateData:
-        st = self.states.get(key)
+        st = self.states.pop(key, None)
         if st is None:
             h, v, iota = key
-            st = self.states[key] = StateData(Origami(len(h), h, v, allow_disconnected=True), iota)
+            st = StateData(Origami(len(h), h, v, allow_disconnected=True), iota)
+        self.states[key] = st
         return st
 
     def weight(self) -> int:
@@ -208,12 +191,12 @@ class StateCache:
         return sum(st.entries for st in self.states.values())
 
     def trim(self, budget: int) -> None:
-        """Drop the oldest states, each with its outgoing transitions, until
-        the states left weigh at most ``budget`` entries."""
+        """Drop the least recently used states, each with its outgoing
+        transitions, until the states left weigh at most ``budget`` entries."""
         total = self.weight()
         while self.states and total > budget:
             key = next(iter(self.states))
-            for gen in _ELEMENTARY:
+            for gen in ("T", "S", "L"):
                 self.transitions.pop((key, gen), None)
             total -= self.states.pop(key).entries
 
@@ -224,6 +207,7 @@ class StateCache:
     def transition(self, key: tuple[Perm, Perm, Perm], gen: str) -> Transition:
         memo = (key, gen)
         if memo in self.transitions:
+            self.states[key] = self.states.pop(key)
             return self.transitions[memo]
         src = self.state(key)
         o2, i2 = apply_state_generator(src.origami, src.iota, gen)

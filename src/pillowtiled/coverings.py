@@ -276,14 +276,6 @@ class BaseDifferential:
     zero_orders: tuple[tuple[complex, int], ...]
     finite_poles: tuple[complex, ...]
 
-    def order_at(self, z) -> int:
-        for point, m in self.zero_orders:
-            if point == z:
-                return m
-        if z in self.finite_poles:
-            return -1
-        return 0
-
     @property
     def order_at_infinity(self) -> int:
         num = sum(m for _, m in self.zero_orders)

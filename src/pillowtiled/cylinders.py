@@ -27,7 +27,6 @@ from fractions import Fraction
 from .coverings import CyclicCoverSpec, cyclic_to_pillow
 from .orbit import DEFAULT_ORBIT_CAP, OrbitGraph, enumerate_state_orbit
 from .permsurf import (
-    Origami,
     PillowCover,
     Stratum,
     orientation_double_cover,
@@ -38,11 +37,9 @@ from .permutations import Perm, cycles
 __all__ = [
     "KAPPA_SV",
     "CalibrationError",
-    "CylinderDecomposition",
     "EKZReport",
     "calibrate",
     "ekz_sum",
-    "horizontal_cylinders",
     "sv_raw",
     "sv_term",
 ]
@@ -54,26 +51,12 @@ class CalibrationError(RuntimeError):
     """The hardcoded Siegel-Veech normalization failed a calibration case."""
 
 
-@dataclass(frozen=True)
-class CylinderDecomposition:
-    """Horizontal cylinders as (width, height) pairs; widths sum the area."""
-
-    cylinders: tuple[tuple[int, int], ...]
-
-    def area(self) -> int:
-        return sum(w * h for w, h in self.cylinders)
-
-
-def horizontal_cylinders(o: Origami) -> CylinderDecomposition:
-    """Rows of the tiling as cylinders.
+def _row_widths(h: Perm, d: int) -> list[int]:
+    """Widths of the horizontal cylinders, one per row of the tiling.
 
     Marked points are retained, so every row boundary is singular and all
     cylinders have height 1 and width = row length.
     """
-    return CylinderDecomposition(tuple(sorted(((w, 1) for w in _row_widths(o.h, o.d)), reverse=True)))
-
-
-def _row_widths(h: Perm, d: int) -> list[int]:
     widths = [len(c) for c in cycles(h)]
     if sum(widths) != d:
         raise ArithmeticError("the horizontal cylinders do not fill the surface")

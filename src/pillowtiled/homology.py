@@ -14,7 +14,6 @@ Edge indexing: ``sigma_i`` is edge ``i``, ``tau_i`` is edge ``d + i``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from . import lattice
@@ -225,7 +224,6 @@ class InvolutionSplitting:
 
     ``plus_basis``/``minus_basis``: r x k column matrices; ``plus_coords``/
     ``minus_coords``: integer left inverses (coordinates on each summand).
-    The rational projectors (1 +- I)/2 are available via :meth:`projectors`.
     """
 
     action: tuple[tuple[int, ...], ...]
@@ -241,16 +239,6 @@ class InvolutionSplitting:
     @property
     def dim_minus(self) -> int:
         return len(self.minus_basis[0]) if self.minus_basis else 0
-
-    def projectors(self):
-        """(P+, P-) as exact Fraction matrices; P+ + P- = 1, P^2 = P."""
-        r = len(self.action)
-        half = Fraction(1, 2)
-        Pp = [[half * ((1 if i == j else 0) + self.action[i][j]) for j in range(r)]
-              for i in range(r)]
-        Pm = [[half * ((1 if i == j else 0) - self.action[i][j]) for j in range(r)]
-              for i in range(r)]
-        return Pp, Pm
 
 
 def involution_splitting(basis: HomologyBasis, iota: Perm) -> InvolutionSplitting:

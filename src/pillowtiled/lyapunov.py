@@ -52,6 +52,8 @@ __all__ = [
 _DIGIT_CAP = 10**12
 _REFRESH_DIGITS = 25  # float continued-fraction digits stay honest this long
 _BOOTSTRAP_RESAMPLES = 200
+_BLOCKS = 20  # equal segments of a run, for the bootstrap error bars
+_RENORM = 20  # elementary moves between re-orthonormalizations
 
 
 class _CyclePowers:
@@ -174,14 +176,6 @@ class LyapunovEstimate:
     block_slopes: tuple[float, ...]
     warnings: tuple[str, ...]
 
-    @property
-    def converged(self) -> bool:
-        return not self.warnings
-
-    @property
-    def sum_plus(self) -> float:
-        return float(sum(self.lambda_plus))
-
 
 def _flush(frame, logs):
     if frame is None:
@@ -196,23 +190,17 @@ def run_monte_carlo(
     steps: int,
     seed: int,
     *,
-    block: int = 20,
-    renorm: int = 20,
     _walker: _Walker | None = None,
 ) -> LyapunovEstimate:
     """Estimate the non-negative exponent spectrum of one cover.
 
-    ``steps`` counts continued-fraction digits, ``block`` the number of
-    equal segments used for the bootstrap error bars, ``renorm`` the
-    re-orthonormalization cadence in elementary moves.  ``_walker`` is
-    internal: a walker over ``cover`` shared by the runs of ``_run_seeds``.
+    ``steps`` counts continued-fraction digits, at least ``_BLOCKS``.
+    ``_walker`` is internal: a walker over ``cover`` shared by the runs of
+    ``_run_seeds``.
     """
+    block, renorm = _BLOCKS, _RENORM
     if steps < block:
         raise ValueError("steps must be at least the number of blocks")
-    if block < 2:
-        raise ValueError("need at least two blocks for error bars")
-    if renorm < 1:
-        raise ValueError("renorm must be positive")
     if _walker is None:
         walker = _Walker(cover)
     elif _walker.cover != cover:

@@ -5,15 +5,16 @@ The two generators act on the gluing permutations by
     T . (h, v) = (h, v . h^-1)        (horizontal shear)
     S . (h, v) = (v, h^-1)            (quarter turn)
 
-and for internal use the inverse shear and the vertical shear are also
-provided: T^-1 . (h, v) = (h, v . h), L . (h, v) = (h . v^-1, v).
+and for internal use the vertical shear is also provided:
+L . (h, v) = (h . v^-1, v).  The orbit closure uses only S and T, the
+Monte-Carlo walker only T and L.
 
 When the surface is an orientation double cover, the deck involution is
 transported along: a shear re-cuts the surface, so iota picks up the
 permutation that moves the new cut back onto the old one (T: iota' =
-h . iota, T^-1: iota' = h^-1 . iota, L: iota' = v . iota), while the
-quarter turn needs no re-cut (S: iota' = iota).  A single move checked
-through :func:`apply_state_generator` re-validates the involution.
+h . iota, L: iota' = v . iota), while the quarter turn needs no re-cut
+(S: iota' = iota).  A single move checked through
+:func:`apply_state_generator` re-validates the involution.
 
 Orbits are finite; closure under S and T alone suffices (on a finite
 orbit every generator acts bijectively, so inverses are reachable).
@@ -67,8 +68,6 @@ __all__ = [
     "OrbitGraph",
     "apply_generator",
     "apply_state_generator",
-    "canonical_form",
-    "canonical_state",
     "enumerate_orbit",
     "enumerate_state_orbit",
 ]
@@ -92,8 +91,6 @@ def _move(h: Perm, v: Perm, gen: str) -> tuple[Perm, Perm]:
         return h, compose(v, inverse(h))
     if gen == "S":
         return v, inverse(h)
-    if gen == "Tinv":
-        return h, compose(v, h)
     if gen == "L":
         return compose(h, inverse(v)), v
     raise ValueError(f"unknown generator {gen!r}")
@@ -111,8 +108,6 @@ def _transport(h: Perm, v: Perm, iota: Perm, gen: str) -> Perm:
         return compose(h, iota)
     if gen == "S":
         return iota
-    if gen == "Tinv":
-        return compose(inverse(h), iota)
     if gen == "L":
         return compose(v, iota)
     raise ValueError(f"unknown generator {gen!r}")
@@ -227,22 +222,6 @@ def canonical_perms(perms: tuple[Perm, ...], d: int) -> tuple[Perm, ...]:
     return canonical_labelling(perms, d)[0]
 
 
-def canonical_form(o: Origami) -> Origami:
-    """Canonical relabeling; equal for isomorphic origamis, idempotent."""
-    h, v = canonical_perms((o.h, o.v), o.d)
-    return Origami(o.d, h, v, allow_disconnected=o.allow_disconnected)
-
-
-def canonical_state(o: Origami, iota: Perm) -> tuple[Origami, Perm]:
-    """Canonical relabeling of a double cover together with its involution.
-
-    The involution takes part in the BFS, so this also handles orientable
-    covers whose two components are only connected through iota.
-    """
-    h, v, i2 = canonical_perms((o.h, o.v, iota), o.d)
-    return Origami(o.d, h, v, allow_disconnected=True), i2
-
-
 @dataclass(frozen=True)
 class OrbitGraph:
     """A complete S,T-orbit of canonical forms.
@@ -263,14 +242,6 @@ class OrbitGraph:
 
     def origamis(self) -> list[Origami]:
         return [Origami(self.d, w[0], w[1], allow_disconnected=True) for w in self.vertices]
-
-    def to_text(self) -> str:
-        lines = [f"d {self.d}", f"size {self.size}"]
-        for w in self.vertices:
-            lines.append(" | ".join(",".join(map(str, p)) for p in w))
-        for a, g, b in sorted(self.edges):
-            lines.append(f"{a} {g} {b}")
-        return "\n".join(lines) + "\n"
 
 
 # the packed canonical vertices of every memoised orbit -> that orbit, kept

@@ -9,7 +9,6 @@ internal is 0-indexed.
 from __future__ import annotations
 
 import re
-from itertools import permutations as _all_perms
 from math import lcm
 
 Perm = tuple[int, ...]
@@ -176,8 +175,3 @@ def format_cycles(p: Perm, with_fixed: bool = False) -> str:
 
 def random_permutation(n: int, rng) -> Perm:
     return tuple(int(i) for i in rng.permutation(n))
-
-
-def all_permutations(n: int):
-    """Iterate over all n! permutations (small n only; used by tests)."""
-    return _all_perms(range(n))

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -104,12 +105,63 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig("certify", "x", format="xml")
 
-    @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     def test_parser_defaults_are_the_config_defaults(self, monkeypatch, command):
         seen = []
         monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
         assert main([command, "in.txt"]) == 0
         assert seen == [RunConfig(command, "in.txt")]
+
+
+# a value each flag accepts, other than its default
+FLAG_VALUES = {
+    "--steps": "100", "--seeds": "1,2,3", "--epsilon": "0.01", "--orbit-cap": "50",
+    "--out": "o.json", "--format": "csv", "--trace": "t.csv",
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_a_subcommand_takes_only_its_own_flags(self, monkeypatch, capsys, command):
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
+        own = cli._COMMANDS[command][2]
+        assert set(own) <= set(FLAG_VALUES)
+        for flag, value in FLAG_VALUES.items():
+            if flag in own:
+                assert main([command, "in.txt", flag, value]) == 0
+                assert seen.pop() != RunConfig(command, "in.txt")
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    main([command, "in.txt", flag, value])
+                assert exc.value.code == 2
+                assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert seen == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["construct", "--epsilon", "0.5"], ["ekz", "--steps", "0"],
+         ["certify", "--trace", "x.csv"], ["bform", "--seeds", "1"]],
+        ids=["construct-epsilon", "ekz-steps", "certify-trace", "bform-seeds"],
+    )
+    def test_an_unread_flag_is_a_usage_error(self, tmp_path, capsys, argv):
+        path = write(tmp_path, "in.txt", FAMILY + "\n")
+        command, flag, value = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pillowtiled")
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_help_lists_exactly_the_own_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == {"--help", *cli._COMMANDS[command][2]}
 
 
 class TestSubcommands:

@@ -143,11 +143,6 @@ def test_splitting_dimensions(p, dplus, dminus):
     hb = homology_basis(o)
     sp = involution_splitting(hb, iota)
     assert (sp.dim_plus, sp.dim_minus) == (dplus, dminus)
-    Pp, Pm = sp.projectors()
-    r = hb.rank
-    for i in range(r):
-        for j in range(r):
-            assert Pp[i][j] + Pm[i][j] == (1 if i == j else 0)
 
 
 def test_splitting_is_exact():

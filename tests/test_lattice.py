@@ -1,5 +1,7 @@
 """Exact integer linear algebra checks, mostly randomized invariants."""
 
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -120,8 +122,7 @@ def test_kernel_basis():
         ker = lattice.kernel_basis(a)
         for c in ker:
             assert all(sum(a[i][j] * c[j] for j in range(n)) == 0 for i in range(m))
-        S, U, Uinv = lattice.smith_normal_form(a)
-        assert len(ker) == n - sum(1 for i in range(min(m, n)) if S[i][i])
+        assert len(ker) == n - _rank(a)
 
 
 def test_hermite_form_properties():
@@ -155,16 +156,25 @@ def test_kernel_basis_is_saturated_and_complete():
 
 
 def test_column_lattice_basis_spans_the_smith_lattice():
+    # the lattice the columns of a span, checked without the Smith form: the
+    # columns lie in the lattice of the basis B, so a = B C for an integer
+    # C; B lies in the lattice of a exactly when the columns of C generate
+    # Z^r, that is when the r x r minors of C have gcd 1
     rng = random.Random(13)
     for a in random_cases(rng, 90):
         m, n = lattice.shape(a)
         basis = lattice.column_lattice_basis(a)
-        S, U, Uinv = lattice.smith_normal_form(a)
-        rank = sum(1 for i in range(min(m, n)) if S[i][i])
-        smith = [[S[i][i] * Uinv[r][i] for r in range(m)] for i in range(rank)]
-        assert len(basis) == rank
-        assert all(_in_lattice(v, smith) for v in basis)
-        assert all(_in_lattice(v, basis) for v in smith)
+        r = _rank(a)
+        assert len(basis) == r
+        assert _rank([[v[i] for v in basis] for i in range(m)]) == r
+        cols = [[row[j] for row in a] for j in range(n)]
+        assert all(_in_lattice(c, basis) for c in cols)
+        if not r:
+            continue
+        C = [_rref([[v[i] for v in basis] + [c[i]] for i in range(m)])[0] for c in cols]
+        C = [[int(C[j][t][-1]) for j in range(n)] for t in range(r)]
+        minors = (_det([[row[j] for j in js] for row in C]) for js in itertools.combinations(range(n), r))
+        assert math.gcd(*(int(x) for x in minors)) == 1
 
 
 def test_left_inverse():
