@@ -212,7 +212,7 @@ def _cmd_locus(line: str, cfg: RunConfig):
 # parser gives it these flags alone, so any other flag is a usage error
 _COMMANDS = {
     "construct": (_cmd_construct, "cover reports for cyclic data", ("--out", "--format")),
-    "certify": (_cmd_certify, "two-channel degeneracy certificates",
+    "certify": (_cmd_certify, "three-channel degeneracy certificates",
                 ("--steps", "--seeds", "--epsilon", "--orbit-cap", "--out", "--format")),
     "orbit": (_cmd_orbit, "dump the S,T orbit graph", ("--orbit-cap", "--out", "--format")),
     "ekz": (_cmd_ekz, "exact sum-rule reports", ("--orbit-cap", "--out", "--format")),
@@ -305,7 +305,8 @@ def run(config: RunConfig) -> int:
     return EXIT_CONTRADICTION if contradiction else EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subparsers by command name."""
     flags = {
         "--steps": dict(type=int, default=RunConfig.steps),
         "--seeds": dict(default=",".join(map(str, RunConfig.seeds)),
@@ -326,11 +327,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="input file, one datum per line")
         for flag in names:
             p.add_argument(flag, **flags[flag])
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = vars(_build_parser().parse_args(argv))
+    parser, subparsers = _build_parser()
+    namespace, extra = parser.parse_known_args(argv)
+    if extra:
+        # name the flags the chosen command does take, not the command list
+        subparsers[namespace.command].error(f"unrecognized arguments: {' '.join(extra)}")
+    args = vars(namespace)
     args["input_path"] = args.pop("input")
     try:
         if "seeds" in args:

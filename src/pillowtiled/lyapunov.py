@@ -9,6 +9,16 @@ of first homology.  Growth rates are read off QR diagonals a la
 Benettin; everything is normalized by the log-growth of the tautological
 2-vector, whose own exponent is 1 by construction.
 
+The frames are re-orthonormalized once the tautological log-growth since
+the last QR reaches ``_RENORM_NATS`` = 12 nats, and at every block
+boundary.  Normalized, every exponent of a frame lies in [0, 1] with the
+tautological 1 on top, so between flushes a frame's condition number
+stays at most about e^12 and a QR loses about 2^-52 e^12 ~ 4e-11 of
+relative accuracy in diag R.  In exact arithmetic the R-diagonal product
+over a block does not depend on the flush times, so the exponents depend
+on this rule at round-off only; they moved at that level when it replaced
+a flush every 20 moves, which made one large digit cost a QR of its own.
+
 Large digits are cheap: each generator permutes the finite set of
 canonical states along a cycle, so gen^a factors as (partial walk) x
 (full-cycle product)^q.  A full-cycle product C is a parabolic affine
@@ -53,7 +63,7 @@ _DIGIT_CAP = 10**12
 _REFRESH_DIGITS = 25  # float continued-fraction digits stay honest this long
 _BOOTSTRAP_RESAMPLES = 200
 _BLOCKS = 20  # equal segments of a run, for the bootstrap error bars
-_RENORM = 20  # elementary moves between re-orthonormalizations
+_RENORM_NATS = 12.0  # tautological log-growth between re-orthonormalizations
 
 
 class _CyclePowers:
@@ -198,7 +208,7 @@ def run_monte_carlo(
     ``_walker`` is internal: a walker over ``cover`` shared by the runs of
     ``_run_seeds``.
     """
-    block, renorm = _BLOCKS, _RENORM
+    block = _BLOCKS
     if steps < block:
         raise ValueError("steps must be at least the number of blocks")
     if _walker is None:
@@ -224,7 +234,7 @@ def run_monte_carlo(
 
     logs_p = np.zeros(mp)
     logs_m = np.zeros(mm)
-    taut = 0.0
+    taut = taut_at_flush = 0.0
     boundaries = [steps * (k + 1) // block for k in range(block)]
     bi = 0
     prev = (logs_p.copy(), logs_m.copy(), 0.0, 0)
@@ -232,7 +242,6 @@ def run_monte_carlo(
 
     x = 0.0
     digits_since_refresh = _REFRESH_DIGITS  # force an initial draw
-    moves_since_renorm = 0
     use_T = True
     for step in range(steps):
         if digits_since_refresh >= _REFRESH_DIGITS or x <= 1e-9:
@@ -259,12 +268,11 @@ def run_monte_carlo(
         u0 /= nrm
         u1 /= nrm
         digits_since_refresh += 1
-        moves_since_renorm += a
         at_boundary = step + 1 == boundaries[bi]
-        if moves_since_renorm >= renorm or at_boundary:
+        if taut - taut_at_flush >= _RENORM_NATS or at_boundary:
             Fp = _flush(Fp, logs_p)
             Fm = _flush(Fm, logs_m)
-            moves_since_renorm = 0
+            taut_at_flush = taut
         if at_boundary:
             rows.append((
                 logs_p - prev[0],

@@ -151,7 +151,7 @@ class TestFlags:
             main([command, path, flag, value])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage: pillowtiled")
+        assert err.startswith(f"usage: pillowtiled {command}")
         assert f"unrecognized arguments: {flag} {value}" in err
         assert not (tmp_path / "x.csv").exists()
 

@@ -96,3 +96,24 @@ def test_one_state_cache_in_src():
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "StateCache"
         ]
     assert found == ["cocycle.py:_shared"], found
+
+
+def test_src_reads_no_environment():
+    # no knobs: a tuning constant such as lyapunov._RENORM_NATS is a module
+    # constant, and no environment variable may override it or anything else
+    env = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+    files = sorted(SRC.glob("*.py"))
+    assert files, f"no sources under {SRC}"
+    found = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in env:
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name in env
+                ]
+    assert not found, "environment reads in src/pillowtiled: " + ", ".join(found)
