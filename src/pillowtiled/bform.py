@@ -16,6 +16,10 @@ integrals of
 with P = prod (z - z_i)^{a_i}.  The Hodge products reduce the same way
 (nonzero only for b1 = b2).
 
+Every q is one type, :class:`CurveDifferential`: c is its ``wpow`` and R
+its zeros and simple poles.  ``coverings.sample_base_differential`` builds
+the pullbacks from the sphere, with c = 0.
+
 ``pairing_matrices`` takes one of two paths, chosen from the input alone.
 A curve with exactly three finite branch points, paired with
 q = c dz^2 / prod (z - z_i) over exactly those points (no w-power, no
@@ -222,27 +226,41 @@ def holomorphic_basis(curve: SuperellipticCurve) -> list[EigenForm]:
 class CurveDifferential:
     """q = w^{-wpow} * prod (z-y_j)^{m_j} / prod (z-x_i) * dz^2.
 
-    With wpow = 0 this is the pullback of a base differential; the
-    ``zero_orders``/``finite_poles``/call protocol matches the sampler in
-    the coverings module, so those objects can be passed wherever this
-    type is accepted.
+    ``zero_orders`` pairs each zero y_j with its order m_j, ``finite_poles``
+    lists the simple poles x_i.  With wpow = 0 this is the pullback of a
+    rational quadratic differential on the sphere, which is what
+    ``coverings.sample_base_differential`` builds; a w-power is set by
+    ``wpow``.  Calling q evaluates the rational part R(z), numerator then
+    denominator; the w-power enters the pairing through |P|^{-wpow/N}.
     """
 
     wpow: int = 0
     zero_orders: tuple[tuple[complex, int], ...] = ()
     finite_poles: tuple[complex, ...] = ()
 
+    @property
+    def order_at_infinity(self) -> int:
+        """Order of R(z) dz^2 at infinity on the sphere."""
+        num = sum(m for _, m in self.zero_orders)
+        den = len(self.finite_poles)
+        return -num + den - 4
+
+    def total_order(self) -> int:
+        return sum(m for _, m in self.zero_orders) \
+            - len(self.finite_poles) + self.order_at_infinity
+
     def __call__(self, z):
-        num = np.ones_like(np.asarray(z, dtype=complex))
+        num = 1.0 + 0.0j
         for point, m in self.zero_orders:
-            num = num * (z - point) ** m
+            num *= (z - point) ** m
+        den = 1.0 + 0.0j
         for point in self.finite_poles:
-            num = num / (z - point)
-        return num
+            den *= z - point
+        return num / den
 
 
 def _pullback_has_simple_pole(curve: SuperellipticCurve, q) -> bool:
-    wpow = getattr(q, "wpow", 0)
+    wpow = q.wpow
     N = curve.N
     exponent = {z: a for z, a in zip(curve.branch, curve.a)}
     base_order = {z: -1 for z in q.finite_poles}
@@ -553,11 +571,11 @@ def _report(curve, q, B, H, quad_error) -> BFormReport:
 def pairing_matrices(curve: SuperellipticCurve, q) -> BFormReport:
     """Contraction pairing B, Hodge Gram H, and the normalized spectrum.
 
-    ``q`` is a base differential (pullback) or a CurveDifferential with a
-    w-power.  Entries killed by the deck character are exact zeros.  On a
-    three-point curve with q = c dz^2 / prod (z - z_i) over its branch
-    points the rest come from twisted periods, elsewhere from the
-    quadrature; ``quad_error`` is the change of the entries under the
+    ``q`` is a :class:`CurveDifferential`: a pullback from the sphere, or
+    one with a w-power.  Entries killed by the deck character are exact
+    zeros.  On a three-point curve with q = c dz^2 / prod (z - z_i) over
+    its branch points the rest come from twisted periods, elsewhere from
+    the quadrature; ``quad_error`` is the change of the entries under the
     path's own refinement.
     """
     if _takes_period_path(curve, q):
@@ -578,7 +596,7 @@ def _takes_period_path(curve, q) -> bool:
     poles = [complex(z) for z in q.finite_poles]
     return (
         len(curve.branch) == 3
-        and getattr(q, "wpow", 0) == 0
+        and q.wpow == 0
         and not tuple(q.zero_orders)
         and len(poles) == 3
         and set(poles) == set(curve.branch)
@@ -725,7 +743,7 @@ def _quadrature_pairing(curve: SuperellipticCurve, q, *, levels: int = 3) -> BFo
         raise ValueError("levels must be at least 1")
     basis = holomorphic_basis(curve)
     g_count = len(basis)
-    wpow = getattr(q, "wpow", 0)
+    wpow = q.wpow
     N = curve.N
 
     centers = list(curve.branch)

@@ -19,7 +19,8 @@ On top of the raw chain maps this module holds the one move step,
 exact integer matrix on H_1, checked on the nose to be well defined,
 symplectic and deck-equivariant.  ``StateCache`` applies it between
 canonicalized double-cover states (and restricts it to their involution
-eigenlattices), and ``induced_cocycle`` folds it along a word of moves.
+eigenlattices); it is the one path that transports H_1.  The tests fold
+the same step along raw words of moves, in ``tests/reference.py``.
 
 Every Monte-Carlo walker in the process shares one ``StateCache``, from
 :func:`shared_state_cache`, so a state or move that an earlier walker
@@ -57,15 +58,13 @@ from .homology import (
     homology_basis,
     involution_splitting,
 )
-from .orbit import apply_generator, apply_state_generator, canonical_labelling, canonical_perms
+from .orbit import apply_state_generator, canonical_labelling, canonical_perms
 from .permsurf import Origami, validate_involution
 from .permutations import Perm, inverse
 
 __all__ = [
-    "CocycleMatrix",
     "StateCache",
     "chain_map",
-    "induced_cocycle",
 ]
 
 
@@ -91,15 +90,6 @@ def chain_map(o: Origami, gen: str) -> list[list[int]]:
     else:
         raise ValueError(f"unknown generator {gen!r}")
     return M
-
-
-@dataclass(frozen=True)
-class CocycleMatrix:
-    """Integer matrix of a move word on H_1, from the basis at the start
-    surface to the basis at the final surface; exactly symplectic."""
-
-    matrix: tuple[tuple[int, ...], ...]
-    word: tuple[str, ...]
 
 
 class StateData:
@@ -248,29 +238,3 @@ def shared_state_cache() -> StateCache:
     _shared.trim(_SHARED_ENTRIES)
     return _shared
 
-
-def induced_cocycle(o: Origami, word, iota: Perm | None = None):
-    """Transport H_1 along a word of moves.
-
-    Returns ``(CocycleMatrix, final_origami)`` for a bare origami, or
-    ``(CocycleMatrix, final_origami, final_iota)`` when an involution is
-    supplied (then every step is also checked for deck-equivariance).
-    The matrix is expressed from the basis of ``o`` to the basis of the
-    final surface, with no canonical relabeling in between.
-    """
-    word = tuple(word)
-    if not word:
-        raise ValueError("word must be nonempty")
-    cur = StateData(o, iota)
-    M = lattice.eye(cur.basis.rank)
-    for gen in word:
-        if iota is None:
-            nxt = StateData(apply_generator(cur.origami, gen))
-        else:
-            nxt = StateData(*apply_state_generator(cur.origami, cur.iota, gen))
-        M = lattice.matmul(_move_matrix(cur, nxt, chain_map(cur.origami, gen)), M)
-        cur = nxt
-    cm = CocycleMatrix(matrix=tuple(tuple(r) for r in M), word=word)
-    if iota is None:
-        return cm, cur.origami
-    return cm, cur.origami, cur.iota

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .bform import CurveDifferential
 from .permsurf import PillowCover, Stratum, pillow_stratum
 from .permutations import Perm, compose_all, cycles, identity, is_permutation, is_transitive
 
@@ -24,7 +25,6 @@ __all__ = [
     "DeterminantVerdict",
     "LocusSpec",
     "LocusMetadata",
-    "BaseDifferential",
     "cyclic_to_pillow",
     "cover_report",
     "is_determinant_locus",
@@ -265,38 +265,7 @@ def locus_metadata(L: LocusSpec) -> LocusMetadata:
     )
 
 
-@dataclass(frozen=True)
-class BaseDifferential:
-    """Rational quadratic differential on the sphere with exact orders.
-
-    Zeros of order m_j at the y_j, simple poles at 0, 1, the x_i, and at
-    infinity (the last automatic from degree bookkeeping).
-    """
-
-    zero_orders: tuple[tuple[complex, int], ...]
-    finite_poles: tuple[complex, ...]
-
-    @property
-    def order_at_infinity(self) -> int:
-        num = sum(m for _, m in self.zero_orders)
-        den = len(self.finite_poles)
-        return -num + den - 4
-
-    def total_order(self) -> int:
-        return sum(m for _, m in self.zero_orders) \
-            - len(self.finite_poles) + self.order_at_infinity
-
-    def __call__(self, z: complex) -> complex:
-        num = 1.0 + 0.0j
-        for point, m in self.zero_orders:
-            num *= (z - point) ** m
-        den = 1.0 + 0.0j
-        for point in self.finite_poles:
-            den *= z - point
-        return num / den
-
-
-def sample_base_differential(m, k: int, zeros=(), poles=()) -> BaseDifferential:
+def sample_base_differential(m, k: int, zeros=(), poles=()) -> CurveDifferential:
     """q = prod (z-y_j)^{m_j} / [z (z-1) prod (z-x_i)] dz^2.
 
     ``zeros`` lists the y_j (one per entry of ``m``), ``poles`` the k-3
@@ -315,7 +284,7 @@ def sample_base_differential(m, k: int, zeros=(), poles=()) -> BaseDifferential:
     marked = [0, 1, *poles, *zeros]
     if len(set(marked)) != len(marked):
         raise ValueError("marked points must be pairwise distinct")
-    q = BaseDifferential(
+    q = CurveDifferential(
         zero_orders=tuple(zip(zeros, m)),
         finite_poles=(0, 1, *poles),
     )

@@ -14,8 +14,8 @@ must produce sv_term = 1/6 (the unique value making the exact Lyapunov
 sum vanish), and the same constant must then reproduce 1/10 at p = 5,
 1/14 at p = 7, and sv_term = 1 on the orientable control of degree 2
 (whose Lyapunov sum is exactly 1).  All four checks land on 1/2 on the
-nose; :func:`calibrate` re-derives the constant and raises
-:class:`CalibrationError` if any case ever disagrees.
+nose.  ``tests/test_cylinders.py::test_calibration`` re-derives the
+constant from these four cases and fails if any of them ever disagrees.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coverings import CyclicCoverSpec, cyclic_to_pillow
 from .orbit import DEFAULT_ORBIT_CAP, OrbitGraph, enumerate_state_orbit
 from .permsurf import (
     PillowCover,
@@ -36,19 +35,14 @@ from .permutations import Perm, cycles
 
 __all__ = [
     "KAPPA_SV",
-    "CalibrationError",
     "EKZReport",
-    "calibrate",
+    "ekz_for_cover",
     "ekz_sum",
     "sv_raw",
     "sv_term",
 ]
 
 KAPPA_SV = Fraction(1, 2)
-
-
-class CalibrationError(RuntimeError):
-    """The hardcoded Siegel-Veech normalization failed a calibration case."""
 
 
 def _row_widths(h: Perm, d: int) -> list[int]:
@@ -78,42 +72,6 @@ def sv_raw(G: OrbitGraph) -> Fraction:
 def sv_term(G: OrbitGraph, kappa: Fraction = KAPPA_SV) -> Fraction:
     """Normalized area Siegel-Veech term of a complete double-cover orbit."""
     return kappa * sv_raw(G)
-
-
-def calibrate(orbit_cap: int = DEFAULT_ORBIT_CAP) -> Fraction:
-    """Re-derive KAPPA_SV from scratch and cross-validate it.
-
-    The p=3 member fixes the constant; p=5, p=7 and the orientable degree-2
-    control must then come out right with the *same* constant, otherwise no
-    single normalization exists and we fail loudly.
-    """
-
-    def raw(s: CyclicCoverSpec) -> Fraction:
-        o, iota = orientation_double_cover(cyclic_to_pillow(s))
-        return sv_raw(enumerate_state_orbit(o, iota, cap=orbit_cap))
-
-    # the family member at p is (p; 1, k, k, p) with k = (p - 1) / 2
-    kappa = Fraction(1, 6) / raw(CyclicCoverSpec(3, (1, 1, 1, 3)))
-    checks = [
-        (CyclicCoverSpec(5, (1, 2, 2, 5)), Fraction(1, 10)),
-        (CyclicCoverSpec(7, (1, 3, 3, 7)), Fraction(1, 14)),
-    ]
-    for spec, want in checks:
-        got = kappa * raw(spec)
-        if got != want:
-            raise CalibrationError(
-                f"kappa={kappa} gives sv_term={got}, expected {want}"
-            )
-    # orientable control: Lyapunov sum is exactly 1 and the formula gives
-    # sv_term = 1 - kappa_term + pole_term = 1 for the degree-2 cover
-    got = kappa * raw(CyclicCoverSpec(2, (1, 1, 1, 1)))
-    if got != 1:
-        raise CalibrationError(f"control cover: sv_term={got}, expected 1")
-    if kappa != KAPPA_SV:
-        raise CalibrationError(
-            f"re-derived kappa={kappa} disagrees with hardcoded {KAPPA_SV}"
-        )
-    return kappa
 
 
 @dataclass(frozen=True)

@@ -240,9 +240,6 @@ class OrbitGraph:
     def size(self) -> int:
         return len(self.vertices)
 
-    def origamis(self) -> list[Origami]:
-        return [Origami(self.d, w[0], w[1], allow_disconnected=True) for w in self.vertices]
-
 
 # the packed canonical vertices of every memoised orbit -> that orbit, kept
 # as (its packed vertices in order, the targets of its edges in order)

@@ -34,26 +34,24 @@ from .permutations import (
     Perm,
     compose,
     compose_all,
-    conjugate,
     cycles,
     format_cycles,
     identity,
     inverse,
     is_permutation,
     is_transitive,
-    orbits,
     random_permutation,
 )
 
 __all__ = [
+    "ConnectivityError",
+    "MonodromyError",
     "Origami",
     "PillowCover",
     "Stratum",
     "origami_stratum",
     "pillow_stratum",
     "orientation_double_cover",
-    "involution_quotient_stratum",
-    "reconstruct_pillow_cover",
     "random_origami",
     "random_pillow_cover",
 ]
@@ -106,9 +104,6 @@ class Origami:
         """
         return compose_all(self.v, self.h, inverse(self.v), inverse(self.h))
 
-    def components(self) -> list[list[int]]:
-        return orbits([self.h, self.v], self.d)
-
     def __str__(self) -> str:
         return f"{self.d}; {format_cycles(self.h)}; {format_cycles(self.v)}"
 
@@ -137,10 +132,6 @@ class PillowCover:
 
     def corner_perms(self) -> tuple[Perm, Perm, Perm, Perm]:
         return (self.g0, self.g1, self.g2, self.g3)
-
-    def conjugated(self, s: Perm) -> "PillowCover":
-        """Simultaneous relabeling of the sheets by s."""
-        return PillowCover(self.d, *(conjugate(g, s) for g in self.corner_perms()))
 
     def __str__(self) -> str:
         parts = "; ".join(format_cycles(g) for g in self.corner_perms())
@@ -173,9 +164,6 @@ class Stratum:
     @property
     def num_poles(self) -> int:
         return sum(1 for m in self.orders if m == -1)
-
-    def zeros(self) -> tuple[int, ...]:
-        return tuple(m for m in self.orders if m >= 1)
 
     def label(self) -> str:
         sym = "H" if self.kind == "abelian" else "Q"
@@ -328,135 +316,6 @@ def _vertex_classes(o: Origami) -> tuple[list[tuple[int, ...]], dict[int, int]]:
         for sq in cyc:
             cls_of[sq] = idx
     return cs, cls_of
-
-
-def involution_quotient_stratum(o: Origami, iota: Perm) -> Stratum:
-    """Quadratic stratum of the quotient of (o, iota) by the half-turn.
-
-    The involution acts on lattice vertices; a fixed vertex of abelian
-    order m descends to a point of quadratic order m-1, a swapped pair to a
-    single point of order 2m.
-    """
-    validate_involution(o, iota)
-    cs, cls_of = _vertex_classes(o)
-    # iota maps the lower-left corner of square a to the upper-right corner
-    # of iota(a), which is the lower-left corner of v(h(iota(a))).
-    img = [cls_of[o.v[o.h[iota[a]]]] for a in (cyc[0] for cyc in cs)]
-    # well-definedness: same image from every representative
-    for idx, cyc in enumerate(cs):
-        for a in cyc:
-            if cls_of[o.v[o.h[iota[a]]]] != img[idx]:
-                raise RuntimeError("involution does not act on vertex classes")
-    orders = []
-    seen = set()
-    for idx, cyc in enumerate(cs):
-        if idx in seen:
-            continue
-        m = len(cyc) - 1
-        j = img[idx]
-        if j == idx:
-            orders.append(m - 1)
-            seen.add(idx)
-        else:
-            if len(cs[j]) != len(cyc):
-                raise RuntimeError("involution pairs vertices of different order")
-            orders.append(2 * m)
-            seen.update((idx, j))
-    total = sum(orders)
-    if total % 4:
-        raise RuntimeError("quotient orders do not sum to 4g-4")
-    g = total // 4 + 1
-    return Stratum("quadratic", _sorted_orders(orders), g)
-
-
-def double_cover_orders(p: PillowCover) -> tuple[int, ...]:
-    """Predicted abelian orders upstairs: a pillow point of odd order m is a
-    branch point and lifts to one zero of order m+1; an even m lifts to two
-    points of order m/2."""
-    out = []
-    for m in pillow_stratum(p).orders:
-        if m % 2:
-            out.append(m + 1)
-        else:
-            out.extend((m // 2, m // 2))
-    return _sorted_orders(out)
-
-
-def _block_parities(o: Origami, iota: Perm) -> list[tuple[int, int]]:
-    """Per-square (row, column) parities of the half-size tiling.
-
-    On a double cover the squares 2-color two ways: the row parity is
-    constant along h and flips along v, the column parity flips along h and
-    is constant along v; iota flips both.  A BFS with consistency checks
-    recovers both colorings (the iota edges also connect the two components
-    of an orientable cover).
-    """
-    n = o.d
-    par: list[tuple[int, int] | None] = [None] * n
-    par[0] = (0, 0)
-    stack = [0]
-    edges = (
-        (o.h, 0, 1),
-        (inverse(o.h), 0, 1),
-        (o.v, 1, 0),
-        (inverse(o.v), 1, 0),
-        (iota, 1, 1),
-    )
-    while stack:
-        s = stack.pop()
-        pr, pc = par[s]
-        for perm, dr, dc in edges:
-            t = perm[s]
-            want = ((pr + dr) % 2, (pc + dc) % 2)
-            if par[t] is None:
-                par[t] = want
-                stack.append(t)
-            elif par[t] != want:
-                raise ValueError("no consistent half-square parity; not a double cover")
-    if None in par:
-        raise ValueError("h, v and iota do not connect the squares; not a double cover")
-    return par  # type: ignore[return-value]
-
-
-def reconstruct_pillow_cover(o: Origami, iota: Perm) -> PillowCover:
-    """Inverse of :func:`orientation_double_cover` up to relabeling.
-
-    Works on any (origami, involution) pair produced by the constructor or
-    by transporting one along affine moves: the parity colorings single out
-    the lower-left square of each 2x2 block (up to an overall gauge, which
-    amounts to relabeling the corners downstairs), and the corner
-    monodromies are read back off the gluings.  For a cover fresh from
-    :func:`orientation_double_cover` the round trip is exact.
-    """
-    validate_involution(o, iota)
-    n = o.d
-    if n % 4:
-        raise ValueError("square count of a double cover is divisible by 4")
-    d = n // 4
-    h, v = o.h, o.v
-    par = _block_parities(o, iota)
-    rep = [a for a in range(n) if par[a] == (0, 0)]
-    if len(rep) != d:
-        raise ValueError("parity classes are unbalanced; not a double cover")
-    pos = {a: k for k, a in enumerate(rep)}
-
-    def as_sheet(sq: int) -> int:
-        if sq not in pos:
-            raise ValueError("gluings leave the lower-left class")
-        return pos[sq]
-
-    hinv = inverse(h)
-    W = tuple(as_sheet(h[h[a]]) for a in rep)
-    Tt = tuple(as_sheet(hinv[iota[v[a]]]) for a in rep)
-    Btinv = tuple(as_sheet(v[iota[h[a]]]) for a in rep)
-    if not (is_permutation(W) and is_permutation(Tt) and is_permutation(Btinv)):
-        raise ValueError("recovered gluings are not permutations")
-    Bt = inverse(Btinv)
-    g1 = Bt
-    g2 = inverse(Tt)
-    g0 = inverse(compose(W, Bt))
-    g3 = compose(W, Tt)
-    return PillowCover(d, g0, g1, g2, g3)
 
 
 def random_origami(d: int, rng) -> Origami:

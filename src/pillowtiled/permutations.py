@@ -9,7 +9,6 @@ internal is 0-indexed.
 from __future__ import annotations
 
 import re
-from math import lcm
 
 Perm = tuple[int, ...]
 
@@ -40,26 +39,6 @@ def inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def power(p: Perm, k: int) -> Perm:
-    """p composed with itself k times (k may be negative)."""
-    n = len(p)
-    if k < 0:
-        return power(inverse(p), -k)
-    out = identity(n)
-    base = p
-    while k:
-        if k & 1:
-            out = compose(base, out)
-        base = compose(base, base)
-        k >>= 1
-    return out
-
-
-def conjugate(p: Perm, g: Perm) -> Perm:
-    """g p g^-1."""
-    return compose_all(g, p, inverse(g))
-
-
 def is_permutation(p: tuple) -> bool:
     return sorted(p) == list(range(len(p)))
 
@@ -84,15 +63,6 @@ def cycles(p: Perm) -> list[tuple[int, ...]]:
     return out
 
 
-def cycle_type(p: Perm) -> tuple[int, ...]:
-    """Multiset of cycle lengths, sorted descending (fixed points included)."""
-    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
-
-
-def order(p: Perm) -> int:
-    return lcm(*(len(c) for c in cycles(p))) if p else 1
-
-
 def is_transitive(perms: list[Perm], n: int) -> bool:
     """Does the group generated by perms act transitively on {0..n-1}?"""
     if n == 0:
@@ -108,28 +78,6 @@ def is_transitive(perms: list[Perm], n: int) -> bool:
                 seen.add(j)
                 frontier.append(j)
     return len(seen) == n
-
-
-def orbits(perms: list[Perm], n: int) -> list[list[int]]:
-    """Orbits of the generated group on {0..n-1}, each sorted, ordered by
-    smallest element."""
-    gens = list(perms) + [inverse(p) for p in perms]
-    unseen = set(range(n))
-    out = []
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            for g in gens:
-                j = g[i]
-                if j not in comp:
-                    comp.add(j)
-                    frontier.append(j)
-        unseen -= comp
-        out.append(sorted(comp))
-    return out
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -20,7 +20,6 @@ from pillowtiled.bform import (
     holomorphic_basis,
     pairing_matrices,
 )
-from pillowtiled.cocycle import induced_cocycle
 from pillowtiled.coverings import (
     CyclicCoverSpec,
     LocusSpec,
@@ -42,8 +41,8 @@ from pillowtiled.permsurf import (
     pillow_stratum,
     random_origami,
     random_pillow_cover,
-    reconstruct_pillow_cover,
 )
+from tests.reference import induced_cocycle, reconstruct_pillow_cover
 
 
 def prime_family(p):

@@ -213,6 +213,8 @@ class TestInvariants:
             zero_orders=((0.6 + 0.4j, 1),),
             finite_poles=(0.0, 1.0, -0.7, 1.8),
         )
+        # one type: the sampler's q is the directly built one
+        assert q_sampled == q_direct
         rep_a = pairing_matrices(c, q_sampled)
         rep_b = pairing_matrices(c, q_direct)
-        assert np.allclose(np.array(rep_a.B), np.array(rep_b.B), atol=1e-12)
+        assert (rep_a.B, rep_a.H, rep_a.theta) == (rep_b.B, rep_b.H, rep_b.theta)

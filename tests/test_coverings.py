@@ -3,7 +3,6 @@
 import pytest
 
 from pillowtiled.coverings import (
-    BaseDifferential,
     CyclicCoverSpec,
     LocusSpec,
     check_bounds,
@@ -16,7 +15,7 @@ from pillowtiled.coverings import (
     sample_base_differential,
 )
 from pillowtiled.permsurf import pillow_stratum
-from pillowtiled.permutations import cycle_type
+from tests.reference import cycle_type
 
 
 class TestSpecValidation:

@@ -5,17 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pillowtiled import cylinders
 from pillowtiled.cylinders import (
     KAPPA_SV,
-    CalibrationError,
-    calibrate,
     ekz_for_cover,
     _row_widths,
     ekz_sum,
     sv_raw,
     sv_term,
 )
-from pillowtiled.coverings import cyclic_to_pillow, iter_specs
+from pillowtiled.coverings import CyclicCoverSpec, cyclic_to_pillow, iter_specs
 from pillowtiled.orbit import OrbitGraph, enumerate_state_orbit
 from pillowtiled.permsurf import (
     Origami,
@@ -25,6 +24,7 @@ from pillowtiled.permsurf import (
     random_origami,
 )
 from pillowtiled.permutations import parse_cycles
+from tests.reference import origamis
 from tests.test_permsurf import FIVE, TORUS_COVER, FOUR, cyclic_pillow
 
 
@@ -50,7 +50,7 @@ def test_sv_raw_is_the_orbit_average_of_the_row_moduli():
     for N in range(1, 7):
         for s in iter_specs(N):
             g = enumerate_state_orbit(*orientation_double_cover(cyclic_to_pillow(s)))
-            widths = [w for o in g.origamis() for w in _row_widths(o.h, o.d)]
+            widths = [w for o in origamis(g) for w in _row_widths(o.h, o.d)]
             assert sv_raw(g) == sum(Fraction(1, w) for w in widths) / g.size
 
 
@@ -59,6 +59,40 @@ def test_sv_raw_checks_that_each_vertex_fills_the_surface():
     g = OrbitGraph(d=2, base=torus, vertices=(torus,), edges=((0, "S", 0), (0, "T", 0)))
     with pytest.raises(ArithmeticError, match="do not fill"):
         sv_raw(g)
+
+
+class CalibrationError(AssertionError):
+    """The hardcoded Siegel-Veech normalization failed a calibration case."""
+
+
+def calibrate() -> Fraction:
+    """Re-derive KAPPA_SV from scratch and cross-validate it.
+
+    The p=3 member fixes the constant; p=5, p=7 and the orientable degree-2
+    control must then come out right with the *same* constant, and it must
+    be the one ``cylinders.KAPPA_SV`` holds, otherwise no single
+    normalization exists and the calibration fails.
+    """
+
+    def raw(s: CyclicCoverSpec) -> Fraction:
+        return sv_raw(enumerate_state_orbit(*orientation_double_cover(cyclic_to_pillow(s))))
+
+    # the family member at p is (p; 1, k, k, p) with k = (p - 1) / 2
+    kappa = Fraction(1, 6) / raw(CyclicCoverSpec(3, (1, 1, 1, 3)))
+    checks = [
+        (CyclicCoverSpec(5, (1, 2, 2, 5)), Fraction(1, 10)),
+        (CyclicCoverSpec(7, (1, 3, 3, 7)), Fraction(1, 14)),
+        # orientable control: Lyapunov sum is exactly 1 and the formula
+        # gives sv_term = 1 - kappa_term + pole_term = 1
+        (CyclicCoverSpec(2, (1, 1, 1, 1)), Fraction(1)),
+    ]
+    for spec, want in checks:
+        got = kappa * raw(spec)
+        if got != want:
+            raise CalibrationError(f"{spec}: kappa={kappa} gives sv_term={got}, expected {want}")
+    if kappa != cylinders.KAPPA_SV:
+        raise CalibrationError(f"re-derived kappa={kappa} disagrees with hardcoded {cylinders.KAPPA_SV}")
+    return kappa
 
 
 def test_calibration():
@@ -143,8 +177,6 @@ def test_marked_point_contributes_nothing():
 
 
 def test_calibration_rejects_wrong_kappa(monkeypatch):
-    import pillowtiled.cylinders as cyl
-
-    monkeypatch.setattr(cyl, "KAPPA_SV", Fraction(1, 3))
+    monkeypatch.setattr(cylinders, "KAPPA_SV", Fraction(1, 3))
     with pytest.raises(CalibrationError):
-        cyl.calibrate()
+        calibrate()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pillowtiled import cocycle, lattice, lyapunov
-from pillowtiled.cocycle import StateCache, chain_map, induced_cocycle
+from pillowtiled.cocycle import StateCache, chain_map
 from pillowtiled.homology import boundary_matrices, homology_basis, involution_splitting
 from pillowtiled.lyapunov import LyapunovEstimate, certify_degenerate, run_monte_carlo
 from pillowtiled.lyapunov import _GenCycle, _run_seeds, _Walker
@@ -23,6 +23,7 @@ from pillowtiled.permsurf import (
 )
 
 from test_permsurf import cyclic_pillow
+from tests.reference import induced_cocycle
 
 TORUS = Origami(1, (0,), (0,))
 L3 = Origami(3, (1, 0, 2), (2, 1, 0))
@@ -113,11 +114,13 @@ class TestChainMaps:
     def test_corrupted_chain_map_raises_under_dash_o(self):
         # twice the true chain map still sends cycles to cycles and
         # boundaries to boundaries, but scales the intersection form by 4;
-        # both transport paths, and a walker on the shared state cache, must
+        # the one transport path, a walker on the shared state cache, and the
+        # reference word transport that folds the same move step must all
         # reject it with asserts stripped
         code = (
             "import sys\n"
             "from pillowtiled import cocycle, lyapunov\n"
+            "from tests import reference\n"
             "from pillowtiled.permsurf import Origami, PillowCover, orientation_double_cover\n"
             "if not sys.flags.optimize:\n"
             "    raise SystemExit('not running under -O')\n"
@@ -132,8 +135,8 @@ class TestChainMaps:
             "cases = {\n"
             "    'transition': lambda: cache.transition(cache.canonical_key(o, iota), 'T'),\n"
             "    'shared walker': shared_walker,\n"
-            "    'torus word': lambda: cocycle.induced_cocycle(Origami(1, (0,), (0,)), ['T']),\n"
-            "    'double cover word': lambda: cocycle.induced_cocycle(o, ['T'], iota),\n"
+            "    'torus word': lambda: reference.induced_cocycle(Origami(1, (0,), (0,)), ['T']),\n"
+            "    'double cover word': lambda: reference.induced_cocycle(o, ['T'], iota),\n"
             "}\n"
             "for name, case in cases.items():\n"
             "    try:\n"
@@ -145,7 +148,8 @@ class TestChainMaps:
             "        raise SystemExit(f'{name} accepted a doubled chain map')\n"
             "raise SystemExit(7)\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(lattice.__file__).resolve().parents[1]))
+        paths = [Path(lattice.__file__).resolve().parents[1], Path(__file__).resolve().parents[1]]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
         assert proc.returncode == 7, proc.stderr
 

