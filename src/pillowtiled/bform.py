@@ -37,8 +37,8 @@ mesh levels, which on the genus-1 curve overstates the true error
 Integrands have known power-law behavior |z - s|^{gamma} at finitely
 many points, so the quadrature uses a smooth partition of unity: disks
 around each singular point with a Gauss-Jacobi radial rule matched to
-gamma (the Golub-Welsch rule: nodes and weights from the eigenvectors of
-the Jacobi matrix) and a trapezoid angular rule, the chart swap
+gamma (nodes from the eigenvalues of the Jacobi matrix, weights from the
+Christoffel numbers) and a trapezoid angular rule, the chart swap
 z -> 1/z for the neighborhood of infinity, and tensor Gauss-Legendre
 panels on the smooth remainder.  Refinement levels double
 every node count; the error estimate is the last inter-level delta, so
@@ -238,17 +238,6 @@ class CurveDifferential:
     zero_orders: tuple[tuple[complex, int], ...] = ()
     finite_poles: tuple[complex, ...] = ()
 
-    @property
-    def order_at_infinity(self) -> int:
-        """Order of R(z) dz^2 at infinity on the sphere."""
-        num = sum(m for _, m in self.zero_orders)
-        den = len(self.finite_poles)
-        return -num + den - 4
-
-    def total_order(self) -> int:
-        return sum(m for _, m in self.zero_orders) \
-            - len(self.finite_poles) + self.order_at_infinity
-
     def __call__(self, z):
         num = 1.0 + 0.0j
         for point, m in self.zero_orders:
@@ -438,13 +427,16 @@ def _jacobi_rule(n: int, alpha: float, beta: float):
     (n, alpha, beta); read-only, as every disk or segment with those
     exponents shares them.
 
-    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
-    the symmetric tridiagonal Jacobi matrix, and the weights are
-    mu_0 v_0^2, with v_0 the first entry of each unit eigenvector and
+    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi
+    matrix (Golub-Welsch, Math. Comp. 23, 1969), polished by one Newton
+    step on the degree-n orthonormal polynomial; the weights are the
+    Christoffel numbers mu_0 / sum_{j<n} p_j(x)^2, with p_0 = 1 and
     mu_0 = 2^(alpha+beta+1) B(alpha+1, beta+1) the integral of the weight.
-    Two entries are written with their common factor cancelled, since the
-    general term is 0/0 there: the k = 0 diagonal at alpha + beta = 0, and
-    the k = 1 off-diagonal at alpha + beta = -1.
+    No eigenvector is formed: the dense eigenvector solve stalls at random
+    in a threaded BLAS, and the eigenvalues alone do not.  Two entries are
+    written with their common factor cancelled, since the general term is
+    0/0 there: the k = 0 diagonal at alpha + beta = 0, and the k = 1
+    off-diagonal at alpha + beta = -1.
     """
     ab = alpha + beta
     k = np.arange(n, dtype=float)
@@ -457,15 +449,42 @@ def _jacobi_rule(n: int, alpha: float, beta: float):
     k, s = k[2:], s[2:]
     off2[1:] = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s + 1.0) * (s - 1.0))
     off = np.sqrt(off2)
-    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    pn, dpn, squares, dsquares = _orthonormal_recurrence(x, diag, off)
+    # the Newton step dx, and the sum of squares carried along it to first
+    # order: near an end of [-1, 1] it is steep, and evaluating it at the
+    # rounded node x + dx would cost digits in the weight there
+    dx = -pn / dpn
+    x = x + dx
     mu0 = math.exp(
         (ab + 1.0) * math.log(2.0)
         + math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(ab + 2.0)
     )
-    w = mu0 * v[0] ** 2
+    w = mu0 / (squares + dsquares * dx)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+def _orthonormal_recurrence(x, diag, off):
+    """(b_n p_n, its derivative, sum_{j<n} p_j^2, its derivative) at x for
+    the polynomials of the Jacobi matrix with diagonal ``diag`` and
+    off-diagonal ``off``: b_{j+1} p_{j+1} = (x - a_j) p_j - b_j p_{j-1},
+    p_0 = 1, p_{-1} = 0.  b_n is not needed: the zeros of b_n p_n are the
+    nodes, and the Newton step divides it by its own derivative."""
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    d_prev, d = np.zeros_like(x), np.zeros_like(x)
+    squares, dsquares = np.ones_like(x), np.zeros_like(x)
+    for j, a in enumerate(diag):
+        b = off[j - 1] if j else 0.0
+        q = (x - a) * p - b * p_prev
+        dq = p + (x - a) * d - b * d_prev
+        if j == len(off):
+            return q, dq, squares, dsquares
+        p_prev, p = p, q / off[j]
+        d_prev, d = d, dq / off[j]
+        squares += p * p
+        dsquares += 2.0 * p * d
 
 
 def _mask_inside(mask, rho, radius):

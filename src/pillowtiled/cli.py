@@ -3,7 +3,10 @@
 Each subcommand reads one input file (one datum per line, ``#`` comments
 allowed), runs the corresponding pipeline per line, and writes a JSON
 array (or CSV) of reports.  Lines are processed independently and in
-order, so output is deterministic for a given (input, seed).
+order, so output is deterministic for a given (input, seed).  The JSON
+array holds one record per line: the record of datum line i (counted from
+0, comments and blank lines skipped) is on output line i + 2, between a
+``[`` line and a ``]`` line.
 
 Exit codes: 0 all lines complete and no verdict failed; 2 parse error,
 bad arguments (a flag the subcommand does not read among them), or an
@@ -242,6 +245,17 @@ def _write_csv(records: list[dict], stream) -> None:
         writer.writerow(flat)
 
 
+def _json_lines(records: list[dict]) -> str:
+    """One JSON array, record i on line i + 2.
+
+    Each record goes through the C encoder (no ``indent``); JSON escapes a
+    newline inside a string, so a record never spans two lines.
+    """
+    if not records:
+        return "[]\n"
+    return "[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n]\n"
+
+
 def _write_trace(estimative_records: list[dict], path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -286,7 +300,7 @@ def run(config: RunConfig) -> int:
         _write_csv(records, buf)
         payload = buf.getvalue()
     else:
-        payload = json.dumps(records, indent=2, sort_keys=True) + "\n"
+        payload = _json_lines(records)
 
     if config.out:
         try:

@@ -284,11 +284,8 @@ def sample_base_differential(m, k: int, zeros=(), poles=()) -> CurveDifferential
     marked = [0, 1, *poles, *zeros]
     if len(set(marked)) != len(marked):
         raise ValueError("marked points must be pairwise distinct")
-    q = CurveDifferential(
+    # order at infinity: -sum(m) + (k - 1) - 4 = -1, since sum(m) - k = -4
+    return CurveDifferential(
         zero_orders=tuple(zip(zeros, m)),
         finite_poles=(0, 1, *poles),
     )
-    if q.order_at_infinity != -1 or q.total_order() != -4:
-        raise ArithmeticError("the base differential needs a simple pole at infinity "
-                              "and total order -4")
-    return q

@@ -4,8 +4,9 @@ The package keeps what its command line, its exports and the benchmark
 run (``tests/test_source.py::test_every_src_name_is_reached``).  The
 cross-checks the tests hold it to live here, as ``reference_orbit`` lives
 in ``tests/test_orbit.py``: permutation powers and conjugates, the
-quotient stratum and the inverse of the orientation double cover, and the
-transport of H_1 along a raw word of moves.
+quotient stratum and the inverse of the orientation double cover, the
+transport of H_1 along a raw word of moves, and the order at infinity of a
+quadratic differential.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from pillowtiled import cocycle, lattice
+from pillowtiled.bform import CurveDifferential
 from pillowtiled.orbit import OrbitGraph, apply_generator, apply_state_generator
 from pillowtiled.permsurf import (
     Origami,
@@ -280,3 +282,13 @@ def induced_cocycle(o: Origami, word, iota: Perm | None = None):
     if iota is None:
         return cm, cur.origami
     return cm, cur.origami, cur.iota
+
+
+# --- differentials --------------------------------------------------------
+
+
+def order_at_infinity(q: CurveDifferential) -> int:
+    """Order of R(z) dz^2 at infinity on the sphere."""
+    num = sum(m for _, m in q.zero_orders)
+    den = len(q.finite_poles)
+    return -num + den - 4

@@ -1,6 +1,7 @@
 """Front-end parsing, report emission, and the exit-code taxonomy."""
 
 import csv
+import hashlib
 import json
 import re
 
@@ -362,3 +363,108 @@ class TestSubcommands:
             ) == 0
             outs.append(out.read_text())
         assert outs[0] == outs[1]
+
+
+# multi-line inputs, one per subcommand, with a comment and blank lines
+# between the data; the flags keep the Monte-Carlo lines short
+LAYOUT_INPUTS = {
+    "construct": ["3 1 1 1 3", "5 1 2 2 5", "2 1 1 1 1"],
+    "ekz": ["3 1 1 1 3", "5 1 2 2 5", "6 1 1 5 5"],
+    "orbit": ["3; (1 2 3); (1 2)", "5; (1 2 3 4 5); (1 3 5 2 4); (1 3 5 2 4); ()",
+              "4; (1 2)(3 4); (2 3)"],
+    "bounds": ["5 1 2 2 5", "2 1 1 1 1", "7 1 3 3 7"],
+    "locus": ["; 4; 3; (1 2 3); (1 2 3); (1 2 3)", "1; 5; 2; (1 2); (1 2); ()"],
+    "bform": ["5 1 2 2 5", "1 1 1 1 1"],
+    "certify": ["5 1 2 2 5", "2 1 1 1 1"],
+    "lyapunov": ["5 1 2 2 5", "2 1 1 1 1"],
+}
+LAYOUT_FLAGS = {"certify": dict(steps=200, seeds=(1, 2, 3)), "lyapunov": dict(steps=200, seeds=(1, 2))}
+
+# sha256 of the output of the exact subcommands on LAYOUT_INPUTS as the
+# indent-2 writer laid it out, and of their CSV, which did not change
+INDENTED_SHA256 = {
+    "construct": "8a7bc0ff0ae663b84c6f6ec18e55fcfe72f91f96c45d27c41277ddeb55f0b15c",
+    "ekz": "4a24903c121443b63b426dfb75d2961cfcb39015548146efaa17f4f0e3b6474a",
+    "orbit": "ff3882c30e33fde7f4413f2bd9fb570f409c22186986401a24b9b9aea75979b9",
+    "bounds": "29241fbd0021ea9153bbe53010856fe94f00d69852970f7bc273467ac834e952",
+    "locus": "e1e77e0c4dff575c0466d86c2f7f1f955a6bd80c6084908b439b61787e6c1a41",
+}
+CSV_SHA256 = {
+    "construct": "087fe2961ca366afb07d88c94cc009931f0090dd70c214754e64c3465c3292fa",
+    "ekz": "a89693d10c105d4590a99d875049e19095d47c5b0f9a34f7bb7cf66e277f2146",
+    "orbit": "96ccc92541f06c5cc2dba6661ae6e565e206a14da0291fe0e17901a3954bf17c",
+    "bounds": "9f440b082e963b66473499682139c2bea307213b5f04ef17f22a10449a70bdf6",
+    "locus": "4e172f095e2b50beda726eb9cfa82f451a7fd824a91529c869d2da513a5cf459",
+}
+
+
+class TestJsonLayout:
+    def run(self, tmp_path, capsys, command, lines, **kwargs):
+        """(exit status, stdout, --out bytes) of one input, run both ways."""
+        path = write(tmp_path, "in.txt", "# a comment\n\n" + "\n\n".join(lines) + "\n")
+        config = dict(LAYOUT_FLAGS.get(command, {}), **kwargs)
+        rc = cli.run(RunConfig(command, path, **config))
+        stdout = capsys.readouterr().out
+        out = tmp_path / "out"
+        assert cli.run(RunConfig(command, path, out=str(out), **config)) == rc
+        return rc, stdout, out.read_bytes()
+
+    @pytest.mark.parametrize("command", sorted(LAYOUT_INPUTS))
+    def test_record_i_is_on_line_i_plus_2(self, tmp_path, capsys, monkeypatch, command):
+        handler, *rest = cli._COMMANDS[command]
+        records = []
+
+        def spy(line, config):
+            record, status = handler(line, config)
+            records.append(record)
+            return record, status
+
+        monkeypatch.setitem(cli._COMMANDS, command, (spy, *rest))
+        lines = LAYOUT_INPUTS[command]
+        rc, stdout, written = self.run(tmp_path, capsys, command, lines)
+        assert rc == 0
+        assert written == stdout.encode()
+        out = stdout.splitlines()
+        assert out[0] == "[" and out[-1] == "]" and len(out) == len(lines) + 2
+        assert stdout.endswith("]\n")
+        parsed = [json.loads(row.removesuffix(",")) for row in out[1:-1]]
+        # the first run's records, in input order, as the indent-2 writer
+        # would have written them
+        records = records[: len(lines)]
+        indented = json.dumps(records, indent=2, sort_keys=True)
+        assert parsed == json.loads(stdout) == json.loads(indented)
+        for line, record in zip(lines, parsed):
+            if "input" in record:
+                assert record["input"] == line
+            elif "spec" in record:
+                assert record["spec"] == [int(x) for x in line.split()]
+
+    @pytest.mark.parametrize("command", sorted(INDENTED_SHA256))
+    def test_the_values_are_the_indented_values(self, tmp_path, capsys, command):
+        _, stdout, _ = self.run(tmp_path, capsys, command, LAYOUT_INPUTS[command])
+        indented = json.dumps(json.loads(stdout), indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(indented.encode()).hexdigest() == INDENTED_SHA256[command]
+
+    @pytest.mark.parametrize("command", sorted(CSV_SHA256))
+    def test_csv_bytes_are_unchanged(self, tmp_path, capsys, command):
+        _, stdout, written = self.run(tmp_path, capsys, command, LAYOUT_INPUTS[command],
+                                      format="csv")
+        assert written == stdout.encode()
+        assert hashlib.sha256(written).hexdigest() == CSV_SHA256[command]
+
+    @pytest.mark.parametrize("command", sorted(LAYOUT_INPUTS))
+    def test_empty_input_is_an_empty_array(self, tmp_path, capsys, command):
+        assert self.run(tmp_path, capsys, command, []) == (0, "[]\n", b"[]\n")
+
+    def test_a_multi_line_string_stays_on_its_line(self, tmp_path, capsys, monkeypatch):
+        fake = DegeneracyCertificate(
+            epsilon=0.02, steps=10, seeds=(1, 2, 3), estimates=(), max_lambda_plus=0.0,
+            measured_degenerate=True, exact_sum=None, exact_degenerate=None,
+            criterion_degenerate=True, verdict="PASS", contradiction=False,
+            report="first line\nsecond line",
+        )
+        monkeypatch.setattr(cli, "certify_degenerate", lambda *a, **k: fake)
+        _, stdout, _ = self.run(tmp_path, capsys, "certify", [FAMILY, CONTROL])
+        out = stdout.splitlines()
+        assert len(out) == 4
+        assert [json.loads(row.removesuffix(","))["report"] for row in out[1:3]] == [fake.report] * 2

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -369,7 +370,10 @@ def _exact_channel_digest(tmp_path):
         src, out = tmp_path / f"{command}.txt", tmp_path / f"{command}.json"
         src.write_text("\n".join(batch) + "\n")
         assert cli.run(RunConfig(command, str(src), out=str(out))) == 0
-        digest.update(out.read_bytes())
+        # the digest is of the parsed records, laid out one way, so it
+        # pins every value and every order but not the CLI's whitespace
+        canonical = json.dumps(json.loads(out.read_text()), indent=2, sort_keys=True)
+        digest.update(canonical.encode() + b"\n")
     return digest.hexdigest()
 
 

@@ -119,6 +119,26 @@ def test_src_reads_no_environment():
     assert not found, "environment reads in src/pillowtiled: " + ", ".join(found)
 
 
+def test_json_is_written_without_indent():
+    # with an indent, json.dumps falls back from its C encoder to the pure
+    # Python one, which took a third of an orbit-heavy run; a ** mapping
+    # could hold an indent, so it counts too
+    files = sorted(SRC.glob("*.py"))
+    assert files, f"no sources under {SRC}"
+    found = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in ("dumps", "dump", "JSONEncoder")
+            and any(kw.arg == "indent" or kw.arg is None for kw in node.keywords)
+        ]
+    assert not found, "json calls with an indent in src/pillowtiled: " + ", ".join(found)
+
+
 ROOT = SRC.parents[1]
 PERFBENCH = ROOT / "perfbench"
 
