@@ -128,7 +128,8 @@ def _move_matrix(src: StateData, tgt: StateData, F) -> list[list[int]]:
     if any(any(row) for row in lattice.matmul(C, lattice.matmul(F, src.d2))):
         raise ArithmeticError("move does not respect boundaries")
     M = lattice.matmul(C, FB)
-    # symplectic: M^T J M = J (both bases carry the standard form)
+    # symplectic: M^T J_tgt M = J_src, each J the intersection matrix
+    # stored with its own basis
     J_src, J_tgt = src.basis.intersection, tgt.basis.intersection
     if not lattice.mat_eq(lattice.matmul(lattice.transpose(M), lattice.matmul(J_tgt, M)), J_src):
         raise ArithmeticError("cocycle matrix is not symplectic")

@@ -2,11 +2,12 @@
 
 The surface is a CW complex: one vertex per cycle of the vertex
 permutation, two edges per square (its bottom edge ``sigma_i`` and left
-edge ``tau_i``), one face per square.  Everything is computed exactly over
-the integers: a basis of H_1, dual coordinate functionals, and the
-intersection form, which is put into the standard symplectic shape
-``[[0,1],[-1,0]] x g`` by an integral change of basis.  Downstream code
-can therefore check symplecticity of transported matrices on the nose.
+edge ``tau_i``), one face per square.  A basis of H_1 and its dual
+coordinate functionals come from a tree-cotree decomposition (Eppstein,
+"Dynamic generators of topologically embedded graphs", SODA 2003), with
+entries in {-1, 0, 1}.  The intersection form of the cycles is kept as
+it comes, with no normal form imposed; it is exact, so downstream code
+checks symplecticity of transported matrices on the nose against it.
 
 Edge indexing: ``sigma_i`` is edge ``i``, ``tau_i`` is edge ``d + i``.
 """
@@ -14,10 +15,9 @@ Edge indexing: ``sigma_i`` is edge ``i``, ``tau_i`` is edge ``d + i``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 from . import lattice
-from .permutations import Perm
+from .permutations import Perm, inverse
 from .permsurf import Origami, _vertex_classes
 
 __all__ = [
@@ -28,19 +28,7 @@ __all__ = [
     "involution_chain_map",
     "involution_on_homology",
     "involution_splitting",
-    "standard_symplectic",
 ]
-
-
-def standard_symplectic(r: int) -> list[list[int]]:
-    """Block diagonal [[0,1],[-1,0]] pairs; r must be even."""
-    if r % 2:
-        raise ValueError(f"a symplectic form needs even rank, not {r}")
-    J = lattice.zeros(r, r)
-    for i in range(0, r, 2):
-        J[i][i + 1] = 1
-        J[i + 1][i] = -1
-    return J
 
 
 def boundary_matrices(o: Origami) -> tuple[list[list[int]], list[list[int]]]:
@@ -67,82 +55,76 @@ def boundary_matrices(o: Origami) -> tuple[list[list[int]], list[list[int]]]:
     return d1, d2
 
 
-def _cup(o: Origami, alpha, beta) -> int:
-    """Cup-product pairing of two 1-cochains, evaluated on the sum of faces.
+def _spanning_forest(n: int, ends: list[tuple[int, int]], usable) -> list:
+    """Breadth-first spanning forest on nodes 0..n-1 of the edges e in
+    ``usable``, e running from ends[e][0] to ends[e][1]: the list of steps
+    (e, s, p) from each node to its parent p, None at a root, with s = +1
+    when e runs toward p and -1 when it runs away from it."""
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for e in usable:
+        a, b = ends[e]
+        adj[a].append((e, b, -1))
+        adj[b].append((e, a, 1))
+    up: list = [None] * n
+    seen = [False] * n
+    for root in range(n):
+        if not seen[root]:
+            seen[root] = True
+            queue = [root]
+            for x in queue:
+                for e, y, s in adj[x]:
+                    if not seen[y]:
+                        seen[y] = True
+                        up[y] = (e, s, x)
+                        queue.append(y)
+    return up
 
-    Serre-diagonal formula on each square: alpha(bottom) beta(right) -
-    alpha(left) beta(top).  On cocycles this descends to cohomology and
-    computes the intersection pairing of the Poincare-dual cycles.
-    """
+
+def _closed_loop(e: int, ends: list[tuple[int, int]], up: list) -> list[int]:
+    """Edge e and the forest path from its head back to its tail, as a
+    signed edge vector; the steps shared by both root paths cancel."""
+    z = [0] * len(ends)
+    z[e] = 1
+    for x, sign in ((ends[e][1], 1), (ends[e][0], -1)):
+        while up[x] is not None:
+            f, s, x = up[x]
+            z[f] += sign * s
+    return z
+
+
+def _tree_cotree(o: Origami) -> tuple[list[list[int]], list[list[int]]]:
+    """(B, C): cycles as the columns of B, cocycles as the rows of C, one
+    of each per edge outside a spanning forest T of the 1-skeleton and a
+    spanning forest T* of the dual graph on the edges outside T.  A cycle
+    uses only T and its own edge, a cocycle only T* and its own edge, so
+    C @ B == I."""
     d = o.d
-    total = 0
-    for i in range(d):
-        total += alpha[i] * beta[d + o.h[i]] - alpha[d + i] * beta[o.v[i]]
-    return total
+    cs, cls_of = _vertex_classes(o)
+    hinv, vinv = inverse(o.h), inverse(o.v)
+    ends = [(cls_of[i], cls_of[o.h[i]]) for i in range(d)]
+    ends += [(cls_of[i], cls_of[o.v[i]]) for i in range(d)]
+    # a dual edge runs from the face where d2 has -1 to the face where it
+    # has +1, so a cycle of the dual graph is a cocycle
+    dual_ends = [(vinv[i], i) for i in range(d)] + [(i, hinv[i]) for i in range(d)]
+    up = _spanning_forest(len(cs), ends, range(2 * d))
+    rest = sorted(set(range(2 * d)) - {step[0] for step in up if step})
+    up_dual = _spanning_forest(d, dual_ends, rest)
+    left = sorted(set(rest) - {step[0] for step in up_dual if step})
+    B = lattice.transpose([_closed_loop(e, ends, up) for e in left])
+    return B, [_closed_loop(e, dual_ends, up_dual) for e in left]
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def symplectic_basis_transform(G: list[list[int]]) -> list[list[int]]:
-    """Unimodular Q with Q^T G Q equal to the standard symplectic form.
-
-    G must be integral, antisymmetric and unimodular.  Classic hyperbolic
-    peeling: pick u, find w with <u,w> = 1 (possible by unimodularity),
-    project the rest onto the symplectic complement, repeat.
-    """
-    r = len(G)
-    Gt = lattice.transpose(G)
-
-    def dot(x, y) -> int:
-        return sum(map(mul, x, y))
-
-    def peel(basis: list[list[int]]) -> list[list[int]]:
-        if not basis:
-            return []
-        u = basis[0]
-        uG = [dot(u, col) for col in Gt]  # <u, c> == dot(uG, c)
-        g, w = 0, [0] * r
-        for c in basis:
-            p = dot(uG, c)
-            if p == 0:
-                continue
-            gg, x, y = _xgcd(g, p)
-            w = [x * wi + y * ci for wi, ci in zip(w, c)]
-            g = gg
-        if g not in (1, -1):
-            raise ValueError("form is degenerate or not unimodular on the lattice")
-        if g == -1:
-            w = [-x for x in w]
-        Gw = [dot(row, w) for row in G]  # <c, w> == dot(c, Gw)
-        Gu = [dot(row, u) for row in G]
-        rest = []
-        for c in basis:
-            a, b = dot(c, Gw), dot(c, Gu)
-            rest.append([ci - a * ui + b * wi for ci, ui, wi in zip(c, u, w)])
-        span = lattice.column_lattice_basis(
-            [[rest[j][i] for j in range(len(rest))] for i in range(r)]
-        )
-        if len(span) != len(basis) - 2:
-            raise ArithmeticError("symplectic complement lost rank")
-        return [u, w] + peel(span)
-
-    start = [[1 if i == j else 0 for i in range(r)] for j in range(r)]
-    got = peel(start)
-    Q = [[got[j][i] for j in range(r)] for i in range(r)]
-    JQ = lattice.matmul(lattice.matmul(lattice.transpose(Q), G), Q)
-    if not lattice.mat_eq(JQ, standard_symplectic(r)):
-        raise ArithmeticError("symplectic reduction failed")
-    return Q
+def _cup_matrix(o: Origami, alphas, betas) -> list[list[int]]:
+    """Cup products of the 1-cochains ``alphas`` against ``betas`` on the
+    sum of faces, by the Serre-diagonal formula on each square:
+    alpha(bottom) beta(right) - alpha(left) beta(top).  On cocycles it is
+    the intersection pairing of the Poincare-dual cycles."""
+    d = o.d
+    right = [[b[d + o.h[k]] for b in betas] for k in range(d)]
+    top = [[b[o.v[k]] for b in betas] for k in range(d)]
+    P = lattice.matmul([a[:d] for a in alphas], right)
+    Q = lattice.matmul([a[d:] for a in alphas], top)
+    return [[p - q for p, q in zip(rp, rq)] for rp, rq in zip(P, Q)]
 
 
 @dataclass(frozen=True)
@@ -151,8 +133,8 @@ class HomologyBasis:
 
     ``cycles``: 2d x r integer matrix, columns are cycle representatives in
     the edge basis.  ``functionals``: r x 2d, rows are cocycles with
-    functionals @ cycles == I and functionals @ d2 == 0.  The basis is
-    symplectic: ``intersection`` is exactly the standard form.
+    functionals @ cycles == I and functionals @ d2 == 0.  ``intersection``:
+    the intersection numbers of the cycles, in no normal form.
     """
 
     origami: Origami
@@ -163,33 +145,34 @@ class HomologyBasis:
 
 
 def homology_basis(o: Origami) -> HomologyBasis:
+    """Tree-cotree basis of H_1, exactly checked.
+
+    Raises ArithmeticError unless the cycles are cycles, the functionals
+    kill boundaries and are dual to them, and their cup matrix is
+    antisymmetric; ValueError unless it is unimodular.  The cycles are
+    then a Z-basis with no torsion check: x -> C x maps H_1 onto Z^r, and
+    two forests leave at least E - (V - c) - (F - c) = rank H_1 edges over
+    on c components, so the ranks agree and the map is an isomorphism.
+    """
     d1, d2 = boundary_matrices(o)
-    ne = 2 * o.d
-    ker = lattice.kernel_basis(d1)
-    img = [[d2[i][j] for i in range(ne)] for j in range(o.d)]
-    B, C = lattice.quotient_basis(ne, ker, img)
-    r = len(B[0]) if B else 0
-    # intersection matrix of the dual functionals via the cup product
-    Jd = [[_cup(o, C[i], C[j]) for j in range(r)] for i in range(r)]
-    if any(Jd[i][j] != -Jd[j][i] for i in range(r) for j in range(i, r)):
-        raise ArithmeticError("cup pairing is not antisymmetric")
-    Jd_inv = lattice.unimodular_inverse(Jd)
-    G = [[-x for x in row] for row in Jd_inv]  # pairing of the basis cycles
-    Q = symplectic_basis_transform(G)
-    # Q^T G Q == J and J^-1 == -J, so Q^-1 == -J Q^T G
-    J = standard_symplectic(r)
-    minus_J = [[-x for x in row] for row in J]
-    Qinv = lattice.matmul(lattice.matmul(minus_J, lattice.transpose(Q)), G)
-    B = lattice.matmul(B, Q)
-    C = lattice.matmul(Qinv, C)
+    B, C = _tree_cotree(o)
+    r = len(C)
+    if any(any(row) for row in lattice.matmul(d1, B)):
+        raise ArithmeticError("basis chains are not cycles: d1 @ B != 0")
+    if any(any(row) for row in lattice.matmul(C, d2)):
+        raise ArithmeticError("functionals do not kill boundaries: C @ d2 != 0")
     if not lattice.mat_eq(lattice.matmul(C, B), lattice.eye(r)):
         raise ArithmeticError("functionals are not dual to the cycles: C @ B != I")
+    cup = _cup_matrix(o, C, C)
+    if any(cup[i][j] != -cup[j][i] for i in range(r) for j in range(i, r)):
+        raise ArithmeticError("cup pairing is not antisymmetric")
     return HomologyBasis(
         origami=o,
         rank=r,
         cycles=tuple(tuple(row) for row in B),
         functionals=tuple(tuple(row) for row in C),
-        intersection=tuple(tuple(row) for row in J),
+        # the cycles pair as minus the inverse cup matrix of their duals
+        intersection=tuple(tuple(-x for x in row) for row in lattice.unimodular_inverse(cup)),
     )
 
 
@@ -251,11 +234,7 @@ def involution_splitting(basis: HomologyBasis, iota: Perm) -> InvolutionSplittin
     minus = lattice.kernel_basis(plus_id)   # I x = -x
     if len(plus) + len(minus) != r:
         raise ArithmeticError("eigenlattices do not fill H_1")
-
-    def cols_to_matrix(cols):
-        return [[c[i] for c in cols] for i in range(r)] if cols else [[] for _ in range(r)]
-
-    Bp, Bm = cols_to_matrix(plus), cols_to_matrix(minus)
+    Bp, Bm = ([[c[i] for c in cols] for i in range(r)] for cols in (plus, minus))
     Cp = lattice.left_inverse(Bp) if plus else []
     Cm = lattice.left_inverse(Bm) if minus else []
     return InvolutionSplitting(

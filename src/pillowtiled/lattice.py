@@ -2,9 +2,11 @@
 
 ``hermite`` brings a matrix to column Hermite normal form by unimodular
 column operations, reducing each pivot row as it goes so entries stay
-small; kernels, lattice bases, left inverses and unimodular inverses are
-read off its output.  A Smith normal form remains for the one caller that
-needs invariant factors: the torsion check of ``quotient_basis``.
+small; kernels, left inverses and unimodular inverses are read off its
+output.  The pipeline needs no invariant factors: the homology basis
+comes from a tree-cotree decomposition and needs no torsion check.
+``smith_normal_form`` stays only because the benchmark tracer wraps it
+by name.
 
 Everything here works on small dense matrices of Python ints (lists of
 lists), which keeps the homology pipeline exact.  The one exception is
@@ -308,12 +310,6 @@ def kernel_basis(a: list[list[int]]) -> list[list[int]]:
     return _leading_columns(H, shape(a)[1] - len(pivots))
 
 
-def column_lattice_basis(a: list[list[int]]) -> list[list[int]]:
-    """Basis (list of column vectors) of the lattice spanned by a's columns."""
-    pivots, H, _ = hermite(a)
-    return _leading_columns(H, len(pivots))
-
-
 def left_inverse(k: list[list[int]]) -> list[list[int]]:
     """Integer L with L @ k == I, for k with saturated full-rank column span.
 
@@ -341,29 +337,3 @@ def unimodular_inverse(a: list[list[int]]) -> list[list[int]]:
     if pivots != list(range(n)) or any(H[i][i] != 1 for i in range(n)):
         raise ValueError("matrix is not unimodular")
     return V
-
-
-def quotient_basis(ambient_dim: int, ker: list[list[int]], img: list[list[int]]):
-    """Basis and coordinate functionals for ker/img inside Z^ambient_dim.
-
-    ``ker``: columns spanning a saturated sublattice K; ``img``: columns of a
-    sublattice of K with torsion-free quotient.  Returns (B, C) where B's
-    columns are lattice vectors projecting to a basis of K/img, and C (rows)
-    are integer functionals on Z^ambient with C @ B == I and C @ img == 0.
-    """
-    nK = len(ker)
-    K = [[ker[j][i] for j in range(nK)] for i in range(ambient_dim)]  # cols
-    L = left_inverse(K)
-    if img:
-        # image vectors in K-coordinates; their invariant factors must be 0 or 1
-        D = matmul(L, [[img[j][i] for j in range(len(img))] for i in range(ambient_dim)])
-        S, U, Uinv = smith_normal_form(D)
-        diag = [S[i][i] for i in range(min(shape(S)))]
-        if any(x not in (0, 1) for x in diag):
-            raise ValueError("quotient has torsion")
-        rank = sum(1 for x in diag if x)
-    else:
-        U, Uinv, rank = eye(nK), eye(nK), 0
-    B = matmul(K, [[Uinv[i][j] for j in range(rank, nK)] for i in range(nK)])
-    C = matmul([U[i] for i in range(rank, nK)], L)
-    return B, C

@@ -5,7 +5,8 @@ run (``tests/test_source.py::test_every_src_name_is_reached``).  The
 cross-checks the tests hold it to live here, as ``reference_orbit`` lives
 in ``tests/test_orbit.py``: permutation powers and conjugates, the
 quotient stratum and the inverse of the orientation double cover, the
-transport of H_1 along a raw word of moves, and the order at infinity of a
+transport of H_1 along a raw word of moves, the cup product of one pair of
+1-cochains, the basis of a column lattice, and the order at infinity of a
 quadratic differential.
 """
 
@@ -282,6 +283,30 @@ def induced_cocycle(o: Origami, word, iota: Perm | None = None):
     if iota is None:
         return cm, cur.origami
     return cm, cur.origami, cur.iota
+
+
+def cup(o: Origami, alpha, beta) -> int:
+    """Cup-product pairing of two 1-cochains, evaluated on the sum of faces.
+
+    Serre-diagonal formula on each square: alpha(bottom) beta(right) -
+    alpha(left) beta(top), one pair at a time; ``homology._cup_matrix``
+    computes every pair at once.
+    """
+    d = o.d
+    total = 0
+    for i in range(d):
+        total += alpha[i] * beta[d + o.h[i]] - alpha[d + i] * beta[o.v[i]]
+    return total
+
+
+# --- lattices -------------------------------------------------------------
+
+
+def column_lattice_basis(a: list[list[int]]) -> list[list[int]]:
+    """Basis (list of column vectors) of the lattice spanned by a's columns,
+    read off the column Hermite form."""
+    pivots, H, _ = lattice.hermite(a)
+    return [[row[j] for row in H] for j in range(len(pivots))]
 
 
 # --- differentials --------------------------------------------------------

@@ -32,7 +32,7 @@ from pillowtiled.coverings import (
     sample_base_differential,
 )
 from pillowtiled.cylinders import _row_widths, ekz_for_cover
-from pillowtiled.homology import homology_basis, standard_symplectic
+from pillowtiled.homology import homology_basis
 from pillowtiled.lyapunov import run_monte_carlo
 from pillowtiled.orbit import apply_generator, canonical_perms
 from pillowtiled.permsurf import (
@@ -184,18 +184,19 @@ def test_structural_property_suite():
 
     for _ in range(100):
         o = random_origami(int(rng.integers(2, 8)), rng)
-        # symplectic invariance along a random word
+        # symplectic invariance along a random word: M^T G_tgt M == G_src,
+        # each G the intersection matrix of its own surface's basis
         word = "".join(rng.choice(["T", "S", "L"], size=3))
-        M, _ = induced_cocycle(o, word)
-        basis = homology_basis(o)
-        J = standard_symplectic(basis.rank)
+        M, final = induced_cocycle(o, word)
+        G_src = homology_basis(o).intersection
+        G_tgt = homology_basis(final).intersection
         Mm = [list(row) for row in M.matrix]
-        r = basis.rank
-        JM = [[sum(J[i][k] * Mm[k][j] for k in range(r)) for j in range(r)]
+        r = len(Mm)
+        GM = [[sum(G_tgt[i][k] * Mm[k][j] for k in range(r)) for j in range(r)]
               for i in range(r)]
-        MtJM = [[sum(Mm[k][i] * JM[k][j] for k in range(r)) for j in range(r)]
+        MtGM = [[sum(Mm[k][i] * GM[k][j] for k in range(r)) for j in range(r)]
                 for i in range(r)]
-        assert MtJM == J
+        assert MtGM == [list(row) for row in G_src]
         # stratum invariance and cylinder area
         for gen in ("S", "T"):
             assert origami_stratum(apply_generator(o, gen)) == origami_stratum(o)

@@ -217,6 +217,23 @@ class TestSubcommands:
         path = write(tmp_path, "in.txt", FAMILY + "\n")
         assert main(["certify", path, "--steps", "100"]) == 4
 
+    # A known defect, kept visible until it is mended (ROADMAP item 1): a run
+    # too short to trust is reported as a contradiction between channels.
+    # 7 1 1 5 7 is degenerate by the sum rule and the criterion; at 40 steps
+    # every seed warns, and the Monte-Carlo max lambda+ of 0.038 against
+    # epsilon 0.02 makes the line exit 4.
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a fully warned short run is reported as a contradiction")
+    def test_fully_warned_short_run_is_no_contradiction(self, tmp_path, capsys):
+        path = write(tmp_path, "in.txt", "7 1 1 5 7\n")
+        rc = main(["certify", path, "--steps", "40", "--seeds", "1,2,3"])
+        data = json.loads(capsys.readouterr().out)[0]
+        if not all(data["warnings"]):
+            # not an AssertionError, so it fails the test outright
+            pytest.fail("not every seed warns on this line; it no longer shows the defect")
+        assert data["contradiction"] is False
+        assert rc != 4
+
     def test_orbit_origami_and_cap(self, tmp_path, capsys):
         path = write(tmp_path, "in.txt", "3; (1 2 3); (1 2)\n")
         assert main(["orbit", path]) == 0

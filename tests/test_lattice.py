@@ -1,7 +1,5 @@
 """Exact integer linear algebra checks, mostly randomized invariants."""
 
-import itertools
-import math
 import os
 import random
 import subprocess
@@ -13,6 +11,7 @@ import numpy as np
 import pytest
 
 from pillowtiled import lattice
+from tests.reference import column_lattice_basis
 
 
 def random_matrix(rng, m, n, lo=-6, hi=6):
@@ -77,14 +76,6 @@ def _det(a):
     return det
 
 
-def _in_lattice(v, cols):
-    """Whether v is an integer combination of the independent columns."""
-    rows, pivots = _rref([[c[i] for c in cols] + [v[i]] for i in range(len(v))])
-    if len(cols) in pivots:
-        return False
-    return all(rows[t][-1].denominator == 1 for t in range(len(pivots)))
-
-
 def test_snf_fixed_case():
     a = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     S, U, Uinv = lattice.smith_normal_form(a)
@@ -101,7 +92,7 @@ def test_snf_randomized_invariants():
         assert lattice.mat_eq(lattice.matmul(U, Uinv), lattice.eye(m))
         # a unimodular column transform takes U a to S: same column lattice
         ua = lattice.matmul(U, a)
-        assert lattice.column_lattice_basis(ua) == lattice.column_lattice_basis(S)
+        assert column_lattice_basis(ua) == column_lattice_basis(S)
         # diagonal, nonnegative, divisibility chain
         for i in range(m):
             for j in range(n):
@@ -153,28 +144,6 @@ def test_kernel_basis_is_saturated_and_complete():
         K = [[c[i] for c in ker] for i in range(n)]
         assert not any(any(row) for row in lattice.matmul(a, K))
         assert lattice.matmul(lattice.left_inverse(K), K) == lattice.eye(len(ker))
-
-
-def test_column_lattice_basis_spans_the_smith_lattice():
-    # the lattice the columns of a span, checked without the Smith form: the
-    # columns lie in the lattice of the basis B, so a = B C for an integer
-    # C; B lies in the lattice of a exactly when the columns of C generate
-    # Z^r, that is when the r x r minors of C have gcd 1
-    rng = random.Random(13)
-    for a in random_cases(rng, 90):
-        m, n = lattice.shape(a)
-        basis = lattice.column_lattice_basis(a)
-        r = _rank(a)
-        assert len(basis) == r
-        assert _rank([[v[i] for v in basis] for i in range(m)]) == r
-        cols = [[row[j] for row in a] for j in range(n)]
-        assert all(_in_lattice(c, basis) for c in cols)
-        if not r:
-            continue
-        C = [_rref([[v[i] for v in basis] + [c[i]] for i in range(m)])[0] for c in cols]
-        C = [[int(C[j][t][-1]) for j in range(n)] for t in range(r)]
-        minors = (_det([[row[j] for j in js] for row in C]) for js in itertools.combinations(range(n), r))
-        assert math.gcd(*(int(x) for x in minors)) == 1
 
 
 def test_left_inverse():
@@ -241,19 +210,6 @@ def test_inverses_reject_bad_input_without_assertions():
     env = dict(os.environ, PYTHONPATH=str(Path(lattice.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
     assert proc.returncode == 7, proc.stderr
-
-
-def test_quotient_basis_for_cylinder_lattice():
-    # Z^3 with kernel = all of Z^3 and image spanned by (1,1,0) and (0,2,0):
-    # quotient is Z^2 x Z/2?  No torsion allowed -> use (0,1,0) instead.
-    ker = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    img = [[1, 1, 0], [0, 1, 0]]
-    B, C = lattice.quotient_basis(3, ker, img)
-    assert len(B) == 3 and len(B[0]) == 1
-    assert lattice.mat_eq(lattice.matmul(C, B), lattice.eye(1))
-    # functional kills the image
-    for c in img:
-        assert sum(C[0][i] * c[i] for i in range(3)) == 0
 
 
 def test_matmul_with_no_rows():

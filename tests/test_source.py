@@ -170,11 +170,11 @@ def _module_names(path: Path) -> tuple[dict, dict, list]:
     return defs, imported, body
 
 
-def _perfbench_roots(tables) -> set:
+def _perfbench_roots(tables, tracer: bool = True) -> set:
     """(module, name) pairs the benchmark uses: every name it imports from
     the package, every function or class it reads off an imported package
-    module, and every function its tracer wraps by name (``Class.method``
-    for a method)."""
+    module, and, unless ``tracer`` is false, every function its tracer
+    wraps by name (``Class.method`` for a method)."""
     roots = set()
     for path in sorted(PERFBENCH.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -193,16 +193,18 @@ def _perfbench_roots(tables) -> set:
                     and node.attr in tables[aliases[node.value.id]][0]):
                 roots.add((aliases[node.value.id], node.attr))
         for node in tree.body:
-            if (isinstance(node, ast.Assign)
+            if (tracer and isinstance(node, ast.Assign)
                     and [getattr(t, "id", None) for t in node.targets] == ["FUNCTIONS"]):
                 roots.update(ast.literal_eval(node.value))
     return roots
 
 
-def _unreached_src_names() -> list[str]:
+def _unreached_src_names(tracer: bool = True) -> list[str]:
     """Top-level functions and classes of the package, and methods of its
     classes, that nothing reaches from the command line, the package
-    exports, the benchmark or the cache hooks the tests call.
+    exports, the benchmark or the cache hooks the tests call; with
+    ``tracer`` false, the functions the benchmark tracer wraps by name do
+    not count as reached for that alone.
 
     A name in a module's namespace resolves to its own def or to the def
     it was imported from; ``mod.name`` on an imported sibling module
@@ -225,7 +227,7 @@ def _unreached_src_names() -> list[str]:
 
     roots = [("cli", "main"), ("orbit", "_clear_memo"), ("cocycle", "_clear_shared_cache")]
     roots += [("__init__", name) for name in tables["__init__"][1]]
-    roots += sorted(_perfbench_roots(tables))
+    roots += sorted(_perfbench_roots(tables, tracer))
     reached: set = set()
     methods_reached: set = set()
     attrs: set = set()
@@ -308,3 +310,13 @@ def test_every_src_name_is_reached():
     # tests call lives with the tests (tests/reference.py)
     unreached = _unreached_src_names()
     assert not unreached, "names under src/pillowtiled that nothing reaches: " + ", ".join(unreached)
+
+
+def test_tracer_only_names():
+    # a name that only the benchmark tracer's FUNCTIONS table keeps alive is
+    # dead code the pipeline never runs; smith_normal_form is one since the
+    # homology basis stopped needing a torsion check (a FOUND in CHANGES.md:
+    # a benchmark change that drops it from FUNCTIONS lets it and its tests
+    # go), and no other name may join it
+    only_traced = set(_unreached_src_names(tracer=False)) - set(_unreached_src_names())
+    assert only_traced == {"lattice.smith_normal_form"}, sorted(only_traced)
