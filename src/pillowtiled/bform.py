@@ -20,55 +20,33 @@ Every q is one type, :class:`CurveDifferential`: c is its ``wpow`` and R
 its zeros and simple poles.  ``coverings.sample_base_differential`` builds
 the pullbacks from the sphere, with c = 0.
 
-``pairing_matrices`` takes one of two paths, chosen from the input alone.
-A curve with exactly three finite branch points, paired with
-q = c dz^2 / prod (z - z_i) over exactly those points (no w-power, no
-zeros) -- every curve the ``bform`` subcommand builds -- takes the period
-path: each entry is a twisted integral of u phi conj(u psi), which the
-twisted period relations write as a 2x2 form in the periods of u phi and
-u psi over two segments that join the branch points, each period a
-Gauss-Jacobi sum.  Its ``quad_error`` is the largest change of an entry
-from n to 2n nodes per segment, near round-off.  Every other curve (more
-branch points, a w-power, zeros or extra poles of q) takes the plane
-quadrature below; its ``quad_error`` is the change between its last two
-mesh levels, which on the genus-1 curve overstates the true error
-120-160 fold.
-
-Integrands have known power-law behavior |z - s|^{gamma} at finitely
-many points, so the quadrature uses a smooth partition of unity: disks
-around each singular point with a Gauss-Jacobi radial rule matched to
-gamma (nodes from the eigenvalues of the Jacobi matrix, weights from the
-Christoffel numbers) and a trapezoid angular rule, the chart swap
-z -> 1/z for the neighborhood of infinity, and tensor Gauss-Legendre
-panels on the smooth remainder.  Refinement levels double
-every node count; the error estimate is the last inter-level delta, so
-only the last two levels are computed.
-
-Every part of the integral is a weighted node set (z, w): the live
-(nonzero-weight) panel nodes, a disk around a center for one radial
-exponent gamma (its cutoff folded into w), or the chart at infinity
-(z = 1/u, with |u|^-4 folded into w).  One blocked evaluator integrates
-any node set: each block evaluates P, the phase of q and every basis
-form once, and the entries sharing a weight (B entries with the same m,
-H entries with the same character b) come out of one product
-(F_I * W) @ F_J^T, or F_b^H on the right for H.  Blocks bound the
-working set whatever the level.  Per level the panel nodes are evaluated
-once and each distinct (center, gamma) disk once; an entry is its panel
-part plus the disks of its own exponents.
+``pairing_matrices`` has one rule for every curve.  An entry is the plane
+integral of g conj(h), g = prod (z - p)^{alpha_p} and h = prod
+(z - p)^{beta_p} over the marked points (the branch points, the zeros and
+poles of q, and 0 when a form carries a power of z).  With
+u = prod (z - p)^{e_p}, e_p = min(alpha_p, beta_p), it is the integral of
+u phi conj(u psi) with phi, psi polynomial, which the twisted period
+relations (Kita-Yoshida, Math. Nachr. 166, 1994; Cho-Matsumoto, Nagoya
+Math. J. 139, 1995) write as sum_ab P_a (H^-1)_ab conj(Q_b): P and Q are
+the periods of u phi and u psi over the segments that join the vertices of
+u in their order along one direction, each a Gauss-Jacobi sum, and H is
+the tridiagonal intersection matrix of those twisted cycles.  An end with
+an exponent in (-2, -1] takes the finite-part period, and an integer pole
+of u, at a point or at infinity, the limit of a regularized integrand.
+An exponent <= -2 at a point, or an integer one at infinity, is rejected.
+``quad_error`` is the largest change of an entry from n to 2n nodes per
+segment, plus an estimate of the round-off.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-
-# nodes per block of the plane pass; bounds its working set at any level
-_BLOCK_NODES = 16384
 
 __all__ = [
     "SuperellipticCurve",
@@ -148,27 +126,6 @@ class EigenForm:
         return self.power + sum(self.shifts)
 
 
-def _form_values(curve: SuperellipticCurve, forms, z):
-    """The polynomial part of each form at z, one row per form; every power
-    (z - z_i)^t is computed once and shared by the forms that use it."""
-    z = np.asarray(z, dtype=complex)
-    powers = {}
-
-    def power(s, t):
-        if (s, t) not in powers:
-            powers[s, t] = (z - s) ** t
-        return powers[s, t]
-
-    out = np.empty((len(forms),) + z.shape, dtype=complex)
-    for k, form in enumerate(forms):
-        row = power(0.0, form.power)
-        for zi, t in zip(curve.branch, form.shifts):
-            if t:
-                row = row * power(zi, t)
-        out[k] = row
-    return out
-
-
 def _form_order_at(curve: SuperellipticCurve, form: EigenForm, s: complex) -> int:
     ord_ = form.power if s == 0 else 0
     for zi, t in zip(curve.branch, form.shifts):
@@ -232,11 +189,23 @@ class CurveDifferential:
     ``coverings.sample_base_differential`` builds; a w-power is set by
     ``wpow``.  Calling q evaluates the rational part R(z), numerator then
     denominator; the w-power enters the pairing through |P|^{-wpow/N}.
+    A pole is listed once, a zero has order at least 1, and no zero sits
+    on a pole or on another zero; anything else raises ValueError.
     """
 
     wpow: int = 0
     zero_orders: tuple[tuple[complex, int], ...] = ()
     finite_poles: tuple[complex, ...] = ()
+
+    def __post_init__(self):
+        poles = [complex(p) for p in self.finite_poles]
+        zeros = [complex(p) for p, _ in self.zero_orders]
+        if len(set(poles)) != len(poles):
+            raise ValueError("q has a repeated pole; its poles are simple")
+        if any(m < 1 for _, m in self.zero_orders):
+            raise ValueError("a zero of q must have order at least 1")
+        if len(set(zeros)) != len(zeros) or set(zeros) & set(poles):
+            raise ValueError("a zero of q sits on a pole or on another zero")
 
     def __call__(self, z):
         num = 1.0 + 0.0j
@@ -288,144 +257,327 @@ class BFormReport:
     gap: float | None
 
 
-# ---------------------------------------------------------------- quadrature
+# ----------------------------------------------------------- period rule
 
 
-def _bump01(x):
-    """Smooth cutoff: 1 for x <= 0, 0 for x >= 1."""
-    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f = np.where(x > 0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
-        g = np.where(x < 1, np.exp(-1.0 / np.maximum(1 - x, 1e-300)), 0.0)
-    return g / (f + g)
+def _fill(g_count, b_entries, h_entries, b_values, h_values):
+    """B symmetric and H Hermitian from their upper-triangle values."""
+    B = np.zeros((g_count, g_count), dtype=complex)
+    H = np.zeros((g_count, g_count), dtype=complex)
+    for (i, j, _), v in zip(b_entries, b_values):
+        B[i, j] = B[j, i] = v
+    for (i, j), v in zip(h_entries, h_values):
+        H[i, j] = v
+        if i != j:
+            H[j, i] = np.conj(v)
+    return B, H
 
 
-def _chi_profile(rho, radius):
-    """Radial partition-of-unity factor: 1 inside radius/2, 0 outside radius."""
-    return _bump01(2.0 * rho / radius - 1.0)
-
-
-class _Region:
-    """Weighted node sets (z, w) for one (curve, q) geometry.
-
-    The smooth background region is tiled by a graded quadtree whose
-    cells shrink toward the singular centers, so the partition-of-unity
-    transition annuli are resolved; each refinement level doubles the
-    Gauss-Legendre order on that fixed mesh, and the disk node counts.
-    """
-
-    def __init__(self, centers: list[complex]):
-        self.radii: dict[complex, float] = {}
-        for i, c in enumerate(centers):
-            dmin = min(
-                (abs(c - o) for j, o in enumerate(centers) if j != i),
-                default=2.0,
+def _report(curve, q, B, H, quad_error) -> BFormReport:
+    """The spectrum of the normalized pairing, after the Cholesky check of
+    H and against the contraction bound."""
+    g_count = len(B)
+    if g_count:
+        try:
+            np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            raise RuntimeError("Hodge Gram matrix is not positive definite") from None
+        evals, evecs = np.linalg.eigh(H)
+        Hm = evecs @ np.diag(evals ** -0.5) @ evecs.conj().T
+        Mmat = Hm @ B @ Hm.T
+        theta = tuple(float(s) for s in np.linalg.svd(Mmat, compute_uv=False))
+        if theta and theta[0] > 1.0 + 1e-3:
+            raise RuntimeError(
+                f"spectrum exceeds the contraction bound: {theta[0]}"
             )
-            self.radii[c] = min(0.35 * dmin, 1.5)
-        far = max((abs(c) + r for c, r in self.radii.items()), default=1.0)
-        self.r_out = 2.0 * max(far, 1.0)
-        self.u_rad = 1.0 / self.r_out
-        self.cells = self._cells()
+        gap = 1.0 - theta[0] if theta else None
+    else:
+        theta = ()
+        gap = None
 
-    def _cells(self):
-        """Graded quadtree leaves (center, half-width) covering the support
-        of the background integrand, pruned where the mask vanishes."""
-        out: list[tuple[complex, float]] = []
-        stack = [(0.0 + 0.0j, 2.0 * self.r_out)]
-        while stack:
-            c, h = stack.pop()
-            diag = h * math.sqrt(2.0)
-            # fully beyond the far cutoff: mask is identically zero
-            if abs(c) - diag >= 2.0 * self.r_out:
-                continue
-            split = False
-            dead = False
-            for s, r in self.radii.items():
-                d = abs(c - s)
-                if d + diag <= 0.5 * r:
-                    dead = True
-                    break
-                # resolve the transition annulus and grade with distance
-                target = 0.25 * max(d - r, 0.5 * r)
-                if h > target and h > r / 16.0:
-                    split = True
-            if dead:
-                continue
-            if split:
-                q = h / 2.0
-                stack.extend(
-                    (c + q * (dx + 1j * dy), q)
-                    for dx in (-1.0, 1.0)
-                    for dy in (-1.0, 1.0)
-                )
-            else:
-                out.append((c, h))
-        return out
+    return BFormReport(
+        B=tuple(tuple(B[i]) for i in range(g_count)),
+        H=tuple(tuple(H[i]) for i in range(g_count)),
+        theta=theta,
+        quad_error=quad_error,
+        q_has_simple_pole=_pullback_has_simple_pole(curve, q),
+        gap=gap,
+    )
 
-    def _disk_nodes(self, center, gamma, level):
-        """(z, weight) on the disk around ``center`` (None: the chart at
-        infinity) for the radial exponent ``gamma``.
 
-        The rule is the Gauss-Jacobi radial rule matched to gamma times
-        the trapezoid angular rule, with the cutoff folded into the
-        weight.  At infinity it runs in u = 1/z around u = 0, and the
-        Jacobian |u|^-4 is folded into the weight as well.
-        """
-        radius = self.u_rad if center is None else self.radii[center]
-        n_ang = 18 * (2 ** level)
-        x, wj = _jacobi_rule(14 * (2 ** level), 0.0, gamma + 1.0)
-        rho = radius * (x + 1.0) / 2.0
-        ang = 2.0 * np.pi * np.arange(n_ang) / n_ang
-        z = (rho[:, None] * np.exp(1j * ang)[None, :]).ravel()
-        w = np.repeat(
-            wj
-            * _chi_profile(rho, radius)
-            * rho ** (-gamma)
-            * (radius / 2.0) ** (gamma + 2.0)
-            * (2.0 * np.pi / n_ang),
-            n_ang,
-        )
-        if center is None:
-            return 1.0 / z, w * np.abs(z) ** (-4.0)
-        return center + z, w
+def pairing_matrices(curve: SuperellipticCurve, q) -> BFormReport:
+    """Contraction pairing B, Hodge Gram H, and the normalized spectrum.
 
-    def _panel_nodes(self, level):
-        """Yield (z, weight) for the live smooth-panel nodes, a run of
-        whole cells at a time, each block at most ``_BLOCK_NODES`` nodes
-        (or one cell).
+    ``q`` is a :class:`CurveDifferential`: a pullback from the sphere, or
+    one with a w-power.  Entries killed by the deck character are exact
+    zeros; the rest come from twisted periods (see the module docstring),
+    and ``quad_error`` estimates their error: the change of an entry under
+    the rule's own refinement, plus round-off.
+    """
+    basis = holomorphic_basis(curve)
+    marks = _marked_points(curve, basis, q)
+    d, order = _chain([p for p, _, _ in marks])
+    marks = [marks[k] for k in order]
+    b_entries, h_entries, exponents = _entries(curve, basis, marks, q.wpow)
+    points = tuple(p for p, _, _ in marks)
+    # q = C R with R monic; the phase conj(C)/|C| of B is read at one point
+    z0 = 2.0 * max((abs(p) for p in points), default=0.0) + 1.0
+    C = complex(q(z0)) / np.prod([(z0 - p) ** r for p, _, r in marks])
+    scales = [curve.N * np.conj(C) / abs(C)] * len(b_entries) + [curve.N] * len(h_entries)
+    values, errors = [], []
+    for scale, (alpha, beta) in zip(scales, exponents):
+        value, error = _plane_integral(points, d, 2 * curve.N, alpha, beta)
+        values.append(scale * value)
+        errors.append(abs(scale) * error)
+    nb = len(b_entries)
+    B, H = _fill(len(basis), b_entries, h_entries, values[:nb], values[nb:])
+    return _report(curve, q, B, H, max(errors, default=0.0))
 
-        The weight is the tensor Gauss-Legendre weight times the
-        background mask.  Each mask factor is evaluated only where it is
-        not exactly 1 (inside its center's disk, or beyond ``r_out`` for
-        the factor at infinity), and nodes of weight 0 are dropped.
-        """
-        xg, wg = leggauss(5 * (2 ** level))
-        offs = (xg[:, None] + 1j * xg[None, :]).ravel()
-        w2 = (wg[:, None] * wg[None, :]).ravel()
-        cells = self.cells
-        step = max(1, _BLOCK_NODES // offs.size)
-        for k in range(0, len(cells), step):
-            cc = np.array([c for c, _ in cells[k:k + step]])
-            hh = np.array([h for _, h in cells[k:k + step]])
-            zz = (cc[:, None] + hh[:, None] * offs[None, :]).ravel()
-            ww = ((hh ** 2)[:, None] * w2[None, :]).ravel()
-            mask = np.ones_like(ww)
-            for c, r in self.radii.items():
-                _mask_inside(mask, np.abs(zz - c), r)
-            with np.errstate(divide="ignore"):
-                u = np.where(np.abs(zz) > 0, 1.0 / np.abs(zz), np.inf)
-            _mask_inside(mask, u, self.u_rad)
-            ww = ww * mask
-            live = ww != 0.0
-            yield zz[live], ww[live]
+
+def _marked_points(curve, basis, q):
+    """(p, a_p, r_p) for every finite point where an integrand can branch,
+    vanish or blow up: the branch points (exponent a_p), the zeros and
+    poles of q's rational part (order r_p), and 0 when a form carries a
+    power of z.  The two numbers are 0 where they do not apply."""
+    a = dict(zip(curve.branch, curve.a))
+    r = {complex(p): -1 for p in q.finite_poles}
+    r.update((complex(p), int(m)) for p, m in q.zero_orders)
+    points = list(a) + [p for p in r if p not in a]
+    if any(f.power for f in basis) and 0 not in points:
+        points.append(0j)
+    return [(p, a.get(p, 0), r.get(p, 0)) for p in points]
+
+
+def _chain(points):
+    """A unit direction d on which no two points project alike, and the
+    order of the points by projection.  d is the direction, among those of
+    the differences of two points and the bisectors of neighbouring ones,
+    whose least gap between neighbouring projections is largest: a segment
+    between neighbours then passes no other point closer than that gap."""
+    angles = sorted({cmath.phase(p - o) % math.pi for k, p in enumerate(points)
+                     for o in points[:k]})
+    candidates = angles + [(x + y) / 2.0 for x, y in zip(angles, angles[1:] + [
+        angles[0] + math.pi])] if angles else [0.0]
+
+    def projections(theta):
+        return [(p * cmath.exp(-1j * theta)).real for p in points]
+
+    def least_gap(theta):
+        proj = sorted(projections(theta))
+        return min((y - x for x, y in zip(proj, proj[1:])), default=0.0)
+
+    theta = max(candidates, key=least_gap)
+    proj = projections(theta)
+    return cmath.exp(1j * theta), sorted(range(len(points)), key=proj.__getitem__)
+
+
+def _entries(curve, basis, marks, wpow):
+    """Upper-triangle entries that survive the character sum, B entries
+    (i, j, m) then H entries (i, j), and the exponents (alpha, beta) of
+    each: the entry is the plane integral of g conj(h) with
+    g = prod (z - p)^{alpha_p}, h = prod (z - p)^{beta_p} over the marked
+    points, up to its scale.  Exponents are integers in units of 1/(2N).
+    Every entry is checked for integrability, alpha_p + beta_p > -2 at each
+    point and at infinity."""
+    N, D = curve.N, 2 * curve.N
+
+    def orders(f):
+        return [D * _form_order_at(curve, f, p) for p, _, _ in marks]
+
+    b_entries, h_entries, b_exps, h_exps = [], [], [], []
+    for i, fi in enumerate(basis):
+        for j in range(i, len(basis)):
+            fj = basis[j]
+            if (fi.b + fj.b - wpow) % N == 0:
+                # N f_i f_j P^-m |P|^(-wpow/N) conj(R)/|R|, R = prod (z - p)^r_p
+                m = (fi.b + fj.b - wpow) // N
+                alpha = [x + y - D * m * a - N * r - wpow * a
+                         for x, y, (_, a, r) in zip(orders(fi), orders(fj), marks)]
+                beta = [N * r - wpow * a for _, a, r in marks]
+                b_entries.append((i, j, m))
+                b_exps.append((alpha, beta))
+            if fi.b == fj.b:
+                # N f_i conj(f_j) |P|^(-2b/N)
+                h_entries.append((i, j))
+                h_exps.append(tuple([x - 2 * fi.b * a for x, (_, a, _) in zip(orders(f), marks)]
+                                    for f in (fi, fj)))
+    for alpha, beta in b_exps + h_exps:
+        ends = [(p, x + y) for (p, _, _), x, y in zip(marks, alpha, beta)]
+        ends.append(("infinity", -4 * D - sum(alpha) - sum(beta)))
+        for where, gamma in ends:
+            if gamma <= -2 * D:
+                raise RuntimeError(f"non-integrable exponent {Fraction(gamma, D)} at {where}")
+    return b_entries, h_entries, b_exps + h_exps
+
+
+# Gauss-Jacobi nodes per segment; the error estimate is the change from
+# this rule to the one with twice as many nodes
+_PERIOD_NODES = 32
+# exponent step h at an integer pole of u: the limit is Richardson's from
+# the steps h, 2h and 4h, and its error the change to the limit from
+# h/2, h and 2h
+_POLE_STEP = 2e-3
+# weights of the means over +-t, +-2t and +-4t in that limit
+_RICHARDSON = (64.0 / 45.0, -20.0 / 45.0, 1.0 / 45.0)
+# relative round-off of the sum of P_a (H^-1)_ab conj(Q_b), against the sum
+# of the moduli of its terms: on about a hundred curves, a further node
+# doubling moved an entry beyond the refinement estimate by at most 1e-14
+# of that sum
+_ROUNDOFF = 1e-14
+
+
+def _sin_pi(x: int, D: int, dx: float = 0.0) -> float:
+    """sin(pi (x/D + dx)), exactly 0 at the integers when dx is 0."""
+    r = x % (2 * D)
+    s = 0.0 if r % D == 0 else math.sin(math.pi * (r / D))
+    if dx:
+        s = s * math.cos(math.pi * dx) + math.cos(math.pi * (r / D)) * math.sin(math.pi * dx)
+    return s
+
+
+def _plane_integral(points, d, D, alpha, beta):
+    """(value, error) of the plane integral of g conj(h), from ``_entries``'
+    exponents over ``points`` in chain order, in units of 1/D.
+
+    u = prod (z - p)^{e_p} with e_p = min(alpha_p, beta_p), so g = u phi and
+    h = u psi with phi, psi products of (z - p)^k, k >= 0.  A point with
+    integer e_p >= 0 is folded into phi and psi.  At infinity u has the
+    exponent min(alpha_inf, beta_inf), alpha_inf = -2 - sum alpha_p.  An
+    integer pole, e = -1 at a point or at infinity, makes the intersection
+    form singular: the integrand is then multiplied by |z - y|^(2t) at
+    those points y (or at the first vertex, for infinity alone), which is
+    analytic in t, and the limit t -> 0 is extrapolated.  An exponent
+    <= -2 at a point, or an integer one at infinity, raises ValueError.
+
+    The error is the change of the value under the rule's refinement plus
+    ``_ROUNDOFF`` times the sum of the moduli of the terms that cancel.
+    """
+    e = [min(x, y) for x, y in zip(alpha, beta)]
+    e_inf = -2 * D - max(sum(alpha), sum(beta))
+    # no segment ends at infinity, so there only an integer exponent, which
+    # makes the intersection form singular, limits the rule
+    ends = [*zip(points, e)] + ([("infinity", e_inf)] if e_inf % D == 0 else [])
+    for where, x in ends:
+        if x <= -2 * D:
+            raise ValueError(
+                f"exponent {Fraction(x, D)} of u at {where}: the period rule needs > -2")
+    e = tuple(0 if x % D == 0 and x >= 0 else x for x in e)
+    phi = tuple((x - y) // D for x, y in zip(alpha, e))
+    psi = tuple((x - y) // D for x, y in zip(beta, e))
+    poles = [k for k, x in enumerate(e) if x == -D]
+    if e_inf == -D and not poles:
+        # shifting any vertex moves infinity off the integers
+        poles = [next(k for k, x in enumerate(e) if x)]
+    n = _PERIOD_NODES
+    if not poles:
+        drop = e_inf % D == 0
+        (coarse, _), (fine, size) = (_twisted_integral(points, d, D, e, {}, drop, phi, psi, k)
+                                     for k in (n, 2 * n))
+        return fine, abs(fine - coarse) + _ROUNDOFF * size
+
+    def mean(k, t):
+        # the mean over +-t, an even function of t, and the size of its
+        # terms; infinity is shifted off the integers too, so all segments
+        runs = [_twisted_integral(points, d, D, e, dict.fromkeys(poles, s), False, phi, psi, k)
+                for s in (t, -t)]
+        return sum(v for v, _ in runs) / 2.0, sum(m for _, m in runs) / 2.0
+
+    def limit(means):
+        # Richardson on the steps t, 2t and 4t cancels the t^2 and t^4 terms
+        return (sum(w * v for w, (v, _) in zip(_RICHARDSON, means)),
+                sum(abs(w) * m for w, (_, m) in zip(_RICHARDSON, means)))
+
+    # the terms grow as t -> 0 and cancel in the limit, which amplifies the
+    # error of the periods: the rule is refined once more
+    h = _POLE_STEP
+    fine = [mean(4 * n, t) for t in (h / 2.0, h, 2.0 * h, 4.0 * h)]
+    coarse = [mean(2 * n, t) for t in (h, 2.0 * h, 4.0 * h)]
+    value, size = limit(fine[1:])
+    error = abs(value - limit(coarse)[0]) + abs(value - limit(fine[:3])[0])
+    return value, error + _ROUNDOFF * size
+
+
+def _twisted_integral(points, d, D, e, shift, drop, phi, psi, n):
+    """(sum_ab P_a (H^-1)_ab conj(Q_b), sum of the moduli of its terms) for
+    u = prod (z - p)^{e_p/D}: the plane integral of |u|^2 phi conj(psi).
+
+    The vertices are the points with e_p != 0.  On the segment from vertex
+    k to vertex k + 1, u takes the factor ((z - p)/d)^e behind it and
+    ((p - z)/d)^e ahead of it, principal powers of numbers with positive
+    real part, which is one consistent branch.  ``shift`` maps a vertex to
+    a float added to its exponent.  With ``drop``, infinity is not branched
+    for u, the periods are dependent, and the last segment is left out.
+    ``n`` is the node count per segment.
+    """
+    # exponent k of u: (exact part, shift, float value)
+    ex = {k: (x, shift.get(k, 0.0), x / D + shift.get(k, 0.0)) for k, x in enumerate(e) if x}
+    verts = sorted(ex)
+    segments = list(zip(verts, verts[1:]))
+    if drop and segments:
+        segments.pop()
+    if not segments:
+        return 0.0, 0.0
+    P, Q = np.array([_periods(points, d, D, ex, a, b, (phi, psi), n) for a, b in segments]).T
+    sin = [_sin_pi(ex[k][0], D, ex[k][1]) for k in verts]
+    H = np.zeros((len(segments), len(segments)))
+    for k, (a, b) in enumerate(segments):
+        H[k, k] = _sin_pi(ex[a][0] + ex[b][0], D, ex[a][1] + ex[b][1]) / (sin[k] * sin[k + 1])
+        if k:
+            H[k, k - 1] = H[k - 1, k] = -1.0 / sin[k]
+    G = np.linalg.inv(H)
+    return P @ G @ np.conj(Q), np.abs(P) @ np.abs(G) @ np.abs(Q)
+
+
+def _periods(points, d, D, ex, a, b, rows, n):
+    """Integrals of u prod (z - p)^{f_p} dz over the segment from vertex a
+    to vertex b, one per row f of ``rows``, with u's branch of that segment
+    and exponents ``ex`` (see ``_twisted_integral``).
+
+    With z = p_a + (p_b - p_a) s, the integrand is
+    d L^(1 + e_a + e_b) s^e_a (1 - s)^e_b F(s), L = (p_b - p_a)/d, F smooth
+    on [0, 1]; a Gauss-Jacobi sum for those two exponents.  If one of them
+    is <= -1 the finite part is taken: F less its linear interpolant
+    between the ends is integrated with the exponents raised by 1, and
+    F(0) B(e_a + 1, e_b + 2) + F(1) B(e_a + 2, e_b + 1) is added.
+    """
+    ea, eb = ex[a][2], ex[b][2]
+    finite_part = ex[a][0] <= -D or ex[b][0] <= -D
+    lift = 1.0 if finite_part else 0.0
+    x, w = _jacobi_rule(n, eb + lift, ea + lift)
+    s = (x + 1.0) / 2.0
+    pa, pb = points[a], points[b]
+    z = np.append(pa + (pb - pa) * s, [pa, pb])
+    U = np.ones_like(z)
+    for k, (_, _, x_k) in ex.items():
+        if k < a:
+            U = U * ((z - points[k]) / d) ** x_k
+        elif k > b:
+            U = U * ((points[k] - z) / d) ** x_k
+    F = np.repeat(U[None, :], len(rows), axis=0)
+    for p, ks in zip(points, zip(*rows)):
+        for r, k in enumerate(ks):
+            if k:
+                F[r] *= (z - p) ** k
+    L = (pb - pa) / d
+    scale = d * L ** (1.0 + ea + eb)
+    F, F0, F1 = F[:, :n], F[:, n], F[:, n + 1]
+    if not finite_part:
+        return scale * 2.0 ** -(1.0 + ea + eb) * (F @ w)
+    rest = (F - F0[:, None] * (1.0 - s) - F1[:, None] * s) / (s * (1.0 - s))
+    return scale * (2.0 ** -(3.0 + ea + eb) * (rest @ w)
+                    + F0 * _beta(ea + 1.0, eb + 2.0) + F1 * _beta(ea + 2.0, eb + 1.0))
+
+
+def _beta(x: float, y: float) -> float:
+    return math.gamma(x) * math.gamma(y) / math.gamma(x + y)
 
 
 @lru_cache(maxsize=1024)
 def _jacobi_rule(n: int, alpha: float, beta: float):
     """Gauss-Jacobi nodes and weights on [-1, 1] for the weight
     (1 - x)^alpha (1 + x)^beta, alpha, beta > -1, cached per
-    (n, alpha, beta); read-only, as every disk or segment with those
-    exponents shares them.
+    (n, alpha, beta); read-only, as every segment with those exponents
+    shares them.
 
     The nodes are the eigenvalues of the symmetric tridiagonal Jacobi
     matrix (Golub-Welsch, Math. Comp. 23, 1969), polished by one Newton
@@ -485,361 +637,3 @@ def _orthonormal_recurrence(x, diag, off):
         d_prev, d = d, dq / off[j]
         squares += p * p
         dsquares += 2.0 * p * d
-
-
-def _mask_inside(mask, rho, radius):
-    """mask *= 1 - chi(rho), touching only the nodes where chi(rho) != 0,
-    which lie inside the radius."""
-    near = rho < radius
-    mask[near] *= 1.0 - _chi_profile(rho[near], radius)
-
-
-def _entry_disks(curve, f1, f2, centers, e):
-    """The disk node sets (center, gamma) of one matrix entry, the last
-    one at infinity (center None), for an integrand f1 f2 times a weight
-    of modulus |P|^-e; the exponents are exact."""
-    exponent = dict(zip(curve.branch, curve.a))
-    disks = [
-        (s, _form_order_at(curve, f1, s) + _form_order_at(curve, f2, s)
-         - e * exponent.get(s, 0))
-        for s in centers
-    ]
-    disks.append((None, e * curve.total_exponent - f1.degree - f2.degree - 4))
-    for s, gamma in disks:
-        if gamma <= -2:
-            where = "infinity" if s is None else s
-            raise RuntimeError(f"non-integrable exponent {gamma} at {where}")
-    return disks
-
-
-def _poly_eval(curve, z):
-    P = np.ones_like(np.asarray(z, dtype=complex))
-    for zi, ai in zip(curve.branch, curve.a):
-        P = P * (z - zi) ** ai
-    return P
-
-
-def _entries(curve, basis, centers, wpow):
-    """Upper-triangle entries that survive the character sum: B entries
-    (i, j, m) and H entries (i, j), and each distinct disk node set
-    (center, gamma) with the B and H entries that use it.  Building the
-    disk keys checks every entry for integrability."""
-    N = curve.N
-    b_entries, h_entries = [], []
-    disks: dict[tuple, tuple[list, list]] = {}
-    for i, f1 in enumerate(basis):
-        for j in range(i, len(basis)):
-            f2 = basis[j]
-            if (f1.b + f2.b - wpow) % N == 0:
-                m = (f1.b + f2.b - wpow) // N
-                b_entries.append((i, j, m))
-                for key in _entry_disks(curve, f1, f2, centers, m + Fraction(wpow, N)):
-                    disks.setdefault(key, ([], []))[0].append((i, j, m))
-            if f1.b == f2.b:
-                h_entries.append((i, j))
-                for key in _entry_disks(curve, f1, f2, centers, Fraction(2 * f1.b, N)):
-                    disks.setdefault(key, ([], []))[1].append((i, j))
-    return b_entries, h_entries, disks
-
-
-def _fill(g_count, b_entries, h_entries, b_values, h_values):
-    """B symmetric and H Hermitian from their upper-triangle values."""
-    B = np.zeros((g_count, g_count), dtype=complex)
-    H = np.zeros((g_count, g_count), dtype=complex)
-    for (i, j, _), v in zip(b_entries, b_values):
-        B[i, j] = B[j, i] = v
-    for (i, j), v in zip(h_entries, h_values):
-        H[i, j] = v
-        if i != j:
-            H[j, i] = np.conj(v)
-    return B, H
-
-
-def _report(curve, q, B, H, quad_error) -> BFormReport:
-    """The spectrum of the normalized pairing, after the Cholesky check of
-    H and against the contraction bound."""
-    g_count = len(B)
-    if g_count:
-        try:
-            np.linalg.cholesky(H)
-        except np.linalg.LinAlgError:
-            raise RuntimeError("Hodge Gram matrix is not positive definite") from None
-        evals, evecs = np.linalg.eigh(H)
-        Hm = evecs @ np.diag(evals ** -0.5) @ evecs.conj().T
-        Mmat = Hm @ B @ Hm.T
-        theta = tuple(float(s) for s in np.linalg.svd(Mmat, compute_uv=False))
-        if theta and theta[0] > 1.0 + 1e-3:
-            raise RuntimeError(
-                f"spectrum exceeds the contraction bound: {theta[0]}"
-            )
-        gap = 1.0 - theta[0] if theta else None
-    else:
-        theta = ()
-        gap = None
-
-    return BFormReport(
-        B=tuple(tuple(B[i]) for i in range(g_count)),
-        H=tuple(tuple(H[i]) for i in range(g_count)),
-        theta=theta,
-        quad_error=quad_error,
-        q_has_simple_pole=_pullback_has_simple_pole(curve, q),
-        gap=gap,
-    )
-
-
-def pairing_matrices(curve: SuperellipticCurve, q) -> BFormReport:
-    """Contraction pairing B, Hodge Gram H, and the normalized spectrum.
-
-    ``q`` is a :class:`CurveDifferential`: a pullback from the sphere, or
-    one with a w-power.  Entries killed by the deck character are exact
-    zeros.  On a three-point curve with q = c dz^2 / prod (z - z_i) over
-    its branch points the rest come from twisted periods, elsewhere from
-    the quadrature; ``quad_error`` is the change of the entries under the
-    path's own refinement.
-    """
-    if _takes_period_path(curve, q):
-        return _period_pairing(curve, q)
-    return _quadrature_pairing(curve, q)
-
-
-# ----------------------------------------------------------- period path
-
-# Gauss-Jacobi nodes per segment; the error estimate is the change from
-# this rule to the one with twice as many nodes
-_PERIOD_NODES = 32
-
-
-def _takes_period_path(curve, q) -> bool:
-    """Three finite branch points, no w-power, no zeros of q, and q's
-    finite poles are the branch points."""
-    poles = [complex(z) for z in q.finite_poles]
-    return (
-        len(curve.branch) == 3
-        and q.wpow == 0
-        and not tuple(q.zero_orders)
-        and len(poles) == 3
-        and set(poles) == set(curve.branch)
-    )
-
-
-def _sin_pi(x: Fraction) -> float:
-    """sin(pi x), exactly 0 at the integers."""
-    r = x % 2
-    return 0.0 if r.denominator == 1 else math.sin(math.pi * float(r))
-
-
-def _twisted_form(e, P, Q):
-    """Integral over the plane of u phi conj(u psi), from the periods
-    P = (P1, P2) of u phi and Q of u psi (Kita-Yoshida, Math. Nachr. 166,
-    1994; Kawai-Lewellen-Tye, Nucl. Phys. B 269, 1986).
-
-    ``e`` = (a, b, c) are the exponents of u at the roles 0, 1, t.  When
-    a + b + c is an integer, infinity is unbranched for u, the two
-    periods are proportional, and the general form is 0/0.
-    """
-    a, b, c = e
-    s = _sin_pi
-    if (a + b + c).denominator == 1:
-        return s(a) * s(c) / s(a + c) * P[0] * np.conj(Q[0])
-    return (
-        s(a) * s(b + c) * P[0] * np.conj(Q[0])
-        + s(a) * s(b) * (P[0] * np.conj(Q[1]) + P[1] * np.conj(Q[0]))
-        + s(b) * s(a + c) * P[1] * np.conj(Q[1])
-    ) / s(a + b + c)
-
-
-def _segment_periods(curve, basis, roles, e, rows, n):
-    """Periods P1 = int_{p0}^{pt} u phi dz and P2 = int_{pt}^{p1} u phi dz
-    on straight segments, one pair per row, as an array (2, len(rows)).
-
-    u = prod (z - p)^{e_p} is taken in the affine coordinate
-    zeta = (z - p0) / (p1 - p0), tau = zeta(pt), as
-    zeta^a (1 - zeta)^b (tau - zeta)^c on the first segment and
-    zeta^a (1 - zeta)^b (zeta - tau)^c on the second: positive for real
-    0 < tau < 1 and continued from there; the factor |p1 - p0|^(2 + 2 sum e)
-    is left to the caller.  A row (forms, r) is
-    phi = prod of the forms times prod (z - z_k)^{r_k}.  Each period is a
-    Gauss-Jacobi sum matched to the exponents at the segment's ends.
-    """
-    p0, p1, pt = (curve.branch[k] for k in roles)
-    a, b, c = (e[k] for k in roles)
-    tau = (pt - p0) / (p1 - p0)
-    x1, w1 = _jacobi_rule(n, float(c), float(a))
-    x2, w2 = _jacobi_rule(n, float(b), float(c))
-    s1, s2 = (x1 + 1.0) / 2.0, (x2 + 1.0) / 2.0
-    z = np.concatenate([p0 + (pt - p0) * s1, pt + (p1 - pt) * s2])
-    k1 = tau ** float(1 + a + c) * 2.0 ** -float(1 + a + c) * w1 * (1.0 - tau * s1) ** float(b)
-    k2 = ((1.0 - tau) ** float(1 + b + c) * 2.0 ** -float(1 + b + c) * w2
-          * (tau + (1.0 - tau) * s2) ** float(a))
-    F = _form_values(curve, basis, z)
-    out = np.empty((2, len(rows)), dtype=complex)
-    for k, (forms, r) in enumerate(rows):
-        phi = np.ones_like(z)
-        for f in forms:
-            phi = phi * F[f]
-        for zi, ri in zip(curve.branch, r):
-            if ri:
-                phi = phi * (z - zi) ** ri
-        out[0, k] = phi[:n] @ k1
-        out[1, k] = phi[n:] @ k2
-    return out
-
-
-def _period_roles(branch) -> tuple[int, int, int]:
-    """Indices (p0, p1, pt) of the roles 0, 1, t: pt is opposite the
-    longest side, so tau = zeta(pt) has |tau|, |1 - tau| <= 1 and is never
-    real outside (0, 1), where the segments would meet the third point."""
-    sides = [(abs(branch[i] - branch[j]), (i, j, 3 - i - j))
-             for i, j in ((0, 1), (0, 2), (1, 2))]
-    return max(sides, key=lambda side: side[0])[1]
-
-
-def _period_pairing(curve: SuperellipticCurve, q) -> BFormReport:
-    """B and H from twisted periods on a three-point curve.
-
-    Each entry is N times the integral of g conj(h), g and h holomorphic
-    up to one common multivalued factor: for H, g = f_i P^{-b/N} and
-    h = f_j P^{-b/N}; for B, with q = c / Q and Q = prod (z - z_k), the
-    phase conj(q)/|q| is conj(c)/|c| Q/|Q|, so g = f_i f_j P^{-m} Q^{1/2}
-    and h = Q^{-1/2}.  Both are u phi and u psi with phi, psi polynomial
-    and u = prod (z - z_k)^{e_k}, e_k > -1, whose plane integral is the
-    period form of ``_twisted_form``.  The entries are computed with n and
-    2n nodes per segment, and ``quad_error`` is the largest change.
-    """
-    basis = holomorphic_basis(curve)
-    g_count = len(basis)
-    N = curve.N
-    # the disk keys are not used here, only their integrability check
-    b_entries, h_entries, _ = _entries(curve, basis, list(curve.branch), 0)
-    branch = curve.branch
-    z0 = 2.0 * max(abs(z) for z in branch) + 1.0
-    c = complex(q(z0)) * complex(np.prod([z0 - zi for zi in branch]))
-    phase = np.conj(c) / abs(c)
-
-    def order(forms, r, k):
-        return sum(_form_order_at(curve, basis[f], branch[k]) for f in forms) + r[k]
-
-    # each entry as (scale, base exponents, g's row, h's row)
-    terms = []
-    for i, j, m in b_entries:
-        base = (Fraction(-1, 2),) * 3
-        terms.append((N * phase, base, ((i, j), tuple(1 - m * a for a in curve.a)),
-                      ((), (0, 0, 0))))
-    for i, j in h_entries:
-        base = tuple(Fraction(-basis[i].b * a, N) for a in curve.a)
-        terms.append((N, base, ((i,), (0, 0, 0)), ((j,), (0, 0, 0))))
-
-    roles = _period_roles(branch)
-    size = abs(branch[roles[1]] - branch[roles[0]])
-    values = np.zeros((2, len(terms)), dtype=complex)
-    for k, (scale, base, (gf, gr), (hf, hr)) in enumerate(terms):
-        # u takes the common integer part of g and h at each point, so that
-        # phi and psi are polynomials
-        shift = [min(order(gf, gr, p), order(hf, hr, p)) for p in range(3)]
-        e = tuple(x + s for x, s in zip(base, shift))
-        rows = [(gf, tuple(r - s for r, s in zip(gr, shift))),
-                (hf, tuple(r - s for r, s in zip(hr, shift)))]
-        for level, n in enumerate((_PERIOD_NODES, 2 * _PERIOD_NODES)):
-            P = _segment_periods(curve, basis, roles, e, rows, n)
-            values[level, k] = scale * size ** float(2 + 2 * sum(e)) * _twisted_form(
-                tuple(e[p] for p in roles), P[:, 0], P[:, 1])
-    quad_error = float(np.max(np.abs(values[1] - values[0]), initial=0.0))
-    nb = len(b_entries)
-    B, H = _fill(g_count, b_entries, h_entries, values[1][:nb], values[1][nb:])
-    return _report(curve, q, B, H, quad_error)
-
-
-# -------------------------------------------------------- quadrature path
-
-
-def _quadrature_pairing(curve: SuperellipticCurve, q, *, levels: int = 3) -> BFormReport:
-    """``pairing_matrices`` by the plane quadrature, for any curve and q.
-
-    Entries are quadratures at the last two of ``levels`` refinement
-    levels, with the error estimate taken from their difference.
-    """
-    if levels < 1:
-        raise ValueError("levels must be at least 1")
-    basis = holomorphic_basis(curve)
-    g_count = len(basis)
-    wpow = q.wpow
-    N = curve.N
-
-    centers = list(curve.branch)
-    for z in [z for z, _ in q.zero_orders] + list(q.finite_poles):
-        if z not in centers:
-            centers.append(z)
-
-    def phase(z):
-        r = q(z)
-        mag = np.abs(r)
-        return np.where(mag == 0, 1.0 + 0.0j, np.conj(r) / np.maximum(mag, 1e-300))
-
-    # B and H integrands are f1 * f2 (or f1 * conj f2) times a weight that
-    # depends only on m (or on the character b)
-    def b_weight(P, absP, ph, m):
-        w = N * ph
-        if m:
-            w = w * P ** (-m)
-        if wpow:
-            w = w * absP ** (-wpow / N)
-        return w
-
-    def h_weight(absP, b):
-        return N * absP ** (-2.0 * b / N)
-
-    b_entries, h_entries, disks = _entries(curve, basis, centers, wpow)
-
-    def node_sums(node_sets, b_list, h_list):
-        """The entries b_list (B) and h_list (H) integrated over the node
-        sets, as one matrix per m for B and one matrix for H.  The entries
-        sharing a weight (same m, or same character) are one product over
-        their rows and columns; per block, P, the phase and each basis
-        form are evaluated once."""
-        b_index: dict[int, tuple[set, set]] = {}
-        for i, j, m in b_list:
-            rows, cols = b_index.setdefault(m, (set(), set()))
-            rows.add(i)
-            cols.add(j)
-        b_index = {m: (sorted(r), sorted(c)) for m, (r, c) in b_index.items()}
-        h_index: dict[int, set] = {}
-        for i, j in h_list:
-            h_index.setdefault(basis[i].b, set()).update((i, j))
-        h_index = {b: sorted(idx) for b, idx in h_index.items()}
-        Bs = {m: np.zeros((g_count, g_count), dtype=complex) for m in b_index}
-        Hs = np.zeros((g_count, g_count), dtype=complex)
-        for z, w in node_sets:
-            P = _poly_eval(curve, z)
-            absP = np.abs(P)
-            F = _form_values(curve, basis, z)
-            ph = phase(z) if b_index else None
-            for m, (rows, cols) in b_index.items():
-                W = w * b_weight(P, absP, ph, m)
-                Bs[m][np.ix_(rows, cols)] += (F[rows] * W) @ F[cols].T
-            for b, idx in h_index.items():
-                Fb = F[idx]
-                Hs[np.ix_(idx, idx)] += (Fb * (w * h_weight(absP, b))) @ Fb.conj().T
-        return Bs, Hs
-
-    # only the last two levels are read: the answer and the error estimate;
-    # with no entry to integrate no geometry is built
-    B = H = np.zeros((g_count, g_count), dtype=complex)
-    quad_error = 0.0
-    region = _Region(centers) if b_entries or h_entries else None
-    for k, level in enumerate(range(max(levels - 2, 0), levels) if region else ()):
-        Bs, Hs = node_sums(region._panel_nodes(level), b_entries, h_entries)
-        for (c, gamma), (b_users, h_users) in disks.items():
-            disk = region._disk_nodes(c, float(gamma), level)
-            Bd, Hd = node_sums([disk], b_users, h_users)
-            for i, j, m in b_users:
-                Bs[m][i, j] += Bd[m][i, j]
-            for i, j in h_users:
-                Hs[i, j] += Hd[i, j]
-        Bl, Hl = _fill(g_count, b_entries, h_entries,
-                       [Bs[m][i, j] for i, j, m in b_entries],
-                       [Hs[i, j] for i, j in h_entries])
-        if k:
-            quad_error = float(max(np.max(np.abs(Bl - B)), np.max(np.abs(Hl - H))))
-        B, H = Bl, Hl
-    return _report(curve, q, B, H, quad_error)
-

@@ -1,22 +1,30 @@
-"""The pairing from twisted periods on three-point curves.
+"""The pairing from twisted periods.
 
-``pairing_matrices`` computes B and H on w^N = z^a0 (z-1)^a1 (z-t)^a2
-with q = dz^2 / (z (z-1) (z-t)) from 1-D segment periods.  It is checked
-against two oracles that share no code with it: the period covolume of
-the genus-1 curve, from the hypergeometric series and from a separate
-1-D integral, and the plane quadrature ``bform._quadrature_pairing``.
+``pairing_matrices`` computes B and H from 1-D segment periods.  On the
+three-point curves w^N = z^a0 (z-1)^a1 (z-t)^a2 with
+q = dz^2 / (z (z-1) (z-t)) it is checked against oracles that share no
+code with it: the period covolume of the genus-1 curve, from the
+hypergeometric series and from a separate 1-D integral, and the values of
+the plane quadrature it replaced, recorded in ``tests/recorded.py``; and
+against the recorded values of the three-point period rule that preceded
+the n-point one.  On curves with more points, the pairing must transform
+as the curve does under a relabelling and an affine map of the plane.
 """
 
-import json
+from math import comb
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from pillowtiled import bform, cli
-from pillowtiled.bform import SuperellipticCurve, pairing_matrices
-from pillowtiled.cli import RunConfig
+from pillowtiled.bform import (
+    CurveDifferential,
+    SuperellipticCurve,
+    holomorphic_basis,
+    pairing_matrices,
+)
 from pillowtiled.coverings import sample_base_differential
+from tests.recorded import BRANCH_CASES, BRANCH_PERIODS, BRANCH_QUADRATURE
 
 
 def pillowcase_q(t):
@@ -55,73 +63,122 @@ def test_genus_one_pairing_is_the_period_covolume(t):
     w2 = 2.0j * np.pi * hypergeometric_half(1.0 - t)
     want = abs((np.conj(w1) * w2).imag)
     curve = SuperellipticCurve(2, (0.0, 1.0, t), (1, 1, 1))
-    q = pillowcase_q(t)
-    for rep, rel in ((pairing_matrices(curve, q), 1e-12),
-                     (bform._quadrature_pairing(curve, q), 5e-8)):
-        assert rep.B[0][0] == pytest.approx(want, rel=rel)
-        assert rep.H[0][0] == pytest.approx(want, rel=rel)
+    rep = pairing_matrices(curve, pillowcase_q(t))
+    assert rep.B[0][0] == pytest.approx(want, rel=1e-12)
+    assert rep.H[0][0] == pytest.approx(want, rel=1e-12)
     assert covolume_half(t) == pytest.approx(want / 2.0, rel=1e-12)
 
 
-# one line each for: an unbranched infinity, alternating exponents at real
-# t, off-diagonal H (a character with two forms), half-integer
-# characters, and genus 0
-BRANCH_CASES = ["7 1 3 3 7", "6 1 1 5 5", "4 1 1 1 1", "5 1 1 1 2", "8 1 3 5 7",
-                "1 1 1 1 1"]
+def branch_pairing(line, t):
+    N, *a = map(int, line.split())
+    curve = SuperellipticCurve(N, (0.0, 1.0, t), tuple(a[:3]))
+    return curve, pairing_matrices(curve, pillowcase_q(t))
+
+
+def assert_close(rep, want, g, rel):
+    """B and H of ``rep`` within rel * scale of the recorded ``want``, with
+    the same exact zeros; returns them as arrays."""
+    assert len(rep.B) == len(rep.H) == len(want["B"]) == g
+    B, H, Bw, Hw = (np.array(m, dtype=complex).reshape(g, g)
+                    for m in (rep.B, rep.H, want["B"], want["H"]))
+    scale = max(np.max(np.abs(Bw), initial=0.0), np.max(np.abs(Hw), initial=0.0))
+    for mine, theirs in ((B, Bw), (H, Hw)):
+        assert np.array_equal(mine == 0, theirs == 0)
+        assert np.max(np.abs(mine - theirs), initial=0.0) <= rel * scale
+    return B, H
 
 
 @pytest.mark.parametrize("t", [0.3, 0.2 + 0.7j])
 @pytest.mark.parametrize("line", BRANCH_CASES)
 def test_periods_match_the_quadrature(line, t):
-    N, *a = map(int, line.split())
-    curve = SuperellipticCurve(N, (0.0, 1.0, t), tuple(a[:3]))
-    q = pillowcase_q(t)
-    assert bform._takes_period_path(curve, q)
-    got = pairing_matrices(curve, q)
-    ref = bform._quadrature_pairing(curve, q)
-    g = curve.genus
-    assert len(got.B) == len(got.H) == len(ref.B) == g
-    B, H, Bq, Hq = (np.array(m, dtype=complex).reshape(g, g)
-                    for m in (got.B, got.H, ref.B, ref.H))
-    scale = max(np.max(np.abs(Bq), initial=0.0), np.max(np.abs(Hq), initial=0.0))
-    for mine, theirs in ((B, Bq), (H, Hq)):
-        assert np.array_equal(mine == 0, theirs == 0)
-        assert np.max(np.abs(mine - theirs), initial=0.0) <= 1e-7 * scale
-    assert np.max(np.abs(np.subtract(got.theta, ref.theta)), initial=0.0) <= 1e-7
+    curve, got = branch_pairing(line, t)
+    ref = BRANCH_QUADRATURE[line, t]
+    B, _ = assert_close(got, ref, curve.genus, 1e-7)
+    assert np.max(np.abs(np.subtract(got.theta, ref["theta"])), initial=0.0) <= 1e-7
     assert got.quad_error < 1e-10
     # f1 f2 z (z-1) (z-t) / P is 1 on every surviving entry, which is then
     # N times the Hodge norm of dz/y on the genus-1 curve
     survivors = B[B != 0]
-    assert np.allclose(survivors, N * covolume_half(t), rtol=1e-11, atol=0.0)
+    assert np.allclose(survivors, curve.N * covolume_half(t), rtol=1e-11, atol=0.0)
 
 
-def test_other_curves_keep_the_quadrature():
-    t = 0.3
-    c3 = SuperellipticCurve(2, (0.0, 1.0, t), (1, 1, 1))
-    extra_pole = sample_base_differential((1,), 5, zeros=(0.6 + 0.4j,), poles=(-0.7, 1.8))
-    assert bform._takes_period_path(c3, pillowcase_q(t))
-    assert not bform._takes_period_path(c3, extra_pole)
-    assert not bform._takes_period_path(c3, bform.CurveDifferential(wpow=1))
-    pts = tuple(0.9 * np.exp(2j * np.pi * k / 8) for k in range(8))
-    c8 = SuperellipticCurve(2, pts, (1,) * 8)
-    assert not bform._takes_period_path(c8, bform.CurveDifferential(wpow=1))
+@pytest.mark.parametrize("t", [0.3, 0.2 + 0.7j])
+@pytest.mark.parametrize("line", BRANCH_CASES)
+def test_periods_match_the_three_point_rule(line, t):
+    # the n-point rule on three points uses another chain and segment basis
+    # than the rule it replaced, so the two agree to round-off
+    curve, got = branch_pairing(line, t)
+    assert_close(got, BRANCH_PERIODS[line, t], curve.genus, 1e-12)
 
 
-def test_relabelled_branch_points_give_the_same_pairing():
-    # the period path puts the role "t" opposite the longest side; any order
-    # of the branch points, and an affine image of them, is the same curve
-    t = 0.2 + 0.7j
-    ref = pairing_matrices(SuperellipticCurve(2, (0.0, 1.0, t), (1, 1, 1)), pillowcase_q(t))
-    for branch in [(t, 0.0, 1.0), (1.0, t, 0.0)]:
-        rep = pairing_matrices(SuperellipticCurve(2, branch, (1, 1, 1)), pillowcase_q(t))
-        assert rep.B[0][0] == pytest.approx(ref.B[0][0], rel=1e-12)
-    # z -> 2z - 1: |dz/y|^2 scales by |2|^2 / |2|^3
-    L = 2.0
-    pts = tuple(L * z - 1.0 for z in (0.0, 1.0, t))
-    q = bform.CurveDifferential(finite_poles=pts)
-    rep = pairing_matrices(SuperellipticCurve(2, pts, (1, 1, 1)), q)
-    assert rep.B[0][0] == pytest.approx(ref.B[0][0] / L, rel=1e-12)
-    assert rep.H[0][0] == pytest.approx(ref.H[0][0] / L, rel=1e-12)
+def moved_curve(curve, q, perm, alpha, beta):
+    """The curve and q carried by z -> alpha z + beta, branch points
+    listed in the order ``perm``."""
+    move = lambda z: alpha * z + beta  # noqa: E731
+    moved = SuperellipticCurve(curve.N, tuple(move(curve.branch[k]) for k in perm),
+                               tuple(curve.a[k] for k in perm))
+    return moved, CurveDifferential(
+        wpow=q.wpow,
+        zero_orders=tuple((move(y), m) for y, m in q.zero_orders),
+        finite_poles=tuple(move(x) for x in q.finite_poles),
+    )
+
+
+def expected_moved_pairing(curve, q, rep, alpha, beta):
+    """B and H of the moved curve from those of ``rep``.
+
+    A basis form z^k f dz, f = prod (z - z_i)^t_i, becomes
+    (alpha z + beta)^k alpha^(sum t) f in the old coordinate: a binomial
+    combination M of the forms z^l f, l <= k.  The weights scale by
+    P' = alpha^A P, R' = alpha^(sum m - #poles) R and dA' = |alpha|^2 dA."""
+    basis = holomorphic_basis(curve)
+    g, N, c, A = len(basis), curve.N, q.wpow, curve.total_exponent
+    M = np.zeros((g, g), dtype=complex)
+    for i, f in enumerate(basis):
+        for j, h in enumerate(basis):
+            if (h.b, h.shifts) == (f.b, f.shifts) and h.power <= f.power:
+                M[i, j] = (comb(f.power, h.power) * alpha ** (h.power + sum(f.shifts))
+                           * beta ** (f.power - h.power))
+    k = sum(m for _, m in q.zero_orders) - len(q.finite_poles)
+    B = M @ np.array(rep.B) @ M.T
+    H = M @ np.array(rep.H) @ M.conj().T
+    for i, f in enumerate(basis):
+        for j, h in enumerate(basis):
+            m = (f.b + h.b - c) // N
+            B[i, j] *= (alpha ** (-m * A) * abs(alpha) ** (2 - c * A / N)
+                        * (np.conj(alpha) / abs(alpha)) ** k)
+            H[i, j] *= abs(alpha) ** (2 - 2 * f.b * A / N)
+    return B, H
+
+
+P4 = (0.0, 1.0, 0.3 + 0.6j, -0.4 + 0.2j)
+
+
+@pytest.mark.parametrize("curve, q, perm", [
+    # the genus-1 curve
+    (SuperellipticCurve(2, (0.0, 1.0, 0.2 + 0.7j), (1, 1, 1)),
+     sample_base_differential((), 4, zeros=(), poles=(0.2 + 0.7j,)), (2, 0, 1)),
+    # four points, a w-power and an extra zero
+    (SuperellipticCurve(4, P4, (1, 1, 1, 3)),
+     CurveDifferential(wpow=2, zero_orders=((0.5 - 0.5j, 1),), finite_poles=(0.0, 1.0, 0.8 + 0.8j)),
+     (3, 1, 0, 2)),
+    # five points
+    (SuperellipticCurve(5, P4 + (0.7 - 0.5j,), (1, 2, 1, 3, 2)), CurveDifferential(wpow=1),
+     (4, 2, 0, 3, 1)),
+], ids=["three-point", "four-point-wpow", "five-point"])
+def test_relabelled_branch_points_give_the_same_pairing(curve, q, perm):
+    # the chain is ordered along a direction chosen from the points; any
+    # order of the branch points is the same curve, and under z -> alpha z +
+    # beta the pairing transforms as the forms and weights do, which checks
+    # the chain order, the rotation to it and the branch of u on a segment
+    ref = pairing_matrices(curve, q)
+    for alpha, beta in [(1.0, 0.0), (2.0, -1.0), (1.3 * np.exp(0.4j), 0.2 - 0.5j)]:
+        rep = pairing_matrices(*moved_curve(curve, q, perm, alpha, beta))
+        B, H = expected_moved_pairing(curve, q, ref, alpha, beta)
+        scale = max(np.max(np.abs(B)), np.max(np.abs(H)))
+        assert np.max(np.abs(np.array(rep.B) - B)) <= 1e-12 * scale
+        assert np.max(np.abs(np.array(rep.H) - H)) <= 1e-12 * scale
+        assert rep.theta == pytest.approx(ref.theta, abs=1e-12)
 
 
 def test_constant_factor_of_q_enters_b_as_a_phase():
@@ -142,20 +199,3 @@ def test_constant_factor_of_q_enters_b_as_a_phase():
     rep = pairing_matrices(curve, Scaled())
     assert rep.B[0][0] == pytest.approx(np.conj(c) / abs(c) * ref.B[0][0], rel=1e-14)
     assert rep.H == ref.H and rep.theta == pytest.approx(ref.theta, abs=1e-14)
-
-
-def test_bform_lines_never_build_the_quadrature(monkeypatch, tmp_path, capsys):
-    # a silent fallback to the plane quadrature would build its region
-    def forbidden(self, *args):
-        raise AssertionError("quadrature region built for a bform line")
-
-    monkeypatch.setattr(bform._Region, "__init__", forbidden)
-    path = tmp_path / "in.txt"
-    path.write_text("8 1 3 5 7\n6 1 1 5 5\n")
-    assert cli.run(RunConfig("bform", str(path))) == cli.EXIT_OK
-    records = json.loads(capsys.readouterr().out)
-    assert [len(rec["reports"]) for rec in records] == [2, 2]
-    for rec in records:
-        for rep in rec["reports"]:
-            assert max(rep["theta"]) == pytest.approx(1.0, abs=1e-9)
-            assert rep["quad_error"] < 1e-10
