@@ -166,7 +166,7 @@ P4 = (0.0, 1.0, 0.3 + 0.6j, -0.4 + 0.2j)
     (SuperellipticCurve(5, P4 + (0.7 - 0.5j,), (1, 2, 1, 3, 2)), CurveDifferential(wpow=1),
      (4, 2, 0, 3, 1)),
 ], ids=["three-point", "four-point-wpow", "five-point"])
-def test_relabelled_branch_points_give_the_same_pairing(curve, q, perm):
+def test_moved_branch_points_transform_the_pairing(curve, q, perm):
     # the chain is ordered along a direction chosen from the points; any
     # order of the branch points is the same curve, and under z -> alpha z +
     # beta the pairing transforms as the forms and weights do, which checks
@@ -179,6 +179,23 @@ def test_relabelled_branch_points_give_the_same_pairing(curve, q, perm):
         assert np.max(np.abs(np.array(rep.B) - B)) <= 1e-12 * scale
         assert np.max(np.abs(np.array(rep.H) - H)) <= 1e-12 * scale
         assert rep.theta == pytest.approx(ref.theta, abs=1e-12)
+
+
+def test_relabelled_branch_points_give_the_same_pairing():
+    # any order of the branch points, and an affine image of them, is the
+    # same curve
+    t = 0.2 + 0.7j
+    ref = pairing_matrices(SuperellipticCurve(2, (0.0, 1.0, t), (1, 1, 1)), pillowcase_q(t))
+    for branch in [(t, 0.0, 1.0), (1.0, t, 0.0)]:
+        rep = pairing_matrices(SuperellipticCurve(2, branch, (1, 1, 1)), pillowcase_q(t))
+        assert rep.B[0][0] == pytest.approx(ref.B[0][0], rel=1e-12)
+    # z -> 2z - 1: |dz/y|^2 scales by |2|^2 / |2|^3
+    L = 2.0
+    pts = tuple(L * z - 1.0 for z in (0.0, 1.0, t))
+    q = CurveDifferential(finite_poles=pts)
+    rep = pairing_matrices(SuperellipticCurve(2, pts, (1, 1, 1)), q)
+    assert rep.B[0][0] == pytest.approx(ref.B[0][0] / L, rel=1e-12)
+    assert rep.H[0][0] == pytest.approx(ref.H[0][0] / L, rel=1e-12)
 
 
 def test_constant_factor_of_q_enters_b_as_a_phase():
