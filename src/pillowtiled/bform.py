@@ -261,15 +261,17 @@ class BFormReport:
 
 
 def _fill(g_count, b_entries, h_entries, b_values, h_values):
-    """B symmetric and H Hermitian from their upper-triangle values."""
+    """B symmetric and H Hermitian from their upper-triangle values; a
+    diagonal H entry keeps its real part, so H is Hermitian by construction."""
     B = np.zeros((g_count, g_count), dtype=complex)
     H = np.zeros((g_count, g_count), dtype=complex)
     for (i, j, _), v in zip(b_entries, b_values):
         B[i, j] = B[j, i] = v
     for (i, j), v in zip(h_entries, h_values):
-        H[i, j] = v
-        if i != j:
-            H[j, i] = np.conj(v)
+        if i == j:
+            H[i, i] = v.real
+        else:
+            H[i, j], H[j, i] = v, np.conj(v)
     return B, H
 
 

@@ -9,13 +9,17 @@ comes from a tree-cotree decomposition and needs no torsion check.
 by name.
 
 Everything here works on small dense matrices of Python ints (lists of
-lists), which keeps the homology pipeline exact.  The one exception is
-inside ``matmul``: when k * max|a| * max|b| < 2**62, k the inner
-dimension, every partial sum of every entry is at most that bound in
-absolute value, so the product runs on int64 in numpy and cannot wrap;
-past the bound it runs on Python ints.  Either way the result is Python
-ints, and this is the only module where exact integers meet a fixed
-width.
+lists), which keeps the homology pipeline exact.  There are two
+exceptions, and this is the only module where exact integers meet a
+fixed width.  Inside ``matmul``, when k * max|a| * max|b| < 2**62, k the
+inner dimension, every partial sum of every entry is at most that bound
+in absolute value, so the product runs on int64 in numpy and cannot
+wrap; past the bound it runs on Python ints, and either way the result
+is Python ints.  ``Pencil`` holds the two matrices of P + m * Q as int64
+arrays and forms the multiply-add on int64 while max|P| + m * max|Q| <
+2**62, on Python ints past it; either way the result is exact, and
+rounding an entry to float gives the same double from int64 as from the
+Python int (both round to nearest).
 """
 
 from __future__ import annotations
@@ -39,7 +43,12 @@ def zeros(m: int, n: int) -> list[list[int]]:
 
 
 def shape(a: list[list[int]]) -> tuple[int, int]:
-    return len(a), len(a[0]) if a else 0
+    return len(a), len(a[0]) if len(a) else 0
+
+
+def _max_abs(a: np.ndarray) -> int:
+    """max|a| as a Python int, 0 for an empty array."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -64,12 +73,38 @@ def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[
     except OverflowError:  # an entry past int64: no fixed-width product
         pass
     else:
-        ma = max(int(A.max()), -int(A.min()))
-        mb = max(int(B.max()), -int(B.min()))
-        if k * ma * mb < _INT64_SAFE:
+        if k * _max_abs(A) * _max_abs(B) < _INT64_SAFE:
             return (A @ B).tolist()
     bt = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
+class Pencil:
+    """The exact integer matrices P + m * Q for m >= 0.
+
+    P and Q are kept as int64 arrays when every entry fits, else as arrays
+    of Python ints.  ``at(m)`` is an int64 array while max|P| + m * max|Q|
+    < 2**62, where no entry can wrap, and an array of Python ints past it.
+    """
+
+    __slots__ = ("p", "q", "_bound_p", "_bound_q")
+
+    def __init__(self, p: Sequence[Sequence[int]], q: Sequence[Sequence[int]]):
+        try:
+            self.p = np.array(p, np.int64).reshape(shape(p))
+            self.q = np.array(q, np.int64).reshape(shape(q))
+        except OverflowError:  # an entry past int64: Python ints throughout
+            self.p = np.array(p, object).reshape(shape(p))
+            self.q = np.array(q, object).reshape(shape(q))
+        self._bound_p, self._bound_q = _max_abs(self.p), _max_abs(self.q)
+
+    def at(self, m: int) -> np.ndarray:
+        """P + m * Q, exactly."""
+        if not (m and self._bound_q):
+            return self.p
+        if self.p.dtype != object and self._bound_p + m * self._bound_q < _INT64_SAFE:
+            return self.p + m * self.q
+        return self.p.astype(object) + m * self.q.astype(object)
 
 
 def transpose(a: list[list[int]]) -> list[list[int]]:
@@ -77,7 +112,7 @@ def transpose(a: list[list[int]]) -> list[list[int]]:
 
 
 def mat_eq(a, b) -> bool:
-    """Entrywise equality; list and tuple rows compare alike."""
+    """Entrywise equality; list, tuple and array rows compare alike."""
     return shape(a) == shape(b) and all(list(ra) == list(rb) for ra, rb in zip(a, b))
 
 

@@ -172,13 +172,19 @@ class TestPairing:
 
 class TestInvariants:
     def test_symmetry_and_hermiticity(self):
-        c = SuperellipticCurve(2, (0.0, 1.0, 0.3), (1, 1, 1))
-        q = sample_base_differential((1,), 5, zeros=(0.6 + 0.4j,), poles=(-0.7, 1.8))
-        rep = pairing_matrices(c, q)
-        B = np.array(rep.B)
-        H = np.array(rep.H)
-        assert np.array_equal(B, B.T)
-        assert np.array_equal(H, H.conj().T)
+        # the bform line "7 1 3 3 7" at t = 0.2+0.7j once left H's diagonal
+        # with imaginary parts of about 1e-14
+        t = 0.2 + 0.7j
+        for c, q in [
+            (SuperellipticCurve(2, (0.0, 1.0, 0.3), (1, 1, 1)),
+             sample_base_differential((1,), 5, zeros=(0.6 + 0.4j,), poles=(-0.7, 1.8))),
+            (SuperellipticCurve(7, (0.0, 1.0, t), (1, 3, 3)), pillowcase_q(t)),
+        ]:
+            rep = pairing_matrices(c, q)
+            B = np.array(rep.B)
+            H = np.array(rep.H)
+            assert np.array_equal(B, B.T)
+            assert np.array_equal(H, H.conj().T)
 
     def test_theta_within_contraction_bound(self):
         for rep in [

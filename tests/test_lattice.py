@@ -299,6 +299,39 @@ def test_matmul_below_the_guard_runs_on_int64(monkeypatch):
     assert len(products) == 1  # at the guard the Python-int product runs
 
 
+def test_pencil_is_the_exact_multiply_add(monkeypatch):
+    rng = random.Random(20261019)
+    for guard in (lattice._INT64_SAFE, 0):  # 0: every product on Python ints
+        monkeypatch.setattr(lattice, "_INT64_SAFE", guard)
+        for t in range(300):
+            rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+            hi = 2 ** rng.choice((3, 40, 61, 62, 70))
+            P, Q = (random_matrix(rng, rows, cols, -hi, hi) if rows else [] for _ in range(2))
+            pencil = lattice.Pencil(P, Q)
+            for m in (0, 1, rng.randint(2, 10**6), 10**12, 2**62 + 1):
+                want = [[p + m * q for p, q in zip(rp, rq)] for rp, rq in zip(P, Q)]
+                got = pencil.at(m)
+                assert got.shape == (rows, cols if rows else 0)
+                assert got.tolist() == want, (t, m)
+                # rounding int64 entries to float gives the doubles of the
+                # Python ints, past 2**53 too
+                out = np.zeros(got.shape)
+                out[...] = got
+                assert out.tobytes() == np.array(want, dtype=float).reshape(got.shape).tobytes()
+
+
+def test_pencil_below_the_guard_runs_on_int64():
+    x = 2**40
+    pencil = lattice.Pencil([[x, -x]], [[1, 2]])
+    m = (2**62 - 1 - x) // 2
+    assert pencil.at(m).dtype == np.int64
+    assert pencil.at(m).tolist() == [[x + m, -x + 2 * m]]
+    assert pencil.at(m + 1).dtype == object  # at the guard: Python ints
+    assert pencil.at(m + 1).tolist() == [[x + m + 1, -x + 2 * (m + 1)]]
+    past = lattice.Pencil([[2**63, 0]], [[1, -1]])  # an entry past int64
+    assert past.at(5).tolist() == [[2**63 + 5, -5]]
+
+
 def test_matmul_rejects_ragged_rows():
     cases = [
         ([[1, 2], [3]], [[1], [1]]),               # ragged left factor

@@ -1,10 +1,12 @@
 """Chain-level transport and the Monte-Carlo exponent estimator."""
 
+import math
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from pillowtiled.permsurf import (
 )
 
 from test_permsurf import cyclic_pillow
+from tests.recorded import MONTE_CARLO
 from tests.reference import induced_cocycle
 
 TORUS = Origami(1, (0,), (0,))
@@ -469,6 +472,131 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="at least the number of blocks"):
             run_monte_carlo(cover, 19, 1)
         assert len(run_monte_carlo(cover, 20, 1).block_slopes) == 20
+
+
+def exact_power(part, r, q):
+    """cum[r] @ C^q by binary powering of the full-cycle product C."""
+    acc, base = part.cum[r], part.cum[-1]
+    while q:
+        if q & 1:
+            acc = lattice.matmul(acc, base)
+        base = lattice.matmul(base, base)
+        q >>= 1
+    return acc
+
+
+class CountingNumPy:
+    """numpy as seen from lyapunov, with np.linalg.qr recording a copy of
+    each frame it is given, as the benchmark tracer wraps it."""
+
+    def __init__(self):
+        self.frames = []
+        self.linalg = SimpleNamespace(qr=self.qr)
+
+    def qr(self, F):
+        self.frames.append(F.copy())
+        return np.linalg.qr(F)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+ONE_FRAME_LINES = [(5, (1, 2, 2, 5)), (6, (1, 1, 5, 5)), (12, (1, 5, 7, 11))]
+ONE_FRAME_IDS = ["5-1-2-2-5", "6-1-1-5-5", "12-1-5-7-11"]
+
+
+class TestOneFrame:
+    """One frame diag(F+, F-) on H1+ (+) H1-, one QR per flush."""
+
+    @pytest.mark.parametrize("N, a", ONE_FRAME_LINES, ids=ONE_FRAME_IDS)
+    def test_one_qr_per_flush_on_a_block_diagonal_frame(self, monkeypatch, N, a):
+        cover = cyclic_pillow(N, a)
+        walker = _Walker(cover)
+        dp, dm = walker.dim_plus, walker.dim_minus
+        mp, mm = dp // 2, dm // 2
+        counting = CountingNumPy()
+        monkeypatch.setattr(lyapunov, "np", counting)
+        est = run_monte_carlo(cover, 3000, 1, _walker=walker)
+        # the first QR orthonormalizes the initial frame; every other one is
+        # a flush, at each of the 20 block ends and after each 12 nats
+        assert 21 <= len(counting.frames) <= 21 + est.taut_time / lyapunov._RENORM_NATS
+        for F in counting.frames:
+            assert F.shape == (dp + dm, mp + mm)
+            # a QR leaves round-off in the off-diagonal blocks of Q; zeroed
+            # after every flush, they stay exact zeros under the digits
+            assert not F[:dp, mp:].any() and not F[dp:, :mp].any()
+        del counting.frames[:]
+        monkeypatch.setattr(lyapunov, "_RENORM_NATS", -math.inf)  # flush every digit
+        run_monte_carlo(cover, 300, 1, _walker=walker)
+        assert len(counting.frames) == 300 + 1
+
+    @pytest.mark.parametrize("N, a", ONE_FRAME_LINES, ids=ONE_FRAME_IDS)
+    def test_matches_the_recorded_two_frame_walker(self, N, a):
+        # the two frames' QRs and the one frame's QR agree in exact
+        # arithmetic; in floats they differ at round-off
+        want = MONTE_CARLO[f"{N} {' '.join(map(str, a))}"]
+        est = run_monte_carlo(cyclic_pillow(N, a), 3000, 1)
+        assert est.taut_time == want["taut_time"]
+        assert est.block_slopes == want["block_slopes"]
+        assert est.warnings == want["warnings"]
+        for field in ("lambda_plus", "stderr_plus", "lambda_minus", "stderr_minus"):
+            got = getattr(est, field)
+            assert len(got) == len(want[field])
+            assert all(abs(x - y) <= 1e-9 for x, y in zip(got, want[field])), field
+
+    @pytest.mark.parametrize("guarded", [True, False], ids=["int64", "python-ints"])
+    @pytest.mark.parametrize("N, a", ONE_FRAME_LINES, ids=ONE_FRAME_IDS)
+    def test_digit_blocks_round_the_exact_products(self, monkeypatch, N, a, guarded):
+        if not guarded:  # every multiply-add past the guard, on Python ints
+            monkeypatch.setattr(lattice, "_INT64_SAFE", 0)
+        walker = _Walker(cyclic_pillow(N, a))
+        dp, n = walker.dim_plus, walker.dim_plus + walker.dim_minus
+        rng = np.random.default_rng(N)
+        for gen in ["T", "L", "T", "L"]:
+            key = walker.key
+            cyc = _GenCycle(walker.cache, key, gen)
+            k = len(cyc.states)
+            for power in [1, k - 1, k, 3 * k + 1, int(rng.integers(1, 10**6)), 10**12]:
+                walker.key = key
+                M = walker.digit(gen, power)
+                q, r = divmod(power, k)
+                assert walker.key == cyc.states[r]
+                plus = np.array(exact_power(cyc.plus, r, q), dtype=float).reshape(dp, dp)
+                minus = np.array(exact_power(cyc.minus, r, q), dtype=float).reshape(n - dp, n - dp)
+                assert M.shape == (n, n)
+                assert M[:dp, :dp].tobytes() == plus.tobytes()
+                assert M[dp:, dp:].tobytes() == minus.tobytes()
+                assert not M[:dp, dp:].any() and not M[dp:, :dp].any()
+            walker.key = key
+            walker.digit(gen, int(rng.integers(1, 4)))  # on to another state
+
+    def test_a_digit_is_kept_from_its_second_sighting(self):
+        walker = _Walker(cyclic_pillow(5, (1, 2, 2, 5)))
+        first = walker.digit("T", 10**12)
+        after = walker.key
+        assert walker._memo == {}
+        walker.key = walker.anchor
+        second = walker.digit("T", 10**12)
+        assert list(walker._memo) == [(walker.anchor, "T", 10**12)]
+        assert walker.key == after and second.tobytes() == first.tobytes()
+        walker.key = walker.anchor
+        assert walker.digit("T", 10**12) is second
+        assert len(walker._memo) == 1
+
+    @pytest.mark.parametrize("N, a", ONE_FRAME_LINES, ids=ONE_FRAME_IDS)
+    def test_estimates_do_not_depend_on_the_memo(self, N, a):
+        class NoMemo(dict):
+            def __setitem__(self, key, value):
+                pass
+
+        cover = cyclic_pillow(N, a)
+        walker = _Walker(cover)
+        memo = run_monte_carlo(cover, 3000, 1, _walker=walker)
+        assert walker._memo  # the memo did serve this run
+        walker = _Walker(cover)
+        walker._memo = NoMemo()
+        assert run_monte_carlo(cover, 3000, 1, _walker=walker) == memo
+        assert not walker._memo
 
 
 class TestCertify:
