@@ -24,7 +24,6 @@ Python int (both round to nearest).
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from functools import lru_cache
 from operator import mul
@@ -129,24 +128,35 @@ def max_finite_order(n: int) -> int:
     the lcm of the d; every such block sum is integral.  So this is the
     largest lcm over multisets of d with sum(phi(d)) <= n (padding with
     d = 1): 2, 6, 6, 12, 12, 30, 30, 60, 60, 120 for n = 1..10.
+
+    phi is multiplicative and a product of factors >= 2 is at least their
+    sum, so a block d may be split into its prime powers at no greater
+    cost; the one factor below 2 is phi(2) == 1, and phi(2m) == phi(m) for
+    odd m, so 2 comes free once any odd prime power is in.  That leaves a
+    knapsack over at most one power p^k per prime, at cost
+    phi(p^k) = p^(k-1) (p - 1).
     """
-    # phi(d) >= sqrt(d / 2), so d <= 2 n^2 covers every admissible degree
-    phi = list(range(2 * n * n + 1))
-    for p in range(2, len(phi)):
-        if phi[p] == p:
-            for j in range(p, len(phi), p):
-                phi[j] -= phi[j] // p
-    best = {1: 0}  # lcm -> least total degree reaching it
-    for d in range(2, len(phi)):
-        if phi[d] > n:
+    # odd[c]: the largest product of odd prime powers of total cost <= c
+    odd = [1] * (n + 1)
+    composite = bytearray(n + 2)
+    for p in range(3, n + 2, 2):
+        if composite[p]:
             continue
-        for lcm, cost in list(best.items()):
-            c = cost + phi[d]
-            if c <= n:
-                new = lcm * d // math.gcd(lcm, d)
-                if c < best.get(new, n + 1):
-                    best[new] = c
-    return max(best)
+        composite[p * p :: p] = b"\x01" * len(range(p * p, n + 2, p))
+        new = odd[:]
+        power, cost = p, p - 1
+        while cost <= n:
+            for c in range(cost, n + 1):
+                new[c] = max(new[c], odd[c - cost] * power)
+            power, cost = power * p, cost * p
+        odd = new
+    # 2^k costs 2^(k-1), and 2 nothing beside an odd prime power
+    best = 2 * odd[n] if odd[n] > 1 else 1
+    power, cost = 2, 1
+    while cost <= n:
+        best = max(best, power * odd[n - cost])
+        power, cost = 2 * power, 2 * cost
+    return best
 
 
 def quasi_unipotent_powers(c: list[list[int]]):

@@ -22,6 +22,13 @@ QR calls fell from 21,095 to 11,773 and the exponents moved at round-off
 (at most 1.5e-11 over 1368 output floats), while the taut times, block
 slopes, warnings and verdicts stayed the same.
 
+A certificate reads the invariant spectrum alone, so ``certify_degenerate``
+walks H1+ alone: its cycles, digit matrices, frame and QRs leave H1- out,
+and when H1+ = 0 it builds and checks its first state, then runs the
+tautological loop with no move, digit matrix or QR.  The H1- normals of
+the initial frame are still drawn from the stream and dropped, so the
+digits, and every H1+ float, are the full run's up to round-off.
+
 The frame is re-orthonormalized once the tautological log-growth since
 the last QR reaches ``_RENORM_NATS`` = 12 nats, and at every block
 boundary.  Normalized, every exponent of the frame lies in [0, 1] with
@@ -49,8 +56,14 @@ took 117 MB.  One walker serves every seed of a line, so its cycles and
 repeated digits are built once per line.  Every walker draws its states
 and transitions from the process-wide cache of :mod:`.cocycle`, so those
 are built once per process: a later line on the same cover or on a unit
-relabelling of it reuses them.  The cycles and digits stay per walker;
-sharing them holds more memory and saves no measurable time.
+relabelling of it reuses them.  The cycles and digits stay per walker,
+so a line's float matrices go with it.  Shared across the process, on
+cold in-process ``mc_certify`` benchmark passes (seed 281, 16 alternating
+pairs, 2 vCPU), the cycles and the digit memo cut the wall time by about
+an eighth (median pair ratio 0.88, 13 of 16) and raised the peak RSS
+from 40.6 to 43.8 MB; the cycles alone gave a ratio of 0.94 (10 of 16)
+at 41.3 MB.  Sharing would also need a trim of its own, like the state
+cache's, to bound a long input.
 
 Runs are bitwise reproducible for a fixed seed (single PCG64 stream for
 the dynamics, a second derived stream for the bootstrap).
@@ -117,12 +130,13 @@ class _GenCycle:
 
     ``states[j]`` is the state after j moves (states[0] is the anchor, and
     the move from states[-1] returns to it); ``plus``/``minus`` give the
-    exact products of any number of moves on the two eigenlattices.
+    exact products of any number of moves on the two eigenlattices, and
+    ``minus`` is None when the cycle is built for H1+ alone.
     """
 
     __slots__ = ("states", "plus", "minus")
 
-    def __init__(self, cache: StateCache, key, gen: str):
+    def __init__(self, cache: StateCache, key, gen: str, with_minus: bool = True):
         st = cache.state(key)
         cum_plus = [lattice.eye(st.splitting.dim_plus)]
         cum_minus = [lattice.eye(st.splitting.dim_minus)]
@@ -131,13 +145,14 @@ class _GenCycle:
         while True:
             tr = cache.transition(cur, gen)
             cum_plus.append(lattice.matmul(tr.plus, cum_plus[-1]))
-            cum_minus.append(lattice.matmul(tr.minus, cum_minus[-1]))
+            if with_minus:
+                cum_minus.append(lattice.matmul(tr.minus, cum_minus[-1]))
             cur = tr.target
             if cur == key:
                 break
             self.states.append(cur)
         self.plus = _CyclePowers(cum_plus)
-        self.minus = _CyclePowers(cum_minus)
+        self.minus = _CyclePowers(cum_minus) if with_minus else None
 
 
 class _Walker:
@@ -146,12 +161,15 @@ class _Walker:
     Everything it builds depends on the cover alone, so one walker can
     serve several runs on that cover, each starting at ``anchor``.  Its
     states and transitions live in the shared cache, which is trimmed
-    here, when the walker is created, and not while it walks.
+    here, when the walker is created, and not while it walks.  A walker
+    built ``with_minus=False`` carries H1+ alone: its cycles, digit
+    matrices and frames leave H1- out.
     """
 
-    def __init__(self, cover: PillowCover):
+    def __init__(self, cover: PillowCover, with_minus: bool = True):
         o, iota = orientation_double_cover(cover)
         self.cover = cover
+        self.with_minus = with_minus
         self.cache = shared_state_cache()
         self.anchor = self.key = self.cache.canonical_key(o, iota)
         st = self.cache.state(self.key)
@@ -163,20 +181,22 @@ class _Walker:
 
     def digit(self, gen: str, a: int) -> np.ndarray:
         """Float matrix diag(M+, M-) of gen^a from the current state, on
-        H1+ (+) H1-; advances the state.  A digit is kept from its second
-        sighting on: most large digits are seen once."""
+        H1+ (+) H1-, or M+ alone without H1-; advances the state.  A digit
+        is kept from its second sighting on: most large digits are seen
+        once."""
         memo_key = (self.key, gen, a)
         hit = self._memo.get(memo_key)
         if hit is None:
             ck = (self.key, gen)
             cyc = self._cycles.get(ck)
             if cyc is None:
-                cyc = self._cycles[ck] = _GenCycle(self.cache, self.key, gen)
+                cyc = self._cycles[ck] = _GenCycle(self.cache, self.key, gen, self.with_minus)
             q, r = divmod(a, len(cyc.states))
             dp = self.dim_plus
-            M = np.zeros((dp + self.dim_minus,) * 2)
+            M = np.zeros((dp + self.dim_minus if self.with_minus else dp,) * 2)
             M[:dp, :dp] = cyc.plus.product(r, q)
-            M[dp:, dp:] = cyc.minus.product(r, q)
+            if cyc.minus is not None:
+                M[dp:, dp:] = cyc.minus.product(r, q)
             hit = (M, cyc.states[r])
             if memo_key in self._seen:
                 self._memo[memo_key] = hit
@@ -194,7 +214,9 @@ class LyapunovEstimate:
     filtration first, one per quotient handle); ``lambda_minus`` the
     anti-invariant ones, whose leading entry is the tautological 1 up to
     sampling error.  Both are clamped below at zero, the exact floor for
-    the upper half of a symplectic spectrum.
+    the upper half of a symplectic spectrum.  In the estimates of a
+    :class:`DegeneracyCertificate` the walk carried H1+ alone, and
+    ``lambda_minus`` and ``stderr_minus`` are ``()``.
     """
 
     lambda_plus: tuple[float, ...]
@@ -210,9 +232,9 @@ class LyapunovEstimate:
 
 
 def _orthonormalize(F, dp: int, mp: int):
-    """Q, R of the frame diag(F+, F-), F+ in the first dp rows and mp
-    columns, with Q's off-diagonal blocks set to the exact zeros they are
-    in exact arithmetic."""
+    """Q, R of the frame diag(F+, F-), or of F+ alone, F+ in the first dp
+    rows and mp columns, with Q's off-diagonal blocks set to the exact
+    zeros they are in exact arithmetic."""
     Q, R = np.linalg.qr(F)
     Q[:dp, mp:] = 0.0
     Q[dp:, :mp] = 0.0
@@ -230,7 +252,9 @@ def run_monte_carlo(
 
     ``steps`` counts continued-fraction digits, at least ``_BLOCKS``.
     ``_walker`` is internal: a walker over ``cover`` shared by the runs of
-    ``_run_seeds``.
+    ``_run_seeds``.  A walker without H1- gives ``lambda_minus`` and
+    ``stderr_minus`` ``()``, the full run's H1+ floats up to round-off
+    and its tautological fields exactly.
     """
     block = _BLOCKS
     if steps < block:
@@ -248,7 +272,15 @@ def run_monte_carlo(
     F = np.zeros((dp + dm, mp + mm))
     F[:dp, :mp] = rng.standard_normal((dp, mp))
     F[dp:, mp:] = rng.standard_normal((dm, mm))
-    F, _ = _orthonormalize(F, dp, mp)
+    if not walker.with_minus:
+        # the H1- normals are drawn all the same, so that the digit stream,
+        # and with it every H1+ float, is the full run's
+        F, dm, mm = F[:dp, :mp], 0, 0
+    # no frame (H1+ = 0 without H1-): the walk is the tautological loop alone,
+    # with no move built and no QR
+    frame = F.size > 0
+    if frame:
+        F, _ = _orthonormalize(F, dp, mp)
     vec = rng.standard_normal(2)
     u0, u1 = (vec / np.hypot(*vec)).tolist()  # tautological 2-vector
 
@@ -274,7 +306,8 @@ def run_monte_carlo(
             x = 0.0  # forces a refresh on the next digit
         gen = "T" if use_T else "L"
         use_T = not use_T
-        F = walker.digit(gen, a) @ F
+        if frame:
+            F = walker.digit(gen, a) @ F
         if gen == "T":
             u0 += a * u1
         else:
@@ -285,7 +318,7 @@ def run_monte_carlo(
         u1 /= nrm
         digits_since_refresh += 1
         at_boundary = step + 1 == boundaries[bi]
-        if taut - taut_at_flush >= _RENORM_NATS or at_boundary:
+        if frame and (taut - taut_at_flush >= _RENORM_NATS or at_boundary):
             F, R = _orthonormalize(F, dp, mp)
             logs += np.log(np.abs(np.diag(R)))
             taut_at_flush = taut
@@ -338,20 +371,27 @@ def run_monte_carlo(
     )
 
 
-def _run_seeds(cover: PillowCover, steps: int, seeds) -> tuple[LyapunovEstimate, ...]:
+def _run_seeds(
+    cover: PillowCover, steps: int, seeds, *, with_minus: bool = True
+) -> tuple[LyapunovEstimate, ...]:
     """One run_monte_carlo per seed, all on one walker.
 
     The walker's states, transitions, cycles and digit memo depend on the
     cover only, and the seed drives only the random stream, so the
-    estimates equal those of independent runs.
+    estimates equal those of independent runs.  ``with_minus=False`` walks
+    H1+ alone.
     """
-    walker = _Walker(cover)
+    walker = _Walker(cover, with_minus)
     return tuple(run_monte_carlo(cover, steps, s, _walker=walker) for s in seeds)
 
 
 @dataclass(frozen=True)
 class DegeneracyCertificate:
-    """Joint verdict of the sampled and exact degeneracy channels."""
+    """Joint verdict of the sampled and exact degeneracy channels.
+
+    Only the invariant spectrum decides, so the runs behind ``estimates``
+    walk H1+ alone: their ``lambda_minus`` and ``stderr_minus`` are ``()``.
+    """
 
     epsilon: float
     steps: int
@@ -396,7 +436,7 @@ def certify_degenerate(
     else:
         raise TypeError("target must be a PillowCover or CyclicCoverSpec")
 
-    estimates = _run_seeds(cover, steps, seeds)
+    estimates = _run_seeds(cover, steps, seeds, with_minus=False)
     maxes = [max(e.lambda_plus) for e in estimates if e.lambda_plus]
     max_lp = max(maxes, default=0.0)
     measured = max_lp < epsilon

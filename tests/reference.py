@@ -6,7 +6,8 @@ cross-checks the tests hold it to live here, as ``reference_orbit`` lives
 in ``tests/test_orbit.py``: permutation powers and conjugates, the
 quotient stratum and the inverse of the orientation double cover, the
 transport of H_1 along a raw word of moves, the cup product of one pair of
-1-cochains, the basis of a column lattice, and the order at infinity of a
+1-cochains, the basis of a column lattice, the largest finite order in
+GL(n, Z) by a DP over every degree, and the order at infinity of a
 quadratic differential.
 """
 
@@ -307,6 +308,28 @@ def column_lattice_basis(a: list[list[int]]) -> list[list[int]]:
     read off the column Hermite form."""
     pivots, H, _ = lattice.hermite(a)
     return [[row[j] for row in H] for j in range(len(pivots))]
+
+
+def max_finite_order(n: int) -> int:
+    """``lattice.max_finite_order`` as a DP over every degree d <= 2 n^2:
+    the largest lcm of a multiset of d with sum(phi(d)) <= n."""
+    # phi(d) >= sqrt(d / 2), so d <= 2 n^2 covers every admissible degree
+    phi = list(range(2 * n * n + 1))
+    for p in range(2, len(phi)):
+        if phi[p] == p:
+            for j in range(p, len(phi), p):
+                phi[j] -= phi[j] // p
+    best = {1: 0}  # lcm -> least total degree reaching it
+    for d in range(2, len(phi)):
+        if phi[d] > n:
+            continue
+        for lcm_, cost in list(best.items()):
+            c = cost + phi[d]
+            if c <= n:
+                new = lcm(lcm_, d)
+                if c < best.get(new, n + 1):
+                    best[new] = c
+    return max(best)
 
 
 # --- differentials --------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pillowtiled import lattice
+from tests import reference
 from tests.reference import column_lattice_basis
 
 
@@ -373,6 +374,13 @@ def test_max_finite_order():
     assert [lattice.max_finite_order(n) for n in range(1, 11)] == [
         2, 6, 6, 12, 12, 30, 30, 60, 60, 120,
     ]
+
+
+def test_max_finite_order_matches_the_dp_over_every_degree():
+    # n = 2 is the case a plain prime-power knapsack gets wrong (4, not 6):
+    # 2 costs nothing beside an odd prime power, as phi(6) == phi(3)
+    for n in range(1, 65):
+        assert lattice.max_finite_order(n) == reference.max_finite_order(n), n
 
 
 def test_quasi_unipotent_powers_give_every_power():

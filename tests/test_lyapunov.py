@@ -117,9 +117,9 @@ class TestChainMaps:
     def test_corrupted_chain_map_raises_under_dash_o(self):
         # twice the true chain map still sends cycles to cycles and
         # boundaries to boundaries, but scales the intersection form by 4;
-        # the one transport path, a walker on the shared state cache, and the
-        # reference word transport that folds the same move step must all
-        # reject it with asserts stripped
+        # the one transport path, a walker on the shared state cache (with
+        # and without H1-), and the reference word transport that folds the
+        # same move step must all reject it with asserts stripped
         code = (
             "import sys\n"
             "from pillowtiled import cocycle, lyapunov\n"
@@ -132,12 +132,13 @@ class TestChainMaps:
             "perms = [tuple((x + a) % 5 for x in range(5)) for a in (1, 2, 2, 5)]\n"
             "o, iota = orientation_double_cover(PillowCover(5, *perms))\n"
             "cache = cocycle.StateCache()\n"
-            "def shared_walker():\n"
-            "    walker = lyapunov._Walker(PillowCover(5, *perms))\n"
-            "    lyapunov._GenCycle(walker.cache, walker.anchor, 'T')\n"
+            "def shared_walker(with_minus):\n"
+            "    walker = lyapunov._Walker(PillowCover(5, *perms), with_minus)\n"
+            "    lyapunov._GenCycle(walker.cache, walker.anchor, 'T', with_minus)\n"
             "cases = {\n"
             "    'transition': lambda: cache.transition(cache.canonical_key(o, iota), 'T'),\n"
-            "    'shared walker': shared_walker,\n"
+            "    'shared walker': lambda: shared_walker(True),\n"
+            "    'shared H1+ walker': lambda: shared_walker(False),\n"
             "    'torus word': lambda: reference.induced_cocycle(Origami(1, (0,), (0,)), ['T']),\n"
             "    'double cover word': lambda: reference.induced_cocycle(o, ['T'], iota),\n"
             "}\n"
@@ -454,8 +455,13 @@ class TestMonteCarlo:
         # timing, so the bound is a fraction of the sampling error
         cover = cyclic_pillow(N, a)
         est = run_monte_carlo(cover, 3000, 1)
-        monkeypatch.setattr(lyapunov, "_RENORM_NATS", 0.0)
+        # a digit's tautological log-growth can be negative, so only -inf
+        # flushes on every digit; 0.0 would skip some
+        monkeypatch.setattr(lyapunov, "_RENORM_NATS", -math.inf)
+        counting = CountingNumPy(keep_frames=False)
+        monkeypatch.setattr(lyapunov, "np", counting)
         ref = run_monte_carlo(cover, 3000, 1)
+        assert counting.calls == 3000 + 1
         assert est.taut_time == ref.taut_time
         assert est.block_slopes == ref.block_slopes
         assert est.warnings == ref.warnings
@@ -486,15 +492,20 @@ def exact_power(part, r, q):
 
 
 class CountingNumPy:
-    """numpy as seen from lyapunov, with np.linalg.qr recording a copy of
-    each frame it is given, as the benchmark tracer wraps it."""
+    """numpy as seen from lyapunov, with np.linalg.qr counted and, unless
+    ``keep_frames`` is false, recording a copy of each frame it is given,
+    as the benchmark tracer wraps it."""
 
-    def __init__(self):
+    def __init__(self, keep_frames=True):
+        self.calls = 0
         self.frames = []
+        self.keep_frames = keep_frames
         self.linalg = SimpleNamespace(qr=self.qr)
 
     def qr(self, F):
-        self.frames.append(F.copy())
+        self.calls += 1
+        if self.keep_frames:
+            self.frames.append(F.copy())
         return np.linalg.qr(F)
 
     def __getattr__(self, name):
@@ -597,6 +608,94 @@ class TestOneFrame:
         walker._memo = NoMemo()
         assert run_monte_carlo(cover, 3000, 1, _walker=walker) == memo
         assert not walker._memo
+
+
+# the benchmark's lyapunov lines, a line that once outran every budget, a
+# genus-0 quotient (H1+ = 0) and a pillow cover that is not cyclic
+SCOPE_LINES = {
+    "5-1-2-2-5": cyclic_pillow(5, (1, 2, 2, 5)),
+    "6-1-1-5-5": cyclic_pillow(6, (1, 1, 5, 5)),
+    "7-1-3-3-7": cyclic_pillow(7, (1, 3, 3, 7)),
+    "3-1-2-3-3": cyclic_pillow(3, (1, 2, 3, 3)),
+    "pillow-5": random_pillow_cover(5, np.random.default_rng(3)),
+}
+
+
+class TestCertifyScope:
+    """certify walks H1+ alone; with H1+ = 0 it walks no frame at all."""
+
+    @pytest.mark.parametrize("name", SCOPE_LINES)
+    def test_plus_only_walk_matches_the_full_run(self, name):
+        cover = SCOPE_LINES[name]
+        seeds = (1, 2, 3)
+        full = _run_seeds(cover, 1000, seeds)
+        plus = _run_seeds(cover, 1000, seeds, with_minus=False)
+        for f, p in zip(full, plus, strict=True):
+            assert (p.taut_time, p.block_slopes, p.warnings) == (
+                f.taut_time, f.block_slopes, f.warnings)
+            assert p.lambda_minus == () and p.stderr_minus == ()
+            for got, want in [(p.lambda_plus, f.lambda_plus), (p.stderr_plus, f.stderr_plus)]:
+                assert len(got) == len(want)
+                assert all(abs(x - y) <= 1e-12 for x, y in zip(got, want))
+        cert = certify_degenerate(cover, 0.02, steps=1000, seeds=seeds)
+        assert cert.estimates == plus
+
+    def test_the_minus_normals_are_drawn_and_dropped(self, monkeypatch):
+        # the H1- normals come before the tautological 2-vector and the
+        # digits in the PCG64 stream; dropping the draw would move every
+        # H1+ float
+        draws = []
+
+        class Spy(np.random.Generator):
+            def standard_normal(self, size=None, *args, **kwargs):
+                draws.append(size)
+                return super().standard_normal(size, *args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Spy)
+        cover = cyclic_pillow(6, (1, 1, 5, 5))
+        walkers = {scope: _Walker(cover, scope) for scope in (True, False)}
+        for scope, walker in walkers.items():
+            del draws[:]
+            run_monte_carlo(cover, 100, 1, _walker=walker)
+            dp, dm = walker.dim_plus, walker.dim_minus
+            assert draws == [(dp, dp // 2), (dm, dm // 2), 2], scope
+
+    def test_genus_zero_line_builds_its_anchor_and_walks_no_frame(self, monkeypatch):
+        cover = SCOPE_LINES["3-1-2-3-3"]
+        built, moves = [], []
+        real_data, real_transition = cocycle.StateData, StateCache.transition
+
+        class Spy(real_data):
+            def __init__(self, origami, iota=None):
+                built.append((origami.h, origami.v, iota))
+                super().__init__(origami, iota)
+
+        def transition(self, key, gen):
+            moves.append((key, gen))
+            return real_transition(self, key, gen)
+
+        monkeypatch.setattr(cocycle, "StateData", Spy)
+        monkeypatch.setattr(StateCache, "transition", transition)
+        counting = CountingNumPy()
+        monkeypatch.setattr(lyapunov, "np", counting)
+        cert = certify_degenerate(cover, 0.02, steps=1000, seeds=(1, 2, 3))
+        assert len(built) == 1  # the anchor state, built and checked
+        assert moves == []
+        assert counting.calls == 0
+        assert cert.verdict == "PASS" and cert.max_lambda_plus == 0.0
+        assert all(e.lambda_plus == () and len(e.block_slopes) == 20 for e in cert.estimates)
+
+    @pytest.mark.parametrize("name", ["5-1-2-2-5", "3-1-2-3-3"])
+    def test_shared_plus_only_walker_matches_independent_runs(self, name):
+        cover = SCOPE_LINES[name]
+        seeds = (3, 1, 2, 3)
+        independent = tuple(
+            run_monte_carlo(cover, 2000, s, _walker=_Walker(cover, with_minus=False))
+            for s in seeds)
+        assert _run_seeds(cover, 2000, seeds, with_minus=False) == independent
+        walker = _Walker(cover, with_minus=False)
+        shared = tuple(run_monte_carlo(cover, 2000, s, _walker=walker) for s in seeds)
+        assert shared == independent
 
 
 class TestCertify:
