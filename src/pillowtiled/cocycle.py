@@ -22,6 +22,11 @@ canonicalized double-cover states (and restricts it to their involution
 eigenlattices); it is the one path that transports H_1.  The tests fold
 the same step along raw words of moves, in ``tests/reference.py``.
 
+``StateCache`` moves a key (h, v, iota) with the orbit closure's step
+(``orbit._move``, ``orbit._transport``) and, by the closure's rule, checks
+a state once, when ``state`` builds it: each check is invariant under
+relabeling, and a cached target was checked when it was built.
+
 Every Monte-Carlo walker in the process shares one ``StateCache``, from
 :func:`shared_state_cache`, so a state or move that an earlier walker
 built is not built or checked again.  That needs no re-check: a state is
@@ -51,14 +56,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lattice
-from .homology import (
-    HomologyBasis,
-    InvolutionSplitting,
-    boundary_matrices,
-    homology_basis,
-    involution_splitting,
-)
-from .orbit import apply_state_generator, canonical_labelling, canonical_perms
+from .homology import HomologyBasis, InvolutionSplitting, homology_basis, involution_splitting
+from .orbit import _move, _transport, canonical_labelling, canonical_perms
 from .permsurf import Origami, validate_involution
 from .permutations import Perm, inverse
 
@@ -93,21 +92,21 @@ def chain_map(o: Origami, gen: str) -> list[list[int]]:
 
 
 class StateData:
-    """Homology package of one surface: its H_1 basis, its boundary maps
-    and, when it carries a deck involution, the splitting of H_1 (else
-    ``splitting`` is None)."""
+    """Homology package of one surface: its H_1 basis (with its boundary
+    maps) and, when it carries a deck involution, the splitting of H_1
+    (else ``splitting`` is None)."""
 
     def __init__(self, origami: Origami, iota: Perm | None = None):
         self.origami = origami
         self.iota = iota
         self.basis: HomologyBasis = homology_basis(origami)
-        self.d1, self.d2 = boundary_matrices(origami)
         self.splitting: InvolutionSplitting | None = None
         if iota is not None:
             validate_involution(origami, iota)
             self.splitting = involution_splitting(self.basis, iota)
         # the weight of the state in a trimmed cache
-        mats = [self.basis.cycles, self.basis.functionals, self.basis.intersection, self.d1, self.d2]
+        b = self.basis
+        mats = [b.cycles, b.functionals, b.intersection, b.d1, b.d2]
         if self.splitting is not None:
             sp = self.splitting
             mats += [sp.action, sp.plus_basis, sp.plus_coords, sp.minus_basis, sp.minus_coords]
@@ -122,10 +121,10 @@ def _move_matrix(src: StateData, tgt: StateData, F) -> list[list[int]]:
     carry a deck involution, commutes with it.
     """
     FB = lattice.matmul(F, src.basis.cycles)
-    if any(any(row) for row in lattice.matmul(tgt.d1, FB)):
+    if any(any(row) for row in lattice.matmul(tgt.basis.d1, FB)):
         raise ArithmeticError("move does not map cycles to cycles")
     C = tgt.basis.functionals
-    if any(any(row) for row in lattice.matmul(C, lattice.matmul(F, src.d2))):
+    if any(any(row) for row in lattice.matmul(C, lattice.matmul(F, src.basis.d2))):
         raise ArithmeticError("move does not respect boundaries")
     M = lattice.matmul(C, FB)
     # symplectic: M^T J_tgt M = J_src, each J the intersection matrix
@@ -201,12 +200,14 @@ class StateCache:
             self.states[key] = self.states.pop(key)
             return self.transitions[memo]
         src = self.state(key)
-        o2, i2 = apply_state_generator(src.origami, src.iota, gen)
-        # canonicalize and keep the relabeling that got us there
-        target, label = canonical_labelling((o2.h, o2.v, i2), o2.d)
+        # the closure's move step; canonicalize and keep the relabeling
+        # that got us there.  The target is checked once, when built.
+        h, v, iota = key
+        d = len(h)
+        target, label = canonical_labelling((*_move(h, v, gen), _transport(h, v, iota, gen)), d)
         tgt = self.state(target)
         # relabel the new squares: edge rows i and d + i move to label[i]
-        d, C = o2.d, chain_map(src.origami, gen)
+        C = chain_map(src.origami, gen)
         F = [None] * (2 * d)
         for i, j in enumerate(label):
             F[j], F[d + j] = C[i], C[d + i]

@@ -23,7 +23,6 @@ from .permsurf import Origami, _vertex_classes
 __all__ = [
     "HomologyBasis",
     "InvolutionSplitting",
-    "boundary_matrices",
     "homology_basis",
     "involution_chain_map",
     "involution_on_homology",
@@ -31,16 +30,16 @@ __all__ = [
 ]
 
 
-def boundary_matrices(o: Origami) -> tuple[list[list[int]], list[list[int]]]:
-    """(d1, d2): boundary of edges (V x 2d) and of faces (2d x d).
+def _boundary_matrices(o: Origami, classes) -> tuple[list[list[int]], list[list[int]]]:
+    """(d1, d2): boundary of edges (V x 2d) and of faces (2d x d), given
+    the vertex ``classes`` of ``_vertex_classes(o)``.
 
     d(sigma_i) = [corner of h(i)] - [corner of i], likewise with v for tau;
     d(face_i) = sigma_i + tau_{h(i)} - sigma_{v(i)} - tau_i  (counterclockwise).
     """
     d = o.d
-    cs, cls_of = _vertex_classes(o)
-    nv = len(cs)
-    d1 = lattice.zeros(nv, 2 * d)
+    cs, cls_of = classes
+    d1 = lattice.zeros(len(cs), 2 * d)
     for i in range(d):
         d1[cls_of[o.h[i]]][i] += 1
         d1[cls_of[i]][i] -= 1
@@ -92,14 +91,15 @@ def _closed_loop(e: int, ends: list[tuple[int, int]], up: list) -> list[int]:
     return z
 
 
-def _tree_cotree(o: Origami) -> tuple[list[list[int]], list[list[int]]]:
+def _tree_cotree(o: Origami, classes) -> tuple[list[list[int]], list[list[int]]]:
     """(B, C): cycles as the columns of B, cocycles as the rows of C, one
     of each per edge outside a spanning forest T of the 1-skeleton and a
     spanning forest T* of the dual graph on the edges outside T.  A cycle
     uses only T and its own edge, a cocycle only T* and its own edge, so
-    C @ B == I."""
+    C @ B == I.  ``classes`` are the vertex classes of
+    ``_vertex_classes(o)``."""
     d = o.d
-    cs, cls_of = _vertex_classes(o)
+    cs, cls_of = classes
     hinv, vinv = inverse(o.h), inverse(o.v)
     ends = [(cls_of[i], cls_of[o.h[i]]) for i in range(d)]
     ends += [(cls_of[i], cls_of[o.v[i]]) for i in range(d)]
@@ -134,7 +134,9 @@ class HomologyBasis:
     ``cycles``: 2d x r integer matrix, columns are cycle representatives in
     the edge basis.  ``functionals``: r x 2d, rows are cocycles with
     functionals @ cycles == I and functionals @ d2 == 0.  ``intersection``:
-    the intersection numbers of the cycles, in no normal form.
+    the intersection numbers of the cycles, in no normal form.  ``d1`` and
+    ``d2``: the boundary of edges (V x 2d) and of faces (2d x d), built
+    once with the basis.
     """
 
     origami: Origami
@@ -142,6 +144,8 @@ class HomologyBasis:
     cycles: tuple[tuple[int, ...], ...]
     functionals: tuple[tuple[int, ...], ...]
     intersection: tuple[tuple[int, ...], ...]
+    d1: tuple[tuple[int, ...], ...]
+    d2: tuple[tuple[int, ...], ...]
 
 
 def homology_basis(o: Origami) -> HomologyBasis:
@@ -154,8 +158,9 @@ def homology_basis(o: Origami) -> HomologyBasis:
     two forests leave at least E - (V - c) - (F - c) = rank H_1 edges over
     on c components, so the ranks agree and the map is an isomorphism.
     """
-    d1, d2 = boundary_matrices(o)
-    B, C = _tree_cotree(o)
+    classes = _vertex_classes(o)
+    d1, d2 = _boundary_matrices(o, classes)
+    B, C = _tree_cotree(o, classes)
     r = len(C)
     if any(any(row) for row in lattice.matmul(d1, B)):
         raise ArithmeticError("basis chains are not cycles: d1 @ B != 0")
@@ -173,6 +178,8 @@ def homology_basis(o: Origami) -> HomologyBasis:
         functionals=tuple(tuple(row) for row in C),
         # the cycles pair as minus the inverse cup matrix of their duals
         intersection=tuple(tuple(-x for x in row) for row in lattice.unimodular_inverse(cup)),
+        d1=tuple(tuple(row) for row in d1),
+        d2=tuple(tuple(row) for row in d2),
     )
 
 

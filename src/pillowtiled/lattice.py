@@ -5,8 +5,8 @@ column operations, reducing each pivot row as it goes so entries stay
 small; kernels, left inverses and unimodular inverses are read off its
 output.  The pipeline needs no invariant factors: the homology basis
 comes from a tree-cotree decomposition and needs no torsion check.
-``smith_normal_form`` stays only because the benchmark tracer wraps it
-by name.
+``smith_normal_form`` is a stub with no body that stays only because the
+benchmark tracer looks it up by name.
 
 Everything here works on small dense matrices of Python ints (lists of
 lists), which keeps the homology pipeline exact.  There are two
@@ -246,98 +246,12 @@ def hermite(a: list[list[int]]):
 
 
 def smith_normal_form(a: list[list[int]]):
-    """U @ a @ V == S with S diagonal, d_i | d_{i+1}, U and V unimodular.
+    """Not implemented: nothing in the package needs invariant factors.
 
-    Returns (S, U, Uinv): the row transform is kept with its inverse, the
-    column transform V is not recorded.
+    The benchmark tracer looks the name up in its ``FUNCTIONS`` table, so
+    the stub stays until that entry goes; the pipeline never calls it.
     """
-    m, n = shape(a)
-    S = [list(r) for r in a]
-    U, Uinv = eye(m), eye(m)
-
-    def swap_rows(i, j):
-        if i == j:
-            return
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-        for r in Uinv:
-            r[i], r[j] = r[j], r[i]
-
-    def swap_cols(i, j):
-        if i == j:
-            return
-        for r in S:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, c):  # row_dst += c * row_src
-        if c == 0:
-            return
-        S[dst] = [x + c * y for x, y in zip(S[dst], S[src])]
-        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
-        for r in Uinv:  # inverse gets the opposite column op
-            r[src] -= c * r[dst]
-
-    def add_col(dst, src, c):  # col_dst += c * col_src
-        if c == 0:
-            return
-        for r in S:
-            r[dst] += c * r[src]
-
-    def negate_row(i):
-        S[i] = [-x for x in S[i]]
-        U[i] = [-x for x in U[i]]
-        for r in Uinv:
-            r[i] = -r[i]
-
-    t = 0
-    while t < min(m, n):
-        # locate a pivot: smallest nonzero magnitude in the trailing block
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = S[i][j]
-                if x and (best is None or abs(x) < best):
-                    best, piv = abs(x), (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            # clear column t then row t with Euclid steps
-            done = True
-            for i in range(t + 1, m):
-                if S[i][t]:
-                    q = S[i][t] // S[t][t]
-                    add_row(i, t, -q)
-                    if S[i][t]:
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, n):
-                if S[t][j]:
-                    q = S[t][j] // S[t][t]
-                    add_col(j, t, -q)
-                    if S[t][j]:
-                        swap_cols(t, j)
-                        done = False
-            if not done:
-                continue
-            # pivot must divide the whole trailing block for the chain
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if S[i][j] % S[t][t]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            add_row(t, bad, 1)  # pull the offending row up and keep reducing
-        if S[t][t] < 0:
-            negate_row(t)
-        t += 1
-    return S, U, Uinv
+    raise NotImplementedError("smith_normal_form has no implementation; nothing calls it")
 
 
 def _leading_columns(a: list[list[int]], k: int) -> list[list[int]]:

@@ -13,8 +13,10 @@ When the surface is an orientation double cover, the deck involution is
 transported along: a shear re-cuts the surface, so iota picks up the
 permutation that moves the new cut back onto the old one (T: iota' =
 h . iota, L: iota' = v . iota), while the quarter turn needs no re-cut
-(S: iota' = iota).  A single move checked through
-:func:`apply_state_generator` re-validates the involution.
+(S: iota' = iota).  ``_move`` and ``_transport`` are the one move step
+on a state (h, v, iota): the closure here and ``cocycle.StateCache`` both
+take it, and neither checks a moved state; each checks a state once, on
+its canonical form, when it is first seen or built.
 
 Orbits are finite; closure under S and T alone suffices (on a finite
 orbit every generator acts bijectively, so inverses are reachable).
@@ -66,8 +68,6 @@ from .permsurf import Origami, origami_stratum, validate_involution
 __all__ = [
     "OrbitCapExceeded",
     "OrbitGraph",
-    "apply_generator",
-    "apply_state_generator",
     "enumerate_orbit",
     "enumerate_state_orbit",
 ]
@@ -96,12 +96,6 @@ def _move(h: Perm, v: Perm, gen: str) -> tuple[Perm, Perm]:
     raise ValueError(f"unknown generator {gen!r}")
 
 
-def apply_generator(o: Origami, gen: str) -> Origami:
-    """Act by a generator; the result is a surface in the same stratum."""
-    h, v = _move(o.h, o.v, gen)
-    return Origami(o.d, h, v, allow_disconnected=o.allow_disconnected)
-
-
 def _transport(h: Perm, v: Perm, iota: Perm, gen: str) -> Perm:
     """The deck involution carried along the move gen of (h, v)."""
     if gen == "T":
@@ -111,14 +105,6 @@ def _transport(h: Perm, v: Perm, iota: Perm, gen: str) -> Perm:
     if gen == "L":
         return compose(v, iota)
     raise ValueError(f"unknown generator {gen!r}")
-
-
-def apply_state_generator(o: Origami, iota: Perm, gen: str) -> tuple[Origami, Perm]:
-    """Act on a double cover, transporting the deck involution."""
-    new = apply_generator(o, gen)
-    iota2 = _transport(o.h, o.v, iota, gen)
-    validate_involution(new, iota2)
-    return new, iota2
 
 
 def _relabel_perm(p: Perm, label: list[int]) -> Perm:

@@ -111,13 +111,9 @@ def parse_cycles(text: str, n: int) -> Perm:
     return tuple(out)
 
 
-def format_cycles(p: Perm, with_fixed: bool = False) -> str:
-    """1-indexed cycle string; fixed points dropped unless requested."""
-    parts = []
-    for c in cycles(p):
-        if len(c) == 1 and not with_fixed:
-            continue
-        parts.append("(" + " ".join(str(i + 1) for i in c) + ")")
+def format_cycles(p: Perm) -> str:
+    """1-indexed cycle string, fixed points dropped."""
+    parts = ["(" + " ".join(str(i + 1) for i in c) + ")" for c in cycles(p) if len(c) > 1]
     return "".join(parts) if parts else "()"
 
 

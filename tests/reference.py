@@ -4,21 +4,23 @@ The package keeps what its command line, its exports and the benchmark
 run (``tests/test_source.py::test_every_src_name_is_reached``).  The
 cross-checks the tests hold it to live here, as ``reference_orbit`` lives
 in ``tests/test_orbit.py``: permutation powers and conjugates, the
-quotient stratum and the inverse of the orientation double cover, the
-transport of H_1 along a raw word of moves, the cup product of one pair of
-1-cochains, the basis of a column lattice, the largest finite order in
-GL(n, Z) by a DP over every degree, and the order at infinity of a
+quotient stratum and the inverse of the orientation double cover, one
+move of a raw surface or double cover with its check, the transport of
+H_1 along a raw word of moves, the cup product of one pair of 1-cochains,
+the largest finite order in GL(n, Z) by a DP over every degree, the
+closed-form exponents of a cyclic cover, and the order at infinity of a
 quadratic differential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 
 from pillowtiled import cocycle, lattice
 from pillowtiled.bform import CurveDifferential
-from pillowtiled.orbit import OrbitGraph, apply_generator, apply_state_generator
+from pillowtiled.orbit import OrbitGraph, _move, _transport
 from pillowtiled.permsurf import (
     Origami,
     PillowCover,
@@ -244,6 +246,24 @@ def reconstruct_pillow_cover(o: Origami, iota: Perm) -> PillowCover:
     return PillowCover(d, g0, g1, g2, g3)
 
 
+# --- moves ----------------------------------------------------------------
+
+
+def apply_generator(o: Origami, gen: str) -> Origami:
+    """Act by a generator; the result is a surface in the same stratum."""
+    h, v = _move(o.h, o.v, gen)
+    return Origami(o.d, h, v, allow_disconnected=o.allow_disconnected)
+
+
+def apply_state_generator(o: Origami, iota: Perm, gen: str) -> tuple[Origami, Perm]:
+    """Act on a double cover, transporting the deck involution, and check
+    the moved involution."""
+    new = apply_generator(o, gen)
+    iota2 = _transport(o.h, o.v, iota, gen)
+    validate_involution(new, iota2)
+    return new, iota2
+
+
 # --- cocycle --------------------------------------------------------------
 
 
@@ -303,13 +323,6 @@ def cup(o: Origami, alpha, beta) -> int:
 # --- lattices -------------------------------------------------------------
 
 
-def column_lattice_basis(a: list[list[int]]) -> list[list[int]]:
-    """Basis (list of column vectors) of the lattice spanned by a's columns,
-    read off the column Hermite form."""
-    pivots, H, _ = lattice.hermite(a)
-    return [[row[j] for row in H] for j in range(len(pivots))]
-
-
 def max_finite_order(n: int) -> int:
     """``lattice.max_finite_order`` as a DP over every degree d <= 2 n^2:
     the largest lcm of a multiset of d with sum(phi(d)) <= n."""
@@ -330,6 +343,30 @@ def max_finite_order(n: int) -> int:
                 if c < best.get(new, n + 1):
                     best[new] = c
     return max(best)
+
+
+# --- cyclic covers --------------------------------------------------------
+
+
+def cyclic_exponents(N: int, a) -> tuple[Fraction, ...]:
+    """The non-negative Lyapunov exponents of the cyclic cover with corner
+    integers ``a``, one per character k = 1..N-1, in closed form
+    (Eskin-Kontsevich-Zorich, "Lyapunov spectrum of square-tiled cyclic
+    covers", and Forni-Matheus-Zorich, "Square-tiled cyclic covers", both
+    JMD 5, 2011).
+
+    With t_i = {k a_i / N}, a character with four non-zero t_i summing to
+    2 is of type (1,1) and carries 2 min_i min(t_i, 1 - t_i); every other
+    character carries 0.
+    """
+    out = []
+    for k in range(1, N):
+        t = [Fraction(k * ai % N, N) for ai in a]
+        if all(t) and sum(t) == 2:
+            out.append(2 * min(min(x, 1 - x) for x in t))
+        else:
+            out.append(Fraction(0))
+    return tuple(out)
 
 
 # --- differentials --------------------------------------------------------

@@ -34,7 +34,7 @@ from pillowtiled.coverings import (
 from pillowtiled.cylinders import _row_widths, ekz_for_cover
 from pillowtiled.homology import homology_basis
 from pillowtiled.lyapunov import run_monte_carlo
-from pillowtiled.orbit import apply_generator, canonical_perms
+from pillowtiled.orbit import canonical_perms
 from pillowtiled.permsurf import (
     orientation_double_cover,
     origami_stratum,
@@ -42,7 +42,7 @@ from pillowtiled.permsurf import (
     random_origami,
     random_pillow_cover,
 )
-from tests.reference import induced_cocycle, reconstruct_pillow_cover
+from tests.reference import apply_generator, induced_cocycle, reconstruct_pillow_cover
 
 
 def prime_family(p):

@@ -14,7 +14,7 @@ from pillowtiled.cylinders import (
     sv_raw,
     sv_term,
 )
-from pillowtiled.coverings import CyclicCoverSpec, cyclic_to_pillow, iter_specs
+from pillowtiled.coverings import CyclicCoverSpec, cyclic_to_pillow, is_determinant_locus, iter_specs
 from pillowtiled.orbit import OrbitGraph, enumerate_state_orbit
 from pillowtiled.permsurf import (
     Origami,
@@ -24,7 +24,7 @@ from pillowtiled.permsurf import (
     random_origami,
 )
 from pillowtiled.permutations import parse_cycles
-from tests.reference import origamis
+from tests.reference import cyclic_exponents, origamis
 from tests.test_permsurf import FIVE, TORUS_COVER, FOUR, cyclic_pillow
 
 
@@ -97,6 +97,31 @@ def calibrate() -> Fraction:
 
 def test_calibration():
     assert calibrate() == KAPPA_SV == Fraction(1, 2)
+
+
+def test_closed_form_exponents_pin_kappa_sv():
+    # an oracle that does not lean on the calibration: the closed-form
+    # exponents of every cyclic spec with N <= 8, the non-degenerate ones
+    # included, sum to the sum rule's lyap_sum, and vanish exactly on the
+    # determinant locus
+    count = 0
+    for N in range(1, 9):
+        for s in iter_specs(N):
+            exponents = cyclic_exponents(s.N, s.a)
+            assert sum(exponents) == ekz_for_cover(cyclic_to_pillow(s)).lyap_sum, s
+            assert (not any(exponents)) == is_determinant_locus(s).flag, s
+            count += 1
+    assert count == 1186
+
+
+def test_patched_kappa_sv_reaches_the_sum_rule(monkeypatch):
+    # sv_term reads the module constant when called, so a patched constant
+    # moves lyap_sum: 5 1 2 2 5 has sv_raw 1/5 and lyap_sum 0 at 1/2, so
+    # (1/3 - 1/2) / 5 at 1/3
+    spec = CyclicCoverSpec(5, (1, 2, 2, 5))
+    assert ekz_for_cover(cyclic_to_pillow(spec)).lyap_sum == 0
+    monkeypatch.setattr(cylinders, "KAPPA_SV", Fraction(1, 3))
+    assert ekz_for_cover(cyclic_to_pillow(spec)).lyap_sum == Fraction(-1, 30)
 
 
 @pytest.mark.parametrize("p,want", [

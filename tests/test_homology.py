@@ -9,10 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pillowtiled import lattice
+from pillowtiled import cocycle, homology, lattice
 from pillowtiled.homology import (
     _cup_matrix,
-    boundary_matrices,
     homology_basis,
     involution_chain_map,
     involution_on_homology,
@@ -53,8 +52,8 @@ def test_boundary_squares_to_zero():
     rng = np.random.default_rng(2)
     for _ in range(15):
         o = random_origami(int(rng.integers(1, 9)), rng)
-        d1, d2 = boundary_matrices(o)
-        prod = lattice.matmul(d1, d2)
+        hb = homology_basis(o)
+        prod = lattice.matmul(hb.d1, hb.d2)
         assert all(all(x == 0 for x in row) for row in prod)
 
 
@@ -87,7 +86,7 @@ def test_functionals_are_cocycles_killing_boundaries():
     for _ in range(10):
         o = random_origami(int(rng.integers(1, 8)), rng)
         hb = homology_basis(o)
-        d1, d2 = boundary_matrices(o)
+        d1, d2 = hb.d1, hb.d2
         B, C = as_lists(hb.cycles), as_lists(hb.functionals)
         assert lattice.mat_eq(lattice.matmul(C, B), lattice.eye(hb.rank))
         CB2 = lattice.matmul(C, d2)
@@ -155,13 +154,14 @@ def test_basis_checks_raise_without_assertions():
     code = (
         "import sys\n"
         "from pillowtiled import homology\n"
-        "from pillowtiled.permsurf import PillowCover, orientation_double_cover\n"
+        "from pillowtiled.permsurf import PillowCover, _vertex_classes, orientation_double_cover\n"
         "if not sys.flags.optimize:\n"
         "    raise SystemExit('not running under -O')\n"
         "perms = [tuple((x + a) % 5 for x in range(5)) for a in (1, 2, 2, 5)]\n"
         "o, _ = orientation_double_cover(PillowCover(5, *perms))\n"
-        "d1, d2 = homology.boundary_matrices(o)\n"
-        "B0, C0 = homology._tree_cotree(o)\n"
+        "hb = homology.homology_basis(o)\n"
+        "d1, d2 = hb.d1, hb.d2\n"
+        "B0, C0 = homology._tree_cotree(o, _vertex_classes(o))\n"
         "def flip_cycle_entry(B, C):\n"
         "    e, j = next((e, j) for e, row in enumerate(B) for j, x in enumerate(row)\n"
         "                if x and any(r[e] for r in d1))\n"
@@ -178,7 +178,7 @@ def test_basis_checks_raise_without_assertions():
         "                       (flip_cycle, 'C @ B')):\n"
         "    B, C = [list(r) for r in B0], [list(r) for r in C0]\n"
         "    corrupt(B, C)\n"
-        "    homology._tree_cotree = lambda o, B=B, C=C: (B, C)\n"
+        "    homology._tree_cotree = lambda o, classes, B=B, C=C: (B, C)\n"
         "    try:\n"
         "        homology.homology_basis(o)\n"
         "    except ArithmeticError as exc:\n"
@@ -193,10 +193,27 @@ def test_basis_checks_raise_without_assertions():
     assert proc.returncode == 7, proc.stderr
 
 
+def test_a_state_builds_its_vertex_classes_once(monkeypatch):
+    # the boundary maps and the tree-cotree forests share one pass over the
+    # vertex classes, and the state reads the boundary maps off its basis
+    calls = []
+
+    def counted(o):
+        calls.append(o)
+        return _vertex_classes(o)
+
+    monkeypatch.setattr(homology, "_vertex_classes", counted)
+    o, iota = orientation_double_cover(FIVE)
+    st = cocycle.StateData(o, iota)
+    assert calls == [o]
+    assert lattice.matmul(st.basis.d1, st.basis.d2) == lattice.zeros(len(st.basis.d1), o.d)
+
+
 def test_involution_chain_map_is_a_chain_map():
     for p in [FIVE, TORUS_COVER, FOUR]:
         o, iota = orientation_double_cover(p)
-        d1, d2 = boundary_matrices(o)
+        hb = homology_basis(o)
+        d1, d2 = hb.d1, hb.d2
         M = involution_chain_map(o, iota)
         # on faces the half-turn is the face permutation
         dfaces = o.d

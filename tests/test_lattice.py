@@ -12,7 +12,6 @@ import pytest
 
 from pillowtiled import lattice
 from tests import reference
-from tests.reference import column_lattice_basis
 
 
 def random_matrix(rng, m, n, lo=-6, hi=6):
@@ -75,35 +74,6 @@ def _det(a):
             f = rows[k][col] / rows[col][col]
             rows[k] = [x - f * y for x, y in zip(rows[k], rows[col])]
     return det
-
-
-def test_snf_fixed_case():
-    a = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    S, U, Uinv = lattice.smith_normal_form(a)
-    # classic example: invariant factors 2, 2, 156
-    assert [S[i][i] for i in range(3)] == [2, 2, 156]
-
-
-def test_snf_randomized_invariants():
-    rng = random.Random(7)
-    for _ in range(60):
-        m, n = rng.randint(1, 6), rng.randint(1, 6)
-        a = random_matrix(rng, m, n)
-        S, U, Uinv = lattice.smith_normal_form(a)
-        assert lattice.mat_eq(lattice.matmul(U, Uinv), lattice.eye(m))
-        # a unimodular column transform takes U a to S: same column lattice
-        ua = lattice.matmul(U, a)
-        assert column_lattice_basis(ua) == column_lattice_basis(S)
-        # diagonal, nonnegative, divisibility chain
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert S[i][j] == 0
-        diag = [S[i][i] for i in range(min(m, n))]
-        assert all(x >= 0 for x in diag)
-        for x, y in zip(diag, diag[1:]):
-            if y:
-                assert x and y % x == 0
 
 
 def test_kernel_basis():

@@ -1,5 +1,7 @@
 """Chain-level transport and the Monte-Carlo exponent estimator."""
 
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -11,22 +13,22 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pillowtiled import cocycle, lattice, lyapunov
+from pillowtiled import cocycle, lattice, lyapunov, orbit
 from pillowtiled.cocycle import StateCache, chain_map
-from pillowtiled.homology import boundary_matrices, homology_basis, involution_splitting
+from pillowtiled.homology import homology_basis, involution_splitting
 from pillowtiled.lyapunov import LyapunovEstimate, certify_degenerate, run_monte_carlo
 from pillowtiled.lyapunov import _GenCycle, _run_seeds, _Walker
-from pillowtiled.orbit import apply_generator
 from pillowtiled.permsurf import (
     Origami,
     orientation_double_cover,
     random_origami,
     random_pillow_cover,
+    validate_involution,
 )
 
 from test_permsurf import cyclic_pillow
-from tests.recorded import MONTE_CARLO
-from tests.reference import induced_cocycle
+from tests.recorded import MONTE_CARLO, TRANSITIONS
+from tests.reference import apply_generator, induced_cocycle
 
 TORUS = Origami(1, (0,), (0,))
 L3 = Origami(3, (1, 0, 2), (2, 1, 0))
@@ -64,16 +66,14 @@ class TestChainMaps:
         for _ in range(15):
             o = random_origami(int(rng.integers(2, 8)), rng)
             hb = homology_basis(o)
-            _, d2 = boundary_matrices(o)
             for gen in GENS:
                 F = chain_map(o, gen)
                 o2 = apply_generator(o, gen)
-                d1b, _ = boundary_matrices(o2)
                 hb2 = homology_basis(o2)
                 FB = lattice.matmul(F, [list(r) for r in hb.cycles])
-                assert all(x == 0 for row in lattice.matmul(d1b, FB) for x in row)
+                assert all(x == 0 for row in lattice.matmul(hb2.d1, FB) for x in row)
                 CFd2 = lattice.matmul(
-                    [list(r) for r in hb2.functionals], lattice.matmul(F, d2)
+                    [list(r) for r in hb2.functionals], lattice.matmul(F, hb.d2)
                 )
                 assert all(x == 0 for row in CFd2 for x in row)
 
@@ -169,6 +169,74 @@ class TestStateCache:
             tr = cache.transition(cur, gen)
             assert tr.target in cache.states
             cur = tr.target
+
+    def test_broken_transport_raises_under_dash_o(self):
+        # a transport that leaves the involution where it was moves (h, v)
+        # alone; the target's involution check, run when the cache builds
+        # the state, must reject it on a walker's first T or L transition
+        # with asserts stripped
+        code = (
+            "import sys\n"
+            "from pillowtiled import cocycle, lyapunov\n"
+            "from pillowtiled.permsurf import PillowCover\n"
+            "if not sys.flags.optimize:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "cocycle._transport = lambda h, v, iota, gen: iota\n"
+            "perms = [tuple((x + a) % 5 for x in range(5)) for a in (1, 2, 2, 5)]\n"
+            "for gen in ('T', 'L'):\n"
+            "    cocycle._clear_shared_cache()\n"
+            "    walker = lyapunov._Walker(PillowCover(5, *perms))\n"
+            "    try:\n"
+            "        walker.cache.transition(walker.anchor, gen)\n"
+            "    except ValueError as exc:\n"
+            "        if 'involution' not in str(exc):\n"
+            "            raise SystemExit(f'{gen}: {exc}')\n"
+            "        continue\n"
+            "    raise SystemExit(f'{gen}: a broken transport was accepted')\n"
+            "raise SystemExit(7)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(lattice.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
+        assert proc.returncode == 7, proc.stderr
+
+    def test_each_built_state_is_checked_once(self, monkeypatch):
+        # the cache checks a state's involution when it builds the state,
+        # and a transition onto a cached state checks nothing; counted
+        # wherever a move could check it
+        checked = []
+
+        def counted(o, iota):
+            checked.append((o.h, o.v, iota))
+            validate_involution(o, iota)
+
+        for module in (cocycle, orbit):
+            monkeypatch.setattr(module, "validate_involution", counted)
+        for cover in (cyclic_pillow(7, (1, 3, 3, 7)), random_pillow_cover(5, np.random.default_rng(3))):
+            cache = StateCache()
+            anchor = cache.canonical_key(*orientation_double_cover(cover))
+            for gen in ("T", "L"):
+                _GenCycle(cache, anchor, gen)
+            assert len(checked) == len(cache.states) > 1
+            assert set(checked) == set(cache.states)
+            # every target is cached now: building the moves again runs
+            # the move step and its exact checks, and no involution check
+            moves = list(cache.transitions)
+            cache.transitions.clear()
+            for key, gen in moves:
+                cache.transition(key, gen)
+            assert len(cache.transitions) == len(moves)
+            assert len(checked) == len(cache.states)
+            checked.clear()
+
+    @pytest.mark.parametrize("name", sorted(TRANSITIONS))
+    def test_cycle_transitions_are_unchanged(self, name):
+        walker = _Walker(SCOPE_LINES[name])
+        digest = hashlib.sha256()
+        for gen in ("T", "L"):
+            for key in _GenCycle(walker.cache, walker.anchor, gen).states:
+                tr = walker.cache.transition(key, gen)
+                digest.update(json.dumps([gen, tr.target, tr.plus, tr.minus]).encode() + b"\n")
+        assert digest.hexdigest() == TRANSITIONS[name]
 
     def test_restrictions_have_eigenspace_sizes(self):
         p = cyclic_pillow(5, (1, 2, 2, 5))

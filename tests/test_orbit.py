@@ -19,8 +19,6 @@ from pillowtiled.cocycle import chain_map
 from pillowtiled.coverings import CyclicCoverSpec, cyclic_to_pillow, iter_specs
 from pillowtiled.orbit import (
     OrbitCapExceeded,
-    apply_generator,
-    apply_state_generator,
     canonical_labelling,
     canonical_perms,
     enumerate_orbit,
@@ -45,6 +43,8 @@ from pillowtiled.permutations import (
     random_permutation,
 )
 from tests.reference import (
+    apply_generator,
+    apply_state_generator,
     conjugate,
     involution_quotient_stratum,
     order,

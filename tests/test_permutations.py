@@ -47,7 +47,6 @@ def test_cycles_ordering_and_formatting():
     assert cycles(p) == [(0, 1), (2,)]
     assert cycle_type(p) == (2, 1)
     assert format_cycles(p) == "(1 2)"
-    assert format_cycles(p, with_fixed=True) == "(1 2)(3)"
     assert format_cycles(identity(3)) == "()"
 
 

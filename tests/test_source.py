@@ -314,9 +314,17 @@ def test_every_src_name_is_reached():
 
 def test_tracer_only_names():
     # a name that only the benchmark tracer's FUNCTIONS table keeps alive is
-    # dead code the pipeline never runs; smith_normal_form is one since the
-    # homology basis stopped needing a torsion check (a FOUND in CHANGES.md:
-    # a benchmark change that drops it from FUNCTIONS lets it and its tests
-    # go), and no other name may join it
+    # dead code the pipeline never runs.  smith_normal_form is the one such
+    # name: the homology basis needs no torsion check, so its body is gone,
+    # and it stays as a stub, a docstring and one raise, only because the
+    # tracer looks it up by name.  A benchmark change that drops it from
+    # FUNCTIONS lets the stub go.  No other name may join it, and the stub
+    # may not grow a body that returns under the traced name.
     only_traced = set(_unreached_src_names(tracer=False)) - set(_unreached_src_names())
     assert only_traced == {"lattice.smith_normal_form"}, sorted(only_traced)
+    tree = ast.parse((SRC / "lattice.py").read_text())
+    (stub,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "smith_normal_form"]
+    docstring, *rest = stub.body
+    assert ast.get_docstring(stub) and isinstance(docstring, ast.Expr), ast.dump(docstring)
+    assert [type(node) for node in rest] == [ast.Raise], [ast.dump(node) for node in rest]
