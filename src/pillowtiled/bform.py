@@ -121,10 +121,6 @@ class EigenForm:
     shifts: tuple[int, ...]
     valuations: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return self.power + sum(self.shifts)
-
 
 def _form_order_at(curve: SuperellipticCurve, form: EigenForm, s: complex) -> int:
     ord_ = form.power if s == 0 else 0

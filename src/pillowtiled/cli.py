@@ -179,7 +179,7 @@ def _cmd_bform(line: str, cfg: RunConfig):
 def _cmd_bounds(line: str, cfg: RunConfig):
     s = parse_cyclic_line(line)
     rep = cover_report(s)
-    verdicts = check_bounds(rep, degenerate=bool(is_determinant_locus(s)))
+    verdicts = check_bounds(rep, degenerate=is_determinant_locus(s))
     checks = [
         {"name": v.name, "pass": v.status != "fail", "status": v.status,
          "lhs": v.lhs, "rhs": v.rhs}

@@ -17,9 +17,14 @@ above, i.e. of the new square h^-1(i).)
 On top of the raw chain maps this module holds the one move step,
 ``_move_matrix``, which turns a chain map between two surfaces into an
 exact integer matrix on H_1, checked on the nose to be well defined,
-symplectic and deck-equivariant.  ``StateCache`` applies it between
-canonicalized double-cover states (and restricts it to their involution
-eigenlattices); it is the one path that transports H_1.  The tests fold
+symplectic and deck-equivariant.  Symplectic is checked on the cup
+matrices K of the two bases, M K_src M^T == K_tgt, which needs no
+inverse: both K are unimodular, so it forces det M = +-1 and is then
+equivalent to M^T J_tgt M == J_src for the intersection matrices
+J = -K^-1.  ``StateCache`` applies it between canonicalized double-cover
+states and restricts it to their involution eigenlattices, whose
+coordinates ``_restrict`` reads off the target's Hermite basis by forward
+substitution; it is the one path that transports H_1.  The tests fold
 the same step along raw words of moves, in ``tests/reference.py``.
 
 ``StateCache`` moves a key (h, v, iota) with the orbit closure's step
@@ -98,7 +103,6 @@ class StateData:
 
     def __init__(self, origami: Origami, iota: Perm | None = None):
         self.origami = origami
-        self.iota = iota
         self.basis: HomologyBasis = homology_basis(origami)
         self.splitting: InvolutionSplitting | None = None
         if iota is not None:
@@ -106,10 +110,10 @@ class StateData:
             self.splitting = involution_splitting(self.basis, iota)
         # the weight of the state in a trimmed cache
         b = self.basis
-        mats = [b.cycles, b.functionals, b.intersection, b.d1, b.d2]
+        mats = [b.cycles, b.functionals, b.cup, b.d1, b.d2]
         if self.splitting is not None:
             sp = self.splitting
-            mats += [sp.action, sp.plus_basis, sp.plus_coords, sp.minus_basis, sp.minus_coords]
+            mats += [sp.action, sp.plus_basis, sp.minus_basis]
         self.entries = sum(len(row) for m in mats for row in m)
 
 
@@ -127,10 +131,9 @@ def _move_matrix(src: StateData, tgt: StateData, F) -> list[list[int]]:
     if any(any(row) for row in lattice.matmul(C, lattice.matmul(F, src.basis.d2))):
         raise ArithmeticError("move does not respect boundaries")
     M = lattice.matmul(C, FB)
-    # symplectic: M^T J_tgt M = J_src, each J the intersection matrix
-    # stored with its own basis
-    J_src, J_tgt = src.basis.intersection, tgt.basis.intersection
-    if not lattice.mat_eq(lattice.matmul(lattice.transpose(M), lattice.matmul(J_tgt, M)), J_src):
+    # symplectic: M K_src M^T = K_tgt, each K the cup matrix of its own basis
+    if not lattice.mat_eq(lattice.matmul(M, lattice.matmul(src.basis.cup, lattice.transpose(M))),
+                          tgt.basis.cup):
         raise ArithmeticError("cocycle matrix is not symplectic")
     if src.splitting is not None:
         I_s, I_t = src.splitting.action, tgt.splitting.action
@@ -139,11 +142,28 @@ def _move_matrix(src: StateData, tgt: StateData, F) -> list[list[int]]:
     return M
 
 
-def _restrict(M, src_basis, tgt_basis, tgt_coords, name: str) -> tuple[tuple[int, ...], ...]:
-    """Coordinates X = C_tgt (M B_src) of M on one eigenlattice; raises
-    ArithmeticError unless they reconstruct it, M B_src == B_tgt X."""
+def _restrict(M, src_basis, tgt_basis, name: str) -> tuple[tuple[int, ...], ...]:
+    """Coordinates X of M on one eigenlattice, M B_src == B_tgt X.
+
+    B_tgt is a Hermite basis: column j is zero above its pivot row p_j and
+    positive there, with p_0 < p_1 < ..., so row p_j of B_tgt X involves
+    x_0..x_j alone and X follows by forward substitution on the pivot
+    rows.  Raises ArithmeticError on a division that is not exact, or
+    unless X reconstructs every row; when X exists it is unique.
+    """
     MB = lattice.matmul(M, src_basis)
-    X = lattice.matmul(tgt_coords, MB)
+    k = len(tgt_basis[0]) if tgt_basis else 0
+    pivots = [next(i for i, row in enumerate(tgt_basis) if row[j]) for j in range(k)]
+    X = []
+    for j, p in enumerate(pivots):
+        row, y = tgt_basis[p], MB[p]
+        for l in range(j):
+            if row[l]:
+                y = [a - row[l] * b for a, b in zip(y, X[l])]
+        qr = [divmod(a, row[j]) for a in y]
+        if any(rem for _, rem in qr):
+            raise ArithmeticError(f"move does not preserve the {name} lattice")
+        X.append([q for q, _ in qr])
     if not lattice.mat_eq(MB, lattice.matmul(tgt_basis, X)):
         raise ArithmeticError(f"move does not preserve the {name} lattice")
     return tuple(tuple(r) for r in X)
@@ -215,8 +235,8 @@ class StateCache:
         sp, tp = src.splitting, tgt.splitting
         tr = Transition(
             target=target,
-            plus=_restrict(M, sp.plus_basis, tp.plus_basis, tp.plus_coords, "invariant"),
-            minus=_restrict(M, sp.minus_basis, tp.minus_basis, tp.minus_coords, "anti-invariant"),
+            plus=_restrict(M, sp.plus_basis, tp.plus_basis, "invariant"),
+            minus=_restrict(M, sp.minus_basis, tp.minus_basis, "anti-invariant"),
         )
         self.transitions[memo] = tr
         return tr

@@ -3,8 +3,9 @@
 A cyclic datum (N, a1..a4) with sum(a) divisible by N and
 gcd(a1,..,a4,N) = 1 describes the degree-N cover where the loop around
 corner i acts by x -> x + a_i on Z/N.  The convention 0 < a_i <= N makes
-a_i = N the "unbranched at corner i" case.  Everything downstream
-(ramification tables, genus, pole counts, bound checks) is exact integer
+a_i = N the "unbranched at corner i" case: corner i branches, with
+orbits of length N / gcd(N, a_i) > 1, exactly when a_i != N.  Everything
+downstream (genus, pole counts, bound checks) is exact integer
 arithmetic.
 """
 
@@ -19,10 +20,8 @@ from .permutations import Perm, compose_all, cycles, identity, is_permutation, i
 
 __all__ = [
     "CyclicCoverSpec",
-    "Ramification",
     "CoverReport",
     "BoundVerdict",
-    "DeterminantVerdict",
     "LocusSpec",
     "LocusMetadata",
     "cyclic_to_pillow",
@@ -57,24 +56,6 @@ class CyclicCoverSpec:
             raise ValueError("sum of corner integers must be divisible by N")
 
 
-@dataclass(frozen=True)
-class Ramification:
-    """Cycle data of one corner monodromy: ``cycles`` orbits of length
-    ``length`` each (length 1 means the corner is unbranched there)."""
-
-    corner: int
-    cycles: int
-    length: int
-
-
-def ramification_table(s: CyclicCoverSpec) -> tuple[Ramification, ...]:
-    out = []
-    for i, ai in enumerate(s.a):
-        g = math.gcd(s.N, ai)
-        out.append(Ramification(corner=i, cycles=g, length=s.N // g))
-    return tuple(out)
-
-
 def cyclic_to_pillow(s: CyclicCoverSpec) -> PillowCover:
     """The cover itself: each corner loop acts by translation on Z/N."""
     perms = [tuple((x + ai) % s.N for x in range(s.N)) for ai in s.a]
@@ -94,45 +75,20 @@ class CoverReport:
 
 def cover_report(s: CyclicCoverSpec) -> CoverReport:
     stratum = pillow_stratum(cyclic_to_pillow(s))
-    branch = sum(1 for r in ramification_table(s) if r.length > 1)
     return CoverReport(
         degree=s.N,
         genus=stratum.genus,
         stratum=stratum,
         n=stratum.num_poles,
-        branch_count=branch,
+        branch_count=sum(ai != s.N for ai in s.a),
     )
 
 
-@dataclass(frozen=True)
-class DeterminantVerdict:
-    """Boolean plus the reason; truthiness is the flag itself."""
-
-    flag: bool
-    reason: str
-
-    def __bool__(self) -> bool:
-        return self.flag
-
-
-def is_determinant_locus(s: CyclicCoverSpec) -> DeterminantVerdict:
-    """Whether the cyclic cover is forced to be degenerate.
-
-    Primary form: some corner integer equals N (that corner loop acts
-    trivially).  Cross-checked against the ramification table: branching
-    at three or fewer of the four corners.  The two must agree.
-    """
-    trivial = [i for i, ai in enumerate(s.a) if ai == s.N]
-    flag = bool(trivial)
-    branch = sum(1 for r in ramification_table(s) if r.length > 1)
-    if flag != (branch <= 3):
-        raise ArithmeticError("determinant-locus criteria disagree")
-    if flag:
-        which = ", ".join(str(i + 1) for i in trivial)
-        reason = f"corner(s) {which} unbranched (a_i = N)"
-    else:
-        reason = "all four corners branched"
-    return DeterminantVerdict(flag=flag, reason=reason)
+def is_determinant_locus(s: CyclicCoverSpec) -> bool:
+    """Whether the cyclic cover is forced to be degenerate: some corner
+    integer equals N, so that corner loop acts trivially and the cover is
+    branched at three corners or fewer."""
+    return any(ai == s.N for ai in s.a)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,12 @@ permutation, two edges per square (its bottom edge ``sigma_i`` and left
 edge ``tau_i``), one face per square.  A basis of H_1 and its dual
 coordinate functionals come from a tree-cotree decomposition (Eppstein,
 "Dynamic generators of topologically embedded graphs", SODA 2003), with
-entries in {-1, 0, 1}.  The intersection form of the cycles is kept as
-it comes, with no normal form imposed; it is exact, so downstream code
-checks symplecticity of transported matrices on the nose against it.
+entries in {-1, 0, 1}.  The cup matrix K of the functionals is kept as
+it comes, with no normal form imposed.  It is exact and unimodular, so
+downstream code checks a transported matrix M on the nose against it:
+M K_src M^T == K_tgt, with no inverse.  The eigenlattices of a deck
+involution are kept as Hermite bases alone; coordinates on them are read
+off by substitution where a move needs them.
 
 Edge indexing: ``sigma_i`` is edge ``i``, ``tau_i`` is edge ``d + i``.
 """
@@ -129,12 +132,13 @@ def _cup_matrix(o: Origami, alphas, betas) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class HomologyBasis:
-    """Integral basis of H_1 with dual functionals and intersection form.
+    """Integral basis of H_1 with dual functionals and their cup matrix.
 
     ``cycles``: 2d x r integer matrix, columns are cycle representatives in
     the edge basis.  ``functionals``: r x 2d, rows are cocycles with
-    functionals @ cycles == I and functionals @ d2 == 0.  ``intersection``:
-    the intersection numbers of the cycles, in no normal form.  ``d1`` and
+    functionals @ cycles == I and functionals @ d2 == 0.  ``cup``: the cup
+    products of the functionals, antisymmetric and unimodular, in no
+    normal form; the cycles pair as minus its inverse.  ``d1`` and
     ``d2``: the boundary of edges (V x 2d) and of faces (2d x d), built
     once with the basis.
     """
@@ -143,7 +147,7 @@ class HomologyBasis:
     rank: int
     cycles: tuple[tuple[int, ...], ...]
     functionals: tuple[tuple[int, ...], ...]
-    intersection: tuple[tuple[int, ...], ...]
+    cup: tuple[tuple[int, ...], ...]
     d1: tuple[tuple[int, ...], ...]
     d2: tuple[tuple[int, ...], ...]
 
@@ -153,10 +157,11 @@ def homology_basis(o: Origami) -> HomologyBasis:
 
     Raises ArithmeticError unless the cycles are cycles, the functionals
     kill boundaries and are dual to them, and their cup matrix is
-    antisymmetric; ValueError unless it is unimodular.  The cycles are
-    then a Z-basis with no torsion check: x -> C x maps H_1 onto Z^r, and
-    two forests leave at least E - (V - c) - (F - c) = rank H_1 edges over
-    on c components, so the ranks agree and the map is an isomorphism.
+    antisymmetric; ValueError unless it is unimodular, which one Hermite
+    pass decides exactly: its H is the identity.  The cycles are then a
+    Z-basis with no torsion check: x -> C x maps H_1 onto Z^r, and two
+    forests leave at least E - (V - c) - (F - c) = rank H_1 edges over on
+    c components, so the ranks agree and the map is an isomorphism.
     """
     classes = _vertex_classes(o)
     d1, d2 = _boundary_matrices(o, classes)
@@ -171,13 +176,14 @@ def homology_basis(o: Origami) -> HomologyBasis:
     cup = _cup_matrix(o, C, C)
     if any(cup[i][j] != -cup[j][i] for i in range(r) for j in range(i, r)):
         raise ArithmeticError("cup pairing is not antisymmetric")
+    if not lattice.mat_eq(lattice.hermite(cup)[1], lattice.eye(r)):
+        raise ValueError("cup matrix is not unimodular")
     return HomologyBasis(
         origami=o,
         rank=r,
         cycles=tuple(tuple(row) for row in B),
         functionals=tuple(tuple(row) for row in C),
-        # the cycles pair as minus the inverse cup matrix of their duals
-        intersection=tuple(tuple(-x for x in row) for row in lattice.unimodular_inverse(cup)),
+        cup=tuple(tuple(row) for row in cup),
         d1=tuple(tuple(row) for row in d1),
         d2=tuple(tuple(row) for row in d2),
     )
@@ -212,15 +218,14 @@ def involution_on_homology(basis: HomologyBasis, iota: Perm) -> list[list[int]]:
 class InvolutionSplitting:
     """Saturated eigenlattices of an involution on H_1.
 
-    ``plus_basis``/``minus_basis``: r x k column matrices; ``plus_coords``/
-    ``minus_coords``: integer left inverses (coordinates on each summand).
+    ``plus_basis``/``minus_basis``: r x k column matrices in column Hermite
+    normal form (lower echelon, positive pivots), which fixes them given
+    the lattice.
     """
 
     action: tuple[tuple[int, ...], ...]
     plus_basis: tuple[tuple[int, ...], ...]
-    plus_coords: tuple[tuple[int, ...], ...]
     minus_basis: tuple[tuple[int, ...], ...]
-    minus_coords: tuple[tuple[int, ...], ...]
 
     @property
     def dim_plus(self) -> int:
@@ -242,12 +247,8 @@ def involution_splitting(basis: HomologyBasis, iota: Perm) -> InvolutionSplittin
     if len(plus) + len(minus) != r:
         raise ArithmeticError("eigenlattices do not fill H_1")
     Bp, Bm = ([[c[i] for c in cols] for i in range(r)] for cols in (plus, minus))
-    Cp = lattice.left_inverse(Bp) if plus else []
-    Cm = lattice.left_inverse(Bm) if minus else []
     return InvolutionSplitting(
         action=tuple(tuple(row) for row in I),
         plus_basis=tuple(tuple(row) for row in Bp),
-        plus_coords=tuple(tuple(row) for row in Cp),
         minus_basis=tuple(tuple(row) for row in Bm),
-        minus_coords=tuple(tuple(row) for row in Cm),
     )

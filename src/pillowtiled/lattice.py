@@ -2,9 +2,12 @@
 
 ``hermite`` brings a matrix to column Hermite normal form by unimodular
 column operations, reducing each pivot row as it goes so entries stay
-small; kernels, left inverses and unimodular inverses are read off its
-output.  The pipeline needs no invariant factors: the homology basis
-comes from a tree-cotree decomposition and needs no torsion check.
+small; kernels are read off its output, and a square matrix is
+unimodular exactly when its H is the identity.  Nothing here inverts a
+matrix: the homology layer checks moves against cup matrices, and reads
+eigenlattice coordinates off a Hermite basis by substitution.  The
+pipeline needs no invariant factors: the homology basis comes from a
+tree-cotree decomposition and needs no torsion check.
 ``smith_normal_form`` is a stub with no body that stays only because the
 benchmark tracer looks it up by name.
 
@@ -254,10 +257,6 @@ def smith_normal_form(a: list[list[int]]):
     raise NotImplementedError("smith_normal_form has no implementation; nothing calls it")
 
 
-def _leading_columns(a: list[list[int]], k: int) -> list[list[int]]:
-    return [[row[j] for row in a] for j in range(k)]
-
-
 def kernel_basis(a: list[list[int]]) -> list[list[int]]:
     """Columns spanning ker(a) over Z (a saturated sublattice).
 
@@ -266,33 +265,4 @@ def kernel_basis(a: list[list[int]]) -> list[list[int]]:
     """
     pivots, _, V = hermite(a)
     _, H, _ = hermite([row[len(pivots):] for row in V])
-    return _leading_columns(H, shape(a)[1] - len(pivots))
-
-
-def left_inverse(k: list[list[int]]) -> list[list[int]]:
-    """Integer L with L @ k == I, for k with saturated full-rank column span.
-
-    With k^T @ V == H in Hermite form, the columns of k span a saturated
-    rank-n sublattice exactly when H's leading n x n block is unitriangular;
-    reduced, that block is I, and L is the transpose of V's first n columns.
-    """
-    n = shape(k)[1]
-    pivots, H, V = hermite(transpose(k))
-    if pivots != list(range(n)) or any(H[i][i] != 1 for i in range(n)):
-        raise ValueError("column span is not a saturated rank-n sublattice")
-    return _leading_columns(V, n)
-
-
-def unimodular_inverse(a: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix.
-
-    a @ V == H with H unitriangular exactly when a is unimodular; reduced,
-    H is I, so the inverse is V.
-    """
-    n, n2 = shape(a)
-    if n != n2:
-        raise ValueError(f"not a square matrix: {shape(a)}")
-    pivots, H, V = hermite(a)
-    if pivots != list(range(n)) or any(H[i][i] != 1 for i in range(n)):
-        raise ValueError("matrix is not unimodular")
-    return V
+    return [[row[j] for row in H] for j in range(shape(a)[1] - len(pivots))]

@@ -16,11 +16,7 @@ whose log|diag R| fill one vector, the H1+ entries first.  In exact
 arithmetic the QR of a block-diagonal frame is block-diagonal; the
 Householder steps leave about 1e-17 in the off-diagonal blocks of Q,
 which are set back to exact zeros after every QR, so the two parts never
-mix.  This frame replaced two, one per part, with two products per digit
-and two QRs per flush.  On a seed-239 ``mc_certify`` benchmark pass the
-QR calls fell from 21,095 to 11,773 and the exponents moved at round-off
-(at most 1.5e-11 over 1368 output floats), while the taut times, block
-slopes, warnings and verdicts stayed the same.
+mix.
 
 A certificate reads the invariant spectrum alone, so ``certify_degenerate``
 walks H1+ alone: its cycles, digit matrices, frame and QRs leave H1- out,
@@ -36,8 +32,7 @@ the tautological 1 on top, so between flushes each block's condition
 number stays at most about e^12 and a QR loses about 2^-52 e^12 ~ 4e-11
 of relative accuracy in diag R.  In exact arithmetic the R-diagonal product
 over a block does not depend on the flush times, so the exponents depend
-on this rule at round-off only; they moved at that level when it replaced
-a flush every 20 moves, which made one large digit cost a QR of its own.
+on this rule at round-off only.
 
 Large digits are cheap: each generator permutes the finite set of
 canonical states along a cycle, so gen^a factors as (partial walk) x
@@ -168,7 +163,6 @@ class _Walker:
 
     def __init__(self, cover: PillowCover, with_minus: bool = True):
         o, iota = orientation_double_cover(cover)
-        self.cover = cover
         self.with_minus = with_minus
         self.cache = shared_state_cache()
         self.anchor = self.key = self.cache.canonical_key(o, iota)
@@ -241,31 +235,25 @@ def _orthonormalize(F, dp: int, mp: int):
     return Q, R
 
 
-def run_monte_carlo(
-    cover: PillowCover,
-    steps: int,
-    seed: int,
-    *,
-    _walker: _Walker | None = None,
-) -> LyapunovEstimate:
+def run_monte_carlo(cover: PillowCover, steps: int, seed: int) -> LyapunovEstimate:
     """Estimate the non-negative exponent spectrum of one cover.
 
     ``steps`` counts continued-fraction digits, at least ``_BLOCKS``.
-    ``_walker`` is internal: a walker over ``cover`` shared by the runs of
-    ``_run_seeds``.  A walker without H1- gives ``lambda_minus`` and
-    ``stderr_minus`` ``()``, the full run's H1+ floats up to round-off
-    and its tautological fields exactly.
+    """
+    return _estimate(_Walker(cover), steps, seed)
+
+
+def _estimate(walker: _Walker, steps: int, seed: int) -> LyapunovEstimate:
+    """One run from the walker's anchor; see :func:`run_monte_carlo`.
+
+    A walker without H1- gives ``lambda_minus`` and ``stderr_minus``
+    ``()``, the full run's H1+ floats up to round-off and its tautological
+    fields exactly.
     """
     block = _BLOCKS
     if steps < block:
         raise ValueError("steps must be at least the number of blocks")
-    if _walker is None:
-        walker = _Walker(cover)
-    elif _walker.cover != cover:
-        raise ValueError("the shared walker was built for another cover")
-    else:
-        walker = _walker
-        walker.key = walker.anchor
+    walker.key = walker.anchor
     dp, dm = walker.dim_plus, walker.dim_minus
     mp, mm = dp // 2, dm // 2
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -374,7 +362,7 @@ def run_monte_carlo(
 def _run_seeds(
     cover: PillowCover, steps: int, seeds, *, with_minus: bool = True
 ) -> tuple[LyapunovEstimate, ...]:
-    """One run_monte_carlo per seed, all on one walker.
+    """One run per seed, all on one walker.
 
     The walker's states, transitions, cycles and digit memo depend on the
     cover only, and the seed drives only the random stream, so the
@@ -382,7 +370,7 @@ def _run_seeds(
     H1+ alone.
     """
     walker = _Walker(cover, with_minus)
-    return tuple(run_monte_carlo(cover, steps, s, _walker=walker) for s in seeds)
+    return tuple(_estimate(walker, steps, s) for s in seeds)
 
 
 @dataclass(frozen=True)
@@ -432,7 +420,7 @@ def certify_degenerate(
         cover = target
     elif isinstance(target, CyclicCoverSpec):
         cover = cyclic_to_pillow(target)
-        criterion = bool(is_determinant_locus(target))
+        criterion = is_determinant_locus(target)
     else:
         raise TypeError("target must be a PillowCover or CyclicCoverSpec")
 

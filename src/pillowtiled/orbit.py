@@ -42,8 +42,8 @@ that orbit back at once, with no move, no further labelling and no check:
 each check is relabeling-invariant and already ran on every vertex of the
 orbit when it was first closed, the stratum included, since every vertex
 of an origami orbit has the stratum of its seed.  The vertices and edges
-are sorted, so only ``base`` depends on the seed, and the graph is the one
-a fresh closure would give.  A hit obeys the cap as the closure does: it
+are sorted, so the graph does not depend on the seed, and it is the one a
+fresh closure would give.  A hit obeys the cap as the closure does: it
 raises :class:`OrbitCapExceeded` iff the orbit has more vertices than the
 cap.  A closure that raised is not kept.
 
@@ -218,7 +218,6 @@ class OrbitGraph:
     """
 
     d: int
-    base: tuple[Perm, ...]
     vertices: tuple[tuple[Perm, ...], ...]
     edges: tuple[tuple[int, str, int], ...]
 
@@ -291,7 +290,7 @@ def _recall(perms: tuple[Perm, ...], d: int, cap: int) -> tuple[tuple[Perm, ...]
         raise OrbitCapExceeded(cap)
     vertices = tuple(_unpacked(key, d) for key in keys)
     edges = tuple((i >> 1, "ST"[i & 1], b) for i, b in enumerate(targets))
-    return seed, OrbitGraph(d=d, base=seed, vertices=vertices, edges=edges)
+    return seed, OrbitGraph(d=d, vertices=vertices, edges=edges)
 
 
 def _close_orbit(seed: tuple[Perm, ...], d: int, step, check, cap: int) -> OrbitGraph:
@@ -320,7 +319,7 @@ def _close_orbit(seed: tuple[Perm, ...], d: int, step, check, cap: int) -> Orbit
     index = {w: i for i, w in enumerate(vertices)}
     edges = tuple(sorted((index[a], g, index[b]) for a, g, b in edges))
     _remember(vertices, edges, d)
-    return OrbitGraph(d=d, base=seed, vertices=vertices, edges=edges)
+    return OrbitGraph(d=d, vertices=vertices, edges=edges)
 
 
 def enumerate_orbit(o: Origami, cap: int = DEFAULT_ORBIT_CAP) -> OrbitGraph:

@@ -7,7 +7,7 @@ in ``tests/test_orbit.py``: permutation powers and conjugates, the
 quotient stratum and the inverse of the orientation double cover, one
 move of a raw surface or double cover with its check, the transport of
 H_1 along a raw word of moves, the cup product of one pair of 1-cochains,
-the largest finite order in GL(n, Z) by a DP over every degree, the
+an integer left inverse of a saturated basis, the largest finite order in GL(n, Z) by a DP over every degree, the
 closed-form exponents of a cyclic cover, and the order at infinity of a
 quadratic differential.
 """
@@ -296,14 +296,29 @@ def induced_cocycle(o: Origami, word, iota: Perm | None = None):
         if iota is None:
             nxt = cocycle.StateData(apply_generator(cur.origami, gen))
         else:
-            nxt = cocycle.StateData(*apply_state_generator(cur.origami, cur.iota, gen))
+            o2, iota = apply_state_generator(cur.origami, iota, gen)
+            nxt = cocycle.StateData(o2, iota)
         step = cocycle._move_matrix(cur, nxt, cocycle.chain_map(cur.origami, gen))
         M = lattice.matmul(step, M)
         cur = nxt
     cm = CocycleMatrix(matrix=tuple(tuple(r) for r in M), word=word)
     if iota is None:
         return cm, cur.origami
-    return cm, cur.origami, cur.iota
+    return cm, cur.origami, iota
+
+
+def left_inverse(k: list[list[int]]) -> list[list[int]]:
+    """Integer L with L @ k == I, for k with saturated full-rank column span.
+
+    With k^T @ V == H in Hermite form, the columns of k span a saturated
+    rank-n sublattice exactly when H's leading n x n block is unitriangular;
+    reduced, that block is I, and L is the transpose of V's first n columns.
+    """
+    n = lattice.shape(k)[1]
+    pivots, H, V = lattice.hermite(lattice.transpose(k))
+    if pivots != list(range(n)) or any(H[i][i] != 1 for i in range(n)):
+        raise ValueError("column span is not a saturated rank-n sublattice")
+    return [[row[j] for row in V] for j in range(n)]
 
 
 def cup(o: Origami, alpha, beta) -> int:

@@ -42,7 +42,13 @@ from pillowtiled.permsurf import (
     random_origami,
     random_pillow_cover,
 )
-from tests.reference import apply_generator, induced_cocycle, reconstruct_pillow_cover
+from pillowtiled.permutations import identity
+from tests.reference import (
+    apply_generator,
+    cyclic_exponents,
+    induced_cocycle,
+    reconstruct_pillow_cover,
+)
 
 
 def prime_family(p):
@@ -69,13 +75,20 @@ def test_prime_family_exact_structure():
 
 
 def test_determinant_criteria_agree_exhaustively():
+    # on every spec with N <= 12 the criterion holds exactly when the
+    # closed-form exponents all vanish (an oracle written from the formula
+    # in tests/reference.py), and branch_count counts the corners whose
+    # permutation moves a sheet
     start = time.perf_counter()
     total = 0
     for N in range(1, 13):
         for spec in iter_specs(N):
-            verdict = is_determinant_locus(spec)  # internally cross-asserted
+            verdict = is_determinant_locus(spec)
+            assert verdict == (not any(cyclic_exponents(spec.N, spec.a))), spec
             rep = cover_report(spec)
-            assert bool(verdict) == (rep.branch_count <= 3)
+            moved = sum(g != identity(N) for g in cyclic_to_pillow(spec).corner_perms())
+            assert rep.branch_count == moved, spec
+            assert verdict == (rep.branch_count <= 3), spec
             total += 1
     assert total > 1000
     assert time.perf_counter() - start < 10.0
@@ -190,19 +203,19 @@ def test_structural_property_suite():
 
     for _ in range(100):
         o = random_origami(int(rng.integers(2, 8)), rng)
-        # symplectic invariance along a random word: M^T G_tgt M == G_src,
-        # each G the intersection matrix of its own surface's basis
+        # symplectic invariance along a random word: M K_src M^T == K_tgt,
+        # each K the cup matrix of its own surface's basis
         word = "".join(rng.choice(["T", "S", "L"], size=3))
         M, final = induced_cocycle(o, word)
-        G_src = homology_basis(o).intersection
-        G_tgt = homology_basis(final).intersection
+        K_src = homology_basis(o).cup
+        K_tgt = homology_basis(final).cup
         Mm = [list(row) for row in M.matrix]
         r = len(Mm)
-        GM = [[sum(G_tgt[i][k] * Mm[k][j] for k in range(r)) for j in range(r)]
-              for i in range(r)]
-        MtGM = [[sum(Mm[k][i] * GM[k][j] for k in range(r)) for j in range(r)]
+        KMt = [[sum(K_src[i][k] * Mm[j][k] for k in range(r)) for j in range(r)]
+               for i in range(r)]
+        MKMt = [[sum(Mm[i][k] * KMt[k][j] for k in range(r)) for j in range(r)]
                 for i in range(r)]
-        assert MtGM == [list(row) for row in G_src]
+        assert MKMt == [list(row) for row in K_tgt]
         # stratum invariance and cylinder area
         for gen in ("S", "T"):
             assert origami_stratum(apply_generator(o, gen)) == origami_stratum(o)

@@ -9,6 +9,7 @@ import pytest
 
 from pillowtiled import cli, cocycle, orbit
 from pillowtiled.cli import RunConfig, main
+from pillowtiled.coverings import iter_specs
 from pillowtiled.formats import (
     ParseError,
     iter_input_lines,
@@ -22,6 +23,7 @@ from pillowtiled.formats import (
 from pillowtiled.lyapunov import DegeneracyCertificate
 from pillowtiled.permsurf import Origami, PillowCover
 from pillowtiled.permutations import parse_cycles
+from tests.recorded import CLI_DIGESTS, README_LOCUS_LINES
 
 
 FAMILY = "5 1 2 2 5"
@@ -413,6 +415,18 @@ CSV_SHA256 = {
     "bounds": "9f440b082e963b66473499682139c2bea307213b5f04ef17f22a10449a70bdf6",
     "locus": "4e172f095e2b50beda726eb9cfa82f451a7fd824a91529c869d2da513a5cf459",
 }
+
+
+@pytest.mark.parametrize("command", sorted(CLI_DIGESTS))
+def test_recorded_report_digests(tmp_path, capsys, command):
+    # pins branch_count, every bound status and the locus metadata
+    if command == "locus":
+        lines = README_LOCUS_LINES
+    else:
+        lines = [" ".join(map(str, (s.N, *s.a))) for N in range(1, 9) for s in iter_specs(N)]
+    status = cli.run(RunConfig(command=command, input_path=write(tmp_path, "in.txt", "\n".join(lines))))
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (status, digest) == CLI_DIGESTS[command]
 
 
 class TestJsonLayout:

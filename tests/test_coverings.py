@@ -13,10 +13,10 @@ from pillowtiled.coverings import (
     is_determinant_locus,
     iter_specs,
     locus_metadata,
-    ramification_table,
     sample_base_differential,
 )
 from pillowtiled.permsurf import pillow_stratum
+from pillowtiled.permutations import identity
 from tests.reference import cycle_type, order_at_infinity
 
 
@@ -42,7 +42,7 @@ class TestSpecValidation:
 
     def test_double_trivial_corner_is_fine(self):
         s = CyclicCoverSpec(4, (4, 4, 1, 3))
-        assert bool(is_determinant_locus(s))
+        assert is_determinant_locus(s)
 
 
 class TestCyclicToPillow:
@@ -62,11 +62,6 @@ class TestCyclicToPillow:
         r = cover_report(CyclicCoverSpec(4, (1, 1, 1, 1)))
         assert r.genus == 3
 
-    def test_ramification_table_counts(self):
-        table = ramification_table(CyclicCoverSpec(6, (2, 3, 1, 6)))
-        assert [(r.cycles, r.length) for r in table] == \
-            [(2, 3), (3, 2), (1, 6), (6, 1)]
-
     def test_report_consistent_with_stratum(self):
         for s in iter_specs(5):
             r = cover_report(s)
@@ -78,9 +73,7 @@ class TestCyclicToPillow:
 
 class TestDeterminantCriterion:
     def test_family_member_is_degenerate(self):
-        v = is_determinant_locus(CyclicCoverSpec(5, (1, 2, 2, 5)))
-        assert bool(v)
-        assert "4" in v.reason
+        assert is_determinant_locus(CyclicCoverSpec(5, (1, 2, 2, 5))) is True
 
     def test_control_is_not(self):
         assert not is_determinant_locus(CyclicCoverSpec(4, (1, 1, 1, 1)))
@@ -88,15 +81,14 @@ class TestDeterminantCriterion:
     @pytest.mark.parametrize("N", range(1, 10))
     def test_criteria_agree(self, N):
         for s in iter_specs(N):
-            flag = bool(is_determinant_locus(s))
+            flag = is_determinant_locus(s)
             assert flag == (cover_report(s).branch_count <= 3)
 
     def test_unbranched_pole_property(self):
         # every degenerate spec has a corner with trivial monodromy
         for s in iter_specs(8):
             if is_determinant_locus(s):
-                table = ramification_table(s)
-                assert any(r.length == 1 for r in table)
+                assert identity(8) in cyclic_to_pillow(s).corner_perms()
 
 
 class TestBounds:

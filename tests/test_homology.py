@@ -1,4 +1,4 @@
-"""Homology pipeline checks: exact bases, intersection form, involution."""
+"""Homology pipeline checks: exact bases, cup matrix, involution."""
 
 import os
 import random
@@ -25,7 +25,8 @@ from pillowtiled.permsurf import (
     random_origami,
 )
 from pillowtiled.permutations import parse_cycles
-from tests.reference import components, cup
+from tests.reference import components, cup, left_inverse
+from tests.test_lattice import _det
 from tests.test_permsurf import FIVE, FOUR, TORUS_COVER, cyclic_pillow
 
 
@@ -35,17 +36,17 @@ def as_lists(rows):
 
 def check_tree_cotree_basis(o, hb):
     """Entries in {-1, 0, 1}, rank twice the total genus, and an
-    antisymmetric G equal to -(cup matrix)^-1 of the functionals, the cup
-    taken one pair at a time by the reference formula."""
-    B, C, G = as_lists(hb.cycles), as_lists(hb.functionals), as_lists(hb.intersection)
+    antisymmetric cup matrix K of the functionals with determinant 1, the
+    cup taken one pair at a time by the reference formula."""
+    B, C, K = as_lists(hb.cycles), as_lists(hb.functionals), as_lists(hb.cup)
     assert {x for row in B + C for x in row} <= {-1, 0, 1}
     # Euler: V - 2d + d == 2 - 2 g on each of the c components
     cs, _ = _vertex_classes(o)
     assert hb.rank == 2 * len(components(o)) - len(cs) + o.d
     r = hb.rank
-    assert all(G[i][j] == -G[j][i] for i in range(r) for j in range(r))
-    cup_ref = [[cup(o, a, b) for b in C] for a in C]
-    assert lattice.matmul(cup_ref, G) == [[-x for x in row] for row in lattice.eye(r)]
+    assert all(K[i][j] == -K[j][i] for i in range(r) for j in range(r))
+    assert K == [[cup(o, a, b) for b in C] for a in C]
+    assert _det(K) == 1
 
 
 def test_boundary_squares_to_zero():
@@ -193,6 +194,34 @@ def test_basis_checks_raise_without_assertions():
     assert proc.returncode == 7, proc.stderr
 
 
+def test_a_scaled_cup_matrix_is_rejected_under_dash_o():
+    # twice the cup matrix is still antisymmetric and still passes every
+    # chain-level check; only the exact unimodularity check, one Hermite
+    # pass whose H must be I, can reject it, and it must with asserts
+    # stripped
+    code = (
+        "import sys\n"
+        "from pillowtiled import homology\n"
+        "from pillowtiled.permsurf import PillowCover, orientation_double_cover\n"
+        "if not sys.flags.optimize:\n"
+        "    raise SystemExit('not running under -O')\n"
+        "true_cup = homology._cup_matrix\n"
+        "homology._cup_matrix = lambda o, a, b: [[2 * x for x in row] for row in true_cup(o, a, b)]\n"
+        "perms = [tuple((x + a) % 5 for x in range(5)) for a in (1, 2, 2, 5)]\n"
+        "o, _ = orientation_double_cover(PillowCover(5, *perms))\n"
+        "try:\n"
+        "    homology.homology_basis(o)\n"
+        "except ValueError as exc:\n"
+        "    if 'not unimodular' not in str(exc):\n"
+        "        raise SystemExit(f'tripped {exc}')\n"
+        "    raise SystemExit(7)\n"
+        "raise SystemExit('a doubled cup matrix was accepted')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lattice.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
+    assert proc.returncode == 7, proc.stderr
+
+
 def test_a_state_builds_its_vertex_classes_once(monkeypatch):
     # the boundary maps and the tree-cotree forests share one pass over the
     # vertex classes, and the state reads the boundary maps off its basis
@@ -237,9 +266,9 @@ def test_involution_on_homology_is_symplectic_involution():
         I = involution_on_homology(hb, iota)
         r = hb.rank
         assert lattice.mat_eq(lattice.matmul(I, I), lattice.eye(r))
-        J = as_lists(hb.intersection)
-        IJI = lattice.matmul(lattice.transpose(I), lattice.matmul(J, I))
-        assert lattice.mat_eq(IJI, J)
+        K = as_lists(hb.cup)
+        IKI = lattice.matmul(I, lattice.matmul(K, lattice.transpose(I)))
+        assert lattice.mat_eq(IKI, K)
 
 
 @pytest.mark.parametrize("p,dplus,dminus", [
@@ -265,5 +294,6 @@ def test_splitting_is_exact():
     assert lattice.mat_eq(lattice.matmul(I, Bp), Bp)
     Bm = as_lists(sp.minus_basis)
     assert lattice.mat_eq(lattice.matmul(I, Bm), [[-x for x in row] for row in Bm])
-    assert lattice.mat_eq(lattice.matmul(as_lists(sp.plus_coords), Bp),
-                          lattice.eye(sp.dim_plus))
+    # both bases are saturated: each has an integer left inverse
+    for basis, dim in ((Bp, sp.dim_plus), (Bm, sp.dim_minus)):
+        assert lattice.mat_eq(lattice.matmul(left_inverse(basis), basis), lattice.eye(dim))

@@ -17,7 +17,7 @@ from pillowtiled import cocycle, lattice, lyapunov, orbit
 from pillowtiled.cocycle import StateCache, chain_map
 from pillowtiled.homology import homology_basis, involution_splitting
 from pillowtiled.lyapunov import LyapunovEstimate, certify_degenerate, run_monte_carlo
-from pillowtiled.lyapunov import _GenCycle, _run_seeds, _Walker
+from pillowtiled.lyapunov import _estimate, _GenCycle, _run_seeds, _Walker
 from pillowtiled.permsurf import (
     Origami,
     orientation_double_cover,
@@ -85,11 +85,8 @@ class TestChainMaps:
             cm, final = induced_cocycle(o, word)
             hb0, hb1 = homology_basis(o), homology_basis(final)
             M = [list(r) for r in cm.matrix]
-            MJM = lattice.matmul(
-                lattice.transpose(M),
-                lattice.matmul([list(r) for r in hb1.intersection], M),
-            )
-            assert lattice.mat_eq(MJM, [list(r) for r in hb0.intersection])
+            MKM = lattice.matmul(M, lattice.matmul([list(r) for r in hb0.cup], lattice.transpose(M)))
+            assert lattice.mat_eq(MKM, [list(r) for r in hb1.cup])
             # the word really lands on the surface obtained by applying moves
             check = o
             for gen in word:
@@ -292,9 +289,41 @@ class TestStateCache:
 
         for st in walker.cache.states.values():
             sp = st.splitting
-            for m in (st.basis.cycles, st.basis.functionals, sp.plus_basis, sp.plus_coords,
-                      sp.minus_basis, sp.minus_coords):
+            for m in (st.basis.cycles, st.basis.functionals, sp.plus_basis, sp.minus_basis):
                 assert bits(m) <= 16
+
+    def test_a_doubled_target_column_raises_under_dash_o(self):
+        # with one column of the target's + basis doubled, the moved + lattice
+        # is no longer in its span: the substitution meets a division that
+        # is not exact, and the move must be rejected with asserts stripped
+        code = (
+            "import dataclasses, sys\n"
+            "from pillowtiled import cocycle\n"
+            "from pillowtiled.permsurf import PillowCover, orientation_double_cover\n"
+            "if not sys.flags.optimize:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "perms = [tuple((x + a) % 5 for x in range(5)) for a in (1, 2, 2, 5)]\n"
+            "o, iota = orientation_double_cover(PillowCover(5, *perms))\n"
+            "cache = cocycle.StateCache()\n"
+            "key = cache.canonical_key(o, iota)\n"
+            "target = cache.transition(key, 'T').target\n"
+            "if target == key:\n"
+            "    raise SystemExit('T fixes the anchor')\n"
+            "tgt = cache.states[target]\n"
+            "plus = tuple((2 * row[0], *row[1:]) for row in tgt.splitting.plus_basis)\n"
+            "tgt.splitting = dataclasses.replace(tgt.splitting, plus_basis=plus)\n"
+            "cache.transitions.clear()\n"
+            "try:\n"
+            "    cache.transition(key, 'T')\n"
+            "except ArithmeticError as exc:\n"
+            "    if 'invariant lattice' not in str(exc):\n"
+            "        raise SystemExit(f'tripped {exc}')\n"
+            "    raise SystemExit(7)\n"
+            "raise SystemExit('a doubled target column was accepted')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(lattice.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
+        assert proc.returncode == 7, proc.stderr
 
 
 class TestSharedStateCache:
@@ -434,7 +463,8 @@ class TestSharedStateCache:
         def cut(*args):
             raise Cut
 
-        walker = _Walker(cyclic_pillow(5, (1, 2, 2, 5)))
+        cover = cyclic_pillow(5, (1, 2, 2, 5))
+        walker = _Walker(cover)
         cache, key = walker.cache, walker.anchor
         # a state build cut off after its homology basis
         cache.states.pop(key)
@@ -458,9 +488,9 @@ class TestSharedStateCache:
                 cache.transition(key, "T")
         assert (key, "T") not in cache.transitions
         assert all(st.splitting is not None for st in cache.states.values())
-        warm = run_monte_carlo(walker.cover, 600, 1)
+        warm = run_monte_carlo(cover, 600, 1)
         cocycle._clear_shared_cache()
-        assert run_monte_carlo(walker.cover, 600, 1) == warm
+        assert run_monte_carlo(cover, 600, 1) == warm
 
 
 class TestMonteCarlo:
@@ -507,13 +537,8 @@ class TestMonteCarlo:
         independent = tuple(run_monte_carlo(cover, 2000, s) for s in seeds)
         assert _run_seeds(cover, 2000, seeds) == independent
         walker = _Walker(cover)
-        shared = tuple(run_monte_carlo(cover, 2000, s, _walker=walker) for s in seeds)
+        shared = tuple(_estimate(walker, 2000, s) for s in seeds)
         assert shared == independent
-
-    def test_shared_walker_must_match_the_cover(self):
-        walker = _Walker(cyclic_pillow(5, (1, 2, 2, 5)))
-        with pytest.raises(ValueError):
-            run_monte_carlo(cyclic_pillow(3, (1, 1, 1, 3)), 100, 1, _walker=walker)
 
     @pytest.mark.parametrize("N, a", [(5, (1, 2, 2, 5)), (6, (1, 1, 5, 5)), (12, (1, 5, 7, 11))])
     def test_flush_timing_matches_an_every_digit_reference(self, monkeypatch, N, a):
@@ -595,7 +620,7 @@ class TestOneFrame:
         mp, mm = dp // 2, dm // 2
         counting = CountingNumPy()
         monkeypatch.setattr(lyapunov, "np", counting)
-        est = run_monte_carlo(cover, 3000, 1, _walker=walker)
+        est = _estimate(walker, 3000, 1)
         # the first QR orthonormalizes the initial frame; every other one is
         # a flush, at each of the 20 block ends and after each 12 nats
         assert 21 <= len(counting.frames) <= 21 + est.taut_time / lyapunov._RENORM_NATS
@@ -606,7 +631,7 @@ class TestOneFrame:
             assert not F[:dp, mp:].any() and not F[dp:, :mp].any()
         del counting.frames[:]
         monkeypatch.setattr(lyapunov, "_RENORM_NATS", -math.inf)  # flush every digit
-        run_monte_carlo(cover, 300, 1, _walker=walker)
+        _estimate(walker, 300, 1)
         assert len(counting.frames) == 300 + 1
 
     @pytest.mark.parametrize("N, a", ONE_FRAME_LINES, ids=ONE_FRAME_IDS)
@@ -670,11 +695,11 @@ class TestOneFrame:
 
         cover = cyclic_pillow(N, a)
         walker = _Walker(cover)
-        memo = run_monte_carlo(cover, 3000, 1, _walker=walker)
+        memo = _estimate(walker, 3000, 1)
         assert walker._memo  # the memo did serve this run
         walker = _Walker(cover)
         walker._memo = NoMemo()
-        assert run_monte_carlo(cover, 3000, 1, _walker=walker) == memo
+        assert _estimate(walker, 3000, 1) == memo
         assert not walker._memo
 
 
@@ -724,7 +749,7 @@ class TestCertifyScope:
         walkers = {scope: _Walker(cover, scope) for scope in (True, False)}
         for scope, walker in walkers.items():
             del draws[:]
-            run_monte_carlo(cover, 100, 1, _walker=walker)
+            _estimate(walker, 100, 1)
             dp, dm = walker.dim_plus, walker.dim_minus
             assert draws == [(dp, dp // 2), (dm, dm // 2), 2], scope
 
@@ -758,11 +783,11 @@ class TestCertifyScope:
         cover = SCOPE_LINES[name]
         seeds = (3, 1, 2, 3)
         independent = tuple(
-            run_monte_carlo(cover, 2000, s, _walker=_Walker(cover, with_minus=False))
+            _estimate(_Walker(cover, with_minus=False), 2000, s)
             for s in seeds)
         assert _run_seeds(cover, 2000, seeds, with_minus=False) == independent
         walker = _Walker(cover, with_minus=False)
-        shared = tuple(run_monte_carlo(cover, 2000, s, _walker=walker) for s in seeds)
+        shared = tuple(_estimate(walker, 2000, s) for s in seeds)
         assert shared == independent
 
 

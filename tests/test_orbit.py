@@ -503,7 +503,7 @@ def _reference_close(seed, d, step, cap):
         frontier = nxt
     vertices = tuple(sorted(order))
     index = {w: i for i, w in enumerate(vertices)}
-    return orbit.OrbitGraph(d=d, base=seed, vertices=vertices,
+    return orbit.OrbitGraph(d=d, vertices=vertices,
                             edges=tuple(sorted((index[a], g, index[b]) for a, g, b in edges)))
 
 
@@ -686,17 +686,19 @@ def test_a_warm_memo_closes_as_a_cold_one():
     orbit._clear_memo()
     warm = [_enumerate(kind, args) for kind, args in seeds]
     assert warm == cold
-    # the base is the seed's own canonical tuple, not the first closure's
-    assert any(a.base != b.base and a.vertices == b.vertices for a, b in zip(warm[::2], warm[1::2]))
     # each pair met one orbit, which was closed once
     assert len(orbit._memo_order) <= len(seeds) // 2
 
 
 @pytest.mark.parametrize("case", ["origami", "state"])
 def test_a_hit_labels_once_and_checks_nothing(monkeypatch, case):
-    g = enumerate_orbit(SEVEN) if case == "origami" else enumerate_state_orbit(*orientation_double_cover(FIVE))
-    # another vertex of the orbit, relabelled
-    w = next(w for w in g.vertices if w != g.base)
+    if case == "origami":
+        g, perms = enumerate_orbit(SEVEN), (SEVEN.h, SEVEN.v)
+    else:
+        o, iota = orientation_double_cover(FIVE)
+        g, perms = enumerate_state_orbit(o, iota), (o.h, o.v, iota)
+    # another vertex of the orbit than the seed's, relabelled
+    w = next(w for w in g.vertices if w != canonical_perms(perms, g.d))
     s = random_permutation(g.d, np.random.default_rng(79))
     h, v, *iota = (conjugate(p, s) for p in w)
     args = (Origami(g.d, h, v, allow_disconnected=True), *iota)
@@ -716,7 +718,6 @@ def test_a_hit_labels_once_and_checks_nothing(monkeypatch, case):
     monkeypatch.setattr(orbit, "_transport", no_move)
     hit = _enumerate(case, args)
     assert (hit.vertices, hit.edges) == (g.vertices, g.edges)
-    assert hit.base == w
     assert len(labelled) == 1
     assert counts == {"Origami.__post_init__": 0, "validate_involution": 0}
 
@@ -773,7 +774,7 @@ def test_a_hit_past_256_squares_unpacks_the_orbit():
     g = enumerate_orbit(Origami(d, tuple((x + 1) % d for x in range(d)), identity(d)))
     assert g.size == d + 1 and max(map(max, g.vertices[-1])) == d - 1
     w = g.vertices[g.size // 2]
-    assert enumerate_orbit(Origami(d, w[0], w[1])) == orbit.OrbitGraph(d, w, g.vertices, g.edges)
+    assert enumerate_orbit(Origami(d, w[0], w[1])) == orbit.OrbitGraph(d, g.vertices, g.edges)
     assert len(orbit._memo_order) == 1
 
 

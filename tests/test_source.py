@@ -328,3 +328,75 @@ def test_tracer_only_names():
     docstring, *rest = stub.body
     assert ast.get_docstring(stub) and isinstance(docstring, ast.Expr), ast.dump(docstring)
     assert [type(node) for node in rest] == [ast.Raise], [ast.dump(node) for node in rest]
+
+
+# classes that formats.json_ready writes whole into a CLI record, so every
+# field is read by the output itself
+WRITTEN_WHOLE = {"CoverReport", "EKZReport", "LyapunovEstimate"}
+# fields that stay with no attribute read, each with its reason
+UNREAD_ON_PURPOSE = {
+    "BFormReport.q_has_simple_pole": "part of the pairing report the README documents",
+    "DegeneracyCertificate.measured_degenerate": "a channel value behind a verdict, for library callers",
+    "DegeneracyCertificate.exact_degenerate": "a channel value behind a verdict, for library callers",
+    "OrbitCapExceeded.cap": "the cap a caller that catches the exception can read",
+}
+
+
+def _stored_fields(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, name) of every dataclass field, property and attribute that
+    ``__init__`` sets on ``self``, for each class of one module."""
+    out = []
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                out.append((cls.name, node.target.id))
+            elif isinstance(node, ast.FunctionDef):
+                if any(getattr(d, "id", None) == "property" for d in node.decorator_list):
+                    out.append((cls.name, node.name))
+                elif node.name == "__init__":
+                    out += [
+                        (cls.name, t.attr)
+                        for t in ast.walk(node)
+                        if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                        and getattr(t.value, "id", None) == "self"
+                    ]
+    return out
+
+
+def _unread_fields(src: Path = SRC) -> list[str]:
+    """Stored fields of ``src`` classes that no attribute read in ``src``
+    or the benchmark names, less the two exemptions above.  A read counts
+    by name alone, for every class with a field of that name, so a field
+    that shares its name with one read elsewhere passes unseen."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(src.glob("*.py"))}
+    assert trees, f"no sources under {src}"
+    read = {
+        node.attr
+        for tree in [*trees.values(), *(ast.parse(p.read_text()) for p in sorted(PERFBENCH.rglob("*.py")))]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"{cls}.{name}"
+        for tree in trees.values()
+        for cls, name in _stored_fields(tree)
+        if name not in read and cls not in WRITTEN_WHOLE and f"{cls}.{name}" not in UNREAD_ON_PURPOSE
+    )
+
+
+def test_every_field_is_read(tmp_path):
+    # a stored value that nothing reads costs memory and a reader's time;
+    # src/ keeps only what its own code, the benchmark or a whole-record
+    # writer reads
+    unread = _unread_fields()
+    assert not unread, "fields that nothing reads: " + ", ".join(unread)
+    # the guard sees a field added to a copy of the sources and never read
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    cocycle = tmp_path / "cocycle.py"
+    text = cocycle.read_text()
+    assert "    target: tuple[Perm, Perm, Perm]\n" in text
+    cocycle.write_text(text.replace(
+        "    target: tuple[Perm, Perm, Perm]\n",
+        "    target: tuple[Perm, Perm, Perm]\n    never_read_anywhere: int = 0\n"))
+    assert _unread_fields(tmp_path) == ["Transition.never_read_anywhere"]
