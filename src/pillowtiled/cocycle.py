@@ -1,23 +1,10 @@
-"""Chain-level transport of homology along affine moves.
+"""Transport of homology along affine moves.
 
-Each generator is realized as an explicit map on 1-chains (new labels on
-the left, so the matrix maps old edge coordinates to new ones):
-
-    T      sigma_i -> sigma_i            tau_i -> sigma_i + tau_{h(i)}
-    S      sigma_i -> -tau_i             tau_i -> sigma_{h^-1(i)}
-    L      sigma_i -> tau_i + sigma_{v(i)}   tau_i -> tau_i
-
-(The shear images are the diagonal segments re-expressed as lattice paths
-of the sheared tiling.  The quarter turn matching the convention
-``S.(h, v) = (v, h^-1)`` is the clockwise one, (x, y) -> (y, 1-x) on each
-square: it sends the bottom side of a square to its reversed left side
-and the left side to the top side, which is the bottom of the square
-above, i.e. of the new square h^-1(i).)
-
-On top of the raw chain maps this module holds the one move step,
-``_move_matrix``, which turns a chain map between two surfaces into an
-exact integer matrix on H_1, checked on the nose to be well defined,
-symplectic and deck-equivariant.  Symplectic is checked on the cup
+This module holds the one move step, ``_move_matrix``, which turns a
+move's chain map between two surfaces (``homology.move_rows``, a signed
+row map with the target's relabelling folded in) into an exact integer
+matrix on H_1, checked on the nose to be well defined, symplectic and
+deck-equivariant.  Symplectic is checked on the cup
 matrices K of the two bases, M K_src M^T == K_tgt, which needs no
 inverse: both K are unimodular, so it forces det M = +-1 and is then
 equivalent to M^T J_tgt M == J_src for the intersection matrices
@@ -62,38 +49,14 @@ from dataclasses import dataclass
 
 from . import lattice
 from .homology import HomologyBasis, InvolutionSplitting, homology_basis, involution_splitting
+from .homology import apply_rows, move_rows
 from .orbit import _move, _transport, canonical_labelling, canonical_perms
 from .permsurf import Origami, validate_involution
-from .permutations import Perm, inverse
+from .permutations import Perm
 
 __all__ = [
     "StateCache",
-    "chain_map",
 ]
-
-
-def chain_map(o: Origami, gen: str) -> list[list[int]]:
-    """2d x 2d integer matrix of the move on 1-chains (old basis -> new)."""
-    d = o.d
-    M = lattice.zeros(2 * d, 2 * d)
-    if gen == "T":
-        for i in range(d):
-            M[i][i] = 1
-            M[i][d + i] += 1
-            M[d + o.h[i]][d + i] += 1
-    elif gen == "S":
-        hinv = inverse(o.h)
-        for i in range(d):
-            M[d + i][i] = -1
-            M[hinv[i]][d + i] = 1
-    elif gen == "L":
-        for i in range(d):
-            M[d + i][d + i] = 1
-            M[d + i][i] += 1
-            M[o.v[i]][i] += 1
-    else:
-        raise ValueError(f"unknown generator {gen!r}")
-    return M
 
 
 class StateData:
@@ -117,18 +80,20 @@ class StateData:
         self.entries = sum(len(row) for m in mats for row in m)
 
 
-def _move_matrix(src: StateData, tgt: StateData, F) -> list[list[int]]:
-    """Matrix C_tgt F B_src of the chain map F on H_1, exactly checked.
+def _move_matrix(src: StateData, tgt: StateData, gen: str, label) -> list[list[int]]:
+    """Matrix C_tgt F B_src on H_1 of the chain map F of move ``gen``, its
+    new squares relabelled by ``label`` (``move_rows``), exactly checked.
 
     Raises ArithmeticError unless F maps cycles to cycles and boundaries
     into boundaries, and the matrix is symplectic and, when the surfaces
     carry a deck involution, commutes with it.
     """
-    FB = lattice.matmul(F, src.basis.cycles)
+    F = move_rows(src.origami, gen, label)
+    FB = apply_rows(F, src.basis.cycles)
     if any(any(row) for row in lattice.matmul(tgt.basis.d1, FB)):
         raise ArithmeticError("move does not map cycles to cycles")
     C = tgt.basis.functionals
-    if any(any(row) for row in lattice.matmul(C, lattice.matmul(F, src.basis.d2))):
+    if any(any(row) for row in lattice.matmul(C, apply_rows(F, src.basis.d2))):
         raise ArithmeticError("move does not respect boundaries")
     M = lattice.matmul(C, FB)
     # symplectic: M K_src M^T = K_tgt, each K the cup matrix of its own basis
@@ -223,15 +188,9 @@ class StateCache:
         # the closure's move step; canonicalize and keep the relabeling
         # that got us there.  The target is checked once, when built.
         h, v, iota = key
-        d = len(h)
-        target, label = canonical_labelling((*_move(h, v, gen), _transport(h, v, iota, gen)), d)
+        target, label = canonical_labelling((*_move(h, v, gen), _transport(h, v, iota, gen)), len(h))
         tgt = self.state(target)
-        # relabel the new squares: edge rows i and d + i move to label[i]
-        C = chain_map(src.origami, gen)
-        F = [None] * (2 * d)
-        for i, j in enumerate(label):
-            F[j], F[d + j] = C[i], C[d + i]
-        M = _move_matrix(src, tgt, F)
+        M = _move_matrix(src, tgt, gen, label)
         sp, tp = src.splitting, tgt.splitting
         tr = Transition(
             target=target,

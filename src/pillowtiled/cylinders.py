@@ -101,14 +101,12 @@ class EKZReport:
     residual_is_12x_sv: bool
 
 
-def ekz_sum(stratum: Stratum, n: int, sv: Fraction) -> EKZReport:
-    """Assemble the exact report; raises on inconsistent pole data."""
+def ekz_sum(stratum: Stratum, sv: Fraction) -> EKZReport:
+    """Assemble the exact report for a quadratic stratum with n =
+    ``stratum.num_poles`` simple poles."""
     if stratum.kind != "quadratic":
         raise ValueError("the sum rule here applies to quadratic strata")
-    if n != stratum.num_poles:
-        raise ValueError(
-            f"n={n} but the stratum lists {stratum.num_poles} simple poles"
-        )
+    n = stratum.num_poles
     zeros = [m for m in stratum.orders if m >= 0]
     kappa_term = sum(
         (Fraction(m * (m + 4), 24 * (m + 2)) for m in zeros), Fraction(0)
@@ -120,8 +118,6 @@ def ekz_sum(stratum: Stratum, n: int, sv: Fraction) -> EKZReport:
     partial = sum((Fraction(m, m + 2) for m in zeros), Fraction(0))
     residual = Fraction(n) - (2 * g - 2) - partial
     decomposition = (Fraction(2 * g - 2), partial, residual)
-    if sum(decomposition) != n:
-        raise ArithmeticError("the pole count decomposition does not sum to n")
     bound_chain = None
     if lyap_sum == 0:
         bound_chain = (Fraction(2 * g - 2), Fraction(2 * g - 2) + partial, Fraction(n))
@@ -145,4 +141,4 @@ def ekz_for_cover(p: PillowCover, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EKZRepo
     o, iota = orientation_double_cover(p)
     G = enumerate_state_orbit(o, iota, cap=orbit_cap)
     s = pillow_stratum(p)
-    return ekz_sum(s, s.num_poles, sv_term(G))
+    return ekz_sum(s, sv_term(G))

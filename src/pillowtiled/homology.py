@@ -12,7 +12,22 @@ M K_src M^T == K_tgt, with no inverse.  The eigenlattices of a deck
 involution are kept as Hermite bases alone; coordinates on them are read
 off by substitution where a move needs them.
 
-Edge indexing: ``sigma_i`` is edge ``i``, ``tau_i`` is edge ``d + i``.
+Edge indexing: ``sigma_i`` is edge ``i``, ``tau_i`` is edge ``d + i``;
+no other module knows it.  The moves act on 1-chains as (old edge ->
+image, in the moved surface's labels):
+
+    T      sigma_i -> sigma_i            tau_i -> sigma_i + tau_{h(i)}
+    S      sigma_i -> -tau_i             tau_i -> sigma_{h^-1(i)}
+    L      sigma_i -> tau_i + sigma_{v(i)}   tau_i -> tau_i
+
+(The shear images are the diagonal segments re-expressed as lattice paths
+of the sheared tiling.  The quarter turn matching the convention
+``S.(h, v) = (v, h^-1)`` is the clockwise one, (x, y) -> (y, 1-x) on each
+square: it sends the bottom side of a square to its reversed left side
+and the left side to the top side, which is the bottom of the square
+above, i.e. of the new square h^-1(i).)  So a row of F X is one row of X,
+negated or not, or the sum of two, and a chain map F is kept as that
+signed row map (``apply_rows``), never as a 2d x 2d matrix.
 """
 
 from __future__ import annotations
@@ -26,10 +41,11 @@ from .permsurf import Origami, _vertex_classes
 __all__ = [
     "HomologyBasis",
     "InvolutionSplitting",
+    "apply_rows",
     "homology_basis",
-    "involution_chain_map",
     "involution_on_homology",
     "involution_splitting",
+    "move_rows",
 ]
 
 
@@ -189,26 +205,46 @@ def homology_basis(o: Origami) -> HomologyBasis:
     )
 
 
-def involution_chain_map(o: Origami, iota: Perm) -> list[list[int]]:
-    """Action of a half-turn deck involution on 1-chains (2d x 2d).
+def apply_rows(rows, X) -> list[list[int]]:
+    """F X for a chain map F given as a signed row map: rows[k] == (c, *e)
+    says that row k of F X is c times the sum of the rows X[e]."""
+    return [[c * sum(col) for col in zip(*(X[e] for e in es))] for c, *es in rows]
+
+
+def move_rows(o: Origami, gen: str, label) -> list[tuple[int, ...]]:
+    """Signed row map of the move ``gen`` on 1-chains of ``o`` (the module
+    table), with square i of the moved surface relabelled label[i]."""
+    if gen not in ("T", "S", "L"):
+        raise ValueError(f"unknown generator {gen!r}")
+    d, h, v = o.d, o.h, o.v
+    F = [None] * (2 * d)
+    for i, j in enumerate(label):
+        if gen == "T":
+            F[j], F[d + label[h[i]]] = (1, i, d + i), (1, d + i)
+        elif gen == "S":
+            F[j], F[d + j] = (1, d + h[i]), (-1, i)
+        else:
+            F[label[v[i]]], F[d + j] = (1, i), (1, i, d + i)
+    return F
+
+
+def _involution_rows(o: Origami, iota: Perm) -> list[tuple[int, int]]:
+    """Signed row map of a half-turn deck involution on 1-chains.
 
     The half-turn sends the bottom edge of square a to the reversed top
     edge of iota(a), and the left edge to the reversed right edge:
     sigma_a -> -sigma_{v(iota(a))},  tau_a -> -tau_{h(iota(a))}.
     """
-    d = o.d
-    M = lattice.zeros(2 * d, 2 * d)
+    d, rows = o.d, [None] * (2 * o.d)
     for a in range(d):
-        M[o.v[iota[a]]][a] = -1
-        M[d + o.h[iota[a]]][d + a] = -1
-    return M
+        rows[o.v[iota[a]]], rows[d + o.h[iota[a]]] = (-1, a), (-1, d + a)
+    return rows
 
 
 def involution_on_homology(basis: HomologyBasis, iota: Perm) -> list[list[int]]:
     """r x r integral matrix of the involution on H_1; squares to identity."""
-    o = basis.origami
-    M = involution_chain_map(o, iota)
-    I = lattice.matmul(basis.functionals, lattice.matmul(M, basis.cycles))
+    IB = apply_rows(_involution_rows(basis.origami, iota), basis.cycles)
+    I = lattice.matmul(basis.functionals, IB)
     if not lattice.mat_eq(lattice.matmul(I, I), lattice.eye(basis.rank)):
         raise ValueError("the deck map does not act as an involution on H_1")
     return I
@@ -239,9 +275,8 @@ class InvolutionSplitting:
 def involution_splitting(basis: HomologyBasis, iota: Perm) -> InvolutionSplitting:
     I = involution_on_homology(basis, iota)
     r = basis.rank
-    ident = lattice.eye(r)
-    minus_id = [[I[i][j] - ident[i][j] for j in range(r)] for i in range(r)]
-    plus_id = [[I[i][j] + ident[i][j] for j in range(r)] for i in range(r)]
+    minus_id = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(I)]
+    plus_id = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(I)]
     plus = lattice.kernel_basis(minus_id)   # I x = x
     minus = lattice.kernel_basis(plus_id)   # I x = -x
     if len(plus) + len(minus) != r:

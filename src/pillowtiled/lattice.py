@@ -2,12 +2,13 @@
 
 ``hermite`` brings a matrix to column Hermite normal form by unimodular
 column operations, reducing each pivot row as it goes so entries stay
-small; kernels are read off its output, and a square matrix is
-unimodular exactly when its H is the identity.  Nothing here inverts a
-matrix: the homology layer checks moves against cup matrices, and reads
-eigenlattice coordinates off a Hermite basis by substitution.  The
-pipeline needs no invariant factors: the homology basis comes from a
-tree-cotree decomposition and needs no torsion check.
+small, and forms no transform; a kernel is read off one pass over the
+matrix stacked on the identity, and a square matrix is unimodular exactly
+when its H is the identity.  Nothing here inverts a matrix: the homology
+layer checks moves against cup matrices, and reads eigenlattice
+coordinates off a Hermite basis by substitution.  The pipeline needs no
+invariant factors: the homology basis comes from a tree-cotree
+decomposition and needs no torsion check.
 ``smith_normal_form`` is a stub with no body that stays only because the
 benchmark tracer looks it up by name.
 
@@ -192,19 +193,17 @@ def quasi_unipotent_powers(c: list[list[int]]):
 
 
 def hermite(a: list[list[int]]):
-    """Column Hermite normal form: (pivot_rows, H, V) with a @ V == H.
+    """Column Hermite normal form (pivot_rows, H) of a, with no transform.
 
-    V is unimodular.  H is lower echelon: its column j < len(pivot_rows)
-    is zero above row pivot_rows[j] and positive there, and the remaining
-    columns are zero, so those columns of V span ker(a).  Every entry of a
-    pivot row left of its pivot is reduced into [0, pivot).  The reduction
-    is done as each pivot is found (Kannan-Bachem; Cohen, GTM 138, 2.4):
-    it keeps the entries of H and V small, and it makes H exactly the
-    identity when a is unimodular.
+    H == a @ V for a unimodular V that is not formed.  H is lower echelon:
+    its column j < len(pivot_rows) is zero above row pivot_rows[j] and
+    positive there, and the remaining columns are zero.  Every entry of a
+    pivot row left of its pivot is reduced into [0, pivot) as each pivot is
+    found (Kannan-Bachem; Cohen, GTM 138, 2.4): it keeps the entries of H
+    small, and it makes H exactly the identity when a is unimodular.
     """
     m, n = shape(a)
     A = [list(c) for c in zip(*a)] if n else []   # columns of H
-    V = [[int(i == j) for i in range(n)] for j in range(n)]  # columns of V
     pivots: list[int] = []
     k = 0
     for i in range(m):
@@ -220,14 +219,12 @@ def hermite(a: list[list[int]]):
             if best is None:
                 break
             A[k], A[best] = A[best], A[k]
-            V[k], V[best] = V[best], V[k]
-            p, hk, vk = A[k][i], A[k], V[k]
+            p, hk = A[k][i], A[k]
             left = False
             for c in range(k + 1, n):
                 q = A[c][i] // p
                 if q:
                     A[c] = [x - q * y for x, y in zip(A[c], hk)]
-                    V[c] = [x - q * y for x, y in zip(V[c], vk)]
                 left = left or A[c][i] != 0
             if not left:
                 break
@@ -235,17 +232,14 @@ def hermite(a: list[list[int]]):
             continue
         if A[k][i] < 0:
             A[k] = [-x for x in A[k]]
-            V[k] = [-x for x in V[k]]
-        p, hk, vk = A[k][i], A[k], V[k]
+        p, hk = A[k][i], A[k]
         for j in range(k):
             q = A[j][i] // p
             if q:
                 A[j] = [x - q * y for x, y in zip(A[j], hk)]
-                V[j] = [x - q * y for x, y in zip(V[j], vk)]
         pivots.append(i)
         k += 1
-    H = [list(r) for r in zip(*A)] if n else [[] for _ in range(m)]
-    return pivots, H, transpose(V)
+    return pivots, [list(r) for r in zip(*A)] if n else [[] for _ in range(m)]
 
 
 def smith_normal_form(a: list[list[int]]):
@@ -258,11 +252,11 @@ def smith_normal_form(a: list[list[int]]):
 
 
 def kernel_basis(a: list[list[int]]) -> list[list[int]]:
-    """Columns spanning ker(a) over Z (a saturated sublattice).
-
-    Returned as a list of column vectors, in Hermite normal form, so the
-    basis depends on the kernel alone.
+    """Columns spanning ker(a) over Z, in Hermite normal form, so the basis
+    depends on the kernel alone.  One ``hermite`` pass over a stacked on the
+    identity leaves them in the columns past a's rank, zero on a's rows and
+    reduced on the identity's, as a later pivot never changes a row above it.
     """
-    pivots, _, V = hermite(a)
-    _, H, _ = hermite([row[len(pivots):] for row in V])
-    return [[row[j] for row in H] for j in range(shape(a)[1] - len(pivots))]
+    m, n = shape(a)
+    pivots, H = hermite([*a, *eye(n)])
+    return [[row[j] for row in H[m:]] for j in range(sum(i < m for i in pivots), n)]

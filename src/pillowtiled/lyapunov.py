@@ -382,8 +382,6 @@ class DegeneracyCertificate:
     """
 
     epsilon: float
-    steps: int
-    seeds: tuple[int, ...]
     estimates: tuple[LyapunovEstimate, ...]
     max_lambda_plus: float
     measured_degenerate: bool
@@ -465,8 +463,6 @@ def certify_degenerate(
         )
     return DegeneracyCertificate(
         epsilon=epsilon,
-        steps=steps,
-        seeds=seeds,
         estimates=estimates,
         max_lambda_plus=max_lp,
         measured_degenerate=measured,

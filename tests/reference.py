@@ -5,9 +5,12 @@ run (``tests/test_source.py::test_every_src_name_is_reached``).  The
 cross-checks the tests hold it to live here, as ``reference_orbit`` lives
 in ``tests/test_orbit.py``: permutation powers and conjugates, the
 quotient stratum and the inverse of the orientation double cover, one
-move of a raw surface or double cover with its check, the transport of
-H_1 along a raw word of moves, the cup product of one pair of 1-cochains,
-an integer left inverse of a saturated basis, the largest finite order in GL(n, Z) by a DP over every degree, the
+move of a raw surface or double cover with its check, the dense 2d x 2d
+chain maps of the moves and of the deck involution, the transport of H_1
+along a raw word of moves, the cup product of one pair of 1-cochains, an
+integer left inverse of a saturated basis, a Hermite transform read off
+a stacked pass, kernels by two passes of a textbook Hermite form, the
+largest finite order in GL(n, Z) by a DP over every degree, the
 closed-form exponents of a cyclic cover, and the order at infinity of a
 quadratic differential.
 """
@@ -267,6 +270,42 @@ def apply_state_generator(o: Origami, iota: Perm, gen: str) -> tuple[Origami, Pe
 # --- cocycle --------------------------------------------------------------
 
 
+def chain_map(o: Origami, gen: str) -> list[list[int]]:
+    """2d x 2d integer matrix of the move on 1-chains (old basis -> new),
+    from the table in the ``homology`` docstring, column by column."""
+    d = o.d
+    M = lattice.zeros(2 * d, 2 * d)
+    if gen == "T":
+        for i in range(d):
+            M[i][i] = 1
+            M[i][d + i] += 1
+            M[d + o.h[i]][d + i] += 1
+    elif gen == "S":
+        hinv = inverse(o.h)
+        for i in range(d):
+            M[d + i][i] = -1
+            M[hinv[i]][d + i] = 1
+    elif gen == "L":
+        for i in range(d):
+            M[d + i][d + i] = 1
+            M[d + i][i] += 1
+            M[o.v[i]][i] += 1
+    else:
+        raise ValueError(f"unknown generator {gen!r}")
+    return M
+
+
+def involution_chain_map(o: Origami, iota: Perm) -> list[list[int]]:
+    """2d x 2d matrix of a half-turn deck involution on 1-chains:
+    sigma_a -> -sigma_{v(iota(a))},  tau_a -> -tau_{h(iota(a))}."""
+    d = o.d
+    M = lattice.zeros(2 * d, 2 * d)
+    for a in range(d):
+        M[o.v[iota[a]]][a] = -1
+        M[d + o.h[iota[a]]][d + a] = -1
+    return M
+
+
 @dataclass(frozen=True)
 class CocycleMatrix:
     """Integer matrix of a move word on H_1, from the basis at the start
@@ -283,9 +322,10 @@ def induced_cocycle(o: Origami, word, iota: Perm | None = None):
     ``(CocycleMatrix, final_origami, final_iota)`` when an involution is
     supplied (then every step is also checked for deck-equivariance).
     The matrix is expressed from the basis of ``o`` to the basis of the
-    final surface, with no canonical relabeling in between.  The chain
-    maps are looked up on the ``cocycle`` module at each step, so a test
-    that patches ``cocycle.chain_map`` reaches this path too.
+    final surface, with no canonical relabeling in between: each step
+    passes the identity labelling.  The row maps are looked up on the
+    ``cocycle`` module at each step, so a test that patches
+    ``cocycle.move_rows`` reaches this path too.
     """
     word = tuple(word)
     if not word:
@@ -298,7 +338,7 @@ def induced_cocycle(o: Origami, word, iota: Perm | None = None):
         else:
             o2, iota = apply_state_generator(cur.origami, iota, gen)
             nxt = cocycle.StateData(o2, iota)
-        step = cocycle._move_matrix(cur, nxt, cocycle.chain_map(cur.origami, gen))
+        step = cocycle._move_matrix(cur, nxt, gen, range(cur.origami.d))
         M = lattice.matmul(step, M)
         cur = nxt
     cm = CocycleMatrix(matrix=tuple(tuple(r) for r in M), word=word)
@@ -315,7 +355,7 @@ def left_inverse(k: list[list[int]]) -> list[list[int]]:
     reduced, that block is I, and L is the transpose of V's first n columns.
     """
     n = lattice.shape(k)[1]
-    pivots, H, V = lattice.hermite(lattice.transpose(k))
+    pivots, H, V = hermite_transform(lattice.transpose(k))
     if pivots != list(range(n)) or any(H[i][i] != 1 for i in range(n)):
         raise ValueError("column span is not a saturated rank-n sublattice")
     return [[row[j] for row in V] for j in range(n)]
@@ -336,6 +376,51 @@ def cup(o: Origami, alpha, beta) -> int:
 
 
 # --- lattices -------------------------------------------------------------
+
+
+def hermite_transform(a: list[list[int]]):
+    """(pivot_rows, H, V) with a @ V == H and V unimodular, read off one
+    ``lattice.hermite`` pass over a stacked on the identity: the pass's
+    top block is a's Hermite form, and its lower block the transform."""
+    m, n = lattice.shape(a)
+    pivots, H = lattice.hermite([*a, *lattice.eye(n)])
+    return [i for i in pivots if i < m], H[:m], H[m:]
+
+
+def _column_echelon(cols: list[list[int]], rows) -> list[int]:
+    """Bring the column vectors ``cols`` to lower echelon form on the row
+    indices ``rows``, in place, by pairwise Euclid with no reduction; the
+    pivot rows, one per leading column, made positive."""
+    pivots: list[int] = []
+    for i in rows:
+        k = len(pivots)
+        for c in range(k + 1, len(cols)):
+            while cols[c][i]:
+                q = cols[k][i] // cols[c][i]
+                cols[k] = [x - q * y for x, y in zip(cols[k], cols[c])]
+                cols[k], cols[c] = cols[c], cols[k]
+        if k < len(cols) and cols[k][i]:
+            if cols[k][i] < 0:
+                cols[k] = [-x for x in cols[k]]
+            pivots.append(i)
+    return pivots
+
+
+def kernel_basis(a: list[list[int]]) -> list[list[int]]:
+    """``lattice.kernel_basis`` in two passes of a textbook Hermite form,
+    which shares no code with ``lattice.hermite``: echelon a stacked on the
+    identity over a's rows, so the columns past its rank carry a basis of
+    ker(a) below; then echelon that basis and reduce each pivot row once
+    the echelon is done."""
+    m, n = lattice.shape(a)
+    cols = [[*(row[j] for row in a), *e] for j, e in enumerate(lattice.eye(n))]
+    r = len(_column_echelon(cols, range(m)))
+    ker = [c[m:] for c in cols[r:]]
+    for j, i in enumerate(_column_echelon(ker, range(n))):
+        for c in range(j):
+            q = ker[c][i] // ker[j][i]
+            ker[c] = [x - q * y for x, y in zip(ker[c], ker[j])]
+    return ker
 
 
 def max_finite_order(n: int) -> int:

@@ -203,8 +203,6 @@ class TestSubcommands:
     def test_contradiction_exits_four(self, tmp_path, capsys, monkeypatch):
         fake = DegeneracyCertificate(
             epsilon=0.02,
-            steps=10,
-            seeds=(1, 2, 3),
             estimates=(),
             max_lambda_plus=0.5,
             measured_degenerate=False,
@@ -489,7 +487,7 @@ class TestJsonLayout:
 
     def test_a_multi_line_string_stays_on_its_line(self, tmp_path, capsys, monkeypatch):
         fake = DegeneracyCertificate(
-            epsilon=0.02, steps=10, seeds=(1, 2, 3), estimates=(), max_lambda_plus=0.0,
+            epsilon=0.02, estimates=(), max_lambda_plus=0.0,
             measured_degenerate=True, exact_sum=None, exact_degenerate=None,
             criterion_degenerate=True, verdict="PASS", contradiction=False,
             report="first line\nsecond line",

@@ -138,7 +138,7 @@ def test_sv_term_family(p, want):
 
 def test_ekz_p5():
     s = pillow_stratum(FIVE)
-    rep = ekz_sum(s, 5, Fraction(1, 10))
+    rep = ekz_sum(s, Fraction(1, 10))
     assert rep.kappa_term == Fraction(21, 40)
     assert rep.pole_term == Fraction(5, 8)
     assert rep.lyap_sum == 0
@@ -149,7 +149,7 @@ def test_ekz_p5():
 
 def test_ekz_p3():
     s = pillow_stratum(cyclic_pillow(3, (1, 1, 1, 3)))
-    rep = ekz_sum(s, 3, Fraction(1, 6))
+    rep = ekz_sum(s, Fraction(1, 6))
     assert rep.kappa_term == Fraction(5, 24)
     assert rep.pole_term == Fraction(3, 8)
     assert rep.lyap_sum == 0
@@ -179,23 +179,17 @@ def test_ekz_controls():
 
 def test_ekz_pure_formula_mode():
     s = pillow_stratum(FIVE)
-    rep = ekz_sum(s, 5, Fraction(0))
+    rep = ekz_sum(s, Fraction(0))
     assert rep.lyap_sum == rep.kappa_term - rep.pole_term
     assert rep.bound_chain is None
-
-
-def test_ekz_rejects_wrong_pole_count():
-    s = pillow_stratum(FIVE)
-    with pytest.raises(ValueError):
-        ekz_sum(s, 4, Fraction(1, 10))
 
 
 def test_marked_point_contributes_nothing():
     # an order-0 entry changes neither kappa_term nor the decomposition sums
     s1 = Stratum("quadratic", (1, 1, 1, -1, -1, -1), 1)
     s2 = Stratum("quadratic", (1, 1, 1, 0, -1, -1, -1), 1)
-    r1 = ekz_sum(s1, 3, Fraction(1, 6))
-    r2 = ekz_sum(s2, 3, Fraction(1, 6))
+    r1 = ekz_sum(s1, Fraction(1, 6))
+    r2 = ekz_sum(s2, Fraction(1, 6))
     assert r1.kappa_term == r2.kappa_term
     assert r1.lyap_sum == r2.lyap_sum
     assert r1.decomposition == r2.decomposition

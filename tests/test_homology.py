@@ -12,10 +12,12 @@ import pytest
 from pillowtiled import cocycle, homology, lattice
 from pillowtiled.homology import (
     _cup_matrix,
+    _involution_rows,
+    apply_rows,
     homology_basis,
-    involution_chain_map,
     involution_on_homology,
     involution_splitting,
+    move_rows,
 )
 from pillowtiled.permsurf import (
     Origami,
@@ -23,9 +25,10 @@ from pillowtiled.permsurf import (
     orientation_double_cover,
     origami_stratum,
     random_origami,
+    random_pillow_cover,
 )
 from pillowtiled.permutations import parse_cycles
-from tests.reference import components, cup, left_inverse
+from tests.reference import chain_map, components, cup, involution_chain_map, left_inverse
 from tests.test_lattice import _det
 from tests.test_permsurf import FIVE, FOUR, TORUS_COVER, cyclic_pillow
 
@@ -257,6 +260,37 @@ def test_involution_chain_map_is_a_chain_map():
             a = cyc[0]
             Pv[cls_of[o.v[o.h[iota[a]]]]][idx] = 1
         assert lattice.mat_eq(lattice.matmul(d1, M), lattice.matmul(Pv, d1))
+
+
+def test_move_rows_are_the_relabelled_dense_chain_maps():
+    # with a random labelling of the moved surface's squares, each move's
+    # row map times X is the dense chain map, its rows relabelled, times X
+    rng = np.random.default_rng(401)
+    for t in range(16):
+        if t % 2:
+            o, _ = orientation_double_cover(random_pillow_cover(int(rng.integers(2, 6)), rng))
+        else:
+            o = random_origami(int(rng.integers(2, 8)), rng)
+        d = o.d
+        X = rng.integers(-3, 4, size=(2 * d, 3)).tolist()
+        for gen in ("T", "S", "L"):
+            label = rng.permutation(d).tolist()
+            C = chain_map(o, gen)
+            F = [None] * (2 * d)
+            for i, j in enumerate(label):
+                F[j], F[d + j] = C[i], C[d + i]
+            assert apply_rows(move_rows(o, gen, label), X) == lattice.matmul(F, X)
+
+
+def test_involution_rows_are_the_dense_involution():
+    rng = np.random.default_rng(409)
+    covers = [FIVE, TORUS_COVER, FOUR, cyclic_pillow(3, (1, 1, 1, 3))]
+    covers += [random_pillow_cover(int(rng.integers(2, 6)), rng) for _ in range(8)]
+    for p in covers:
+        o, iota = orientation_double_cover(p)
+        B = homology_basis(o).cycles
+        want = lattice.matmul(involution_chain_map(o, iota), B)
+        assert apply_rows(_involution_rows(o, iota), B) == want
 
 
 def test_involution_on_homology_is_symplectic_involution():

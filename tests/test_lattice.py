@@ -88,10 +88,13 @@ def test_kernel_basis():
 
 
 def test_hermite_form_properties():
+    # V is the lower block of one pass over a stacked on the identity, and
+    # the pass's top block is a's own Hermite form
     rng = random.Random(11)
     for a in random_cases(rng, 90):
         m, n = lattice.shape(a)
-        pivots, H, V = lattice.hermite(a)
+        pivots, H, V = reference.hermite_transform(a)
+        assert lattice.hermite(a) == (pivots, H)
         assert lattice.matmul(a, V) == H
         assert abs(_det(V)) == 1
         r = len(pivots)
@@ -114,6 +117,17 @@ def test_hermite_decides_unimodularity():
     for a in random_cases(rng, 90):
         if len(a) == len(a[0]):
             assert (lattice.hermite(a)[1] == lattice.eye(len(a))) == (abs(_det(a)) == 1)
+
+
+def test_kernel_basis_matches_a_two_pass_oracle():
+    # one stacked pass gives the kernel's Hermite basis that two passes of
+    # an independent Hermite form give, on full-rank, rank-deficient,
+    # zero, column-free and empty matrices
+    rng = random.Random(421)
+    cases = [[], [[]], [[], []], lattice.zeros(3, 4), lattice.eye(4), [[2, 4, 6]]]
+    cases += list(random_cases(rng, 1200))
+    for a in cases:
+        assert lattice.kernel_basis(a) == reference.kernel_basis(a), a
 
 
 def test_kernel_basis_is_saturated_and_complete():

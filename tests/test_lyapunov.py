@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from pillowtiled import cocycle, lattice, lyapunov, orbit
-from pillowtiled.cocycle import StateCache, chain_map
-from pillowtiled.homology import homology_basis, involution_splitting
+from pillowtiled.cocycle import StateCache
+from pillowtiled.homology import apply_rows, homology_basis, involution_splitting, move_rows
 from pillowtiled.lyapunov import LyapunovEstimate, certify_degenerate, run_monte_carlo
 from pillowtiled.lyapunov import _estimate, _GenCycle, _run_seeds, _Walker
 from pillowtiled.permsurf import (
@@ -67,14 +67,12 @@ class TestChainMaps:
             o = random_origami(int(rng.integers(2, 8)), rng)
             hb = homology_basis(o)
             for gen in GENS:
-                F = chain_map(o, gen)
+                F = move_rows(o, gen, range(o.d))
                 o2 = apply_generator(o, gen)
                 hb2 = homology_basis(o2)
-                FB = lattice.matmul(F, [list(r) for r in hb.cycles])
+                FB = apply_rows(F, hb.cycles)
                 assert all(x == 0 for row in lattice.matmul(hb2.d1, FB) for x in row)
-                CFd2 = lattice.matmul(
-                    [list(r) for r in hb2.functionals], lattice.matmul(F, hb.d2)
-                )
+                CFd2 = lattice.matmul([list(r) for r in hb2.functionals], apply_rows(F, hb.d2))
                 assert all(x == 0 for row in CFd2 for x in row)
 
     def test_random_words_are_symplectic(self):
@@ -124,8 +122,8 @@ class TestChainMaps:
             "from pillowtiled.permsurf import Origami, PillowCover, orientation_double_cover\n"
             "if not sys.flags.optimize:\n"
             "    raise SystemExit('not running under -O')\n"
-            "true_map = cocycle.chain_map\n"
-            "cocycle.chain_map = lambda o, gen: [[2 * x for x in row] for row in true_map(o, gen)]\n"
+            "true_map = cocycle.move_rows\n"
+            "cocycle.move_rows = lambda o, gen, label: [(2 * c, *e) for c, *e in true_map(o, gen, label)]\n"
             "perms = [tuple((x + a) % 5 for x in range(5)) for a in (1, 2, 2, 5)]\n"
             "o, iota = orientation_double_cover(PillowCover(5, *perms))\n"
             "cache = cocycle.StateCache()\n"
@@ -234,6 +232,34 @@ class TestStateCache:
                 tr = walker.cache.transition(key, gen)
                 digest.update(json.dumps([gen, tr.target, tr.plus, tr.minus]).encode() + b"\n")
         assert digest.hexdigest() == TRANSITIONS[name]
+
+    def test_a_cold_state_takes_three_hermite_passes_and_no_dense_chain_map(self, monkeypatch):
+        # one Hermite pass checks the cup matrix and one finds each
+        # eigenlattice; the moves and the involution reach matmul only as
+        # the products of their row maps, never as a 2d x 2d matrix
+        passes, operands = [], []
+        hermite, matmul = lattice.hermite, lattice.matmul
+
+        def counted_hermite(a):
+            passes.append(a)
+            return hermite(a)
+
+        def recorded_matmul(a, b):
+            operands.extend((lattice.shape(a), lattice.shape(b)))
+            return matmul(a, b)
+
+        monkeypatch.setattr(lattice, "hermite", counted_hermite)
+        monkeypatch.setattr(lattice, "matmul", recorded_matmul)
+        o, iota = orientation_double_cover(cyclic_pillow(30, (7, 15, 10, 28)))
+        cache = StateCache()
+        anchor = cache.canonical_key(o, iota)
+        cache.state(anchor)
+        assert len(passes) == 3
+        for gen in ("T", "L"):
+            cache.transition(anchor, gen)
+        assert len(cache.states) > 1
+        assert len(passes) == 3 * len(cache.states)
+        assert operands and (2 * o.d, 2 * o.d) not in operands
 
     def test_restrictions_have_eigenspace_sizes(self):
         p = cyclic_pillow(5, (1, 2, 2, 5))

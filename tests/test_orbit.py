@@ -15,8 +15,8 @@ import pytest
 
 from pillowtiled import cli, orbit, permsurf
 from pillowtiled.cli import RunConfig
-from pillowtiled.cocycle import chain_map
 from pillowtiled.coverings import CyclicCoverSpec, cyclic_to_pillow, iter_specs
+from pillowtiled.homology import move_rows
 from pillowtiled.orbit import (
     OrbitCapExceeded,
     canonical_labelling,
@@ -114,13 +114,13 @@ def test_moves_accept_exactly_t_s_and_l(gen):
     o, iota = orientation_double_cover(FIVE)
     for move in (lambda: orbit._move(o.h, o.v, gen),
                  lambda: orbit._transport(o.h, o.v, iota, gen),
-                 lambda: chain_map(o, gen)):
+                 lambda: move_rows(o, gen, range(o.d))):
         with pytest.raises(ValueError, match="unknown generator"):
             move()
     for g in ("T", "S", "L"):
         orbit._move(o.h, o.v, g)
         orbit._transport(o.h, o.v, iota, g)
-        chain_map(o, g)
+        move_rows(o, g, range(o.d))
 
 
 def test_t_power_of_cylinder_widths_fixes():
