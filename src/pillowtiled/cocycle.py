@@ -20,27 +20,36 @@ a state once, when ``state`` builds it: each check is invariant under
 relabeling, and a cached target was checked when it was built.
 
 Every Monte-Carlo walker in the process shares one ``StateCache``, from
-:func:`shared_state_cache`, so a state or move that an earlier walker
-built is not built or checked again.  That needs no re-check: a state is
-a function of its canonical key ``(h, v, iota)`` alone, and a transition
-of its source state and the move, so an entry built for one line is the
-entry any other line would build; unit relabellings x -> u x of a cyclic
-cover give the same canonical states, and their lines share everything.
-Entries are stored only once built, so a build cut short by an exception
-leaves nothing behind.
+:func:`shared_state_cache`, so a state, move or generator cycle that an
+earlier walker built is not built or checked again.  That needs no
+re-check: a state is a function of its canonical key ``(h, v, iota)``
+alone, a transition of its source state and the move, and a cycle
+(``GenCycle``, the states and exact products of repeating T or L from a
+state, with the closed-form powers of its full-cycle product) of its
+state and generator, so an entry built for one line is the entry any
+other line would build; unit relabellings x -> u x of a cyclic cover give
+the same canonical states, and their lines share everything.  A cycle
+builds its H1- products only when first asked for them.  Entries are
+stored only once built, so a build cut short by an exception leaves
+nothing behind.
 
 The shared cache is trimmed to ``_SHARED_ENTRIES`` when a walker is
 created, never during a walk, so no walk rebuilds a state it built itself.
-Trimming drops the least recently used states first, each with its
-outgoing transitions; a state is used when ``state`` returns it or a
-transition from it is looked up.  Transitions into a dropped state hold
-only its key and matrices and stay valid.  A state weighs the entry
-count of its matrices (``StateData.entries``).  Measured with
-tracemalloc on the anchor states of cyclic covers from N = 5 (d = 20,
-3024 entries, 35 KB) to N = 30 (d = 120, 140,224 entries, 1.2 MB), a
-state takes 8.4-11.7 bytes per entry, and its T and L transitions add
-under 10% of its entries, so the budget of 2^21 entries keeps at most
-about 27 MB.
+Trimming drops cycles first, then states, the least recently used first;
+a state goes with its outgoing transitions and cycles.  A state is used
+when ``state`` returns it or a transition or cycle from it is looked up.
+Transitions into a dropped state hold only its key and matrices and stay
+valid.  A state weighs the entry count of its matrices
+(``StateData.entries``) and a cycle that of its exact products and
+pencils (``GenCycle.entries``); a cycle is rebuilt from cached moves,
+but a state needs its homology again, which is why cycles go first.
+Measured with tracemalloc after ``lyapunov`` lines of 2000 steps on
+cyclic covers from N = 30 down to N = 5, states with their T and L
+transitions take 9.1-13.2 bytes per entry and cycles 8.7-15.3, so the
+budget of 2^21 entries keeps at most about 32 MB.  One line of N = 30
+or more can by itself build cycles past the budget (2.7M entries at
+N = 30); they are then dropped at the next line's start and its states
+kept.
 """
 
 from __future__ import annotations
@@ -143,15 +152,91 @@ class Transition:
     minus: tuple[tuple[int, ...], ...]
 
 
-class StateCache:
-    """Canonical states plus memoized transitions between them.
+class CyclePowers:
+    """Exact products of the per-move matrices around a cycle, on one lattice.
 
-    ``states`` is in order of use, the least recently used first.
+    ``cum[j]`` is the product of the first j moves and C = cum[-1] the
+    full-cycle product; ``powers`` holds C^0..C^(k-1) and ``nil`` is
+    C^k - I, with nil @ nil == 0.  For q full cycles, m, s = divmod(q, k)
+    and P = cum[r] @ C^s, the product is cum[r] @ C^q == P + m (P @ nil);
+    the pencil of (P, P @ nil) is cached per (r, s).
+    """
+
+    __slots__ = ("cum", "powers", "nil", "_pencils")
+
+    def __init__(self, cum: list[list[list[int]]]):
+        self.cum = cum
+        self.powers, self.nil = lattice.quasi_unipotent_powers(cum[-1])
+        self._pencils: dict[tuple[int, int], lattice.Pencil] = {}
+
+    def product(self, r: int, q: int):
+        """cum[r] @ C^q, exactly, as an integer array."""
+        m, s = divmod(q, len(self.powers))
+        pencil = self._pencils.get((r, s))
+        if pencil is None:
+            P = lattice.matmul(self.cum[r], self.powers[s])
+            pencil = self._pencils[r, s] = lattice.Pencil(P, lattice.matmul(P, self.nil))
+        return pencil.at(m)
+
+    def entries(self) -> int:
+        """Entry count of the matrices held, two per pencil."""
+        n = len(self.nil)
+        return n * n * (len(self.cum) + len(self.powers) + 1 + 2 * len(self._pencils))
+
+
+class GenCycle:
+    """States visited by repeating one generator, with closed-form products.
+
+    ``states[j]`` is the state after j moves (states[0] is the anchor, and
+    the move from states[-1] returns to it); ``plus`` gives the exact
+    products of any number of moves on the invariant lattice, and
+    ``minus()`` on the anti-invariant one, built when first asked for, so
+    that a walk on H1+ alone never builds it.
+    """
+
+    __slots__ = ("states", "plus", "_moves", "_minus")
+
+    def __init__(self, cache: StateCache, key, gen: str):
+        cum = [lattice.eye(cache.state(key).splitting.dim_plus)]
+        self.states = [key]
+        self._moves: list[Transition] = []
+        cur = key
+        while True:
+            tr = cache.transition(cur, gen)
+            self._moves.append(tr)
+            cum.append(lattice.matmul(tr.plus, cum[-1]))
+            cur = tr.target
+            if cur == key:
+                break
+            self.states.append(cur)
+        self.plus = CyclePowers(cum)
+        self._minus: CyclePowers | None = None
+
+    def minus(self) -> CyclePowers:
+        """The products on the anti-invariant lattice, built on first use."""
+        if self._minus is None:
+            cum = [lattice.eye(len(self._moves[0].minus))]
+            for tr in self._moves:
+                cum.append(lattice.matmul(tr.minus, cum[-1]))
+            self._minus = CyclePowers(cum)
+        return self._minus
+
+    def entries(self) -> int:
+        """Entry count of the exact products held on both lattices."""
+        return self.plus.entries() + (self._minus.entries() if self._minus is not None else 0)
+
+
+class StateCache:
+    """Canonical states plus memoized transitions and generator cycles.
+
+    ``states`` is in order of use, the least recently used first; the
+    transitions and cycles from a state go with it.
     """
 
     def __init__(self):
         self.states: dict[tuple[Perm, Perm, Perm], StateData] = {}
         self.transitions: dict[tuple[tuple[Perm, Perm, Perm], str], Transition] = {}
+        self.cycles: dict[tuple[tuple[Perm, Perm, Perm], str], GenCycle] = {}
 
     def state(self, key: tuple[Perm, Perm, Perm]) -> StateData:
         st = self.states.pop(key, None)
@@ -162,13 +247,23 @@ class StateCache:
         return st
 
     def weight(self) -> int:
-        """Entry count of the cached states."""
-        return sum(st.entries for st in self.states.values())
+        """Entry count of the cached states and cycles."""
+        return (sum(st.entries for st in self.states.values())
+                + sum(cyc.entries() for cyc in self.cycles.values()))
 
     def trim(self, budget: int) -> None:
-        """Drop the least recently used states, each with its outgoing
-        transitions, until the states left weigh at most ``budget`` entries."""
+        """Drop cycles, then states, the least recently used first, until
+        what is left weighs at most ``budget`` entries.  A cycle is rebuilt
+        from cached moves, a state from its homology, so every cycle goes
+        before any state; a state goes with its outgoing transitions."""
         total = self.weight()
+        for key in list(self.states):
+            if total <= budget:
+                return
+            for gen in ("T", "S", "L"):
+                cyc = self.cycles.pop((key, gen), None)
+                if cyc is not None:
+                    total -= cyc.entries()
         while self.states and total > budget:
             key = next(iter(self.states))
             for gen in ("T", "S", "L"):
@@ -200,6 +295,15 @@ class StateCache:
         self.transitions[memo] = tr
         return tr
 
+    def cycle(self, key: tuple[Perm, Perm, Perm], gen: str) -> GenCycle:
+        """The cycle of ``gen`` from state ``key``, built on first use."""
+        cyc = self.cycles.get((key, gen))
+        if cyc is None:
+            cyc = self.cycles[key, gen] = GenCycle(self, key, gen)
+        else:
+            self.states[key] = self.states.pop(key)
+        return cyc
+
 
 # the entries (see StateData.entries) the shared cache keeps between walkers
 _SHARED_ENTRIES = 1 << 21
@@ -211,6 +315,7 @@ _shared = StateCache()
 def _clear_shared_cache() -> None:
     _shared.states.clear()
     _shared.transitions.clear()
+    _shared.cycles.clear()
 
 
 def shared_state_cache() -> StateCache:

@@ -18,6 +18,18 @@ Householder steps leave about 1e-17 in the off-diagonal blocks of Q,
 which are set back to exact zeros after every QR, so the two parts never
 mix.
 
+All seeds of a line move through the frame pass together.  Each seed's
+walk is a generator that holds its random stream, continued fraction,
+tautological vector and state, and yields one flush segment at a time:
+the digit matrices since its last flush.  A round applies each live
+seed's segment to its own frame and orthonormalizes the frames of the
+round with one stacked ``np.linalg.qr``; LAPACK factors each frame of a
+stack on its own, so every float is the seed's alone, bit for bit.  A
+line makes 1 + (most flushes of any seed) QR calls, not one per flush
+per seed: on frames this small numpy's Python wrapper, not LAPACK, takes
+most of a QR's time.  A seed holds at most one segment of digit matrices
+at a time.
+
 A certificate reads the invariant spectrum alone, so ``certify_degenerate``
 walks H1+ alone: its cycles, digit matrices, frame and QRs leave H1- out,
 and when H1+ = 0 it builds and checks its first state, then runs the
@@ -47,18 +59,17 @@ from its second sighting on: most large digits turn up once.  On
 ``30 7 15 10 28`` over 20k digits, 969 digits are distinct and 342 of
 them exceed 64; the walker keeps 499 matrices, 29 of them above 64, and
 a ``lyapunov`` run peaks at 95 MB, where keeping every distinct digit
-took 117 MB.  One walker serves every seed of a line, so its cycles and
-repeated digits are built once per line.  Every walker draws its states
-and transitions from the process-wide cache of :mod:`.cocycle`, so those
-are built once per process: a later line on the same cover or on a unit
-relabelling of it reuses them.  The cycles and digits stay per walker,
-so a line's float matrices go with it.  Shared across the process, on
-cold in-process ``mc_certify`` benchmark passes (seed 281, 16 alternating
-pairs, 2 vCPU), the cycles and the digit memo cut the wall time by about
-an eighth (median pair ratio 0.88, 13 of 16) and raised the peak RSS
-from 40.6 to 43.8 MB; the cycles alone gave a ratio of 0.94 (10 of 16)
-at 41.3 MB.  Sharing would also need a trim of its own, like the state
-cache's, to bound a long input.
+took 117 MB.
+
+Every walker draws its states, transitions and generator cycles from the
+process-wide cache of :mod:`.cocycle`: each is an exact function of its
+canonical key, so it is built once per process, and a later line on the
+same cover or on a unit relabelling of it reuses it.  A cycle's H1-
+products are built only when a walker that carries H1- first asks for
+them, so ``certify`` and ``lyapunov`` lines on one cover share the H1+
+part.  The digit memo stays per walker, so a line's float matrices go
+with it: a process-wide memo raised the peak RSS of cold in-process
+``mc_certify`` benchmark passes from 41.3 to 44.6 MB.
 
 Runs are bitwise reproducible for a fixed seed (single PCG64 stream for
 the dynamics, a second derived stream for the bootstrap).
@@ -73,7 +84,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import lattice
-from .cocycle import StateCache, shared_state_cache
+from .cocycle import shared_state_cache
 from .coverings import CyclicCoverSpec, cyclic_to_pillow, is_determinant_locus
 from .cylinders import ekz_for_cover
 from .orbit import DEFAULT_ORBIT_CAP, OrbitCapExceeded
@@ -93,111 +104,50 @@ _BLOCKS = 20  # equal segments of a run, for the bootstrap error bars
 _RENORM_NATS = 12.0  # tautological log-growth between re-orthonormalizations
 
 
-class _CyclePowers:
-    """Exact products of the per-move matrices around a cycle, on one lattice.
-
-    ``cum[j]`` is the product of the first j moves and C = cum[-1] the
-    full-cycle product; ``powers`` holds C^0..C^(k-1) and ``nil`` is
-    C^k - I, with nil @ nil == 0.  For q full cycles, m, s = divmod(q, k)
-    and P = cum[r] @ C^s, the product is cum[r] @ C^q == P + m (P @ nil);
-    the pencil of (P, P @ nil) is cached per (r, s).
-    """
-
-    __slots__ = ("cum", "powers", "nil", "_pencils")
-
-    def __init__(self, cum: list[list[list[int]]]):
-        self.cum = cum
-        self.powers, self.nil = lattice.quasi_unipotent_powers(cum[-1])
-        self._pencils: dict[tuple[int, int], lattice.Pencil] = {}
-
-    def product(self, r: int, q: int) -> np.ndarray:
-        """cum[r] @ C^q, exactly, as an integer array."""
-        m, s = divmod(q, len(self.powers))
-        pencil = self._pencils.get((r, s))
-        if pencil is None:
-            P = lattice.matmul(self.cum[r], self.powers[s])
-            pencil = self._pencils[r, s] = lattice.Pencil(P, lattice.matmul(P, self.nil))
-        return pencil.at(m)
-
-
-class _GenCycle:
-    """States visited by repeating one generator, with closed-form products.
-
-    ``states[j]`` is the state after j moves (states[0] is the anchor, and
-    the move from states[-1] returns to it); ``plus``/``minus`` give the
-    exact products of any number of moves on the two eigenlattices, and
-    ``minus`` is None when the cycle is built for H1+ alone.
-    """
-
-    __slots__ = ("states", "plus", "minus")
-
-    def __init__(self, cache: StateCache, key, gen: str, with_minus: bool = True):
-        st = cache.state(key)
-        cum_plus = [lattice.eye(st.splitting.dim_plus)]
-        cum_minus = [lattice.eye(st.splitting.dim_minus)]
-        self.states = [key]
-        cur = key
-        while True:
-            tr = cache.transition(cur, gen)
-            cum_plus.append(lattice.matmul(tr.plus, cum_plus[-1]))
-            if with_minus:
-                cum_minus.append(lattice.matmul(tr.minus, cum_minus[-1]))
-            cur = tr.target
-            if cur == key:
-                break
-            self.states.append(cur)
-        self.plus = _CyclePowers(cum_plus)
-        self.minus = _CyclePowers(cum_minus) if with_minus else None
-
-
 class _Walker:
     """Digit-level driver over the canonical state graph.
 
-    Everything it builds depends on the cover alone, so one walker can
-    serve several runs on that cover, each starting at ``anchor``.  Its
-    states and transitions live in the shared cache, which is trimmed
-    here, when the walker is created, and not while it walks.  A walker
-    built ``with_minus=False`` carries H1+ alone: its cycles, digit
-    matrices and frames leave H1- out.
+    Everything it builds depends on the cover alone, so one walker serves
+    every seed of a line, each starting at ``anchor``.  Its states,
+    transitions and cycles live in the shared cache, which is trimmed
+    here, when the walker is created, and not while it walks; its digit
+    memo is its own.  A walker built ``with_minus=False`` carries H1+
+    alone: its digit matrices and frames leave H1- out, and it never asks
+    a cycle for its H1- products.
     """
 
     def __init__(self, cover: PillowCover, with_minus: bool = True):
         o, iota = orientation_double_cover(cover)
         self.with_minus = with_minus
         self.cache = shared_state_cache()
-        self.anchor = self.key = self.cache.canonical_key(o, iota)
-        st = self.cache.state(self.key)
+        self.anchor = self.cache.canonical_key(o, iota)
+        st = self.cache.state(self.anchor)
         self.dim_plus = st.splitting.dim_plus
         self.dim_minus = st.splitting.dim_minus
-        self._cycles: dict[tuple, _GenCycle] = {}
         self._seen: set[tuple] = set()
         self._memo: dict[tuple, tuple] = {}
 
-    def digit(self, gen: str, a: int) -> np.ndarray:
-        """Float matrix diag(M+, M-) of gen^a from the current state, on
-        H1+ (+) H1-, or M+ alone without H1-; advances the state.  A digit
-        is kept from its second sighting on: most large digits are seen
-        once."""
-        memo_key = (self.key, gen, a)
+    def digit(self, key, gen: str, a: int) -> tuple[np.ndarray, tuple]:
+        """(M, target): the float matrix diag(M+, M-) of gen^a from state
+        ``key`` on H1+ (+) H1-, or M+ alone without H1-, and the state it
+        reaches.  A digit is kept from its second sighting on: most large
+        digits are seen once."""
+        memo_key = (key, gen, a)
         hit = self._memo.get(memo_key)
         if hit is None:
-            ck = (self.key, gen)
-            cyc = self._cycles.get(ck)
-            if cyc is None:
-                cyc = self._cycles[ck] = _GenCycle(self.cache, self.key, gen, self.with_minus)
+            cyc = self.cache.cycle(key, gen)
             q, r = divmod(a, len(cyc.states))
             dp = self.dim_plus
             M = np.zeros((dp + self.dim_minus if self.with_minus else dp,) * 2)
             M[:dp, :dp] = cyc.plus.product(r, q)
-            if cyc.minus is not None:
-                M[dp:, dp:] = cyc.minus.product(r, q)
+            if self.with_minus:
+                M[dp:, dp:] = cyc.minus().product(r, q)
             hit = (M, cyc.states[r])
             if memo_key in self._seen:
                 self._memo[memo_key] = hit
             else:
                 self._seen.add(memo_key)
-        self.key = hit[1]
-        return hit[0]
+        return hit
 
 
 @dataclass(frozen=True)
@@ -226,12 +176,14 @@ class LyapunovEstimate:
 
 
 def _orthonormalize(F, dp: int, mp: int):
-    """Q, R of the frame diag(F+, F-), or of F+ alone, F+ in the first dp
-    rows and mp columns, with Q's off-diagonal blocks set to the exact
-    zeros they are in exact arithmetic."""
+    """Q, R of a stack of frames diag(F+, F-), or of F+ alone, F+ in the
+    first dp rows and mp columns, with Q's off-diagonal blocks set to the
+    exact zeros they are in exact arithmetic.  LAPACK factors each frame
+    of the stack on its own, so each Q and R is the one frame's bit for
+    bit."""
     Q, R = np.linalg.qr(F)
-    Q[:dp, mp:] = 0.0
-    Q[dp:, :mp] = 0.0
+    Q[..., :dp, mp:] = 0.0
+    Q[..., dp:, :mp] = 0.0
     return Q, R
 
 
@@ -240,20 +192,20 @@ def run_monte_carlo(cover: PillowCover, steps: int, seed: int) -> LyapunovEstima
 
     ``steps`` counts continued-fraction digits, at least ``_BLOCKS``.
     """
-    return _estimate(_Walker(cover), steps, seed)
+    return _estimate(_Walker(cover), steps, (seed,))[0]
 
 
-def _estimate(walker: _Walker, steps: int, seed: int) -> LyapunovEstimate:
-    """One run from the walker's anchor; see :func:`run_monte_carlo`.
+def _walk(walker: _Walker, steps: int, seed: int):
+    """One seed's walk from the walker's anchor, as a generator.
 
-    A walker without H1- gives ``lambda_minus`` and ``stderr_minus``
-    ``()``, the full run's H1+ floats up to round-off and its tautological
-    fields exactly.
+    It yields the seed's initial frame first, then one flush segment at a
+    time: the float digit matrices since the last flush in order, the
+    tautological log-growth so far, and the number of steps taken when the
+    segment ends a block, else 0.  The last segment ends the last block.
+    A segment is due once the tautological log-growth since the last one
+    reaches ``_RENORM_NATS``, and at every block end.  With no frame (H1+
+    = 0 without H1-) the segments hold no matrix, and no move is built.
     """
-    block = _BLOCKS
-    if steps < block:
-        raise ValueError("steps must be at least the number of blocks")
-    walker.key = walker.anchor
     dp, dm = walker.dim_plus, walker.dim_minus
     mp, mm = dp // 2, dm // 2
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -263,23 +215,17 @@ def _estimate(walker: _Walker, steps: int, seed: int) -> LyapunovEstimate:
     if not walker.with_minus:
         # the H1- normals are drawn all the same, so that the digit stream,
         # and with it every H1+ float, is the full run's
-        F, dm, mm = F[:dp, :mp], 0, 0
-    # no frame (H1+ = 0 without H1-): the walk is the tautological loop alone,
-    # with no move built and no QR
+        F = F[:dp, :mp]
     frame = F.size > 0
-    if frame:
-        F, _ = _orthonormalize(F, dp, mp)
+    yield F
     vec = rng.standard_normal(2)
     u0, u1 = (vec / np.hypot(*vec)).tolist()  # tautological 2-vector
 
-    logs = np.zeros(mp + mm)
-    logs_p, logs_m = logs[:mp], logs[mp:]
+    key = walker.anchor
     taut = taut_at_flush = 0.0
-    boundaries = [steps * (k + 1) // block for k in range(block)]
+    boundaries = [steps * (k + 1) // _BLOCKS for k in range(_BLOCKS)]
     bi = 0
-    prev = (logs.copy(), 0.0, 0)
-    rows = []
-
+    segment = []
     x = 0.0
     digits_since_refresh = _REFRESH_DIGITS  # force an initial draw
     use_T = True
@@ -287,15 +233,19 @@ def _estimate(walker: _Walker, steps: int, seed: int) -> LyapunovEstimate:
         if digits_since_refresh >= _REFRESH_DIGITS or x <= 1e-9:
             x = 2.0 ** rng.random() - 1.0
             digits_since_refresh = 0
-        a = int(1.0 / x)
-        x = 1.0 / x - a
+        if x == 0.0:  # a draw of 0 or 2**-53: no digit is finite
+            a = _DIGIT_CAP + 1
+        else:
+            a = int(1.0 / x)
+            x = 1.0 / x - a
         if a > _DIGIT_CAP:
             a = _DIGIT_CAP
             x = 0.0  # forces a refresh on the next digit
         gen = "T" if use_T else "L"
         use_T = not use_T
         if frame:
-            F = walker.digit(gen, a) @ F
+            M, key = walker.digit(key, gen, a)
+            segment.append(M)
         if gen == "T":
             u0 += a * u1
         else:
@@ -306,15 +256,68 @@ def _estimate(walker: _Walker, steps: int, seed: int) -> LyapunovEstimate:
         u1 /= nrm
         digits_since_refresh += 1
         at_boundary = step + 1 == boundaries[bi]
-        if frame and (taut - taut_at_flush >= _RENORM_NATS or at_boundary):
-            F, R = _orthonormalize(F, dp, mp)
-            logs += np.log(np.abs(np.diag(R)))
+        if taut - taut_at_flush >= _RENORM_NATS or at_boundary:
+            yield segment, taut, step + 1 if at_boundary else 0
+            segment = []
             taut_at_flush = taut
         if at_boundary:
-            rows.append((logs - prev[0], taut - prev[1], step + 1 - prev[2]))
-            prev = (logs.copy(), taut, step + 1)
             bi += 1
 
+
+def _estimate(walker: _Walker, steps: int, seeds: tuple[int, ...]) -> tuple[LyapunovEstimate, ...]:
+    """One run per seed from the walker's anchor; see :func:`run_monte_carlo`.
+
+    All seeds move through the frame together.  Each round applies every
+    live seed's next segment (:func:`_walk`) to that seed's frame, then
+    orthonormalizes the frames of the round with one stacked QR; a seed
+    leaves after its last block, so a line makes 1 + (most flushes of any
+    seed) QRs, and each run's floats are those of the seed run alone.  A
+    walker without H1- gives ``lambda_minus`` and ``stderr_minus`` ``()``,
+    the full run's H1+ floats up to round-off and its tautological fields
+    exactly.
+    """
+    if steps < _BLOCKS:
+        raise ValueError("steps must be at least the number of blocks")
+    dp = walker.dim_plus
+    mp = dp // 2
+    walks = [_walk(walker, steps, seed) for seed in seeds]
+    frames = [next(w) for w in walks]
+    frame = any(F.size for F in frames)
+    if frame:
+        frames = list(_orthonormalize(np.stack(frames), dp, mp)[0])
+    logs = [np.zeros(F.shape[1]) for F in frames]
+    taut = [0.0] * len(walks)
+    prev = [(L.copy(), 0.0, 0) for L in logs]
+    rows = [[] for _ in walks]
+    live = list(range(len(walks)))
+    while live:
+        ends = []
+        for i in live:
+            segment, taut[i], end = next(walks[i])
+            F = frames[i]
+            for M in segment:
+                F = M @ F
+            frames[i] = F
+            ends.append(end)
+        if frame:
+            Q, R = _orthonormalize(np.stack([frames[i] for i in live]), dp, mp)
+            growth = np.log(np.abs(np.diagonal(R, axis1=1, axis2=2)))
+            for j, i in enumerate(live):
+                frames[i] = Q[j]
+                logs[i] += growth[j]
+        for i, end in zip(live, ends):
+            if end:
+                rows[i].append((logs[i] - prev[i][0], taut[i] - prev[i][1], end - prev[i][2]))
+                prev[i] = (logs[i].copy(), taut[i], end)
+        live = [i for i, end in zip(live, ends) if end < steps]
+    return tuple(
+        _summary(logs[i], mp, rows[i], taut[i], steps, seed) for i, seed in enumerate(seeds))
+
+
+def _summary(logs, mp: int, rows, taut: float, steps: int, seed: int) -> LyapunovEstimate:
+    """The estimate of one finished run: ``logs`` holds its log-growth per
+    frame column, the H1+ ones first, and ``rows`` the per-block log-growth,
+    tautological growth and step count."""
     warnings = []
     slopes = tuple(float(r[1]) / r[2] for r in rows)
     mean_slope = sum(slopes) / len(slopes)
@@ -340,8 +343,8 @@ def _estimate(walker: _Walker, steps: int, seed: int) -> LyapunovEstimate:
         err = boots.std(axis=0, ddof=1)
         return tuple(float(v) for v in lam), tuple(float(e) for e in err)
 
-    lam_p, err_p = spectrum(logs_p, dl[:, :mp])
-    lam_m, err_m = spectrum(logs_m, dl[:, mp:])
+    lam_p, err_p = spectrum(logs[:mp], dl[:, :mp])
+    lam_m, err_m = spectrum(logs[mp:], dl[:, mp:])
     if any(e > 0.1 for e in err_p + err_m):
         warnings.append("bootstrap error above 0.1; increase steps")
 
@@ -352,7 +355,7 @@ def _estimate(walker: _Walker, steps: int, seed: int) -> LyapunovEstimate:
         stderr_minus=err_m,
         steps=steps,
         seed=seed,
-        blocks=block,
+        blocks=_BLOCKS,
         taut_time=taut,
         block_slopes=slopes,
         warnings=tuple(warnings),
@@ -362,15 +365,14 @@ def _estimate(walker: _Walker, steps: int, seed: int) -> LyapunovEstimate:
 def _run_seeds(
     cover: PillowCover, steps: int, seeds, *, with_minus: bool = True
 ) -> tuple[LyapunovEstimate, ...]:
-    """One run per seed, all on one walker.
+    """One run per seed, all on one walker and through one frame pass.
 
     The walker's states, transitions, cycles and digit memo depend on the
     cover only, and the seed drives only the random stream, so the
     estimates equal those of independent runs.  ``with_minus=False`` walks
     H1+ alone.
     """
-    walker = _Walker(cover, with_minus)
-    return tuple(_estimate(walker, steps, s) for s in seeds)
+    return _estimate(_Walker(cover, with_minus), steps, tuple(seeds))
 
 
 @dataclass(frozen=True)

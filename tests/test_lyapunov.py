@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,7 +18,7 @@ from pillowtiled import cocycle, lattice, lyapunov, orbit
 from pillowtiled.cocycle import StateCache
 from pillowtiled.homology import apply_rows, homology_basis, involution_splitting, move_rows
 from pillowtiled.lyapunov import LyapunovEstimate, certify_degenerate, run_monte_carlo
-from pillowtiled.lyapunov import _estimate, _GenCycle, _run_seeds, _Walker
+from pillowtiled.lyapunov import _estimate, _run_seeds, _Walker
 from pillowtiled.permsurf import (
     Origami,
     orientation_double_cover,
@@ -129,7 +130,9 @@ class TestChainMaps:
             "cache = cocycle.StateCache()\n"
             "def shared_walker(with_minus):\n"
             "    walker = lyapunov._Walker(PillowCover(5, *perms), with_minus)\n"
-            "    lyapunov._GenCycle(walker.cache, walker.anchor, 'T', with_minus)\n"
+            "    cycle = walker.cache.cycle(walker.anchor, 'T')\n"
+            "    if with_minus:\n"
+            "        cycle.minus()\n"
             "cases = {\n"
             "    'transition': lambda: cache.transition(cache.canonical_key(o, iota), 'T'),\n"
             "    'shared walker': lambda: shared_walker(True),\n"
@@ -210,7 +213,7 @@ class TestStateCache:
             cache = StateCache()
             anchor = cache.canonical_key(*orientation_double_cover(cover))
             for gen in ("T", "L"):
-                _GenCycle(cache, anchor, gen)
+                cache.cycle(anchor, gen)
             assert len(checked) == len(cache.states) > 1
             assert set(checked) == set(cache.states)
             # every target is cached now: building the moves again runs
@@ -228,7 +231,7 @@ class TestStateCache:
         walker = _Walker(SCOPE_LINES[name])
         digest = hashlib.sha256()
         for gen in ("T", "L"):
-            for key in _GenCycle(walker.cache, walker.anchor, gen).states:
+            for key in walker.cache.cycle(walker.anchor, gen).states:
                 tr = walker.cache.transition(key, gen)
                 digest.update(json.dumps([gen, tr.target, tr.plus, tr.minus]).encode() + b"\n")
         assert digest.hexdigest() == TRANSITIONS[name]
@@ -282,12 +285,12 @@ class TestStateCache:
         while todo:
             key = todo.pop()
             for gen in ["T", "L"]:
-                cyc = _GenCycle(walker.cache, key, gen)
+                cyc = walker.cache.cycle(key, gen)
                 for st in cyc.states:
                     if st not in seen:
                         seen.add(st)
                         todo.append(st)
-                for part in (cyc.plus, cyc.minus):
+                for part in (cyc.plus, cyc.minus()):
                     k = len(part.powers)
                     for r in range(len(cyc.states)):
                         acc = part.cum[r]
@@ -307,7 +310,7 @@ class TestStateCache:
         start = time.perf_counter()
         walker = _Walker(cyclic_pillow(N, a))
         for gen in ["T", "L"]:
-            _GenCycle(walker.cache, walker.anchor, gen)
+            walker.cache.cycle(walker.anchor, gen).minus()
         assert time.perf_counter() - start < 5.0
 
         def bits(rows):
@@ -432,9 +435,11 @@ class TestSharedStateCache:
             assert _run_seeds(cover, 600, (1, 2, 3)) == cold[cover]
             keys[cover] = built[:]
             del built[:]
-        # the budget holds A and B; C's one state weighs less than B's, so
-        # the trim at the start of A's third run has to drop B and no more
-        monkeypatch.setattr(cocycle, "_SHARED_ENTRIES", cocycle._shared.weight())
+        # the budget holds the states of A and B, so every trim drops all
+        # cycles first; C's one state weighs less than B's, so the trim at
+        # the start of A's third run has to drop B and no more
+        monkeypatch.setattr(cocycle, "_SHARED_ENTRIES",
+                            sum(st.entries for st in cocycle._shared.states.values()))
         assert _run_seeds(A, 600, (1, 2, 3)) == cold[A]
         assert _run_seeds(C, 600, (1, 2, 3)) == cold[C]
         assert len(built) == 1 and cocycle._shared.states[built[0]].entries < sum(
@@ -444,6 +449,67 @@ class TestSharedStateCache:
         assert built == []
         assert not set(keys[B]) & set(cocycle._shared.states)
         assert set(keys[A]) <= set(cocycle._shared.states)
+
+    def test_a_later_line_builds_no_cycle(self, monkeypatch):
+        # the cycles are functions of (state, generator), kept in the shared
+        # cache: an H1+ line builds their plus parts, a full line on a
+        # relabelling adds the minus parts alone, and a third line builds
+        # nothing; no line's output depends on the lines before it
+        powers, real = [], lattice.quasi_unipotent_powers
+
+        def counted(c):
+            powers.append(len(c))
+            return real(c)
+
+        monkeypatch.setattr(lattice, "quasi_unipotent_powers", counted)
+        cover, relabelled = cyclic_pillow(5, (1, 2, 2, 5)), cyclic_pillow(5, (2, 4, 4, 5))
+        seeds = (1, 2, 3)
+        plus = _run_seeds(cover, 600, seeds, with_minus=False)
+        cycles = set(cocycle._shared.cycles)
+        assert cycles and len(powers) == len(cycles)
+        del powers[:]
+        full = _run_seeds(relabelled, 600, seeds)
+        assert len(powers) == len(cycles) and set(cocycle._shared.cycles) == cycles
+        del powers[:]
+        assert _run_seeds(cover, 600, seeds) == full
+        assert _run_seeds(relabelled, 600, seeds, with_minus=False) == plus
+        assert powers == []
+        cocycle._clear_shared_cache()
+        assert _run_seeds(cover, 600, seeds) == full
+        cocycle._clear_shared_cache()
+        assert _run_seeds(cover, 600, seeds, with_minus=False) == plus
+
+    def test_trim_drops_cycles_before_states(self):
+        cache = StateCache()
+        o, iota = orientation_double_cover(cyclic_pillow(8, (1, 3, 5, 7)))
+        key = cache.canonical_key(o, iota)
+        for gen in ["T", "L", "T", "L", "T"]:
+            cyc = cache.cycle(key, gen)
+            key = cyc.states[-1]
+        # a cycle weighs its exact products, the minus ones once built, and
+        # two matrices per pencil
+        n = len(cyc.plus.nil)
+        before = cyc.entries()
+        cyc.plus.product(1, 5)
+        assert cyc.entries() == before + 2 * n * n
+        cyc.minus()
+        assert cyc.entries() > before + 2 * n * n
+        states = {k: st.entries for k, st in cache.states.items()}
+        cycles = {src: c.entries() for (src, _), c in cache.cycles.items()}
+        assert len(cycles) == len(cache.cycles) == 5
+        assert cache.weight() == sum(states.values()) + sum(cycles.values())
+        # the budget holds every state and the most recently used cycle
+        order = list(cache.states)
+        newest = max(cycles, key=order.index)
+        cache.trim(sum(states.values()) + cycles[newest])
+        assert list(cache.states) == order
+        assert [src for src, _ in cache.cycles] == [newest]
+        # a budget under the states drops every cycle and the oldest states,
+        # each with its outgoing transitions
+        cache.trim(states[order[-1]] + states[order[-2]])
+        assert list(cache.states) == order[-2:] and not cache.cycles
+        assert {src for src, _ in cache.transitions} <= set(order[-2:])
+        assert cache.weight() == states[order[-1]] + states[order[-2]]
 
     def test_a_lookup_marks_the_state_used(self):
         cache = StateCache()
@@ -558,13 +624,44 @@ class TestMonteCarlo:
         assert all(s > 0 for s in est.block_slopes)
 
     def test_shared_walker_matches_independent_runs(self):
+        # the seeds' flush counts differ, so the stacked rounds shrink
+        # (TestOneFrame); repr round-trips every float and tells -0.0 from 0.0
         cover = cyclic_pillow(5, (1, 2, 2, 5))
-        seeds = (3, 1, 2, 3)
-        independent = tuple(run_monte_carlo(cover, 2000, s) for s in seeds)
-        assert _run_seeds(cover, 2000, seeds) == independent
+        seeds = TestOneFrame.SEEDS
+        independent = tuple(run_monte_carlo(cover, 3000, s) for s in seeds)
+        assert repr(_run_seeds(cover, 3000, seeds)) == repr(independent)
         walker = _Walker(cover)
-        shared = tuple(_estimate(walker, 2000, s) for s in seeds)
-        assert shared == independent
+        shared = tuple(_estimate(walker, 3000, (s,))[0] for s in seeds)
+        assert repr(shared) == repr(independent)
+
+    @pytest.mark.parametrize("draw", [0.0, 2.0**-53], ids=["0", "2^-53"])
+    def test_a_zero_draw_takes_the_capped_digit(self, monkeypatch, draw):
+        # 2 ** u - 1 rounds to 0.0 for these draws u, where 1 / x has no
+        # digit; like a digit past the cap, it is capped and forces a fresh
+        # draw on the next digit
+        assert 2.0**draw - 1.0 == 0.0
+        first = [True]
+
+        class ZeroFirst(np.random.Generator):
+            def random(self, *args, **kwargs):
+                if first[0]:
+                    first[0] = False
+                    return draw
+                return super().random(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", ZeroFirst)
+        walker = _Walker(cyclic_pillow(5, (1, 2, 2, 5)))
+        real, digits = walker.digit, []
+
+        def digit(key, gen, a):
+            digits.append(a)
+            return real(key, gen, a)
+
+        walker.digit = digit
+        (est,) = _estimate(walker, 100, (1,))
+        assert digits[0] == lyapunov._DIGIT_CAP and len(digits) == 100
+        assert max(digits[1:]) < lyapunov._DIGIT_CAP
+        assert math.isfinite(est.taut_time) and all(map(math.isfinite, est.lambda_plus))
 
     @pytest.mark.parametrize("N, a", [(5, (1, 2, 2, 5)), (6, (1, 1, 5, 5)), (12, (1, 5, 7, 11))])
     def test_flush_timing_matches_an_every_digit_reference(self, monkeypatch, N, a):
@@ -612,8 +709,8 @@ def exact_power(part, r, q):
 
 class CountingNumPy:
     """numpy as seen from lyapunov, with np.linalg.qr counted and, unless
-    ``keep_frames`` is false, recording a copy of each frame it is given,
-    as the benchmark tracer wraps it."""
+    ``keep_frames`` is false, recording a copy of each stack of frames it
+    is given, as the benchmark tracer wraps it."""
 
     def __init__(self, keep_frames=True):
         self.calls = 0
@@ -636,29 +733,74 @@ ONE_FRAME_IDS = ["5-1-2-2-5", "6-1-1-5-5", "12-1-5-7-11"]
 
 
 class TestOneFrame:
-    """One frame diag(F+, F-) on H1+ (+) H1-, one QR per flush."""
+    """One frame diag(F+, F-) on H1+ (+) H1- per seed, one stacked QR per
+    flush round of a line's seeds."""
+
+    # seed 3 twice, and seeds whose flush counts differ at 3000 steps
+    SEEDS = (3, 1, 2, 3, 7)
 
     @pytest.mark.parametrize("N, a", ONE_FRAME_LINES, ids=ONE_FRAME_IDS)
-    def test_one_qr_per_flush_on_a_block_diagonal_frame(self, monkeypatch, N, a):
+    def test_one_stacked_qr_per_flush_round(self, monkeypatch, N, a):
         cover = cyclic_pillow(N, a)
+        counting = CountingNumPy()
+        monkeypatch.setattr(lyapunov, "np", counting)
+        alone = []
+        for seed in self.SEEDS:
+            del counting.frames[:]
+            est = run_monte_carlo(cover, 3000, seed)
+            alone.append(counting.frames[:])
+            # the first QR orthonormalizes the initial frame; every other one
+            # is a flush, at each of the 20 block ends and after each 12 nats
+            assert 21 <= len(alone[-1]) <= 21 + est.taut_time / lyapunov._RENORM_NATS
+            assert all(F.shape[0] == 1 for F in alone[-1])
+        rounds = max(map(len, alone))
+        assert len({len(frames) for frames in alone}) > 1  # some rounds shrink
+        del counting.frames[:]
         walker = _Walker(cover)
         dp, dm = walker.dim_plus, walker.dim_minus
         mp, mm = dp // 2, dm // 2
-        counting = CountingNumPy()
-        monkeypatch.setattr(lyapunov, "np", counting)
-        est = _estimate(walker, 3000, 1)
-        # the first QR orthonormalizes the initial frame; every other one is
-        # a flush, at each of the 20 block ends and after each 12 nats
-        assert 21 <= len(counting.frames) <= 21 + est.taut_time / lyapunov._RENORM_NATS
-        for F in counting.frames:
-            assert F.shape == (dp + dm, mp + mm)
+        _estimate(walker, 3000, self.SEEDS)
+        # QR r stacks the frames of exactly the seeds with an r-th QR of
+        # their own, in seed order, each equal to that seed's frame alone
+        assert len(counting.frames) == rounds
+        for r, F in enumerate(counting.frames):
+            want = [frames[r] for frames in alone if len(frames) > r]
+            assert F.tobytes() == np.concatenate(want).tobytes()
+            assert F.shape == (len(want), dp + dm, mp + mm)
             # a QR leaves round-off in the off-diagonal blocks of Q; zeroed
             # after every flush, they stay exact zeros under the digits
-            assert not F[:dp, mp:].any() and not F[dp:, :mp].any()
-        del counting.frames[:]
+            assert not F[:, :dp, mp:].any() and not F[:, dp:, :mp].any()
+        counting.calls = 0
         monkeypatch.setattr(lyapunov, "_RENORM_NATS", -math.inf)  # flush every digit
-        _estimate(walker, 300, 1)
-        assert len(counting.frames) == 300 + 1
+        _estimate(walker, 300, self.SEEDS)
+        assert counting.calls == 300 + 1
+
+    def test_a_run_holds_one_segment_of_digit_matrices_per_seed(self, monkeypatch):
+        # a digit matrix seen for the first time is not kept in the memo:
+        # it lives until the QR of the flush round it belongs to, so the
+        # matrices alive at a QR are those built since the previous one
+        walker = _Walker(cyclic_pillow(12, (1, 5, 7, 11)))
+        real, built, rounds = walker.digit, [], [0]
+        alive_at_qr = []
+
+        def digit(key, gen, a):
+            hit = real(key, gen, a)
+            if (key, gen, a) not in walker._memo:
+                built.append((weakref.ref(hit[0]), rounds[0]))
+            return hit
+
+        class Rounds(CountingNumPy):
+            def qr(self, F):
+                alive = [r for ref, r in built if ref() is not None]
+                alive_at_qr.append(len(alive))
+                assert all(r == rounds[0] for r in alive), (rounds[0], sorted(set(alive)))
+                rounds[0] += 1
+                return super().qr(F)
+
+        walker.digit = digit
+        monkeypatch.setattr(lyapunov, "np", Rounds(keep_frames=False))
+        _estimate(walker, 4000, self.SEEDS)
+        assert rounds[0] > 21 and max(alive_at_qr) > len(self.SEEDS)
 
     @pytest.mark.parametrize("N, a", ONE_FRAME_LINES, ids=ONE_FRAME_IDS)
     def test_matches_the_recorded_two_frame_walker(self, N, a):
@@ -682,35 +824,30 @@ class TestOneFrame:
         walker = _Walker(cyclic_pillow(N, a))
         dp, n = walker.dim_plus, walker.dim_plus + walker.dim_minus
         rng = np.random.default_rng(N)
+        key = walker.anchor
         for gen in ["T", "L", "T", "L"]:
-            key = walker.key
-            cyc = _GenCycle(walker.cache, key, gen)
+            cyc = walker.cache.cycle(key, gen)
             k = len(cyc.states)
             for power in [1, k - 1, k, 3 * k + 1, int(rng.integers(1, 10**6)), 10**12]:
-                walker.key = key
-                M = walker.digit(gen, power)
+                M, target = walker.digit(key, gen, power)
                 q, r = divmod(power, k)
-                assert walker.key == cyc.states[r]
+                assert target == cyc.states[r]
                 plus = np.array(exact_power(cyc.plus, r, q), dtype=float).reshape(dp, dp)
-                minus = np.array(exact_power(cyc.minus, r, q), dtype=float).reshape(n - dp, n - dp)
+                minus = np.array(exact_power(cyc.minus(), r, q), dtype=float).reshape(n - dp, n - dp)
                 assert M.shape == (n, n)
                 assert M[:dp, :dp].tobytes() == plus.tobytes()
                 assert M[dp:, dp:].tobytes() == minus.tobytes()
                 assert not M[:dp, dp:].any() and not M[dp:, :dp].any()
-            walker.key = key
-            walker.digit(gen, int(rng.integers(1, 4)))  # on to another state
+            key = walker.digit(key, gen, int(rng.integers(1, 4)))[1]  # on to another state
 
     def test_a_digit_is_kept_from_its_second_sighting(self):
         walker = _Walker(cyclic_pillow(5, (1, 2, 2, 5)))
-        first = walker.digit("T", 10**12)
-        after = walker.key
+        first, after = walker.digit(walker.anchor, "T", 10**12)
         assert walker._memo == {}
-        walker.key = walker.anchor
-        second = walker.digit("T", 10**12)
+        second, again = walker.digit(walker.anchor, "T", 10**12)
         assert list(walker._memo) == [(walker.anchor, "T", 10**12)]
-        assert walker.key == after and second.tobytes() == first.tobytes()
-        walker.key = walker.anchor
-        assert walker.digit("T", 10**12) is second
+        assert again == after and second.tobytes() == first.tobytes()
+        assert walker.digit(walker.anchor, "T", 10**12)[0] is second
         assert len(walker._memo) == 1
 
     @pytest.mark.parametrize("N, a", ONE_FRAME_LINES, ids=ONE_FRAME_IDS)
@@ -721,11 +858,11 @@ class TestOneFrame:
 
         cover = cyclic_pillow(N, a)
         walker = _Walker(cover)
-        memo = _estimate(walker, 3000, 1)
+        memo = _estimate(walker, 3000, (1, 2))
         assert walker._memo  # the memo did serve this run
         walker = _Walker(cover)
         walker._memo = NoMemo()
-        assert _estimate(walker, 3000, 1) == memo
+        assert _estimate(walker, 3000, (1, 2)) == memo
         assert not walker._memo
 
 
@@ -775,7 +912,7 @@ class TestCertifyScope:
         walkers = {scope: _Walker(cover, scope) for scope in (True, False)}
         for scope, walker in walkers.items():
             del draws[:]
-            _estimate(walker, 100, 1)
+            _estimate(walker, 100, (1,))
             dp, dm = walker.dim_plus, walker.dim_minus
             assert draws == [(dp, dp // 2), (dm, dm // 2), 2], scope
 
@@ -807,14 +944,14 @@ class TestCertifyScope:
     @pytest.mark.parametrize("name", ["5-1-2-2-5", "3-1-2-3-3"])
     def test_shared_plus_only_walker_matches_independent_runs(self, name):
         cover = SCOPE_LINES[name]
-        seeds = (3, 1, 2, 3)
+        seeds = TestOneFrame.SEEDS
         independent = tuple(
-            _estimate(_Walker(cover, with_minus=False), 2000, s)
+            _estimate(_Walker(cover, with_minus=False), 3000, (s,))[0]
             for s in seeds)
-        assert _run_seeds(cover, 2000, seeds, with_minus=False) == independent
+        assert repr(_run_seeds(cover, 3000, seeds, with_minus=False)) == repr(independent)
         walker = _Walker(cover, with_minus=False)
-        shared = tuple(_estimate(walker, 2000, s) for s in seeds)
-        assert shared == independent
+        shared = tuple(_estimate(walker, 3000, (s,))[0] for s in seeds)
+        assert repr(shared) == repr(independent)
 
 
 class TestCertify:

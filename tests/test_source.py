@@ -363,24 +363,54 @@ def _stored_fields(tree: ast.Module) -> list[tuple[str, str]]:
     return out
 
 
+def _reads_by_module(src: Path) -> dict[str, set[str]]:
+    """Attribute names each package module reads, and each module that a
+    read there can reach: itself and every package module it imports,
+    directly or through others.  The benchmark reads as one more module
+    that imports the whole package."""
+    paths = {path.stem: path for path in sorted(src.glob("*.py"))}
+    assert paths, f"no sources under {src}"
+    imports = {mod: {entry[1] for entry in _module_names(path)[1].values() if entry[0] != "ext"}
+               for mod, path in paths.items()}
+    reach = {}
+    for mod in paths:
+        seen, todo = {mod}, [mod]
+        while todo:
+            for dep in imports[todo.pop()] & set(paths):
+                if dep not in seen:
+                    seen.add(dep)
+                    todo.append(dep)
+        reach[mod] = seen
+    trees = {mod: [ast.parse(path.read_text(), filename=str(path))] for mod, path in paths.items()}
+    trees[None] = [ast.parse(p.read_text()) for p in sorted(PERFBENCH.rglob("*.py"))]
+    reach[None] = set(paths)
+    reads = {mod: set() for mod in paths}
+    for mod, tree_list in trees.items():
+        names = {
+            node.attr
+            for tree in tree_list
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+        for target in reach[mod]:
+            reads[target] |= names
+    return reads
+
+
 def _unread_fields(src: Path = SRC) -> list[str]:
-    """Stored fields of ``src`` classes that no attribute read in ``src``
-    or the benchmark names, less the two exemptions above.  A read counts
-    by name alone, for every class with a field of that name, so a field
-    that shares its name with one read elsewhere passes unseen."""
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(src.glob("*.py"))}
-    assert trees, f"no sources under {src}"
-    read = {
-        node.attr
-        for tree in [*trees.values(), *(ast.parse(p.read_text()) for p in sorted(PERFBENCH.rglob("*.py")))]
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
+    """Stored fields of ``src`` classes that no attribute read names in a
+    module that can hold the class's instances (its own module, one that
+    imports it, or the benchmark), less the exemptions above.  A read in
+    ``cocycle`` of ``.cycles`` counts for the classes of ``cocycle`` and
+    of the modules it imports, not for a field of that name in
+    ``lyapunov``."""
+    reads = _reads_by_module(src)
     return sorted(
         f"{cls}.{name}"
-        for tree in trees.values()
-        for cls, name in _stored_fields(tree)
-        if name not in read and cls not in WRITTEN_WHOLE and f"{cls}.{name}" not in UNREAD_ON_PURPOSE
+        for path in sorted(src.glob("*.py"))
+        for cls, name in _stored_fields(ast.parse(path.read_text(), filename=str(path)))
+        if name not in reads[path.stem] and cls not in WRITTEN_WHOLE
+        and f"{cls}.{name}" not in UNREAD_ON_PURPOSE
     )
 
 
@@ -400,3 +430,14 @@ def test_every_field_is_read(tmp_path):
         "    target: tuple[Perm, Perm, Perm]\n",
         "    target: tuple[Perm, Perm, Perm]\n    never_read_anywhere: int = 0\n"))
     assert _unread_fields(tmp_path) == ["Transition.never_read_anywhere"]
+    # and a walker that kept its own cycles and current state: cocycle reads
+    # .cycles (the cache's, a basis's), but cocycle cannot hold a walker
+    lyapunov = tmp_path / "lyapunov.py"
+    text = lyapunov.read_text()
+    assert "        self._memo: dict[tuple, tuple] = {}\n" in text
+    lyapunov.write_text(text.replace(
+        "        self._memo: dict[tuple, tuple] = {}\n",
+        "        self._memo: dict[tuple, tuple] = {}\n"
+        "        self.cycles: dict = {}\n        self.key = self.anchor\n"))
+    assert _unread_fields(tmp_path) == [
+        "Transition.never_read_anywhere", "_Walker.cycles", "_Walker.key"]
