@@ -69,7 +69,6 @@ class RunConfig:
     orbit_cap: int = DEFAULT_ORBIT_CAP
     out: str | None = None
     format: str = "json"
-    trace: str | None = None
 
     def __post_init__(self):
         if self.command not in _COMMANDS:
@@ -220,7 +219,7 @@ _COMMANDS = {
     "orbit": (_cmd_orbit, "dump the S,T orbit graph", ("--orbit-cap", "--out", "--format")),
     "ekz": (_cmd_ekz, "exact sum-rule reports", ("--orbit-cap", "--out", "--format")),
     "lyapunov": (_cmd_lyapunov, "Monte-Carlo exponent estimates",
-                 ("--steps", "--seeds", "--trace", "--out", "--format")),
+                 ("--steps", "--seeds", "--out", "--format")),
     "bform": (_cmd_bform, "pairing matrices at the disc sample points", ("--out", "--format")),
     "bounds": (_cmd_bounds, "pole-count/degree/unbranched-pole checks", ("--out", "--format")),
     "locus": (_cmd_locus, "metadata for branched-cover loci", ("--out", "--format")),
@@ -254,21 +253,6 @@ def _json_lines(records: list[dict]) -> str:
     if not records:
         return "[]\n"
     return "[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n]\n"
-
-
-def _write_trace(estimative_records: list[dict], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["line", "seed", "block", "slope"])
-        for rec in estimative_records:
-            for est in rec.get("estimates", []):
-                for blk, slope in enumerate(est["block_slopes"]):
-                    writer.writerow([rec["input"], est["seed"], blk, slope])
-
-
-def _cannot_write(path: str, exc: OSError) -> int:
-    print(f"cannot write {path}: {exc}", file=sys.stderr)
-    return EXIT_PARSE
 
 
 def run(config: RunConfig) -> int:
@@ -306,15 +290,10 @@ def run(config: RunConfig) -> int:
         try:
             Path(config.out).write_text(payload)
         except OSError as exc:
-            return _cannot_write(config.out, exc)
+            print(f"cannot write {config.out}: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     else:
         sys.stdout.write(payload)
-
-    if config.trace and config.command == "lyapunov":
-        try:
-            _write_trace(records, config.trace)
-        except OSError as exc:
-            return _cannot_write(config.trace, exc)
 
     return EXIT_CONTRADICTION if contradiction else EXIT_OK
 
@@ -329,7 +308,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         "--orbit-cap": dict(type=int, default=RunConfig.orbit_cap),
         "--out": dict(default=RunConfig.out),
         "--format": dict(choices=("json", "csv"), default=RunConfig.format),
-        "--trace": dict(default=RunConfig.trace, help="CSV of per-block slopes"),
     }
     parser = argparse.ArgumentParser(
         prog="pillowtiled",

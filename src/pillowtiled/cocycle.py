@@ -70,11 +70,10 @@ __all__ = [
 
 class StateData:
     """Homology package of one surface: its H_1 basis (with its boundary
-    maps) and, when it carries a deck involution, the splitting of H_1
-    (else ``splitting`` is None)."""
+    maps and the surface, ``basis.origami``) and, when it carries a deck
+    involution, the splitting of H_1 (else ``splitting`` is None)."""
 
     def __init__(self, origami: Origami, iota: Perm | None = None):
-        self.origami = origami
         self.basis: HomologyBasis = homology_basis(origami)
         self.splitting: InvolutionSplitting | None = None
         if iota is not None:
@@ -97,7 +96,7 @@ def _move_matrix(src: StateData, tgt: StateData, gen: str, label) -> list[list[i
     into boundaries, and the matrix is symplectic and, when the surfaces
     carry a deck involution, commutes with it.
     """
-    F = move_rows(src.origami, gen, label)
+    F = move_rows(src.basis.origami, gen, label)
     FB = apply_rows(F, src.basis.cycles)
     if any(any(row) for row in lattice.matmul(tgt.basis.d1, FB)):
         raise ArithmeticError("move does not map cycles to cycles")

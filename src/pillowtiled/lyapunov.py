@@ -20,15 +20,15 @@ mix.
 
 All seeds of a line move through the frame pass together.  Each seed's
 walk is a generator that holds its random stream, continued fraction,
-tautological vector and state, and yields one flush segment at a time:
-the digit matrices since its last flush.  A round applies each live
-seed's segment to its own frame and orthonormalizes the frames of the
-round with one stacked ``np.linalg.qr``; LAPACK factors each frame of a
-stack on its own, so every float is the seed's alone, bit for bit.  A
-line makes 1 + (most flushes of any seed) QR calls, not one per flush
-per seed: on frames this small numpy's Python wrapper, not LAPACK, takes
-most of a QR's time.  A seed holds at most one segment of digit matrices
-at a time.
+tautological vector, state and frame: it applies each digit's matrix to
+its frame as it goes, yields the frame at a flush and is sent back the
+frame orthonormalized.  A round orthonormalizes the frames of every
+seed that flushes in it with one stacked ``np.linalg.qr``; LAPACK
+factors each frame of a stack on its own, so every float is the seed's
+alone, bit for bit.  A line makes 1 + (most flushes of any seed) QR
+calls, not one per flush per seed: on frames this small numpy's Python
+wrapper, not LAPACK, takes most of a QR's time.  A digit matrix seen
+for the first time lives only until its product with the frame.
 
 A certificate reads the invariant spectrum alone, so ``certify_degenerate``
 walks H1+ alone: its cycles, digit matrices, frame and QRs leave H1- out,
@@ -124,14 +124,13 @@ class _Walker:
         st = self.cache.state(self.anchor)
         self.dim_plus = st.splitting.dim_plus
         self.dim_minus = st.splitting.dim_minus
-        self._seen: set[tuple] = set()
-        self._memo: dict[tuple, tuple] = {}
+        self._memo: dict[tuple, tuple | None] = {}
 
     def digit(self, key, gen: str, a: int) -> tuple[np.ndarray, tuple]:
         """(M, target): the float matrix diag(M+, M-) of gen^a from state
         ``key`` on H1+ (+) H1-, or M+ alone without H1-, and the state it
         reaches.  A digit is kept from its second sighting on: most large
-        digits are seen once."""
+        digits are seen once, and a first sighting leaves ``None``."""
         memo_key = (key, gen, a)
         hit = self._memo.get(memo_key)
         if hit is None:
@@ -143,10 +142,7 @@ class _Walker:
             if self.with_minus:
                 M[dp:, dp:] = cyc.minus().product(r, q)
             hit = (M, cyc.states[r])
-            if memo_key in self._seen:
-                self._memo[memo_key] = hit
-            else:
-                self._seen.add(memo_key)
+            self._memo[memo_key] = hit if memo_key in self._memo else None
         return hit
 
 
@@ -198,13 +194,14 @@ def run_monte_carlo(cover: PillowCover, steps: int, seed: int) -> LyapunovEstima
 def _walk(walker: _Walker, steps: int, seed: int):
     """One seed's walk from the walker's anchor, as a generator.
 
-    It yields the seed's initial frame first, then one flush segment at a
-    time: the float digit matrices since the last flush in order, the
-    tautological log-growth so far, and the number of steps taken when the
-    segment ends a block, else 0.  The last segment ends the last block.
-    A segment is due once the tautological log-growth since the last one
-    reaches ``_RENORM_NATS``, and at every block end.  With no frame (H1+
-    = 0 without H1-) the segments hold no matrix, and no move is built.
+    It first yields the seed's initial frame.  It then applies each
+    digit's float matrix to the frame as it goes, and at a flush yields
+    the frame, the tautological log-growth so far, and the number of
+    steps taken when the flush ends a block, else 0.  Each yield is
+    answered with the frame it gave, orthonormalized.  The last flush
+    ends the last block.  A flush is due once the tautological log-growth
+    since the last one reaches ``_RENORM_NATS``, and at every block end.
+    With no frame (H1+ = 0 without H1-) no move is built.
     """
     dp, dm = walker.dim_plus, walker.dim_minus
     mp, mm = dp // 2, dm // 2
@@ -217,7 +214,7 @@ def _walk(walker: _Walker, steps: int, seed: int):
         # and with it every H1+ float, is the full run's
         F = F[:dp, :mp]
     frame = F.size > 0
-    yield F
+    F = yield F
     vec = rng.standard_normal(2)
     u0, u1 = (vec / np.hypot(*vec)).tolist()  # tautological 2-vector
 
@@ -225,7 +222,6 @@ def _walk(walker: _Walker, steps: int, seed: int):
     taut = taut_at_flush = 0.0
     boundaries = [steps * (k + 1) // _BLOCKS for k in range(_BLOCKS)]
     bi = 0
-    segment = []
     x = 0.0
     digits_since_refresh = _REFRESH_DIGITS  # force an initial draw
     use_T = True
@@ -245,7 +241,8 @@ def _walk(walker: _Walker, steps: int, seed: int):
         use_T = not use_T
         if frame:
             M, key = walker.digit(key, gen, a)
-            segment.append(M)
+            F = M @ F
+            del M  # a first sighting is not kept past its product
         if gen == "T":
             u0 += a * u1
         else:
@@ -257,8 +254,7 @@ def _walk(walker: _Walker, steps: int, seed: int):
         digits_since_refresh += 1
         at_boundary = step + 1 == boundaries[bi]
         if taut - taut_at_flush >= _RENORM_NATS or at_boundary:
-            yield segment, taut, step + 1 if at_boundary else 0
-            segment = []
+            F = yield F, taut, step + 1 if at_boundary else 0
             taut_at_flush = taut
         if at_boundary:
             bi += 1
@@ -267,14 +263,14 @@ def _walk(walker: _Walker, steps: int, seed: int):
 def _estimate(walker: _Walker, steps: int, seeds: tuple[int, ...]) -> tuple[LyapunovEstimate, ...]:
     """One run per seed from the walker's anchor; see :func:`run_monte_carlo`.
 
-    All seeds move through the frame together.  Each round applies every
-    live seed's next segment (:func:`_walk`) to that seed's frame, then
-    orthonormalizes the frames of the round with one stacked QR; a seed
-    leaves after its last block, so a line makes 1 + (most flushes of any
-    seed) QRs, and each run's floats are those of the seed run alone.  A
-    walker without H1- gives ``lambda_minus`` and ``stderr_minus`` ``()``,
-    the full run's H1+ floats up to round-off and its tautological fields
-    exactly.
+    All seeds move through the frame together.  Each round takes every
+    live seed's frame at its next flush (:func:`_walk`), orthonormalizes
+    the frames of the round with one stacked QR and sends each walk its
+    own; a seed leaves after its last block, so a line makes 1 + (most
+    flushes of any seed) QRs, and each run's floats are those of the seed
+    run alone.  A walker without H1- gives ``lambda_minus`` and
+    ``stderr_minus`` ``()``, the full run's H1+ floats up to round-off and
+    its tautological fields exactly.
     """
     if steps < _BLOCKS:
         raise ValueError("steps must be at least the number of blocks")
@@ -293,11 +289,7 @@ def _estimate(walker: _Walker, steps: int, seeds: tuple[int, ...]) -> tuple[Lyap
     while live:
         ends = []
         for i in live:
-            segment, taut[i], end = next(walks[i])
-            F = frames[i]
-            for M in segment:
-                F = M @ F
-            frames[i] = F
+            frames[i], taut[i], end = walks[i].send(frames[i])
             ends.append(end)
         if frame:
             Q, R = _orthonormalize(np.stack([frames[i] for i in live]), dp, mp)

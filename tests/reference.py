@@ -334,17 +334,17 @@ def induced_cocycle(o: Origami, word, iota: Perm | None = None):
     M = lattice.eye(cur.basis.rank)
     for gen in word:
         if iota is None:
-            nxt = cocycle.StateData(apply_generator(cur.origami, gen))
+            nxt = cocycle.StateData(apply_generator(cur.basis.origami, gen))
         else:
-            o2, iota = apply_state_generator(cur.origami, iota, gen)
+            o2, iota = apply_state_generator(cur.basis.origami, iota, gen)
             nxt = cocycle.StateData(o2, iota)
-        step = cocycle._move_matrix(cur, nxt, gen, range(cur.origami.d))
+        step = cocycle._move_matrix(cur, nxt, gen, range(cur.basis.origami.d))
         M = lattice.matmul(step, M)
         cur = nxt
     cm = CocycleMatrix(matrix=tuple(tuple(r) for r in M), word=word)
     if iota is None:
-        return cm, cur.origami
-    return cm, cur.origami, iota
+        return cm, cur.basis.origami
+    return cm, cur.basis.origami, iota
 
 
 def left_inverse(k: list[list[int]]) -> list[list[int]]:

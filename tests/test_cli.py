@@ -119,7 +119,7 @@ class TestRunConfig:
 # a value each flag accepts, other than its default
 FLAG_VALUES = {
     "--steps": "100", "--seeds": "1,2,3", "--epsilon": "0.01", "--orbit-cap": "50",
-    "--out": "o.json", "--format": "csv", "--trace": "t.csv",
+    "--out": "o.json", "--format": "csv",
 }
 
 
@@ -144,8 +144,9 @@ class TestFlags:
     @pytest.mark.parametrize(
         "argv",
         [["construct", "--epsilon", "0.5"], ["ekz", "--steps", "0"],
-         ["certify", "--trace", "x.csv"], ["bform", "--seeds", "1"]],
-        ids=["construct-epsilon", "ekz-steps", "certify-trace", "bform-seeds"],
+         ["certify", "--trace", "x.csv"], ["lyapunov", "--trace", "x.csv"],
+         ["bform", "--seeds", "1"]],
+        ids=["construct-epsilon", "ekz-steps", "certify-trace", "lyapunov-trace", "bform-seeds"],
     )
     def test_an_unread_flag_is_a_usage_error(self, tmp_path, capsys, argv):
         path = write(tmp_path, "in.txt", FAMILY + "\n")
@@ -287,23 +288,23 @@ class TestSubcommands:
         assert [rec["exact_sum"] for rec in data] == ["0/1", "0/1"]
         assert all(len(rec["warnings"]) == 3 for rec in data)
 
-    def test_lyapunov_trace_and_out(self, tmp_path):
-        path = write(tmp_path, "in.txt", FAMILY + "\n")
+    def test_lyapunov_block_slopes_are_in_the_record(self, tmp_path, capsys):
+        # the per-block slopes are a field of every estimate, in JSON and
+        # in CSV, and no second file carries them (lyapunov takes no
+        # --trace: TestFlags::test_an_unread_flag_is_a_usage_error)
+        path = write(tmp_path, "in.txt", FAMILY + "\n6 1 1 5 5\n")
         out = tmp_path / "report.json"
-        trace = tmp_path / "trace.csv"
-        rc = main(
-            ["lyapunov", path, "--steps", "1000", "--seeds", "7",
-             "--out", str(out), "--trace", str(trace)]
-        )
-        assert rc == 0
-        data = json.loads(out.read_text())
-        est = data[0]["estimates"][0]
-        assert est["seed"] == 7
-        assert len(est["lambda_plus"]) == 2
-        with open(trace) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["line", "seed", "block", "slope"]
-        assert len(rows) - 1 == est["blocks"]
+        flags = ["--steps", "200", "--seeds", "7,8"]
+        assert main(["lyapunov", path, *flags, "--out", str(out)]) == 0
+        assert main(["lyapunov", path, *flags, "--format", "csv"]) == 0
+        rows = csv.DictReader(capsys.readouterr().out.splitlines())
+        from_csv = [json.loads(row["estimates"]) for row in rows]
+        from_json = [rec["estimates"] for rec in json.loads(out.read_text())]
+        assert from_csv == from_json and len(from_json) == 2
+        assert [len(est["lambda_plus"]) for est in from_json[0]] == [2, 2]
+        for estimates in from_json:
+            assert [est["seed"] for est in estimates] == [7, 8]
+            assert all(len(est["block_slopes"]) == est["blocks"] == 20 for est in estimates)
 
     def test_bform_family_report(self, tmp_path, capsys):
         path = write(tmp_path, "in.txt", FAMILY + "\n")
@@ -330,7 +331,7 @@ class TestSubcommands:
         assert main(["certify", path, "--steps", "200", "--seeds", "7,7,7"]) == 2
         assert "three distinct seeds" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    @pytest.mark.parametrize("flag", ["--out"])
     @pytest.mark.parametrize("bad", ["missing-dir", "directory"])
     def test_unwritable_output_exits_two(self, tmp_path, capsys, flag, bad):
         path = write(tmp_path, "in.txt", FAMILY + "\n")

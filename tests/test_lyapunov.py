@@ -775,32 +775,31 @@ class TestOneFrame:
         _estimate(walker, 300, self.SEEDS)
         assert counting.calls == 300 + 1
 
-    def test_a_run_holds_one_segment_of_digit_matrices_per_seed(self, monkeypatch):
-        # a digit matrix seen for the first time is not kept in the memo:
-        # it lives until the QR of the flush round it belongs to, so the
-        # matrices alive at a QR are those built since the previous one
+    def test_no_first_sighting_digit_matrix_lives_to_a_qr(self, monkeypatch):
+        # each walk applies a digit's matrix to its own frame as it goes,
+        # and the memo keeps a digit from its second sighting on, so no
+        # matrix seen once is still held when its flush round's QR runs
         walker = _Walker(cyclic_pillow(12, (1, 5, 7, 11)))
-        real, built, rounds = walker.digit, [], [0]
-        alive_at_qr = []
+        real, first, rounds = walker.digit, [], []
 
         def digit(key, gen, a):
             hit = real(key, gen, a)
-            if (key, gen, a) not in walker._memo:
-                built.append((weakref.ref(hit[0]), rounds[0]))
+            if walker._memo[key, gen, a] is None:  # its first sighting
+                first.append(weakref.ref(hit[0]))
             return hit
 
         class Rounds(CountingNumPy):
             def qr(self, F):
-                alive = [r for ref, r in built if ref() is not None]
-                alive_at_qr.append(len(alive))
-                assert all(r == rounds[0] for r in alive), (rounds[0], sorted(set(alive)))
-                rounds[0] += 1
+                alive = sum(ref() is not None for ref in first)
+                assert alive == 0, (len(rounds), alive)
+                rounds.append(len(first))
+                del first[:]
                 return super().qr(F)
 
         walker.digit = digit
         monkeypatch.setattr(lyapunov, "np", Rounds(keep_frames=False))
         _estimate(walker, 4000, self.SEEDS)
-        assert rounds[0] > 21 and max(alive_at_qr) > len(self.SEEDS)
+        assert len(rounds) > 21 and max(rounds) > len(self.SEEDS)
 
     @pytest.mark.parametrize("N, a", ONE_FRAME_LINES, ids=ONE_FRAME_IDS)
     def test_matches_the_recorded_two_frame_walker(self, N, a):
@@ -842,10 +841,11 @@ class TestOneFrame:
 
     def test_a_digit_is_kept_from_its_second_sighting(self):
         walker = _Walker(cyclic_pillow(5, (1, 2, 2, 5)))
+        key = (walker.anchor, "T", 10**12)
         first, after = walker.digit(walker.anchor, "T", 10**12)
-        assert walker._memo == {}
+        assert walker._memo == {key: None}
         second, again = walker.digit(walker.anchor, "T", 10**12)
-        assert list(walker._memo) == [(walker.anchor, "T", 10**12)]
+        assert list(walker._memo) == [key] and walker._memo[key][0] is second
         assert again == after and second.tobytes() == first.tobytes()
         assert walker.digit(walker.anchor, "T", 10**12)[0] is second
         assert len(walker._memo) == 1

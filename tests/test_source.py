@@ -434,10 +434,10 @@ def test_every_field_is_read(tmp_path):
     # .cycles (the cache's, a basis's), but cocycle cannot hold a walker
     lyapunov = tmp_path / "lyapunov.py"
     text = lyapunov.read_text()
-    assert "        self._memo: dict[tuple, tuple] = {}\n" in text
+    assert "        self._memo: dict[tuple, tuple | None] = {}\n" in text
     lyapunov.write_text(text.replace(
-        "        self._memo: dict[tuple, tuple] = {}\n",
-        "        self._memo: dict[tuple, tuple] = {}\n"
+        "        self._memo: dict[tuple, tuple | None] = {}\n",
+        "        self._memo: dict[tuple, tuple | None] = {}\n"
         "        self.cycles: dict = {}\n        self.key = self.anchor\n"))
     assert _unread_fields(tmp_path) == [
         "Transition.never_read_anywhere", "_Walker.cycles", "_Walker.key"]
