@@ -3,7 +3,8 @@
 This module holds the one move step, ``_move_matrix``, which turns a
 move's chain map between two surfaces (``homology.move_rows``, a signed
 row map with the target's relabelling folded in) into an exact integer
-matrix on H_1, checked on the nose to be well defined, symplectic and
+matrix on H_1, checked on the nose to be well defined (on the two
+surfaces' incidence, by ``homology.move_cycles``), symplectic and
 deck-equivariant.  Symplectic is checked on the cup
 matrices K of the two bases, M K_src M^T == K_tgt, which needs no
 inverse: both K are unimodular, so it forces det M = +-1 and is then
@@ -45,8 +46,8 @@ pencils (``GenCycle.entries``); a cycle is rebuilt from cached moves,
 but a state needs its homology again, which is why cycles go first.
 Measured with tracemalloc after ``lyapunov`` lines of 2000 steps on
 cyclic covers from N = 30 down to N = 5, states with their T and L
-transitions take 9.1-13.2 bytes per entry and cycles 8.7-15.3, so the
-budget of 2^21 entries keeps at most about 32 MB.  One line of N = 30
+transitions take 10.2-17.8 bytes per entry and cycles 8.5-15.3, so the
+budget of 2^21 entries keeps at most about 37 MB.  One line of N = 30
 or more can by itself build cycles past the budget (2.7M entries at
 N = 30); they are then dropped at the next line's start and its states
 kept.
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 
 from . import lattice
 from .homology import HomologyBasis, InvolutionSplitting, homology_basis, involution_splitting
-from .homology import apply_rows, move_rows
+from .homology import move_cycles, move_rows
 from .orbit import _move, _transport, canonical_labelling, canonical_perms
 from .permsurf import Origami, validate_involution
 from .permutations import Perm
@@ -69,9 +70,9 @@ __all__ = [
 
 
 class StateData:
-    """Homology package of one surface: its H_1 basis (with its boundary
-    maps and the surface, ``basis.origami``) and, when it carries a deck
-    involution, the splitting of H_1 (else ``splitting`` is None)."""
+    """Homology package of one surface: its H_1 basis (with the surface,
+    ``basis.origami``) and, when it carries a deck involution, the
+    splitting of H_1 (else ``splitting`` is None)."""
 
     def __init__(self, origami: Origami, iota: Perm | None = None):
         self.basis: HomologyBasis = homology_basis(origami)
@@ -80,10 +81,9 @@ class StateData:
             validate_involution(origami, iota)
             self.splitting = involution_splitting(self.basis, iota)
         # the weight of the state in a trimmed cache
-        b = self.basis
-        mats = [b.cycles, b.functionals, b.cup, b.d1, b.d2]
-        if self.splitting is not None:
-            sp = self.splitting
+        b, sp = self.basis, self.splitting
+        mats = [b.cycles, b.functionals, b.cup]
+        if sp is not None:
             mats += [sp.action, sp.plus_basis, sp.minus_basis]
         self.entries = sum(len(row) for m in mats for row in m)
 
@@ -93,17 +93,11 @@ def _move_matrix(src: StateData, tgt: StateData, gen: str, label) -> list[list[i
     new squares relabelled by ``label`` (``move_rows``), exactly checked.
 
     Raises ArithmeticError unless F maps cycles to cycles and boundaries
-    into boundaries, and the matrix is symplectic and, when the surfaces
-    carry a deck involution, commutes with it.
+    into boundaries (``move_cycles``), and the matrix is symplectic and,
+    when the surfaces carry a deck involution, commutes with it.
     """
-    F = move_rows(src.basis.origami, gen, label)
-    FB = apply_rows(F, src.basis.cycles)
-    if any(any(row) for row in lattice.matmul(tgt.basis.d1, FB)):
-        raise ArithmeticError("move does not map cycles to cycles")
-    C = tgt.basis.functionals
-    if any(any(row) for row in lattice.matmul(C, apply_rows(F, src.basis.d2))):
-        raise ArithmeticError("move does not respect boundaries")
-    M = lattice.matmul(C, FB)
+    FB = move_cycles(src.basis, tgt.basis, move_rows(src.basis.origami, gen, label))
+    M = lattice.matmul(tgt.basis.functionals, FB)
     # symplectic: M K_src M^T = K_tgt, each K the cup matrix of its own basis
     if not lattice.mat_eq(lattice.matmul(M, lattice.matmul(src.basis.cup, lattice.transpose(M))),
                           tgt.basis.cup):

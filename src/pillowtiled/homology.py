@@ -28,11 +28,14 @@ and the left side to the top side, which is the bottom of the square
 above, i.e. of the new square h^-1(i).)  So a row of F X is one row of X,
 negated or not, or the sum of two, and a chain map F is kept as that
 signed row map (``apply_rows``), never as a 2d x 2d matrix.
+The boundary maps, too, are pairs of signed row maps read off the
+surface's incidence (``_boundary_rows``), never dense matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from . import lattice
 from .permutations import Perm, inverse
@@ -45,32 +48,23 @@ __all__ = [
     "homology_basis",
     "involution_on_homology",
     "involution_splitting",
+    "move_cycles",
     "move_rows",
 ]
 
 
-def _boundary_matrices(o: Origami, classes) -> tuple[list[list[int]], list[list[int]]]:
-    """(d1, d2): boundary of edges (V x 2d) and of faces (2d x d), given
-    the vertex ``classes`` of ``_vertex_classes(o)``.
-
-    d(sigma_i) = [corner of h(i)] - [corner of i], likewise with v for tau;
-    d(face_i) = sigma_i + tau_{h(i)} - sigma_{v(i)} - tau_i  (counterclockwise).
-    """
-    d = o.d
+def _boundary_rows(o: Origami, classes) -> tuple:
+    """The boundary maps as pairs (plus, minus) of signed row maps: d1 =
+    heads - tails on the vertex classes of ``_vertex_classes(o)``, and d2^T
+    = plus - minus on the faces, d(face_i) = sigma_i + tau_{h(i)} -
+    sigma_{v(i)} - tau_i (counterclockwise)."""
     cs, cls_of = classes
-    d1 = lattice.zeros(len(cs), 2 * d)
-    for i in range(d):
-        d1[cls_of[o.h[i]]][i] += 1
-        d1[cls_of[i]][i] -= 1
-        d1[cls_of[o.v[i]]][d + i] += 1
-        d1[cls_of[i]][d + i] -= 1
-    d2 = lattice.zeros(2 * d, d)
-    for i in range(d):
-        d2[i][i] += 1
-        d2[o.h[i] + d][i] += 1
-        d2[o.v[i]][i] -= 1
-        d2[i + d][i] -= 1
-    return d1, d2
+    d, heads, tails = o.d, [[1] for _ in cs], [[1] for _ in cs]
+    for e, j in enumerate(o.h + o.v):
+        heads[cls_of[j]].append(e)
+        tails[cls_of[e % d]].append(e)
+    faces = [(1, i, d + j) for i, j in enumerate(o.h)], [(1, j, d + i) for i, j in enumerate(o.v)]
+    return (tuple(map(tuple, heads)), tuple(map(tuple, tails))), tuple(map(tuple, faces))
 
 
 def _spanning_forest(n: int, ends: list[tuple[int, int]], usable) -> list:
@@ -120,8 +114,7 @@ def _tree_cotree(o: Origami, classes) -> tuple[list[list[int]], list[list[int]]]
     d = o.d
     cs, cls_of = classes
     hinv, vinv = inverse(o.h), inverse(o.v)
-    ends = [(cls_of[i], cls_of[o.h[i]]) for i in range(d)]
-    ends += [(cls_of[i], cls_of[o.v[i]]) for i in range(d)]
+    ends = [(cls_of[e % d], cls_of[j]) for e, j in enumerate(o.h + o.v)]
     # a dual edge runs from the face where d2 has -1 to the face where it
     # has +1, so a cycle of the dual graph is a cocycle
     dual_ends = [(vinv[i], i) for i in range(d)] + [(i, hinv[i]) for i in range(d)]
@@ -154,9 +147,8 @@ class HomologyBasis:
     the edge basis.  ``functionals``: r x 2d, rows are cocycles with
     functionals @ cycles == I and functionals @ d2 == 0.  ``cup``: the cup
     products of the functionals, antisymmetric and unimodular, in no
-    normal form; the cycles pair as minus its inverse.  ``d1`` and
-    ``d2``: the boundary of edges (V x 2d) and of faces (2d x d), built
-    once with the basis.
+    normal form; the cycles pair as minus its inverse.  ``boundary_rows``:
+    d1 and d2 as pairs of signed row maps (``_boundary_rows``).
     """
 
     origami: Origami
@@ -164,8 +156,7 @@ class HomologyBasis:
     cycles: tuple[tuple[int, ...], ...]
     functionals: tuple[tuple[int, ...], ...]
     cup: tuple[tuple[int, ...], ...]
-    d1: tuple[tuple[int, ...], ...]
-    d2: tuple[tuple[int, ...], ...]
+    boundary_rows: tuple
 
 
 def homology_basis(o: Origami) -> HomologyBasis:
@@ -180,12 +171,12 @@ def homology_basis(o: Origami) -> HomologyBasis:
     c components, so the ranks agree and the map is an isomorphism.
     """
     classes = _vertex_classes(o)
-    d1, d2 = _boundary_matrices(o, classes)
+    (heads, tails), (plus, minus) = _boundary_rows(o, classes)
     B, C = _tree_cotree(o, classes)
-    r = len(C)
-    if any(any(row) for row in lattice.matmul(d1, B)):
+    r, CT = len(C), lattice.transpose(C)
+    if apply_rows(heads, B) != apply_rows(tails, B):
         raise ArithmeticError("basis chains are not cycles: d1 @ B != 0")
-    if any(any(row) for row in lattice.matmul(C, d2)):
+    if apply_rows(plus, CT) != apply_rows(minus, CT):
         raise ArithmeticError("functionals do not kill boundaries: C @ d2 != 0")
     if not lattice.mat_eq(lattice.matmul(C, B), lattice.eye(r)):
         raise ArithmeticError("functionals are not dual to the cycles: C @ B != I")
@@ -200,8 +191,7 @@ def homology_basis(o: Origami) -> HomologyBasis:
         cycles=tuple(tuple(row) for row in B),
         functionals=tuple(tuple(row) for row in C),
         cup=tuple(tuple(row) for row in cup),
-        d1=tuple(tuple(row) for row in d1),
-        d2=tuple(tuple(row) for row in d2),
+        boundary_rows=((heads, tails), (plus, minus)),
     )
 
 
@@ -226,6 +216,26 @@ def move_rows(o: Origami, gen: str, label) -> list[tuple[int, ...]]:
         else:
             F[label[v[i]]], F[d + j] = (1, i), (1, i, d + i)
     return F
+
+
+def move_cycles(src: HomologyBasis, tgt: HomologyBasis, F) -> list[list[int]]:
+    """F B_src for a chain map F (``move_rows``) from the surface of ``src``
+    to that of ``tgt``; raises ArithmeticError unless d1_tgt F B_src == 0
+    and C_tgt F d2_src == 0, the second read on C_tgt pulled back along F."""
+    (heads, tails), (plus, minus) = tgt.boundary_rows[0], src.boundary_rows[1]
+    FB = apply_rows(F, src.cycles)
+    if apply_rows(heads, FB) != apply_rows(tails, FB):
+        raise ArithmeticError("move does not map cycles to cycles")
+    # row e of (C_tgt F)^T sums c C_tgt[:, k] over the rows F[k] == (c, *es) naming e
+    pulled = [[0] * tgt.rank for _ in src.cycles]
+    for (c, *es), col in zip(F, zip(*tgt.functionals)):
+        if c != 1:
+            col = [c * x for x in col]
+        for e in es:
+            pulled[e] = list(map(add, pulled[e], col))
+    if apply_rows(plus, pulled) != apply_rows(minus, pulled):
+        raise ArithmeticError("move does not respect boundaries")
+    return FB
 
 
 def _involution_rows(o: Origami, iota: Perm) -> list[tuple[int, int]]:

@@ -41,10 +41,6 @@ def eye(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zeros(m: int, n: int) -> list[list[int]]:
-    return [[0] * n for _ in range(m)]
-
-
 def shape(a: list[list[int]]) -> tuple[int, int]:
     return len(a), len(a[0]) if len(a) else 0
 

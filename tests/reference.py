@@ -270,11 +270,39 @@ def apply_state_generator(o: Origami, iota: Perm, gen: str) -> tuple[Origami, Pe
 # --- cocycle --------------------------------------------------------------
 
 
+def zero_matrix(m: int, n: int) -> list[list[int]]:
+    return [[0] * n for _ in range(m)]
+
+
+def boundary_matrices(o: Origami) -> tuple[list[list[int]], list[list[int]]]:
+    """(d1, d2): dense boundary of edges (V x 2d, the vertex classes in the
+    order of ``_vertex_classes``) and of faces (2d x d).
+
+    d(sigma_i) = [corner of h(i)] - [corner of i], likewise with v for tau;
+    d(face_i) = sigma_i + tau_{h(i)} - sigma_{v(i)} - tau_i  (counterclockwise).
+    """
+    d = o.d
+    cs, cls_of = _vertex_classes(o)
+    d1 = zero_matrix(len(cs), 2 * d)
+    for i in range(d):
+        d1[cls_of[o.h[i]]][i] += 1
+        d1[cls_of[i]][i] -= 1
+        d1[cls_of[o.v[i]]][d + i] += 1
+        d1[cls_of[i]][d + i] -= 1
+    d2 = zero_matrix(2 * d, d)
+    for i in range(d):
+        d2[i][i] += 1
+        d2[o.h[i] + d][i] += 1
+        d2[o.v[i]][i] -= 1
+        d2[i + d][i] -= 1
+    return d1, d2
+
+
 def chain_map(o: Origami, gen: str) -> list[list[int]]:
     """2d x 2d integer matrix of the move on 1-chains (old basis -> new),
     from the table in the ``homology`` docstring, column by column."""
     d = o.d
-    M = lattice.zeros(2 * d, 2 * d)
+    M = zero_matrix(2 * d, 2 * d)
     if gen == "T":
         for i in range(d):
             M[i][i] = 1
@@ -299,7 +327,7 @@ def involution_chain_map(o: Origami, iota: Perm) -> list[list[int]]:
     """2d x 2d matrix of a half-turn deck involution on 1-chains:
     sigma_a -> -sigma_{v(iota(a))},  tau_a -> -tau_{h(iota(a))}."""
     d = o.d
-    M = lattice.zeros(2 * d, 2 * d)
+    M = zero_matrix(2 * d, 2 * d)
     for a in range(d):
         M[o.v[iota[a]]][a] = -1
         M[d + o.h[iota[a]]][d + a] = -1

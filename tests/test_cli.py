@@ -3,8 +3,15 @@
 import csv
 import hashlib
 import json
+import os
+import random
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pillowtiled import cli, cocycle, orbit
@@ -21,8 +28,8 @@ from pillowtiled.formats import (
     parse_surface_line,
 )
 from pillowtiled.lyapunov import DegeneracyCertificate
-from pillowtiled.permsurf import Origami, PillowCover
-from pillowtiled.permutations import parse_cycles
+from pillowtiled.permsurf import Origami, PillowCover, random_origami, random_pillow_cover
+from pillowtiled.permutations import format_cycles, parse_cycles
 from tests.recorded import CLI_DIGESTS, README_LOCUS_LINES
 
 
@@ -498,3 +505,102 @@ class TestJsonLayout:
         out = stdout.splitlines()
         assert len(out) == 4
         assert [json.loads(row.removesuffix(","))["report"] for row in out[1:3]] == [fake.report] * 2
+
+
+# the sweep's bounds: the whole sweep runs in one child process, which gets
+# this much wall time and address space (on 2 cores it took about 1.2 s and
+# a peak of 0.15 GB)
+SWEEP_SECONDS = 60
+SWEEP_ADDRESS_SPACE = 2 << 30
+
+# each line goes through cli.main with its own input file; an exception that
+# escaped main would end the child with a traceback and exit 1
+SWEEP_SCRIPT = """
+import contextlib, io, json, os, sys, tempfile
+from pillowtiled import cli
+out = []
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "in.txt")
+    for command, line, flags in json.load(sys.stdin):
+        with open(path, "w") as f:
+            f.write(line + "\\n")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                status = cli.main([command, path, *flags])
+            except SystemExit as exc:
+                status = exc.code
+        out.append([command, line, status, err.getvalue()])
+json.dump(out, sys.stdout)
+"""
+
+
+def _cycles_line(d, perms):
+    """A pillow or origami line from raw permutations, validated by nothing."""
+    return "; ".join([str(d), *(format_cycles(p) for p in perms)])
+
+
+def _sweep_lines(rng):
+    """Seeded edge and malformed lines: cyclic, pillow and origami lines and
+    locus lines, each kind for the subcommands that read it."""
+    cyclic = ["6 2 2 4 4", "4 2 2 2 2",          # gcd(N, a) != 1
+              "5 0 2 3 5", "5 1 2 2 0",          # a_i == 0
+              "5 5 1 2 2", "3 1 1 1 3",          # a_i == N
+              "1 1 1 1 1", "2 1 1 1 1", "2 2 2 1 1",  # degree 1 and 2
+              "5 1 2 2", "5 1 2 2 5 7", "5", "5 1 2 2 x", "0 1 1 1 1", "-5 1 2 2 5"]
+    cyclic += [" ".join(map(str, [N, *(rng.randint(0, N) for _ in range(4))]))
+               for N in (rng.randint(1, 12) for _ in range(12))]
+    nprng = np.random.default_rng(rng.randrange(1 << 30))
+    pillow = ["1; (); (); (); ()", "3; (1 2 3); ()", "2; (1 3); (1 2); (1 2); ()"]
+    origami = ["1; (); ()", "2; (1 2)", "2; (1 2); (1 2); ()", "2; (1 3); ()"]
+    for d in (2, 2, 3, 4):
+        # a cover; its g0 times a transposition, which does not close; and it
+        # beside another cover, which is not transitive
+        gs, hs = (random_pillow_cover(d, nprng).corner_perms() for _ in range(2))
+        pillow += [_cycles_line(d, gs), _cycles_line(d, ((gs[0][1], gs[0][0], *gs[0][2:]), *gs[1:])),
+                   _cycles_line(2 * d, (g + tuple(d + x for x in h) for g, h in zip(gs, hs)))]
+        o, o2 = random_origami(d, nprng), random_origami(d, nprng)
+        origami += [str(o), _cycles_line(2 * d, (o.h + tuple(d + x for x in o2.h),
+                                                 o.v + tuple(d + x for x in o2.v)))]
+    locus = [*README_LOCUS_LINES, "; 4; 3; (1 2 3); (1 2 3); (1 2 3)", "1 1; 6; 2; (1 2); (1 2)",
+             "1 1; x; 2; (1 2); (1 2); ()", "1 1; 0; 2; (1 2); (1 2); ()", "1; 6; 1; (); (); ()",
+             "1 1; 6; 2; (); (); ()"]
+    surface = cyclic + pillow
+    # 7 1 1 5 7 at 40 steps is the live channel contradiction (exit 4)
+    return {"construct": cyclic, "ekz": cyclic, "bform": cyclic, "bounds": cyclic,
+            "certify": [*surface, "7 1 1 5 7"], "lyapunov": surface, "orbit": origami + pillow,
+            "locus": locus}
+
+
+def test_edge_and_malformed_lines_end_cleanly():
+    # every documented subcommand on seeded edge and malformed lines ends in a
+    # documented exit with no traceback, the whole sweep in bounded time and
+    # address space.  Cyclic lines stay at N <= 12: a line with N in the tens
+    # of thousands (certify 100000 1 1 1 99997) is an open defect that ends
+    # in exit 1 or an out-of-memory kill.  An orbit cap of 3 ends the larger
+    # orbits in the resource exit
+    flags = {"certify": ["--steps", "40", "--seeds", "1,2,3"],
+             "lyapunov": ["--steps", "40", "--seeds", "1,2"], "orbit": ["--orbit-cap", "3"]}
+    jobs = [(command, line, flags.get(command, []))
+            for command, lines in _sweep_lines(random.Random(727)).items() for line in lines]
+    assert set(command for command, _, _ in jobs) == set(cli._COMMANDS)
+    src = Path(cli.__file__).resolve().parents[1]
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (SWEEP_ADDRESS_SPACE, SWEEP_ADDRESS_SPACE))
+
+    proc = subprocess.run([sys.executable, "-c", SWEEP_SCRIPT], input=json.dumps(jobs),
+                          env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+                                   OMP_NUM_THREADS="1"), capture_output=True,
+                          text=True, timeout=SWEEP_SECONDS, preexec_fn=limit)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    results = json.loads(proc.stdout)
+    assert [(command, line) for command, line, _, _ in results] == [job[:2] for job in jobs]
+    bad = [(command, line, status, err) for command, line, status, err in results
+           if status not in (0, 2, 3, 4) or "Traceback" in err]
+    assert not bad, bad
+    # the sweep reaches both a result and a rejection on every subcommand,
+    # and the resource exit
+    for command in cli._COMMANDS:
+        assert {status for c, _, status, _ in results if c == command} >= {0, 2}, command
+    assert 3 in {status for _, _, status, _ in results}

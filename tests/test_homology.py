@@ -28,7 +28,16 @@ from pillowtiled.permsurf import (
     random_pillow_cover,
 )
 from pillowtiled.permutations import parse_cycles
-from tests.reference import chain_map, components, cup, involution_chain_map, left_inverse
+from tests.reference import (
+    apply_generator,
+    boundary_matrices,
+    chain_map,
+    components,
+    cup,
+    involution_chain_map,
+    left_inverse,
+    zero_matrix,
+)
 from tests.test_lattice import _det
 from tests.test_permsurf import FIVE, FOUR, TORUS_COVER, cyclic_pillow
 
@@ -56,8 +65,8 @@ def test_boundary_squares_to_zero():
     rng = np.random.default_rng(2)
     for _ in range(15):
         o = random_origami(int(rng.integers(1, 9)), rng)
-        hb = homology_basis(o)
-        prod = lattice.matmul(hb.d1, hb.d2)
+        d1, d2 = boundary_matrices(o)
+        prod = lattice.matmul(d1, d2)
         assert all(all(x == 0 for x in row) for row in prod)
 
 
@@ -90,7 +99,7 @@ def test_functionals_are_cocycles_killing_boundaries():
     for _ in range(10):
         o = random_origami(int(rng.integers(1, 8)), rng)
         hb = homology_basis(o)
-        d1, d2 = hb.d1, hb.d2
+        d1, d2 = boundary_matrices(o)
         B, C = as_lists(hb.cycles), as_lists(hb.functionals)
         assert lattice.mat_eq(lattice.matmul(C, B), lattice.eye(hb.rank))
         CB2 = lattice.matmul(C, d2)
@@ -159,12 +168,12 @@ def test_basis_checks_raise_without_assertions():
         "import sys\n"
         "from pillowtiled import homology\n"
         "from pillowtiled.permsurf import PillowCover, _vertex_classes, orientation_double_cover\n"
+        "from tests.reference import boundary_matrices\n"
         "if not sys.flags.optimize:\n"
         "    raise SystemExit('not running under -O')\n"
         "perms = [tuple((x + a) % 5 for x in range(5)) for a in (1, 2, 2, 5)]\n"
         "o, _ = orientation_double_cover(PillowCover(5, *perms))\n"
-        "hb = homology.homology_basis(o)\n"
-        "d1, d2 = hb.d1, hb.d2\n"
+        "d1, d2 = boundary_matrices(o)\n"
         "B0, C0 = homology._tree_cotree(o, _vertex_classes(o))\n"
         "def flip_cycle_entry(B, C):\n"
         "    e, j = next((e, j) for e, row in enumerate(B) for j, x in enumerate(row)\n"
@@ -192,9 +201,124 @@ def test_basis_checks_raise_without_assertions():
         "    raise SystemExit(f'{corrupt.__name__} was accepted')\n"
         "raise SystemExit(7)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(lattice.__file__).resolve().parents[1]))
+    exits_seven_under_dash_o(code)
+
+
+def test_move_checks_raise_without_assertions():
+    # each corruption flips the sign of one row k of a T move's chain map F:
+    # where F B is nonzero on a non-loop target edge k, the image of a cycle
+    # is left open; where F B is zero, every image stays a cycle (F B does
+    # not change), but where the target functionals read edge k, the image
+    # of a face boundary is no longer a boundary
+    code = (
+        "import sys\n"
+        "from pillowtiled import cocycle, homology\n"
+        "from pillowtiled.permsurf import PillowCover, orientation_double_cover\n"
+        "from tests.reference import apply_state_generator, boundary_matrices\n"
+        "if not sys.flags.optimize:\n"
+        "    raise SystemExit('not running under -O')\n"
+        "perms = [tuple((x + a) % 5 for x in range(5)) for a in (1, 2, 2, 5)]\n"
+        "o, iota = orientation_double_cover(PillowCover(5, *perms))\n"
+        "o2, iota2 = apply_state_generator(o, iota, 'T')\n"
+        "src, tgt = cocycle.StateData(o, iota), cocycle.StateData(o2, iota2)\n"
+        "F0 = homology.move_rows(o, 'T', range(o.d))\n"
+        "FB = homology.apply_rows(F0, src.basis.cycles)\n"
+        "d1 = boundary_matrices(o2)[0]\n"
+        "C = tgt.basis.functionals\n"
+        "opens = next(k for k, row in enumerate(FB) if any(row) and any(r[k] for r in d1))\n"
+        "leaks = next(k for k, row in enumerate(FB) if not any(row) and any(r[k] for r in C))\n"
+        "for k, check in ((opens, 'move does not map cycles to cycles'),\n"
+        "                 (leaks, 'move does not respect boundaries')):\n"
+        "    F = [(-c, *es) if j == k else (c, *es) for j, (c, *es) in enumerate(F0)]\n"
+        "    cocycle.move_rows = lambda o, gen, label, F=F: F\n"
+        "    try:\n"
+        "        cocycle._move_matrix(src, tgt, 'T', range(o.d))\n"
+        "    except ArithmeticError as exc:\n"
+        "        if str(exc) != check:\n"
+        "            raise SystemExit(f'flipping row {k} tripped {exc}')\n"
+        "        continue\n"
+        "    raise SystemExit(f'flipping row {k} was accepted')\n"
+        "raise SystemExit(7)\n"
+    )
+    exits_seven_under_dash_o(code)
+
+
+def exits_seven_under_dash_o(code):
+    """Run ``code`` under ``python -O``, with the package and the tests on
+    the path, and check that it exits 7."""
+    src = Path(lattice.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (src, src.parent))))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
     assert proc.returncode == 7, proc.stderr
+
+
+def test_boundary_row_checks_agree_with_the_dense_products(monkeypatch):
+    # the basis and move checks read the boundaries as row maps; on true
+    # bases and T/S/L moves they accept, and with one sign flipped in B, C
+    # or a row of F they raise exactly the first check whose dense product
+    # (d1 @ B, C @ d2; d1_tgt @ F B, C_tgt @ F d2) is nonzero
+    cycles, kills = ("basis chains are not cycles: d1 @ B != 0",
+                     "functionals do not kill boundaries: C @ d2 != 0")
+    rng = np.random.default_rng(727)
+    surfaces = [random_origami(int(rng.integers(1, 12)), rng) for _ in range(12)]
+    surfaces += [orientation_double_cover(p)[0] for p in (FIVE, FOUR, TORUS_COVER)]
+    verdicts = []
+
+    def nonzero(M):
+        return any(any(row) for row in M)
+
+    def raised(call):
+        try:
+            call()
+        except (ArithmeticError, ValueError) as exc:
+            return str(exc)
+        return None
+
+    def flipped(rows, k, j=0):
+        out = [list(row) for row in rows]
+        out[k][j] *= -1
+        return out
+
+    for o in surfaces:
+        d1, d2 = boundary_matrices(o)
+        hb = homology_basis(o)
+        B0, C0 = as_lists(hb.cycles), as_lists(hb.functionals)
+        assert not nonzero(lattice.matmul(d1, B0)) and not nonzero(lattice.matmul(C0, d2))
+        sites = [(True, e, j) for e, row in enumerate(B0) for j, x in enumerate(row) if x]
+        sites += [(False, i, e) for i, row in enumerate(C0) for e, x in enumerate(row) if x]
+        for t in rng.choice(len(sites), size=min(8, len(sites)), replace=False):
+            in_b, k, j = sites[t]
+            B, C = (flipped(B0, k, j), C0) if in_b else (B0, flipped(C0, k, j))
+            with monkeypatch.context() as m:
+                m.setattr(homology, "_tree_cotree", lambda o, classes: (B, C))
+                got = raised(lambda: homology_basis(o))
+            if nonzero(lattice.matmul(d1, B)):
+                want = cycles
+            elif nonzero(lattice.matmul(C, d2)):
+                want = kills
+            else:
+                want = None  # a later check may still trip
+            assert (got if got in (cycles, kills) else None) == want
+            verdicts.append(want)
+        for gen in ("T", "S", "L"):
+            o2 = apply_generator(o, gen)
+            hb2 = homology_basis(o2)
+            d1_tgt, C_tgt = boundary_matrices(o2)[0], as_lists(hb2.functionals)
+            F0 = move_rows(o, gen, range(o.d))
+            assert homology.move_cycles(hb, hb2, F0) == apply_rows(F0, B0)
+            for k in rng.choice(2 * o.d, size=min(4, 2 * o.d), replace=False):
+                F = [tuple(row) for row in flipped(F0, k)]
+                if nonzero(lattice.matmul(d1_tgt, apply_rows(F, B0))):
+                    want = "move does not map cycles to cycles"
+                elif nonzero(lattice.matmul(C_tgt, apply_rows(F, d2))):
+                    want = "move does not respect boundaries"
+                else:
+                    want = None
+                assert raised(lambda: homology.move_cycles(hb, hb2, F)) == want
+                verdicts.append(want)
+    # every verdict turns up, so each check is seen to accept and to reject
+    assert set(verdicts) == {None, cycles, kills, "move does not map cycles to cycles",
+                             "move does not respect boundaries"}
 
 
 def test_a_scaled_cup_matrix_is_rejected_under_dash_o():
@@ -220,14 +344,12 @@ def test_a_scaled_cup_matrix_is_rejected_under_dash_o():
         "    raise SystemExit(7)\n"
         "raise SystemExit('a doubled cup matrix was accepted')\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(lattice.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
-    assert proc.returncode == 7, proc.stderr
+    exits_seven_under_dash_o(code)
 
 
 def test_a_state_builds_its_vertex_classes_once(monkeypatch):
-    # the boundary maps and the tree-cotree forests share one pass over the
-    # vertex classes, and the state reads the boundary maps off its basis
+    # the boundary rows and the tree-cotree forests share one pass over the
+    # vertex classes, and the state reads the boundary rows off its basis
     calls = []
 
     def counted(o):
@@ -238,24 +360,28 @@ def test_a_state_builds_its_vertex_classes_once(monkeypatch):
     o, iota = orientation_double_cover(FIVE)
     st = cocycle.StateData(o, iota)
     assert calls == [o]
-    assert lattice.matmul(st.basis.d1, st.basis.d2) == lattice.zeros(len(st.basis.d1), o.d)
+    # and they are the dense boundary maps: d1 and the transpose of d2
+    I = lattice.eye(2 * o.d)
+    dense = [[[a - b for a, b in zip(ra, rb)] for ra, rb in zip(apply_rows(plus, I), apply_rows(minus, I))]
+             for plus, minus in st.basis.boundary_rows]
+    d1, d2 = boundary_matrices(o)
+    assert dense == [d1, lattice.transpose(d2)]
 
 
 def test_involution_chain_map_is_a_chain_map():
     for p in [FIVE, TORUS_COVER, FOUR]:
         o, iota = orientation_double_cover(p)
-        hb = homology_basis(o)
-        d1, d2 = hb.d1, hb.d2
+        d1, d2 = boundary_matrices(o)
         M = involution_chain_map(o, iota)
         # on faces the half-turn is the face permutation
         dfaces = o.d
-        P = lattice.zeros(dfaces, dfaces)
+        P = zero_matrix(dfaces, dfaces)
         for a in range(dfaces):
             P[iota[a]][a] = 1
         assert lattice.mat_eq(lattice.matmul(M, d2), lattice.matmul(d2, P))
         # on vertices it is the induced class map
         cs, cls_of = _vertex_classes(o)
-        Pv = lattice.zeros(len(cs), len(cs))
+        Pv = zero_matrix(len(cs), len(cs))
         for idx, cyc in enumerate(cs):
             a = cyc[0]
             Pv[cls_of[o.v[o.h[iota[a]]]]][idx] = 1

@@ -25,7 +25,7 @@ def random_cases(rng, count):
         if t % 3 == 1 and n:
             r = rng.randint(0, min(m, n) - 1)
             yield (lattice.matmul(random_matrix(rng, m, r, -3, 3), random_matrix(rng, r, n, -3, 3))
-                   if r else lattice.zeros(m, n))
+                   if r else reference.zero_matrix(m, n))
         else:
             yield random_matrix(rng, m, n)
 
@@ -124,7 +124,7 @@ def test_kernel_basis_matches_a_two_pass_oracle():
     # an independent Hermite form give, on full-rank, rank-deficient,
     # zero, column-free and empty matrices
     rng = random.Random(421)
-    cases = [[], [[]], [[], []], lattice.zeros(3, 4), lattice.eye(4), [[2, 4, 6]]]
+    cases = [[], [[]], [[], []], reference.zero_matrix(3, 4), lattice.eye(4), [[2, 4, 6]]]
     cases += list(random_cases(rng, 1200))
     for a in cases:
         assert lattice.kernel_basis(a) == reference.kernel_basis(a), a
