@@ -48,6 +48,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .permsurf import SizeCapExceeded
+
 __all__ = [
     "SuperellipticCurve",
     "EigenForm",
@@ -303,6 +305,11 @@ def _report(curve, q, B, H, quad_error) -> BFormReport:
     )
 
 
+# the pairing's time and memory grow with the square of the genus: at
+# genus 255 it takes about a second and under 100 MB
+_MAX_GENUS = 256
+
+
 def pairing_matrices(curve: SuperellipticCurve, q) -> BFormReport:
     """Contraction pairing B, Hodge Gram H, and the normalized spectrum.
 
@@ -312,6 +319,9 @@ def pairing_matrices(curve: SuperellipticCurve, q) -> BFormReport:
     and ``quad_error`` estimates their error: the change of an entry under
     the rule's own refinement, plus round-off.
     """
+    if curve.genus > _MAX_GENUS:
+        raise SizeCapExceeded(f"curve of genus {curve.genus} is past the "
+                              f"pairing cap of genus {_MAX_GENUS}")
     basis = holomorphic_basis(curve)
     marks = _marked_points(curve, basis, q)
     d, order = _chain([p for p, _, _ in marks])

@@ -47,7 +47,7 @@ from .formats import (
 )
 from .lyapunov import _run_seeds, certify_degenerate
 from .orbit import DEFAULT_ORBIT_CAP, OrbitCapExceeded, enumerate_orbit, enumerate_state_orbit
-from .permsurf import orientation_double_cover
+from .permsurf import SizeCapExceeded, orientation_double_cover
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -269,7 +269,7 @@ def run(config: RunConfig) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except OrbitCapExceeded as exc:
+    except (OrbitCapExceeded, SizeCapExceeded) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:

@@ -19,16 +19,17 @@ which are set back to exact zeros after every QR, so the two parts never
 mix.
 
 All seeds of a line move through the frame pass together.  Each seed's
-walk is a generator that holds its random stream, continued fraction,
-tautological vector, state and frame: it applies each digit's matrix to
-its frame as it goes, yields the frame at a flush and is sent back the
-frame orthonormalized.  A round orthonormalizes the frames of every
-seed that flushes in it with one stacked ``np.linalg.qr``; LAPACK
-factors each frame of a stack on its own, so every float is the seed's
-alone, bit for bit.  A line makes 1 + (most flushes of any seed) QR
-calls, not one per flush per seed: on frames this small numpy's Python
-wrapper, not LAPACK, takes most of a QR's time.  A digit matrix seen
-for the first time lives only until its product with the frame.
+walk is a generator that owns its run (random stream, continued
+fraction, tautological vector, state, frame, log-growth and block rows):
+it applies each digit's matrix to its frame as it goes, yields the frame
+at a flush, is answered with the frame orthonormalized and that QR's
+log|diag R|, and returns its estimate.  One stacked ``np.linalg.qr`` per
+round orthonormalizes the frames of every seed that flushes in it;
+LAPACK factors each frame of a stack on its own, so every float is the
+seed's alone, bit for bit.  A line makes 1 + (most flushes of any seed)
+QR calls, not one per flush per seed: on frames this small numpy's
+Python wrapper, not LAPACK, takes most of a QR's time.  A digit matrix
+seen for the first time lives only until its product with the frame.
 
 A certificate reads the invariant spectrum alone, so ``certify_degenerate``
 walks H1+ alone: its cycles, digit matrices, frame and QRs leave H1- out,
@@ -88,7 +89,7 @@ from .cocycle import shared_state_cache
 from .coverings import CyclicCoverSpec, cyclic_to_pillow, is_determinant_locus
 from .cylinders import ekz_for_cover
 from .orbit import DEFAULT_ORBIT_CAP, OrbitCapExceeded
-from .permsurf import PillowCover, orientation_double_cover
+from .permsurf import PillowCover, SizeCapExceeded, orientation_double_cover
 
 __all__ = [
     "LyapunovEstimate",
@@ -102,6 +103,7 @@ _REFRESH_DIGITS = 25  # float continued-fraction digits stay honest this long
 _BOOTSTRAP_RESAMPLES = 200
 _BLOCKS = 20  # equal segments of a run, for the bootstrap error bars
 _RENORM_NATS = 12.0  # tautological log-growth between re-orthonormalizations
+_MAX_SQUARES = 512  # squares of a walker's double cover: pillow degree 128
 
 
 class _Walker:
@@ -117,6 +119,9 @@ class _Walker:
     """
 
     def __init__(self, cover: PillowCover, with_minus: bool = True):
+        if 4 * cover.d > _MAX_SQUARES:
+            raise SizeCapExceeded(f"double cover of {4 * cover.d} squares is past the "
+                                  f"Monte-Carlo cap of {_MAX_SQUARES} squares")
         o, iota = orientation_double_cover(cover)
         self.with_minus = with_minus
         self.cache = shared_state_cache()
@@ -192,16 +197,16 @@ def run_monte_carlo(cover: PillowCover, steps: int, seed: int) -> LyapunovEstima
 
 
 def _walk(walker: _Walker, steps: int, seed: int):
-    """One seed's walk from the walker's anchor, as a generator.
+    """One seed's whole run from the walker's anchor, as a generator.
 
-    It first yields the seed's initial frame.  It then applies each
-    digit's float matrix to the frame as it goes, and at a flush yields
-    the frame, the tautological log-growth so far, and the number of
-    steps taken when the flush ends a block, else 0.  Each yield is
-    answered with the frame it gave, orthonormalized.  The last flush
-    ends the last block.  A flush is due once the tautological log-growth
-    since the last one reaches ``_RENORM_NATS``, and at every block end.
-    With no frame (H1+ = 0 without H1-) no move is built.
+    It yields its frame before the first digit, applies each digit's float
+    matrix to the frame as it goes, and yields it again at each flush: once
+    the tautological log-growth since the last flush reaches
+    ``_RENORM_NATS``, and at every block end.  Each yield is answered with
+    the frame orthonormalized and the log|diag R| of that QR; the first
+    answer's growth is dropped.  It returns the run's
+    :class:`LyapunovEstimate`.  With no frame (H1+ = 0 without H1-) it
+    builds no move and yields nothing.
     """
     dp, dm = walker.dim_plus, walker.dim_minus
     mp, mm = dp // 2, dm // 2
@@ -214,14 +219,17 @@ def _walk(walker: _Walker, steps: int, seed: int):
         # and with it every H1+ float, is the full run's
         F = F[:dp, :mp]
     frame = F.size > 0
-    F = yield F
+    logs = np.zeros(F.shape[1])
+    if frame:
+        F, _ = yield F
     vec = rng.standard_normal(2)
     u0, u1 = (vec / np.hypot(*vec)).tolist()  # tautological 2-vector
 
     key = walker.anchor
     taut = taut_at_flush = 0.0
-    boundaries = [steps * (k + 1) // _BLOCKS for k in range(_BLOCKS)]
-    bi = 0
+    boundaries = {steps * (k + 1) // _BLOCKS for k in range(_BLOCKS)}
+    rows = []
+    prev = (logs.copy(), 0.0, 0)
     x = 0.0
     digits_since_refresh = _REFRESH_DIGITS  # force an initial draw
     use_T = True
@@ -252,58 +260,48 @@ def _walk(walker: _Walker, steps: int, seed: int):
         u0 /= nrm
         u1 /= nrm
         digits_since_refresh += 1
-        at_boundary = step + 1 == boundaries[bi]
+        at_boundary = step + 1 in boundaries
         if taut - taut_at_flush >= _RENORM_NATS or at_boundary:
-            F = yield F, taut, step + 1 if at_boundary else 0
+            if frame:
+                F, growth = yield F
+                logs += growth
             taut_at_flush = taut
         if at_boundary:
-            bi += 1
+            rows.append((logs - prev[0], taut - prev[1], step + 1 - prev[2]))
+            prev = (logs.copy(), taut, step + 1)
+    return _summary(logs, mp, rows, taut, steps, seed)
 
 
 def _estimate(walker: _Walker, steps: int, seeds: tuple[int, ...]) -> tuple[LyapunovEstimate, ...]:
     """One run per seed from the walker's anchor; see :func:`run_monte_carlo`.
 
-    All seeds move through the frame together.  Each round takes every
-    live seed's frame at its next flush (:func:`_walk`), orthonormalizes
-    the frames of the round with one stacked QR and sends each walk its
-    own; a seed leaves after its last block, so a line makes 1 + (most
-    flushes of any seed) QRs, and each run's floats are those of the seed
-    run alone.  A walker without H1- gives ``lambda_minus`` and
-    ``stderr_minus`` ``()``, the full run's H1+ floats up to round-off and
-    its tautological fields exactly.
+    Each round sends every live walk (:func:`_walk`) its reply, takes the
+    frames they yield at their next flush, orthonormalizes them with one
+    stacked QR and replies to each walk with its own frame and growth; a
+    walk that returns leaves with its estimate.  A line makes 1 + (most
+    flushes of any seed) QRs, and each run's floats are the seed's alone.
+    A walker without H1- gives ``lambda_minus`` and ``stderr_minus`` ``()``,
+    the full run's H1+ floats up to round-off and its tautological fields
+    exactly.
     """
     if steps < _BLOCKS:
         raise ValueError("steps must be at least the number of blocks")
     dp = walker.dim_plus
-    mp = dp // 2
     walks = [_walk(walker, steps, seed) for seed in seeds]
-    frames = [next(w) for w in walks]
-    frame = any(F.size for F in frames)
-    if frame:
-        frames = list(_orthonormalize(np.stack(frames), dp, mp)[0])
-    logs = [np.zeros(F.shape[1]) for F in frames]
-    taut = [0.0] * len(walks)
-    prev = [(L.copy(), 0.0, 0) for L in logs]
-    rows = [[] for _ in walks]
-    live = list(range(len(walks)))
+    estimates = [None] * len(walks)
+    live, replies = range(len(walks)), [None] * len(walks)
     while live:
-        ends = []
-        for i in live:
-            frames[i], taut[i], end = walks[i].send(frames[i])
-            ends.append(end)
-        if frame:
-            Q, R = _orthonormalize(np.stack([frames[i] for i in live]), dp, mp)
-            growth = np.log(np.abs(np.diagonal(R, axis1=1, axis2=2)))
-            for j, i in enumerate(live):
-                frames[i] = Q[j]
-                logs[i] += growth[j]
-        for i, end in zip(live, ends):
-            if end:
-                rows[i].append((logs[i] - prev[i][0], taut[i] - prev[i][1], end - prev[i][2]))
-                prev[i] = (logs[i].copy(), taut[i], end)
-        live = [i for i, end in zip(live, ends) if end < steps]
-    return tuple(
-        _summary(logs[i], mp, rows[i], taut[i], steps, seed) for i, seed in enumerate(seeds))
+        frames = []
+        for i, reply in zip(live, replies):
+            try:
+                frames.append(walks[i].send(reply))
+            except StopIteration as stop:
+                estimates[i] = stop.value
+        live = [i for i in live if estimates[i] is None]
+        if live:
+            Q, R = _orthonormalize(np.stack(frames), dp, dp // 2)
+            replies = zip(Q, np.log(np.abs(np.diagonal(R, axis1=1, axis2=2))))
+    return tuple(estimates)
 
 
 def _summary(logs, mp: int, rows, taut: float, steps: int, seed: int) -> LyapunovEstimate:

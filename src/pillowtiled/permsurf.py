@@ -48,6 +48,7 @@ __all__ = [
     "MonodromyError",
     "Origami",
     "PillowCover",
+    "SizeCapExceeded",
     "Stratum",
     "origami_stratum",
     "pillow_stratum",
@@ -63,6 +64,10 @@ class ConnectivityError(ValueError):
 
 class MonodromyError(ValueError):
     """The four corner permutations do not satisfy the product relation."""
+
+
+class SizeCapExceeded(RuntimeError):
+    """A surface is past a stated size cap; raised before it is built."""
 
 
 @dataclass(frozen=True)

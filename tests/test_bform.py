@@ -11,6 +11,7 @@ from pillowtiled.bform import (
     pairing_matrices,
 )
 from pillowtiled.coverings import sample_base_differential
+from pillowtiled.permsurf import SizeCapExceeded
 
 
 def pillowcase_q(t):
@@ -123,6 +124,23 @@ class TestPairing:
         assert rep.theta == pytest.approx((1.0,), abs=1e-6)
         assert rep.B[0][0] == pytest.approx(rep.H[0][0], rel=1e-9)
         assert not rep.q_has_simple_pole
+
+    def test_the_genus_cap_is_checked_before_the_basis(self, monkeypatch):
+        # genus 256 reaches the basis, genus 257 is refused before it
+        class Reached(Exception):
+            pass
+
+        def reached(curve):
+            raise Reached
+
+        monkeypatch.setattr(bform, "holomorphic_basis", reached)
+        at_cap = SuperellipticCurve(257, (0.0, 1.0, 0.3), (1, 1, 1))
+        past_cap = SuperellipticCurve(260, (0.0, 1.0, 0.3), (1, 1, 2))
+        assert (at_cap.genus, past_cap.genus) == (256, 257)
+        with pytest.raises(Reached):
+            pairing_matrices(at_cap, pillowcase_q(0.3))
+        with pytest.raises(SizeCapExceeded, match="genus 257 is past the pairing cap of genus 256"):
+            pairing_matrices(past_cap, pillowcase_q(0.3))
 
     @pytest.mark.parametrize("t", [0.3, 0.2 + 0.7j])
     def test_family_pairing_vanishes(self, t):

@@ -286,6 +286,27 @@ class TestSubcommands:
         data = json.loads(capsys.readouterr().out)
         assert all(est["lambda_plus"] == [] for rec in data for est in rec["estimates"])
 
+    def test_certify_without_a_sum_rule_decides_on_the_other_channels(self, tmp_path, capsys):
+        # an orbit cap of 1 leaves no sum rule; Monte Carlo and the
+        # criterion decide, and the report names no exact sum
+        path = write(tmp_path, "in.txt", FAMILY + "\n")
+        flags = ["--orbit-cap", "1", "--steps", "2000", "--seeds", "1,2,3"]
+        assert main(["certify", path, *flags]) == 0
+        (rec,) = json.loads(capsys.readouterr().out)
+        assert (rec["exact_sum"], rec["criterion"], rec["verdict"]) == (None, True, "PASS")
+        assert rec["report"].startswith("all channels agree: degenerate (max lambda_plus = ")
+        assert "exact sum" not in rec["report"]
+
+    def test_a_certify_record_carries_the_bootstrap_warning(self, tmp_path, capsys):
+        # 20 digits leave every seed's lambda_plus error bars above 0.1;
+        # the channels agree, so the line exits 0 and the warning rides along
+        path = write(tmp_path, "in.txt", "6 1 1 5 5\n")
+        assert main(["certify", path, "--steps", "20", "--seeds", "1,2,3"]) == 0
+        (rec,) = json.loads(capsys.readouterr().out)
+        assert rec["verdict"] == "FAIL" and not rec["contradiction"]
+        assert all(max(err) > 0.1 for err in rec["stderr"])
+        assert all("bootstrap error above 0.1; increase steps" in w for w in rec["warnings"])
+
     def test_prime_family_beyond_five_certifies(self, tmp_path, capsys):
         path = write(tmp_path, "in.txt", "7 1 3 3 7\n11 1 5 5 11\n")
         rc = cli.run(RunConfig("certify", path, steps=300, seeds=(1, 2, 3)))
@@ -507,9 +528,12 @@ class TestJsonLayout:
         assert [json.loads(row.removesuffix(","))["report"] for row in out[1:3]] == [fake.report] * 2
 
 
+# a valid cyclic line far past the size caps of lyapunov and bform
+HUGE = "100000 1 1 1 99997"
+
 # the sweep's bounds: the whole sweep runs in one child process, which gets
-# this much wall time and address space (on 2 cores it took about 1.2 s and
-# a peak of 0.15 GB)
+# this much wall time and address space (on 2 cores, with the huge lines,
+# it took about 1.1 s and a peak RSS of 79 MB)
 SWEEP_SECONDS = 60
 SWEEP_ADDRESS_SPACE = 2 << 30
 
@@ -575,14 +599,14 @@ def _sweep_lines(rng):
 def test_edge_and_malformed_lines_end_cleanly():
     # every documented subcommand on seeded edge and malformed lines ends in a
     # documented exit with no traceback, the whole sweep in bounded time and
-    # address space.  Cyclic lines stay at N <= 12: a line with N in the tens
-    # of thousands (certify 100000 1 1 1 99997) is an open defect that ends
-    # in exit 1 or an out-of-memory kill.  An orbit cap of 3 ends the larger
-    # orbits in the resource exit
+    # address space.  An orbit cap of 3 ends the larger orbits in the
+    # resource exit, and so do the size caps a huge cyclic line passes:
+    # the Monte-Carlo double cover's squares and the pairing curve's genus
     flags = {"certify": ["--steps", "40", "--seeds", "1,2,3"],
              "lyapunov": ["--steps", "40", "--seeds", "1,2"], "orbit": ["--orbit-cap", "3"]}
     jobs = [(command, line, flags.get(command, []))
             for command, lines in _sweep_lines(random.Random(727)).items() for line in lines]
+    jobs += [(command, HUGE, flags.get(command, [])) for command in ("certify", "lyapunov", "bform")]
     assert set(command for command, _, _ in jobs) == set(cli._COMMANDS)
     src = Path(cli.__file__).resolve().parents[1]
 
@@ -603,4 +627,7 @@ def test_edge_and_malformed_lines_end_cleanly():
     # and the resource exit
     for command in cli._COMMANDS:
         assert {status for c, _, status, _ in results if c == command} >= {0, 2}, command
-    assert 3 in {status for _, _, status, _ in results}
+    assert 3 in {status for _, line, status, _ in results if line != HUGE}
+    huge = [(command, status, "cap of" in err) for command, line, status, err in results
+            if line == HUGE]
+    assert huge == [("certify", 3, True), ("lyapunov", 3, True), ("bform", 3, True)]

@@ -21,6 +21,7 @@ from pillowtiled.lyapunov import LyapunovEstimate, certify_degenerate, run_monte
 from pillowtiled.lyapunov import _estimate, _run_seeds, _Walker
 from pillowtiled.permsurf import (
     Origami,
+    SizeCapExceeded,
     orientation_double_cover,
     random_origami,
     random_pillow_cover,
@@ -350,6 +351,41 @@ class TestStateCache:
             "        raise SystemExit(f'tripped {exc}')\n"
             "    raise SystemExit(7)\n"
             "raise SystemExit('a doubled target column was accepted')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(lattice.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
+        assert proc.returncode == 7, proc.stderr
+
+    def test_a_swapped_target_involution_raises_under_dash_o(self):
+        # the negated action is another involution on the target's H_1; the
+        # move matrix is still symplectic, and it commutes with the true
+        # actions, so with the target's swapped for its negative the move
+        # must be rejected by the commutation check, before any restriction,
+        # with asserts stripped
+        code = (
+            "import dataclasses, sys\n"
+            "from pillowtiled import cocycle\n"
+            "from pillowtiled.permsurf import PillowCover, orientation_double_cover\n"
+            "if not sys.flags.optimize:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "perms = [tuple((x + a) % 5 for x in range(5)) for a in (1, 2, 2, 5)]\n"
+            "o, iota = orientation_double_cover(PillowCover(5, *perms))\n"
+            "cache = cocycle.StateCache()\n"
+            "key = cache.canonical_key(o, iota)\n"
+            "target = cache.transition(key, 'T').target\n"
+            "if target == key:\n"
+            "    raise SystemExit('T fixes the anchor')\n"
+            "tgt = cache.states[target]\n"
+            "action = tuple(tuple(-x for x in row) for row in tgt.splitting.action)\n"
+            "tgt.splitting = dataclasses.replace(tgt.splitting, action=action)\n"
+            "cache.transitions.clear()\n"
+            "try:\n"
+            "    cache.transition(key, 'T')\n"
+            "except ArithmeticError as exc:\n"
+            "    if 'does not commute with the deck involution' not in str(exc):\n"
+            "        raise SystemExit(f'tripped {exc}')\n"
+            "    raise SystemExit(7)\n"
+            "raise SystemExit('a swapped target involution was accepted')\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(lattice.__file__).resolve().parents[1]))
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
@@ -689,6 +725,28 @@ class TestMonteCarlo:
             assert len(lam) == len(ref_lam)
             for x, y, e in zip(lam, ref_lam, err):
                 assert abs(x - y) <= 0.5 * e
+
+    def test_a_short_run_warns_of_its_bootstrap_error(self):
+        # 20 digits on 6 1 1 5 5 leave error bars above 0.1 (the largest
+        # near 0.15), and the estimate says so
+        est = run_monte_carlo(cyclic_pillow(6, (1, 1, 5, 5)), 20, 1)
+        assert max(est.stderr_plus + est.stderr_minus) > 0.1
+        assert "bootstrap error above 0.1; increase steps" in est.warnings
+
+    def test_the_square_cap_is_checked_before_the_double_cover(self, monkeypatch):
+        # four double-cover squares per sheet: degree 128 reaches the double
+        # cover, degree 129 is refused before it
+        class Reached(Exception):
+            pass
+
+        def reached(cover):
+            raise Reached
+
+        monkeypatch.setattr(lyapunov, "orientation_double_cover", reached)
+        with pytest.raises(Reached):
+            _Walker(cyclic_pillow(128, (1, 63, 65, 127)))
+        with pytest.raises(SizeCapExceeded, match="516 squares is past the Monte-Carlo cap of 512"):
+            _Walker(cyclic_pillow(129, (1, 63, 65, 129)))
 
     def test_parameter_validation(self):
         cover = cyclic_pillow(3, (1, 1, 1, 3))
