@@ -131,7 +131,7 @@ def _cmd_orbit(line: str, cfg: RunConfig):
         "d": graph.d,
         "size": graph.size,
         "vertices": [[list(p) for p in w] for w in graph.vertices],
-        "edges": [[a, g, b] for a, g, b in sorted(graph.edges)],
+        "edges": [[a, g, b] for a, g, b in graph.edges],
     }
     return record, EXIT_OK
 

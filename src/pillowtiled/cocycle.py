@@ -15,10 +15,10 @@ coordinates ``_restrict`` reads off the target's Hermite basis by forward
 substitution; it is the one path that transports H_1.  The tests fold
 the same step along raw words of moves, in ``tests/reference.py``.
 
-``StateCache`` moves a key (h, v, iota) with the orbit closure's step
-(``orbit._move``, ``orbit._transport``) and, by the closure's rule, checks
-a state once, when ``state`` builds it: each check is invariant under
-relabeling, and a cached target was checked when it was built.
+``StateCache`` moves a key (h, v, iota) with the orbit closure's step,
+``orbit.move``, and, by the closure's rule, checks a state once, when
+``state`` builds it: each check is invariant under relabeling, and a
+cached target was checked when it was built.
 
 Every Monte-Carlo walker in the process shares one ``StateCache``, from
 :func:`shared_state_cache`, so a state, move or generator cycle that an
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from . import lattice
 from .homology import HomologyBasis, InvolutionSplitting, homology_basis, involution_splitting
 from .homology import move_cycles, move_rows
-from .orbit import _move, _transport, canonical_labelling, canonical_perms
+from .orbit import canonical_labelling, canonical_perms, move
 from .permsurf import Origami, validate_involution
 from .permutations import Perm
 
@@ -275,8 +275,7 @@ class StateCache:
         src = self.state(key)
         # the closure's move step; canonicalize and keep the relabeling
         # that got us there.  The target is checked once, when built.
-        h, v, iota = key
-        target, label = canonical_labelling((*_move(h, v, gen), _transport(h, v, iota, gen)), len(h))
+        target, label = canonical_labelling(move(key, gen), len(key[0]))
         tgt = self.state(target)
         M = _move_matrix(src, tgt, gen, label)
         sp, tp = src.splitting, tgt.splitting

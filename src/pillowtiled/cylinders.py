@@ -29,6 +29,7 @@ from fractions import Fraction
 from .orbit import DEFAULT_ORBIT_CAP, OrbitGraph, enumerate_state_orbit
 from .permsurf import (
     PillowCover,
+    SizeCapExceeded,
     Stratum,
     orientation_double_cover,
     pillow_stratum,
@@ -45,6 +46,8 @@ __all__ = [
 ]
 
 KAPPA_SV = Fraction(1, 2)
+
+_MAX_SQUARES = 1 << 20  # squares of the sum rule's double cover: pillow degree 262144
 
 
 def _row_widths(h: Perm, d: int) -> list[int]:
@@ -138,6 +141,9 @@ def ekz_sum(stratum: Stratum, sv: Fraction) -> EKZReport:
 
 def ekz_for_cover(p: PillowCover, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EKZReport:
     """Convenience: orbit, Siegel-Veech term and sum rule for one cover."""
+    if 4 * p.d > _MAX_SQUARES:
+        raise SizeCapExceeded(f"double cover of {4 * p.d} squares is past the "
+                              f"sum-rule cap of {_MAX_SQUARES} squares")
     o, iota = orientation_double_cover(p)
     G = enumerate_state_orbit(o, iota, cap=orbit_cap)
     s = pillow_stratum(p)

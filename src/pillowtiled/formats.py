@@ -144,6 +144,4 @@ def json_ready(obj):
         return {str(k): json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [json_ready(x) for x in obj]
-    if isinstance(obj, float):
-        return obj
     return obj

@@ -13,8 +13,8 @@ When the surface is an orientation double cover, the deck involution is
 transported along: a shear re-cuts the surface, so iota picks up the
 permutation that moves the new cut back onto the old one (T: iota' =
 h . iota, L: iota' = v . iota), while the quarter turn needs no re-cut
-(S: iota' = iota).  ``_move`` and ``_transport`` are the one move step
-on a state (h, v, iota): the closure here and ``cocycle.StateCache`` both
+(S: iota' = iota).  :func:`move` is the one move step, on (h, v) or on
+a state (h, v, iota): the closure here and ``cocycle.StateCache`` both
 take it, and neither checks a moved state; each checks a state once, on
 its canonical form, when it is first seen or built.
 
@@ -70,6 +70,7 @@ __all__ = [
     "OrbitGraph",
     "enumerate_orbit",
     "enumerate_state_orbit",
+    "move",
 ]
 
 DEFAULT_ORBIT_CAP = 10_000
@@ -86,24 +87,15 @@ class OrbitCapExceeded(RuntimeError):
         self.cap = cap
 
 
-def _move(h: Perm, v: Perm, gen: str) -> tuple[Perm, Perm]:
+def move(w: tuple[Perm, ...], gen: str) -> tuple[Perm, ...]:
+    """The move gen of (h, v), or of (h, v, iota) with iota carried along."""
+    h, v, *iota = w
     if gen == "T":
-        return h, compose(v, inverse(h))
+        return (h, compose(v, inverse(h)), *(compose(h, i) for i in iota))
     if gen == "S":
-        return v, inverse(h)
+        return (v, inverse(h), *iota)
     if gen == "L":
-        return compose(h, inverse(v)), v
-    raise ValueError(f"unknown generator {gen!r}")
-
-
-def _transport(h: Perm, v: Perm, iota: Perm, gen: str) -> Perm:
-    """The deck involution carried along the move gen of (h, v)."""
-    if gen == "T":
-        return compose(h, iota)
-    if gen == "S":
-        return iota
-    if gen == "L":
-        return compose(v, iota)
+        return (compose(h, inverse(v)), v, *(compose(v, i) for i in iota))
     raise ValueError(f"unknown generator {gen!r}")
 
 
@@ -293,29 +285,27 @@ def _recall(perms: tuple[Perm, ...], d: int, cap: int) -> tuple[tuple[Perm, ...]
     return seed, OrbitGraph(d=d, vertices=vertices, edges=edges)
 
 
-def _close_orbit(seed: tuple[Perm, ...], d: int, step, check, cap: int) -> OrbitGraph:
-    """S,T-closure from a canonical seed; ``step(w, gen)`` is the canonical
-    image of vertex w and ``check(w)`` validates a vertex when first seen."""
+def _close_orbit(seed: tuple[Perm, ...], d: int, check, cap: int) -> OrbitGraph:
+    """S,T-closure from a canonical seed; ``check(w)`` validates a vertex
+    when it is first seen."""
     check(seed)
     seen = {seed}
-    order = [seed]
     frontier = [seed]
     edges = set()
     while frontier:
         nxt = []
         for w in frontier:
             for gen in ("S", "T"):
-                img = step(w, gen)
+                img = canonical_perms(move(w, gen), d)
                 if img not in seen:
                     check(img)
                     if len(seen) >= cap:
                         raise OrbitCapExceeded(cap)
                     seen.add(img)
-                    order.append(img)
                     nxt.append(img)
                 edges.add((w, gen, img))
         frontier = nxt
-    vertices = tuple(sorted(order))
+    vertices = tuple(sorted(seen))
     index = {w: i for i, w in enumerate(vertices)}
     edges = tuple(sorted((index[a], g, index[b]) for a, g, b in edges))
     _remember(vertices, edges, d)
@@ -330,14 +320,11 @@ def enumerate_orbit(o: Origami, cap: int = DEFAULT_ORBIT_CAP) -> OrbitGraph:
         return graph
     stratum = origami_stratum(o)
 
-    def step(w: tuple[Perm, ...], gen: str) -> tuple[Perm, ...]:
-        return canonical_perms(_move(w[0], w[1], gen), d)
-
     def check(w: tuple[Perm, ...]) -> None:
         if origami_stratum(Origami(d, w[0], w[1])) != stratum:
             raise ArithmeticError("stratum changed along a move")
 
-    return _close_orbit(seed or canonical_perms((o.h, o.v), d), d, step, check, cap)
+    return _close_orbit(seed or canonical_perms((o.h, o.v), d), d, check, cap)
 
 
 def enumerate_state_orbit(o: Origami, iota: Perm,
@@ -349,11 +336,7 @@ def enumerate_state_orbit(o: Origami, iota: Perm,
         return graph
     validate_involution(o, iota)
 
-    def step(w: tuple[Perm, ...], gen: str) -> tuple[Perm, ...]:
-        h, v, i = w
-        return canonical_perms((*_move(h, v, gen), _transport(h, v, i, gen)), d)
-
     def check(w: tuple[Perm, ...]) -> None:
         validate_involution(Origami(d, w[0], w[1], allow_disconnected=True), w[2])
 
-    return _close_orbit(seed or canonical_perms((o.h, o.v, iota), d), d, step, check, cap)
+    return _close_orbit(seed or canonical_perms((o.h, o.v, iota), d), d, check, cap)

@@ -23,7 +23,7 @@ from math import lcm
 
 from pillowtiled import cocycle, lattice
 from pillowtiled.bform import CurveDifferential
-from pillowtiled.orbit import OrbitGraph, _move, _transport
+from pillowtiled.orbit import OrbitGraph, move
 from pillowtiled.permsurf import (
     Origami,
     PillowCover,
@@ -254,15 +254,15 @@ def reconstruct_pillow_cover(o: Origami, iota: Perm) -> PillowCover:
 
 def apply_generator(o: Origami, gen: str) -> Origami:
     """Act by a generator; the result is a surface in the same stratum."""
-    h, v = _move(o.h, o.v, gen)
+    h, v = move((o.h, o.v), gen)
     return Origami(o.d, h, v, allow_disconnected=o.allow_disconnected)
 
 
 def apply_state_generator(o: Origami, iota: Perm, gen: str) -> tuple[Origami, Perm]:
     """Act on a double cover, transporting the deck involution, and check
     the moved involution."""
-    new = apply_generator(o, gen)
-    iota2 = _transport(o.h, o.v, iota, gen)
+    h, v, iota2 = move((o.h, o.v, iota), gen)
+    new = Origami(o.d, h, v, allow_disconnected=o.allow_disconnected)
     validate_involution(new, iota2)
     return new, iota2
 

@@ -528,12 +528,15 @@ class TestJsonLayout:
         assert [json.loads(row.removesuffix(","))["report"] for row in out[1:3]] == [fake.report] * 2
 
 
-# a valid cyclic line far past the size caps of lyapunov and bform
+# a valid cyclic line far past the size caps of lyapunov and bform, and
+# one past the cap of the ekz sum rule as well
 HUGE = "100000 1 1 1 99997"
+HUGE_EKZ = "1000000 1 1 1 999997"
 
 # the sweep's bounds: the whole sweep runs in one child process, which gets
 # this much wall time and address space (on 2 cores, with the huge lines,
-# it took about 1.1 s and a peak RSS of 79 MB)
+# it took about 5 s and a peak RSS of 406 MB, most of both the pillow
+# cover of the huge ekz line, built before its cap is checked)
 SWEEP_SECONDS = 60
 SWEEP_ADDRESS_SPACE = 2 << 30
 
@@ -601,12 +604,14 @@ def test_edge_and_malformed_lines_end_cleanly():
     # documented exit with no traceback, the whole sweep in bounded time and
     # address space.  An orbit cap of 3 ends the larger orbits in the
     # resource exit, and so do the size caps a huge cyclic line passes:
-    # the Monte-Carlo double cover's squares and the pairing curve's genus
+    # the Monte-Carlo and sum-rule double covers' squares and the pairing
+    # curve's genus
     flags = {"certify": ["--steps", "40", "--seeds", "1,2,3"],
              "lyapunov": ["--steps", "40", "--seeds", "1,2"], "orbit": ["--orbit-cap", "3"]}
     jobs = [(command, line, flags.get(command, []))
             for command, lines in _sweep_lines(random.Random(727)).items() for line in lines]
     jobs += [(command, HUGE, flags.get(command, [])) for command in ("certify", "lyapunov", "bform")]
+    jobs.append(("ekz", HUGE_EKZ, []))
     assert set(command for command, _, _ in jobs) == set(cli._COMMANDS)
     src = Path(cli.__file__).resolve().parents[1]
 
@@ -627,7 +632,7 @@ def test_edge_and_malformed_lines_end_cleanly():
     # and the resource exit
     for command in cli._COMMANDS:
         assert {status for c, _, status, _ in results if c == command} >= {0, 2}, command
-    assert 3 in {status for _, line, status, _ in results if line != HUGE}
+    assert 3 in {status for _, line, status, _ in results if line not in (HUGE, HUGE_EKZ)}
     huge = [(command, status, "cap of" in err) for command, line, status, err in results
-            if line == HUGE]
-    assert huge == [("certify", 3, True), ("lyapunov", 3, True), ("bform", 3, True)]
+            if line in (HUGE, HUGE_EKZ)]
+    assert huge == [("certify", 3, True), ("lyapunov", 3, True), ("bform", 3, True), ("ekz", 3, True)]

@@ -18,6 +18,7 @@ from pillowtiled.coverings import CyclicCoverSpec, cyclic_to_pillow, is_determin
 from pillowtiled.orbit import OrbitGraph, enumerate_state_orbit
 from pillowtiled.permsurf import (
     Origami,
+    SizeCapExceeded,
     Stratum,
     orientation_double_cover,
     pillow_stratum,
@@ -175,6 +176,22 @@ def test_ekz_controls():
     assert rep4.kappa_term == Fraction(1, 2)
     assert rep4.sv_term == Fraction(1, 2)
     assert rep4.lyap_sum == 1
+
+
+def test_the_square_cap_is_checked_before_the_double_cover(monkeypatch):
+    # four double-cover squares per sheet: degree 262144 reaches the double
+    # cover, degree 262145 is refused before it
+    class Reached(Exception):
+        pass
+
+    def reached(cover):
+        raise Reached
+
+    monkeypatch.setattr(cylinders, "orientation_double_cover", reached)
+    with pytest.raises(Reached):
+        ekz_for_cover(cyclic_pillow(262144, (1, 1, 1, 262141)))
+    with pytest.raises(SizeCapExceeded, match="1048580 squares is past the sum-rule cap of 1048576"):
+        ekz_for_cover(cyclic_pillow(262145, (1, 1, 1, 262142)))
 
 
 def test_ekz_pure_formula_mode():

@@ -112,15 +112,62 @@ def test_t_then_s_then_l_is_s():
 def test_moves_accept_exactly_t_s_and_l(gen):
     # every generator table holds the same three moves
     o, iota = orientation_double_cover(FIVE)
-    for move in (lambda: orbit._move(o.h, o.v, gen),
-                 lambda: orbit._transport(o.h, o.v, iota, gen),
+    for move in (lambda: orbit.move((o.h, o.v), gen),
+                 lambda: orbit.move((o.h, o.v, iota), gen),
                  lambda: move_rows(o, gen, range(o.d))):
         with pytest.raises(ValueError, match="unknown generator"):
             move()
     for g in ("T", "S", "L"):
-        orbit._move(o.h, o.v, g)
-        orbit._transport(o.h, o.v, iota, g)
+        orbit.move((o.h, o.v), g)
+        orbit.move((o.h, o.v, iota), g)
         move_rows(o, g, range(o.d))
+
+
+def _move_word(w, word):
+    for gen in word:
+        w = orbit.move(w, gen)
+    return w
+
+
+def _move_samples():
+    """Seeded double-cover states (h, v, iota) of pillow covers of degree
+    2-6, and origamis (h, v) of degree 2-7."""
+    rng = np.random.default_rng(811)
+    covers = [random_pillow_cover(int(rng.integers(2, 7)), rng) for _ in range(30)]
+    assert {p.d for p in covers} == set(range(2, 7))
+    states = [(o.h, o.v, iota) for o, iota in map(orientation_double_cover, covers)]
+    origamis = [random_origami(int(rng.integers(2, 8)), rng) for _ in range(30)]
+    return states, [(o.h, o.v) for o in origamis]
+
+
+def test_move_s_fourth_power_restores_exactly():
+    states, origamis = _move_samples()
+    for w in states + origamis:
+        assert _move_word(w, "SSSS") == w
+
+
+def test_move_satisfies_the_modular_relations():
+    # (ST)^3 and (TS)^3 act as relabelings; on a double cover so does S^2,
+    # the half turn, which iota undoes (on a bare origami S^2 need not be)
+    states, origamis = _move_samples()
+    for words, samples in ((("", "STSTST", "TSTSTS", "SS"), states),
+                           (("", "STSTST", "TSTSTS"), origamis)):
+        for w in samples:
+            forms = {canonical_perms(_move_word(w, word), len(w[0])) for word in words}
+            assert len(forms) == 1, w
+
+
+def test_a_moved_involution_is_valid():
+    states, _ = _move_samples()
+    for w in states:
+        for gen in ("T", "S", "L"):
+            h, v, iota = orbit.move(w, gen)
+            validate_involution(Origami(len(h), h, v, allow_disconnected=True), iota)
+
+
+def _move_keeping_iota(w, gen, move=orbit.move):
+    """The move step with iota left where it was: a broken transport."""
+    return (*move(w[:2], gen), *w[2:])
 
 
 def test_t_power_of_cylinder_widths_fixes():
@@ -559,17 +606,18 @@ SEVEN = Origami(7, parse_cycles("(1 2 3)(4 5 6 7)", 7), parse_cycles("(3 4)", 7)
 
 
 def test_a_stratum_change_along_a_move_raises(monkeypatch):
-    move = orbit._move
+    move = orbit.move
     calls = []
 
-    def move_off_the_stratum(h, v, gen):
+    def move_off_the_stratum(w, gen):
         calls.append(gen)
         if len(calls) == 3:
             # one horizontal cylinder with no vertical twist: only marked points
-            return tuple((x + 1) % len(h) for x in range(len(h))), identity(len(h))
-        return move(h, v, gen)
+            d = len(w[0])
+            return tuple((x + 1) % d for x in range(d)), identity(d)
+        return move(w, gen)
 
-    monkeypatch.setattr(orbit, "_move", move_off_the_stratum)
+    monkeypatch.setattr(orbit, "move", move_off_the_stratum)
     with pytest.raises(ArithmeticError, match="stratum changed along a move"):
         enumerate_orbit(SEVEN)
     assert len(calls) == 3
@@ -577,7 +625,7 @@ def test_a_stratum_change_along_a_move_raises(monkeypatch):
 
 def test_a_broken_transported_involution_raises(monkeypatch):
     # iota is not re-cut along the shears, so it stops reversing v
-    monkeypatch.setattr(orbit, "_transport", lambda h, v, iota, gen: iota)
+    monkeypatch.setattr(orbit, "move", _move_keeping_iota)
     o, iota = orientation_double_cover(FIVE)
     with pytest.raises(ValueError, match="involution does not reverse"):
         enumerate_state_orbit(o, iota)
@@ -589,7 +637,8 @@ def test_orbit_checks_raise_without_assertions():
         "from pillowtiled.coverings import CyclicCoverSpec, cyclic_to_pillow\n"
         "from pillowtiled.permsurf import orientation_double_cover\n"
         "state = orientation_double_cover(cyclic_to_pillow(CyclicCoverSpec(5, (1, 2, 2, 5))))\n"
-        "orbit._transport = lambda h, v, iota, gen: iota\n"
+        "move = orbit.move\n"
+        "orbit.move = lambda w, gen: (*move(w[:2], gen), *w[2:])\n"
         "try:\n"
         "    orbit.enumerate_state_orbit(*state)\n"
         "except ValueError:\n"
@@ -714,8 +763,7 @@ def test_a_hit_labels_once_and_checks_nothing(monkeypatch, case):
         raise AssertionError("a hit moved a vertex")
 
     monkeypatch.setattr(orbit, "canonical_labelling", counted_labelling)
-    monkeypatch.setattr(orbit, "_move", no_move)
-    monkeypatch.setattr(orbit, "_transport", no_move)
+    monkeypatch.setattr(orbit, "move", no_move)
     hit = _enumerate(case, args)
     assert (hit.vertices, hit.edges) == (g.vertices, g.edges)
     assert len(labelled) == 1
@@ -746,7 +794,7 @@ def test_a_hit_obeys_the_cap():
 def test_a_failed_check_keeps_nothing(monkeypatch):
     enumerate_orbit(L3)
     before = _memo_state()
-    monkeypatch.setattr(orbit, "_transport", lambda h, v, iota, gen: iota)
+    monkeypatch.setattr(orbit, "move", _move_keeping_iota)
     with pytest.raises(ValueError, match="involution does not reverse"):
         enumerate_state_orbit(*orientation_double_cover(FIVE))
     assert _memo_state() == before

@@ -139,6 +139,37 @@ def test_json_is_written_without_indent():
     assert not found, "json calls with an indent in src/pillowtiled: " + ", ".join(found)
 
 
+def _private_imports(tree: ast.Module, module: str) -> set[tuple[str, str]]:
+    """(module, "other._name") for each private name that one src module
+    takes from another: by ``from .other import _name``, or as an attribute
+    of a sibling module it imports (``from . import other``).  An absolute
+    import of the package fails test_src_imports_only_stdlib_numpy."""
+    found, siblings = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found |= {(module, f"{node.module}.{alias.name}") for alias in node.names
+                          if alias.name.startswith("_")}
+            else:
+                siblings |= {alias.asname or alias.name for alias in node.names}
+    found |= {(module, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in siblings and node.attr.startswith("_")}
+    return found
+
+
+def test_cross_module_private_imports():
+    # a leading underscore keeps a name inside its module; each name another
+    # src module reaches past that is pinned here, so a new one fails.  cli
+    # runs the seeds of a lyapunov line as certify does, and homology reads
+    # the surface's vertices as permsurf's stratum does
+    files = sorted(SRC.glob("*.py"))
+    assert files, f"no sources under {SRC}"
+    found = set().union(*(_private_imports(ast.parse(path.read_text(), filename=str(path)), path.stem)
+                          for path in files))
+    assert found == {("cli", "lyapunov._run_seeds"), ("homology", "permsurf._vertex_classes")}, sorted(found)
+
+
 ROOT = SRC.parents[1]
 PERFBENCH = ROOT / "perfbench"
 
