@@ -40,4 +40,4 @@ from .lyapunov import (  # noqa: F401
     certify_degenerate,
     run_monte_carlo,
 )
-from .cylinders import ekz_for_cover  # noqa: F401
+from .cylinders import ekz_for_cover, ekz_for_spec  # noqa: F401

@@ -34,7 +34,7 @@ from .coverings import (
     locus_metadata,
     sample_base_differential,
 )
-from .cylinders import ekz_for_cover
+from .cylinders import ekz_for_spec
 from .formats import (
     ParseError,
     iter_input_lines,
@@ -138,7 +138,7 @@ def _cmd_orbit(line: str, cfg: RunConfig):
 
 def _cmd_ekz(line: str, cfg: RunConfig):
     s = parse_cyclic_line(line)
-    rep = ekz_for_cover(cyclic_to_pillow(s), orbit_cap=cfg.orbit_cap)
+    rep = ekz_for_spec(s, orbit_cap=cfg.orbit_cap)
     return {"spec": _spec_key(s), **json_ready(rep)}, EXIT_OK
 
 

@@ -18,15 +18,30 @@ nose.  ``tests/test_cylinders.py::test_calibration`` re-derives the
 constant from these four cases and fails if any of them ever disagrees;
 ``test_closed_form_exponents_pin_kappa_sv`` checks it against the
 closed-form exponents of every cyclic cover with N <= 8.
+
+A cyclic cover's report depends only on its unit class: renumbering the
+sheets x -> u.x by a unit u mod N takes (N; a) to (N; u.a), the same cover
+(Forni-Matheus-Zorich, "Square-tiled cyclic covers", JMD 2011).
+:func:`ekz_for_spec` keeps each class's orbit size and report in a
+process-wide memo keyed by the least u.a, so a relabelled line builds no
+cover, double cover or orbit.  The memo holds at most the orbit memo's
+``_MEMO_VERTICES`` = 2^14 classes, dropping the first kept first.
+Measured with tracemalloc, an entry takes about 1.1 kB plus 8 bytes per
+marked point of its stratum, of which there are at most 2N + 2.  A full
+memo of classes with N <= 30 (up to 1.8 kB each) holds at most about
+30 MB; in general the bound is 2^14 entries of 1.1 kB + 16N bytes.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .orbit import DEFAULT_ORBIT_CAP, OrbitGraph, enumerate_state_orbit
+from . import orbit
+from .coverings import CyclicCoverSpec, cyclic_to_pillow
+from .orbit import DEFAULT_ORBIT_CAP, OrbitCapExceeded, OrbitGraph, enumerate_state_orbit
 from .permsurf import (
     PillowCover,
     SizeCapExceeded,
@@ -40,6 +55,7 @@ __all__ = [
     "KAPPA_SV",
     "EKZReport",
     "ekz_for_cover",
+    "ekz_for_spec",
     "ekz_sum",
     "sv_raw",
     "sv_term",
@@ -139,12 +155,59 @@ def ekz_sum(stratum: Stratum, sv: Fraction) -> EKZReport:
     )
 
 
-def ekz_for_cover(p: PillowCover, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EKZReport:
-    """Convenience: orbit, Siegel-Veech term and sum rule for one cover."""
-    if 4 * p.d > _MAX_SQUARES:
-        raise SizeCapExceeded(f"double cover of {4 * p.d} squares is past the "
+def _check_squares(d: int) -> None:
+    if 4 * d > _MAX_SQUARES:
+        raise SizeCapExceeded(f"double cover of {4 * d} squares is past the "
                               f"sum-rule cap of {_MAX_SQUARES} squares")
+
+
+def _orbit_and_report(p: PillowCover, orbit_cap: int) -> tuple[int, EKZReport]:
+    _check_squares(p.d)
     o, iota = orientation_double_cover(p)
     G = enumerate_state_orbit(o, iota, cap=orbit_cap)
-    s = pillow_stratum(p)
-    return ekz_sum(s, sv_term(G))
+    return G.size, ekz_sum(pillow_stratum(p), sv_term(G))
+
+
+def ekz_for_cover(p: PillowCover, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EKZReport:
+    """Convenience: orbit, Siegel-Veech term and sum rule for one cover."""
+    return _orbit_and_report(p, orbit_cap)[1]
+
+
+# (N, least unit relabelling of a) -> (orbit size, report) of each cyclic
+# cover whose sum rule completed, the first kept first
+_memo: dict[tuple[int, tuple[int, ...]], tuple[int, EKZReport]] = {}
+
+
+def _clear_memo() -> None:
+    _memo.clear()
+
+
+def _unit_class(spec: CyclicCoverSpec) -> tuple[int, tuple[int, ...]]:
+    """(N, the least u.a mod N over the units u mod N), 0 read as N."""
+    N = spec.N
+    return N, min(tuple((u * x - 1) % N + 1 for x in spec.a)
+                  for u in range(1, N + 1) if math.gcd(u, N) == 1)
+
+
+def ekz_for_spec(spec: CyclicCoverSpec, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EKZReport:
+    """``ekz_for_cover`` of a cyclic cover, once per unit class in the process.
+
+    Renumbering the sheets x -> u.x by a unit u takes the cover (N; a) to
+    (N; u.a), so both have one stratum, one orbit and one report.  The
+    cap is checked from N before anything is built.  A hit raises
+    :class:`OrbitCapExceeded` iff the kept orbit is larger than the cap, as
+    the orbit memo does; a build that raised keeps nothing.  The memo holds
+    at most ``orbit._MEMO_VERTICES`` reports, dropping the first kept first.
+    """
+    _check_squares(spec.N)
+    key = _unit_class(spec)
+    kept = _memo.get(key)
+    if kept is None:
+        kept = _orbit_and_report(cyclic_to_pillow(spec), orbit_cap)
+        while len(_memo) >= orbit._MEMO_VERTICES:
+            del _memo[next(iter(_memo))]
+        _memo[key] = kept
+    size, report = kept
+    if size > orbit_cap:
+        raise OrbitCapExceeded(orbit_cap)
+    return report

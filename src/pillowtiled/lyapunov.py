@@ -87,7 +87,7 @@ import numpy as np
 from . import lattice
 from .cocycle import shared_state_cache
 from .coverings import CyclicCoverSpec, cyclic_to_pillow, is_determinant_locus
-from .cylinders import ekz_for_cover
+from .cylinders import ekz_for_cover, ekz_for_spec
 from .orbit import DEFAULT_ORBIT_CAP, OrbitCapExceeded
 from .permsurf import PillowCover, SizeCapExceeded, orientation_double_cover
 
@@ -421,7 +421,10 @@ def certify_degenerate(
 
     exact_sum: Fraction | None
     try:
-        exact_sum = ekz_for_cover(cover, orbit_cap=orbit_cap).lyap_sum
+        if isinstance(target, CyclicCoverSpec):
+            exact_sum = ekz_for_spec(target, orbit_cap=orbit_cap).lyap_sum
+        else:
+            exact_sum = ekz_for_cover(cover, orbit_cap=orbit_cap).lyap_sum
         exact_deg: bool | None = exact_sum == 0
     except OrbitCapExceeded:
         exact_sum = None

@@ -36,6 +36,13 @@ relabeling, so checking the canonical image is checking the raw one, and
 a move onto a vertex seen before lands on a tuple that was checked when
 it was first seen.
 
+Where S^2 relabels the seed, the closure labels one S-image per pair of
+vertices that S swaps.  S^2 then relabels every vertex, as -I is central;
+on a double-cover state it always does, iota realising the half turn.
+Then the S-image of w' = canonical(S.w) is w again, so each S-edge found
+by labelling gives the edge back with no labelling.  One labelling of
+S^2(seed) per closure decides it; on origamis S^2 need not relabel.
+
 Every closure that completes is kept in a process-wide memo under each of
 its canonical vertices.  A later seed whose canonical tuple is a key gets
 that orbit back at once, with no move, no further labelling and no check:
@@ -287,8 +294,15 @@ def _recall(perms: tuple[Perm, ...], d: int, cap: int) -> tuple[tuple[Perm, ...]
 
 def _close_orbit(seed: tuple[Perm, ...], d: int, check, cap: int) -> OrbitGraph:
     """S,T-closure from a canonical seed; ``check(w)`` validates a vertex
-    when it is first seen."""
+    when it is first seen.
+
+    If S^2 relabels the seed, it relabels every vertex, since -I is central:
+    then an S-edge w -> w' found by labelling gives the edge w' -> w, and
+    ``s_image`` holds it until w' is stepped, which labels nothing for it.
+    """
     check(seed)
+    paired = canonical_perms(move(move(seed, "S"), "S"), d) == seed
+    s_image = {}
     seen = {seed}
     frontier = [seed]
     edges = set()
@@ -296,7 +310,12 @@ def _close_orbit(seed: tuple[Perm, ...], d: int, check, cap: int) -> OrbitGraph:
         nxt = []
         for w in frontier:
             for gen in ("S", "T"):
-                img = canonical_perms(move(w, gen), d)
+                if gen == "S" and w in s_image:
+                    img = s_image.pop(w)
+                else:
+                    img = canonical_perms(move(w, gen), d)
+                    if gen == "S" and paired:
+                        s_image[img] = w
                 if img not in seen:
                     check(img)
                     if len(seen) >= cap:

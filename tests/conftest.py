@@ -4,7 +4,9 @@ The orbit memo lives for the whole process, so an orbit closed by one test
 would come back from the memo in the next.  Tests that patch the moves,
 the involution transport or the checks, or that count the checks of a
 closure, need the closure to run; every test therefore starts from an
-empty memo.
+empty memo.  The sum-rule memo of cyclic covers is emptied with it: a
+report kept by one test would skip the cover, the double cover and the
+orbit in the next.
 
 The walkers' state cache lives for the whole process too, and a state or
 transition built by one test would be reused by the next.  Tests that
@@ -15,14 +17,16 @@ empty state cache.
 
 import pytest
 
-from pillowtiled import cocycle, orbit
+from pillowtiled import cocycle, cylinders, orbit
 
 
 @pytest.fixture(autouse=True)
 def cold_orbit_memo():
     orbit._clear_memo()
+    cylinders._clear_memo()
     yield
     orbit._clear_memo()
+    cylinders._clear_memo()
 
 
 @pytest.fixture(autouse=True)

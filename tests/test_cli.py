@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pillowtiled import cli, cocycle, orbit
+from pillowtiled import cli, cocycle, cylinders, orbit
 from pillowtiled.cli import RunConfig, main
 from pillowtiled.coverings import iter_specs
 from pillowtiled.formats import (
@@ -394,6 +394,7 @@ class TestSubcommands:
         for i, line in enumerate(lines):
             cocycle._clear_shared_cache()
             orbit._clear_memo()
+            cylinders._clear_memo()
             rc, alone = once(write(tmp_path, f"{i}.txt", line + "\n"), f"{i}.json")
             assert rc == 0
             assert json.loads(alone) == [records[i]]
@@ -535,8 +536,8 @@ HUGE_EKZ = "1000000 1 1 1 999997"
 
 # the sweep's bounds: the whole sweep runs in one child process, which gets
 # this much wall time and address space (on 2 cores, with the huge lines,
-# it took about 5 s and a peak RSS of 406 MB, most of both the pillow
-# cover of the huge ekz line, built before its cap is checked)
+# its 231 lines took 1.4-2.0 s and a peak RSS of 79 MB; the huge ekz line
+# is refused from N before its pillow cover is built)
 SWEEP_SECONDS = 60
 SWEEP_ADDRESS_SPACE = 2 << 30
 

@@ -1,23 +1,26 @@
 """Cylinder decompositions, calibration, and the exact sum rule."""
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 
-from pillowtiled import cylinders
+from pillowtiled import cli, cylinders, orbit
 from pillowtiled.cylinders import (
     KAPPA_SV,
     ekz_for_cover,
+    ekz_for_spec,
     _row_widths,
     ekz_sum,
     sv_raw,
     sv_term,
 )
 from pillowtiled.coverings import CyclicCoverSpec, cyclic_to_pillow, is_determinant_locus, iter_specs
-from pillowtiled.orbit import OrbitGraph, enumerate_state_orbit
+from pillowtiled.orbit import OrbitCapExceeded, OrbitGraph, enumerate_state_orbit
 from pillowtiled.permsurf import (
     Origami,
+    PillowCover,
     SizeCapExceeded,
     Stratum,
     orientation_double_cover,
@@ -216,3 +219,155 @@ def test_calibration_rejects_wrong_kappa(monkeypatch):
     monkeypatch.setattr(cylinders, "KAPPA_SV", Fraction(1, 3))
     with pytest.raises(CalibrationError):
         calibrate()
+
+
+def test_the_spec_cap_is_checked_before_the_cover(monkeypatch):
+    # N alone decides the cap, so a spec past it builds no pillow cover
+    class Reached(Exception):
+        pass
+
+    def reached(spec):
+        raise Reached
+
+    monkeypatch.setattr(cylinders, "cyclic_to_pillow", reached)
+    with pytest.raises(Reached):
+        ekz_for_spec(CyclicCoverSpec(262144, (1, 1, 1, 262141)))
+    with pytest.raises(SizeCapExceeded, match="1048580 squares is past the sum-rule cap of 1048576"):
+        ekz_for_spec(CyclicCoverSpec(262145, (1, 1, 1, 262142)))
+
+
+def test_a_huge_ekz_line_builds_no_pillow_cover(tmp_path, monkeypatch, capsys):
+    built = []
+    post_init = PillowCover.__post_init__
+
+    def counted(self):
+        built.append(self.d)
+        post_init(self)
+
+    monkeypatch.setattr(PillowCover, "__post_init__", counted)
+    path = tmp_path / "in.txt"
+    path.write_text("1000000 1 1 1 999997\n")
+    assert cli.main(["ekz", str(path)]) == 3
+    assert "cap of" in capsys.readouterr().err
+    assert built == []
+
+
+# ------------------------------------------------------------ the sum-rule memo
+# Every test starts from an empty memo (tests/conftest.py).
+
+
+def _least_relabelling(s: CyclicCoverSpec) -> CyclicCoverSpec:
+    """The least of the specs (N; u.a) over the units u mod N: the cover
+    with its sheets renumbered x -> u.x."""
+    units = [u for u in range(1, s.N + 1) if gcd(u, s.N) == 1]
+    return CyclicCoverSpec(s.N, min(tuple((u * x) % s.N or s.N for x in s.a) for u in units))
+
+
+def _ekz_record(s: CyclicCoverSpec):
+    """(record, exit status) of the ekz line of s."""
+    return cli._cmd_ekz(" ".join(map(str, (s.N, *s.a))), cli.RunConfig("ekz", "-"))
+
+
+def _cold_ekz_record(s: CyclicCoverSpec):
+    orbit._clear_memo()
+    cylinders._clear_memo()
+    return _ekz_record(s)
+
+
+def test_a_unit_relabelling_has_the_same_record():
+    specs = [s for N in range(1, 9) for s in iter_specs(N)]
+    classes = set()
+    for s in specs:
+        least = _least_relabelling(s)
+        assert cylinders._unit_class(s) == (least.N, least.a)
+        classes.add(least)
+        (record, rc), (least_record, least_rc) = _cold_ekz_record(s), _cold_ekz_record(least)
+        assert rc == least_rc == 0
+        assert record.pop("spec") == [s.N, *s.a]
+        assert least_record.pop("spec") == [least.N, *least.a]
+        assert record == least_record, s
+    assert (len(specs), len(classes)) == (1186, 340)
+
+
+def test_a_relabelled_line_builds_no_cover(monkeypatch):
+    # x -> 2x takes 5 1 2 2 5 to 5 2 4 4 5
+    first, _ = _ekz_record(CyclicCoverSpec(5, (1, 2, 2, 5)))
+
+    def not_built(*args):
+        raise AssertionError("a relabelled line built a cover")
+
+    monkeypatch.setattr(cylinders, "cyclic_to_pillow", not_built)
+    monkeypatch.setattr(cylinders, "orientation_double_cover", not_built)
+    second, rc = _ekz_record(CyclicCoverSpec(5, (2, 4, 4, 5)))
+    assert rc == 0
+    assert (first.pop("spec"), second.pop("spec")) == ([5, 1, 2, 2, 5], [5, 2, 4, 4, 5])
+    assert first == second
+
+
+def test_a_kept_report_obeys_the_orbit_cap():
+    # 5 1 2 2 5 has a state orbit of 3 vertices, and x -> 2x takes it to
+    # 5 2 4 4 5; a hit raises at the caps where a cold build raises
+    spec, relabelled = CyclicCoverSpec(5, (1, 2, 2, 5)), CyclicCoverSpec(5, (2, 4, 4, 5))
+    for cap in (1, 2):
+        with pytest.raises(OrbitCapExceeded):
+            ekz_for_spec(relabelled, orbit_cap=cap)
+    cold = ekz_for_spec(relabelled, orbit_cap=3)
+    cylinders._clear_memo()
+    orbit._clear_memo()
+    ekz_for_spec(spec)
+    assert len(cylinders._memo) == 1
+    for cap in (1, 2):
+        with pytest.raises(OrbitCapExceeded) as exc:
+            ekz_for_spec(relabelled, orbit_cap=cap)
+        assert exc.value.cap == cap
+    assert ekz_for_spec(relabelled, orbit_cap=3) == cold
+    assert len(cylinders._memo) == 1
+
+
+def test_a_kept_report_obeys_the_cap_flag(tmp_path):
+    # --orbit-cap below a kept class's orbit size exits 3, as it does cold
+    src = tmp_path / "in.txt"
+    src.write_text("5 2 4 4 5\n")
+    cold = cli.run(cli.RunConfig("ekz", str(src), orbit_cap=2, out=str(tmp_path / "cold.json")))
+    _ekz_record(CyclicCoverSpec(5, (1, 2, 2, 5)))
+    warm = cli.run(cli.RunConfig("ekz", str(src), orbit_cap=2, out=str(tmp_path / "warm.json")))
+    assert cold == warm == 3
+
+
+def test_a_build_that_raises_keeps_nothing(monkeypatch):
+    spec = CyclicCoverSpec(5, (1, 2, 2, 5))
+    with pytest.raises(OrbitCapExceeded):
+        ekz_for_spec(spec, orbit_cap=1)
+    assert cylinders._memo == {}
+
+    def broken(stratum, sv):
+        raise ArithmeticError("the bound chain is not increasing")
+
+    monkeypatch.setattr(cylinders, "ekz_sum", broken)
+    with pytest.raises(ArithmeticError):
+        ekz_for_spec(spec)
+    assert cylinders._memo == {}
+    monkeypatch.undo()
+    assert ekz_for_spec(spec).lyap_sum == 0
+    assert len(cylinders._memo) == 1
+
+
+def test_the_memo_stays_within_the_orbit_budget(monkeypatch):
+    specs = [s for N in range(1, 9) for s in iter_specs(N)]
+    unbounded = [ekz_for_spec(s) for s in specs]
+    budget = 7
+    monkeypatch.setattr(orbit, "_MEMO_VERTICES", budget)
+    for pass_ in range(2):
+        cylinders._clear_memo()
+        reports = []
+        for s in specs:
+            reports.append(ekz_for_spec(s))
+            assert len(cylinders._memo) <= budget
+        assert reports == unbounded
+    # the first kept went first: a class met again after its eviction is
+    # built and kept anew
+    kept = []
+    for key in map(cylinders._unit_class, specs):
+        if key not in kept:
+            kept = [*kept[len(kept) == budget:], key]
+    assert list(cylinders._memo) == kept

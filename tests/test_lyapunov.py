@@ -174,7 +174,8 @@ class TestStateCache:
         # a transport that leaves the involution where it was moves (h, v)
         # alone; the target's involution check, run when the cache builds
         # the state, must reject it on a walker's first T or L transition
-        # with asserts stripped
+        # with asserts stripped.  The message is validate_involution's own:
+        # the homology's check of the deck map also names an involution
         code = (
             "import sys\n"
             "from pillowtiled import cocycle, lyapunov\n"
@@ -190,7 +191,7 @@ class TestStateCache:
             "    try:\n"
             "        walker.cache.transition(walker.anchor, gen)\n"
             "    except ValueError as exc:\n"
-            "        if 'involution' not in str(exc):\n"
+            "        if 'involution does not reverse' not in str(exc):\n"
             "            raise SystemExit(f'{gen}: {exc}')\n"
             "        continue\n"
             "    raise SystemExit(f'{gen}: a broken transport was accepted')\n"

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pillowtiled import cli, orbit, permsurf
+from pillowtiled import cli, cylinders, orbit, permsurf
 from pillowtiled.cli import RunConfig
 from pillowtiled.coverings import CyclicCoverSpec, cyclic_to_pillow, iter_specs
 from pillowtiled.homology import move_rows
@@ -407,16 +408,28 @@ def _orbit_line(d, perms):
     return "; ".join([str(d), *map(format_cycles, perms)])
 
 
-def _exact_channel_digest(tmp_path):
-    ekz = [" ".join(map(str, (s.N, *s.a))) for N in range(1, 6) for s in iter_specs(N)]
+def _ekz_lines(max_n):
+    return [" ".join(map(str, (s.N, *s.a))) for N in range(1, max_n + 1) for s in iter_specs(N)]
+
+
+def _orbit_lines():
+    """Seeded origami lines of degree 6, then pillow lines of degree 4."""
     rng = np.random.default_rng(2014)
     lines = [_orbit_line(6, (o.h, o.v)) for o in (random_origami(6, rng) for _ in range(10))]
-    lines += [_orbit_line(4, random_pillow_cover(4, rng).corner_perms()) for _ in range(5)]
+    return lines + [_orbit_line(4, random_pillow_cover(4, rng).corner_perms()) for _ in range(5)]
+
+
+def _run_lines(tmp_path, command, lines):
+    src, out = tmp_path / f"{command}.txt", tmp_path / f"{command}.json"
+    src.write_text("\n".join(lines) + "\n")
+    assert cli.run(RunConfig(command, str(src), out=str(out))) == 0
+    return out
+
+
+def _exact_channel_digest(tmp_path):
     digest = hashlib.sha256()
-    for command, batch in (("ekz", ekz), ("orbit", lines)):
-        src, out = tmp_path / f"{command}.txt", tmp_path / f"{command}.json"
-        src.write_text("\n".join(batch) + "\n")
-        assert cli.run(RunConfig(command, str(src), out=str(out))) == 0
+    for command, batch in (("ekz", _ekz_lines(5)), ("orbit", _orbit_lines())):
+        out = _run_lines(tmp_path, command, batch)
         # the digest is of the parsed records, laid out one way, so it
         # pins every value and every order but not the CLI's whitespace
         canonical = json.dumps(json.loads(out.read_text()), indent=2, sort_keys=True)
@@ -428,6 +441,29 @@ def test_exact_channel_output_is_unchanged(tmp_path):
     start = time.perf_counter()
     assert _exact_channel_digest(tmp_path) == EXACT_CHANNEL_SHA256
     assert time.perf_counter() - start < 3.0
+
+
+# the work of a cold pass of ekz on every spec with N <= 6 and of the pillow
+# orbit lines above: double covers built and canonical labellings.  They are
+# equal on every host, so added work fails here where a timing could not
+# tell; say why in CHANGES.md whenever they change
+EXACT_CHANNEL_WORK = {"orientation_double_cover": 176, "canonical_labelling": 436}
+
+
+def test_exact_channel_work_is_unchanged(tmp_path, monkeypatch):
+    covers = []
+
+    def counted_double_cover(p):
+        covers.append(p)
+        return orientation_double_cover(p)
+
+    for module in (cli, cylinders):
+        monkeypatch.setattr(module, "orientation_double_cover", counted_double_cover)
+    labelled = _count_labellings(monkeypatch)
+    _run_lines(tmp_path, "ekz", _ekz_lines(6))
+    _run_lines(tmp_path, "orbit", [line for line in _orbit_lines() if line.count(";") == 4])
+    work = {"orientation_double_cover": len(covers), "canonical_labelling": len(labelled)}
+    assert work == EXACT_CHANNEL_WORK
 
 
 def test_orbit_seed_independent():
@@ -600,6 +636,62 @@ def test_orbit_cap_matches_the_reference():
         for enumerate_ in (enumerate_orbit, reference_orbit):
             with pytest.raises(OrbitCapExceeded):
                 enumerate_(o, cap=cap)
+
+
+def _count_labellings(monkeypatch):
+    labelled = []
+    labelling = canonical_labelling
+
+    def counted(perms, d):
+        labelled.append(perms)
+        return labelling(perms, d)
+
+    monkeypatch.setattr(orbit, "canonical_labelling", counted)
+    return labelled
+
+
+def _s_fixed(g):
+    return sum(1 for a, gen, b in g.edges if gen == "S" and a == b)
+
+
+def test_a_closure_labels_each_s_pair_once(monkeypatch):
+    # S^2 relabels a double-cover state, so each S-edge found by labelling
+    # gives its reverse: the seed, the S^2 check, one T-image per vertex,
+    # and one S-image per S-pair or S-fixed vertex
+    labelled = _count_labellings(monkeypatch)
+    rng = np.random.default_rng(907)
+    sizes = []
+    for p in [random_pillow_cover(5, rng) for _ in range(8)]:
+        orbit._clear_memo()
+        del labelled[:]
+        g = enumerate_state_orbit(*orientation_double_cover(p))
+        v, f = g.size, _s_fixed(g)
+        assert len(labelled) == 2 + v + (v + f) // 2, str(p)
+        if f <= 1:
+            # the seed's own labelling comes before the closure
+            assert len(labelled) - 1 <= math.ceil(1.5 * v) + 1
+            sizes.append(v)
+    assert max(sizes) >= 50 and len(sizes) >= 4, sizes
+
+
+def _s_squared_moves_off(w):
+    """Whether S^2 of an origami (h, v) is not a relabelling of it."""
+    return canonical_perms(orbit.move(orbit.move(w, "S"), "S"), len(w[0])) != canonical_perms(w, len(w[0]))
+
+
+def test_s_edges_are_not_paired_where_s_squared_is_no_relabelling(monkeypatch):
+    # on these origamis (h^-1, v^-1) is not (h, v) relabelled, so an S-edge
+    # says nothing of the S-edge back: every vertex labels both its images
+    _, samples = _move_samples()
+    moved_off = [Origami(len(h), h, v) for h, v in samples if _s_squared_moves_off((h, v))]
+    assert len(moved_off) == 6
+    labelled = _count_labellings(monkeypatch)
+    for o in moved_off:
+        orbit._clear_memo()
+        del labelled[:]
+        g = enumerate_orbit(o)
+        assert len(labelled) == 2 + 2 * g.size
+        assert g == reference_orbit(o), str(o)
 
 
 SEVEN = Origami(7, parse_cycles("(1 2 3)(4 5 6 7)", 7), parse_cycles("(3 4)", 7))
@@ -835,8 +927,10 @@ def test_an_orbit_larger_than_the_budget_is_not_kept(monkeypatch):
 
 
 def test_a_second_run_in_one_process_is_byte_identical(tmp_path):
-    # the second run of the same ekz and orbit lines takes every orbit from the memo
+    # the second run of the same ekz and orbit lines takes every report from
+    # the sum-rule memo and every orbit from the orbit memo
     assert _exact_channel_digest(tmp_path) == EXACT_CHANNEL_SHA256
-    closed = len(orbit._memo_order)
+    closed, kept = len(orbit._memo_order), dict(cylinders._memo)
     assert _exact_channel_digest(tmp_path) == EXACT_CHANNEL_SHA256
     assert len(orbit._memo_order) == closed
+    assert cylinders._memo == kept

@@ -161,13 +161,15 @@ def _private_imports(tree: ast.Module, module: str) -> set[tuple[str, str]]:
 def test_cross_module_private_imports():
     # a leading underscore keeps a name inside its module; each name another
     # src module reaches past that is pinned here, so a new one fails.  cli
-    # runs the seeds of a lyapunov line as certify does, and homology reads
-    # the surface's vertices as permsurf's stratum does
+    # runs the seeds of a lyapunov line as certify does, homology reads the
+    # surface's vertices as permsurf's stratum does, and the sum-rule memo
+    # of cylinders keeps to the orbit memo's budget
     files = sorted(SRC.glob("*.py"))
     assert files, f"no sources under {SRC}"
     found = set().union(*(_private_imports(ast.parse(path.read_text(), filename=str(path)), path.stem)
                           for path in files))
-    assert found == {("cli", "lyapunov._run_seeds"), ("homology", "permsurf._vertex_classes")}, sorted(found)
+    assert found == {("cli", "lyapunov._run_seeds"), ("cylinders", "orbit._MEMO_VERTICES"),
+                     ("homology", "permsurf._vertex_classes")}, sorted(found)
 
 
 ROOT = SRC.parents[1]
@@ -256,7 +258,8 @@ def _unreached_src_names(tracer: bool = True) -> list[str]:
             return resolve(entry[1], entry[2])
         return None
 
-    roots = [("cli", "main"), ("orbit", "_clear_memo"), ("cocycle", "_clear_shared_cache")]
+    roots = [("cli", "main"), ("orbit", "_clear_memo"), ("cylinders", "_clear_memo"),
+             ("cocycle", "_clear_shared_cache")]
     roots += [("__init__", name) for name in tables["__init__"][1]]
     roots += sorted(_perfbench_roots(tables, tracer))
     reached: set = set()
