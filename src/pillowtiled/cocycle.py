@@ -26,13 +26,13 @@ earlier walker built is not built or checked again.  That needs no
 re-check: a state is a function of its canonical key ``(h, v, iota)``
 alone, a transition of its source state and the move, and a cycle
 (``GenCycle``, the states and exact products of repeating T or L from a
-state, with the closed-form powers of its full-cycle product) of its
-state and generator, so an entry built for one line is the entry any
-other line would build; unit relabellings x -> u x of a cyclic cover give
-the same canonical states, and their lines share everything.  A cycle
-builds its H1- products only when first asked for them.  Entries are
-stored only once built, so a build cut short by an exception leaves
-nothing behind.
+state, with the closed-form powers of its full-cycle product and the
+float pencils that the walks multiply by) of its state and generator, so
+an entry built for one line is the entry any other line would build;
+unit relabellings x -> u x of a cyclic cover give the same canonical
+states, and their lines share everything.  A cycle builds its H1-
+products only when first asked for them.  Entries are stored only once
+built, so a build cut short by an exception leaves nothing behind.
 
 The shared cache is trimmed to ``_SHARED_ENTRIES`` when a walker is
 created, never during a walk, so no walk rebuilds a state it built itself.
@@ -41,20 +41,23 @@ a state goes with its outgoing transitions and cycles.  A state is used
 when ``state`` returns it or a transition or cycle from it is looked up.
 Transitions into a dropped state hold only its key and matrices and stay
 valid.  A state weighs the entry count of its matrices
-(``StateData.entries``) and a cycle that of its exact products and
-pencils (``GenCycle.entries``); a cycle is rebuilt from cached moves,
-but a state needs its homology again, which is why cycles go first.
-Measured with tracemalloc after ``lyapunov`` lines of 2000 steps on
-cyclic covers from N = 30 down to N = 5, states with their T and L
-transitions take 10.2-17.8 bytes per entry and cycles 8.5-15.3, so the
-budget of 2^21 entries keeps at most about 37 MB.  One line of N = 30
-or more can by itself build cycles past the budget (2.7M entries at
-N = 30); they are then dropped at the next line's start and its states
+(``StateData.entries``) and a cycle that of its exact products and its
+pencils, two float64 matrices each, zero blocks and all
+(``GenCycle.entries``); a cycle is rebuilt from cached moves, but a
+state needs its homology again, which is why cycles go first.  Measured
+with tracemalloc after one ``lyapunov`` line of 2000 steps on each of
+``30 7 15 10 28``, ``12 1 5 7 11``, ``8 1 3 5 7``, ``6 1 1 5 5`` and
+``5 1 2 2 5``, states with their T and L transitions take 10.2-17.4
+bytes per entry and cycles 8.3-11.4, so the budget of 2^21 entries keeps
+at most about 37 MB.  One line of N = 30 or more can by itself build
+cycles past the budget (5.0M entries, about 41 MB, on that N = 30
+line); they are then dropped at the next line's start and its states
 kept.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import lattice
@@ -150,31 +153,37 @@ class CyclePowers:
 
     ``cum[j]`` is the product of the first j moves and C = cum[-1] the
     full-cycle product; ``powers`` holds C^0..C^(k-1) and ``nil`` is
-    C^k - I, with nil @ nil == 0.  For q full cycles, m, s = divmod(q, k)
-    and P = cum[r] @ C^s, the product is cum[r] @ C^q == P + m (P @ nil);
-    the pencil of (P, P @ nil) is cached per (r, s).
+    C^k - I, with nil @ nil == 0.
     """
 
-    __slots__ = ("cum", "powers", "nil", "_pencils")
+    __slots__ = ("cum", "powers", "nil")
 
     def __init__(self, cum: list[list[list[int]]]):
         self.cum = cum
         self.powers, self.nil = lattice.quasi_unipotent_powers(cum[-1])
-        self._pencils: dict[tuple[int, int], lattice.Pencil] = {}
 
-    def product(self, r: int, q: int):
-        """cum[r] @ C^q, exactly, as an integer array."""
-        m, s = divmod(q, len(self.powers))
-        pencil = self._pencils.get((r, s))
-        if pencil is None:
-            P = lattice.matmul(self.cum[r], self.powers[s])
-            pencil = self._pencils[r, s] = lattice.Pencil(P, lattice.matmul(P, self.nil))
-        return pencil.at(m)
+    def pencil(self, r: int, s: int, period: int) -> tuple[list[list[int]], list[list[int]]]:
+        """(P, Q) with cum[r] @ C^(s + m * period) == P + m Q for every
+        m >= 0, exactly; ``period`` is a multiple j k of k = len(powers).
+
+        As nil @ nil == 0, C^(j k) == (I + nil)^j == I + j nil.  With
+        t, s0 = divmod(s, k) and B = cum[r] @ C^s0, C^s == C^s0 (I + t nil),
+        so P = B + t (B @ nil) and Q = j (B @ nil).
+        """
+        k = len(self.powers)
+        j, rest = divmod(period, k)
+        if rest:
+            raise ValueError(f"period {period} is not a multiple of {k}")
+        t, s0 = divmod(s, k)
+        B = lattice.matmul(self.cum[r], self.powers[s0])
+        BN = lattice.matmul(B, self.nil)
+        return ([[x + t * y for x, y in zip(rb, rn)] for rb, rn in zip(B, BN)],
+                [[j * y for y in rn] for rn in BN])
 
     def entries(self) -> int:
-        """Entry count of the matrices held, two per pencil."""
+        """Entry count of the matrices held."""
         n = len(self.nil)
-        return n * n * (len(self.cum) + len(self.powers) + 1 + 2 * len(self._pencils))
+        return n * n * (len(self.cum) + len(self.powers) + 1)
 
 
 class GenCycle:
@@ -184,10 +193,11 @@ class GenCycle:
     the move from states[-1] returns to it); ``plus`` gives the exact
     products of any number of moves on the invariant lattice, and
     ``minus()`` on the anti-invariant one, built when first asked for, so
-    that a walk on H1+ alone never builds it.
+    that a walk on H1+ alone never builds it.  ``digit`` gives the float
+    pencils that a walk multiplies its frame by, each built once.
     """
 
-    __slots__ = ("states", "plus", "_moves", "_minus")
+    __slots__ = ("states", "plus", "_moves", "_minus", "_pencils")
 
     def __init__(self, cache: StateCache, key, gen: str):
         cum = [lattice.eye(cache.state(key).splitting.dim_plus)]
@@ -204,6 +214,7 @@ class GenCycle:
             self.states.append(cur)
         self.plus = CyclePowers(cum)
         self._minus: CyclePowers | None = None
+        self._pencils: dict[tuple[bool, int, int], lattice.Pencil] = {}
 
     def minus(self) -> CyclePowers:
         """The products on the anti-invariant lattice, built on first use."""
@@ -214,9 +225,35 @@ class GenCycle:
             self._minus = CyclePowers(cum)
         return self._minus
 
+    def digit(self, a: int, with_minus: bool) -> tuple[lattice.Pencil, int, tuple[Perm, Perm, Perm]]:
+        """(pencil, m, target) of ``a`` moves from states[0].
+
+        ``pencil.at(m)`` is the float matrix of the a moves on H1+, or
+        diag(H1+, H1-) ``with_minus``, and ``target`` the state they
+        reach.  With q, r = divmod(a, len(states)) and k the period of the
+        full-cycle products, len(plus.powers) or its lcm with
+        len(minus().powers), m, s = divmod(q, k): the pencil is built once
+        per (with_minus, r, s).
+        """
+        q, r = divmod(a, len(self.states))
+        k = len(self.plus.powers)
+        if with_minus:
+            k = math.lcm(k, len(self.minus().powers))
+        m, s = divmod(q, k)
+        pencil = self._pencils.get((with_minus, r, s))
+        if pencil is None:
+            P, Q = self.plus.pencil(r, s, k)
+            if with_minus:
+                P_minus, Q_minus = self.minus().pencil(r, s, k)
+                P, Q = lattice.block_diag(P, P_minus), lattice.block_diag(Q, Q_minus)
+            pencil = self._pencils[with_minus, r, s] = lattice.Pencil(P, Q)
+        return pencil, m, self.states[r]
+
     def entries(self) -> int:
-        """Entry count of the exact products held on both lattices."""
-        return self.plus.entries() + (self._minus.entries() if self._minus is not None else 0)
+        """Entry count of the exact products held on both lattices, and of
+        the pencils, two matrices each."""
+        return (self.plus.entries() + (self._minus.entries() if self._minus is not None else 0)
+                + sum(2 * pencil.p.size for pencil in self._pencils.values()))
 
 
 class StateCache:

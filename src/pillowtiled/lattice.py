@@ -19,11 +19,14 @@ fixed width.  Inside ``matmul``, when k * max|a| * max|b| < 2**62, k the
 inner dimension, every partial sum of every entry is at most that bound
 in absolute value, so the product runs on int64 in numpy and cannot
 wrap; past the bound it runs on Python ints, and either way the result
-is Python ints.  ``Pencil`` holds the two matrices of P + m * Q as int64
-arrays and forms the multiply-add on int64 while max|P| + m * max|Q| <
-2**62, on Python ints past it; either way the result is exact, and
-rounding an entry to float gives the same double from int64 as from the
-Python int (both round to nearest).
+is Python ints.  ``Pencil`` gives the integer matrices P + m * Q rounded
+to float64, in three tiers.  While max|P| + m * max|Q| < 2**53 every
+entry, every product m * q and every sum is an integer that a float64
+holds exactly, so the multiply-add runs on the pencil's float64 arrays
+and its result is the exact value.  Past that, the multiply-add runs
+exactly, on int64 while the bound is below 2**62 and on Python ints past
+it, and the result is rounded to float64; int64 and Python ints both
+round to nearest, so every tier gives the double of the exact integer.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from operator import mul
 import numpy as np
 
 _INT64_SAFE = 1 << 62  # k * max|a| * max|b| below this cannot leave int64
+_FLOAT_EXACT = 1 << 53  # an integer below this in absolute value is a float64, exactly
 
 
 def eye(n: int) -> list[list[int]]:
@@ -79,31 +83,52 @@ def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[
 
 
 class Pencil:
-    """The exact integer matrices P + m * Q for m >= 0.
+    """The integer matrices P + m * Q for m >= 0, rounded to float64.
 
-    P and Q are kept as int64 arrays when every entry fits, else as arrays
-    of Python ints.  ``at(m)`` is an int64 array while max|P| + m * max|Q|
-    < 2**62, where no entry can wrap, and an array of Python ints past it.
+    ``p`` and ``q`` are P and Q as read-only float64 arrays, rounded where
+    an entry is 2**53 or more; then the exact matrices are kept beside
+    them.  ``at(m)`` is P + m * Q rounded entrywise to the nearest double,
+    in the tiers of the module docstring; at m = 0, or with Q == 0, it is
+    ``p`` itself, and no array is formed.
     """
 
-    __slots__ = ("p", "q", "_bound_p", "_bound_q")
+    __slots__ = ("p", "q", "_exact", "_bound_p", "_bound_q")
 
     def __init__(self, p: Sequence[Sequence[int]], q: Sequence[Sequence[int]]):
         try:
-            self.p = np.array(p, np.int64).reshape(shape(p))
-            self.q = np.array(q, np.int64).reshape(shape(q))
+            P = np.array(p, np.int64).reshape(shape(p))
+            Q = np.array(q, np.int64).reshape(shape(q))
         except OverflowError:  # an entry past int64: Python ints throughout
-            self.p = np.array(p, object).reshape(shape(p))
-            self.q = np.array(q, object).reshape(shape(q))
-        self._bound_p, self._bound_q = _max_abs(self.p), _max_abs(self.q)
+            P = np.array(p, object).reshape(shape(p))
+            Q = np.array(q, object).reshape(shape(q))
+        self._bound_p, self._bound_q = _max_abs(P), _max_abs(Q)
+        self.p, self.q = P.astype(float), Q.astype(float)
+        self.p.flags.writeable = self.q.flags.writeable = False
+        exact = max(self._bound_p, self._bound_q) < _FLOAT_EXACT
+        self._exact = None if exact else (P, Q)
+
+    def exact(self, m: int) -> np.ndarray:
+        """P + m * Q exactly: an int64 array while max|P| + m * max|Q| <
+        2**62, where no entry can wrap, and an array of Python ints past it."""
+        P, Q = self._exact or (self.p.astype(np.int64), self.q.astype(np.int64))
+        if P.dtype != object and self._bound_p + m * self._bound_q < _INT64_SAFE:
+            return P + m * Q
+        return P.astype(object) + m * Q.astype(object)
 
     def at(self, m: int) -> np.ndarray:
-        """P + m * Q, exactly."""
+        """P + m * Q, each entry the double nearest the exact integer."""
         if not (m and self._bound_q):
             return self.p
-        if self.p.dtype != object and self._bound_p + m * self._bound_q < _INT64_SAFE:
-            return self.p + m * self.q
-        return self.p.astype(object) + m * self.q.astype(object)
+        if self._bound_p + m * self._bound_q < _FLOAT_EXACT:
+            out = self.q * m
+            out += self.p
+            return out
+        return self.exact(m).astype(float)
+
+
+def block_diag(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """diag(a, b) of two square integer matrices, as rows."""
+    return [list(r) + [0] * len(b) for r in a] + [[0] * len(a) + list(r) for r in b]
 
 
 def transpose(a: list[list[int]]) -> list[list[int]]:

@@ -23,13 +23,16 @@ walk is a generator that owns its run (random stream, continued
 fraction, tautological vector, state, frame, log-growth and block rows):
 it applies each digit's matrix to its frame as it goes, yields the frame
 at a flush, is answered with the frame orthonormalized and that QR's
-log|diag R|, and returns its estimate.  One stacked ``np.linalg.qr`` per
-round orthonormalizes the frames of every seed that flushes in it;
-LAPACK factors each frame of a stack on its own, so every float is the
-seed's alone, bit for bit.  A line makes 1 + (most flushes of any seed)
-QR calls, not one per flush per seed: on frames this small numpy's
-Python wrapper, not LAPACK, takes most of a QR's time.  A digit matrix
-seen for the first time lives only until its product with the frame.
+log|diag R|, and returns its estimate.  One stacked QR per round
+orthonormalizes the frames of every seed that flushes in it; LAPACK
+factors each frame of a stack on its own, so every float is the seed's
+alone, bit for bit.  A line makes 1 + (most flushes of any seed) QR
+calls, not one per flush per seed: on frames this small numpy's Python
+wrapper, not LAPACK, takes most of a QR's time, which is also why
+``_orthonormalize`` forms no triangle R.  A digit is one lookup in the
+walker's memo and one ``ndarray.dot``, the same BLAS product as ``@``
+with less wrapper around it; an array formed for a digit lives only
+until its product with the frame.
 
 A certificate reads the invariant spectrum alone, so ``certify_degenerate``
 walks H1+ alone: its cycles, digit matrices, frame and QRs leave H1- out,
@@ -52,25 +55,28 @@ canonical states along a cycle, so gen^a factors as (partial walk) x
 (full-cycle product)^q.  A full-cycle product C is a parabolic affine
 map, some power of which is a multitwist, so (C^k - I)^2 == 0 for a
 small k found exactly when the cycle is built; then C^q == C^(q mod k)
-(I + (q div k)(C^k - I)) and a digit costs one exact integer
-multiply-add per entry, with no matrix product, before any float
-touches it; the multiply-add runs on fixed-width integers below an exact
-overflow guard (``lattice.Pencil``).  A digit's float matrix is kept
-from its second sighting on: most large digits turn up once.  On
-``30 7 15 10 28`` over 20k digits, 969 digits are distinct and 342 of
-them exceed 64; the walker keeps 499 matrices, 29 of them above 64, and
-a ``lyapunov`` run peaks at 95 MB, where keeping every distinct digit
-took 117 MB.
+(I + (q div k)(C^k - I)).  So a digit's matrix is P + m Q for a pencil
+(P, Q) of its cycle, built once per partial walk and power of C below k
+and kept in the shared cache as float64 arrays (``GenCycle.digit``,
+``lattice.Pencil``), and a multiplier m = q div k.  At m = 0 the digit is
+the pencil's own array, and no array is formed; past it, one float
+multiply-add per entry forms it, exact below 2^53 and an exact integer
+multiply-add rounded once past that, so every digit's matrix is the
+exact product rounded.  ``lyapunov 30 7 15 10 28 --steps 20000`` (five
+seeds, 100k digits) meets 2297 distinct digits, builds 408 pencils and
+forms 6192 arrays, and peaks at 89 MB; a walker that kept the float
+matrix of each digit from its second sighting peaked at 126 MB.
 
-Every walker draws its states, transitions and generator cycles from the
-process-wide cache of :mod:`.cocycle`: each is an exact function of its
-canonical key, so it is built once per process, and a later line on the
-same cover or on a unit relabelling of it reuses it.  A cycle's H1-
-products are built only when a walker that carries H1- first asks for
-them, so ``certify`` and ``lyapunov`` lines on one cover share the H1+
-part.  The digit memo stays per walker, so a line's float matrices go
-with it: a process-wide memo raised the peak RSS of cold in-process
-``mc_certify`` benchmark passes from 41.3 to 44.6 MB.
+Every walker draws its states, transitions, generator cycles and
+pencils from the process-wide cache of :mod:`.cocycle`: each is an exact
+function of its canonical key, so it is built once per process, and a
+later line on the same cover or on a unit relabelling of it reuses it.
+A cycle's H1- products are built only when a walker that carries H1-
+first asks for them, so ``certify`` lines on one cover never build them;
+a ``certify`` walk multiplies by H1+ pencils and a ``lyapunov`` walk by
+diag(H1+, H1-) pencils.  The digit memo stays per walker and holds
+references only (a pencil, its multiplier and a target), keyed by the
+walker's own small state ids, so a lookup hashes no permutation tuple.
 
 Runs are bitwise reproducible for a fixed seed (single PCG64 stream for
 the dynamics, a second derived stream for the bootstrap).
@@ -83,6 +89,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import lattice
 from .cocycle import shared_state_cache
@@ -110,12 +117,15 @@ class _Walker:
     """Digit-level driver over the canonical state graph.
 
     Everything it builds depends on the cover alone, so one walker serves
-    every seed of a line, each starting at ``anchor``.  Its states,
-    transitions and cycles live in the shared cache, which is trimmed
-    here, when the walker is created, and not while it walks; its digit
-    memo is its own.  A walker built ``with_minus=False`` carries H1+
-    alone: its digit matrices and frames leave H1- out, and it never asks
-    a cycle for its H1- products.
+    every seed of a line, each starting at ``anchor``, its state 0.  Its
+    states, transitions, cycles and pencils live in the shared cache,
+    which is trimmed here, when the walker is created, and not while it
+    walks.  A walk names states by small ints, the walker's own, so that
+    a digit is one lookup in the walker's memo, keyed by (state, gen, a)
+    and holding references only: the shared pencil of the digit, its
+    multiplier and the state it reaches.  A walker built
+    ``with_minus=False`` carries H1+ alone: its digit matrices and frames
+    leave H1- out, and it never asks a cycle for its H1- products.
     """
 
     def __init__(self, cover: PillowCover, with_minus: bool = True):
@@ -129,26 +139,25 @@ class _Walker:
         st = self.cache.state(self.anchor)
         self.dim_plus = st.splitting.dim_plus
         self.dim_minus = st.splitting.dim_minus
-        self._memo: dict[tuple, tuple | None] = {}
+        self._keys = [self.anchor]  # state -> canonical key
+        self._ids = {self.anchor: 0}  # canonical key -> state
+        self._memo: dict[tuple[int, str, int], tuple[lattice.Pencil, int, int]] = {}
 
-    def digit(self, key, gen: str, a: int) -> tuple[np.ndarray, tuple]:
-        """(M, target): the float matrix diag(M+, M-) of gen^a from state
-        ``key`` on H1+ (+) H1-, or M+ alone without H1-, and the state it
-        reaches.  A digit is kept from its second sighting on: most large
-        digits are seen once, and a first sighting leaves ``None``."""
-        memo_key = (key, gen, a)
-        hit = self._memo.get(memo_key)
+    def digit(self, state: int, gen: str, a: int) -> tuple[np.ndarray, int]:
+        """(M, target): the float matrix diag(M+, M-) of gen^a from
+        ``state`` on H1+ (+) H1-, or M+ alone without H1-, and the state it
+        reaches.  M is the shared pencil's own read-only array where the
+        pencil's multiplier is 0, and formed afresh otherwise."""
+        hit = self._memo.get((state, gen, a))
         if hit is None:
-            cyc = self.cache.cycle(key, gen)
-            q, r = divmod(a, len(cyc.states))
-            dp = self.dim_plus
-            M = np.zeros((dp + self.dim_minus if self.with_minus else dp,) * 2)
-            M[:dp, :dp] = cyc.plus.product(r, q)
-            if self.with_minus:
-                M[dp:, dp:] = cyc.minus().product(r, q)
-            hit = (M, cyc.states[r])
-            self._memo[memo_key] = hit if memo_key in self._memo else None
-        return hit
+            cyc = self.cache.cycle(self._keys[state], gen)
+            pencil, m, key = cyc.digit(a, self.with_minus)
+            target = self._ids.get(key)
+            if target is None:
+                target = self._ids[key] = len(self._keys)
+                self._keys.append(key)
+            hit = self._memo[state, gen, a] = (pencil, m, target)
+        return hit[0].at(hit[1]), hit[2]
 
 
 @dataclass(frozen=True)
@@ -177,15 +186,26 @@ class LyapunovEstimate:
 
 
 def _orthonormalize(F, dp: int, mp: int):
-    """Q, R of a stack of frames diag(F+, F-), or of F+ alone, F+ in the
-    first dp rows and mp columns, with Q's off-diagonal blocks set to the
-    exact zeros they are in exact arithmetic.  LAPACK factors each frame
-    of the stack on its own, so each Q and R is the one frame's bit for
-    bit."""
-    Q, R = np.linalg.qr(F)
+    """Q and log|diag R| of a stack of frames diag(F+, F-), or of F+
+    alone, F+ in the first dp rows and mp columns, with Q's off-diagonal
+    blocks set to the exact zeros they are in exact arithmetic.
+
+    ``np.linalg.qr(F, mode="raw")`` runs LAPACK's factorization
+    (``qr_r_raw``) and forms no triangle R: diag R is read off the raw
+    factor, and Q is formed by the gufunc that ``np.linalg.qr`` calls for
+    it (``qr_reduced``), on the same factor, so Q and diag R are its bits.
+    LAPACK factors each frame of the stack on its own, so each Q and R is
+    the one frame's bit for bit.  A frame that is not finite raises
+    FloatingPointError.
+    """
+    h, tau = np.linalg.qr(F, mode="raw")
+    a = h.swapaxes(-1, -2)  # the raw factor, R on and above its diagonal
+    if not np.isfinite(a).all():
+        raise FloatingPointError("a Monte-Carlo frame is not finite")
+    Q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
     Q[..., :dp, mp:] = 0.0
     Q[..., dp:, :mp] = 0.0
-    return Q, R
+    return Q, np.log(np.abs(np.diagonal(a, axis1=-2, axis2=-1)))
 
 
 def run_monte_carlo(cover: PillowCover, steps: int, seed: int) -> LyapunovEstimate:
@@ -225,7 +245,7 @@ def _walk(walker: _Walker, steps: int, seed: int):
     vec = rng.standard_normal(2)
     u0, u1 = (vec / np.hypot(*vec)).tolist()  # tautological 2-vector
 
-    key = walker.anchor
+    state = 0  # the walker's anchor
     taut = taut_at_flush = 0.0
     boundaries = {steps * (k + 1) // _BLOCKS for k in range(_BLOCKS)}
     rows = []
@@ -248,9 +268,9 @@ def _walk(walker: _Walker, steps: int, seed: int):
         gen = "T" if use_T else "L"
         use_T = not use_T
         if frame:
-            M, key = walker.digit(key, gen, a)
-            F = M @ F
-            del M  # a first sighting is not kept past its product
+            M, state = walker.digit(state, gen, a)
+            F = M.dot(F)
+            del M  # an array formed for this digit is not kept past its product
         if gen == "T":
             u0 += a * u1
         else:
@@ -299,8 +319,7 @@ def _estimate(walker: _Walker, steps: int, seeds: tuple[int, ...]) -> tuple[Lyap
                 estimates[i] = stop.value
         live = [i for i in live if estimates[i] is None]
         if live:
-            Q, R = _orthonormalize(np.stack(frames), dp, dp // 2)
-            replies = zip(Q, np.log(np.abs(np.diagonal(R, axis1=1, axis2=2))))
+            replies = zip(*_orthonormalize(np.array(frames), dp, dp // 2))
     return tuple(estimates)
 
 

@@ -36,12 +36,15 @@ relabeling, so checking the canonical image is checking the raw one, and
 a move onto a vertex seen before lands on a tuple that was checked when
 it was first seen.
 
-Where S^2 relabels the seed, the closure labels one S-image per pair of
-vertices that S swaps.  S^2 then relabels every vertex, as -I is central;
-on a double-cover state it always does, iota realising the half turn.
-Then the S-image of w' = canonical(S.w) is w again, so each S-edge found
-by labelling gives the edge back with no labelling.  One labelling of
-S^2(seed) per closure decides it; on origamis S^2 need not relabel.
+The closure labels all but one S-edge of each cycle of S on canonical
+forms and reads the last one off the others.  Where S^2 relabels the
+seed it relabels every vertex, as -I is central; on a double-cover state
+it always does, iota realising the half turn.  Then the S-image of
+w' = canonical(S.w) is w again, so each S-edge found by labelling gives
+the edge back with no labelling.  On an origami S^2 need not relabel;
+then it relabels no vertex, every S-cycle has four vertices, as
+S^4 == id exactly, and once three of its edges are known the fourth
+closes it.  One labelling of S^2(seed) per closure decides which.
 
 Every closure that completes is kept in a process-wide memo under each of
 its canonical vertices.  A later seed whose canonical tuple is a key gets
@@ -296,13 +299,18 @@ def _close_orbit(seed: tuple[Perm, ...], d: int, check, cap: int) -> OrbitGraph:
     """S,T-closure from a canonical seed; ``check(w)`` validates a vertex
     when it is first seen.
 
-    If S^2 relabels the seed, it relabels every vertex, since -I is central:
-    then an S-edge w -> w' found by labelling gives the edge w' -> w, and
-    ``s_image`` holds it until w' is stepped, which labels nothing for it.
+    S acts on canonical forms with cycles of ``period`` vertices, 2 where
+    S^2 relabels the seed and 4 where it does not: S^2 relabels every
+    vertex or none, since -I is central, and S^4 == id exactly.  (Where
+    S^2 relabels, a vertex that S relabels is a cycle of one.)  Once all
+    but one edge of an S-cycle are known, the last one closes it and is
+    read off with no labelling: on a path w_0 -> ... -> w_(period-1) of
+    S-edges, S(w_(period-1)) == w_0.  ``s_next`` and ``s_prev`` hold the
+    S-edges known so far.
     """
     check(seed)
-    paired = canonical_perms(move(move(seed, "S"), "S"), d) == seed
-    s_image = {}
+    period = 2 if canonical_perms(move(move(seed, "S"), "S"), d) == seed else 4
+    s_next, s_prev = {}, {}
     seen = {seed}
     frontier = [seed]
     edges = set()
@@ -310,12 +318,19 @@ def _close_orbit(seed: tuple[Perm, ...], d: int, check, cap: int) -> OrbitGraph:
         nxt = []
         for w in frontier:
             for gen in ("S", "T"):
-                if gen == "S" and w in s_image:
-                    img = s_image.pop(w)
-                else:
+                img = s_next.get(w) if gen == "S" else None
+                if img is None:
                     img = canonical_perms(move(w, gen), d)
-                    if gen == "S" and paired:
-                        s_image[img] = w
+                    if gen == "S":
+                        s_next[w], s_prev[img] = img, w
+                        # the path of known S-edges through w -> img
+                        head, tail, known = w, img, 1
+                        while known < period - 1 and head in s_prev:
+                            head, known = s_prev[head], known + 1
+                        while known < period - 1 and tail in s_next:
+                            tail, known = s_next[tail], known + 1
+                        if known == period - 1 and tail not in s_next:
+                            s_next[tail], s_prev[head] = head, tail
                 if img not in seen:
                     check(img)
                     if len(seen) >= cap:

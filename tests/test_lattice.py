@@ -252,35 +252,73 @@ def test_matmul_below_the_guard_runs_on_int64(monkeypatch):
 
 def test_pencil_is_the_exact_multiply_add(monkeypatch):
     rng = random.Random(20261019)
-    for guard in (lattice._INT64_SAFE, 0):  # 0: every product on Python ints
-        monkeypatch.setattr(lattice, "_INT64_SAFE", guard)
+    # guards at 0 send every multiply-add past them: first on the doubles
+    # below 2**53, then on int64 below 2**62, then on Python ints
+    for float_exact, int64_safe in ((lattice._FLOAT_EXACT, lattice._INT64_SAFE),
+                                    (0, lattice._INT64_SAFE), (0, 0)):
+        monkeypatch.setattr(lattice, "_FLOAT_EXACT", float_exact)
+        monkeypatch.setattr(lattice, "_INT64_SAFE", int64_safe)
         for t in range(300):
             rows, cols = rng.randint(0, 6), rng.randint(0, 6)
-            hi = 2 ** rng.choice((3, 40, 61, 62, 70))
+            hi = 2 ** rng.choice((3, 40, 52, 61, 62, 70))
             P, Q = (random_matrix(rng, rows, cols, -hi, hi) if rows else [] for _ in range(2))
             pencil = lattice.Pencil(P, Q)
             for m in (0, 1, rng.randint(2, 10**6), 10**12, 2**62 + 1):
                 want = [[p + m * q for p, q in zip(rp, rq)] for rp, rq in zip(P, Q)]
-                got = pencil.at(m)
+                got = pencil.exact(m)
                 assert got.shape == (rows, cols if rows else 0)
                 assert got.tolist() == want, (t, m)
-                # rounding int64 entries to float gives the doubles of the
-                # Python ints, past 2**53 too
-                out = np.zeros(got.shape)
-                out[...] = got
-                assert out.tobytes() == np.array(want, dtype=float).reshape(got.shape).tobytes()
+                # every tier gives the double nearest the exact integer, the
+                # Python int's own rounding, past 2**53 too
+                rounded = pencil.at(m)
+                assert rounded.dtype == float and rounded.shape == got.shape
+                assert rounded.tobytes() == np.array(want, dtype=float).reshape(got.shape).tobytes()
+
+
+def test_pencil_tiers_meet_at_their_guards(monkeypatch):
+    exact = []
+    real = lattice.Pencil.exact
+
+    def counted(self, m):
+        exact.append(m)
+        return real(self, m)
+
+    monkeypatch.setattr(lattice.Pencil, "exact", counted)
+    # below 2**53 the multiply-add runs on the pencil's doubles; at the
+    # guard it runs exactly, and the result is rounded once
+    pencil = lattice.Pencil([[1, -1]], [[2, 4]])
+    m = (2**53 - 2) // 4
+    assert pencil.at(m).tolist() == [[1 + 2 * m, -1 + 4 * m]] and exact == []
+    assert pencil.at(m + 1).tolist() == [[float(1 + 2 * (m + 1)), float(-1 + 4 * (m + 1))]]
+    assert exact == [m + 1]
+    # the multiply-add in doubles past 2**53 rounds twice: 3 (2**52 + 1)
+    # rounds up to 3 * 2**52 + 4, and minus 1 again up to 3 * 2**52 + 4,
+    # where the exact 3 * 2**52 + 2 is a double; the guard keeps it exact
+    skew = lattice.Pencil([[-1]], [[2**52 + 1]])
+    assert skew.at(3).tolist() == [[3 * 2**52 + 2]]
+    monkeypatch.setattr(lattice, "_FLOAT_EXACT", 1 << 60)
+    assert skew.at(3).tolist() == [[3 * 2**52 + 4]]
+    # at m = 0 the pencil gives its own read-only P, and forms no array
+    assert pencil.at(0) is pencil.p and not pencil.p.flags.writeable
+    assert lattice.Pencil([[5]], [[0]]).at(10**30).tolist() == [[5.0]]
 
 
 def test_pencil_below_the_guard_runs_on_int64():
     x = 2**40
     pencil = lattice.Pencil([[x, -x]], [[1, 2]])
     m = (2**62 - 1 - x) // 2
-    assert pencil.at(m).dtype == np.int64
-    assert pencil.at(m).tolist() == [[x + m, -x + 2 * m]]
-    assert pencil.at(m + 1).dtype == object  # at the guard: Python ints
-    assert pencil.at(m + 1).tolist() == [[x + m + 1, -x + 2 * (m + 1)]]
+    assert pencil.exact(m).dtype == np.int64
+    assert pencil.exact(m).tolist() == [[x + m, -x + 2 * m]]
+    assert pencil.exact(m + 1).dtype == object  # at the guard: Python ints
+    assert pencil.exact(m + 1).tolist() == [[x + m + 1, -x + 2 * (m + 1)]]
     past = lattice.Pencil([[2**63, 0]], [[1, -1]])  # an entry past int64
-    assert past.at(5).tolist() == [[2**63 + 5, -5]]
+    assert past.exact(5).tolist() == [[2**63 + 5, -5]]
+    assert past.at(5).tolist() == [[float(2**63 + 5), -5.0]]
+
+
+def test_block_diag():
+    assert lattice.block_diag([[1, 2], [3, 4]], [[5]]) == [[1, 2, 0], [3, 4, 0], [0, 0, 5]]
+    assert lattice.block_diag([], [[7]]) == [[7]]
 
 
 def test_matmul_rejects_ragged_rows():

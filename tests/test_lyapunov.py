@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pillowtiled import cocycle, lattice, lyapunov, orbit
+from pillowtiled import cli, cocycle, lattice, lyapunov, orbit
 from pillowtiled.cocycle import StateCache
 from pillowtiled.homology import apply_rows, homology_basis, involution_splitting, move_rows
 from pillowtiled.lyapunov import LyapunovEstimate, certify_degenerate, run_monte_carlo
@@ -299,8 +299,17 @@ class TestStateCache:
                     for r in range(len(cyc.states)):
                         acc = part.cum[r]
                         for q in range(3 * k + 3):
-                            assert lattice.mat_eq(part.product(r, q), acc)
+                            # a pencil of any multiple of the period gives
+                            # the same products
+                            for period in (k, 2 * k, 3 * k):
+                                m, s = divmod(q, period)
+                                P, Q = part.pencil(r, s, period)
+                                got = [[x + m * y for x, y in zip(rp, rq)] for rp, rq in zip(P, Q)]
+                                assert lattice.mat_eq(got, acc)
                             acc = lattice.matmul(acc, part.cum[-1])
+                    if k > 1:
+                        with pytest.raises(ValueError, match="not a multiple"):
+                            part.pencil(0, 0, k + 1)
 
     @pytest.mark.parametrize(
         "N, a",
@@ -526,13 +535,17 @@ class TestSharedStateCache:
             cyc = cache.cycle(key, gen)
             key = cyc.states[-1]
         # a cycle weighs its exact products, the minus ones once built, and
-        # two matrices per pencil
+        # two matrices per pencil, H1+ alone or diag(H1+, H1-)
         n = len(cyc.plus.nil)
         before = cyc.entries()
-        cyc.plus.product(1, 5)
+        cyc.digit(5 * len(cyc.states) + 1, False)
         assert cyc.entries() == before + 2 * n * n
         cyc.minus()
-        assert cyc.entries() > before + 2 * n * n
+        with_minus = cyc.entries()
+        assert with_minus > before + 2 * n * n
+        cyc.digit(5 * len(cyc.states) + 1, True)
+        n += len(cyc.minus().nil)
+        assert cyc.entries() == with_minus + 2 * n * n
         states = {k: st.entries for k, st in cache.states.items()}
         cycles = {src: c.entries() for (src, _), c in cache.cycles.items()}
         assert len(cycles) == len(cache.cycles) == 5
@@ -779,11 +792,11 @@ class CountingNumPy:
         self.keep_frames = keep_frames
         self.linalg = SimpleNamespace(qr=self.qr)
 
-    def qr(self, F):
+    def qr(self, F, mode="reduced"):
         self.calls += 1
         if self.keep_frames:
             self.frames.append(F.copy())
-        return np.linalg.qr(F)
+        return np.linalg.qr(F, mode)
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -836,31 +849,70 @@ class TestOneFrame:
         _estimate(walker, 300, self.SEEDS)
         assert counting.calls == 300 + 1
 
-    def test_no_first_sighting_digit_matrix_lives_to_a_qr(self, monkeypatch):
-        # each walk applies a digit's matrix to its own frame as it goes,
-        # and the memo keeps a digit from its second sighting on, so no
-        # matrix seen once is still held when its flush round's QR runs
+    def test_no_formed_digit_array_lives_to_a_qr(self, monkeypatch):
+        # each walk applies a digit's matrix to its own frame as it goes; a
+        # digit whose multiplier is not 0 forms its array afresh, and no
+        # such array is still held when its flush round's QR runs
         walker = _Walker(cyclic_pillow(12, (1, 5, 7, 11)))
-        real, first, rounds = walker.digit, [], []
+        real, formed, rounds = walker.digit, [], []
 
-        def digit(key, gen, a):
-            hit = real(key, gen, a)
-            if walker._memo[key, gen, a] is None:  # its first sighting
-                first.append(weakref.ref(hit[0]))
-            return hit
+        def digit(state, gen, a):
+            M, target = real(state, gen, a)
+            pencil, m, _ = walker._memo[state, gen, a]
+            if M is not pencil.p:
+                formed.append(weakref.ref(M))
+            return M, target
 
         class Rounds(CountingNumPy):
-            def qr(self, F):
-                alive = sum(ref() is not None for ref in first)
+            def qr(self, F, mode="reduced"):
+                alive = sum(ref() is not None for ref in formed)
                 assert alive == 0, (len(rounds), alive)
-                rounds.append(len(first))
-                del first[:]
-                return super().qr(F)
+                rounds.append(len(formed))
+                del formed[:]
+                return super().qr(F, mode)
 
         walker.digit = digit
         monkeypatch.setattr(lyapunov, "np", Rounds(keep_frames=False))
         _estimate(walker, 4000, self.SEEDS)
         assert len(rounds) > 21 and max(rounds) > len(self.SEEDS)
+
+    @pytest.mark.parametrize("N, a", ONE_FRAME_LINES, ids=ONE_FRAME_IDS)
+    def test_orthonormalize_gives_the_bits_of_numpy_qr(self, monkeypatch, N, a):
+        # on the stacked block-diagonal frames a line really flushes, Q and
+        # log|diag R| are those of np.linalg.qr, bit for bit
+        counting = CountingNumPy()
+        monkeypatch.setattr(lyapunov, "np", counting)
+        walker = _Walker(cyclic_pillow(N, a))
+        dp = walker.dim_plus
+        _estimate(walker, 600, self.SEEDS)
+        frames, counting.keep_frames = counting.frames, False
+        assert len(frames) > 21
+        for F in frames:
+            Q, growth = lyapunov._orthonormalize(F.copy(), dp, dp // 2)
+            want_Q, want_R = np.linalg.qr(F)
+            want_Q[..., :dp, dp // 2:] = 0.0
+            want_Q[..., dp:, :dp // 2] = 0.0
+            assert Q.tobytes() == want_Q.tobytes()
+            want = np.log(np.abs(np.diagonal(want_R, axis1=1, axis2=2)))
+            assert growth.tobytes() == want.tobytes()
+
+    def test_a_frame_that_is_not_finite_raises(self):
+        rng = np.random.default_rng(11)
+        F = np.zeros((2, 6, 3))
+        F[:, :4, :2] = rng.standard_normal((2, 4, 2))
+        F[:, 4:, 2:] = rng.standard_normal((2, 2, 1))
+        lyapunov._orthonormalize(F, 4, 2)
+        # a NaN strictly above the diagonal of an upper triangular frame is
+        # in no Householder step; the raw factor still holds it
+        upper = np.triu(F[:1, :3, :])
+        upper[0, 0, 2] = np.nan
+        for bad, where in [(np.nan, (1, 5, 2)), (np.inf, (0, 0, 0)), (-np.inf, (1, 2, 1))]:
+            G = F.copy()
+            G[where] = bad
+            with pytest.raises(FloatingPointError, match="not finite"):
+                lyapunov._orthonormalize(G, 4, 2)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            lyapunov._orthonormalize(upper, 3, 3)
 
     @pytest.mark.parametrize("N, a", ONE_FRAME_LINES, ids=ONE_FRAME_IDS)
     def test_matches_the_recorded_two_frame_walker(self, N, a):
@@ -876,40 +928,55 @@ class TestOneFrame:
             assert len(got) == len(want[field])
             assert all(abs(x - y) <= 1e-9 for x, y in zip(got, want[field])), field
 
-    @pytest.mark.parametrize("guarded", [True, False], ids=["int64", "python-ints"])
+    @pytest.mark.parametrize("tier", ["float64", "int64", "python-ints"])
     @pytest.mark.parametrize("N, a", ONE_FRAME_LINES, ids=ONE_FRAME_IDS)
-    def test_digit_blocks_round_the_exact_products(self, monkeypatch, N, a, guarded):
-        if not guarded:  # every multiply-add past the guard, on Python ints
+    def test_digit_blocks_round_the_exact_products(self, monkeypatch, N, a, tier):
+        # guards at 0 send every multiply-add past them (see lattice)
+        if tier != "float64":
+            monkeypatch.setattr(lattice, "_FLOAT_EXACT", 0)
+        if tier == "python-ints":
             monkeypatch.setattr(lattice, "_INT64_SAFE", 0)
         walker = _Walker(cyclic_pillow(N, a))
         dp, n = walker.dim_plus, walker.dim_plus + walker.dim_minus
         rng = np.random.default_rng(N)
-        key = walker.anchor
+        state = 0
         for gen in ["T", "L", "T", "L"]:
-            cyc = walker.cache.cycle(key, gen)
+            cyc = walker.cache.cycle(walker._keys[state], gen)
             k = len(cyc.states)
             for power in [1, k - 1, k, 3 * k + 1, int(rng.integers(1, 10**6)), 10**12]:
-                M, target = walker.digit(key, gen, power)
+                M, target = walker.digit(state, gen, power)
                 q, r = divmod(power, k)
-                assert target == cyc.states[r]
+                assert walker._keys[target] == cyc.states[r]
                 plus = np.array(exact_power(cyc.plus, r, q), dtype=float).reshape(dp, dp)
                 minus = np.array(exact_power(cyc.minus(), r, q), dtype=float).reshape(n - dp, n - dp)
                 assert M.shape == (n, n)
                 assert M[:dp, :dp].tobytes() == plus.tobytes()
                 assert M[dp:, dp:].tobytes() == minus.tobytes()
                 assert not M[:dp, dp:].any() and not M[dp:, :dp].any()
-            key = walker.digit(key, gen, int(rng.integers(1, 4)))[1]  # on to another state
+            state = walker.digit(state, gen, int(rng.integers(1, 4)))[1]  # on to another state
 
-    def test_a_digit_is_kept_from_its_second_sighting(self):
+    def test_the_memo_holds_references_only(self):
         walker = _Walker(cyclic_pillow(5, (1, 2, 2, 5)))
-        key = (walker.anchor, "T", 10**12)
-        first, after = walker.digit(walker.anchor, "T", 10**12)
-        assert walker._memo == {key: None}
-        second, again = walker.digit(walker.anchor, "T", 10**12)
-        assert list(walker._memo) == [key] and walker._memo[key][0] is second
-        assert again == after and second.tobytes() == first.tobytes()
-        assert walker.digit(walker.anchor, "T", 10**12)[0] is second
-        assert len(walker._memo) == 1
+        cyc = walker.cache.cycle(walker.anchor, "T")
+        # a digit of multiplier 0 is its pencil's own read-only array, the
+        # one the shared cycle keeps
+        short = len(cyc.states) - 1
+        M, target = walker.digit(0, "T", short)
+        pencil, m, kept = walker._memo[0, "T", short]
+        assert m == 0 and M is pencil.p and kept == target
+        assert cyc.digit(short, True)[0] is pencil
+        assert walker._keys[target] == cyc.states[short]
+        # one of multiplier > 0 is formed afresh at each sighting, equal
+        first, after = walker.digit(0, "T", 10**12)
+        second, again = walker.digit(0, "T", 10**12)
+        pencil, m, kept = walker._memo[0, "T", 10**12]
+        assert m > 0 and first is not second and pencil.p is not first
+        assert again == after == kept and second.tobytes() == first.tobytes()
+        # the memo holds the pencils, multipliers and states: no array of
+        # its own
+        assert len(walker._memo) == 2
+        assert all(isinstance(p, lattice.Pencil) and type(m) is int and type(t) is int
+                   for p, m, t in walker._memo.values())
 
     @pytest.mark.parametrize("N, a", ONE_FRAME_LINES, ids=ONE_FRAME_IDS)
     def test_estimates_do_not_depend_on_the_memo(self, N, a):
@@ -1013,6 +1080,89 @@ class TestCertifyScope:
         walker = _Walker(cover, with_minus=False)
         shared = tuple(_estimate(walker, 3000, (s,))[0] for s in seeds)
         assert repr(shared) == repr(independent)
+
+
+# the work of a cold certify and a cold lyapunov line through the CLI: the
+# Monte-Carlo twin of tests/test_orbit.py::test_exact_channel_work_is_unchanged.
+# The counts are equal on every host, so added work fails here where a
+# timing could not tell; say why in CHANGES.md whenever they change
+MONTE_CARLO_LINES = {
+    "certify 5 1 2 2 5": ("certify", "5 1 2 2 5", (1, 2, 3)),
+    "lyapunov 6 1 1 5 5": ("lyapunov", "6 1 1 5 5", (1, 2)),
+}
+MONTE_CARLO_WORK = {
+    "certify 5 1 2 2 5": {"states": 3, "transitions": 6, "cycles": 6, "pencils": 60,
+                          "digit_arrays": 0, "qr": 31},
+    "lyapunov 6 1 1 5 5": {"states": 3, "transitions": 6, "cycles": 6, "pencils": 20,
+                           "digit_arrays": 201, "qr": 28},
+}
+
+
+def test_monte_carlo_work_is_unchanged(tmp_path, monkeypatch):
+    work = {}
+
+    class States(cocycle.StateData):
+        def __init__(self, *args):
+            work["states"] += 1
+            super().__init__(*args)
+
+    class Cycles(cocycle.GenCycle):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            work["cycles"] += 1
+            super().__init__(*args)
+
+    class Pencils(lattice.Pencil):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            work["pencils"] += 1
+            super().__init__(*args)
+
+        def at(self, m):
+            M = super().at(m)
+            work["digit_arrays"] += M is not self.p
+            return M
+
+    move_matrix = cocycle._move_matrix
+
+    def transitions(*args):
+        work["transitions"] += 1
+        return move_matrix(*args)
+
+    counting = CountingNumPy(keep_frames=False)
+    monkeypatch.setattr(cocycle, "StateData", States)
+    monkeypatch.setattr(cocycle, "GenCycle", Cycles)
+    monkeypatch.setattr(lattice, "Pencil", Pencils)
+    monkeypatch.setattr(cocycle, "_move_matrix", transitions)
+    monkeypatch.setattr(lyapunov, "np", counting)
+    found = {}
+    for name, (command, line, seeds) in MONTE_CARLO_LINES.items():
+        cocycle._clear_shared_cache()
+        work.update(dict.fromkeys(("states", "transitions", "cycles", "pencils", "digit_arrays"), 0))
+        counting.calls = 0
+        src, out = tmp_path / f"{command}.txt", tmp_path / f"{command}.json"
+        src.write_text(line + "\n")
+        assert cli.run(cli.RunConfig(command, str(src), steps=200, seeds=seeds, out=str(out))) == 0
+        found[name] = {**work, "qr": counting.calls}
+    assert found == MONTE_CARLO_WORK
+
+
+def test_output_does_not_depend_on_the_float_guard(tmp_path, monkeypatch):
+    # with the 2**53 guard at 0 every digit of multiplier > 0 runs exactly
+    # and is rounded once; below the guard the doubles give the same bits
+    outputs = []
+    for guard in (lattice._FLOAT_EXACT, 0):
+        monkeypatch.setattr(lattice, "_FLOAT_EXACT", guard)
+        for command, line in [("lyapunov", "6 1 1 5 5"), ("certify", "12 1 5 7 11")]:
+            cocycle._clear_shared_cache()
+            src, out = tmp_path / "in.txt", tmp_path / f"{command}-{guard}.json"
+            src.write_text(line + "\n")
+            assert cli.run(cli.RunConfig(command, str(src), steps=600, seeds=(1, 2, 3),
+                                         out=str(out))) == 0
+            outputs.append(out.read_bytes())
+    assert outputs[:2] == outputs[2:]
 
 
 class TestCertify:

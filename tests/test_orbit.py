@@ -681,7 +681,10 @@ def _s_squared_moves_off(w):
 
 def test_s_edges_are_not_paired_where_s_squared_is_no_relabelling(monkeypatch):
     # on these origamis (h^-1, v^-1) is not (h, v) relabelled, so an S-edge
-    # says nothing of the S-edge back: every vertex labels both its images
+    # says nothing of the S-edge back; but S^4 == id, so every S-cycle has
+    # four vertices, and its last edge is read off the other three: the
+    # seed, the S^2 check, one T-image per vertex and three S-images per
+    # S-cycle
     _, samples = _move_samples()
     moved_off = [Origami(len(h), h, v) for h, v in samples if _s_squared_moves_off((h, v))]
     assert len(moved_off) == 6
@@ -690,7 +693,8 @@ def test_s_edges_are_not_paired_where_s_squared_is_no_relabelling(monkeypatch):
         orbit._clear_memo()
         del labelled[:]
         g = enumerate_orbit(o)
-        assert len(labelled) == 2 + 2 * g.size
+        assert g.size % 4 == 0 and _s_fixed(g) == 0
+        assert len(labelled) == 2 + g.size + 3 * g.size // 4
         assert g == reference_orbit(o), str(o)
 
 

@@ -172,6 +172,63 @@ def test_cross_module_private_imports():
                      ("homology", "permsurf._vertex_classes")}, sorted(found)
 
 
+def _private_numpy_names(tree: ast.Module, module: str) -> set[tuple[str, str]]:
+    """(module, "numpy.x._y") for each private numpy name a src module
+    uses, up to its first private part: imported (``from numpy.linalg
+    import _umath_linalg``) or reached as an attribute of numpy or of a
+    name imported from it (``np.linalg._umath_linalg``)."""
+    def private(path: str) -> str | None:
+        parts = path.split(".")
+        for i, part in enumerate(parts):
+            if part.startswith("_") and not part.endswith("__"):
+                return ".".join(parts[:i + 1])
+        return None
+
+    paths = {}  # local name -> the numpy path it stands for
+    used = []  # every numpy path imported or reached
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "numpy":
+                    paths[alias.asname or "numpy"] = alias.name if alias.asname else "numpy"
+                    used.append(alias.name)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.partition(".")[0] == "numpy":
+            for alias in node.names:
+                paths[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                used.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            chain, base = [], node
+            while isinstance(base, ast.Attribute):
+                chain.append(base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in paths:
+                used.append(".".join([paths[base.id], *reversed(chain)]))
+    return {(module, name) for name in map(private, used) if name is not None}
+
+
+def test_private_numpy_names():
+    # numpy may move or drop a private name in any release; the one src
+    # uses is pinned here, so a new one fails: lyapunov forms Q from the
+    # raw factor of np.linalg.qr(mode="raw") with the gufunc that
+    # np.linalg.qr itself calls for it
+    files = sorted(SRC.glob("*.py"))
+    assert files, f"no sources under {SRC}"
+    found = set().union(*(_private_numpy_names(ast.parse(path.read_text(), filename=str(path)),
+                                               path.stem) for path in files))
+    assert found == {("lyapunov", "numpy.linalg._umath_linalg")}, sorted(found)
+    # the guard sees each way of reaching one
+    for text, want in [
+        ("import numpy as np\nx = np._core.multiarray.dot\n", "numpy._core"),
+        ("from numpy.linalg import _umath_linalg as u\n", "numpy.linalg._umath_linalg"),
+        ("import numpy._core.umath\n", "numpy._core"),
+        ("from numpy import linalg\nq = linalg._linalg.qr\n", "numpy.linalg._linalg"),
+    ]:
+        assert _private_numpy_names(ast.parse(text), "m") == {("m", want)}, text
+    assert _private_numpy_names(ast.parse("import numpy as np\nv = np.__version__\n"), "m") == set()
+
+
 ROOT = SRC.parents[1]
 PERFBENCH = ROOT / "perfbench"
 
@@ -468,10 +525,10 @@ def test_every_field_is_read(tmp_path):
     # .cycles (the cache's, a basis's), but cocycle cannot hold a walker
     lyapunov = tmp_path / "lyapunov.py"
     text = lyapunov.read_text()
-    assert "        self._memo: dict[tuple, tuple | None] = {}\n" in text
+    assert "        self._memo: dict[tuple[int, str, int], tuple[lattice.Pencil, int, int]] = {}\n" in text
     lyapunov.write_text(text.replace(
-        "        self._memo: dict[tuple, tuple | None] = {}\n",
-        "        self._memo: dict[tuple, tuple | None] = {}\n"
+        "        self._memo: dict[tuple[int, str, int], tuple[lattice.Pencil, int, int]] = {}\n",
+        "        self._memo: dict[tuple[int, str, int], tuple[lattice.Pencil, int, int]] = {}\n"
         "        self.cycles: dict = {}\n        self.key = self.anchor\n"))
     assert _unread_fields(tmp_path) == [
         "Transition.never_read_anywhere", "_Walker.cycles", "_Walker.key"]
