@@ -11,7 +11,8 @@ array holds one record per line: the record of datum line i (counted from
 Exit codes: 0 all lines complete and no verdict failed; 2 parse error,
 bad arguments (a flag the subcommand does not read among them), or an
 unreadable input or unwritable output file; 3 a resource cap was hit; 4 a
-certificate contradiction or failed check.
+certificate contradiction or failed check.  A parse error or a cap names
+the number of its line in the input file on stderr.
 """
 
 from __future__ import annotations
@@ -263,14 +264,15 @@ def run(config: RunConfig) -> int:
         print(f"cannot read {config.input_path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    handler = _COMMANDS[config.command][0]
+    handler, results = _COMMANDS[config.command][0], []
     try:
-        results = [handler(line, config) for _, line in iter_input_lines(text)]
+        for number, line in iter_input_lines(text):
+            results.append(handler(line, config))
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        print(f"line {number}: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (OrbitCapExceeded, SizeCapExceeded) as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
+        print(f"line {number}: resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"bad arguments: {exc}", file=sys.stderr)

@@ -20,8 +20,8 @@ the same step along raw words of moves, in ``tests/reference.py``.
 ``state`` builds it: each check is invariant under relabeling, and a
 cached target was checked when it was built.
 
-Every Monte-Carlo walker in the process shares one ``StateCache``, from
-:func:`shared_state_cache`, so a state, move or generator cycle that an
+Every ``StateCache`` keeps its states, moves and generator cycles in the
+process-wide store (:mod:`.store`), so a state, move or cycle that an
 earlier walker built is not built or checked again.  That needs no
 re-check: a state is a function of its canonical key ``(h, v, iota)``
 alone, a transition of its source state and the move, and a cycle
@@ -34,25 +34,12 @@ states, and their lines share everything.  A cycle builds its H1-
 products only when first asked for them.  Entries are stored only once
 built, so a build cut short by an exception leaves nothing behind.
 
-The shared cache is trimmed to ``_SHARED_ENTRIES`` when a walker is
-created, never during a walk, so no walk rebuilds a state it built itself.
-Trimming drops cycles first, then states, the least recently used first;
-a state goes with its outgoing transitions and cycles.  A state is used
-when ``state`` returns it or a transition or cycle from it is looked up.
-Transitions into a dropped state hold only its key and matrices and stay
-valid.  A state weighs the entry count of its matrices
-(``StateData.entries``) and a cycle that of its exact products and its
-pencils, two float64 matrices each, zero blocks and all
-(``GenCycle.entries``); a cycle is rebuilt from cached moves, but a
-state needs its homology again, which is why cycles go first.  Measured
-with tracemalloc after one ``lyapunov`` line of 2000 steps on each of
-``30 7 15 10 28``, ``12 1 5 7 11``, ``8 1 3 5 7``, ``6 1 1 5 5`` and
-``5 1 2 2 5``, states with their T and L transitions take 10.2-17.4
-bytes per entry and cycles 8.3-11.4, so the budget of 2^21 entries keeps
-at most about 37 MB.  One line of N = 30 or more can by itself build
-cycles past the budget (5.0M entries, about 41 MB, on that N = 30
-line); they are then dropped at the next line's start and its states
-kept.
+Each state, move and cycle is a unit of the store's one byte budget,
+dropped when least recently used, during a walk too, and built again,
+equal, when next asked for.  Each weighs 16 bytes per exact matrix entry
+(``_weight``), and a cycle its float pencils, ``p.nbytes + q.nbytes``
+each, on top; a cycle holds no move, and re-weighs itself whenever it
+builds its H1- products or a pencil.
 """
 
 from __future__ import annotations
@@ -60,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import lattice
+from . import lattice, store
 from .homology import HomologyBasis, InvolutionSplitting, homology_basis, involution_splitting
 from .homology import move_cycles, move_rows
 from .orbit import canonical_labelling, canonical_perms, move
@@ -83,12 +70,12 @@ class StateData:
         if iota is not None:
             validate_involution(origami, iota)
             self.splitting = involution_splitting(self.basis, iota)
-        # the weight of the state in a trimmed cache
-        b, sp = self.basis, self.splitting
-        mats = [b.cycles, b.functionals, b.cup]
-        if sp is not None:
-            mats += [sp.action, sp.plus_basis, sp.minus_basis]
-        self.entries = sum(len(row) for m in mats for row in m)
+
+
+def _weight(*mats) -> int:
+    """The bytes exact integer matrices weigh in the store, 16 an entry:
+    tracemalloc counts 9-15 a state entry, 10-25 a move's, 5 <= N <= 30."""
+    return 16 * sum(len(row) for m in mats for row in m)
 
 
 def _move_matrix(src: StateData, tgt: StateData, gen: str, label) -> list[list[int]]:
@@ -156,11 +143,12 @@ class CyclePowers:
     C^k - I, with nil @ nil == 0.
     """
 
-    __slots__ = ("cum", "powers", "nil")
+    __slots__ = ("cum", "powers", "nil", "nbytes")
 
     def __init__(self, cum: list[list[list[int]]]):
         self.cum = cum
         self.powers, self.nil = lattice.quasi_unipotent_powers(cum[-1])
+        self.nbytes = _weight(*cum, *self.powers, self.nil)
 
     def pencil(self, r: int, s: int, period: int) -> tuple[list[list[int]], list[list[int]]]:
         """(P, Q) with cum[r] @ C^(s + m * period) == P + m Q for every
@@ -180,11 +168,6 @@ class CyclePowers:
         return ([[x + t * y for x, y in zip(rb, rn)] for rb, rn in zip(B, BN)],
                 [[j * y for y in rn] for rn in BN])
 
-    def entries(self) -> int:
-        """Entry count of the matrices held."""
-        n = len(self.nil)
-        return n * n * (len(self.cum) + len(self.powers) + 1)
-
 
 class GenCycle:
     """States visited by repeating one generator, with closed-form products.
@@ -194,35 +177,45 @@ class GenCycle:
     products of any number of moves on the invariant lattice, and
     ``minus()`` on the anti-invariant one, built when first asked for, so
     that a walk on H1+ alone never builds it.  ``digit`` gives the float
-    pencils that a walk multiplies its frame by, each built once.
+    pencils that a walk multiplies its frame by, each built once.  The
+    cycle keeps itself in the store once built, and again, re-weighed,
+    whenever it builds more.
     """
 
-    __slots__ = ("states", "plus", "_moves", "_minus", "_pencils")
+    __slots__ = ("states", "plus", "_cache", "_key", "_nbytes", "_minus", "_pencils")
 
     def __init__(self, cache: StateCache, key, gen: str):
         cum = [lattice.eye(cache.state(key).splitting.dim_plus)]
         self.states = [key]
-        self._moves: list[Transition] = []
         cur = key
         while True:
             tr = cache.transition(cur, gen)
-            self._moves.append(tr)
             cum.append(lattice.matmul(tr.plus, cum[-1]))
             cur = tr.target
             if cur == key:
                 break
             self.states.append(cur)
         self.plus = CyclePowers(cum)
+        self._cache, self._key, self._nbytes = cache, ("cycle", key, gen), 0
         self._minus: CyclePowers | None = None
         self._pencils: dict[tuple[bool, int, int], lattice.Pencil] = {}
+        self._grow(self.plus.nbytes)
+
+    def _grow(self, nbytes: int) -> None:
+        """Keep the cycle in the store, ``nbytes`` heavier than before."""
+        self._nbytes += nbytes
+        store.keep((self._key,), self, self._nbytes)
 
     def minus(self) -> CyclePowers:
-        """The products on the anti-invariant lattice, built on first use."""
+        """The products on the anti-invariant lattice, built on first use
+        from the cached moves."""
         if self._minus is None:
-            cum = [lattice.eye(len(self._moves[0].minus))]
-            for tr in self._moves:
-                cum.append(lattice.matmul(tr.minus, cum[-1]))
+            moves = [self._cache.transition(key, self._key[2]).minus for key in self.states]
+            cum = [lattice.eye(len(moves[0]))]
+            for M in moves:
+                cum.append(lattice.matmul(M, cum[-1]))
             self._minus = CyclePowers(cum)
+            self._grow(self._minus.nbytes)
         return self._minus
 
     def digit(self, a: int, with_minus: bool) -> tuple[lattice.Pencil, int, tuple[Perm, Perm, Perm]]:
@@ -247,68 +240,38 @@ class GenCycle:
                 P_minus, Q_minus = self.minus().pencil(r, s, k)
                 P, Q = lattice.block_diag(P, P_minus), lattice.block_diag(Q, Q_minus)
             pencil = self._pencils[with_minus, r, s] = lattice.Pencil(P, Q)
+            self._grow(pencil.p.nbytes + pencil.q.nbytes)
         return pencil, m, self.states[r]
-
-    def entries(self) -> int:
-        """Entry count of the exact products held on both lattices, and of
-        the pencils, two matrices each."""
-        return (self.plus.entries() + (self._minus.entries() if self._minus is not None else 0)
-                + sum(2 * pencil.p.size for pencil in self._pencils.values()))
 
 
 class StateCache:
     """Canonical states plus memoized transitions and generator cycles.
 
-    ``states`` is in order of use, the least recently used first; the
-    transitions and cycles from a state go with it.
+    Every instance reads and keeps the same units of the process-wide
+    store, under the keys key, (key, gen) and ("cycle", key, gen);
+    ``states`` and ``transitions`` are the store's index, for ``key in``
+    and ``(key, gen) in``.
     """
 
-    def __init__(self):
-        self.states: dict[tuple[Perm, Perm, Perm], StateData] = {}
-        self.transitions: dict[tuple[tuple[Perm, Perm, Perm], str], Transition] = {}
-        self.cycles: dict[tuple[tuple[Perm, Perm, Perm], str], GenCycle] = {}
+    states = transitions = store.index
 
     def state(self, key: tuple[Perm, Perm, Perm]) -> StateData:
-        st = self.states.pop(key, None)
+        st = store.get(key)
         if st is None:
             h, v, iota = key
             st = StateData(Origami(len(h), h, v, allow_disconnected=True), iota)
-        self.states[key] = st
+            b, sp = st.basis, st.splitting
+            store.keep((key,), st, _weight(b.cycles, b.functionals, b.cup, sp.action,
+                                           sp.plus_basis, sp.minus_basis))
         return st
 
-    def weight(self) -> int:
-        """Entry count of the cached states and cycles."""
-        return (sum(st.entries for st in self.states.values())
-                + sum(cyc.entries() for cyc in self.cycles.values()))
-
-    def trim(self, budget: int) -> None:
-        """Drop cycles, then states, the least recently used first, until
-        what is left weighs at most ``budget`` entries.  A cycle is rebuilt
-        from cached moves, a state from its homology, so every cycle goes
-        before any state; a state goes with its outgoing transitions."""
-        total = self.weight()
-        for key in list(self.states):
-            if total <= budget:
-                return
-            for gen in ("T", "S", "L"):
-                cyc = self.cycles.pop((key, gen), None)
-                if cyc is not None:
-                    total -= cyc.entries()
-        while self.states and total > budget:
-            key = next(iter(self.states))
-            for gen in ("T", "S", "L"):
-                self.transitions.pop((key, gen), None)
-            total -= self.states.pop(key).entries
-
     def canonical_key(self, o: Origami, iota: Perm) -> tuple[Perm, Perm, Perm]:
-        h, v, i2 = canonical_perms((o.h, o.v, iota), o.d)
-        return (h, v, i2)
+        return canonical_perms((o.h, o.v, iota), o.d)
 
     def transition(self, key: tuple[Perm, Perm, Perm], gen: str) -> Transition:
-        memo = (key, gen)
-        if memo in self.transitions:
-            self.states[key] = self.states.pop(key)
-            return self.transitions[memo]
+        tr = store.get((key, gen))
+        if tr is not None:
+            return tr
         src = self.state(key)
         # the closure's move step; canonicalize and keep the relabeling
         # that got us there.  The target is checked once, when built.
@@ -321,35 +284,10 @@ class StateCache:
             plus=_restrict(M, sp.plus_basis, tp.plus_basis, "invariant"),
             minus=_restrict(M, sp.minus_basis, tp.minus_basis, "anti-invariant"),
         )
-        self.transitions[memo] = tr
+        store.keep(((key, gen),), tr, _weight(tr.plus, tr.minus))
         return tr
 
     def cycle(self, key: tuple[Perm, Perm, Perm], gen: str) -> GenCycle:
         """The cycle of ``gen`` from state ``key``, built on first use."""
-        cyc = self.cycles.get((key, gen))
-        if cyc is None:
-            cyc = self.cycles[key, gen] = GenCycle(self, key, gen)
-        else:
-            self.states[key] = self.states.pop(key)
-        return cyc
-
-
-# the entries (see StateData.entries) the shared cache keeps between walkers
-_SHARED_ENTRIES = 1 << 21
-
-# the one cache of every walker in the process
-_shared = StateCache()
-
-
-def _clear_shared_cache() -> None:
-    _shared.states.clear()
-    _shared.transitions.clear()
-    _shared.cycles.clear()
-
-
-def shared_state_cache() -> StateCache:
-    """The process-wide cache, first trimmed to ``_SHARED_ENTRIES``; call it
-    once per walker, when the walker is created."""
-    _shared.trim(_SHARED_ENTRIES)
-    return _shared
-
+        cyc = store.get(("cycle", key, gen))
+        return cyc if cyc is not None else GenCycle(self, key, gen)

@@ -24,12 +24,9 @@ sheets x -> u.x by a unit u mod N takes (N; a) to (N; u.a), the same cover
 (Forni-Matheus-Zorich, "Square-tiled cyclic covers", JMD 2011).
 :func:`ekz_for_spec` keeps each class's orbit size and report in a
 process-wide memo keyed by the least u.a, so a relabelled line builds no
-cover, double cover or orbit.  The memo holds at most the orbit memo's
-``_MEMO_VERTICES`` = 2^14 classes, dropping the first kept first.
-Measured with tracemalloc, an entry takes about 1.1 kB plus 8 bytes per
-marked point of its stratum, of which there are at most 2N + 2.  A full
-memo of classes with N <= 30 (up to 1.8 kB each) holds at most about
-30 MB; in general the bound is 2^14 entries of 1.1 kB + 16N bytes.
+cover, double cover or orbit.  Each class is one unit of the process-wide
+byte budget (:mod:`.store`); measured with tracemalloc, it takes about
+1.1 kB plus 8 bytes per order of its stratum, and it weighs that.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import orbit
+from . import store
 from .coverings import CyclicCoverSpec, cyclic_to_pillow
 from .orbit import DEFAULT_ORBIT_CAP, OrbitCapExceeded, OrbitGraph, enumerate_state_orbit
 from .permsurf import (
@@ -173,15 +170,6 @@ def ekz_for_cover(p: PillowCover, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EKZRepo
     return _orbit_and_report(p, orbit_cap)[1]
 
 
-# (N, least unit relabelling of a) -> (orbit size, report) of each cyclic
-# cover whose sum rule completed, the first kept first
-_memo: dict[tuple[int, tuple[int, ...]], tuple[int, EKZReport]] = {}
-
-
-def _clear_memo() -> None:
-    _memo.clear()
-
-
 def _unit_class(spec: CyclicCoverSpec) -> tuple[int, tuple[int, ...]]:
     """(N, the least u.a mod N over the units u mod N), 0 read as N."""
     N = spec.N
@@ -196,17 +184,14 @@ def ekz_for_spec(spec: CyclicCoverSpec, orbit_cap: int = DEFAULT_ORBIT_CAP) -> E
     (N; u.a), so both have one stratum, one orbit and one report.  The
     cap is checked from N before anything is built.  A hit raises
     :class:`OrbitCapExceeded` iff the kept orbit is larger than the cap, as
-    the orbit memo does; a build that raised keeps nothing.  The memo holds
-    at most ``orbit._MEMO_VERTICES`` reports, dropping the first kept first.
+    the orbit memo does; a build that raised keeps nothing.
     """
     _check_squares(spec.N)
     key = _unit_class(spec)
-    kept = _memo.get(key)
+    kept = store.get(key)
     if kept is None:
         kept = _orbit_and_report(cyclic_to_pillow(spec), orbit_cap)
-        while len(_memo) >= orbit._MEMO_VERTICES:
-            del _memo[next(iter(_memo))]
-        _memo[key] = kept
+        store.keep((key,), kept, 1100 + 8 * len(kept[1].stratum.orders))
     size, report = kept
     if size > orbit_cap:
         raise OrbitCapExceeded(orbit_cap)

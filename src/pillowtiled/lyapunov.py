@@ -57,7 +57,7 @@ map, some power of which is a multitwist, so (C^k - I)^2 == 0 for a
 small k found exactly when the cycle is built; then C^q == C^(q mod k)
 (I + (q div k)(C^k - I)).  So a digit's matrix is P + m Q for a pencil
 (P, Q) of its cycle, built once per partial walk and power of C below k
-and kept in the shared cache as float64 arrays (``GenCycle.digit``,
+and kept in the store as float64 arrays (``GenCycle.digit``,
 ``lattice.Pencil``), and a multiplier m = q div k.  At m = 0 the digit is
 the pencil's own array, and no array is formed; past it, one float
 multiply-add per entry forms it, exact below 2^53 and an exact integer
@@ -68,15 +68,14 @@ forms 6192 arrays, and peaks at 89 MB; a walker that kept the float
 matrix of each digit from its second sighting peaked at 126 MB.
 
 Every walker draws its states, transitions, generator cycles and
-pencils from the process-wide cache of :mod:`.cocycle`: each is an exact
-function of its canonical key, so it is built once per process, and a
-later line on the same cover or on a unit relabelling of it reuses it.
-A cycle's H1- products are built only when a walker that carries H1-
-first asks for them, so ``certify`` lines on one cover never build them;
-a ``certify`` walk multiplies by H1+ pencils and a ``lyapunov`` walk by
-diag(H1+, H1-) pencils.  The digit memo stays per walker and holds
-references only (a pencil, its multiplier and a target), keyed by the
-walker's own small state ids, so a lookup hashes no permutation tuple.
+pencils from the process-wide store, through :mod:`.cocycle`: each is an
+exact function of its canonical key, so it is built once while it is
+kept, and a later line on the same cover or on a unit relabelling of it
+reuses it.  A cycle's H1- products are built only when a walker that
+carries H1- first asks for them; a ``certify`` walk multiplies by H1+
+pencils and a ``lyapunov`` walk by diag(H1+, H1-) pencils.  The digit
+memo stays per walker and holds references only (a pencil, its
+multiplier and a target), keyed by the walker's own small state ids.
 
 Runs are bitwise reproducible for a fixed seed (single PCG64 stream for
 the dynamics, a second derived stream for the bootstrap).
@@ -91,8 +90,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from . import lattice
-from .cocycle import shared_state_cache
+from . import lattice, store
+from .cocycle import StateCache
 from .coverings import CyclicCoverSpec, cyclic_to_pillow, is_determinant_locus
 from .cylinders import ekz_for_cover, ekz_for_spec
 from .orbit import DEFAULT_ORBIT_CAP, OrbitCapExceeded
@@ -118,14 +117,16 @@ class _Walker:
 
     Everything it builds depends on the cover alone, so one walker serves
     every seed of a line, each starting at ``anchor``, its state 0.  Its
-    states, transitions, cycles and pencils live in the shared cache,
-    which is trimmed here, when the walker is created, and not while it
-    walks.  A walk names states by small ints, the walker's own, so that
-    a digit is one lookup in the walker's memo, keyed by (state, gen, a)
-    and holding references only: the shared pencil of the digit, its
-    multiplier and the state it reaches.  A walker built
-    ``with_minus=False`` carries H1+ alone: its digit matrices and frames
-    leave H1- out, and it never asks a cycle for its H1- products.
+    states, transitions, cycles and pencils are units of the store, which
+    drops the least recently used whenever it keeps one, during a walk
+    too.  A walk names states by small ints, the walker's own, so that a
+    digit is one lookup in the walker's memo, keyed by (state, gen, a) and
+    holding references only: the shared pencil of the digit, its
+    multiplier and the state it reaches.  Only misses keep anything, and
+    a miss in which the store let a unit go empties the memo, so it holds
+    no pencil that the store dropped.  A walker built ``with_minus=False``
+    carries H1+ alone: its digit matrices and frames leave H1- out, and it
+    never asks a cycle for its H1- products.
     """
 
     def __init__(self, cover: PillowCover, with_minus: bool = True):
@@ -134,7 +135,7 @@ class _Walker:
                                   f"Monte-Carlo cap of {_MAX_SQUARES} squares")
         o, iota = orientation_double_cover(cover)
         self.with_minus = with_minus
-        self.cache = shared_state_cache()
+        self.cache = StateCache()
         self.anchor = self.cache.canonical_key(o, iota)
         st = self.cache.state(self.anchor)
         self.dim_plus = st.splitting.dim_plus
@@ -150,12 +151,15 @@ class _Walker:
         pencil's multiplier is 0, and formed afresh otherwise."""
         hit = self._memo.get((state, gen, a))
         if hit is None:
+            dropped = store.dropped
             cyc = self.cache.cycle(self._keys[state], gen)
             pencil, m, key = cyc.digit(a, self.with_minus)
             target = self._ids.get(key)
             if target is None:
                 target = self._ids[key] = len(self._keys)
                 self._keys.append(key)
+            if store.dropped != dropped:
+                self._memo.clear()
             hit = self._memo[state, gen, a] = (pencil, m, target)
         return hit[0].at(hit[1]), hit[2]
 

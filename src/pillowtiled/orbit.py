@@ -57,21 +57,21 @@ fresh closure would give.  A hit obeys the cap as the closure does: it
 raises :class:`OrbitCapExceeded` iff the orbit has more vertices than the
 cap.  A closure that raised is not kept.
 
-The memo holds at most ``_MEMO_VERTICES`` vertices over all its orbits;
-past that, whole orbits are dropped, the first closed first, and an orbit
-larger than the budget is not kept.  A vertex is kept as d and its k
-permutations packed into k*d bytes (4*k*d past 256 squares), plus its S
-and T targets: about k*d + 150 bytes in all, so a memo full of the states
-(k = 3) of cyclic covers of degree N = 30 (d = 4N) holds about 8 MB.
+Each orbit is one unit of the process-wide byte budget (:mod:`.store`):
+a vertex is packed as d and its k permutations in k*d bytes (4*k*d past
+256 squares), and the orbit weighs those bytes objects and its edge
+targets.  The least recently used orbit goes first, with all its
+vertices.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
+from . import store
 from .permutations import Perm, compose, inverse
 from .permsurf import Origami, origami_stratum, validate_involution
 
@@ -84,9 +84,6 @@ __all__ = [
 ]
 
 DEFAULT_ORBIT_CAP = 10_000
-
-# at most this many vertices are held by the orbit memo, over all orbits
-_MEMO_VERTICES = 1 << 14
 
 
 class OrbitCapExceeded(RuntimeError):
@@ -228,18 +225,6 @@ class OrbitGraph:
         return len(self.vertices)
 
 
-# the packed canonical vertices of every memoised orbit -> that orbit, kept
-# as (its packed vertices in order, the targets of its edges in order)
-_memo: dict[bytes, tuple[tuple[bytes, ...], array]] = {}
-# the memoised orbits, the first closed first
-_memo_order: deque[tuple[tuple[bytes, ...], array]] = deque()
-
-
-def _clear_memo() -> None:
-    _memo.clear()
-    _memo_order.clear()
-
-
 def _typecode(d: int) -> str:
     return "B" if d <= 256 else "I"
 
@@ -254,26 +239,6 @@ def _unpacked(key: bytes, d: int) -> tuple[Perm, ...]:
     return tuple(tuple(flat[i:i + d]) for i in range(0, len(flat), d))
 
 
-def _remember(vertices: tuple, edges: tuple, d: int) -> None:
-    """Keep a closed orbit, dropping the oldest orbits to stay in budget.
-
-    Each vertex has one S and one T edge, so the sorted edges are fixed by
-    their targets.  The orbit is queued before its keys go in and an
-    evicted orbit's keys go before it leaves the queue, so an interrupted
-    call leaves every key on a complete orbit and reachable for eviction.
-    """
-    if len(vertices) > _MEMO_VERTICES:
-        return
-    while _memo_order and len(_memo) + len(vertices) > _MEMO_VERTICES:
-        for key in _memo_order[0][0]:
-            _memo.pop(key, None)
-        _memo_order.popleft()
-    entry = (tuple(_packed(w, d) for w in vertices), array("I", (b for _, _, b in edges)))
-    _memo_order.append(entry)
-    for key in entry[0]:
-        _memo[key] = entry
-
-
 def _recall(perms: tuple[Perm, ...], d: int, cap: int) -> tuple[tuple[Perm, ...] | None, OrbitGraph | None]:
     """The canonical seed of perms and its memoised orbit, if any.
 
@@ -284,7 +249,7 @@ def _recall(perms: tuple[Perm, ...], d: int, cap: int) -> tuple[tuple[Perm, ...]
         seed = canonical_perms(perms, d)
     except ValueError:
         return None, None
-    entry = _memo.get(_packed(seed, d))
+    entry = store.get(_packed(seed, d))
     if entry is None:
         return seed, None
     keys, targets = entry
@@ -342,7 +307,11 @@ def _close_orbit(seed: tuple[Perm, ...], d: int, check, cap: int) -> OrbitGraph:
     vertices = tuple(sorted(seen))
     index = {w: i for i, w in enumerate(vertices)}
     edges = tuple(sorted((index[a], g, index[b]) for a, g, b in edges))
-    _remember(vertices, edges, d)
+    # kept as (the packed vertices, the targets of the edges), in order;
+    # each vertex has one S and one T edge, so its edges are fixed by those
+    keys = tuple(_packed(w, d) for w in vertices)
+    targets = array("I", (b for _, _, b in edges))
+    store.keep(keys, (keys, targets), sum(map(sys.getsizeof, keys)) + sys.getsizeof(targets))
     return OrbitGraph(d=d, vertices=vertices, edges=edges)
 
 

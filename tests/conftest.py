@@ -1,36 +1,21 @@
 """Shared fixtures.
 
-The orbit memo lives for the whole process, so an orbit closed by one test
-would come back from the memo in the next.  Tests that patch the moves,
-the involution transport or the checks, or that count the checks of a
-closure, need the closure to run; every test therefore starts from an
-empty memo.  The sum-rule memo of cyclic covers is emptied with it: a
-report kept by one test would skip the cover, the double cover and the
-orbit in the next.
-
-The walkers' state cache lives for the whole process too, and a state or
-transition built by one test would be reused by the next.  Tests that
-patch the chain maps or the homology, or that count or time the builds of
-a walker, need the builds to run; every test therefore also starts from an
-empty state cache.
+The orbit memo, the sum-rule memo of cyclic covers and the walkers' state
+cache keep what they build in one process-wide store, so an orbit, report,
+state or move built by one test would come back from the store in the
+next.  Tests that patch the moves, the involution transport, the chain
+maps, the homology or the checks, or that count or time the builds of a
+closure or a walker, need the builds to run; every test therefore starts
+from an empty store.
 """
 
 import pytest
 
-from pillowtiled import cocycle, cylinders, orbit
+from pillowtiled import store
 
 
 @pytest.fixture(autouse=True)
-def cold_orbit_memo():
-    orbit._clear_memo()
-    cylinders._clear_memo()
+def cold_store():
+    store.clear()
     yield
-    orbit._clear_memo()
-    cylinders._clear_memo()
-
-
-@pytest.fixture(autouse=True)
-def cold_state_cache():
-    cocycle._clear_shared_cache()
-    yield
-    cocycle._clear_shared_cache()
+    store.clear()

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pillowtiled import cli, cocycle, cylinders, orbit
+from pillowtiled import cli, store
 from pillowtiled.cli import RunConfig, main
 from pillowtiled.coverings import iter_specs
 from pillowtiled.formats import (
@@ -350,6 +350,17 @@ class TestSubcommands:
         assert main(["construct", path]) == 2
         assert main(["construct", str(tmp_path / "missing.txt")]) == 2
 
+    @pytest.mark.parametrize("third, rc, message", [
+        ("5 1 2 2", 2, "line 4: parse error: cyclic datum needs 5 integers, got 4: '5 1 2 2'\n"),
+        ("1000000 1 1 1 999997", 3, "line 4: resource cap: double cover of 4000000 squares is "
+                                    "past the sum-rule cap of 1048576 squares\n"),
+    ], ids=["parse", "cap"])
+    def test_a_failing_line_is_named_by_its_number(self, tmp_path, capsys, third, rc, message):
+        # the number counts the comment line too: it is the input file's
+        path = write(tmp_path, "in.txt", f"5 1 2 2 5\n# a comment\n6 1 1 5 5\n{third}\n")
+        assert main(["ekz", path]) == rc
+        assert capsys.readouterr() == ("", message)
+
     def test_bad_epsilon_exits_two(self, tmp_path):
         path = write(tmp_path, "in.txt", FAMILY + "\n")
         assert main(["certify", path, "--epsilon", "0.5"]) == 2
@@ -392,9 +403,7 @@ class TestSubcommands:
         assert once(path, "warm.json") == cold
         records = json.loads(cold[1])
         for i, line in enumerate(lines):
-            cocycle._clear_shared_cache()
-            orbit._clear_memo()
-            cylinders._clear_memo()
+            store.clear()
             rc, alone = once(write(tmp_path, f"{i}.txt", line + "\n"), f"{i}.json")
             assert rc == 0
             assert json.loads(alone) == [records[i]]

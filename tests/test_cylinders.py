@@ -6,7 +6,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from pillowtiled import cli, cylinders, orbit
+from pillowtiled import cli, cylinders, store
 from pillowtiled.cylinders import (
     KAPPA_SV,
     ekz_for_cover,
@@ -30,6 +30,7 @@ from pillowtiled.permsurf import (
 from pillowtiled.permutations import parse_cycles
 from tests.reference import cyclic_exponents, origamis
 from tests.test_permsurf import FIVE, TORUS_COVER, FOUR, cyclic_pillow
+from tests.test_store import kept
 
 
 def test_torus_single_cylinder():
@@ -269,8 +270,7 @@ def _ekz_record(s: CyclicCoverSpec):
 
 
 def _cold_ekz_record(s: CyclicCoverSpec):
-    orbit._clear_memo()
-    cylinders._clear_memo()
+    store.clear()
     return _ekz_record(s)
 
 
@@ -312,16 +312,15 @@ def test_a_kept_report_obeys_the_orbit_cap():
         with pytest.raises(OrbitCapExceeded):
             ekz_for_spec(relabelled, orbit_cap=cap)
     cold = ekz_for_spec(relabelled, orbit_cap=3)
-    cylinders._clear_memo()
-    orbit._clear_memo()
+    store.clear()
     ekz_for_spec(spec)
-    assert len(cylinders._memo) == 1
+    assert len(kept("report")) == 1
     for cap in (1, 2):
         with pytest.raises(OrbitCapExceeded) as exc:
             ekz_for_spec(relabelled, orbit_cap=cap)
         assert exc.value.cap == cap
     assert ekz_for_spec(relabelled, orbit_cap=3) == cold
-    assert len(cylinders._memo) == 1
+    assert len(kept("report")) == 1
 
 
 def test_a_kept_report_obeys_the_cap_flag(tmp_path):
@@ -338,7 +337,7 @@ def test_a_build_that_raises_keeps_nothing(monkeypatch):
     spec = CyclicCoverSpec(5, (1, 2, 2, 5))
     with pytest.raises(OrbitCapExceeded):
         ekz_for_spec(spec, orbit_cap=1)
-    assert cylinders._memo == {}
+    assert kept("report") == []
 
     def broken(stratum, sv):
         raise ArithmeticError("the bound chain is not increasing")
@@ -346,28 +345,26 @@ def test_a_build_that_raises_keeps_nothing(monkeypatch):
     monkeypatch.setattr(cylinders, "ekz_sum", broken)
     with pytest.raises(ArithmeticError):
         ekz_for_spec(spec)
-    assert cylinders._memo == {}
+    assert kept("report") == []
     monkeypatch.undo()
     assert ekz_for_spec(spec).lyap_sum == 0
-    assert len(cylinders._memo) == 1
+    assert len(kept("report")) == 1
 
 
-def test_the_memo_stays_within_the_orbit_budget(monkeypatch):
+def test_the_memo_stays_within_the_budget(monkeypatch):
     specs = [s for N in range(1, 9) for s in iter_specs(N)]
     unbounded = [ekz_for_spec(s) for s in specs]
-    budget = 7
-    monkeypatch.setattr(orbit, "_MEMO_VERTICES", budget)
+    budget = 10_000  # a few reports and orbits
+    monkeypatch.setattr(store, "BUDGET", budget)
     for pass_ in range(2):
-        cylinders._clear_memo()
+        store.clear()
         reports = []
         for s in specs:
             reports.append(ekz_for_spec(s))
-            assert len(cylinders._memo) <= budget
+            assert store.nbytes <= budget
         assert reports == unbounded
-    # the first kept went first: a class met again after its eviction is
-    # built and kept anew
-    kept = []
-    for key in map(cylinders._unit_class, specs):
-        if key not in kept:
-            kept = [*kept[len(kept) == budget:], key]
-    assert list(cylinders._memo) == kept
+    # the least recently used went first: the reports kept are those of
+    # the classes used last, in the order of their last use
+    used = list(dict.fromkeys(reversed([cylinders._unit_class(s) for s in specs])))[::-1]
+    assert 1 < len(kept("report")) < len(used)
+    assert kept("report") == used[-len(kept("report")):]

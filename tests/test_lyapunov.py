@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pillowtiled import cli, cocycle, lattice, lyapunov, orbit
+from pillowtiled import cli, cocycle, lattice, lyapunov, orbit, store
 from pillowtiled.cocycle import StateCache
 from pillowtiled.homology import apply_rows, homology_basis, involution_splitting, move_rows
 from pillowtiled.lyapunov import LyapunovEstimate, certify_degenerate, run_monte_carlo
@@ -31,6 +31,8 @@ from pillowtiled.permsurf import (
 from test_permsurf import cyclic_pillow
 from tests.recorded import MONTE_CARLO, TRANSITIONS
 from tests.reference import apply_generator, boundary_matrices, induced_cocycle
+from tests.test_orbit import _ekz_lines, _orbit_lines
+from tests.test_store import forget, kept, weight
 
 TORUS = Origami(1, (0,), (0,))
 L3 = Origami(3, (1, 0, 2), (2, 1, 0))
@@ -178,7 +180,7 @@ class TestStateCache:
         # the homology's check of the deck map also names an involution
         code = (
             "import sys\n"
-            "from pillowtiled import cocycle, lyapunov\n"
+            "from pillowtiled import cocycle, lyapunov, store\n"
             "from pillowtiled.permsurf import PillowCover\n"
             "if not sys.flags.optimize:\n"
             "    raise SystemExit('not running under -O')\n"
@@ -186,7 +188,7 @@ class TestStateCache:
             "cocycle.move = lambda w, gen: (*move(w[:2], gen), *w[2:])\n"
             "perms = [tuple((x + a) % 5 for x in range(5)) for a in (1, 2, 2, 5)]\n"
             "for gen in ('T', 'L'):\n"
-            "    cocycle._clear_shared_cache()\n"
+            "    store.clear()\n"
             "    walker = lyapunov._Walker(PillowCover(5, *perms))\n"
             "    try:\n"
             "        walker.cache.transition(walker.anchor, gen)\n"
@@ -218,17 +220,18 @@ class TestStateCache:
             anchor = cache.canonical_key(*orientation_double_cover(cover))
             for gen in ("T", "L"):
                 cache.cycle(anchor, gen)
-            assert len(checked) == len(cache.states) > 1
-            assert set(checked) == set(cache.states)
+            assert len(checked) == len(kept("state")) > 1
+            assert set(checked) == set(kept("state"))
             # every target is cached now: building the moves again runs
             # the move step and its exact checks, and no involution check
-            moves = list(cache.transitions)
-            cache.transitions.clear()
+            moves = kept("move")
             for key, gen in moves:
+                forget((key, gen))
                 cache.transition(key, gen)
-            assert len(cache.transitions) == len(moves)
-            assert len(checked) == len(cache.states)
+            assert sorted(kept("move")) == sorted(moves)
+            assert len(checked) == len(kept("state"))
             checked.clear()
+            store.clear()
 
     @pytest.mark.parametrize("name", sorted(TRANSITIONS))
     def test_cycle_transitions_are_unchanged(self, name):
@@ -264,8 +267,8 @@ class TestStateCache:
         assert len(passes) == 3
         for gen in ("T", "L"):
             cache.transition(anchor, gen)
-        assert len(cache.states) > 1
-        assert len(passes) == 3 * len(cache.states)
+        assert len(kept("state")) > 1
+        assert len(passes) == 3 * len(kept("state"))
         assert operands and (2 * o.d, 2 * o.d) not in operands
 
     def test_restrictions_have_eigenspace_sizes(self):
@@ -329,7 +332,7 @@ class TestStateCache:
         def bits(rows):
             return max((abs(x).bit_length() for row in rows for x in row), default=0)
 
-        for st in walker.cache.states.values():
+        for st in map(walker.cache.state, kept("state")):
             sp = st.splitting
             for m in (st.basis.cycles, st.basis.functionals, sp.plus_basis, sp.minus_basis):
                 assert bits(m) <= 16
@@ -340,7 +343,7 @@ class TestStateCache:
         # is not exact, and the move must be rejected with asserts stripped
         code = (
             "import dataclasses, sys\n"
-            "from pillowtiled import cocycle\n"
+            "from pillowtiled import cocycle, store\n"
             "from pillowtiled.permsurf import PillowCover, orientation_double_cover\n"
             "if not sys.flags.optimize:\n"
             "    raise SystemExit('not running under -O')\n"
@@ -351,10 +354,10 @@ class TestStateCache:
             "target = cache.transition(key, 'T').target\n"
             "if target == key:\n"
             "    raise SystemExit('T fixes the anchor')\n"
-            "tgt = cache.states[target]\n"
+            "tgt = cache.state(target)\n"
             "plus = tuple((2 * row[0], *row[1:]) for row in tgt.splitting.plus_basis)\n"
             "tgt.splitting = dataclasses.replace(tgt.splitting, plus_basis=plus)\n"
-            "cache.transitions.clear()\n"
+            "store._forget(store.index[key, 'T'])\n"
             "try:\n"
             "    cache.transition(key, 'T')\n"
             "except ArithmeticError as exc:\n"
@@ -375,7 +378,7 @@ class TestStateCache:
         # with asserts stripped
         code = (
             "import dataclasses, sys\n"
-            "from pillowtiled import cocycle\n"
+            "from pillowtiled import cocycle, store\n"
             "from pillowtiled.permsurf import PillowCover, orientation_double_cover\n"
             "if not sys.flags.optimize:\n"
             "    raise SystemExit('not running under -O')\n"
@@ -386,10 +389,10 @@ class TestStateCache:
             "target = cache.transition(key, 'T').target\n"
             "if target == key:\n"
             "    raise SystemExit('T fixes the anchor')\n"
-            "tgt = cache.states[target]\n"
+            "tgt = cache.state(target)\n"
             "action = tuple(tuple(-x for x in row) for row in tgt.splitting.action)\n"
             "tgt.splitting = dataclasses.replace(tgt.splitting, action=action)\n"
-            "cache.transitions.clear()\n"
+            "store._forget(store.index[key, 'T'])\n"
             "try:\n"
             "    cache.transition(key, 'T')\n"
             "except ArithmeticError as exc:\n"
@@ -430,73 +433,62 @@ class TestSharedStateCache:
         assert built == []
         assert second == first
 
-    def test_trimmed_to_budget_at_walker_start_only(self, monkeypatch):
-        budget = 12_000  # about three states of degree 5
-        monkeypatch.setattr(cocycle, "_SHARED_ENTRIES", budget)
+    def test_trimmed_to_budget_during_a_walk(self, monkeypatch):
+        # the store trims whenever it keeps, so a walk that outgrows the
+        # budget drops its own least recently used units and builds them
+        # again when it comes back to them, with a cold run's output
+        lines = [cyclic_pillow(5, (1, 2, 2, 5)), cyclic_pillow(6, (1, 1, 5, 5))]
+        cold = []
+        for cover in lines:
+            store.clear()
+            cold.append(_run_seeds(cover, 800, (1, 2)))
+        store.clear()
+        budget = 250_000  # less than either walk keeps at the default budget
+        monkeypatch.setattr(store, "BUDGET", budget)
         built = self.spy_builds(monkeypatch)
-        real = lyapunov.shared_state_cache
-        at_start = []
+        real, held = store.keep, []
 
-        def spy():
-            cache = real()
-            at_start.append(cache.weight())
-            built.append(None)  # a walker starts
-            return cache
+        def spy(keys, value, nbytes):
+            real(keys, value, nbytes)
+            held.append(store.nbytes)
 
-        monkeypatch.setattr(lyapunov, "shared_state_cache", spy)
-        after_walk = []
-        for N, a in [(5, (1, 2, 2, 5)), (6, (1, 1, 5, 5)), (5, (1, 2, 2, 5)),
-                     (8, (1, 3, 5, 7)), (6, (1, 1, 5, 5)), (5, (2, 4, 4, 5))]:
-            _run_seeds(cyclic_pillow(N, a), 800, (1, 2))
-            after_walk.append(cocycle._shared.weight())
-        assert len(at_start) == 6
-        assert all(w <= budget for w in at_start), at_start
-        assert max(after_walk) > budget  # some walk outgrew the budget ...
-        walks, cur = [], []
-        for key in built[1:] + [None]:
-            if key is None:
-                walks.append(cur)
-                cur = []
-            else:
-                cur.append(key)
-        # ... yet no walk rebuilt a state that it built itself
-        assert all(len(set(w)) == len(w) for w in walks)
-        # while states dropped between walks were built again
-        keys = [k for w in walks for k in w]
-        assert len(set(keys)) < len(keys)
+        monkeypatch.setattr(store, "keep", spy)
+        rebuilt = []
+        for cover, want in zip(lines, cold):
+            del built[:]
+            assert _run_seeds(cover, 800, (1, 2)) == want
+            rebuilt.append(len(built) - len(set(built)))
+        assert held and max(held) <= budget
+        # some walk built a state again that it had built itself
+        assert max(rebuilt) > 0, rebuilt
 
     def test_trim_keeps_the_states_a_later_line_reused(self, monkeypatch):
-        # A is run, then B, then A again, then C; A's second run uses all its
-        # states after B was built, so the trim at the next walker start
-        # drops B's states and keeps A's
+        # A is run, then B, then A again, then C; A's second run uses its
+        # anchor and cycles after B was built, so when C's units make room
+        # they drop the least recently used ones, B's and A's stale states
+        # and moves, and A's third run builds nothing
         A = cyclic_pillow(5, (1, 2, 2, 5))
         B = cyclic_pillow(4, (1, 1, 1, 1))
         C = cyclic_pillow(3, (1, 1, 1, 3))
         cold = {}
         for cover in (A, B, C):
-            cocycle._clear_shared_cache()
+            store.clear()
             cold[cover] = _run_seeds(cover, 600, (1, 2, 3))
-        cocycle._clear_shared_cache()
+        store.clear()
         built = self.spy_builds(monkeypatch)
-        keys = {}
-        for cover in (A, B):
+        for cover in (A, B, A):
             assert _run_seeds(cover, 600, (1, 2, 3)) == cold[cover]
-            keys[cover] = built[:]
-            del built[:]
-        # the budget holds the states of A and B, so every trim drops all
-        # cycles first; C's one state weighs less than B's, so the trim at
-        # the start of A's third run has to drop B and no more
-        monkeypatch.setattr(cocycle, "_SHARED_ENTRIES",
-                            sum(st.entries for st in cocycle._shared.states.values()))
-        assert _run_seeds(A, 600, (1, 2, 3)) == cold[A]
+        order = list(store._units)
+        # the budget holds A and B, and no more
+        monkeypatch.setattr(store, "BUDGET", store.nbytes)
+        del built[:]
         assert _run_seeds(C, 600, (1, 2, 3)) == cold[C]
-        assert len(built) == 1 and cocycle._shared.states[built[0]].entries < sum(
-            cocycle._shared.states[k].entries for k in keys[B])
+        assert len(built) == 1
+        dropped = set(order) - set(store._units)
+        assert dropped and dropped == set(order[:len(dropped)])
         del built[:]
         assert _run_seeds(A, 600, (1, 2, 3)) == cold[A]
         assert built == []
-        assert not set(keys[B]) & set(cocycle._shared.states)
-        assert set(keys[A]) <= set(cocycle._shared.states)
 
     def test_a_later_line_builds_no_cycle(self, monkeypatch):
         # the cycles are functions of (state, generator), kept in the shared
@@ -513,55 +505,59 @@ class TestSharedStateCache:
         cover, relabelled = cyclic_pillow(5, (1, 2, 2, 5)), cyclic_pillow(5, (2, 4, 4, 5))
         seeds = (1, 2, 3)
         plus = _run_seeds(cover, 600, seeds, with_minus=False)
-        cycles = set(cocycle._shared.cycles)
+        cycles = set(kept("cycle"))
         assert cycles and len(powers) == len(cycles)
         del powers[:]
         full = _run_seeds(relabelled, 600, seeds)
-        assert len(powers) == len(cycles) and set(cocycle._shared.cycles) == cycles
+        assert len(powers) == len(cycles) and set(kept("cycle")) == cycles
         del powers[:]
         assert _run_seeds(cover, 600, seeds) == full
         assert _run_seeds(relabelled, 600, seeds, with_minus=False) == plus
         assert powers == []
-        cocycle._clear_shared_cache()
+        store.clear()
         assert _run_seeds(cover, 600, seeds) == full
-        cocycle._clear_shared_cache()
+        store.clear()
         assert _run_seeds(cover, 600, seeds, with_minus=False) == plus
 
-    def test_trim_drops_cycles_before_states(self):
+    def test_each_unit_weighs_its_matrices(self):
         cache = StateCache()
         o, iota = orientation_double_cover(cyclic_pillow(8, (1, 3, 5, 7)))
         key = cache.canonical_key(o, iota)
         for gen in ["T", "L", "T", "L", "T"]:
             cyc = cache.cycle(key, gen)
             key = cyc.states[-1]
+
+        def entries(*mats):
+            return sum(len(row) for m in mats for row in m)
+
+        def products(part):
+            return entries(*part.cum, *part.powers, part.nil)
+
+        # a state and a move weigh 16 bytes per exact matrix entry
+        for k in kept("state"):
+            b, sp = cache.state(k).basis, cache.state(k).splitting
+            assert weight(k) == 16 * entries(
+                b.cycles, b.functionals, b.cup, sp.action, sp.plus_basis, sp.minus_basis)
+        for k in kept("move"):
+            tr = cache.transition(*k)
+            assert weight(k) == 16 * entries(tr.plus, tr.minus)
         # a cycle weighs its exact products, the minus ones once built, and
-        # two matrices per pencil, H1+ alone or diag(H1+, H1-)
+        # p.nbytes + q.nbytes per pencil, H1+ alone or diag(H1+, H1-) with
+        # its zero blocks, and re-weighs itself as it grows
+        unit = ("cycle", cyc.states[0], "T")
         n = len(cyc.plus.nil)
-        before = cyc.entries()
+        before = weight(unit)
+        assert before == 16 * products(cyc.plus)
         cyc.digit(5 * len(cyc.states) + 1, False)
-        assert cyc.entries() == before + 2 * n * n
+        assert weight(unit) == before + 2 * 8 * n * n
         cyc.minus()
-        with_minus = cyc.entries()
-        assert with_minus > before + 2 * n * n
+        with_minus = weight(unit)
+        assert with_minus == before + 2 * 8 * n * n + 16 * products(cyc.minus())
         cyc.digit(5 * len(cyc.states) + 1, True)
         n += len(cyc.minus().nil)
-        assert cyc.entries() == with_minus + 2 * n * n
-        states = {k: st.entries for k, st in cache.states.items()}
-        cycles = {src: c.entries() for (src, _), c in cache.cycles.items()}
-        assert len(cycles) == len(cache.cycles) == 5
-        assert cache.weight() == sum(states.values()) + sum(cycles.values())
-        # the budget holds every state and the most recently used cycle
-        order = list(cache.states)
-        newest = max(cycles, key=order.index)
-        cache.trim(sum(states.values()) + cycles[newest])
-        assert list(cache.states) == order
-        assert [src for src, _ in cache.cycles] == [newest]
-        # a budget under the states drops every cycle and the oldest states,
-        # each with its outgoing transitions
-        cache.trim(states[order[-1]] + states[order[-2]])
-        assert list(cache.states) == order[-2:] and not cache.cycles
-        assert {src for src, _ in cache.transitions} <= set(order[-2:])
-        assert cache.weight() == states[order[-1]] + states[order[-2]]
+        assert weight(unit) == with_minus + 2 * 8 * n * n
+        assert len(kept("cycle")) == 5
+        assert store.nbytes == sum(unit.nbytes for unit in store._units)
 
     def test_a_lookup_marks_the_state_used(self):
         cache = StateCache()
@@ -571,16 +567,20 @@ class TestSharedStateCache:
         for gen in ["T", "L", "T", "S"]:
             moves.append((cur, gen))
             cur = cache.transition(cur, gen).target
-        # a cached move makes its source the most recently used state ...
+
+        def newest():
+            return next(reversed(store._units)).keys[0]
+
+        # a cached move makes itself the most recently used unit ...
         for src, gen in moves:
             cache.transition(src, gen)
-            assert list(cache.states)[-1] == src
+            assert newest() == (src, gen)
         # ... and so does a state lookup
-        for key in list(cache.states):
+        for key in kept("state"):
             cache.state(key)
-            assert list(cache.states)[-1] == key
+            assert newest() == key
 
-    def test_trim_drops_the_oldest_states_and_their_moves(self):
+    def test_trim_drops_the_least_recently_used_units(self, monkeypatch):
         cache = StateCache()
         o, iota = orientation_double_cover(cyclic_pillow(8, (1, 3, 5, 7)))
         cur = cache.canonical_key(o, iota)
@@ -588,15 +588,16 @@ class TestSharedStateCache:
         for gen in ["T", "L", "T", "S", "L", "T", "L"]:
             moves[cur, gen] = cache.transition(cur, gen)
             cur = moves[cur, gen].target
-        order = list(cache.states)
-        assert len(order) >= 3
-        keep = sum(cache.states[k].entries for k in order[-2:])
-        cache.trim(keep)
-        assert list(cache.states) == order[-2:]
-        assert cache.weight() == keep
-        assert all(src in cache.states for src, _ in cache.transitions)
+        order = list(store._units)
+        assert len(kept("state")) >= 3
+        # a budget of the three newest units: the next keep drops the rest
+        monkeypatch.setattr(store, "BUDGET", sum(unit.nbytes for unit in order[-3:]))
+        store.keep(("a unit of no weight",), None, 0)
+        assert list(store._units)[:-1] == order[-3:]
+        assert store.nbytes == store.BUDGET
         # a move into a dropped state still holds the right matrices, and
-        # moves out of it are rebuilt equal
+        # dropped moves are rebuilt equal
+        monkeypatch.undo()
         for (src, gen), tr in moves.items():
             assert cache.transition(src, gen) == tr
 
@@ -611,7 +612,7 @@ class TestSharedStateCache:
         walker = _Walker(cover)
         cache, key = walker.cache, walker.anchor
         # a state build cut off after its homology basis
-        cache.states.pop(key)
+        forget(key)
         with monkeypatch.context() as m:
             m.setattr(cocycle, "involution_splitting", cut)
             with pytest.raises(Cut):
@@ -631,9 +632,9 @@ class TestSharedStateCache:
             with pytest.raises(Cut):
                 cache.transition(key, "T")
         assert (key, "T") not in cache.transitions
-        assert all(st.splitting is not None for st in cache.states.values())
+        assert all(cache.state(k).splitting is not None for k in kept("state"))
         warm = run_monte_carlo(cover, 600, 1)
-        cocycle._clear_shared_cache()
+        store.clear()
         assert run_monte_carlo(cover, 600, 1) == warm
 
 
@@ -1139,7 +1140,7 @@ def test_monte_carlo_work_is_unchanged(tmp_path, monkeypatch):
     monkeypatch.setattr(lyapunov, "np", counting)
     found = {}
     for name, (command, line, seeds) in MONTE_CARLO_LINES.items():
-        cocycle._clear_shared_cache()
+        store.clear()
         work.update(dict.fromkeys(("states", "transitions", "cycles", "pencils", "digit_arrays"), 0))
         counting.calls = 0
         src, out = tmp_path / f"{command}.txt", tmp_path / f"{command}.json"
@@ -1156,13 +1157,40 @@ def test_output_does_not_depend_on_the_float_guard(tmp_path, monkeypatch):
     for guard in (lattice._FLOAT_EXACT, 0):
         monkeypatch.setattr(lattice, "_FLOAT_EXACT", guard)
         for command, line in [("lyapunov", "6 1 1 5 5"), ("certify", "12 1 5 7 11")]:
-            cocycle._clear_shared_cache()
+            store.clear()
             src, out = tmp_path / "in.txt", tmp_path / f"{command}-{guard}.json"
             src.write_text(line + "\n")
             assert cli.run(cli.RunConfig(command, str(src), steps=600, seeds=(1, 2, 3),
                                          out=str(out))) == 0
             outputs.append(out.read_bytes())
     assert outputs[:2] == outputs[2:]
+
+
+def test_output_does_not_depend_on_the_budget(tmp_path, monkeypatch):
+    # at a budget of 0 bytes every unit the caches keep is let go at once,
+    # so every orbit, report, state, move, cycle and pencil is built again
+    # whenever it is asked for; the bytes are the default budget's, cold
+    # and in a second run in the same process
+    batches = [("certify", ["5 1 2 2 5", "12 1 5 7 11"]), ("lyapunov", ["6 1 1 5 5"]),
+               ("ekz", _ekz_lines(5)),
+               ("orbit", [line for line in _orbit_lines() if line.count(";") == 4])]
+
+    def run(name):
+        outputs = []
+        for command, lines in batches:
+            src, out = tmp_path / f"{command}.txt", tmp_path / f"{command}-{name}.json"
+            src.write_text("\n".join(lines) + "\n")
+            rc = cli.run(cli.RunConfig(command, str(src), steps=20, seeds=(1, 2, 3), out=str(out)))
+            outputs.append((rc, out.read_bytes()))
+        return outputs
+
+    runs = []
+    for budget in (store.BUDGET, 0):
+        monkeypatch.setattr(store, "BUDGET", budget)
+        store.clear()
+        runs += [run(f"{budget}-cold"), run(f"{budget}-warm")]
+    assert store.nbytes == 0 and store.dropped > 0
+    assert all(outputs == runs[0] for outputs in runs[1:])
 
 
 class TestCertify:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pillowtiled import cli, cylinders, orbit, permsurf
+from pillowtiled import cli, cylinders, orbit, permsurf, store
 from pillowtiled.cli import RunConfig
 from pillowtiled.coverings import CyclicCoverSpec, cyclic_to_pillow, iter_specs
 from pillowtiled.homology import move_rows
@@ -54,6 +54,7 @@ from tests.reference import (
     reconstruct_pillow_cover,
 )
 from tests.test_permsurf import FIVE, TORUS_COVER, cyclic_pillow
+from tests.test_store import kept
 
 L3 = Origami(3, parse_cycles("(1 2 3)", 3), parse_cycles("(1 2)", 3))
 
@@ -662,7 +663,7 @@ def test_a_closure_labels_each_s_pair_once(monkeypatch):
     rng = np.random.default_rng(907)
     sizes = []
     for p in [random_pillow_cover(5, rng) for _ in range(8)]:
-        orbit._clear_memo()
+        store.clear()
         del labelled[:]
         g = enumerate_state_orbit(*orientation_double_cover(p))
         v, f = g.size, _s_fixed(g)
@@ -690,7 +691,7 @@ def test_s_edges_are_not_paired_where_s_squared_is_no_relabelling(monkeypatch):
     assert len(moved_off) == 6
     labelled = _count_labellings(monkeypatch)
     for o in moved_off:
-        orbit._clear_memo()
+        store.clear()
         del labelled[:]
         g = enumerate_orbit(o)
         assert g.size % 4 == 0 and _s_fixed(g) == 0
@@ -826,13 +827,13 @@ def test_a_warm_memo_closes_as_a_cold_one():
     seeds = _memo_seeds()
     cold = []
     for kind, args in seeds:
-        orbit._clear_memo()
+        store.clear()
         cold.append(_enumerate(kind, args))
-    orbit._clear_memo()
+    store.clear()
     warm = [_enumerate(kind, args) for kind, args in seeds]
     assert warm == cold
     # each pair met one orbit, which was closed once
-    assert len(orbit._memo_order) <= len(seeds) // 2
+    assert len(kept("orbit")) <= len(seeds) // 2
 
 
 @pytest.mark.parametrize("case", ["origami", "state"])
@@ -867,7 +868,7 @@ def test_a_hit_labels_once_and_checks_nothing(monkeypatch, case):
 
 
 def _memo_state():
-    return dict(orbit._memo), list(orbit._memo_order)
+    return dict(store.index), list(store._units)
 
 
 def test_a_hit_obeys_the_cap():
@@ -897,18 +898,18 @@ def test_a_failed_check_keeps_nothing(monkeypatch):
 
 
 def test_the_memo_stays_within_its_budget(monkeypatch):
-    budget = 12
-    monkeypatch.setattr(orbit, "_MEMO_VERTICES", budget)
+    budget = 2000  # a dozen vertices of degree 8
+    monkeypatch.setattr(store, "BUDGET", budget)
     states = [orientation_double_cover(cyclic_to_pillow(s)) for N in range(1, 9) for s in iter_specs(N)]
     first = []
     for state in states:
         first.append(enumerate_state_orbit(*state))
-        assert len(orbit._memo) <= budget
-        assert len(orbit._memo) == sum(len(v) for v, _ in orbit._memo_order)
-    assert len(orbit._memo_order) < len({g.vertices for g in first})
+        assert store.nbytes <= budget
+        assert len(store.index) == sum(len(keys) for keys, _ in kept("orbit"))
+    assert len(kept("orbit")) < len({g.vertices for g in first})
     # the evicted orbits close again, to the same graphs
     assert [enumerate_state_orbit(*state) for state in states] == first
-    orbit._clear_memo()
+    store.clear()
     assert [enumerate_state_orbit(*state) for state in states] == first
 
 
@@ -919,14 +920,14 @@ def test_a_hit_past_256_squares_unpacks_the_orbit():
     assert g.size == d + 1 and max(map(max, g.vertices[-1])) == d - 1
     w = g.vertices[g.size // 2]
     assert enumerate_orbit(Origami(d, w[0], w[1])) == orbit.OrbitGraph(d, g.vertices, g.edges)
-    assert len(orbit._memo_order) == 1
+    assert len(kept("orbit")) == 1
 
 
 def test_an_orbit_larger_than_the_budget_is_not_kept(monkeypatch):
-    monkeypatch.setattr(orbit, "_MEMO_VERTICES", 100)
     enumerate_orbit(L3)
+    monkeypatch.setattr(store, "BUDGET", store.nbytes)
     before = _memo_state()
-    assert enumerate_orbit(SEVEN).size > 100
+    assert enumerate_orbit(SEVEN).size > enumerate_orbit(L3).size
     assert _memo_state() == before
 
 
@@ -934,7 +935,6 @@ def test_a_second_run_in_one_process_is_byte_identical(tmp_path):
     # the second run of the same ekz and orbit lines takes every report from
     # the sum-rule memo and every orbit from the orbit memo
     assert _exact_channel_digest(tmp_path) == EXACT_CHANNEL_SHA256
-    closed, kept = len(orbit._memo_order), dict(cylinders._memo)
+    units = set(store._units)
     assert _exact_channel_digest(tmp_path) == EXACT_CHANNEL_SHA256
-    assert len(orbit._memo_order) == closed
-    assert cylinders._memo == kept
+    assert set(store._units) == units

@@ -4,6 +4,10 @@ import ast
 import sys
 from pathlib import Path
 
+from pillowtiled.cocycle import StateCache
+from pillowtiled.coverings import CyclicCoverSpec, cyclic_to_pillow
+from pillowtiled.permsurf import orientation_double_cover
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "pillowtiled"
 
 
@@ -76,26 +80,19 @@ def test_no_function_level_imports_in_src():
 
 
 def test_one_state_cache_in_src():
-    # every walker shares the process cache in cocycle.py; a private cache
-    # per line would build each state again on every line that reaches it
-    files = sorted(SRC.glob("*.py"))
-    assert files, f"no sources under {SRC}"
-    found = []
-    for path in files:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        shared = {
-            id(node.value)
-            for node in tree.body
-            if isinstance(node, ast.Assign)
-            and [getattr(t, "id", None) for t in node.targets] == ["_shared"]
-        }
-        found += [
-            f"{path.name}:{'_shared' if id(node) in shared else node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "StateCache"
-        ]
-    assert found == ["cocycle.py:_shared"], found
+    # every walker shares the process-wide store through StateCache, which
+    # holds nothing of its own; a private cache per line would build each
+    # state again on every line that reaches it
+    tree = ast.parse((SRC / "cocycle.py").read_text())
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "StateCache"]
+    stored = [node.attr for node in ast.walk(cls)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)]
+    assert stored == [], stored
+    # two instances hand out one state
+    o, iota = orientation_double_cover(cyclic_to_pillow(CyclicCoverSpec(5, (1, 2, 2, 5))))
+    key = StateCache().canonical_key(o, iota)
+    assert StateCache().state(key) is StateCache().state(key)
 
 
 def test_src_reads_no_environment():
@@ -161,15 +158,14 @@ def _private_imports(tree: ast.Module, module: str) -> set[tuple[str, str]]:
 def test_cross_module_private_imports():
     # a leading underscore keeps a name inside its module; each name another
     # src module reaches past that is pinned here, so a new one fails.  cli
-    # runs the seeds of a lyapunov line as certify does, homology reads the
-    # surface's vertices as permsurf's stratum does, and the sum-rule memo
-    # of cylinders keeps to the orbit memo's budget
+    # runs the seeds of a lyapunov line as certify does, and homology reads
+    # the surface's vertices as permsurf's stratum does
     files = sorted(SRC.glob("*.py"))
     assert files, f"no sources under {SRC}"
     found = set().union(*(_private_imports(ast.parse(path.read_text(), filename=str(path)), path.stem)
                           for path in files))
-    assert found == {("cli", "lyapunov._run_seeds"), ("cylinders", "orbit._MEMO_VERTICES"),
-                     ("homology", "permsurf._vertex_classes")}, sorted(found)
+    assert found == {("cli", "lyapunov._run_seeds"), ("homology", "permsurf._vertex_classes")}, \
+        sorted(found)
 
 
 def _private_numpy_names(tree: ast.Module, module: str) -> set[tuple[str, str]]:
@@ -315,8 +311,7 @@ def _unreached_src_names(tracer: bool = True) -> list[str]:
             return resolve(entry[1], entry[2])
         return None
 
-    roots = [("cli", "main"), ("orbit", "_clear_memo"), ("cylinders", "_clear_memo"),
-             ("cocycle", "_clear_shared_cache")]
+    roots = [("cli", "main"), ("store", "clear")]
     roots += [("__init__", name) for name in tables["__init__"][1]]
     roots += sorted(_perfbench_roots(tables, tracer))
     reached: set = set()
