@@ -10,9 +10,9 @@ array holds one record per line: the record of datum line i (counted from
 
 Exit codes: 0 all lines complete and no verdict failed; 2 parse error,
 bad arguments (a flag the subcommand does not read among them), or an
-unreadable input or unwritable output file; 3 a resource cap was hit; 4 a
-certificate contradiction or failed check.  A parse error or a cap names
-the number of its line in the input file on stderr.
+unreadable input or unwritable output file; 3 a resource cap was hit (on
+``certify``, one in every channel); 4 a certificate contradiction or failed
+check.  A parse error or a cap names the number of its line on stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .coverings import (
     CyclicCoverSpec,
     check_bounds,
     cover_report,
-    cyclic_to_pillow,
     is_determinant_locus,
     locus_metadata,
     sample_base_differential,
@@ -95,25 +94,20 @@ def _cmd_construct(line: str, cfg: RunConfig):
 
 
 def _cmd_certify(line: str, cfg: RunConfig):
-    target = parse_surface_line(line)
-    cert = certify_degenerate(
-        target,
-        cfg.epsilon,
-        steps=cfg.steps,
-        seeds=cfg.seeds,
-        orbit_cap=cfg.orbit_cap,
-    )
+    cert = certify_degenerate(parse_surface_line(line), cfg.epsilon, steps=cfg.steps,
+                              seeds=cfg.seeds, orbit_cap=cfg.orbit_cap)
+    monte_carlo, sum_rule, *criterion = cert.channels
     record = {
         "input": line,
-        "criterion": cert.criterion_degenerate,
+        "criterion": criterion[0].degenerate if criterion else None,
         "exponents": [list(e.lambda_plus) for e in cert.estimates],
         "stderr": [list(e.stderr_plus) for e in cert.estimates],
-        "exact_sum": json_ready(cert.exact_sum),
+        "exact_sum": json_ready(sum_rule.evidence),
         "warnings": [list(e.warnings) for e in cert.estimates],
         "verdict": cert.verdict,
         "contradiction": cert.contradiction,
         "epsilon": cert.epsilon,
-        "max_lambda_plus": cert.max_lambda_plus,
+        "max_lambda_plus": monte_carlo.evidence,
         "report": cert.report,
     }
     return record, EXIT_CONTRADICTION if cert.contradiction else EXIT_OK
@@ -144,9 +138,7 @@ def _cmd_ekz(line: str, cfg: RunConfig):
 
 
 def _cmd_lyapunov(line: str, cfg: RunConfig):
-    target = parse_surface_line(line)
-    cover = cyclic_to_pillow(target) if isinstance(target, CyclicCoverSpec) else target
-    estimates = list(_run_seeds(cover, cfg.steps, cfg.seeds))
+    estimates = list(_run_seeds(parse_surface_line(line), cfg.steps, cfg.seeds))
     record = {"input": line, "estimates": json_ready(estimates)}
     return record, EXIT_OK
 

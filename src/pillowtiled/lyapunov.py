@@ -99,6 +99,7 @@ from .permsurf import PillowCover, SizeCapExceeded, orientation_double_cover
 
 __all__ = [
     "LyapunovEstimate",
+    "Channel",
     "DegeneracyCertificate",
     "run_monte_carlo",
     "certify_degenerate",
@@ -129,11 +130,13 @@ class _Walker:
     never asks a cycle for its H1- products.
     """
 
-    def __init__(self, cover: PillowCover, with_minus: bool = True):
-        if 4 * cover.d > _MAX_SQUARES:
-            raise SizeCapExceeded(f"double cover of {4 * cover.d} squares is past the "
+    def __init__(self, cover: PillowCover | CyclicCoverSpec, with_minus: bool = True):
+        cyclic = isinstance(cover, CyclicCoverSpec)
+        d = cover.N if cyclic else cover.d  # the cap is checked before a cover is built
+        if 4 * d > _MAX_SQUARES:
+            raise SizeCapExceeded(f"double cover of {4 * d} squares is past the "
                                   f"Monte-Carlo cap of {_MAX_SQUARES} squares")
-        o, iota = orientation_double_cover(cover)
+        o, iota = orientation_double_cover(cyclic_to_pillow(cover) if cyclic else cover)
         self.with_minus = with_minus
         self.cache = StateCache()
         self.anchor = self.cache.canonical_key(o, iota)
@@ -376,7 +379,7 @@ def _summary(logs, mp: int, rows, taut: float, steps: int, seed: int) -> Lyapuno
 
 
 def _run_seeds(
-    cover: PillowCover, steps: int, seeds, *, with_minus: bool = True
+    cover: PillowCover | CyclicCoverSpec, steps: int, seeds, *, with_minus: bool = True
 ) -> tuple[LyapunovEstimate, ...]:
     """One run per seed, all on one walker and through one frame pass.
 
@@ -389,105 +392,102 @@ def _run_seeds(
 
 
 @dataclass(frozen=True)
+class Channel:
+    """One channel of a certificate: its decision, None when the cap it
+    names stopped it, and its evidence, the Monte-Carlo max lambda_plus or
+    the exact sum (None for the criterion or a stopped channel)."""
+
+    name: str
+    degenerate: bool | None
+    evidence: float | Fraction | None = None
+    cap: str | None = None
+
+
+def _channel(name: str, decide) -> Channel:
+    """The channel ``name``, with the decision and evidence ``decide()`` returns;
+    a cap met inside it leaves the channel undecided and does not end the line."""
+    try:
+        return Channel(name, *decide())
+    except (OrbitCapExceeded, SizeCapExceeded) as exc:
+        return Channel(name, None, cap=str(exc))
+
+
+_EVIDENCE = {"monte-carlo": "max lambda_plus = {:.4g}", "sum-rule": "exact sum = {}"}
+
+
+def _verdict(channels: tuple[Channel, ...]) -> tuple[str, bool, str]:
+    """Verdict, contradiction and report: the deciding channels must agree, and
+    each capped one is named after them.  When none decides, SizeCapExceeded
+    names every cap."""
+    decided = [c for c in channels if c.degenerate is not None]
+    capped = "".join(f"; {c.name} capped: {c.cap}" for c in channels if c.cap)
+    if not decided:
+        raise SizeCapExceeded("no channel decides" + capped)
+    word = {True: "degenerate", False: "non-degenerate"}
+    evidence = ", ".join(_EVIDENCE[c.name].format(c.evidence)
+                         for c in decided if c.evidence is not None)
+    if len({c.degenerate for c in decided}) == 1:
+        degenerate = decided[0].degenerate
+        report = f"all channels agree: {word[degenerate]}" + (f" ({evidence})" if evidence else "")
+        return "PASS" if degenerate else "FAIL", False, report + capped
+    states = ", ".join(f"{c.name}={word[c.degenerate]}" for c in decided)
+    return "FAILED", True, f"channels disagree: {states}; {evidence}{capped}"
+
+
+@dataclass(frozen=True)
 class DegeneracyCertificate:
     """Joint verdict of the sampled and exact degeneracy channels.
 
-    Only the invariant spectrum decides, so the runs behind ``estimates``
-    walk H1+ alone: their ``lambda_minus`` and ``stderr_minus`` are ``()``.
+    ``channels`` holds Monte Carlo, the sum rule and, for a cyclic cover,
+    the criterion, in that order.  Only the invariant spectrum decides, so
+    the runs behind ``estimates`` walk H1+ alone: their ``lambda_minus``
+    and ``stderr_minus`` are ``()``.  A capped Monte-Carlo channel leaves
+    ``estimates`` ``()``.
     """
 
     epsilon: float
     estimates: tuple[LyapunovEstimate, ...]
-    max_lambda_plus: float
-    measured_degenerate: bool
-    exact_sum: Fraction | None
-    exact_degenerate: bool | None
-    criterion_degenerate: bool | None
+    channels: tuple[Channel, ...]
     verdict: str
     contradiction: bool
     report: str
 
 
-def certify_degenerate(
-    target,
-    epsilon: float,
-    *,
-    steps: int = 20_000,
-    seeds: tuple[int, ...] = (1, 2, 3),
-    orbit_cap: int = DEFAULT_ORBIT_CAP,
-) -> DegeneracyCertificate:
+def certify_degenerate(target, epsilon: float, *, steps: int = 20_000,
+                       seeds: tuple[int, ...] = (1, 2, 3),
+                       orbit_cap: int = DEFAULT_ORBIT_CAP) -> DegeneracyCertificate:
     """Decide whether the invariant-part spectrum vanishes.
 
     ``target`` is a pillowcase cover or a cyclic-cover specification.  The
-    Monte-Carlo channel must agree with the exact sum rule (and, for cyclic
-    covers, with the closed-form criterion); any disagreement is reported
-    as a contradiction and the certificate fails.
+    channels are Monte Carlo (degenerate when every seed's lambda_plus is
+    below ``epsilon``), the exact sum rule and, for a cyclic cover, the
+    closed-form criterion.  A channel that meets an orbit or size cap is
+    undecided and the report names its cap.  The deciding channels agree on
+    PASS (degenerate) or FAIL; any disagreement is a contradiction, FAILED.
+    When no channel decides, it raises SizeCapExceeded naming every cap.
     """
     if not (0.0 < epsilon < 0.1):
         raise ValueError("epsilon must lie strictly between 0 and 0.1")
     seeds = tuple(seeds)
     if len(set(seeds)) < 3:
         raise ValueError("need at least three distinct seeds")
-    criterion: bool | None = None
-    if isinstance(target, PillowCover):
-        cover = target
-    elif isinstance(target, CyclicCoverSpec):
-        cover = cyclic_to_pillow(target)
-        criterion = is_determinant_locus(target)
-    else:
+    cyclic = isinstance(target, CyclicCoverSpec)
+    if not (cyclic or isinstance(target, PillowCover)):
         raise TypeError("target must be a PillowCover or CyclicCoverSpec")
+    estimates = []
 
-    estimates = _run_seeds(cover, steps, seeds, with_minus=False)
-    maxes = [max(e.lambda_plus) for e in estimates if e.lambda_plus]
-    max_lp = max(maxes, default=0.0)
-    measured = max_lp < epsilon
+    def monte_carlo():
+        estimates.extend(_run_seeds(target, steps, seeds, with_minus=False))
+        max_lp = max((max(e.lambda_plus) for e in estimates if e.lambda_plus), default=0.0)
+        return max_lp < epsilon, max_lp
 
-    exact_sum: Fraction | None
-    try:
-        if isinstance(target, CyclicCoverSpec):
-            exact_sum = ekz_for_spec(target, orbit_cap=orbit_cap).lyap_sum
-        else:
-            exact_sum = ekz_for_cover(cover, orbit_cap=orbit_cap).lyap_sum
-        exact_deg: bool | None = exact_sum == 0
-    except OrbitCapExceeded:
-        exact_sum = None
-        exact_deg = None
+    def sum_rule():
+        ekz = ekz_for_spec if cyclic else ekz_for_cover
+        exact_sum = ekz(target, orbit_cap=orbit_cap).lyap_sum
+        return exact_sum == 0, exact_sum
 
-    channels = {"monte-carlo": measured}
-    if exact_deg is not None:
-        channels["sum-rule"] = exact_deg
-    if criterion is not None:
-        channels["criterion"] = criterion
-    agree = len(set(channels.values())) == 1
-    if agree:
-        verdict = "PASS" if measured else "FAIL"
-        report = (
-            f"all channels agree: {'degenerate' if measured else 'non-degenerate'}"
-            f" (max lambda_plus = {max_lp:.4g}"
-            + (f", exact sum = {exact_sum}" if exact_sum is not None else "")
-            + ")"
-        )
-        contradiction = False
-    else:
-        verdict = "FAILED"
-        contradiction = True
-        states = ", ".join(
-            f"{name}={'degenerate' if val else 'non-degenerate'}"
-            for name, val in channels.items()
-        )
-        report = (
-            f"channels disagree: {states}; max lambda_plus = {max_lp:.4g}"
-            + (f", exact sum = {exact_sum}" if exact_sum is not None else "")
-        )
-    return DegeneracyCertificate(
-        epsilon=epsilon,
-        estimates=estimates,
-        max_lambda_plus=max_lp,
-        measured_degenerate=measured,
-        exact_sum=exact_sum,
-        exact_degenerate=exact_deg,
-        criterion_degenerate=criterion,
-        verdict=verdict,
-        contradiction=contradiction,
-        report=report,
-    )
+    rules = [("monte-carlo", monte_carlo), ("sum-rule", sum_rule)]
+    if cyclic:
+        rules.append(("criterion", lambda: (is_determinant_locus(target), None)))
+    channels = tuple(_channel(name, decide) for name, decide in rules)
+    return DegeneracyCertificate(epsilon, tuple(estimates), channels, *_verdict(channels))

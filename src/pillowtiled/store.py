@@ -3,7 +3,11 @@
 The orbit memo (:mod:`.orbit`), the sum-rule memo (:mod:`.cylinders`) and
 the walkers' state cache (:mod:`.cocycle`) keep what they build here, as
 units: a value under one or more keys, weighing the bytes its module
-gives it, within 2x of what tracemalloc counts (``tests/test_store.py``).
+gives it plus the store's own bookkeeping, within 2x of what tracemalloc
+counts (``tests/test_store.py``).  The bookkeeping, a ``_Unit``, its
+``OrderedDict`` node and an ``index`` entry per key, is a fixed cost that
+tracemalloc puts at about 120 bytes a unit and 60 a key, dict growth
+amortized, on 10^3 to 10^5 units.
 No two caches' keys have one shape: packed vertices (bytes), unit classes
 (N, a), and states (h, v, iota), moves (state, gen) and cycles ("cycle",
 state, gen).  ``index`` maps each key to its unit.
@@ -60,10 +64,11 @@ def _forget(unit: _Unit) -> None:
 
 def keep(keys: tuple, value, weight: int) -> None:
     """Keep ``value`` under ``keys`` as the most recently used unit,
-    weighing ``weight`` bytes, then drop the least recently used units
-    until the store is within ``BUDGET``.  ``keys[0]`` names the unit: a
-    value kept under it already is re-weighed."""
+    weighing ``weight`` bytes and its bookkeeping, then drop the least
+    recently used units until the store is within ``BUDGET``.  ``keys[0]``
+    names the unit: a value kept under it already is re-weighed."""
     global nbytes, dropped
+    weight += 120 + 60 * len(keys)  # bookkeeping, as the module docstring measures it
     old = index.get(keys[0])
     if old is not None:
         _forget(old)

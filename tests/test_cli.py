@@ -27,7 +27,7 @@ from pillowtiled.formats import (
     parse_pillow_line,
     parse_surface_line,
 )
-from pillowtiled.lyapunov import DegeneracyCertificate
+from pillowtiled.lyapunov import Channel, DegeneracyCertificate
 from pillowtiled.permsurf import Origami, PillowCover, random_origami, random_pillow_cover
 from pillowtiled.permutations import format_cycles, parse_cycles
 from tests.recorded import CLI_DIGESTS, README_LOCUS_LINES
@@ -212,11 +212,9 @@ class TestSubcommands:
         fake = DegeneracyCertificate(
             epsilon=0.02,
             estimates=(),
-            max_lambda_plus=0.5,
-            measured_degenerate=False,
-            exact_sum=None,
-            exact_degenerate=None,
-            criterion_degenerate=True,
+            channels=(Channel("monte-carlo", False, 0.5),
+                      Channel("sum-rule", None, cap="orbit exceeds the configured cap of 1 vertices"),
+                      Channel("criterion", True)),
             verdict="FAILED",
             contradiction=True,
             report="channels disagree",
@@ -287,15 +285,42 @@ class TestSubcommands:
         assert all(est["lambda_plus"] == [] for rec in data for est in rec["estimates"])
 
     def test_certify_without_a_sum_rule_decides_on_the_other_channels(self, tmp_path, capsys):
-        # an orbit cap of 1 leaves no sum rule; Monte Carlo and the
-        # criterion decide, and the report names no exact sum
+        # an orbit cap of 1 leaves the sum rule undecided; Monte Carlo and
+        # the criterion decide, and the report names no exact sum but the cap
         path = write(tmp_path, "in.txt", FAMILY + "\n")
         flags = ["--orbit-cap", "1", "--steps", "2000", "--seeds", "1,2,3"]
         assert main(["certify", path, *flags]) == 0
         (rec,) = json.loads(capsys.readouterr().out)
         assert (rec["exact_sum"], rec["criterion"], rec["verdict"]) == (None, True, "PASS")
         assert rec["report"].startswith("all channels agree: degenerate (max lambda_plus = ")
+        assert rec["report"].endswith("); sum-rule capped: orbit exceeds the configured cap of 1 vertices")
         assert "exact sum" not in rec["report"]
+
+    def test_certify_past_both_size_caps_is_decided_by_the_criterion(self, tmp_path, capsys):
+        # N = 10^6 is past the Monte-Carlo and the sum-rule caps, both read
+        # off N before any cover is built; the criterion alone decides
+        path = write(tmp_path, "in.txt", HUGE_EKZ + "\n")
+        assert main(["certify", path, "--steps", "40", "--seeds", "1,2,3"]) == 0
+        (rec,) = json.loads(capsys.readouterr().out)
+        assert (rec["verdict"], rec["contradiction"], rec["criterion"]) == ("FAIL", False, False)
+        assert (rec["exact_sum"], rec["max_lambda_plus"]) == (None, None)
+        assert rec["exponents"] == rec["stderr"] == rec["warnings"] == []
+        assert rec["report"] == (
+            "all channels agree: non-degenerate"
+            "; monte-carlo capped: double cover of 4000000 squares is past the Monte-Carlo cap of 512 squares"
+            "; sum-rule capped: double cover of 4000000 squares is past the sum-rule cap of 1048576 squares")
+
+    def test_certify_with_every_channel_capped_exits_three_naming_each_cap(self, tmp_path, capsys):
+        # a pillow line has no criterion; degree 129 is past the Monte-Carlo
+        # cap, and an orbit cap of 1 stops the sum rule
+        cover = random_pillow_cover(129, np.random.default_rng(44))
+        path = write(tmp_path, "in.txt", _cycles_line(129, cover.corner_perms()) + "\n")
+        flags = ["--orbit-cap", "1", "--steps", "40", "--seeds", "1,2,3"]
+        assert main(["certify", path, *flags]) == 3
+        assert capsys.readouterr() == ("", (
+            "line 1: resource cap: no channel decides"
+            "; monte-carlo capped: double cover of 516 squares is past the Monte-Carlo cap of 512 squares"
+            "; sum-rule capped: orbit exceeds the configured cap of 1 vertices\n"))
 
     def test_a_certify_record_carries_the_bootstrap_warning(self, tmp_path, capsys):
         # 20 digits leave every seed's lambda_plus error bars above 0.1;
@@ -526,9 +551,11 @@ class TestJsonLayout:
 
     def test_a_multi_line_string_stays_on_its_line(self, tmp_path, capsys, monkeypatch):
         fake = DegeneracyCertificate(
-            epsilon=0.02, estimates=(), max_lambda_plus=0.0,
-            measured_degenerate=True, exact_sum=None, exact_degenerate=None,
-            criterion_degenerate=True, verdict="PASS", contradiction=False,
+            epsilon=0.02, estimates=(),
+            channels=(Channel("monte-carlo", True, 0.0),
+                      Channel("sum-rule", None, cap="orbit exceeds the configured cap of 1 vertices"),
+                      Channel("criterion", True)),
+            verdict="PASS", contradiction=False,
             report="first line\nsecond line",
         )
         monkeypatch.setattr(cli, "certify_degenerate", lambda *a, **k: fake)
@@ -544,8 +571,9 @@ HUGE = "100000 1 1 1 99997"
 HUGE_EKZ = "1000000 1 1 1 999997"
 
 # the sweep's bounds: the whole sweep runs in one child process, which gets
-# this much wall time and address space (on 2 cores, with the huge lines,
-# its 231 lines took 1.4-2.0 s and a peak RSS of 79 MB; the huge ekz line
+# this much wall time and address space (on 2 cores, without the huge lines,
+# its 231 lines took 1.4-2.0 s and a peak RSS of 79 MB; the huge certify
+# line adds about 6-7.5 s and 265 MB for its sum rule, and the huge ekz line
 # is refused from N before its pillow cover is built)
 SWEEP_SECONDS = 60
 SWEEP_ADDRESS_SPACE = 2 << 30
@@ -561,13 +589,13 @@ with tempfile.TemporaryDirectory() as tmp:
     for command, line, flags in json.load(sys.stdin):
         with open(path, "w") as f:
             f.write(line + "\\n")
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        stdout, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
             try:
                 status = cli.main([command, path, *flags])
             except SystemExit as exc:
                 status = exc.code
-        out.append([command, line, status, err.getvalue()])
+        out.append([command, line, status, err.getvalue(), stdout.getvalue()])
 json.dump(out, sys.stdout)
 """
 
@@ -615,7 +643,8 @@ def test_edge_and_malformed_lines_end_cleanly():
     # address space.  An orbit cap of 3 ends the larger orbits in the
     # resource exit, and so do the size caps a huge cyclic line passes:
     # the Monte-Carlo and sum-rule double covers' squares and the pairing
-    # curve's genus
+    # curve's genus.  A certify line past the Monte-Carlo cap alone is
+    # decided by its other channels
     flags = {"certify": ["--steps", "40", "--seeds", "1,2,3"],
              "lyapunov": ["--steps", "40", "--seeds", "1,2"], "orbit": ["--orbit-cap", "3"]}
     jobs = [(command, line, flags.get(command, []))
@@ -634,15 +663,25 @@ def test_edge_and_malformed_lines_end_cleanly():
                           text=True, timeout=SWEEP_SECONDS, preexec_fn=limit)
     assert (proc.returncode, proc.stderr) == (0, "")
     results = json.loads(proc.stdout)
-    assert [(command, line) for command, line, _, _ in results] == [job[:2] for job in jobs]
-    bad = [(command, line, status, err) for command, line, status, err in results
+    assert [(command, line) for command, line, _, _, _ in results] == [job[:2] for job in jobs]
+    bad = [(command, line, status, err) for command, line, status, err, _ in results
            if status not in (0, 2, 3, 4) or "Traceback" in err]
     assert not bad, bad
     # the sweep reaches both a result and a rejection on every subcommand,
     # and the resource exit
     for command in cli._COMMANDS:
-        assert {status for c, _, status, _ in results if c == command} >= {0, 2}, command
-    assert 3 in {status for _, line, status, _ in results if line not in (HUGE, HUGE_EKZ)}
-    huge = [(command, status, "cap of" in err) for command, line, status, err in results
+        assert {status for c, _, status, _, _ in results if c == command} >= {0, 2}, command
+    assert 3 in {status for _, line, status, _, _ in results if line not in (HUGE, HUGE_EKZ)}
+    huge = [(command, status, "cap of" in err) for command, line, status, err, _ in results
             if line in (HUGE, HUGE_EKZ)]
-    assert huge == [("certify", 3, True), ("lyapunov", 3, True), ("bform", 3, True), ("ekz", 3, True)]
+    assert huge == [("certify", 0, False), ("lyapunov", 3, True), ("bform", 3, True), ("ekz", 3, True)]
+    # the sum rule and the criterion decide it, and the Monte-Carlo channel
+    # is null with its cap named
+    (rec,) = [json.loads(out)[0] for command, line, _, _, out in results
+              if (command, line) == ("certify", HUGE)]
+    assert (rec["verdict"], rec["contradiction"], rec["criterion"]) == ("FAIL", False, False)
+    assert (rec["exact_sum"], rec["max_lambda_plus"]) == ("416666667/25000", None)
+    assert rec["exponents"] == rec["stderr"] == rec["warnings"] == []
+    assert rec["report"] == (
+        "all channels agree: non-degenerate (exact sum = 416666667/25000)"
+        "; monte-carlo capped: double cover of 400000 squares is past the Monte-Carlo cap of 512 squares")

@@ -32,7 +32,7 @@ from test_permsurf import cyclic_pillow
 from tests.recorded import MONTE_CARLO, TRANSITIONS
 from tests.reference import apply_generator, boundary_matrices, induced_cocycle
 from tests.test_orbit import _ekz_lines, _orbit_lines
-from tests.test_store import forget, kept, weight
+from tests.test_store import bookkeeping, forget, kept, own_weight
 
 TORUS = Origami(1, (0,), (0,))
 L3 = Origami(3, (1, 0, 2), (2, 1, 0))
@@ -533,29 +533,30 @@ class TestSharedStateCache:
         def products(part):
             return entries(*part.cum, *part.powers, part.nil)
 
-        # a state and a move weigh 16 bytes per exact matrix entry
+        # a state and a move weigh 16 bytes per exact matrix entry, besides
+        # the store's bookkeeping
         for k in kept("state"):
             b, sp = cache.state(k).basis, cache.state(k).splitting
-            assert weight(k) == 16 * entries(
+            assert own_weight(k) == 16 * entries(
                 b.cycles, b.functionals, b.cup, sp.action, sp.plus_basis, sp.minus_basis)
         for k in kept("move"):
             tr = cache.transition(*k)
-            assert weight(k) == 16 * entries(tr.plus, tr.minus)
+            assert own_weight(k) == 16 * entries(tr.plus, tr.minus)
         # a cycle weighs its exact products, the minus ones once built, and
         # p.nbytes + q.nbytes per pencil, H1+ alone or diag(H1+, H1-) with
         # its zero blocks, and re-weighs itself as it grows
         unit = ("cycle", cyc.states[0], "T")
         n = len(cyc.plus.nil)
-        before = weight(unit)
+        before = own_weight(unit)
         assert before == 16 * products(cyc.plus)
         cyc.digit(5 * len(cyc.states) + 1, False)
-        assert weight(unit) == before + 2 * 8 * n * n
+        assert own_weight(unit) == before + 2 * 8 * n * n
         cyc.minus()
-        with_minus = weight(unit)
+        with_minus = own_weight(unit)
         assert with_minus == before + 2 * 8 * n * n + 16 * products(cyc.minus())
         cyc.digit(5 * len(cyc.states) + 1, True)
         n += len(cyc.minus().nil)
-        assert weight(unit) == with_minus + 2 * 8 * n * n
+        assert own_weight(unit) == with_minus + 2 * 8 * n * n
         assert len(kept("cycle")) == 5
         assert store.nbytes == sum(unit.nbytes for unit in store._units)
 
@@ -590,8 +591,9 @@ class TestSharedStateCache:
             cur = moves[cur, gen].target
         order = list(store._units)
         assert len(kept("state")) >= 3
-        # a budget of the three newest units: the next keep drops the rest
-        monkeypatch.setattr(store, "BUDGET", sum(unit.nbytes for unit in order[-3:]))
+        # a budget of the three newest units and one more of no weight, which
+        # weighs its bookkeeping alone: the next keep drops the rest
+        monkeypatch.setattr(store, "BUDGET", sum(unit.nbytes for unit in order[-3:]) + bookkeeping(1))
         store.keep(("a unit of no weight",), None, 0)
         assert list(store._units)[:-1] == order[-3:]
         assert store.nbytes == store.BUDGET
@@ -1067,7 +1069,7 @@ class TestCertifyScope:
         assert len(built) == 1  # the anchor state, built and checked
         assert moves == []
         assert counting.calls == 0
-        assert cert.verdict == "PASS" and cert.max_lambda_plus == 0.0
+        assert cert.verdict == "PASS" and cert.channels[0].evidence == 0.0
         assert all(e.lambda_plus == () and len(e.block_slopes) == 20 for e in cert.estimates)
 
     @pytest.mark.parametrize("name", ["5-1-2-2-5", "3-1-2-3-3"])
@@ -1198,15 +1200,17 @@ class TestCertify:
         cert = certify_degenerate(cyclic_pillow(5, (1, 2, 2, 5)), 0.02, steps=4000)
         assert cert.verdict == "PASS"
         assert not cert.contradiction
-        assert cert.exact_sum == 0
-        assert cert.measured_degenerate and cert.exact_degenerate
+        assert [(c.name, c.degenerate) for c in cert.channels] == [
+            ("monte-carlo", True), ("sum-rule", True)]
+        assert cert.channels[1].evidence == 0
 
     def test_control_fails_consistently(self):
         cert = certify_degenerate(cyclic_pillow(2, (1, 1, 1, 1)), 0.02, steps=4000)
         assert cert.verdict == "FAIL"
         assert not cert.contradiction
-        assert cert.exact_sum == 1
-        assert not cert.measured_degenerate
+        assert [(c.name, c.degenerate) for c in cert.channels] == [
+            ("monte-carlo", False), ("sum-rule", False)]
+        assert cert.channels[1].evidence == 1
 
     def test_epsilon_domain(self):
         cover = cyclic_pillow(3, (1, 1, 1, 3))

@@ -82,23 +82,53 @@ def test_the_store_never_holds_more_than_its_budget(tmp_path, monkeypatch):
     assert store.nbytes == sum(unit.nbytes for unit in store._units)
 
 
+def bookkeeping(n):
+    """What the store adds to the weight of a unit kept under ``n`` keys,
+    read off a unit of no weight kept under fresh keys and dropped again."""
+    keys = tuple(("bookkeeping", i) for i in range(n))
+    store.keep(keys, None, 0)
+    cost = weight(keys[0])
+    forget(keys[0])
+    return cost
+
+
+def own_weight(key):
+    """The bytes the unit under ``key`` weighs, less the store's bookkeeping."""
+    return weight(key) - bookkeeping(len(store.index[key].keys))
+
+
 def test_a_unit_heavier_than_the_budget_is_not_kept(monkeypatch):
+    # each unit weighs what it is given and its bookkeeping; the weights
+    # given here leave the bookkeeping out, so the units weigh the totals
+    cost = {n: bookkeeping(n) for n in (1, 2)}
+
+    def keep(keys, value, total):
+        store.keep(keys, value, total - cost[len(keys)])
+
     monkeypatch.setattr(store, "BUDGET", 1000)
-    store.keep(("a",), 1, 600)
-    store.keep(("b", "c"), 2, 400)
+    keep(("a",), 1, 600)
+    keep(("b", "c"), 2, 400)
     before, dropped = list(store._units), store.dropped
-    store.keep(("d",), 3, 1001)
+    keep(("d",), 3, 1001)
     assert list(store._units) == before and "d" not in store.index
     assert store.dropped == dropped + 1
     # re-weighing a kept unit past the budget lets it go, and it alone
-    store.keep(("b", "c"), 2, 1001)
+    keep(("b", "c"), 2, 1001)
     assert [unit.value for unit in store._units] == [1]
     assert not {"b", "c"} & set(store.index) and store.nbytes == 600
     # a keep within the budget drops the least recently used first
-    store.keep(("e",), 4, 300)
+    keep(("e",), 4, 300)
     assert store.get("a") == 1
-    store.keep(("f",), 5, 300)
+    keep(("f",), 5, 300)
     assert [unit.value for unit in store._units] == [1, 5] and store.nbytes == 900
+
+
+def test_a_unit_weighs_its_bookkeeping():
+    # a unit, its OrderedDict node and one index entry per key: a fixed cost
+    # that grows with the keys; the probe leaves nothing behind
+    one, three = bookkeeping(1), bookkeeping(3)
+    assert 0 < one < three
+    assert store.nbytes == 0 and not store.index
 
 
 def _traced(build):
@@ -114,23 +144,28 @@ def _traced(build):
         tracemalloc.stop()
 
 
-SPEC = CyclicCoverSpec(12, (1, 5, 7, 11))
+# a degree-12 cover, and a degree-5 one whose 3-vertex orbit is small
+# enough that the store's own bookkeeping is most of its unit
+KINDS = ["orbit", "report", "state", "move", "cycle"]
+WEIGHED = [pytest.param(kind, CyclicCoverSpec(12, (1, 5, 7, 11)), id=kind) for kind in KINDS]
+WEIGHED += [pytest.param(kind, CyclicCoverSpec(5, (1, 2, 2, 5)), id=f"{kind}-5-1-2-2-5")
+            for kind in KINDS]
 
 
-@pytest.mark.parametrize("kind", ["orbit", "report", "state", "move", "cycle"])
-def test_each_weight_is_within_twice_what_tracemalloc_counts(kind):
+@pytest.mark.parametrize("kind, spec", WEIGHED)
+def test_each_weight_is_within_twice_what_tracemalloc_counts(kind, spec):
     cache = StateCache()
-    o, iota = orientation_double_cover(cyclic_to_pillow(SPEC))
+    o, iota = orientation_double_cover(cyclic_to_pillow(spec))
     key = cache.canonical_key(o, iota)
     if kind == "orbit":
         traced = _traced(lambda: orbit.enumerate_state_orbit(o, iota))
         weighed = store.nbytes
     elif kind == "report":
-        cylinders.ekz_for_spec(SPEC)
+        cylinders.ekz_for_spec(spec)
         store.clear()
         orbit.enumerate_state_orbit(o, iota)  # warm: the report alone is new
         before = store.nbytes
-        traced = _traced(lambda: cylinders.ekz_for_spec(SPEC))
+        traced = _traced(lambda: cylinders.ekz_for_spec(spec))
         weighed = store.nbytes - before
     elif kind == "state":
         traced = _traced(lambda: cache.state(key))
