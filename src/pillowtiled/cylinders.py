@@ -19,14 +19,22 @@ constant from these four cases and fails if any of them ever disagrees;
 ``test_closed_form_exponents_pin_kappa_sv`` checks it against the
 closed-form exponents of every cyclic cover with N <= 8.
 
-A cyclic cover's report depends only on its unit class: renumbering the
-sheets x -> u.x by a unit u mod N takes (N; a) to (N; u.a), the same cover
-(Forni-Matheus-Zorich, "Square-tiled cyclic covers", JMD 2011).
-:func:`ekz_for_spec` keeps each class's orbit size and report in a
-process-wide memo keyed by the least u.a, so a relabelled line builds no
-cover, double cover or orbit.  Each class is one unit of the process-wide
-byte budget (:mod:`.store`); measured with tracemalloc, it takes about
-1.1 kB plus 8 bytes per order of its stratum, and it weighs that.
+A cyclic cover's report depends only on its corner class.  Renumbering
+the sheets x -> u.x by a unit u mod N takes (N; a) to (N; u.a), the same
+cover (Forni-Matheus-Zorich, "Square-tiled cyclic covers", JMD 2011).
+Any permutation of the four corners takes it to a cover in the same
+SL(2,Z)-orbit of double covers, up to an isometry: SL(2,Z) acts on the
+corners through SL(2,Z/2), all of S_3 on the three corners off the
+origin, and the half-translations of the pillowcase are isometries that
+permute the corners by the Klein four-group; together they give S_4.  So
+every (N; a) of one class has one stratum, one state orbit and one
+report (Eskin-Kontsevich-Zorich, "Lyapunov spectrum of square-tiled
+cyclic covers", JMD 2011).  :func:`ekz_for_spec` keeps each class's
+orbit size and report in a process-wide memo keyed by the least sorted
+u.a, so a line of a class met before builds no cover, double cover or
+orbit.  Each class is one unit of the process-wide byte budget
+(:mod:`.store`); measured with tracemalloc, it takes about 1.1 kB plus 8
+bytes per order of its stratum, and it weighs that.
 """
 
 from __future__ import annotations
@@ -170,24 +178,27 @@ def ekz_for_cover(p: PillowCover, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EKZRepo
     return _orbit_and_report(p, orbit_cap)[1]
 
 
-def _unit_class(spec: CyclicCoverSpec) -> tuple[int, tuple[int, ...]]:
-    """(N, the least u.a mod N over the units u mod N), 0 read as N."""
+def _corner_class(spec: CyclicCoverSpec) -> tuple[int, tuple[int, ...]]:
+    """(N, the least of sorted(u.a mod N) over the units u mod N), 0 read as N."""
     N = spec.N
-    return N, min(tuple((u * x - 1) % N + 1 for x in spec.a)
+    return N, min(tuple(sorted((u * x - 1) % N + 1 for x in spec.a))
                   for u in range(1, N + 1) if math.gcd(u, N) == 1)
 
 
 def ekz_for_spec(spec: CyclicCoverSpec, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EKZReport:
-    """``ekz_for_cover`` of a cyclic cover, once per unit class in the process.
+    """``ekz_for_cover`` of a cyclic cover, once per corner class in the
+    process.
 
-    Renumbering the sheets x -> u.x by a unit u takes the cover (N; a) to
-    (N; u.a), so both have one stratum, one orbit and one report.  The
-    cap is checked from N before anything is built.  A hit raises
+    Renumbering the sheets by a unit u and permuting the corners take the
+    cover (N; a) to covers with one stratum, one state orbit and one
+    report (module docstring), so the class is keyed by its least sorted
+    u.a, and the first spec of a class met builds it.  The cap is checked
+    from N before anything is built.  A hit raises
     :class:`OrbitCapExceeded` iff the kept orbit is larger than the cap, as
     the orbit memo does; a build that raised keeps nothing.
     """
     _check_squares(spec.N)
-    key = _unit_class(spec)
+    key = _corner_class(spec)
     kept = store.get(key)
     if kept is None:
         kept = _orbit_and_report(cyclic_to_pillow(spec), orbit_cap)

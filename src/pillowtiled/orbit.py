@@ -36,15 +36,21 @@ relabeling, so checking the canonical image is checking the raw one, and
 a move onto a vertex seen before lands on a tuple that was checked when
 it was first seen.
 
-The closure labels all but one S-edge of each cycle of S on canonical
-forms and reads the last one off the others.  Where S^2 relabels the
-seed it relabels every vertex, as -I is central; on a double-cover state
-it always does, iota realising the half turn.  Then the S-image of
-w' = canonical(S.w) is w again, so each S-edge found by labelling gives
-the edge back with no labelling.  On an origami S^2 need not relabel;
-then it relabels no vertex, every S-cycle has four vertices, as
-S^4 == id exactly, and once three of its edges are known the fourth
-closes it.  One labelling of S^2(seed) per closure decides which.
+The closure reads off every edge that the relations of the action fix.
+S^4 == id and U^3 == id hold exactly on raw tuples, for U = T after S
+(U . w = T . (S . w)), and a move commutes with relabelling, so on
+canonical forms every S-cycle has 1, 2 or 4 vertices and every U-cycle 1
+or 3.  Where S^2 relabels the seed it relabels every vertex, as -I is
+central, and every S-cycle has 1 or 2 vertices; on a double-cover state
+it always does, iota realising the half turn.  On an origami S^2 need not
+relabel; then it relabels no vertex and every S-cycle has four.  The
+seed's own S-cycle, labelled in full, tells which.  Each later S-cycle is
+labelled but for its last edge, read off as the one that closes it.  A
+U-cycle w -> U.w -> U^2.w -> w passes the T-edges out of S.w, S.U.w and
+S.U^2.w; two are labelled and the third, back to w, is read off.  So a
+closure labels the seed, each S-cycle's edges but its last (all of the
+seed's cycle where it has two vertices), and one T-edge per vertex less
+one per U-cycle of three.
 
 Every closure that completes is kept in a process-wide memo under each of
 its canonical vertices.  A later seed whose canonical tuple is a key gets
@@ -255,64 +261,89 @@ def _recall(perms: tuple[Perm, ...], d: int, cap: int) -> tuple[tuple[Perm, ...]
     keys, targets = entry
     if len(keys) > cap:
         raise OrbitCapExceeded(cap)
-    vertices = tuple(_unpacked(key, d) for key in keys)
+    return seed, _graph(d, tuple(_unpacked(key, d) for key in keys), targets)
+
+
+def _graph(d: int, vertices: tuple[tuple[Perm, ...], ...], targets: array) -> OrbitGraph:
+    """The graph whose vertex i has its S-edge to targets[2i] and its
+    T-edge to targets[2i + 1]."""
     edges = tuple((i >> 1, "ST"[i & 1], b) for i, b in enumerate(targets))
-    return seed, OrbitGraph(d=d, vertices=vertices, edges=edges)
+    return OrbitGraph(d=d, vertices=vertices, edges=edges)
 
 
 def _close_orbit(seed: tuple[Perm, ...], d: int, check, cap: int) -> OrbitGraph:
     """S,T-closure from a canonical seed; ``check(w)`` validates a vertex
     when it is first seen.
 
-    S acts on canonical forms with cycles of ``period`` vertices, 2 where
-    S^2 relabels the seed and 4 where it does not: S^2 relabels every
-    vertex or none, since -I is central, and S^4 == id exactly.  (Where
-    S^2 relabels, a vertex that S relabels is a cycle of one.)  Once all
-    but one edge of an S-cycle are known, the last one closes it and is
-    read off with no labelling: on a path w_0 -> ... -> w_(period-1) of
-    S-edges, S(w_(period-1)) == w_0.  ``s_next`` and ``s_prev`` hold the
-    S-edges known so far.
+    Vertices are numbered as they are first seen, so each canonical tuple
+    is hashed once, when it is labelled; ``s[i]`` and ``t[i]`` are the
+    numbers of the S- and T-images of vertex i, None until known.  An
+    S-cycle is labelled until it closes or has ``period`` vertices, when
+    its last edge goes back to where it began.  The seed's is labelled
+    with a period of 4, as S^4 == id: 1 or 2 vertices mean that S^2
+    relabels every vertex, 4 that it relabels none, so every later
+    S-cycle has at most 2 or exactly 4 vertices (``period``).  Then
+    t[s[i]] is U.i, for U = T after S; it is known once the U-cycle of i
+    is, and U^3 == id exactly: where U.i != i, two T-edges of the cycle
+    are labelled and the third goes back to i.
     """
     check(seed)
-    period = 2 if canonical_perms(move(move(seed, "S"), "S"), d) == seed else 4
-    s_next, s_prev = {}, {}
-    seen = {seed}
-    frontier = [seed]
-    edges = set()
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for gen in ("S", "T"):
-                img = s_next.get(w) if gen == "S" else None
-                if img is None:
-                    img = canonical_perms(move(w, gen), d)
-                    if gen == "S":
-                        s_next[w], s_prev[img] = img, w
-                        # the path of known S-edges through w -> img
-                        head, tail, known = w, img, 1
-                        while known < period - 1 and head in s_prev:
-                            head, known = s_prev[head], known + 1
-                        while known < period - 1 and tail in s_next:
-                            tail, known = s_next[tail], known + 1
-                        if known == period - 1 and tail not in s_next:
-                            s_next[tail], s_prev[head] = head, tail
-                if img not in seen:
-                    check(img)
-                    if len(seen) >= cap:
-                        raise OrbitCapExceeded(cap)
-                    seen.add(img)
-                    nxt.append(img)
-                edges.add((w, gen, img))
-        frontier = nxt
-    vertices = tuple(sorted(seen))
-    index = {w: i for i, w in enumerate(vertices)}
-    edges = tuple(sorted((index[a], g, index[b]) for a, g, b in edges))
+    vertices, number = [seed], {seed: 0}
+    s, t = [None], [None]
+
+    def image(i: int, gen: str) -> int:
+        w = canonical_perms(move(vertices[i], gen), d)
+        j = number.get(w)
+        if j is None:
+            check(w)
+            if len(vertices) >= cap:
+                raise OrbitCapExceeded(cap)
+            j = number[w] = len(vertices)
+            vertices.append(w)
+            s.append(None)
+            t.append(None)
+        return j
+
+    def s_cycle(i: int, period: int) -> int:
+        """Label the S-cycle of i; its number of vertices, or ``period``."""
+        cycle = [i]
+        while True:
+            j = s[cycle[-1]] = image(cycle[-1], "S")
+            if j == i:
+                return len(cycle)
+            cycle.append(j)
+            if len(cycle) == period:
+                s[j] = i
+                return period
+
+    def s_of(i: int) -> int:
+        if s[i] is None:
+            s_cycle(i, period)
+        return s[i]
+
+    period = max(2, s_cycle(0, 4))
+    i = 0
+    while i < len(vertices):
+        x = s_of(i)
+        if t[x] is None:
+            # the U-cycle of i: i -> j -> k -> i, or i alone
+            j = t[x] = image(x, "T")
+            if j != i:
+                y = s_of(j)
+                k = t[y] = image(y, "T")
+                t[s_of(k)] = i
+        i += 1
+    order = sorted(range(len(vertices)), key=vertices.__getitem__)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    vertices = tuple(vertices[i] for i in order)
     # kept as (the packed vertices, the targets of the edges), in order;
     # each vertex has one S and one T edge, so its edges are fixed by those
+    targets = array("I", chain.from_iterable((rank[s[i]], rank[t[i]]) for i in order))
     keys = tuple(_packed(w, d) for w in vertices)
-    targets = array("I", (b for _, _, b in edges))
     store.keep(keys, (keys, targets), sum(map(sys.getsizeof, keys)) + sys.getsizeof(targets))
-    return OrbitGraph(d=d, vertices=vertices, edges=edges)
+    return _graph(d, vertices, targets)
 
 
 def enumerate_orbit(o: Origami, cap: int = DEFAULT_ORBIT_CAP) -> OrbitGraph:

@@ -8,7 +8,7 @@ counts (``tests/test_store.py``).  The bookkeeping, a ``_Unit``, its
 ``OrderedDict`` node and an ``index`` entry per key, is a fixed cost that
 tracemalloc puts at about 120 bytes a unit and 60 a key, dict growth
 amortized, on 10^3 to 10^5 units.
-No two caches' keys have one shape: packed vertices (bytes), unit classes
+No two caches' keys have one shape: packed vertices (bytes), corner classes
 (N, a), and states (h, v, iota), moves (state, gen) and cycles ("cycle",
 state, gen).  ``index`` maps each key to its unit.
 

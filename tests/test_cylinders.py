@@ -1,5 +1,6 @@
 """Cylinder decompositions, calibration, and the exact sum rule."""
 
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -117,6 +118,18 @@ def test_closed_form_exponents_pin_kappa_sv():
             assert (not any(exponents)) == is_determinant_locus(s), s
             count += 1
     assert count == 1186
+
+
+def test_closed_form_exponents_equal_the_class_memo_sums():
+    # the same oracle through ekz_for_spec, one build per corner class, on
+    # every spec with N <= 12: a class whose members had different sums
+    # would fail here
+    start = time.perf_counter()
+    specs = [s for N in range(1, 13) for s in iter_specs(N)]
+    for s in specs:
+        assert sum(cyclic_exponents(s.N, s.a)) == ekz_for_spec(s).lyap_sum, s
+    assert (len(specs), len(kept("report"))) == (5542, 117)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_patched_kappa_sv_reaches_the_sum_rule(monkeypatch):
@@ -257,11 +270,11 @@ def test_a_huge_ekz_line_builds_no_pillow_cover(tmp_path, monkeypatch, capsys):
 # Every test starts from an empty memo (tests/conftest.py).
 
 
-def _least_relabelling(s: CyclicCoverSpec) -> CyclicCoverSpec:
-    """The least of the specs (N; u.a) over the units u mod N: the cover
-    with its sheets renumbered x -> u.x."""
+def _class_representative(s: CyclicCoverSpec) -> CyclicCoverSpec:
+    """The least of the specs (N; sorted(u.a)) over the units u mod N: the
+    cover with its sheets renumbered x -> u.x and its corners permuted."""
     units = [u for u in range(1, s.N + 1) if gcd(u, s.N) == 1]
-    return CyclicCoverSpec(s.N, min(tuple((u * x) % s.N or s.N for x in s.a) for u in units))
+    return CyclicCoverSpec(s.N, min(tuple(sorted((u * x) % s.N or s.N for x in s.a)) for u in units))
 
 
 def _ekz_record(s: CyclicCoverSpec):
@@ -274,53 +287,84 @@ def _cold_ekz_record(s: CyclicCoverSpec):
     return _ekz_record(s)
 
 
+def _state_orbit(s: CyclicCoverSpec) -> OrbitGraph:
+    return enumerate_state_orbit(*orientation_double_cover(cyclic_to_pillow(s)))
+
+
 def test_a_unit_relabelling_has_the_same_record():
     specs = [s for N in range(1, 9) for s in iter_specs(N)]
     classes = set()
     for s in specs:
-        least = _least_relabelling(s)
-        assert cylinders._unit_class(s) == (least.N, least.a)
+        least = _class_representative(s)
+        assert cylinders._corner_class(s) == (least.N, least.a)
         classes.add(least)
         (record, rc), (least_record, least_rc) = _cold_ekz_record(s), _cold_ekz_record(least)
         assert rc == least_rc == 0
         assert record.pop("spec") == [s.N, *s.a]
         assert least_record.pop("spec") == [least.N, *least.a]
         assert record == least_record, s
-    assert (len(specs), len(classes)) == (1186, 340)
+    assert (len(specs), len(classes)) == (1186, 46)
+
+
+def test_a_corner_class_has_one_record_and_one_orbit():
+    # every spec with N <= 10, cold: its record less its spec, and its
+    # state orbit, are its class representative's
+    start = time.perf_counter()
+    representatives = {}
+    for N in range(1, 11):
+        for s in iter_specs(N):
+            least = _class_representative(s)
+            if least not in representatives:
+                record, _ = _cold_ekz_record(least)
+                record.pop("spec")
+                representatives[least] = record, _state_orbit(least)
+            record, rc = _cold_ekz_record(s)
+            assert rc == 0
+            assert record.pop("spec") == [s.N, *s.a]
+            assert (record, _state_orbit(s)) == representatives[least], s
+    assert len(representatives) == 75
+    assert time.perf_counter() - start < 15.0
+
+
+# x -> 2x takes 5 1 2 2 5 to 5 2 4 4 5, and 5 2 5 1 2 permutes its corners
+RELABELLED = (CyclicCoverSpec(5, (2, 4, 4, 5)), CyclicCoverSpec(5, (2, 5, 1, 2)))
 
 
 def test_a_relabelled_line_builds_no_cover(monkeypatch):
-    # x -> 2x takes 5 1 2 2 5 to 5 2 4 4 5
     first, _ = _ekz_record(CyclicCoverSpec(5, (1, 2, 2, 5)))
+    assert first.pop("spec") == [5, 1, 2, 2, 5]
 
     def not_built(*args):
         raise AssertionError("a relabelled line built a cover")
 
     monkeypatch.setattr(cylinders, "cyclic_to_pillow", not_built)
     monkeypatch.setattr(cylinders, "orientation_double_cover", not_built)
-    second, rc = _ekz_record(CyclicCoverSpec(5, (2, 4, 4, 5)))
-    assert rc == 0
-    assert (first.pop("spec"), second.pop("spec")) == ([5, 1, 2, 2, 5], [5, 2, 4, 4, 5])
-    assert first == second
+    for relabelled in RELABELLED:
+        second, rc = _ekz_record(relabelled)
+        assert rc == 0
+        assert second.pop("spec") == [relabelled.N, *relabelled.a]
+        assert first == second
 
 
 def test_a_kept_report_obeys_the_orbit_cap():
-    # 5 1 2 2 5 has a state orbit of 3 vertices, and x -> 2x takes it to
-    # 5 2 4 4 5; a hit raises at the caps where a cold build raises
-    spec, relabelled = CyclicCoverSpec(5, (1, 2, 2, 5)), CyclicCoverSpec(5, (2, 4, 4, 5))
-    for cap in (1, 2):
-        with pytest.raises(OrbitCapExceeded):
-            ekz_for_spec(relabelled, orbit_cap=cap)
-    cold = ekz_for_spec(relabelled, orbit_cap=3)
-    store.clear()
-    ekz_for_spec(spec)
-    assert len(kept("report")) == 1
-    for cap in (1, 2):
-        with pytest.raises(OrbitCapExceeded) as exc:
-            ekz_for_spec(relabelled, orbit_cap=cap)
-        assert exc.value.cap == cap
-    assert ekz_for_spec(relabelled, orbit_cap=3) == cold
-    assert len(kept("report")) == 1
+    # 5 1 2 2 5 has a state orbit of 3 vertices, and so has each line of
+    # its class; a hit raises at the caps where a cold build raises
+    spec = CyclicCoverSpec(5, (1, 2, 2, 5))
+    for relabelled in RELABELLED:
+        store.clear()
+        for cap in (1, 2):
+            with pytest.raises(OrbitCapExceeded):
+                ekz_for_spec(relabelled, orbit_cap=cap)
+        cold = ekz_for_spec(relabelled, orbit_cap=3)
+        store.clear()
+        ekz_for_spec(spec)
+        assert len(kept("report")) == 1
+        for cap in (1, 2):
+            with pytest.raises(OrbitCapExceeded) as exc:
+                ekz_for_spec(relabelled, orbit_cap=cap)
+            assert exc.value.cap == cap
+        assert ekz_for_spec(relabelled, orbit_cap=3) == cold
+        assert len(kept("report")) == 1
 
 
 def test_a_kept_report_obeys_the_cap_flag(tmp_path):
@@ -365,6 +409,6 @@ def test_the_memo_stays_within_the_budget(monkeypatch):
         assert reports == unbounded
     # the least recently used went first: the reports kept are those of
     # the classes used last, in the order of their last use
-    used = list(dict.fromkeys(reversed([cylinders._unit_class(s) for s in specs])))[::-1]
+    used = list(dict.fromkeys(reversed([cylinders._corner_class(s) for s in specs])))[::-1]
     assert 1 < len(kept("report")) < len(used)
     assert kept("report") == used[-len(kept("report")):]

@@ -148,6 +148,14 @@ def test_move_s_fourth_power_restores_exactly():
         assert _move_word(w, "SSSS") == w
 
 
+def test_move_u_cubed_restores_exactly():
+    # U = T after S has U^3 == id on raw tuples, iota included: the
+    # closure reads the third T-edge of each U-cycle off the other two
+    states, origamis = _move_samples()
+    for w in states + origamis:
+        assert _move_word(w, "STSTST") == w
+
+
 def test_move_satisfies_the_modular_relations():
     # (ST)^3 and (TS)^3 act as relabelings; on a double cover so does S^2,
     # the half turn, which iota undoes (on a bare origami S^2 need not be)
@@ -448,7 +456,7 @@ def test_exact_channel_output_is_unchanged(tmp_path):
 # orbit lines above: double covers built and canonical labellings.  They are
 # equal on every host, so added work fails here where a timing could not
 # tell; say why in CHANGES.md whenever they change
-EXACT_CHANNEL_WORK = {"orientation_double_cover": 176, "canonical_labelling": 436}
+EXACT_CHANNEL_WORK = {"orientation_double_cover": 31, "canonical_labelling": 239}
 
 
 def test_exact_channel_work_is_unchanged(tmp_path, monkeypatch):
@@ -655,21 +663,31 @@ def _s_fixed(g):
     return sum(1 for a, gen, b in g.edges if gen == "S" and a == b)
 
 
+def _u_three_cycles(g):
+    """The number of 3-cycles of U = T after S on the vertices of g."""
+    s, t = (dict((a, b) for a, gen, b in g.edges if gen == x) for x in "ST")
+    return sum(1 for a in s if t[s[a]] != a) // 3
+
+
 def test_a_closure_labels_each_s_pair_once(monkeypatch):
     # S^2 relabels a double-cover state, so each S-edge found by labelling
-    # gives its reverse: the seed, the S^2 check, one T-image per vertex,
-    # and one S-image per S-pair or S-fixed vertex
+    # gives its reverse, and U^3 == id gives the third T-edge of each
+    # U-cycle: the seed, one S-image per S-pair or S-fixed vertex (and the
+    # seed's S-pair labelled both ways, as it tells S^2 relabels), and one
+    # T-image per vertex less one per U-cycle of three
     labelled = _count_labellings(monkeypatch)
     rng = np.random.default_rng(907)
     sizes = []
     for p in [random_pillow_cover(5, rng) for _ in range(8)]:
+        o, iota = orientation_double_cover(p)
+        seed = canonical_perms((o.h, o.v, iota), o.d)
         store.clear()
         del labelled[:]
-        g = enumerate_state_orbit(*orientation_double_cover(p))
-        v, f = g.size, _s_fixed(g)
-        assert len(labelled) == 2 + v + (v + f) // 2, str(p)
+        g = enumerate_state_orbit(o, iota)
+        v, f, u = g.size, _s_fixed(g), _u_three_cycles(g)
+        seed_paired = (g.vertices.index(seed), "S", g.vertices.index(seed)) not in g.edges
+        assert len(labelled) == 1 + (v + f) // 2 + seed_paired + v - u, str(p)
         if f <= 1:
-            # the seed's own labelling comes before the closure
             assert len(labelled) - 1 <= math.ceil(1.5 * v) + 1
             sizes.append(v)
     assert max(sizes) >= 50 and len(sizes) >= 4, sizes
@@ -684,19 +702,22 @@ def test_s_edges_are_not_paired_where_s_squared_is_no_relabelling(monkeypatch):
     # on these origamis (h^-1, v^-1) is not (h, v) relabelled, so an S-edge
     # says nothing of the S-edge back; but S^4 == id, so every S-cycle has
     # four vertices, and its last edge is read off the other three: the
-    # seed, the S^2 check, one T-image per vertex and three S-images per
-    # S-cycle
+    # seed, three S-images per S-cycle, and one T-image per vertex less one
+    # per U-cycle of three
     _, samples = _move_samples()
     moved_off = [Origami(len(h), h, v) for h, v in samples if _s_squared_moves_off((h, v))]
     assert len(moved_off) == 6
     labelled = _count_labellings(monkeypatch)
+    counts = []
     for o in moved_off:
         store.clear()
         del labelled[:]
         g = enumerate_orbit(o)
         assert g.size % 4 == 0 and _s_fixed(g) == 0
-        assert len(labelled) == 2 + g.size + 3 * g.size // 4
+        assert len(labelled) == 1 + 3 * g.size // 4 + g.size - _u_three_cycles(g)
+        counts.append((g.size, len(labelled)))
         assert g == reference_orbit(o), str(o)
+    assert max(counts) == (768, 1089)
 
 
 SEVEN = Origami(7, parse_cycles("(1 2 3)(4 5 6 7)", 7), parse_cycles("(3 4)", 7))
