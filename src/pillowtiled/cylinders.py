@@ -180,9 +180,14 @@ def ekz_for_cover(p: PillowCover, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EKZRepo
 
 def _corner_class(spec: CyclicCoverSpec) -> tuple[int, tuple[int, ...]]:
     """(N, the least of sorted(u.a mod N) over the units u mod N), 0 read as N."""
-    N = spec.N
-    return N, min(tuple(sorted((u * x - 1) % N + 1 for x in spec.a))
-                  for u in range(1, N + 1) if math.gcd(u, N) == 1)
+    N, least = spec.N, None
+    for u in range(1, N + 1):
+        if math.gcd(u, N) == 1:
+            row = [(u * x - 1) % N + 1 for x in spec.a]
+            row.sort()
+            if least is None or row < least:
+                least = row
+    return N, tuple(least)
 
 
 def ekz_for_spec(spec: CyclicCoverSpec, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EKZReport:

@@ -1,4 +1,4 @@
-"""Text-file parsing and JSON/CSV-friendly serialization.
+"""Text-file parsing, and the JSON hook that encodes report objects.
 
 Line formats:
   pillow cover   ``d; g0; g1; g2; g3``      permutations in cycle notation
@@ -6,7 +6,8 @@ Line formats:
   cyclic datum   ``N a1 a2 a3 a4``
   locus          ``m1 ... mr; k; d; h0; h1; hinf``   (the order list may be empty)
 
-Blank lines and ``#`` comments are skipped.  Fractions serialize as
+Blank lines and ``#`` comments are skipped.  ``json_default`` lets
+``json.dumps`` encode report objects as they are built: Fractions as
 ``"p/q"`` strings, complex numbers as ``[re, im]`` pairs.
 """
 
@@ -27,7 +28,7 @@ __all__ = [
     "parse_locus_line",
     "parse_surface_line",
     "iter_input_lines",
-    "json_ready",
+    "json_default",
 ]
 
 
@@ -122,26 +123,17 @@ def iter_input_lines(text: str):
             yield idx, line
 
 
-def json_ready(obj):
-    """Recursively convert report objects to JSON-serializable data."""
+def json_default(obj):
+    """The ``default`` hook of ``json.dumps``, called on each object json
+    cannot encode, which encodes what it returns: a Fraction as ``"p/q"``, a
+    complex (numpy's complex128 too) as ``[re, im]``, a Stratum as its kind,
+    orders, genus and label, any other dataclass as its fields."""
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, Stratum):
-        return {
-            "kind": obj.kind,
-            "orders": list(obj.orders),
-            "genus": obj.genus,
-            "label": obj.label(),
-        }
+        return {"kind": obj.kind, "orders": obj.orders, "genus": obj.genus, "label": obj.label()}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: json_ready(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-    if isinstance(obj, dict):
-        return {str(k): json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_ready(x) for x in obj]
-    return obj
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")

@@ -10,16 +10,16 @@ chain maps of the moves and of the deck involution, the transport of H_1
 along a raw word of moves, the cup product of one pair of 1-cochains, an
 integer left inverse of a saturated basis, a Hermite transform read off
 a stacked pass, kernels by two passes of a textbook Hermite form, the
-largest finite order in GL(n, Z) by a DP over every degree, the
-closed-form exponents of a cyclic cover, and the order at infinity of a
-quadratic differential.
+largest finite order in GL(n, Z) by a DP over every degree, the corner
+class and the closed-form exponents of a cyclic cover, and the order at
+infinity of a quadratic differential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from pillowtiled import cocycle, lattice
 from pillowtiled.bform import CurveDifferential
@@ -474,6 +474,14 @@ def max_finite_order(n: int) -> int:
 
 
 # --- cyclic covers --------------------------------------------------------
+
+
+def corner_class(spec) -> tuple[int, tuple[int, ...]]:
+    """(N, the least of sorted(u.a mod N) over the units u mod N), 0 read
+    as N: the sum-rule memo's key, as one expression."""
+    N = spec.N
+    return N, min(tuple(sorted((u * x - 1) % N + 1 for x in spec.a))
+                  for u in range(1, N + 1) if gcd(u, N) == 1)
 
 
 def cyclic_exponents(N: int, a) -> tuple[Fraction, ...]:

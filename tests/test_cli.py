@@ -20,7 +20,7 @@ from pillowtiled.coverings import iter_specs
 from pillowtiled.formats import (
     ParseError,
     iter_input_lines,
-    json_ready,
+    json_default,
     parse_cyclic_line,
     parse_locus_line,
     parse_origami_line,
@@ -28,7 +28,7 @@ from pillowtiled.formats import (
     parse_surface_line,
 )
 from pillowtiled.lyapunov import Channel, DegeneracyCertificate
-from pillowtiled.permsurf import Origami, PillowCover, random_origami, random_pillow_cover
+from pillowtiled.permsurf import Origami, PillowCover, Stratum, random_origami, random_pillow_cover
 from pillowtiled.permutations import format_cycles, parse_cycles
 from tests.recorded import CLI_DIGESTS, README_LOCUS_LINES
 
@@ -87,12 +87,23 @@ class TestFormats:
         assert [line for _, line in iter_input_lines(text)] == [FAMILY, CONTROL]
 
     def test_json_ready_fractions_and_complex(self):
+        # the hook converts one leaf, and json encodes what it returns
         from fractions import Fraction
 
-        assert json_ready(Fraction(3, 8)) == "3/8"
-        assert json_ready(Fraction(0, 1)) == "0/1"
-        assert json_ready(1.5 - 2j) == [1.5, -2.0]
-        assert json_ready({"a": (Fraction(1, 2),)}) == {"a": ["1/2"]}
+        assert json_default(Fraction(3, 8)) == "3/8"
+        assert json_default(Fraction(0, 1)) == "0/1"
+        assert json_default(1.5 - 2j) == [1.5, -2.0]
+        assert json_default(np.complex128(0.5 + 1j)) == [0.5, 1.0]
+        stratum = Stratum("quadratic", (1, -1, -1, -1, -1, -1), 0)
+        assert json_default(stratum) == {"kind": "quadratic", "orders": stratum.orders,
+                                         "genus": 0, "label": stratum.label()}
+        assert json_default(Channel("sum-rule", True, Fraction(0))) == {
+            "name": "sum-rule", "degenerate": True, "evidence": Fraction(0), "cap": None}
+        assert json.dumps({"a": (Fraction(1, 2), 2j)}, default=json_default) == \
+            '{"a": ["1/2", [0.0, 2.0]]}'
+        for leaf in (np.int64(1), {1, 2}, object()):
+            with pytest.raises(TypeError):
+                json_default(leaf)
 
 
 class TestRunConfig:
@@ -524,7 +535,7 @@ class TestJsonLayout:
         # the first run's records, in input order, as the indent-2 writer
         # would have written them
         records = records[: len(lines)]
-        indented = json.dumps(records, indent=2, sort_keys=True)
+        indented = json.dumps(records, indent=2, sort_keys=True, default=json_default)
         assert parsed == json.loads(stdout) == json.loads(indented)
         for line, record in zip(lines, parsed):
             if "input" in record:

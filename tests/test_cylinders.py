@@ -29,7 +29,7 @@ from pillowtiled.permsurf import (
     random_origami,
 )
 from pillowtiled.permutations import parse_cycles
-from tests.reference import cyclic_exponents, origamis
+from tests.reference import corner_class, cyclic_exponents, origamis
 from tests.test_permsurf import FIVE, TORUS_COVER, FOUR, cyclic_pillow
 from tests.test_store import kept
 
@@ -304,6 +304,15 @@ def test_a_unit_relabelling_has_the_same_record():
         assert least_record.pop("spec") == [least.N, *least.a]
         assert record == least_record, s
     assert (len(specs), len(classes)) == (1186, 46)
+
+
+def test_corner_class_is_the_reference_key():
+    # the memo's loop keeps one list per unit and makes a tuple of the
+    # least; its key is the one-expression reference's on every spec
+    specs = [s for N in range(1, 13) for s in iter_specs(N)]
+    assert len(specs) == 5542
+    for s in specs:
+        assert cylinders._corner_class(s) == corner_class(s), s
 
 
 def test_a_corner_class_has_one_record_and_one_orbit():

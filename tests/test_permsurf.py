@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pillowtiled.permutations import identity, inverse, parse_cycles
+from pillowtiled import permsurf
+from pillowtiled.permutations import compose, compose_all, identity, inverse, parse_cycles
 from pillowtiled.permsurf import (
     ConnectivityError,
     MonodromyError,
@@ -12,6 +18,7 @@ from pillowtiled.permsurf import (
     origami_stratum,
     pillow_stratum,
     random_pillow_cover,
+    validate_involution,
 )
 from tests.reference import (
     components,
@@ -147,6 +154,51 @@ def test_double_cover_orientable_splits():
     # iota swaps the two components
     for comp in comps:
         assert all(iota[a] not in comp for a in comp)
+
+
+# each (h, v, iota) fails one check of validate_involution alone, in its
+# order there, with the reversal read as iota.h.iota = h^-1; h and v have
+# order above 2, so reversing them is not commuting with them
+BROKEN_INVOLUTIONS = {
+    "does not square to the identity": ((1, 2, 3, 0), (1, 2, 3, 0), (1, 2, 3, 0)),
+    "fixes a square": ((1, 2, 3, 0), (1, 2, 3, 0), (0, 3, 2, 1)),
+    "does not reverse h": ((0, 1, 3, 5, 4, 2), (3, 2, 4, 5, 1, 0), (2, 3, 0, 1, 5, 4)),
+    "does not reverse v": ((2, 0, 1, 4, 5, 3), (5, 0, 2, 1, 3, 4), (3, 4, 5, 0, 1, 2)),
+    "fixes an edge midpoint": ((1, 2, 3, 0), (1, 2, 3, 0), (1, 0, 3, 2)),
+}
+
+
+@pytest.mark.parametrize("message", list(BROKEN_INVOLUTIONS))
+def test_each_broken_involution_raises_its_message(message):
+    h, v, iota = BROKEN_INVOLUTIONS[message]
+    d = len(h)
+    held = [
+        compose(iota, iota) == identity(d),
+        all(iota[i] != i for i in range(d)),
+        compose_all(iota, h, iota) == inverse(h),
+        compose_all(iota, v, iota) == inverse(v),
+        all(compose(h, iota)[i] != i and compose(v, iota)[i] != i for i in range(d)),
+    ]
+    assert [not ok for ok in held] == [m == message for m in BROKEN_INVOLUTIONS]
+    assert compose(h, h) != identity(d) and compose(v, v) != identity(d)
+    with pytest.raises(ValueError, match=f"^involution {message}$"):
+        validate_involution(Origami(d, h, v), iota)
+    # the same message with asserts stripped
+    code = (
+        "import sys\n"
+        "from pillowtiled.permsurf import Origami, validate_involution\n"
+        "if not sys.flags.optimize:\n"
+        "    raise SystemExit('not running under -O')\n"
+        f"h, v, iota = {(h, v, iota)!r}\n"
+        "try:\n"
+        "    validate_involution(Origami(len(h), h, v), iota)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "    raise SystemExit(7)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(permsurf.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (7, f"involution {message}\n"), proc.stderr
 
 
 def test_double_cover_orders_random():

@@ -136,6 +136,44 @@ def test_json_is_written_without_indent():
     assert not found, "json calls with an indent in src/pillowtiled: " + ", ".join(found)
 
 
+def _unhooked_json(src: Path = SRC) -> list[tuple[str, int, str]]:
+    """(file, line, name) of each json ``dumps`` or ``dump`` call of ``src``
+    that does not pass ``default=json_default``, and of each function
+    named ``json_ready``."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("dumps", "dump") and not any(
+                        kw.arg == "default" and getattr(kw.value, "id", None) == "json_default"
+                        for kw in node.keywords):
+                    found.append((path.name, node.lineno, name))
+            elif isinstance(node, ast.FunctionDef) and node.name == "json_ready":
+                found.append((path.name, node.lineno, "json_ready"))
+    return found
+
+
+def test_json_goes_through_one_hook(tmp_path):
+    # records hold the pipeline's own objects, and formats.json_default,
+    # the default hook, encodes the leaves json cannot; a recursive copy
+    # into lists and dicts before the encoder walks the record again was a
+    # third of a warm ekz line
+    assert _unhooked_json() == []
+    # the guard sees a dumps without the hook and a json_ready in a copy of
+    # the sources
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    cli = tmp_path / "cli.py"
+    text = cli.read_text()
+    assert "json.dumps(value, default=json_default)" in text
+    cli.write_text(text.replace("json.dumps(value, default=json_default)", "json.dumps(value)"))
+    formats = tmp_path / "formats.py"
+    formats.write_text(formats.read_text() + "\n\ndef json_ready(obj):\n    return obj\n")
+    assert [(name, what) for name, _, what in _unhooked_json(tmp_path)] == [
+        ("cli.py", "dumps"), ("formats.py", "json_ready")]
+
+
 def _private_imports(tree: ast.Module, module: str) -> set[tuple[str, str]]:
     """(module, "other._name") for each private name that one src module
     takes from another: by ``from .other import _name``, or as an attribute
@@ -457,8 +495,8 @@ def test_tracer_only_names():
     assert [type(node) for node in rest] == [ast.Raise], [ast.dump(node) for node in rest]
 
 
-# classes that formats.json_ready writes whole into a CLI record, so every
-# field is read by the output itself
+# classes that a CLI record holds whole, splatted with vars() or encoded by
+# formats.json_default, so every field is read by the output itself
 WRITTEN_WHOLE = {"CoverReport", "EKZReport", "LyapunovEstimate"}
 # fields that stay with no attribute read, each with its reason
 UNREAD_ON_PURPOSE = {
