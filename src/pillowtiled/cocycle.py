@@ -26,13 +26,14 @@ earlier walker built is not built or checked again.  That needs no
 re-check: a state is a function of its canonical key ``(h, v, iota)``
 alone, a transition of its source state and the move, and a cycle
 (``GenCycle``, the states and exact products of repeating T or L from a
-state, with the closed-form powers of its full-cycle product and the
-float pencils that the walks multiply by) of its state and generator, so
-an entry built for one line is the entry any other line would build;
-unit relabellings x -> u x of a cyclic cover give the same canonical
-states, and their lines share everything.  A cycle builds its H1-
-products only when first asked for them.  Entries are stored only once
-built, so a build cut short by an exception leaves nothing behind.
+state, with the closed-form powers of its full-cycle product, whose period
+the surface bounds, and the float pencils that the walks multiply by) of
+its state and generator, so an entry built for one line is the entry any
+other line would build; unit relabellings x -> u x of a cyclic cover give
+the same canonical states, and their lines share everything.  A cycle
+builds its H1- products only when first asked for them.  Entries are
+stored only once built, so a build cut short by an exception leaves
+nothing behind.
 
 Each state, move and cycle is a unit of the store's one byte budget,
 dropped when least recently used, during a walk too, and built again,
@@ -52,7 +53,7 @@ from .homology import HomologyBasis, InvolutionSplitting, homology_basis, involu
 from .homology import move_cycles, move_rows
 from .orbit import canonical_labelling, canonical_perms, move
 from .permsurf import Origami, validate_involution
-from .permutations import Perm
+from .permutations import Perm, cycles
 
 __all__ = [
     "StateCache",
@@ -140,14 +141,14 @@ class CyclePowers:
 
     ``cum[j]`` is the product of the first j moves and C = cum[-1] the
     full-cycle product; ``powers`` holds C^0..C^(k-1) and ``nil`` is
-    C^k - I, with nil @ nil == 0.
+    C^k - I, with nil @ nil == 0, for the least k, at most ``cap``.
     """
 
     __slots__ = ("cum", "powers", "nil", "nbytes")
 
-    def __init__(self, cum: list[list[list[int]]]):
+    def __init__(self, cum: list[list[list[int]]], cap: int):
         self.cum = cum
-        self.powers, self.nil = lattice.quasi_unipotent_powers(cum[-1])
+        self.powers, self.nil = lattice.quasi_unipotent_powers(cum[-1], cap)
         self.nbytes = _weight(*cum, *self.powers, self.nil)
 
     def pencil(self, r: int, s: int, period: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -180,9 +181,19 @@ class GenCycle:
     pencils that a walk multiplies its frame by, each built once.  The
     cycle keeps itself in the store once built, and again, re-weighed,
     whenever it builds more.
+
+    The period k of the full-cycle product C is at most ``_cap`` =
+    P n / len(states), n the state's squares and P the order of h for T,
+    of v for L.  T^P (h, v, iota) = (h, v h^-P, h^P iota) is the raw state
+    again (L^P likewise with v), so len(states) divides P, and going
+    P / len(states) times round gives C^(P / len(states)) = Lambda M: M is
+    the multitwist T^P, with (M - I)^2 = 0, and Lambda the composite
+    relabelling, an automorphism of the state that commutes with M.  As
+    <h, v, iota> is transitive, automorphisms act freely on the squares,
+    so the order of Lambda divides n and (C^(P n / len(states)) - I)^2 = 0.
     """
 
-    __slots__ = ("states", "plus", "_cache", "_key", "_nbytes", "_minus", "_pencils")
+    __slots__ = ("states", "plus", "_cap", "_cache", "_key", "_nbytes", "_minus", "_pencils")
 
     def __init__(self, cache: StateCache, key, gen: str):
         cum = [lattice.eye(cache.state(key).splitting.dim_plus)]
@@ -195,7 +206,10 @@ class GenCycle:
             if cur == key:
                 break
             self.states.append(cur)
-        self.plus = CyclePowers(cum)
+        h, v, _ = key
+        order = math.lcm(*map(len, cycles(h if gen == "T" else v)))
+        self._cap = order * len(h) // len(self.states)
+        self.plus = CyclePowers(cum, self._cap)
         self._cache, self._key, self._nbytes = cache, ("cycle", key, gen), 0
         self._minus: CyclePowers | None = None
         self._pencils: dict[tuple[bool, int, int], lattice.Pencil] = {}
@@ -214,7 +228,7 @@ class GenCycle:
             cum = [lattice.eye(len(moves[0]))]
             for M in moves:
                 cum.append(lattice.matmul(M, cum[-1]))
-            self._minus = CyclePowers(cum)
+            self._minus = CyclePowers(cum, self._cap)
             self._grow(self._minus.nbytes)
         return self._minus
 

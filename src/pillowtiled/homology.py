@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from operator import add
 
 from . import lattice
-from .permutations import Perm, inverse
-from .permsurf import Origami, _vertex_classes
+from .permutations import Perm, cycles, inverse
+from .permsurf import Origami
 
 __all__ = [
     "HomologyBasis",
@@ -51,6 +51,17 @@ __all__ = [
     "move_cycles",
     "move_rows",
 ]
+
+
+def _vertex_classes(o: Origami) -> tuple[list[tuple[int, ...]], dict[int, int]]:
+    """Vertex classes as cycles of c, plus square -> class index (of its
+    lower-left corner)."""
+    cs = cycles(o.vertex_permutation())
+    cls_of: dict[int, int] = {}
+    for idx, cyc in enumerate(cs):
+        for sq in cyc:
+            cls_of[sq] = idx
+    return cs, cls_of
 
 
 def _boundary_rows(o: Origami, classes) -> tuple:

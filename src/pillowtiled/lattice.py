@@ -20,19 +20,17 @@ inner dimension, every partial sum of every entry is at most that bound
 in absolute value, so the product runs on int64 in numpy and cannot
 wrap; past the bound it runs on Python ints, and either way the result
 is Python ints.  ``Pencil`` gives the integer matrices P + m * Q rounded
-to float64, in three tiers.  While max|P| + m * max|Q| < 2**53 every
+to float64, in two tiers.  While max|P| + m * max|Q| < 2**53 every
 entry, every product m * q and every sum is an integer that a float64
 holds exactly, so the multiply-add runs on the pencil's float64 arrays
 and its result is the exact value.  Past that, the multiply-add runs
-exactly, on int64 while the bound is below 2**62 and on Python ints past
-it, and the result is rounded to float64; int64 and Python ints both
-round to nearest, so every tier gives the double of the exact integer.
+exactly on Python ints and the result is rounded to the nearest float64,
+so both tiers give the double of the exact integer.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache
 from operator import mul
 
 import numpy as np
@@ -108,11 +106,8 @@ class Pencil:
         self._exact = None if exact else (P, Q)
 
     def exact(self, m: int) -> np.ndarray:
-        """P + m * Q exactly: an int64 array while max|P| + m * max|Q| <
-        2**62, where no entry can wrap, and an array of Python ints past it."""
+        """P + m * Q exactly, as an array of Python ints."""
         P, Q = self._exact or (self.p.astype(np.int64), self.q.astype(np.int64))
-        if P.dtype != object and self._bound_p + m * self._bound_q < _INT64_SAFE:
-            return P + m * Q
         return P.astype(object) + m * Q.astype(object)
 
     def at(self, m: int) -> np.ndarray:
@@ -140,65 +135,20 @@ def mat_eq(a, b) -> bool:
     return shape(a) == shape(b) and all(list(ra) == list(rb) for ra, rb in zip(a, b))
 
 
-class NotQuasiUnipotentError(ArithmeticError):
-    """No power of the matrix is unipotent with (C^k - I)^2 == 0."""
-
-
-@lru_cache(maxsize=None)
-def max_finite_order(n: int) -> int:
-    """Largest order of a finite-order element of GL(n, Z).
-
-    Such an element is rationally a block sum of companion matrices of
-    cyclotomic polynomials Phi_d with sum(phi(d)) == n, and its order is
-    the lcm of the d; every such block sum is integral.  So this is the
-    largest lcm over multisets of d with sum(phi(d)) <= n (padding with
-    d = 1): 2, 6, 6, 12, 12, 30, 30, 60, 60, 120 for n = 1..10.
-
-    phi is multiplicative and a product of factors >= 2 is at least their
-    sum, so a block d may be split into its prime powers at no greater
-    cost; the one factor below 2 is phi(2) == 1, and phi(2m) == phi(m) for
-    odd m, so 2 comes free once any odd prime power is in.  That leaves a
-    knapsack over at most one power p^k per prime, at cost
-    phi(p^k) = p^(k-1) (p - 1).
-    """
-    # odd[c]: the largest product of odd prime powers of total cost <= c
-    odd = [1] * (n + 1)
-    composite = bytearray(n + 2)
-    for p in range(3, n + 2, 2):
-        if composite[p]:
-            continue
-        composite[p * p :: p] = b"\x01" * len(range(p * p, n + 2, p))
-        new = odd[:]
-        power, cost = p, p - 1
-        while cost <= n:
-            for c in range(cost, n + 1):
-                new[c] = max(new[c], odd[c - cost] * power)
-            power, cost = power * p, cost * p
-        odd = new
-    # 2^k costs 2^(k-1), and 2 nothing beside an odd prime power
-    best = 2 * odd[n] if odd[n] > 1 else 1
-    power, cost = 2, 1
-    while cost <= n:
-        best = max(best, power * odd[n - cost])
-        power, cost = 2 * power, 2 * cost
-    return best
-
-
-def quasi_unipotent_powers(c: list[list[int]]):
+def quasi_unipotent_powers(c: list[list[int]], cap: int):
     """Closed form of the powers of a square integer matrix C.
 
-    Finds the least k with (C^k - I)^2 == 0 and returns (powers, nil) with
-    powers == [C^0, ..., C^(k-1)] and nil == C^k - I.  As nil @ nil == 0
-    and nil commutes with C, the binomial expansion of (I + nil)^(q div k)
-    stops after two terms:
+    Finds the least k <= cap with (C^k - I)^2 == 0 and returns (powers,
+    nil) with powers == [C^0, ..., C^(k-1)] and nil == C^k - I.  As
+    nil @ nil == 0 and nil commutes with C, the binomial expansion of
+    (I + nil)^(q div k) stops after two terms:
 
         C^q == C^(q mod k) @ (I + (q div k) * nil)    for every q >= 0.
 
-    The eigenvalues of such a C are roots of unity, so k is the order of
-    its semisimple part, at most max_finite_order(n); past that bound no
-    power qualifies and NotQuasiUnipotentError is raised.
+    The caller bounds k by what it knows of C (``GenCycle`` by its
+    surface); when no power up to ``cap`` qualifies, ArithmeticError is
+    raised.
     """
-    cap = max_finite_order(len(c))
     one = eye(len(c))
     powers = [one]
     cur = c
@@ -208,9 +158,7 @@ def quasi_unipotent_powers(c: list[list[int]]):
             return powers, nil
         powers.append(cur)
         cur = matmul(c, cur)
-    raise NotQuasiUnipotentError(
-        f"no power C^k with k <= {cap} satisfies (C^k - I)^2 == 0"
-    )
+    raise ArithmeticError(f"no power C^k with k <= {cap} satisfies (C^k - I)^2 == 0")
 
 
 def hermite(a: list[list[int]]):

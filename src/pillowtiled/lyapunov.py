@@ -54,14 +54,16 @@ Large digits are cheap: each generator permutes the finite set of
 canonical states along a cycle, so gen^a factors as (partial walk) x
 (full-cycle product)^q.  A full-cycle product C is a parabolic affine
 map, some power of which is a multitwist, so (C^k - I)^2 == 0 for a
-small k found exactly when the cycle is built; then C^q == C^(q mod k)
-(I + (q div k)(C^k - I)).  So a digit's matrix is P + m Q for a pencil
-(P, Q) of its cycle, built once per partial walk and power of C below k
-and kept in the store as float64 arrays (``GenCycle.digit``,
+small k, found exactly when the cycle is built and bounded by the
+surface: k <= e n / (cycle length), e the order of the generator's
+permutation and n the number of squares (``GenCycle``).  Then C^q ==
+C^(q mod k) (I + (q div k)(C^k - I)), so a digit's matrix is P + m Q for
+a pencil (P, Q) of its cycle, built once per partial walk and power of C
+below k and kept in the store as float64 arrays (``GenCycle.digit``,
 ``lattice.Pencil``), and a multiplier m = q div k.  At m = 0 the digit is
 the pencil's own array, and no array is formed; past it, one float
-multiply-add per entry forms it, exact below 2^53 and an exact integer
-multiply-add rounded once past that, so every digit's matrix is the
+multiply-add per entry forms it, exact below 2^53 and a multiply-add on
+Python ints rounded once past that, so every digit's matrix is the
 exact product rounded.  ``lyapunov 30 7 15 10 28 --steps 20000`` (five
 seeds, 100k digits) meets 2297 distinct digits, builds 408 pencils and
 forms 6192 arrays, and peaks at 89 MB; a walker that kept the float

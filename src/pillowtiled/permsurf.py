@@ -313,17 +313,6 @@ def validate_involution(o: Origami, iota: Perm) -> None:
         raise ValueError("involution fixes an edge midpoint")
 
 
-def _vertex_classes(o: Origami) -> tuple[list[tuple[int, ...]], dict[int, int]]:
-    """Vertex classes as cycles of c, plus square -> class index (of its
-    lower-left corner)."""
-    cs = cycles(o.vertex_permutation())
-    cls_of: dict[int, int] = {}
-    for idx, cyc in enumerate(cs):
-        for sq in cyc:
-            cls_of[sq] = idx
-    return cs, cls_of
-
-
 def random_origami(d: int, rng) -> Origami:
     while True:
         h = random_permutation(d, rng)

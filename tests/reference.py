@@ -10,9 +10,8 @@ chain maps of the moves and of the deck involution, the transport of H_1
 along a raw word of moves, the cup product of one pair of 1-cochains, an
 integer left inverse of a saturated basis, a Hermite transform read off
 a stacked pass, kernels by two passes of a textbook Hermite form, the
-largest finite order in GL(n, Z) by a DP over every degree, the corner
-class and the closed-form exponents of a cyclic cover, and the order at
-infinity of a quadratic differential.
+corner class and the closed-form exponents of a cyclic cover, and the
+order at infinity of a quadratic differential.
 """
 
 from __future__ import annotations
@@ -23,13 +22,13 @@ from math import gcd, lcm
 
 from pillowtiled import cocycle, lattice
 from pillowtiled.bform import CurveDifferential
+from pillowtiled.homology import _vertex_classes
 from pillowtiled.orbit import OrbitGraph, move
 from pillowtiled.permsurf import (
     Origami,
     PillowCover,
     Stratum,
     _sorted_orders,
-    _vertex_classes,
     pillow_stratum,
     validate_involution,
 )
@@ -449,28 +448,6 @@ def kernel_basis(a: list[list[int]]) -> list[list[int]]:
             q = ker[c][i] // ker[j][i]
             ker[c] = [x - q * y for x, y in zip(ker[c], ker[j])]
     return ker
-
-
-def max_finite_order(n: int) -> int:
-    """``lattice.max_finite_order`` as a DP over every degree d <= 2 n^2:
-    the largest lcm of a multiset of d with sum(phi(d)) <= n."""
-    # phi(d) >= sqrt(d / 2), so d <= 2 n^2 covers every admissible degree
-    phi = list(range(2 * n * n + 1))
-    for p in range(2, len(phi)):
-        if phi[p] == p:
-            for j in range(p, len(phi), p):
-                phi[j] -= phi[j] // p
-    best = {1: 0}  # lcm -> least total degree reaching it
-    for d in range(2, len(phi)):
-        if phi[d] > n:
-            continue
-        for lcm_, cost in list(best.items()):
-            c = cost + phi[d]
-            if c <= n:
-                new = lcm(lcm_, d)
-                if c < best.get(new, n + 1):
-                    best[new] = c
-    return max(best)
 
 
 # --- cyclic covers --------------------------------------------------------

@@ -13,6 +13,7 @@ from pillowtiled import cocycle, homology, lattice
 from pillowtiled.homology import (
     _cup_matrix,
     _involution_rows,
+    _vertex_classes,
     apply_rows,
     homology_basis,
     involution_on_homology,
@@ -21,7 +22,6 @@ from pillowtiled.homology import (
 )
 from pillowtiled.permsurf import (
     Origami,
-    _vertex_classes,
     orientation_double_cover,
     origami_stratum,
     random_origami,
@@ -167,7 +167,8 @@ def test_basis_checks_raise_without_assertions():
     code = (
         "import sys\n"
         "from pillowtiled import homology\n"
-        "from pillowtiled.permsurf import PillowCover, _vertex_classes, orientation_double_cover\n"
+        "from pillowtiled.homology import _vertex_classes\n"
+        "from pillowtiled.permsurf import PillowCover, orientation_double_cover\n"
         "from tests.reference import boundary_matrices\n"
         "if not sys.flags.optimize:\n"
         "    raise SystemExit('not running under -O')\n"

@@ -252,12 +252,10 @@ def test_matmul_below_the_guard_runs_on_int64(monkeypatch):
 
 def test_pencil_is_the_exact_multiply_add(monkeypatch):
     rng = random.Random(20261019)
-    # guards at 0 send every multiply-add past them: first on the doubles
-    # below 2**53, then on int64 below 2**62, then on Python ints
-    for float_exact, int64_safe in ((lattice._FLOAT_EXACT, lattice._INT64_SAFE),
-                                    (0, lattice._INT64_SAFE), (0, 0)):
+    # a guard at 0 sends every multiply-add past it: first on the doubles
+    # below 2**53, then on Python ints
+    for float_exact in (lattice._FLOAT_EXACT, 0):
         monkeypatch.setattr(lattice, "_FLOAT_EXACT", float_exact)
-        monkeypatch.setattr(lattice, "_INT64_SAFE", int64_safe)
         for t in range(300):
             rows, cols = rng.randint(0, 6), rng.randint(0, 6)
             hi = 2 ** rng.choice((3, 40, 52, 61, 62, 70))
@@ -268,7 +266,7 @@ def test_pencil_is_the_exact_multiply_add(monkeypatch):
                 got = pencil.exact(m)
                 assert got.shape == (rows, cols if rows else 0)
                 assert got.tolist() == want, (t, m)
-                # every tier gives the double nearest the exact integer, the
+                # both tiers give the double nearest the exact integer, the
                 # Python int's own rounding, past 2**53 too
                 rounded = pencil.at(m)
                 assert rounded.dtype == float and rounded.shape == got.shape
@@ -303,14 +301,15 @@ def test_pencil_tiers_meet_at_their_guards(monkeypatch):
     assert lattice.Pencil([[5]], [[0]]).at(10**30).tolist() == [[5.0]]
 
 
-def test_pencil_below_the_guard_runs_on_int64():
+def test_pencil_past_the_guard_runs_on_python_ints():
+    # the exact multiply-add has one path, on Python ints, which no m or
+    # entry can wrap: at 2**62 and past int64 as below them
     x = 2**40
     pencil = lattice.Pencil([[x, -x]], [[1, 2]])
-    m = (2**62 - 1 - x) // 2
-    assert pencil.exact(m).dtype == np.int64
-    assert pencil.exact(m).tolist() == [[x + m, -x + 2 * m]]
-    assert pencil.exact(m + 1).dtype == object  # at the guard: Python ints
-    assert pencil.exact(m + 1).tolist() == [[x + m + 1, -x + 2 * (m + 1)]]
+    for m in (0, (2**62 - 1 - x) // 2, (2**62 + 1 - x) // 2, 2**70):
+        got = pencil.exact(m)
+        assert got.dtype == object and {type(e) for e in got.flat} == {int}
+        assert got.tolist() == [[x + m, -x + 2 * m]]
     past = lattice.Pencil([[2**63, 0]], [[1, -1]])  # an entry past int64
     assert past.exact(5).tolist() == [[2**63 + 5, -5]]
     assert past.at(5).tolist() == [[float(2**63 + 5), -5.0]]
@@ -358,55 +357,48 @@ def test_mat_eq_compares_entries_not_row_types():
         assert not lattice.mat_eq(a, b) and not lattice.mat_eq(b, a)
 
 
-def test_max_finite_order():
-    assert [lattice.max_finite_order(n) for n in range(1, 11)] == [
-        2, 6, 6, 12, 12, 30, 30, 60, 60, 120,
-    ]
-
-
-def test_max_finite_order_matches_the_dp_over_every_degree():
-    # n = 2 is the case a plain prime-power knapsack gets wrong (4, not 6):
-    # 2 costs nothing beside an odd prime power, as phi(6) == phi(3)
-    for n in range(1, 65):
-        assert lattice.max_finite_order(n) == reference.max_finite_order(n), n
-
-
 def test_quasi_unipotent_powers_give_every_power():
     cases = [
-        [[1, 3], [0, 1]],                                     # twist, k = 1
-        [[0, -1], [1, 1]],                                    # order 6
-        [[-1, -2], [0, -1]],                                  # -twist, k = 2
-        [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],  # twist + quarter turn
-        [],
+        ([[1, 3], [0, 1]], 1),                                # twist
+        ([[0, -1], [1, 1]], 6),                               # order 6
+        ([[-1, -2], [0, -1]], 2),                             # -twist
+        ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], 4),  # twist + quarter turn
+        ([], 1),
     ]
-    for c in cases:
-        powers, nil = lattice.quasi_unipotent_powers(c)
-        k = len(powers)
+    for c, least in cases:
+        # a cap at the least k finds it, and a looser one the same k
+        for cap in (least, 3 * least, 60):
+            powers, nil = lattice.quasi_unipotent_powers(c, cap)
+            assert len(powers) == least
         assert not any(any(row) for row in lattice.matmul(nil, nil))
         acc = lattice.eye(len(c))
-        for q in range(3 * k + 3):
-            m, s = divmod(q, k)
+        for q in range(3 * least + 3):
+            m, s = divmod(q, least)
             step = [[x + m * y for x, y in zip(rp, rn)]
                     for rp, rn in zip(lattice.eye(len(c)), nil)]
             assert lattice.matmul(powers[s], step) == acc
             acc = lattice.matmul(c, acc)
-    assert len(lattice.quasi_unipotent_powers(cases[1])[0]) == 6
-    assert len(lattice.quasi_unipotent_powers(cases[3])[0]) == 4
+        # a cap below the least k is a mismatch
+        with pytest.raises(ArithmeticError, match=f"k <= {least - 1} "):
+            lattice.quasi_unipotent_powers(c, least - 1)
 
 
 def test_not_quasi_unipotent_raises_named_error():
-    with pytest.raises(lattice.NotQuasiUnipotentError):
-        lattice.quasi_unipotent_powers([[2, 1], [1, 1]])
-    with pytest.raises(lattice.NotQuasiUnipotentError):
-        lattice.quasi_unipotent_powers([[1, 1, 0], [0, 1, 1], [0, 0, 1]])  # Jordan block of size 3
+    # no power of a hyperbolic matrix, nor of a Jordan block of size 3,
+    # has (C^k - I)^2 == 0: the search raises ArithmeticError at its cap
+    for c in ([[2, 1], [1, 1]], [[1, 1, 0], [0, 1, 1], [0, 0, 1]]):
+        for cap in (0, 1, 60):
+            with pytest.raises(ArithmeticError, match=f"k <= {cap} ") as err:
+                lattice.quasi_unipotent_powers(c, cap)
+            assert err.type is ArithmeticError
 
 
 def test_not_quasi_unipotent_raises_without_assertions():
     code = (
         "from pillowtiled import lattice\n"
         "try:\n"
-        "    lattice.quasi_unipotent_powers([[2, 1], [1, 1]])\n"
-        "except lattice.NotQuasiUnipotentError:\n"
+        "    lattice.quasi_unipotent_powers([[2, 1], [1, 1]], 60)\n"
+        "except ArithmeticError:\n"
         "    raise SystemExit(7)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(lattice.__file__).resolve().parents[1]))

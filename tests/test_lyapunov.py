@@ -31,7 +31,7 @@ from pillowtiled.permsurf import (
 
 from test_permsurf import cyclic_pillow
 from tests.recorded import MONTE_CARLO, TRANSITIONS
-from tests.reference import apply_generator, boundary_matrices, induced_cocycle
+from tests.reference import apply_generator, boundary_matrices, induced_cocycle, order
 from tests.test_orbit import _ekz_lines, _orbit_lines
 from tests.test_store import bookkeeping, forget, kept, own_weight
 
@@ -298,8 +298,13 @@ class TestStateCache:
                     if st not in seen:
                         seen.add(st)
                         todo.append(st)
+                # the surface's bound: k len(states) divides P n, with P the
+                # order of the generator's permutation and n the squares
+                h, v, _ = key
+                bound = order(h if gen == "T" else v) * len(h)
                 for part in (cyc.plus, cyc.minus()):
                     k = len(part.powers)
+                    assert bound % (k * len(cyc.states)) == 0, (key, gen, k)
                     for r in range(len(cyc.states)):
                         acc = part.cum[r]
                         for q in range(3 * k + 3):
@@ -337,6 +342,43 @@ class TestStateCache:
             sp = st.splitting
             for m in (st.basis.cycles, st.basis.functionals, sp.plus_basis, sp.minus_basis):
                 assert bits(m) <= 16
+
+    def test_a_hyperbolic_cycle_raises_within_its_cap(self):
+        # with every move diag([[2, 1], [1, 1]], I) the full-cycle product is
+        # hyperbolic: no power has (C^k - I)^2 == 0, and the search stops at
+        # the surface's cap P n / len(states), in process and with asserts
+        # stripped
+        code = (
+            "import dataclasses\n"
+            "from pillowtiled import cocycle, lattice\n"
+            "from pillowtiled.permsurf import PillowCover, orientation_double_cover\n"
+            "from tests.reference import order\n"
+            "class Hyperbolic(cocycle.StateCache):\n"
+            "    def transition(self, key, gen):\n"
+            "        tr = super().transition(key, gen)\n"
+            "        rest = lattice.eye(len(tr.plus) - 2)\n"
+            "        return dataclasses.replace(tr, plus=lattice.block_diag([[2, 1], [1, 1]], rest))\n"
+            "perms = [tuple((x + a) % 5 for x in range(5)) for a in (1, 2, 2, 5)]\n"
+            "cache = Hyperbolic()\n"
+            "key = cache.canonical_key(*orientation_double_cover(PillowCover(5, *perms)))\n"
+            "h, v, _ = key\n"
+            "for gen, p in (('T', h), ('L', v)):\n"
+            "    cap = order(p) * len(h) // len(cocycle.StateCache().cycle(key, gen).states)\n"
+            "    try:\n"
+            "        cocycle.GenCycle(cache, key, gen)\n"
+            "    except ArithmeticError as exc:\n"
+            "        if f'k <= {cap} ' not in str(exc):\n"
+            "            raise SystemExit(f'{gen}: {exc}')\n"
+            "    else:\n"
+            "        raise SystemExit(f'{gen}: a hyperbolic cycle was accepted')\n"
+            "raise SystemExit(7)\n"
+        )
+        with pytest.raises(SystemExit) as done:
+            exec(code, {})
+        assert done.value.code == 7
+        env = dict(os.environ, PYTHONPATH=str(Path(lattice.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
+        assert proc.returncode == 7, proc.stderr
 
     def test_a_doubled_target_column_raises_under_dash_o(self):
         # with one column of the target's + basis doubled, the moved + lattice
@@ -511,9 +553,9 @@ class TestSharedStateCache:
         # nothing; no line's output depends on the lines before it
         powers, real = [], lattice.quasi_unipotent_powers
 
-        def counted(c):
+        def counted(c, cap):
             powers.append(len(c))
-            return real(c)
+            return real(c, cap)
 
         monkeypatch.setattr(lattice, "quasi_unipotent_powers", counted)
         cover, relabelled = cyclic_pillow(5, (1, 2, 2, 5)), cyclic_pillow(5, (2, 4, 4, 5))

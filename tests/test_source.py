@@ -196,14 +196,77 @@ def _private_imports(tree: ast.Module, module: str) -> set[tuple[str, str]]:
 def test_cross_module_private_imports():
     # a leading underscore keeps a name inside its module; each name another
     # src module reaches past that is pinned here, so a new one fails.  cli
-    # runs the seeds of a lyapunov line as certify does, and homology reads
-    # the surface's vertices as permsurf's stratum does
+    # runs the seeds of a lyapunov line as certify does
     files = sorted(SRC.glob("*.py"))
     assert files, f"no sources under {SRC}"
     found = set().union(*(_private_imports(ast.parse(path.read_text(), filename=str(path)), path.stem)
                           for path in files))
-    assert found == {("cli", "lyapunov._run_seeds"), ("homology", "permsurf._vertex_classes")}, \
-        sorted(found)
+    assert found == {("cli", "lyapunov._run_seeds")}, sorted(found)
+
+
+def _memos(src: Path = SRC) -> dict[str, int | str | None]:
+    """"module.function" -> maxsize of each functools memo of ``src``: None
+    for ``cache`` or ``lru_cache(maxsize=None)``, 128 for a bare
+    ``lru_cache``, and the source text of a maxsize that is not a
+    literal.  A memo made by a call, not a decorator, is named
+    "module:line"."""
+    def name(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    def maxsize(node):
+        if name(node) == "cache":
+            return None
+        if not isinstance(node, ast.Call):
+            return 128
+        sizes = [*node.args[:1], *(kw.value for kw in node.keywords if kw.arg == "maxsize")]
+        if not sizes:
+            return 128
+        return sizes[0].value if isinstance(sizes[0], ast.Constant) else ast.unparse(sizes[0])
+
+    def is_memo(node):
+        return name(node) in ("cache", "lru_cache")
+
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in filter(is_memo, node.decorator_list):
+                    found[f"{path.stem}.{node.name}"] = maxsize(dec)
+                    decorators.add(dec)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and is_memo(node) and node not in decorators:
+                found[f"{path.stem}:{node.lineno}"] = maxsize(node)
+    return found
+
+
+# every functools memo of src, by name, with its bound; what a run keeps
+# without a bound of its own goes through the store's one byte budget
+BOUNDED_MEMOS = {"bform._jacobi_rule": 1024}
+
+
+def test_no_unbounded_memo_outside_the_store(tmp_path):
+    # an unbounded memo grows with every distinct argument for the life of
+    # the process, outside the budget that drops states, moves and cycles
+    memos = _memos()
+    assert [name for name, size in memos.items() if size is None] == []
+    assert memos == BOUNDED_MEMOS
+    # the guard sees each unbounded form in a copy of the sources
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    lattice = tmp_path / "lattice.py"
+    text = lattice.read_text()
+    for anchor in ("def hermite(", "def kernel_basis("):
+        assert text.count(anchor) == 1, anchor
+    text = text.replace("def hermite(", "@lru_cache(maxsize=None)\ndef hermite(")
+    text = text.replace("def kernel_basis(", "@functools.cache\ndef kernel_basis(")
+    lattice.write_text(text + "\n_eye = lru_cache(None)(eye)\n_shape = functools.cache(shape)\n")
+    last = len(lattice.read_text().splitlines())
+    assert _memos(tmp_path) == {**BOUNDED_MEMOS, "lattice.hermite": None,
+                                "lattice.kernel_basis": None, f"lattice:{last - 1}": None,
+                                f"lattice:{last}": None}
 
 
 # what catches an orbit or size cap: the caps themselves and their bases
