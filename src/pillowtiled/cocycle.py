@@ -37,10 +37,14 @@ nothing behind.
 
 Each state, move and cycle is a unit of the store's one byte budget,
 dropped when least recently used, during a walk too, and built again,
-equal, when next asked for.  Each weighs 16 bytes per exact matrix entry
-(``_weight``), and a cycle its float pencils, ``p.nbytes + q.nbytes``
-each, on top; a cycle holds no move, and re-weighs itself whenever it
-builds its H1- products or a pencil.
+equal, when next asked for.  A cycle keeps its exact products packed
+(``lattice.pack``), as fixed-width arrays where every entry fits and as
+rows of Python ints past that, with the same values either way.  A unit
+weighs 16 bytes per entry of its matrices kept as rows, and each packed
+matrix its own bytes and a fixed ``_ARRAY`` bytes (``_weight``); a cycle
+weighs its float pencils, ``p.nbytes + q.nbytes`` each, on top.  A cycle
+holds no move, and re-weighs itself whenever it builds its H1- products
+or a pencil.
 """
 
 from __future__ import annotations
@@ -73,10 +77,17 @@ class StateData:
             self.splitting = involution_splitting(self.basis, iota)
 
 
+# what tracemalloc counts for a packed matrix besides its entries, its
+# header, shape and strides and a list slot: 137 to 141 bytes, 1x1 to 94x94
+_ARRAY = 144
+
+
 def _weight(*mats) -> int:
-    """The bytes exact integer matrices weigh in the store, 16 an entry:
-    tracemalloc counts 9-15 a state entry, 10-25 a move's, 5 <= N <= 30."""
-    return 16 * sum(len(row) for m in mats for row in m)
+    """The bytes exact integer matrices weigh in the store.  A matrix of
+    rows weighs 16 an entry: tracemalloc counts 9-15 a state entry, 10-25
+    a move's, 5 <= N <= 30.  A packed one weighs its bytes and ``_ARRAY``."""
+    return sum(m.nbytes + _ARRAY if hasattr(m, "nbytes") else 16 * sum(map(len, m))
+               for m in mats)
 
 
 def _move_matrix(src: StateData, tgt: StateData, gen: str, label) -> list[list[int]]:
@@ -141,15 +152,18 @@ class CyclePowers:
 
     ``cum[j]`` is the product of the first j moves and C = cum[-1] the
     full-cycle product; ``powers`` holds C^0..C^(k-1) and ``nil`` is
-    C^k - I, with nil @ nil == 0, for the least k, at most ``cap``.
+    C^k - I, with nil @ nil == 0, for the least k, at most ``cap``.  Each
+    is kept packed (``lattice.pack``).
     """
 
     __slots__ = ("cum", "powers", "nil", "nbytes")
 
     def __init__(self, cum: list[list[list[int]]], cap: int):
-        self.cum = cum
-        self.powers, self.nil = lattice.quasi_unipotent_powers(cum[-1], cap)
-        self.nbytes = _weight(*cum, *self.powers, self.nil)
+        powers, nil = lattice.quasi_unipotent_powers(cum[-1], cap)
+        self.cum = [lattice.pack(m) for m in cum]
+        self.powers = [lattice.pack(m) for m in powers]
+        self.nil = lattice.pack(nil)
+        self.nbytes = _weight(*self.cum, *self.powers, self.nil)
 
     def pencil(self, r: int, s: int, period: int) -> tuple[list[list[int]], list[list[int]]]:
         """(P, Q) with cum[r] @ C^(s + m * period) == P + m Q for every

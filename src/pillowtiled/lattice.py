@@ -13,19 +13,25 @@ decomposition and needs no torsion check.
 benchmark tracer looks it up by name.
 
 Everything here works on small dense matrices of Python ints (lists of
-lists), which keeps the homology pipeline exact.  There are two
+lists), which keeps the homology pipeline exact.  There are three
 exceptions, and this is the only module where exact integers meet a
-fixed width.  Inside ``matmul``, when k * max|a| * max|b| < 2**62, k the
-inner dimension, every partial sum of every entry is at most that bound
-in absolute value, so the product runs on int64 in numpy and cannot
-wrap; past the bound it runs on Python ints, and either way the result
-is Python ints.  ``Pencil`` gives the integer matrices P + m * Q rounded
-to float64, in two tiers.  While max|P| + m * max|Q| < 2**53 every
-entry, every product m * q and every sum is an integer that a float64
-holds exactly, so the multiply-add runs on the pencil's float64 arrays
-and its result is the exact value.  Past that, the multiply-add runs
-exactly on Python ints and the result is rounded to the nearest float64,
-so both tiers give the double of the exact integer.
+fixed width.  ``pack`` keeps a matrix that a cache holds on to as a
+read-only int64 array, 8 bytes an entry, when every entry fits in int64,
+and as its rows of Python ints otherwise; the values are the same either
+way.  Inside ``matmul``, which takes rows and packed matrices alike, when
+k * max|a| * max|b| < 2**62, k the inner dimension, every partial sum of
+every entry is at most that bound in absolute value, so the product runs
+on int64 in numpy and cannot wrap; past the bound it runs on Python ints,
+packed operands read back as Python ints first, since int64 scalars would
+wrap silently there, and either way the result is Python ints.
+``Pencil`` gives the integer matrices P + m * Q rounded to float64, in
+two tiers, and keeps P and Q exactly by ``pack``'s rule.  While
+max|P| + m * max|Q| < 2**53 every entry, every product m * q and every
+sum is an integer that a float64 holds exactly, so the multiply-add runs
+on the pencil's float64 arrays and its result is the exact value.  Past
+that, the multiply-add runs exactly on Python ints and the result is
+rounded to the nearest float64, so both tiers give the double of the
+exact integer.
 """
 
 from __future__ import annotations
@@ -52,20 +58,38 @@ def _max_abs(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
+def pack(a: Sequence[Sequence[int]]):
+    """An integer matrix as a cache keeps it: a read-only int64 array of
+    its shape when every entry fits in int64, else ``a`` itself."""
+    try:
+        out = np.array(a, np.int64)
+    except OverflowError:  # an entry past int64: the rows of Python ints
+        return a
+    if out.ndim != 2:  # no rows: a view, of no data, gives the shape
+        out = out.reshape(shape(a))
+    out.flags.writeable = False
+    return out
+
+
+def _rows(a) -> Sequence[Sequence[int]]:
+    """A packed matrix as rows of Python ints; rows as they are."""
+    return a.tolist() if isinstance(a, np.ndarray) else a
+
+
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     """Exact product of integer matrices given as sequences of rows.
 
-    Rows may be lists or tuples; the result is a list of lists of Python
-    ints, computed on int64 below the guard of the module docstring and
-    on Python ints past it.  Mismatched shapes and ragged rows raise
-    ValueError.
+    Rows may be lists or tuples, and a matrix may be packed (``pack``);
+    the result is a list of lists of Python ints, computed on int64 below
+    the guard of the module docstring and on Python ints past it.
+    Mismatched shapes and ragged rows raise ValueError.
     """
-    if not a:  # no rows: the inner dimension cannot be read off, nor matters
+    if not len(a):  # no rows: the inner dimension cannot be read off, nor matters
         return []
-    k, n = len(a[0]), len(b[0]) if b else 0
+    k, n = len(a[0]), len(b[0]) if len(b) else 0
     if len(b) != k:
         raise ValueError(f"shape mismatch {shape(a)} @ {shape(b)}")
-    if set(map(len, a)) != {k} or (b and set(map(len, b)) != {n}):
+    if set(map(len, a)) != {k} or (len(b) and set(map(len, b)) != {n}):
         raise ValueError("ragged rows in a matrix product")
     if not n:  # k == 0 makes b == [], so this covers it too
         return [[] for _ in a]
@@ -76,6 +100,7 @@ def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[
     else:
         if k * _max_abs(A) * _max_abs(B) < _INT64_SAFE:
             return (A @ B).tolist()
+    a, b = _rows(a), _rows(b)  # int64 scalars would wrap past the guard
     bt = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
@@ -85,18 +110,18 @@ class Pencil:
 
     ``p`` and ``q`` are P and Q as read-only float64 arrays, rounded where
     an entry is 2**53 or more; then the exact matrices are kept beside
-    them.  ``at(m)`` is P + m * Q rounded entrywise to the nearest double,
-    in the tiers of the module docstring; at m = 0, or with Q == 0, it is
-    ``p`` itself, and no array is formed.
+    them, packed (``pack``) when both fit in int64.  ``at(m)`` is
+    P + m * Q rounded entrywise to the nearest double, in the tiers of the
+    module docstring; at m = 0, or with Q == 0, it is ``p`` itself, and no
+    array is formed.
     """
 
     __slots__ = ("p", "q", "_exact", "_bound_p", "_bound_q")
 
     def __init__(self, p: Sequence[Sequence[int]], q: Sequence[Sequence[int]]):
-        try:
-            P = np.array(p, np.int64).reshape(shape(p))
-            Q = np.array(q, np.int64).reshape(shape(q))
-        except OverflowError:  # an entry past int64: Python ints throughout
+        P, Q = pack(p), pack(q)
+        if not (isinstance(P, np.ndarray) and isinstance(Q, np.ndarray)):
+            # an entry past int64: Python ints throughout
             P = np.array(p, object).reshape(shape(p))
             Q = np.array(q, object).reshape(shape(q))
         self._bound_p, self._bound_q = _max_abs(P), _max_abs(Q)

@@ -231,6 +231,45 @@ def test_matmul_stays_exact_past_int64():
     assert lattice.matmul([[0, 0]], [[-(2**80)], [2**64]]) == [[0]]
 
 
+def test_pack_keeps_every_value():
+    # a matrix whose entries fit is one read-only int64 array of its shape;
+    # one past int64 stays the rows it was given
+    fits = [[2**63 - 1, -(2**63), 0], [1, -1, 5]]
+    packed = lattice.pack(fits)
+    assert packed.dtype == np.int64 and packed.shape == (2, 3)
+    assert not packed.flags.writeable
+    assert packed.tolist() == fits and lattice.mat_eq(packed, fits)
+    past = [[2**63, 0]]
+    assert lattice.pack(past) is past
+    assert lattice.pack([]).shape == (0, 0)
+    assert lattice.pack(((1, 2),)).tolist() == [[1, 2]]
+
+
+def test_matmul_reads_packed_operands_as_rows():
+    rng = random.Random(20261021)
+    modes = ("small", "below", "above", "huge")
+    for t in range(400):
+        m, k, n = (rng.randint(1, 12) for _ in range(3))
+        a, b = _guarded_operands(rng, m, k, n, modes[t % 4])
+        want = _matmul_reference(a, b)
+        for x, y in ((lattice.pack(a), b), (a, lattice.pack(b)), (lattice.pack(a), lattice.pack(b))):
+            got = lattice.matmul(x, y)
+            assert got == want, (t, m, k, n)
+            assert all(type(z) is int for row in got for z in row)
+
+
+def test_packed_operands_past_the_guard_stay_exact(monkeypatch):
+    # a guard at 0 sends every product to Python ints; packed operands are
+    # read back as Python ints first, since int64 scalars wrap at 2**63
+    monkeypatch.setattr(lattice, "_INT64_SAFE", 0)
+    a = lattice.pack([[2**40]])
+    assert isinstance(a, np.ndarray)
+    got = lattice.matmul(a, a)
+    assert got == [[2**80]] and type(got[0][0]) is int
+    assert lattice.matmul(a, [[2**70]]) == [[2**110]]
+    assert lattice.matmul([[-(2**70)]], a) == [[-(2**110)]]
+
+
 def test_matmul_below_the_guard_runs_on_int64(monkeypatch):
     products = []
 

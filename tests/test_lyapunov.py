@@ -302,9 +302,21 @@ class TestStateCache:
                 # order of the generator's permutation and n the squares
                 h, v, _ = key
                 bound = order(h if gen == "T" else v) * len(h)
-                for part in (cyc.plus, cyc.minus()):
+                moves = [walker.cache.transition(st, gen) for st in cyc.states]
+                for part, half in ((cyc.plus, "plus"), (cyc.minus(), "minus")):
                     k = len(part.powers)
                     assert bound % (k * len(cyc.states)) == 0, (key, gen, k)
+                    # the kept products, packed or not, are the exact ones
+                    for j, tr in enumerate(moves):
+                        want = lattice.matmul(getattr(tr, half), part.cum[j])
+                        assert lattice.mat_eq(part.cum[j + 1], want)
+                    power = lattice.eye(len(part.nil))
+                    for kept_power in part.powers:
+                        assert lattice.mat_eq(kept_power, power)
+                        power = lattice.matmul(part.cum[-1], power)
+                    one = lattice.eye(len(part.nil))
+                    assert lattice.mat_eq(part.nil, [[x - y for x, y in zip(rp, ri)]
+                                                     for rp, ri in zip(power, one)])
                     for r in range(len(cyc.states)):
                         acc = part.cum[r]
                         for q in range(3 * k + 3):
@@ -481,12 +493,15 @@ class TestSharedStateCache:
         # budget drops its own least recently used units and builds them
         # again when it comes back to them, with a cold run's output
         lines = [cyclic_pillow(5, (1, 2, 2, 5)), cyclic_pillow(6, (1, 1, 5, 5))]
-        cold = []
+        cold, kept_bytes = [], []
         for cover in lines:
             store.clear()
             cold.append(_run_seeds(cover, 800, (1, 2)))
+            kept_bytes.append(store.nbytes)
         store.clear()
-        budget = 250_000  # less than either walk keeps at the default budget
+        # two thirds of what the lighter walk keeps at the default budget,
+        # so that either walk outgrows it
+        budget = 2 * min(kept_bytes) // 3
         monkeypatch.setattr(store, "BUDGET", budget)
         built = self.spy_builds(monkeypatch)
         real, held = store.keep, []
@@ -505,18 +520,43 @@ class TestSharedStateCache:
         # some walk built a state again that it had built itself
         assert max(rebuilt) > 0, rebuilt
 
-    # 8 1 3 5 7 walks 6 states, and its two seeds keep 1.72 MiB at the
-    # default budget; 1,000,000 bytes is 1.7x below that, as the 64 MiB
-    # budget is below the 110 MiB that lyapunov 48 1 23 25 47 keeps.  The
-    # walk then drops 441 units and builds 97 states, the same counts on
-    # every run
+    # 8 1 3 5 7 walks 6 states, and its two seeds keep 1.51 MiB at the
+    # default budget; 1,000,000 bytes is below that, as the 64 MiB budget
+    # was below the 110 MiB that lyapunov 48 1 23 25 47 kept with its
+    # cycle products as rows.  The walk then drops 214 units and builds
+    # 48 states, the same counts on every run
     @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 28: a walk past the byte budget rebuilds its states")
+                       reason="ROADMAP item 28: with packed cycle products a walk past the "
+                              "byte budget still rebuilds its states, 48 for 6 (97 before)")
     def test_a_walk_past_the_budget_builds_each_state_once(self, monkeypatch):
         monkeypatch.setattr(store, "BUDGET", 1_000_000)
         built = self.spy_builds(monkeypatch)
         _run_seeds(CyclicCoverSpec(8, (1, 3, 5, 7)), 200, (1, 2))
         assert len(built) <= 6, len(built)
+
+    def test_the_documented_n48_line_fits_the_budget(self, monkeypatch):
+        # lyapunov 48 1 23 25 47 --steps 200 --seeds 1,2,3 walks 6 states
+        # and 12 generator cycles; with its products as rows of Python ints
+        # it outgrew the default budget and built 94 states and 163 cycles
+        # in about 50 s, against about 4 s once packed
+        assert store.BUDGET == 1 << 26
+        built = self.spy_builds(monkeypatch)
+        cycles, real = [], cocycle.GenCycle
+
+        class Spy(real):
+            __slots__ = ()
+
+            def __init__(self, cache, key, gen):
+                cycles.append((key, gen))
+                super().__init__(cache, key, gen)
+
+        monkeypatch.setattr(cocycle, "GenCycle", Spy)
+        start = time.perf_counter()
+        _run_seeds(CyclicCoverSpec(48, (1, 23, 25, 47)), 200, (1, 2, 3))
+        elapsed = time.perf_counter() - start
+        assert len(built) == 6 and len(set(built)) == 6, len(built)
+        assert len(cycles) == 12 and len(set(cycles)) == 12, len(cycles)
+        assert elapsed < 60.0, elapsed
 
     def test_trim_keeps_the_states_a_later_line_reused(self, monkeypatch):
         # A is run, then B, then A again, then C; A's second run uses its
@@ -587,7 +627,10 @@ class TestSharedStateCache:
             return sum(len(row) for m in mats for row in m)
 
         def products(part):
-            return entries(*part.cum, *part.powers, part.nil)
+            # every product of this line fits in int64, so each is packed
+            mats = [*part.cum, *part.powers, part.nil]
+            assert all(isinstance(m, np.ndarray) and m.dtype == np.int64 for m in mats)
+            return sum(m.nbytes + cocycle._ARRAY for m in mats)
 
         # a state and a move weigh 16 bytes per exact matrix entry, besides
         # the store's bookkeeping
@@ -598,18 +641,19 @@ class TestSharedStateCache:
         for k in kept("move"):
             tr = cache.transition(*k)
             assert own_weight(k) == 16 * entries(tr.plus, tr.minus)
-        # a cycle weighs its exact products, the minus ones once built, and
-        # p.nbytes + q.nbytes per pencil, H1+ alone or diag(H1+, H1-) with
-        # its zero blocks, and re-weighs itself as it grows
+        # a cycle weighs its exact products, each packed one its bytes and
+        # a fixed overhead, the minus ones once built, and p.nbytes +
+        # q.nbytes per pencil, H1+ alone or diag(H1+, H1-) with its zero
+        # blocks, and re-weighs itself as it grows
         unit = ("cycle", cyc.states[0], "T")
         n = len(cyc.plus.nil)
         before = own_weight(unit)
-        assert before == 16 * products(cyc.plus)
+        assert before == products(cyc.plus)
         cyc.digit(5 * len(cyc.states) + 1, False)
         assert own_weight(unit) == before + 2 * 8 * n * n
         cyc.minus()
         with_minus = own_weight(unit)
-        assert with_minus == before + 2 * 8 * n * n + 16 * products(cyc.minus())
+        assert with_minus == before + 2 * 8 * n * n + products(cyc.minus())
         cyc.digit(5 * len(cyc.states) + 1, True)
         n += len(cyc.minus().nil)
         assert own_weight(unit) == with_minus + 2 * 8 * n * n

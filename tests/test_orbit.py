@@ -17,6 +17,7 @@ import pytest
 from pillowtiled import cli, cylinders, orbit, permsurf, store
 from pillowtiled.cli import RunConfig
 from pillowtiled.coverings import CyclicCoverSpec, cyclic_to_pillow, iter_specs
+from pillowtiled.formats import parse_origami_line
 from pillowtiled.homology import move_rows
 from pillowtiled.orbit import (
     OrbitCapExceeded,
@@ -36,6 +37,7 @@ from pillowtiled.permsurf import (
 )
 from pillowtiled.permutations import (
     compose,
+    cycles,
     format_cycles,
     identity,
     inverse,
@@ -388,6 +390,36 @@ def test_starts_mapped_by_a_found_automorphism_are_skipped():
     perms = (_ReadLog(c, read), identity(d))
     assert canonical_labelling(perms, d) == reference_labelling((c, identity(d)), d)
     assert len(read) == 2 * d
+
+
+def _start_in_a_shortest_h_cycle(h, start):
+    """The length of the shortest h-cycle, and whether ``start`` lies in one."""
+    cycs = cycles(h)
+    short = min(map(len, cycs))
+    return short, any(start in c for c in cycs if len(c) == short)
+
+
+def test_a_least_start_lies_in_a_shortest_h_cycle_only_up_to_length_three():
+    # a start in a shortest h-cycle of length 1, 2 or 3 relabels h to
+    # (0, ...), (1, 0, ...) or (1, 2, 0, ...), which no other start
+    # reaches; at length 4 the least start can lie in a longer cycle: here
+    # square 6, in the 5-cycle of h, while (4 8 9 7) is the shortest
+    o = parse_origami_line("9; (1 2 6 3 5)(4 8 9 7); (1 8)(2 9 7 3 5 4)")
+    best, label = canonical_labelling((o.h, o.v), o.d)
+    assert (best, label) == reference_labelling((o.h, o.v), o.d)
+    start = label.index(0)
+    assert start + 1 == 6
+    assert _start_in_a_shortest_h_cycle(o.h, start) == (4, False)
+    rng = np.random.default_rng(1151)
+    seen = set()
+    for _ in range(600):
+        o = random_origami(int(rng.integers(4, 10)), rng)
+        best, label = canonical_labelling((o.h, o.v), o.d)
+        short, inside = _start_in_a_shortest_h_cycle(o.h, label.index(0))
+        if short <= 3:
+            assert inside, (o.h, o.v)
+            seen.add(short)
+    assert seen == {1, 2, 3}
 
 
 def test_bad_input_raises_without_assertions():

@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from pillowtiled import cli, cylinders, orbit, store
+from pillowtiled import cli, cocycle, cylinders, lattice, orbit, store
 from pillowtiled.cocycle import StateCache
 from pillowtiled.coverings import CyclicCoverSpec, cyclic_to_pillow
 from pillowtiled.permsurf import orientation_double_cover
@@ -188,4 +188,17 @@ def test_each_weight_is_within_twice_what_tracemalloc_counts(kind, spec):
 
         traced = _traced(build)
         weighed = weight(("cycle", key, "T"))
+    assert traced / 2 <= weighed <= 2 * traced, (traced, weighed)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 7), (94, 94)])
+def test_a_packed_matrix_weighs_within_twice_what_tracemalloc_counts(m, n):
+    # a cycle keeps its exact products as packed arrays in a list; on a
+    # 1x1 one the fixed overhead is nearly all of it, on a 94x94 one the
+    # entries (the N = 48 line's diag(H1+, H1-) is 94 wide)
+    rows = [[(7 * i + 3 * j) % 11 - 5 for j in range(n)] for i in range(m)]
+    kept = []
+    traced = _traced(lambda: kept.extend(lattice.pack(rows) for _ in range(100))) / 100
+    weighed = cocycle._weight(kept[0])
+    assert weighed == 8 * m * n + cocycle._ARRAY
     assert traced / 2 <= weighed <= 2 * traced, (traced, weighed)
