@@ -71,11 +71,6 @@ def pack(a: Sequence[Sequence[int]]):
     return out
 
 
-def _rows(a) -> Sequence[Sequence[int]]:
-    """A packed matrix as rows of Python ints; rows as they are."""
-    return a.tolist() if isinstance(a, np.ndarray) else a
-
-
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     """Exact product of integer matrices given as sequences of rows.
 
@@ -100,7 +95,8 @@ def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[
     else:
         if k * _max_abs(A) * _max_abs(B) < _INT64_SAFE:
             return (A @ B).tolist()
-    a, b = _rows(a), _rows(b)  # int64 scalars would wrap past the guard
+    # packed operands as Python ints: int64 scalars would wrap past the guard
+    a, b = (x.tolist() if isinstance(x, np.ndarray) else x for x in (a, b))
     bt = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
 

@@ -5,12 +5,11 @@ the walkers' state cache (:mod:`.cocycle`) keep what they build here, as
 units: a value under one or more keys, weighing the bytes its module
 gives it plus the store's own bookkeeping, within 2x of what tracemalloc
 counts (``tests/test_store.py``).  A matrix kept as Python ints weighs 16
-bytes an entry, and an array, such as a generator cycle's packed exact
-products and its float pencils, its own bytes, a packed one with a fixed
-overhead on top.  The bookkeeping, a ``_Unit``, its
-``OrderedDict`` node and an ``index`` entry per key, is a fixed cost that
-tracemalloc puts at about 120 bytes a unit and 60 a key, dict growth
-amortized, on 10^3 to 10^5 units.
+bytes an entry, and an array its own bytes, with a fixed overhead on top
+for a generator cycle's packed exact products (``cocycle._weight``).
+The bookkeeping, a ``_Unit``, its ``OrderedDict`` node and an ``index``
+entry per key, is a fixed cost that tracemalloc puts at about 120 bytes
+a unit and 60 a key, dict growth amortized, on 10^3 to 10^5 units.
 No two caches' keys have one shape: packed vertices (bytes), corner classes
 (N, a), and states (h, v, iota), moves (state, gen) and cycles ("cycle",
 state, gen).  ``index`` maps each key to its unit.
