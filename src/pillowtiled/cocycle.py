@@ -42,7 +42,8 @@ equal, when next asked for.  A cycle keeps its exact products packed
 rows of Python ints past that, with the same values either way.  A unit
 weighs 16 bytes per entry of its matrices kept as rows, and each packed
 matrix its own bytes and a fixed ``_ARRAY`` bytes (``_weight``); a cycle
-weighs its float pencils, ``p.nbytes + q.nbytes`` each, on top.  A cycle
+weighs its float pencils, ``p.nbytes + q.nbytes`` each, on top, or
+``p.nbytes`` alone where Q is zero and the pencil keeps no ``q``.  A cycle
 holds no move, and re-weighs itself whenever it builds its H1- products
 or a pencil.
 """
@@ -268,7 +269,7 @@ class GenCycle:
                 P_minus, Q_minus = self.minus().pencil(r, s, k)
                 P, Q = lattice.block_diag(P, P_minus), lattice.block_diag(Q, Q_minus)
             pencil = self._pencils[with_minus, r, s] = lattice.Pencil(P, Q)
-            self._grow(pencil.p.nbytes + pencil.q.nbytes)
+            self._grow(pencil.p.nbytes + (0 if pencil.q is None else pencil.q.nbytes))
         return pencil, m, self.states[r]
 
 

@@ -351,13 +351,17 @@ def _summary(logs, mp: int, rows, taut: float, steps: int, seed: int) -> Lyapuno
     dt = np.array([r[1] for r in rows])
     brng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xB5))))
     idx = brng.integers(0, len(rows), size=(_BOOTSTRAP_RESAMPLES, len(rows)))
+    # numpy sums dt[idx] pairwise along its contiguous last axis, and the
+    # block sums of dl block after block along the first axis of
+    # dl[idx.T]: the additions of dl[idx].sum(axis=1), in its order, at
+    # more than twice its speed
     denom = np.maximum(dt[idx].sum(axis=1), 1e-9)[:, None]
 
     def spectrum(logs, dl):
         if logs.size == 0:
             return (), ()
         lam = np.maximum(logs / taut, 0.0)
-        boots = dl[idx].sum(axis=1) / denom
+        boots = dl[idx.T].sum(axis=0) / denom
         err = boots.std(axis=0, ddof=1)
         return tuple(float(v) for v in lam), tuple(float(e) for e in err)
 

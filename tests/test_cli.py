@@ -9,6 +9,9 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -535,6 +538,7 @@ class TestJsonLayout:
         # the first run's records, in input order, as the indent-2 writer
         # would have written them
         records = records[: len(lines)]
+        assert stdout == one_shot(records)
         indented = json.dumps(records, indent=2, sort_keys=True, default=json_default)
         assert parsed == json.loads(stdout) == json.loads(indented)
         for line, record in zip(lines, parsed):
@@ -574,6 +578,76 @@ class TestJsonLayout:
         out = stdout.splitlines()
         assert len(out) == 4
         assert [json.loads(row.removesuffix(","))["report"] for row in out[1:3]] == [fake.report] * 2
+
+
+def one_shot(records) -> str:
+    """The JSON array as written with one json.dumps call per record."""
+    if not records:
+        return "[]\n"
+    return "[\n" + ",\n".join(json.dumps(r, sort_keys=True, default=json_default, check_circular=False)
+                              for r in records) + "\n]\n"
+
+
+# two long orbit records: a 768-vertex origami orbit (62 KB of JSON), the
+# size of the largest records of a cold exact_pairing bench pass, and a
+# 156-vertex pillow state orbit (39 KB)
+LONG_ORBIT_LINES = ["7; (1 4 7 5 2 6); (1 6)(2 7 3)(4 5)",
+                    "5; (1 2 3)(4 5); (1 2 5 4); (2 4 3); (1 5)(3 4)"]
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    n: int
+    pair: tuple
+
+
+def test_long_records_are_encoded_as_one_call_would(monkeypatch):
+    # a record with a top-level sequence longer than _PIECE is encoded in
+    # pieces; its bytes are those of one json.dumps call on the record
+    k = cli._PIECE
+    leaves = [7, "é\n\"", Fraction(-1, 3), 0.1 + 2j, 1e300, None, True, _Leaf(2, ("z", Fraction(5))),
+              ((1, 2), [3, (4,)]), {"b": 1, "a": [Fraction(1, 2)]}]
+    records = [{}]
+    for n in (0, 1, k - 1, k, k + 1, 3 * k + 1):
+        seq = [leaves[i % len(leaves)] for i in range(n)]
+        records += [{"list": seq, "tuple": tuple(seq), "B": n, "a": [seq, seq], "z": {"inner": seq}},
+                    {"only": tuple(seq)}, {"x": 1j, "ints": list(range(n)), "Z": _Leaf(n, (seq,))}]
+    config = RunConfig("orbit", "unused")
+    rng = np.random.Generator(np.random.PCG64(1213))
+    lines = [*LONG_ORBIT_LINES, *LAYOUT_INPUTS["orbit"]]
+    for degree in (6, 7):
+        lines += [_cycles_line(degree, (o.h, o.v)) for o in (random_origami(degree, rng) for _ in range(4))]
+    for degree in (4, 5):
+        lines += [_cycles_line(degree, random_pillow_cover(degree, rng).corner_perms()) for _ in range(4)]
+    orbits = [cli._cmd_orbit(line, config)[0] for line in lines]
+    assert sum(r["size"] > k for r in orbits) >= 4 and sum(len(r["edges"]) > k for r in orbits) >= 6
+    records += orbits
+    seen, dumps = [], cli._dumps
+    monkeypatch.setattr(cli, "_dumps", lambda value: seen.append(value) or dumps(value))
+    assert cli._json_lines(records) == one_shot(records)
+    for record in records:
+        assert cli._json_lines([record]) == one_shot([record])
+    # a record with a long sequence is never encoded whole, and no call
+    # takes more than a piece of a sequence
+    whole = {id(v) for v in seen}
+    long = [r for r in records if any(isinstance(v, (list, tuple)) and len(v) > k for v in r.values())]
+    assert len(long) > 20 and not any(id(r) in whole for r in long)
+    assert all(len(v) <= k for v in seen if isinstance(v, (list, tuple)))
+
+
+@pytest.mark.parametrize("line", LONG_ORBIT_LINES)
+def test_a_long_record_encodes_within_four_times_its_text(line):
+    # one json.dumps call on these records holds one small string per token
+    # until it returns: 18 and 19 times their text at its peak
+    record, _ = cli._cmd_orbit(line, RunConfig("orbit", "unused"))
+    assert record["size"] >= (700 if line.count(";") == 2 else 150)
+    tracemalloc.start()
+    try:
+        text = cli._json_lines([record])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text), peak / len(text)
 
 
 # a valid cyclic line far past the size caps of lyapunov and bform, and

@@ -354,6 +354,18 @@ def test_pencil_past_the_guard_runs_on_python_ints():
     assert past.at(5).tolist() == [[float(2**63 + 5), -5.0]]
 
 
+def test_a_zero_q_pencil_keeps_no_q():
+    # a cycle product of finite order gives Q == 0, and then the pencil
+    # keeps P alone, in each exact tier: doubles, int64, Python ints
+    for P in ([[3, -1], [0, 2]], [[2**60, -7]], [[2**63, -5]]):
+        pencil = lattice.Pencil(P, [[0] * len(P[0]) for _ in P])
+        assert pencil.q is None
+        for m in (0, 1, 10**12):
+            got = pencil.exact(m)
+            assert got.tolist() == P and {type(e) for e in got.flat} == {int}
+            assert pencil.at(m) is pencil.p
+
+
 def test_block_diag():
     assert lattice.block_diag([[1, 2], [3, 4]], [[5]]) == [[1, 2, 0], [3, 4, 0], [0, 0, 5]]
     assert lattice.block_diag([], [[7]]) == [[7]]

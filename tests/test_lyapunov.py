@@ -659,6 +659,15 @@ class TestSharedStateCache:
         assert own_weight(unit) == with_minus + 2 * 8 * n * n
         assert len(kept("cycle")) == 5
         assert store.nbytes == sum(unit.nbytes for unit in store._units)
+        # on 5 1 2 2 5 the H1+ cycle products have finite order: a pencil
+        # there has Q == 0 and weighs its p alone
+        o, iota = orientation_double_cover(cyclic_pillow(5, (1, 2, 2, 5)))
+        cyc = cache.cycle(cache.canonical_key(o, iota), "T")
+        unit, n = ("cycle", cyc.states[0], "T"), len(cyc.plus.nil)
+        before = own_weight(unit)
+        pencil, _, _ = cyc.digit(5 * len(cyc.states) + 1, False)
+        assert pencil.q is None and own_weight(unit) == before + 8 * n * n
+        assert store.nbytes == sum(unit.nbytes for unit in store._units)
 
     def test_a_lookup_marks_the_state_used(self):
         cache = StateCache()
@@ -850,6 +859,26 @@ class TestMonteCarlo:
         est = run_monte_carlo(cyclic_pillow(6, (1, 1, 5, 5)), 20, 1)
         assert max(est.stderr_plus + est.stderr_minus) > 0.1
         assert "bootstrap error above 0.1; increase steps" in est.warnings
+
+    @pytest.mark.parametrize("seed", [1, 2, 0x5EED])
+    def test_bootstrap_block_sums_keep_their_bits(self, seed):
+        # _summary sums each resample's blocks as dl[idx.T].sum(axis=0),
+        # the additions of dl[idx].sum(axis=1) in its order: the error bars
+        # keep their bits for every block count, on both halves' columns
+        rng = np.random.Generator(np.random.PCG64(seed))
+        mp, cols = 3, 8
+        for m in range(1, 65):
+            dl = rng.standard_normal((m, cols)) * 10.0 ** rng.integers(-6, 7, size=(m, cols))
+            dt = rng.uniform(0.5, 2.0, m)
+            rows = [(dl[i], dt[i], 100) for i in range(m)]
+            est = lyapunov._summary(dl.sum(axis=0), mp, rows, float(dt.sum()), 100 * m, seed)
+            brng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xB5))))
+            idx = brng.integers(0, m, size=(lyapunov._BOOTSTRAP_RESAMPLES, m))
+            denom = np.maximum(dt[idx].sum(axis=1), 1e-9)[:, None]
+            for half, err in ((dl[:, :mp], est.stderr_plus), (dl[:, mp:], est.stderr_minus)):
+                assert half[idx.T].sum(axis=0).tobytes() == half[idx].sum(axis=1).tobytes()
+                old = (half[idx].sum(axis=1) / denom).std(axis=0, ddof=1)
+                assert err == tuple(float(e) for e in old), m
 
     def test_the_square_cap_is_checked_before_the_double_cover(self, monkeypatch):
         # four double-cover squares per sheet: degree 128 reaches the double

@@ -174,6 +174,51 @@ def test_json_goes_through_one_hook(tmp_path):
         ("cli.py", "dumps"), ("formats.py", "json_ready")]
 
 
+def _record_encoding(src: Path = SRC) -> list[tuple[str, int, str]]:
+    """(owner, line, what) of each break in cli's one way to encode a
+    record: a json ``dumps`` call outside ``_dumps``, which encodes records
+    and their pieces, and ``_cell``, which encodes a CSV cell, or a second
+    one inside either; a read of ``_PIECE`` outside ``_json_lines``, and a
+    binding of it other than one module-level int literal.  The owner is
+    the top-level function or class, or "<module>"."""
+    found, encoders, bound = [], set(), False
+    for top in ast.parse((src / "cli.py").read_text()).body:
+        owner = getattr(top, "name", "<module>")
+        literal = isinstance(top, ast.Assign) and isinstance(top.value, ast.Constant) \
+            and type(top.value.value) is int
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("dumps", "dump"):
+                if owner in encoders or owner not in ("_dumps", "_cell"):
+                    found.append((owner, node.lineno, "dumps"))
+                encoders.add(owner)
+            elif isinstance(node, ast.Name) and node.id == "_PIECE":
+                if isinstance(node.ctx, ast.Load) and owner == "_json_lines":
+                    continue
+                if isinstance(node.ctx, ast.Store) and literal and not bound:
+                    bound = True
+                    continue
+                found.append((owner, node.lineno, "_PIECE"))
+    return found
+
+
+def test_records_are_encoded_in_one_place(tmp_path):
+    # a record goes to json through cli._dumps alone, whole or in pieces of
+    # _PIECE items of a long top-level sequence; the piece size is a module
+    # constant that no flag, environment variable or RunConfig field sets
+    assert _record_encoding() == []
+    # the guard sees a second encoding path and a piece size read from the
+    # environment in a copy of cli
+    text = (SRC / "cli.py").read_text()
+    for old, new in (("            parts.append(_dumps(record))\n",
+                      "            parts.append(json.dumps(record, sort_keys=True, default=json_default))\n"),
+                     ("\n_PIECE = 16\n", '\n_PIECE = int(os.environ.get("PILLOWTILED_PIECE", 16))\n')):
+        assert old in text
+        text = text.replace(old, new)
+    (tmp_path / "cli.py").write_text(text)
+    assert [(owner, what) for owner, _, what in _record_encoding(tmp_path)] == [
+        ("<module>", "_PIECE"), ("_json_lines", "dumps")]
+
+
 def _private_imports(tree: ast.Module, module: str) -> set[tuple[str, str]]:
     """(module, "other._name") for each private name that one src module
     takes from another: by ``from .other import _name``, or as an attribute
