@@ -64,7 +64,7 @@ EXIT_CONTRADICTION = 4
 
 DISC_POINTS = (0.3, 0.2 + 0.7j)
 
-# items of a long top-level record sequence per json.dumps call (_json_lines)
+# items of a long top-level record sequence per encoder call (_json_lines)
 _PIECE = 16
 
 
@@ -239,8 +239,9 @@ def _write_csv(records: list[dict], stream) -> None:
         writer.writerow({k: _cell(v) for k, v in rec.items()})
 
 
-def _dumps(value) -> str:
-    return json.dumps(value, sort_keys=True, default=json_default, check_circular=False)
+# a record or a piece of one as JSON text: json.dumps(value, sort_keys=True,
+# default=json_default, check_circular=False) without a new encoder a call
+_dumps = json.JSONEncoder(sort_keys=True, default=json_default, check_circular=False).encode
 
 
 def _json_lines(records: list[dict]) -> str:

@@ -106,10 +106,11 @@ class Pencil:
 
     ``p`` and ``q`` are P and Q as read-only float64 arrays, rounded where
     an entry is 2**53 or more; then the exact matrices are kept beside
-    them, packed (``pack``) when both fit in int64.  A zero Q is kept
-    nowhere: ``q`` is None.  ``at(m)`` is P + m * Q rounded entrywise to
-    the nearest double, in the tiers of the module docstring; at m = 0,
-    or with Q == 0, it is ``p`` itself, and no array is formed.
+    them, packed (``pack``) when both fit in int64.  Where Q is zero,
+    ``q`` is None and P + m * Q is P.  ``at(m)`` is P + m * Q rounded
+    entrywise to the nearest double, in the tiers of the module
+    docstring; at m = 0, or with Q == 0, it is ``p`` itself, and no array
+    is formed.
     """
 
     __slots__ = ("p", "q", "_exact", "_bound_p", "_bound_q")
@@ -121,21 +122,20 @@ class Pencil:
             P = np.array(p, object).reshape(shape(p))
             Q = np.array(q, object).reshape(shape(q))
         self._bound_p, self._bound_q = _max_abs(P), _max_abs(Q)
-        if not self._bound_q:
-            Q = None
-        self.p = P.astype(float)
-        self.q = None if Q is None else Q.astype(float)
-        for a in (self.p, self.q):
-            if a is not None:
-                a.flags.writeable = False
+        self.p, self.q = P.astype(float), None
+        self.p.flags.writeable = False
+        if self._bound_q:
+            self.q = Q.astype(float)
+            self.q.flags.writeable = False
         exact = max(self._bound_p, self._bound_q) < _FLOAT_EXACT
         self._exact = None if exact else (P, Q)
 
     def exact(self, m: int) -> np.ndarray:
-        """P + m * Q exactly, as an array of Python ints; P where Q == 0."""
-        P, Q = self._exact or (self.p.astype(np.int64),
-                               None if self.q is None else self.q.astype(np.int64))
-        return P.astype(object) if Q is None else P.astype(object) + m * Q.astype(object)
+        """P + m * Q exactly, as an array of Python ints."""
+        if not self._bound_q:
+            return (self._exact[0] if self._exact else self.p.astype(np.int64)).astype(object)
+        P, Q = self._exact or (self.p.astype(np.int64), self.q.astype(np.int64))
+        return P.astype(object) + m * Q.astype(object)
 
     def at(self, m: int) -> np.ndarray:
         """P + m * Q, each entry the double nearest the exact integer."""

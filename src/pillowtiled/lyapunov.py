@@ -351,10 +351,12 @@ def _summary(logs, mp: int, rows, taut: float, steps: int, seed: int) -> Lyapuno
     dt = np.array([r[1] for r in rows])
     brng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xB5))))
     idx = brng.integers(0, len(rows), size=(_BOOTSTRAP_RESAMPLES, len(rows)))
-    # numpy sums dt[idx] pairwise along its contiguous last axis, and the
-    # block sums of dl block after block along the first axis of
-    # dl[idx.T]: the additions of dl[idx].sum(axis=1), in its order, at
-    # more than twice its speed
+    # numpy sums dt[idx] pairwise along its contiguous last axis.  The
+    # block sums dl[idx.T].sum(axis=0) make the additions of
+    # dl[idx].sum(axis=1) in its order: block after block for a half of
+    # two or more columns, at more than twice its speed, and pairwise as
+    # for dt for a half of one column, which dl[idx.T] then lays out in
+    # memory as dl[idx] does
     denom = np.maximum(dt[idx].sum(axis=1), 1e-9)[:, None]
 
     def spectrum(logs, dl):

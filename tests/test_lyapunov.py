@@ -861,12 +861,14 @@ class TestMonteCarlo:
         assert "bootstrap error above 0.1; increase steps" in est.warnings
 
     @pytest.mark.parametrize("seed", [1, 2, 0x5EED])
-    def test_bootstrap_block_sums_keep_their_bits(self, seed):
+    @pytest.mark.parametrize("mp, cols", [(3, 8), (1, 2), (3, 4), (1, 5)])
+    def test_bootstrap_block_sums_keep_their_bits(self, seed, mp, cols):
         # _summary sums each resample's blocks as dl[idx.T].sum(axis=0),
         # the additions of dl[idx].sum(axis=1) in its order: the error bars
-        # keep their bits for every block count, on both halves' columns
+        # keep their bits for every block count, on both halves' columns,
+        # a half of one column (dim H1+ = 2, as on 3 1 1 1 3) among them,
+        # where numpy sums pairwise
         rng = np.random.Generator(np.random.PCG64(seed))
-        mp, cols = 3, 8
         for m in range(1, 65):
             dl = rng.standard_normal((m, cols)) * 10.0 ** rng.integers(-6, 7, size=(m, cols))
             dt = rng.uniform(0.5, 2.0, m)

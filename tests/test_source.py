@@ -137,15 +137,15 @@ def test_json_is_written_without_indent():
 
 
 def _unhooked_json(src: Path = SRC) -> list[tuple[str, int, str]]:
-    """(file, line, name) of each json ``dumps`` or ``dump`` call of ``src``
-    that does not pass ``default=json_default``, and of each function
-    named ``json_ready``."""
+    """(file, line, name) of each json ``dumps`` or ``dump`` call and each
+    ``JSONEncoder`` of ``src`` that does not pass ``default=json_default``,
+    and of each function named ``json_ready``."""
     found = []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if name in ("dumps", "dump") and not any(
+                if name in ("dumps", "dump", "JSONEncoder") and not any(
                         kw.arg == "default" and getattr(kw.value, "id", None) == "json_default"
                         for kw in node.keywords):
                     found.append((path.name, node.lineno, name))
@@ -160,63 +160,76 @@ def test_json_goes_through_one_hook(tmp_path):
     # into lists and dicts before the encoder walks the record again was a
     # third of a warm ekz line
     assert _unhooked_json() == []
-    # the guard sees a dumps without the hook and a json_ready in a copy of
-    # the sources
+    # the guard sees a dumps and an encoder without the hook and a
+    # json_ready in a copy of the sources
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
     cli = tmp_path / "cli.py"
     text = cli.read_text()
-    assert "json.dumps(value, default=json_default)" in text
-    cli.write_text(text.replace("json.dumps(value, default=json_default)", "json.dumps(value)"))
+    for old, new in (("json.dumps(value, default=json_default)", "json.dumps(value)"),
+                     ("JSONEncoder(sort_keys=True, default=json_default,", "JSONEncoder(sort_keys=True,")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    cli.write_text(text)
     formats = tmp_path / "formats.py"
     formats.write_text(formats.read_text() + "\n\ndef json_ready(obj):\n    return obj\n")
-    assert [(name, what) for name, _, what in _unhooked_json(tmp_path)] == [
-        ("cli.py", "dumps"), ("formats.py", "json_ready")]
+    assert [(name, what) for name, _, what in sorted(_unhooked_json(tmp_path))] == [
+        ("cli.py", "dumps"), ("cli.py", "JSONEncoder"), ("formats.py", "json_ready")]
 
 
 def _record_encoding(src: Path = SRC) -> list[tuple[str, int, str]]:
     """(owner, line, what) of each break in cli's one way to encode a
-    record: a json ``dumps`` call outside ``_dumps``, which encodes records
-    and their pieces, and ``_cell``, which encodes a CSV cell, or a second
-    one inside either; a read of ``_PIECE`` outside ``_json_lines``, and a
-    binding of it other than one module-level int literal.  The owner is
-    the top-level function or class, or "<module>"."""
-    found, encoders, bound = [], set(), False
+    record: a json encoder made anywhere but in the one module-level
+    binding of ``_dumps``, which encodes records and their pieces; a json
+    ``dumps`` or ``dump`` call outside ``_cell``, which encodes a CSV cell,
+    or a second one inside it; a read of ``_PIECE`` outside
+    ``_json_lines``, and a binding of it other than one module-level int
+    literal.  The owner is the top-level function or class, or
+    "<module>"."""
+    found, seen = [], set()
     for top in ast.parse((src / "cli.py").read_text()).body:
         owner = getattr(top, "name", "<module>")
+        targets = [t.id for t in getattr(top, "targets", ()) if isinstance(t, ast.Name)]
         literal = isinstance(top, ast.Assign) and isinstance(top.value, ast.Constant) \
             and type(top.value.value) is int
         for node in ast.walk(top):
-            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("dumps", "dump"):
-                if owner in encoders or owner not in ("_dumps", "_cell"):
-                    found.append((owner, node.lineno, "dumps"))
-                encoders.add(owner)
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", None)
+                if name == "JSONEncoder" and targets == ["_dumps"] and name not in seen:
+                    seen.add(name)
+                elif name in ("dumps", "dump") and owner == "_cell" and owner not in seen:
+                    seen.add(owner)
+                elif name in ("JSONEncoder", "dumps", "dump"):
+                    found.append((owner, node.lineno, name))
             elif isinstance(node, ast.Name) and node.id == "_PIECE":
                 if isinstance(node.ctx, ast.Load) and owner == "_json_lines":
                     continue
-                if isinstance(node.ctx, ast.Store) and literal and not bound:
-                    bound = True
+                if isinstance(node.ctx, ast.Store) and literal and "_PIECE" not in seen:
+                    seen.add("_PIECE")
                     continue
                 found.append((owner, node.lineno, "_PIECE"))
     return found
 
 
 def test_records_are_encoded_in_one_place(tmp_path):
-    # a record goes to json through cli._dumps alone, whole or in pieces of
-    # _PIECE items of a long top-level sequence; the piece size is a module
-    # constant that no flag, environment variable or RunConfig field sets
+    # a record goes to json through cli._dumps alone, the encode method of
+    # one encoder bound once, whole or in pieces of _PIECE items of a long
+    # top-level sequence; the piece size is a module constant that no flag,
+    # environment variable or RunConfig field sets
     assert _record_encoding() == []
-    # the guard sees a second encoding path and a piece size read from the
-    # environment in a copy of cli
+    # the guard sees a second encoding path, a second encoder and a piece
+    # size read from the environment in a copy of cli
     text = (SRC / "cli.py").read_text()
     for old, new in (("            parts.append(_dumps(record))\n",
                       "            parts.append(json.dumps(record, sort_keys=True, default=json_default))\n"),
+                     ("_dumps(value[i:i + _PIECE])",
+                      "json.JSONEncoder(sort_keys=True, default=json_default).encode(value[i:i + _PIECE])"),
                      ("\n_PIECE = 16\n", '\n_PIECE = int(os.environ.get("PILLOWTILED_PIECE", 16))\n')):
-        assert old in text
+        assert text.count(old) == 1
         text = text.replace(old, new)
     (tmp_path / "cli.py").write_text(text)
-    assert [(owner, what) for owner, _, what in _record_encoding(tmp_path)] == [
-        ("<module>", "_PIECE"), ("_json_lines", "dumps")]
+    assert [(owner, what) for owner, _, what in sorted(_record_encoding(tmp_path), key=lambda f: f[1])] == [
+        ("<module>", "_PIECE"), ("_json_lines", "dumps"), ("_json_lines", "JSONEncoder")]
 
 
 def _private_imports(tree: ast.Module, module: str) -> set[tuple[str, str]]:
