@@ -239,8 +239,9 @@ def _write_csv(records: list[dict], stream) -> None:
         writer.writerow({k: _cell(v) for k, v in rec.items()})
 
 
-# a record or a piece of one as JSON text: json.dumps(value, sort_keys=True,
-# default=json_default, check_circular=False) without a new encoder a call
+# a record or a piece of one as JSON text, the text of json.dumps(value,
+# sort_keys=True, default=json_default, check_circular=False), from one
+# encoder built once
 _dumps = json.JSONEncoder(sort_keys=True, default=json_default, check_circular=False).encode
 
 
