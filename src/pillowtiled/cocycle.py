@@ -4,16 +4,17 @@ This module holds the one move step, ``_move_matrix``, which turns a
 move's chain map between two surfaces (``homology.move_rows``, a signed
 row map with the target's relabelling folded in) into an exact integer
 matrix on H_1, checked on the nose to be well defined (on the two
-surfaces' incidence, by ``homology.move_cycles``), symplectic and
-deck-equivariant.  Symplectic is checked on the cup
-matrices K of the two bases, M K_src M^T == K_tgt, which needs no
-inverse: both K are unimodular, so it forces det M = +-1 and is then
+surfaces' incidence, by ``homology.move_cycles``) and symplectic, on the
+cup matrices K of the two bases: M K_src M^T == K_tgt needs no inverse,
+as both K are unimodular, so it forces det M = +-1 and is then
 equivalent to M^T J_tgt M == J_src for the intersection matrices
 J = -K^-1.  ``StateCache`` applies it between canonicalized double-cover
 states and restricts it to their involution eigenlattices, whose
 coordinates ``_restrict`` reads off the target's Hermite basis by forward
-substitution; it is the one path that transports H_1.  The tests fold
-the same step along raw words of moves, in ``tests/reference.py``.
+substitution; it is the one path that transports H_1.  It commutes with
+the deck involution, checked once per state, with no check of its own
+(``_move_matrix``).  The tests fold the same step along raw words of
+moves, in ``tests/reference.py``.
 
 ``StateCache`` moves a key (h, v, iota) with the orbit closure's step,
 ``orbit.move``, and, by the closure's rule, checks a state once, when
@@ -66,16 +67,13 @@ __all__ = [
 
 
 class StateData:
-    """Homology package of one surface: its H_1 basis (with the surface,
-    ``basis.origami``) and, when it carries a deck involution, the
-    splitting of H_1 (else ``splitting`` is None)."""
+    """Homology package of one double-cover state: its H_1 basis (with the
+    surface, ``basis.origami``) and its deck involution's ``splitting``."""
 
-    def __init__(self, origami: Origami, iota: Perm | None = None):
+    def __init__(self, origami: Origami, iota: Perm):
         self.basis: HomologyBasis = homology_basis(origami)
-        self.splitting: InvolutionSplitting | None = None
-        if iota is not None:
-            validate_involution(origami, iota)
-            self.splitting = involution_splitting(self.basis, iota)
+        validate_involution(origami, iota)
+        self.splitting: InvolutionSplitting = involution_splitting(self.basis, iota)
 
 
 # what tracemalloc counts for a packed matrix besides its entries, its
@@ -91,24 +89,22 @@ def _weight(*mats) -> int:
                for m in mats)
 
 
-def _move_matrix(src: StateData, tgt: StateData, gen: str, label) -> list[list[int]]:
+def _move_matrix(src: HomologyBasis, tgt: HomologyBasis, gen: str, label) -> list[list[int]]:
     """Matrix C_tgt F B_src on H_1 of the chain map F of move ``gen``, its
     new squares relabelled by ``label`` (``move_rows``), exactly checked.
 
     Raises ArithmeticError unless F maps cycles to cycles and boundaries
-    into boundaries (``move_cycles``), and the matrix is symplectic and,
-    when the surfaces carry a deck involution, commutes with it.
+    into boundaries (``move_cycles``) and the matrix is symplectic.  No
+    check of the deck involution is needed: the two restrictions
+    (``_restrict``) show M L+_s <= L+_t and M L-_s <= L-_t, iota is +-1 on
+    them (``involution_splitting``), and L+ + L- has full rank r, so
+    iota_t M == M iota_s over Q, and therefore over Z.
     """
-    FB = move_cycles(src.basis, tgt.basis, move_rows(src.basis.origami, gen, label))
-    M = lattice.matmul(tgt.basis.functionals, FB)
+    FB = move_cycles(src, tgt, move_rows(src.origami, gen, label))
+    M = lattice.matmul(tgt.functionals, FB)
     # symplectic: M K_src M^T = K_tgt, each K the cup matrix of its own basis
-    if not lattice.mat_eq(lattice.matmul(M, lattice.matmul(src.basis.cup, lattice.transpose(M))),
-                          tgt.basis.cup):
+    if not lattice.mat_eq(lattice.matmul(M, lattice.matmul(src.cup, lattice.transpose(M))), tgt.cup):
         raise ArithmeticError("cocycle matrix is not symplectic")
-    if src.splitting is not None:
-        I_s, I_t = src.splitting.action, tgt.splitting.action
-        if not lattice.mat_eq(lattice.matmul(I_t, M), lattice.matmul(M, I_s)):
-            raise ArithmeticError("cocycle matrix does not commute with the deck involution")
     return M
 
 
@@ -290,8 +286,7 @@ class StateCache:
             h, v, iota = key
             st = StateData(Origami(len(h), h, v, allow_disconnected=True), iota)
             b, sp = st.basis, st.splitting
-            store.keep((key,), st, _weight(b.cycles, b.functionals, b.cup, sp.action,
-                                           sp.plus_basis, sp.minus_basis))
+            store.keep((key,), st, _weight(b.cycles, b.functionals, b.cup, sp.plus_basis, sp.minus_basis))
         return st
 
     def canonical_key(self, o: Origami, iota: Perm) -> tuple[Perm, Perm, Perm]:
@@ -306,7 +301,7 @@ class StateCache:
         # that got us there.  The target is checked once, when built.
         target, label = canonical_labelling(move(key, gen), len(key[0]))
         tgt = self.state(target)
-        M = _move_matrix(src, tgt, gen, label)
+        M = _move_matrix(src.basis, tgt.basis, gen, label)
         sp, tp = src.splitting, tgt.splitting
         tr = Transition(
             target=target,

@@ -9,8 +9,9 @@ entries in {-1, 0, 1}.  The cup matrix K of the functionals is kept as
 it comes, with no normal form imposed.  It is exact and unimodular, so
 downstream code checks a transported matrix M on the nose against it:
 M K_src M^T == K_tgt, with no inverse.  The eigenlattices of a deck
-involution are kept as Hermite bases alone; coordinates on them are read
-off by substitution where a move needs them.
+involution are kept as Hermite bases alone, checked once to be fixed and
+negated by it, so that no move needs to check it (``cocycle._move_matrix``);
+coordinates on them are read off by substitution where a move needs them.
 
 Edge indexing: ``sigma_i`` is edge ``i``, ``tau_i`` is edge ``d + i``;
 no other module knows it.  The moves act on 1-chains as (old edge ->
@@ -280,7 +281,6 @@ class InvolutionSplitting:
     the lattice.
     """
 
-    action: tuple[tuple[int, ...], ...]
     plus_basis: tuple[tuple[int, ...], ...]
     minus_basis: tuple[tuple[int, ...], ...]
 
@@ -294,17 +294,20 @@ class InvolutionSplitting:
 
 
 def involution_splitting(basis: HomologyBasis, iota: Perm) -> InvolutionSplitting:
+    """Hermite bases B+, B- of the eigenlattices of ``iota`` on H_1.  Raises
+    ArithmeticError unless they fill H_1 and I [B+ | B-] == [B+ | -B-],
+    for I the involution's matrix, which is not kept."""
     I = involution_on_homology(basis, iota)
-    r = basis.rank
     minus_id = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(I)]
     plus_id = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(I)]
     plus = lattice.kernel_basis(minus_id)   # I x = x
     minus = lattice.kernel_basis(plus_id)   # I x = -x
-    if len(plus) + len(minus) != r:
+    if len(plus) + len(minus) != basis.rank:
         raise ArithmeticError("eigenlattices do not fill H_1")
-    Bp, Bm = ([[c[i] for c in cols] for i in range(r)] for cols in (plus, minus))
+    k, B = len(plus), lattice.transpose(plus + minus)
+    if not lattice.mat_eq(lattice.matmul(I, B), [row[:k] + [-x for x in row[k:]] for row in B]):
+        raise ArithmeticError("the deck involution does not fix the + basis and negate the - basis")
     return InvolutionSplitting(
-        action=tuple(tuple(row) for row in I),
-        plus_basis=tuple(tuple(row) for row in Bp),
-        minus_basis=tuple(tuple(row) for row in Bm),
+        plus_basis=tuple(tuple(row[:k]) for row in B),
+        minus_basis=tuple(tuple(row[k:]) for row in B),
     )

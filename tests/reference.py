@@ -7,7 +7,9 @@ in ``tests/test_orbit.py``: permutation powers and conjugates, the
 quotient stratum and the inverse of the orientation double cover, one
 move of a raw surface or double cover with its check, the dense 2d x 2d
 chain maps of the moves and of the deck involution, the transport of H_1
-along a raw word of moves, the cup product of one pair of 1-cochains, an
+along a raw word of moves (each step checked against the deck involution
+on the whole of H_1, where the package checks the involution once per
+state, on its eigenlattices), the cup product of one pair of 1-cochains, an
 integer left inverse of a saturated basis, a Hermite transform read off
 a stacked pass, kernels by two passes of a textbook Hermite form, the
 corner class and the closed-form exponents of a cyclic cover, and the
@@ -22,7 +24,7 @@ from math import gcd, lcm
 
 from pillowtiled import cocycle, lattice
 from pillowtiled.bform import CurveDifferential
-from pillowtiled.homology import _vertex_classes
+from pillowtiled.homology import _vertex_classes, homology_basis, involution_on_homology
 from pillowtiled.orbit import OrbitGraph, move
 from pillowtiled.permsurf import (
     Origami,
@@ -347,31 +349,39 @@ def induced_cocycle(o: Origami, word, iota: Perm | None = None):
 
     Returns ``(CocycleMatrix, final_origami)`` for a bare origami, or
     ``(CocycleMatrix, final_origami, final_iota)`` when an involution is
-    supplied (then every step is also checked for deck-equivariance).
-    The matrix is expressed from the basis of ``o`` to the basis of the
-    final surface, with no canonical relabeling in between: each step
-    passes the identity labelling.  The row maps are looked up on the
-    ``cocycle`` module at each step, so a test that patches
-    ``cocycle.move_rows`` reaches this path too.
+    supplied; then every step is also checked for deck-equivariance,
+    I_t M == M I_s on the whole of H_1 with I = ``involution_on_homology``,
+    and raises ArithmeticError where it fails.  The matrix is expressed
+    from the basis of ``o`` to the basis of the final surface, with no
+    canonical relabeling in between: each step passes the identity
+    labelling.  The row maps are looked up on the ``cocycle`` module at
+    each step, so a test that patches ``cocycle.move_rows`` reaches this
+    path too.
     """
     word = tuple(word)
     if not word:
         raise ValueError("word must be nonempty")
-    cur = cocycle.StateData(o, iota)
-    M = lattice.eye(cur.basis.rank)
+    cur = homology_basis(o)
+    I = None if iota is None else involution_on_homology(cur, iota)
+    M = lattice.eye(cur.rank)
     for gen in word:
         if iota is None:
-            nxt = cocycle.StateData(apply_generator(cur.basis.origami, gen))
+            nxt = homology_basis(apply_generator(cur.origami, gen))
         else:
-            o2, iota = apply_state_generator(cur.basis.origami, iota, gen)
-            nxt = cocycle.StateData(o2, iota)
-        step = cocycle._move_matrix(cur, nxt, gen, range(cur.basis.origami.d))
+            o2, iota = apply_state_generator(cur.origami, iota, gen)
+            nxt = homology_basis(o2)
+        step = cocycle._move_matrix(cur, nxt, gen, range(cur.origami.d))
+        if iota is not None:
+            I_next = involution_on_homology(nxt, iota)
+            if not lattice.mat_eq(lattice.matmul(I_next, step), lattice.matmul(step, I)):
+                raise ArithmeticError("cocycle matrix does not commute with the deck involution")
+            I = I_next
         M = lattice.matmul(step, M)
         cur = nxt
     cm = CocycleMatrix(matrix=tuple(tuple(r) for r in M), word=word)
     if iota is None:
-        return cm, cur.basis.origami
-    return cm, cur.basis.origami, iota
+        return cm, cur.origami
+    return cm, cur.origami, iota
 
 
 def left_inverse(k: list[list[int]]) -> list[list[int]]:

@@ -233,7 +233,7 @@ def test_move_checks_raise_without_assertions():
         "    F = [(-c, *es) if j == k else (c, *es) for j, (c, *es) in enumerate(F0)]\n"
         "    cocycle.move_rows = lambda o, gen, label, F=F: F\n"
         "    try:\n"
-        "        cocycle._move_matrix(src, tgt, 'T', range(o.d))\n"
+        "        cocycle._move_matrix(src.basis, tgt.basis, 'T', range(o.d))\n"
         "    except ArithmeticError as exc:\n"
         "        if str(exc) != check:\n"
         "            raise SystemExit(f'flipping row {k} tripped {exc}')\n"
@@ -449,7 +449,7 @@ def test_splitting_is_exact():
     o, iota = orientation_double_cover(FIVE)
     hb = homology_basis(o)
     sp = involution_splitting(hb, iota)
-    I = as_lists(sp.action)
+    I = involution_on_homology(hb, iota)
     Bp = as_lists(sp.plus_basis)
     # I fixes the + basis, negates the - basis
     assert lattice.mat_eq(lattice.matmul(I, Bp), Bp)

@@ -95,6 +95,59 @@ def test_one_state_cache_in_src():
     assert StateCache().state(key) is StateCache().state(key)
 
 
+def _involution_checks(src: Path = SRC) -> list[tuple[str, str]]:
+    """(owner, what) of each use of the deck involution's matrix on H_1 in
+    ``src``: each call of ``involution_on_homology``, and each read of
+    ``.splitting`` in ``cocycle._move_matrix``.  The owner is
+    module.function, module.Class.method or module.<module>."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(top, ast.ClassDef):
+                owned = [(f"{top.name}.{getattr(node, 'name', '<class>')}", node) for node in top.body]
+            else:
+                owned = [(getattr(top, "name", "<module>"), top)]
+            for name, part in owned:
+                owner = f"{path.stem}.{name}"
+                for node in ast.walk(part):
+                    if isinstance(node, ast.Call) and getattr(
+                            node.func, "id", getattr(node.func, "attr", None)) == "involution_on_homology":
+                        found.append((owner, "involution_on_homology"))
+                    elif owner == "cocycle._move_matrix" and isinstance(node, ast.Attribute) \
+                            and node.attr == "splitting":
+                        found.append((owner, ".splitting"))
+    return found
+
+
+def test_the_involution_is_checked_once_per_state(tmp_path):
+    # involution_splitting checks the deck involution on the eigenlattices
+    # it makes, once per state, and drops its matrix; a move's two exact
+    # restrictions then make it commute with the involution, so no move
+    # reads a splitting or builds the matrix again
+    assert _involution_checks() == [("homology.involution_splitting", "involution_on_homology")]
+    # the guard sees a per-move commutation check re-added, on the state's
+    # splitting or on a fresh matrix, in a copy of the sources
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    cocycle = tmp_path / "cocycle.py"
+    text = cocycle.read_text()
+    commute = "if lattice.matmul(I_t, M) != lattice.matmul(M, I_s): raise ArithmeticError('no commute')\n"
+    for old, new in (
+            ("    return M\n",
+             "    I_s, I_t = src.splitting.action, tgt.splitting.action\n    " + commute + "    return M\n"),
+            ("        M = _move_matrix(src.basis, tgt.basis, gen, label)\n",
+             "        M = _move_matrix(src.basis, tgt.basis, gen, label)\n"
+             "        I_s, I_t = (involution_on_homology(s.basis, k[2]) for s, k in ((src, key), (tgt, target)))\n"
+             "        " + commute)):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    cocycle.write_text(text)
+    assert sorted(_involution_checks(tmp_path)) == [
+        ("cocycle.StateCache.transition", "involution_on_homology"),
+        ("cocycle._move_matrix", ".splitting"), ("cocycle._move_matrix", ".splitting"),
+        ("homology.involution_splitting", "involution_on_homology")]
+
+
 def test_src_reads_no_environment():
     # no knobs: a tuning constant such as lyapunov._RENORM_NATS is a module
     # constant, and no environment variable may override it or anything else
