@@ -21,32 +21,32 @@ moves, in ``tests/reference.py``.
 ``state`` builds it: each check is invariant under relabeling, and a
 cached target was checked when it was built.
 
-Every ``StateCache`` keeps its states, moves and generator cycles in the
-process-wide store (:mod:`.store`), so a state, move or cycle that an
-earlier walker built is not built or checked again.  That needs no
-re-check: a state is a function of its canonical key ``(h, v, iota)``
-alone, a transition of its source state and the move, and a cycle
-(``GenCycle``, the states and exact products of repeating T or L from a
-state, with the closed-form powers of its full-cycle product, whose period
-the surface bounds, and the float pencils that the walks multiply by) of
-its state and generator, so an entry built for one line is the entry any
-other line would build; unit relabellings x -> u x of a cyclic cover give
-the same canonical states, and their lines share everything.  A cycle
-builds its H1- products only when first asked for them.  Entries are
-stored only once built, so a build cut short by an exception leaves
-nothing behind.
+Every ``StateCache`` keeps its states, moves, half-cycles and pencils in
+the process-wide store (:mod:`.store`), so a unit that an earlier walker
+built is not built or checked again.  That needs no re-check: a state is
+a function of its canonical key ``(h, v, iota)`` alone, a transition of
+its source state and the move, a half-cycle (``GenCycle``, the states and
+exact products of repeating T or L from a state on H1+ or on H1-, with
+the closed-form powers of its full-cycle product, whose period the
+surface bounds) of its state, generator and half, built from the cached
+moves alone, and a pencil (``lattice.Pencil``, the float matrices that
+the walks multiply by) of the half-cycles it is built from and its place
+on them, so a unit built for one line is the unit any other line would
+build; unit relabellings x -> u x of a cyclic cover give the same
+canonical states, and their lines share everything.  A walk on H1+ alone
+never builds an H1- half.  Units are stored only once built, so a build
+cut short by an exception leaves nothing behind.
 
-Each state, move and cycle is a unit of the store's one byte budget,
+Each unit is immutable, weighed once, when ``StateCache`` keeps it, and
 dropped when least recently used, during a walk too, and built again,
-equal, when next asked for.  A cycle keeps its exact products packed
-(``lattice.pack``), as fixed-width arrays where every entry fits and as
-rows of Python ints past that, with the same values either way.  A unit
-weighs 16 bytes per entry of its matrices kept as rows, and each packed
-matrix its own bytes and a fixed ``_ARRAY`` bytes (``_weight``); a cycle
-weighs its float pencils, ``p.nbytes + q.nbytes`` each, on top, or
-``p.nbytes`` alone where Q is zero and the pencil keeps no ``q``.  A cycle
-holds no move, and re-weighs itself whenever it builds its H1- products
-or a pencil.
+equal, when next asked for.  A half-cycle keeps its exact products
+packed (``lattice.pack``), as fixed-width arrays where every entry fits
+and as rows of Python ints past that, with the same values either way.
+A unit weighs 16 bytes per entry of its matrices kept as rows, and each
+packed matrix its own bytes and a fixed ``_ARRAY`` bytes (``_weight``); a
+pencil weighs ``p.nbytes + q.nbytes``, or ``p.nbytes`` alone where Q is
+zero and it keeps no ``q``.  A half-cycle holds no move, and no unit holds
+the cache or its own store key.
 """
 
 from __future__ import annotations
@@ -144,23 +144,43 @@ class Transition:
     minus: tuple[tuple[int, ...], ...]
 
 
-class CyclePowers:
-    """Exact products of the per-move matrices around a cycle, on one lattice.
+class GenCycle:
+    """Exact products of repeating one generator from a state, on one half.
 
-    ``cum[j]`` is the product of the first j moves and C = cum[-1] the
-    full-cycle product; ``powers`` holds C^0..C^(k-1) and ``nil`` is
-    C^k - I, with nil @ nil == 0, for the least k, at most ``cap``.  Each
-    is kept packed (``lattice.pack``).
+    It is built from the moves around the cycle alone: ``moves[j]`` goes
+    from ``states[j]`` to ``states[j + 1]``, and the last one returns to
+    ``states[0]``, the anchor.  ``half`` 0 takes each move's restriction
+    to H1+ and 1 its restriction to H1-, and the cycle reads its dimension
+    off its first move.  ``cum[j]`` is the product of the first j moves
+    and C = cum[-1] the full-cycle product; ``powers`` holds C^0..C^(k-1)
+    and ``nil`` is C^k - I, with nil @ nil == 0, for the least k.  Each is
+    kept packed (``lattice.pack``), and nothing changes once built.
+
+    The period k is at most the cap P n / len(states), n the state's
+    squares and P the order of h for T, of v for L.  T^P (h, v, iota) =
+    (h, v h^-P, h^P iota) is the raw state again (L^P likewise with v), so
+    len(states) divides P, and going P / len(states) times round gives
+    C^(P / len(states)) = Lambda M: M is the multitwist T^P, with
+    (M - I)^2 = 0, and Lambda the composite relabelling, an automorphism
+    of the state that commutes with M.  As <h, v, iota> is transitive,
+    automorphisms act freely on the squares, so the order of Lambda
+    divides n and (C^(P n / len(states)) - I)^2 = 0.
     """
 
-    __slots__ = ("cum", "powers", "nil", "nbytes")
+    __slots__ = ("states", "cum", "powers", "nil")
 
-    def __init__(self, cum: list[list[list[int]]], cap: int):
-        powers, nil = lattice.quasi_unipotent_powers(cum[-1], cap)
+    def __init__(self, gen: str, moves: list[Transition], half: int):
+        self.states = [moves[-1].target] + [tr.target for tr in moves[:-1]]
+        mats = [tr.minus if half else tr.plus for tr in moves]
+        cum = [lattice.eye(len(mats[0]))]
+        for M in mats:
+            cum.append(lattice.matmul(M, cum[-1]))
+        h, v, _ = self.states[0]
+        order = math.lcm(*map(len, cycles(h if gen == "T" else v)))
+        powers, nil = lattice.quasi_unipotent_powers(cum[-1], order * len(h) // len(moves))
         self.cum = [lattice.pack(m) for m in cum]
         self.powers = [lattice.pack(m) for m in powers]
         self.nil = lattice.pack(nil)
-        self.nbytes = _weight(*self.cum, *self.powers, self.nil)
 
     def pencil(self, r: int, s: int, period: int) -> tuple[list[list[int]], list[list[int]]]:
         """(P, Q) with cum[r] @ C^(s + m * period) == P + m Q for every
@@ -181,101 +201,14 @@ class CyclePowers:
                 [[j * y for y in rn] for rn in BN])
 
 
-class GenCycle:
-    """States visited by repeating one generator, with closed-form products.
-
-    ``states[j]`` is the state after j moves (states[0] is the anchor, and
-    the move from states[-1] returns to it); ``plus`` gives the exact
-    products of any number of moves on the invariant lattice, and
-    ``minus()`` on the anti-invariant one, built when first asked for, so
-    that a walk on H1+ alone never builds it.  ``digit`` gives the float
-    pencils that a walk multiplies its frame by, each built once.  The
-    cycle keeps itself in the store once built, and again, re-weighed,
-    whenever it builds more.
-
-    The period k of the full-cycle product C is at most ``_cap`` =
-    P n / len(states), n the state's squares and P the order of h for T,
-    of v for L.  T^P (h, v, iota) = (h, v h^-P, h^P iota) is the raw state
-    again (L^P likewise with v), so len(states) divides P, and going
-    P / len(states) times round gives C^(P / len(states)) = Lambda M: M is
-    the multitwist T^P, with (M - I)^2 = 0, and Lambda the composite
-    relabelling, an automorphism of the state that commutes with M.  As
-    <h, v, iota> is transitive, automorphisms act freely on the squares,
-    so the order of Lambda divides n and (C^(P n / len(states)) - I)^2 = 0.
-    """
-
-    __slots__ = ("states", "plus", "_cap", "_cache", "_key", "_nbytes", "_minus", "_pencils")
-
-    def __init__(self, cache: StateCache, key, gen: str):
-        cum = [lattice.eye(cache.state(key).splitting.dim_plus)]
-        self.states = [key]
-        cur = key
-        while True:
-            tr = cache.transition(cur, gen)
-            cum.append(lattice.matmul(tr.plus, cum[-1]))
-            cur = tr.target
-            if cur == key:
-                break
-            self.states.append(cur)
-        h, v, _ = key
-        order = math.lcm(*map(len, cycles(h if gen == "T" else v)))
-        self._cap = order * len(h) // len(self.states)
-        self.plus = CyclePowers(cum, self._cap)
-        self._cache, self._key, self._nbytes = cache, ("cycle", key, gen), 0
-        self._minus: CyclePowers | None = None
-        self._pencils: dict[tuple[bool, int, int], lattice.Pencil] = {}
-        self._grow(self.plus.nbytes)
-
-    def _grow(self, nbytes: int) -> None:
-        """Keep the cycle in the store, ``nbytes`` heavier than before."""
-        self._nbytes += nbytes
-        store.keep((self._key,), self, self._nbytes)
-
-    def minus(self) -> CyclePowers:
-        """The products on the anti-invariant lattice, built on first use
-        from the cached moves."""
-        if self._minus is None:
-            moves = [self._cache.transition(key, self._key[2]).minus for key in self.states]
-            cum = [lattice.eye(len(moves[0]))]
-            for M in moves:
-                cum.append(lattice.matmul(M, cum[-1]))
-            self._minus = CyclePowers(cum, self._cap)
-            self._grow(self._minus.nbytes)
-        return self._minus
-
-    def digit(self, a: int, with_minus: bool) -> tuple[lattice.Pencil, int, tuple[Perm, Perm, Perm]]:
-        """(pencil, m, target) of ``a`` moves from states[0].
-
-        ``pencil.at(m)`` is the float matrix of the a moves on H1+, or
-        diag(H1+, H1-) ``with_minus``, and ``target`` the state they
-        reach.  With q, r = divmod(a, len(states)) and k the period of the
-        full-cycle products, len(plus.powers) or its lcm with
-        len(minus().powers), m, s = divmod(q, k): the pencil is built once
-        per (with_minus, r, s).
-        """
-        q, r = divmod(a, len(self.states))
-        k = len(self.plus.powers)
-        if with_minus:
-            k = math.lcm(k, len(self.minus().powers))
-        m, s = divmod(q, k)
-        pencil = self._pencils.get((with_minus, r, s))
-        if pencil is None:
-            P, Q = self.plus.pencil(r, s, k)
-            if with_minus:
-                P_minus, Q_minus = self.minus().pencil(r, s, k)
-                P, Q = lattice.block_diag(P, P_minus), lattice.block_diag(Q, Q_minus)
-            pencil = self._pencils[with_minus, r, s] = lattice.Pencil(P, Q)
-            self._grow(pencil.p.nbytes + (0 if pencil.q is None else pencil.q.nbytes))
-        return pencil, m, self.states[r]
-
-
 class StateCache:
-    """Canonical states plus memoized transitions and generator cycles.
+    """Canonical states plus memoized transitions, half-cycles and pencils.
 
     Every instance reads and keeps the same units of the process-wide
-    store, under the keys key, (key, gen) and ("cycle", key, gen);
-    ``states`` and ``transitions`` are the store's index, for ``key in``
-    and ``(key, gen) in``.
+    store, under the keys key, (key, gen), ("cycle", key, gen, half) and
+    ("pencil", key, gen, with_minus, r, s), each kept once, when built,
+    and weighed then; ``states`` and ``transitions`` are the store's
+    index, for ``key in`` and ``(key, gen) in``.
     """
 
     states = transitions = store.index
@@ -311,7 +244,42 @@ class StateCache:
         store.keep(((key, gen),), tr, _weight(tr.plus, tr.minus))
         return tr
 
-    def cycle(self, key: tuple[Perm, Perm, Perm], gen: str) -> GenCycle:
-        """The cycle of ``gen`` from state ``key``, built on first use."""
-        cyc = store.get(("cycle", key, gen))
-        return cyc if cyc is not None else GenCycle(self, key, gen)
+    def cycle(self, key: tuple[Perm, Perm, Perm], gen: str, half: int) -> GenCycle:
+        """The cycle of ``gen`` from state ``key`` on H1+ (``half`` 0) or
+        H1- (1), built on first use from the cached moves."""
+        unit = ("cycle", key, gen, half)
+        cyc = store.get(unit)
+        if cyc is None:
+            moves = [self.transition(key, gen)]
+            while moves[-1].target != key:
+                moves.append(self.transition(moves[-1].target, gen))
+            cyc = GenCycle(gen, moves, half)
+            store.keep((unit,), cyc, _weight(*cyc.cum, *cyc.powers, cyc.nil))
+        return cyc
+
+    def digit(self, key: tuple[Perm, Perm, Perm], gen: str, a: int, with_minus: bool
+              ) -> tuple[lattice.Pencil, int, tuple[Perm, Perm, Perm]]:
+        """(pencil, m, target) of ``a`` moves of ``gen`` from state ``key``.
+
+        ``pencil.at(m)`` is the float matrix of the a moves on H1+, or
+        diag(H1+, H1-) ``with_minus``, and ``target`` the state they
+        reach.  With q, r = divmod(a, len(states)) and k the period of the
+        full-cycle products, len(powers) of the H1+ cycle or the lcm of
+        the two halves', m, s = divmod(q, k): the pencil is built once per
+        (r, s) and kept as its own unit.  Each call asks for the
+        half-cycles too, so they stay as recently used as their pencils.
+        """
+        plus, *minus = halves = [self.cycle(key, gen, half) for half in range(1 + with_minus)]
+        q, r = divmod(a, len(plus.states))
+        k = math.lcm(*(len(c.powers) for c in halves))
+        m, s = divmod(q, k)
+        unit = ("pencil", key, gen, with_minus, r, s)
+        pencil = store.get(unit)
+        if pencil is None:
+            P, Q = plus.pencil(r, s, k)
+            if minus:
+                P_minus, Q_minus = minus[0].pencil(r, s, k)
+                P, Q = lattice.block_diag(P, P_minus), lattice.block_diag(Q, Q_minus)
+            pencil = lattice.Pencil(P, Q)
+            store.keep((unit,), pencil, pencil.p.nbytes + (0 if pencil.q is None else pencil.q.nbytes))
+        return pencil, m, plus.states[r]

@@ -59,25 +59,26 @@ surface: k <= e n / (cycle length), e the order of the generator's
 permutation and n the number of squares (``GenCycle``).  Then C^q ==
 C^(q mod k) (I + (q div k)(C^k - I)), so a digit's matrix is P + m Q for
 a pencil (P, Q) of its cycle, built once per partial walk and power of C
-below k and kept in the store as float64 arrays (``GenCycle.digit``,
-``lattice.Pencil``), and a multiplier m = q div k.  At m = 0 the digit is
-the pencil's own array, and no array is formed; past it, one float
-multiply-add per entry forms it, exact below 2^53 and a multiply-add on
-Python ints rounded once past that, so every digit's matrix is the
-exact product rounded.  ``lyapunov 30 7 15 10 28 --steps 20000`` (five
+below k and kept in the store as float64 arrays, each its own unit
+(``StateCache.digit``, ``lattice.Pencil``), and a multiplier m = q div
+k.  At m = 0 the digit is the pencil's own array, and no array is
+formed; past it, one float multiply-add per entry forms it, exact below
+2^53 and a multiply-add on Python ints rounded once past that, so every
+digit's matrix is the exact product rounded.  ``lyapunov 30 7 15 10 28 --steps 20000`` (five
 seeds, 100k digits) meets 2297 distinct digits, builds 408 pencils and
 forms 6192 arrays, and peaks at 89 MB; a walker that kept the float
 matrix of each digit from its second sighting peaked at 126 MB.
 
-Every walker draws its states, transitions, generator cycles and
-pencils from the process-wide store, through :mod:`.cocycle`: each is an
-exact function of its canonical key, so it is built once while it is
-kept, and a later line on the same cover or on a unit relabelling of it
-reuses it.  A cycle's H1- products are built only when a walker that
-carries H1- first asks for them; a ``certify`` walk multiplies by H1+
-pencils and a ``lyapunov`` walk by diag(H1+, H1-) pencils.  The digit
-memo stays per walker and holds references only (a pencil, its
-multiplier and a target), keyed by the walker's own small state ids.
+Every walker draws its states, transitions, half-cycles and pencils
+from the process-wide store, through :mod:`.cocycle`: each is an exact
+function of its canonical key, so it is built once while it is kept, and
+a later line on the same cover or on a unit relabelling of it reuses it.
+A cycle has one unit per half, H1+ and H1-, and only a walker that
+carries H1- builds the H1- one; a ``certify`` walk multiplies by H1+
+pencils and a ``lyapunov`` walk by diag(H1+, H1-) pencils, built from
+both halves.  The digit memo stays per walker and holds references only
+(a pencil, its multiplier and a target), keyed by the walker's own small
+state ids.
 
 Runs are bitwise reproducible for a fixed seed (single PCG64 stream for
 the dynamics, a second derived stream for the bootstrap).
@@ -120,16 +121,18 @@ class _Walker:
 
     Everything it builds depends on the cover alone, so one walker serves
     every seed of a line, each starting at ``anchor``, its state 0.  Its
-    states, transitions, cycles and pencils are units of the store, which
-    drops the least recently used whenever it keeps one, during a walk
-    too.  A walk names states by small ints, the walker's own, so that a
-    digit is one lookup in the walker's memo, keyed by (state, gen, a) and
-    holding references only: the shared pencil of the digit, its
-    multiplier and the state it reaches.  Only misses keep anything, and
-    a miss in which the store let a unit go empties the memo, so it holds
-    no pencil that the store dropped.  A walker built ``with_minus=False``
-    carries H1+ alone: its digit matrices and frames leave H1- out, and it
-    never asks a cycle for its H1- products.
+    states, transitions, half-cycles and pencils are units of the store,
+    which drops the least recently used whenever it keeps one, during a
+    walk too.  A walk names states by small ints, the walker's own, so
+    that a digit is one lookup in the walker's memo, keyed by (state, gen,
+    a) and holding references only: the shared pencil of the digit, its
+    multiplier and the state it reaches.  A miss asks the store for the
+    digit's half-cycles and pencil, so the units a walk is using stay the
+    most recently used.  Only misses keep anything, and a miss in which
+    the store let a unit go empties the memo, so it holds no pencil that
+    the store dropped.  A walker built ``with_minus=False`` carries H1+
+    alone: its digit matrices and frames leave H1- out, and it never
+    builds an H1- half-cycle.
     """
 
     def __init__(self, cover: PillowCover | CyclicCoverSpec, with_minus: bool = True):
@@ -157,8 +160,7 @@ class _Walker:
         hit = self._memo.get((state, gen, a))
         if hit is None:
             dropped = store.dropped
-            cyc = self.cache.cycle(self._keys[state], gen)
-            pencil, m, key = cyc.digit(a, self.with_minus)
+            pencil, m, key = self.cache.digit(self._keys[state], gen, a, self.with_minus)
             target = self._ids.get(key)
             if target is None:
                 target = self._ids[key] = len(self._keys)
@@ -391,9 +393,9 @@ def _run_seeds(
 ) -> tuple[LyapunovEstimate, ...]:
     """One run per seed, all on one walker and through one frame pass.
 
-    The walker's states, transitions, cycles and digit memo depend on the
-    cover only, and the seed drives only the random stream, so the
-    estimates equal those of independent runs.  ``with_minus=False`` walks
+    The walker's states, transitions, half-cycles, pencils and digit memo
+    depend on the cover only, and the seed drives only the random stream,
+    so the estimates equal those of independent runs.  ``with_minus=False`` walks
     H1+ alone.
     """
     return _estimate(_Walker(cover, with_minus), steps, tuple(seeds))

@@ -30,7 +30,7 @@ from pillowtiled.permsurf import (
 )
 
 from test_permsurf import cyclic_pillow
-from tests.recorded import MONTE_CARLO, TRANSITIONS
+from tests.recorded import MONTE_CARLO, N56_LYAPUNOV_SHA256, TRANSITIONS
 from tests.reference import apply_generator, boundary_matrices, induced_cocycle, order
 from tests.test_orbit import _ekz_lines, _orbit_lines
 from tests.test_store import bookkeeping, forget, kept, own_weight
@@ -134,10 +134,7 @@ class TestChainMaps:
             "o, iota = orientation_double_cover(PillowCover(5, *perms))\n"
             "cache = cocycle.StateCache()\n"
             "def shared_walker(with_minus):\n"
-            "    walker = lyapunov._Walker(PillowCover(5, *perms), with_minus)\n"
-            "    cycle = walker.cache.cycle(walker.anchor, 'T')\n"
-            "    if with_minus:\n"
-            "        cycle.minus()\n"
+            "    lyapunov._Walker(PillowCover(5, *perms), with_minus).digit(0, 'T', 1)\n"
             "cases = {\n"
             "    'transition': lambda: cache.transition(cache.canonical_key(o, iota), 'T'),\n"
             "    'shared walker': lambda: shared_walker(True),\n"
@@ -220,7 +217,7 @@ class TestStateCache:
             cache = StateCache()
             anchor = cache.canonical_key(*orientation_double_cover(cover))
             for gen in ("T", "L"):
-                cache.cycle(anchor, gen)
+                cache.cycle(anchor, gen, 0)
             assert len(checked) == len(kept("state")) > 1
             assert set(checked) == set(kept("state"))
             # every target is cached now: building the moves again runs
@@ -239,7 +236,7 @@ class TestStateCache:
         walker = _Walker(SCOPE_LINES[name])
         digest = hashlib.sha256()
         for gen in ("T", "L"):
-            for key in walker.cache.cycle(walker.anchor, gen).states:
+            for key in walker.cache.cycle(walker.anchor, gen, 0).states:
                 tr = walker.cache.transition(key, gen)
                 digest.update(json.dumps([gen, tr.target, tr.plus, tr.minus]).encode() + b"\n")
         assert digest.hexdigest() == TRANSITIONS[name]
@@ -293,8 +290,8 @@ class TestStateCache:
         while todo:
             key = todo.pop()
             for gen in ["T", "L"]:
-                cyc = walker.cache.cycle(key, gen)
-                for st in cyc.states:
+                states = walker.cache.cycle(key, gen, 0).states
+                for st in states:
                     if st not in seen:
                         seen.add(st)
                         todo.append(st)
@@ -302,13 +299,15 @@ class TestStateCache:
                 # order of the generator's permutation and n the squares
                 h, v, _ = key
                 bound = order(h if gen == "T" else v) * len(h)
-                moves = [walker.cache.transition(st, gen) for st in cyc.states]
-                for part, half in ((cyc.plus, "plus"), (cyc.minus(), "minus")):
+                moves = [walker.cache.transition(st, gen) for st in states]
+                for half, name in ((0, "plus"), (1, "minus")):
+                    part = walker.cache.cycle(key, gen, half)
+                    assert part.states == states
                     k = len(part.powers)
-                    assert bound % (k * len(cyc.states)) == 0, (key, gen, k)
+                    assert bound % (k * len(states)) == 0, (key, gen, k)
                     # the kept products, packed or not, are the exact ones
                     for j, tr in enumerate(moves):
-                        want = lattice.matmul(getattr(tr, half), part.cum[j])
+                        want = lattice.matmul(getattr(tr, name), part.cum[j])
                         assert lattice.mat_eq(part.cum[j + 1], want)
                     power = lattice.eye(len(part.nil))
                     for kept_power in part.powers:
@@ -317,7 +316,7 @@ class TestStateCache:
                     one = lattice.eye(len(part.nil))
                     assert lattice.mat_eq(part.nil, [[x - y for x, y in zip(rp, ri)]
                                                      for rp, ri in zip(power, one)])
-                    for r in range(len(cyc.states)):
+                    for r in range(len(states)):
                         acc = part.cum[r]
                         for q in range(3 * k + 3):
                             # a pencil of any multiple of the period gives
@@ -344,7 +343,8 @@ class TestStateCache:
         start = time.perf_counter()
         walker = _Walker(cyclic_pillow(N, a))
         for gen in ["T", "L"]:
-            walker.cache.cycle(walker.anchor, gen).minus()
+            for half in (0, 1):
+                walker.cache.cycle(walker.anchor, gen, half)
         assert time.perf_counter() - start < 5.0
 
         def bits(rows):
@@ -375,9 +375,10 @@ class TestStateCache:
             "key = cache.canonical_key(*orientation_double_cover(PillowCover(5, *perms)))\n"
             "h, v, _ = key\n"
             "for gen, p in (('T', h), ('L', v)):\n"
-            "    cap = order(p) * len(h) // len(cocycle.StateCache().cycle(key, gen).states)\n"
+            "    states = cocycle.StateCache().cycle(key, gen, 0).states\n"
+            "    cap = order(p) * len(h) // len(states)\n"
             "    try:\n"
-            "        cocycle.GenCycle(cache, key, gen)\n"
+            "        cocycle.GenCycle(gen, [cache.transition(st, gen) for st in states], 0)\n"
             "    except ArithmeticError as exc:\n"
             "        if f'k <= {cap} ' not in str(exc):\n"
             "            raise SystemExit(f'{gen}: {exc}')\n"
@@ -516,6 +517,21 @@ class TestSharedStateCache:
         monkeypatch.setattr(cocycle, "StateData", Spy)
         return built
 
+    @staticmethod
+    def spy_cycles(monkeypatch):
+        """Record the (anchor, gen, half) of every half-cycle built from now on."""
+        built = []
+
+        class Spy(cocycle.GenCycle):
+            __slots__ = ()
+
+            def __init__(self, gen, moves, half):
+                super().__init__(gen, moves, half)
+                built.append((self.states[0], gen, half))
+
+        monkeypatch.setattr(cocycle, "GenCycle", Spy)
+        return built
+
     def test_relabelled_line_builds_no_state(self, monkeypatch):
         # x -> 2x renumbers the sheets of the same cover
         built = self.spy_builds(monkeypatch)
@@ -528,8 +544,10 @@ class TestSharedStateCache:
 
     def test_trimmed_to_budget_during_a_walk(self, monkeypatch):
         # the store trims whenever it keeps, so a walk that outgrows the
-        # budget drops its own least recently used units and builds them
-        # again when it comes back to them, with a cold run's output
+        # budget drops its own least recently used half-cycles and pencils
+        # and builds them again when it comes back to them, with a cold
+        # run's output; a unit is kept once per build, so a key kept twice
+        # is a unit dropped and built again
         lines = [cyclic_pillow(5, (1, 2, 2, 5)), cyclic_pillow(6, (1, 1, 5, 5))]
         cold, kept_bytes = [], []
         for cover in lines:
@@ -541,12 +559,13 @@ class TestSharedStateCache:
         # so that either walk outgrows it
         budget = 2 * min(kept_bytes) // 3
         monkeypatch.setattr(store, "BUDGET", budget)
-        built = self.spy_builds(monkeypatch)
-        real, held = store.keep, []
+        real, held, built = store.keep, [], []
 
         def spy(keys, value, nbytes):
             real(keys, value, nbytes)
             held.append(store.nbytes)
+            if keys[0][0] in ("cycle", "pencil"):
+                built.append(keys[0])
 
         monkeypatch.setattr(store, "keep", spy)
         rebuilt = []
@@ -555,26 +574,30 @@ class TestSharedStateCache:
             assert _run_seeds(cover, 800, (1, 2)) == want
             rebuilt.append(len(built) - len(set(built)))
         assert held and max(held) <= budget
-        # some walk built a state again that it had built itself
+        # some walk built a half-cycle or pencil again that it had built itself
         assert max(rebuilt) > 0, rebuilt
 
-    # 8 1 3 5 7 walks 6 states, and its two seeds keep 1,512,856 bytes at
+    # 8 1 3 5 7 walks 6 states, and its two seeds keep 1,524,736 bytes at
     # the default budget; 1,000,000 bytes is below that, as the 64 MiB
     # budget was below the 110 MiB that lyapunov 48 1 23 25 47 kept with
-    # its cycle products as rows.  Since a state keeps no matrix of its
-    # deck involution the walk drops 16 units there and builds each state
-    # once (48 states and 214 drops before), the same counts on every run
+    # its cycle products as rows.  The walk drops 14 units there and
+    # builds each state and half-cycle once, the same counts on every run
     def test_a_walk_past_the_budget_builds_each_state_once(self, monkeypatch):
         monkeypatch.setattr(store, "BUDGET", 1_000_000)
         built = self.spy_builds(monkeypatch)
+        cycles = self.spy_cycles(monkeypatch)
         _run_seeds(CyclicCoverSpec(8, (1, 3, 5, 7)), 200, (1, 2))
         assert len(built) == len(set(built)) == 6, len(built)
+        assert len(cycles) == len(set(cycles)) == 24, len(cycles)
 
-    # the same walk at 900,000 bytes still cascades: it drops 134 units
-    # and builds 36 states for 6 (86 before the state kept no involution)
+    # at 900,000 bytes the walk drops 43 units and builds 8 states for 6:
+    # the store drops the two half-cycles of one (state, gen) that the walk
+    # has left for a while, with the states and moves they were built from,
+    # and the walk builds all of them again (36 states and 134 drops while
+    # a generator cycle kept its pencils and re-weighed itself)
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="ROADMAP item 28: a walk further past the byte budget still "
-                              "rebuilds its states, 36 for 6")
+                              "rebuilds its states, 8 for 6")
     def test_a_walk_further_past_the_budget_builds_each_state_once(self, monkeypatch):
         monkeypatch.setattr(store, "BUDGET", 900_000)
         built = self.spy_builds(monkeypatch)
@@ -583,26 +606,39 @@ class TestSharedStateCache:
 
     def test_the_documented_n48_line_fits_the_budget(self, monkeypatch):
         # lyapunov 48 1 23 25 47 --steps 200 --seeds 1,2,3 walks 6 states
-        # and 12 generator cycles; with its products as rows of Python ints
-        # it outgrew the default budget and built 94 states and 163 cycles
-        # in about 50 s, against about 4 s once packed
+        # and 12 generator cycles, 24 half-cycles; with its products as rows
+        # of Python ints it outgrew the default budget and built 94 states
+        # and 163 cycles in about 50 s, against about 4 s once packed.  It
+        # keeps about 63.7 MiB, at the budget's edge, and builds each state
+        # and half-cycle once
         assert store.BUDGET == 1 << 26
         built = self.spy_builds(monkeypatch)
-        cycles, real = [], cocycle.GenCycle
-
-        class Spy(real):
-            __slots__ = ()
-
-            def __init__(self, cache, key, gen):
-                cycles.append((key, gen))
-                super().__init__(cache, key, gen)
-
-        monkeypatch.setattr(cocycle, "GenCycle", Spy)
+        cycles = self.spy_cycles(monkeypatch)
         start = time.perf_counter()
         _run_seeds(CyclicCoverSpec(48, (1, 23, 25, 47)), 200, (1, 2, 3))
         elapsed = time.perf_counter() - start
         assert len(built) == 6 and len(set(built)) == 6, len(built)
-        assert len(cycles) == 12 and len(set(cycles)) == 12, len(cycles)
+        assert len(cycles) == len(set(cycles)) == 24, len(cycles)
+        assert elapsed < 60.0, elapsed
+
+    def test_the_next_line_past_the_budget_builds_each_state_about_once(self, tmp_path, monkeypatch):
+        # lyapunov 56 1 27 29 55 --steps 200 --seeds 1,2,3 walks 6 states
+        # and 24 half-cycles, more than the default budget holds: it builds
+        # 7 states and 30 half-cycles in about 7 s.  While a generator cycle
+        # kept its pencils and re-weighed itself, each drop of one let its
+        # states go, and the line built 95 states in 78 to 91 s.  The digest
+        # is that walk's output
+        assert store.BUDGET == 1 << 26
+        built = self.spy_builds(monkeypatch)
+        cycles = self.spy_cycles(monkeypatch)
+        src, out = tmp_path / "in.txt", tmp_path / "out.json"
+        src.write_text("56 1 27 29 55\n")
+        start = time.perf_counter()
+        assert cli.run(cli.RunConfig("lyapunov", str(src), steps=200, seeds=(1, 2, 3), out=str(out))) == 0
+        elapsed = time.perf_counter() - start
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == N56_LYAPUNOV_SHA256
+        assert len(built) <= 7 and len(set(built)) == 6, len(built)
+        assert len(cycles) <= 30 and len(set(cycles)) == 24, len(cycles)
         assert elapsed < 60.0, elapsed
 
     def test_trim_keeps_the_states_a_later_line_reused(self, monkeypatch):
@@ -634,10 +670,10 @@ class TestSharedStateCache:
         assert built == []
 
     def test_a_later_line_builds_no_cycle(self, monkeypatch):
-        # the cycles are functions of (state, generator), kept in the shared
-        # cache: an H1+ line builds their plus parts, a full line on a
-        # relabelling adds the minus parts alone, and a third line builds
-        # nothing; no line's output depends on the lines before it
+        # the half-cycles are functions of (state, generator, half), kept in
+        # the shared cache: an H1+ line builds the plus halves, a full line
+        # on a relabelling adds the minus halves alone, and a third line
+        # builds nothing; no line's output depends on the lines before it
         powers, real = [], lattice.quasi_unipotent_powers
 
         def counted(c, cap):
@@ -650,9 +686,11 @@ class TestSharedStateCache:
         plus = _run_seeds(cover, 600, seeds, with_minus=False)
         cycles = set(kept("cycle"))
         assert cycles and len(powers) == len(cycles)
+        assert {half for *_, half in cycles} == {0}
         del powers[:]
         full = _run_seeds(relabelled, 600, seeds)
-        assert len(powers) == len(cycles) and set(kept("cycle")) == cycles
+        assert len(powers) == len(cycles)
+        assert set(kept("cycle")) == cycles | {(*c[:3], 1) for c in cycles}
         del powers[:]
         assert _run_seeds(cover, 600, seeds) == full
         assert _run_seeds(relabelled, 600, seeds, with_minus=False) == plus
@@ -667,7 +705,7 @@ class TestSharedStateCache:
         o, iota = orientation_double_cover(cyclic_pillow(8, (1, 3, 5, 7)))
         key = cache.canonical_key(o, iota)
         for gen in ["T", "L", "T", "L", "T"]:
-            cyc = cache.cycle(key, gen)
+            cyc = cache.cycle(key, gen, 0)
             key = cyc.states[-1]
 
         def entries(*mats):
@@ -693,32 +731,33 @@ class TestSharedStateCache:
         for k in kept("move"):
             tr = cache.transition(*k)
             assert own_weight(k) == 16 * entries(tr.plus, tr.minus)
-        # a cycle weighs its exact products, each packed one its bytes and
-        # a fixed overhead, the minus ones once built, and p.nbytes +
-        # q.nbytes per pencil, H1+ alone or diag(H1+, H1-) with its zero
-        # blocks, and re-weighs itself as it grows
-        unit = ("cycle", cyc.states[0], "T")
-        n = len(cyc.plus.nil)
-        before = own_weight(unit)
-        assert before == products(cyc.plus)
-        cyc.digit(5 * len(cyc.states) + 1, False)
-        assert own_weight(unit) == before + 2 * 8 * n * n
-        cyc.minus()
-        with_minus = own_weight(unit)
-        assert with_minus == before + 2 * 8 * n * n + products(cyc.minus())
-        cyc.digit(5 * len(cyc.states) + 1, True)
-        n += len(cyc.minus().nil)
-        assert own_weight(unit) == with_minus + 2 * 8 * n * n
-        assert len(kept("cycle")) == 5
+        # a half-cycle weighs its exact products, each packed one its bytes
+        # and a fixed overhead, and a pencil p.nbytes + q.nbytes, H1+ alone
+        # or diag(H1+, H1-) with its zero blocks; each unit is weighed once,
+        # when kept, and no pencil re-weighs the cycles it is built from
+        anchor, a = cyc.states[0], 5 * len(cyc.states) + 1
+        unit = ("cycle", anchor, "T", 0)
+        n = len(cyc.nil)
+        assert own_weight(unit) == products(cyc)
+        cache.digit(anchor, "T", a, False)
+        assert own_weight(("pencil", anchor, "T", False, 1, 5 % len(cyc.powers))) == 2 * 8 * n * n
+        minus = cache.cycle(anchor, "T", 1)
+        assert own_weight(("cycle", anchor, "T", 1)) == products(minus)
+        k = math.lcm(len(cyc.powers), len(minus.powers))
+        cache.digit(anchor, "T", a, True)
+        n += len(minus.nil)
+        assert own_weight(("pencil", anchor, "T", True, 1, 5 % k)) == 2 * 8 * n * n
+        assert own_weight(unit) == products(cyc)
+        assert len(kept("cycle")) == 6 and len(kept("pencil")) == 2
         assert store.nbytes == sum(unit.nbytes for unit in store._units)
         # on 5 1 2 2 5 the H1+ cycle products have finite order: a pencil
         # there has Q == 0 and weighs its p alone
         o, iota = orientation_double_cover(cyclic_pillow(5, (1, 2, 2, 5)))
-        cyc = cache.cycle(cache.canonical_key(o, iota), "T")
-        unit, n = ("cycle", cyc.states[0], "T"), len(cyc.plus.nil)
-        before = own_weight(unit)
-        pencil, _, _ = cyc.digit(5 * len(cyc.states) + 1, False)
-        assert pencil.q is None and own_weight(unit) == before + 8 * n * n
+        key = cache.canonical_key(o, iota)
+        cyc = cache.cycle(key, "T", 0)
+        pencil, _, _ = cache.digit(key, "T", 5 * len(cyc.states) + 1, False)
+        n = len(cyc.nil)
+        assert pencil.q is None and own_weight(kept("pencil")[-1]) == 8 * n * n
         assert store.nbytes == sum(unit.nbytes for unit in store._units)
 
     def test_a_lookup_marks_the_state_used(self):
@@ -795,7 +834,46 @@ class TestSharedStateCache:
             with pytest.raises(Cut):
                 cache.transition(key, "T")
         assert (key, "T") not in cache.transitions
-        assert all(cache.state(k).splitting is not None for k in kept("state"))
+        # a half-cycle build cut off between two of its moves, and a pencil
+        # build cut off between its two halves, each with every unit it
+        # reads already kept: neither leaves a unit behind
+        plus, minus = (cache.cycle(key, "T", half) for half in (0, 1))
+        assert len(plus.states) > 1
+        forget(("cycle", key, "T", 1))
+        units = set(store.index)
+        real_transition, moves = cache.transition, []
+
+        def cut_transition(*args):
+            moves.append(args)
+            if len(moves) == 2:
+                raise Cut
+            return real_transition(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(cache, "transition", cut_transition)
+            with pytest.raises(Cut):
+                cache.cycle(key, "T", 1)
+        assert set(store.index) == units
+        minus = cache.cycle(key, "T", 1)
+        units = set(store.index)
+        real_pencil, halves = cocycle.GenCycle.pencil, []
+
+        def cut_pencil(*args):
+            halves.append(args)
+            if len(halves) == 2:
+                raise Cut
+            return real_pencil(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(cocycle.GenCycle, "pencil", cut_pencil)
+            with pytest.raises(Cut):
+                cache.digit(key, "T", 1, True)
+        assert set(store.index) == units
+        # every kept state is the state its key gives
+        for k in kept("state"):
+            fresh = cocycle.StateData(Origami(len(k[0]), k[0], k[1], allow_disconnected=True), k[2])
+            st = cache.state(k)
+            assert (st.basis, st.splitting) == (fresh.basis, fresh.splitting)
         warm = run_monte_carlo(cover, 600, 1)
         store.clear()
         assert run_monte_carlo(cover, 600, 1) == warm
@@ -1127,14 +1205,14 @@ class TestOneFrame:
         rng = np.random.default_rng(N)
         state = 0
         for gen in ["T", "L", "T", "L"]:
-            cyc = walker.cache.cycle(walker._keys[state], gen)
-            k = len(cyc.states)
+            halves = [walker.cache.cycle(walker._keys[state], gen, half) for half in (0, 1)]
+            k = len(halves[0].states)
             for power in [1, k - 1, k, 3 * k + 1, int(rng.integers(1, 10**6)), 10**12]:
                 M, target = walker.digit(state, gen, power)
                 q, r = divmod(power, k)
-                assert walker._keys[target] == cyc.states[r]
-                plus = np.array(exact_power(cyc.plus, r, q), dtype=float).reshape(dp, dp)
-                minus = np.array(exact_power(cyc.minus(), r, q), dtype=float).reshape(n - dp, n - dp)
+                assert walker._keys[target] == halves[0].states[r]
+                plus = np.array(exact_power(halves[0], r, q), dtype=float).reshape(dp, dp)
+                minus = np.array(exact_power(halves[1], r, q), dtype=float).reshape(n - dp, n - dp)
                 assert M.shape == (n, n)
                 assert M[:dp, :dp].tobytes() == plus.tobytes()
                 assert M[dp:, dp:].tobytes() == minus.tobytes()
@@ -1143,15 +1221,19 @@ class TestOneFrame:
 
     def test_the_memo_holds_references_only(self):
         walker = _Walker(cyclic_pillow(5, (1, 2, 2, 5)))
-        cyc = walker.cache.cycle(walker.anchor, "T")
+        cycles = tuple(walker.cache.cycle(walker.anchor, "T", half) for half in (0, 1))
         # a digit of multiplier 0 is its pencil's own read-only array, the
-        # one the shared cycle keeps
-        short = len(cyc.states) - 1
+        # one the store keeps; the miss asked the store for the digit's
+        # half-cycles and pencil, which are now its most recently used units
+        short = len(cycles[0].states) - 1
         M, target = walker.digit(0, "T", short)
         pencil, m, kept = walker._memo[0, "T", short]
         assert m == 0 and M is pencil.p and kept == target
-        assert cyc.digit(short, True)[0] is pencil
-        assert walker._keys[target] == cyc.states[short]
+        assert [unit.keys[0] for unit in list(store._units)[-3:]] == [
+            ("cycle", walker.anchor, "T", 0), ("cycle", walker.anchor, "T", 1),
+            ("pencil", walker.anchor, "T", True, short, 0)]
+        assert walker.cache.digit(walker.anchor, "T", short, True)[0] is pencil
+        assert walker._keys[target] == cycles[0].states[short]
         # one of multiplier > 0 is formed afresh at each sighting, equal
         first, after = walker.digit(0, "T", 10**12)
         second, again = walker.digit(0, "T", 10**12)
@@ -1279,7 +1361,7 @@ MONTE_CARLO_LINES = {
 MONTE_CARLO_WORK = {
     "certify 5 1 2 2 5": {"states": 3, "transitions": 6, "cycles": 6, "pencils": 60,
                           "digit_arrays": 0, "qr": 31},
-    "lyapunov 6 1 1 5 5": {"states": 3, "transitions": 6, "cycles": 6, "pencils": 20,
+    "lyapunov 6 1 1 5 5": {"states": 3, "transitions": 6, "cycles": 12, "pencils": 20,
                            "digit_arrays": 201, "qr": 28},
 }
 

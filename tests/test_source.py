@@ -148,6 +148,69 @@ def test_the_involution_is_checked_once_per_state(tmp_path):
         ("homology.involution_splitting", "involution_on_homology")]
 
 
+def _unit_keepers(src: Path = SRC) -> list[str]:
+    """What in ``cocycle`` could keep a store unit other than once, when
+    built: each call of ``store.keep`` outside a ``StateCache`` method, and
+    each attribute of ``GenCycle`` set to the cache (a parameter annotated
+    ``StateCache``) or to a store key (a tuple led by a string)."""
+    tree = ast.parse((src / "cocycle.py").read_text())
+    found = []
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            owned = [(f"{top.name}.{getattr(node, 'name', '<class>')}", node) for node in top.body]
+        else:
+            owned = [(getattr(top, "name", "<module>"), top)]
+        for owner, part in owned:
+            found += [f"{owner} calls store.keep" for node in ast.walk(part)
+                      if isinstance(node, ast.Call) and ast.unparse(node.func) == "store.keep"
+                      and not owner.startswith("StateCache.")]
+    (cycle,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "GenCycle"]
+    for fn in (node for node in cycle.body if isinstance(node, ast.FunctionDef)):
+        cache = {a.arg for a in fn.args.args if a.annotation and "StateCache" in ast.unparse(a.annotation)}
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Assign):
+                continue
+            for target in node.targets:
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                else:
+                    pairs = [(target, node.value)]
+                for attr, value in pairs:
+                    if not (isinstance(attr, ast.Attribute) and ast.unparse(attr.value) == "self"):
+                        continue
+                    if isinstance(value, ast.Name) and value.id in cache:
+                        found.append(f"GenCycle.{attr.attr} holds the cache")
+                    elif isinstance(value, ast.Tuple) and value.elts and isinstance(value.elts[0], ast.Constant) \
+                            and isinstance(value.elts[0].value, str):
+                        found.append(f"GenCycle.{attr.attr} holds a store key")
+    return found
+
+
+def test_store_units_are_kept_by_the_state_cache_alone(tmp_path):
+    # every unit is weighed once, when the state cache keeps it: a
+    # half-cycle holds neither the cache nor its own key, so it cannot keep
+    # itself again, heavier, as it grows
+    assert _unit_keepers() == []
+    # the guard sees a re-added _grow, and the attributes it would need,
+    # in a copy of the sources
+    text = (SRC / "cocycle.py").read_text()
+    slots = '    __slots__ = ("states", "cum", "powers", "nil")\n'
+    init = "    def __init__(self, gen: str, moves: list[Transition], half: int):\n"
+    grow = ("    def _grow(self, nbytes: int) -> None:\n"
+            "        self._nbytes += nbytes\n"
+            "        store.keep((self._key,), self, self._nbytes)\n\n")
+    holds = ("    def __init__(self, gen: str, moves: list[Transition], half: int, cache: StateCache = None):\n"
+             "        self._cache, self._key, self._nbytes = cache, ('cycle', moves[-1].target, gen, half), 0\n")
+    assert text.count(slots) == text.count(init) == 1
+    grown = text.replace(slots, slots + "\n" + grow)
+    for copy, want in ((grown, ["GenCycle._grow calls store.keep"]),
+                       (grown.replace(init, holds), ["GenCycle._cache holds the cache",
+                                                     "GenCycle._grow calls store.keep",
+                                                     "GenCycle._key holds a store key"])):
+        (tmp_path / "cocycle.py").write_text(copy)
+        assert sorted(_unit_keepers(tmp_path)) == want
+
+
 def test_src_reads_no_environment():
     # no knobs: a tuning constant such as lyapunov._RENORM_NATS is a module
     # constant, and no environment variable may override it or anything else

@@ -26,15 +26,15 @@ def _kind(key) -> str:
         return "orbit"
     if isinstance(key[0], int):
         return "report"
-    if key[0] == "cycle":
-        return "cycle"
+    if key[0] in ("cycle", "pencil"):
+        return key[0]
     return "move" if len(key) == 2 else "state"
 
 
 def kept(kind):
     """What the store holds of one kind, the least recently used first:
     each orbit's (packed vertices, edge targets), or the key of each
-    report, state, move or cycle."""
+    report, state, move, half-cycle or pencil."""
     return [unit.value if kind == "orbit" else unit.keys[0]
             for unit in store._units if _kind(unit.keys[0]) == kind]
 
@@ -146,7 +146,7 @@ def _traced(build):
 
 # a degree-12 cover, and a degree-5 one whose 3-vertex orbit is small
 # enough that the store's own bookkeeping is most of its unit
-KINDS = ["orbit", "report", "state", "move", "cycle"]
+KINDS = ["orbit", "report", "state", "move", "cycle", "pencil"]
 WEIGHED = [pytest.param(kind, CyclicCoverSpec(12, (1, 5, 7, 11)), id=kind) for kind in KINDS]
 WEIGHED += [pytest.param(kind, CyclicCoverSpec(5, (1, 2, 2, 5)), id=f"{kind}-5-1-2-2-5")
             for kind in KINDS]
@@ -175,19 +175,24 @@ def test_each_weight_is_within_twice_what_tracemalloc_counts(kind, spec):
         forget((key, "T"))  # its two states stay
         traced = _traced(lambda: cache.transition(key, "T"))
         weighed = weight((key, "T"))
+    elif kind == "cycle":
+        cache.cycle(key, "T", 0)
+        forget(("cycle", key, "T", 0))  # its states and moves stay
+        traced = _traced(lambda: cache.cycle(key, "T", 0))
+        weighed = weight(("cycle", key, "T", 0))
     else:
-        cyc = cache.cycle(key, "T")
-        n = len(cyc.states)
-        forget(("cycle", key, "T"))  # its states and moves stay
+        n = len(cache.cycle(key, "T", 0).states)
+        cache.cycle(key, "T", 1)
 
         def build():
-            cyc = cache.cycle(key, "T")
             for with_minus in (False, True):
                 for a in range(1, 8 * n):
-                    cyc.digit(a, with_minus)
+                    cache.digit(key, "T", a, with_minus)
 
+        before = store.nbytes
         traced = _traced(build)
-        weighed = weight(("cycle", key, "T"))
+        weighed = store.nbytes - before
+        assert len(kept("pencil")) > 2
     assert traced / 2 <= weighed <= 2 * traced, (traced, weighed)
 
 
